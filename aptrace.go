@@ -278,16 +278,16 @@ func NewMemoCache(maxBytes int64, reg *Telemetry) *MemoCache { return memo.New(m
 // time; queries then publish rows-examined and latency metrics.
 func WithTelemetry(reg *Telemetry) StoreOption { return store.WithTelemetry(reg) }
 
-// WithSealWorkers fixes the worker count Seal uses for its parallel sort and
-// index build (0, the default, auto-sizes to the machine). Any value yields
+// WithSealWorkers fixes the worker count Seal uses for its parallel index
+// build (0, the default, auto-sizes to the machine). Any value yields
 // bit-identical indexes.
 func WithSealWorkers(n int) StoreOption { return store.WithSealWorkers(n) }
 
-// WithShards partitions the store into n host×time shards that seal in
-// parallel and answer queries by scatter-gather (1 keeps the flat layout,
-// and overrides a persisted shard count at OpenStore time). Sharding is
-// real-CPU-only acceleration: every query result, charged cost, and
-// experiment table is byte-identical to the flat store for any n.
+// WithShards partitions the store into n host×time shards that seal side by
+// side and answer queries by scatter-gather (1 keeps the default single
+// part, and overrides a persisted shard count at OpenStore time). Sharding
+// is real-CPU-only acceleration: every query result, charged cost, and
+// experiment table is byte-identical for any n.
 func WithShards(n int) StoreOption { return store.WithShards(n) }
 
 // WithShardEpoch sets the time-bucket width, in seconds, of the host×time

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"aptrace/internal/alerts"
+	"aptrace/internal/event"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
 	"aptrace/internal/workload"
@@ -105,6 +107,68 @@ func TestDetectNowConcurrent(t *testing.T) {
 	}
 	if got := len(srv.Alerts()); got != want {
 		t.Fatalf("concurrent passes recorded %d alerts, one pass records %d", got, want)
+	}
+}
+
+// TestDetectNowSplitSecond pins detection across a second that two ingest
+// batches share: the events of the boundary second that arrive after a pass
+// must still be scanned by the next one, and the ones already alerted on must
+// not be alerted on again. The live alert set has to equal an offline scan of
+// the final snapshot.
+func TestDetectNowSplitSecond(t *testing.T) {
+	live, err := store.OpenLive(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	srv, err := New(Config{Live: live, ViewClock: simClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shell := event.Process("h1", "bash", 7, 1)
+	tamper := func(at int64, path string) {
+		t.Helper()
+		if _, err := live.Append(at, shell, event.File("h1", path), event.ActWrite, event.FlowOut, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	detect := func(want int) {
+		t.Helper()
+		if n, err := srv.DetectNow(); err != nil || n != want {
+			t.Fatalf("DetectNow = %d, %v; want %d new alerts", n, err, want)
+		}
+	}
+
+	tamper(1000, "/etc/shadow")
+	detect(1)
+	tamper(1000, "/etc/sudoers") // same second, later batch
+	tamper(1000, "/tmp/scratch") // benign
+	detect(1)
+	detect(0) // nothing new: the boundary second is rescanned, not re-alerted
+	tamper(1001, "/etc/shadow")
+	detect(1)
+
+	snap, err := live.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := alerts.NewDetector().Scan(snap, 0, 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := srv.Alerts()
+	if len(got) != len(offline) {
+		t.Fatalf("live detection raised %d alerts, an offline scan of the final snapshot %d", len(got), len(offline))
+	}
+	seen := make(map[uint64]bool)
+	for i, a := range offline {
+		if got[i].EventID != uint64(a.Event.ID) || got[i].Rule != a.Rule {
+			t.Errorf("alert %d: live (%s, event %d), offline (%s, event %d)", i, got[i].Rule, got[i].EventID, a.Rule, a.Event.ID)
+		}
+		if seen[got[i].EventID] {
+			t.Errorf("event %d alerted twice", got[i].EventID)
+		}
+		seen[got[i].EventID] = true
 	}
 }
 

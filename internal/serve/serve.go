@@ -189,11 +189,16 @@ type Server struct {
 	// (UnixNano; 0 = never), read by readiness and the watchdog.
 	lastDetect atomic.Int64
 
-	mu       sync.Mutex
-	det      *alerts.Detector
-	snap     *store.Store // latest snapshot (detection + session substrate)
-	memoSig  uint64       // content signature the memo cache was filled under
-	scanned  int64        // first second not yet scanned by detection
+	mu      sync.Mutex
+	det     *alerts.Detector
+	snap    *store.Store // latest snapshot (detection + session substrate)
+	memoSig uint64       // content signature the memo cache was filled under
+	// scanned is the last second detection has scanned (0 = nothing yet). A
+	// later ingest batch may still carry events of that second, so the next
+	// pass scans it again and skips what boundary holds: the alerts already
+	// raised on its events.
+	scanned  int64
+	boundary map[alertKey]struct{}
 	alerts   []AlertRecord
 	alertSeq int           // total alerts ever recorded (survives eviction)
 	batches  []ingestBatch // recent ingest batches, oldest first
@@ -482,8 +487,14 @@ func (s *Server) Start() {
 	}()
 }
 
+// alertKey identifies one alert: an event may trip several rules.
+type alertKey struct {
+	event event.EventID
+	rule  string
+}
+
 // DetectNow runs one incremental detection pass: snapshot the source, scan
-// only events newer than the previous pass, record alerts, and — with
+// from the last second the previous pass saw, record the new alerts, and — with
 // AutoBacktrack — launch a backtracking session per alert on the fleet.
 // It returns the number of new alerts. Passes are serialized: a concurrent
 // call (the background ticker vs. an API-driven pass) waits its turn and
@@ -503,6 +514,7 @@ func (s *Server) DetectNow() (int, error) {
 	}
 	s.mu.Lock()
 	from := s.scanned
+	raised := s.boundary
 	det := s.det
 	s.mu.Unlock()
 	if from == 0 {
@@ -518,7 +530,15 @@ func (s *Server) DetectNow() (int, error) {
 	}
 	now := time.Now()
 	records := make([]AlertRecord, 0, len(hits))
+	boundary := make(map[alertKey]struct{})
 	for _, a := range hits {
+		key := alertKey{a.Event.ID, a.Rule}
+		if a.Event.Time == max {
+			boundary[key] = struct{}{}
+		}
+		if _, dup := raised[key]; dup {
+			continue
+		}
 		s.telAlerts.Inc()
 		rec := AlertRecord{
 			Rule:      a.Rule,
@@ -555,7 +575,7 @@ func (s *Server) DetectNow() (int, error) {
 		records = append(records, rec)
 	}
 	s.mu.Lock()
-	s.scanned = max + 1
+	s.scanned, s.boundary = max, boundary
 	for i := range records {
 		s.alertSeq++
 		records[i].Seq = s.alertSeq

@@ -74,17 +74,17 @@ func TestAppendQueryMatchesNaiveScan(t *testing.T) {
 			}
 		}
 
-		query, appendQ := s.QueryBackward, s.AppendBackward
+		appendQ := s.AppendBackward
 		if forward {
-			query, appendQ = s.QueryForward, s.AppendForward
+			appendQ = s.AppendForward
 		}
 
 		before := s.Stats()
-		got, err := query(obj, from, to)
+		got, err := appendQ(nil, obj, from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("Query", got, before, s.Stats())
+		check("Append(nil)", got, before, s.Stats())
 
 		before = s.Stats()
 		buf2, err := appendQ(buf[:0], obj, from, to)
@@ -106,29 +106,70 @@ func TestAppendQueryMatchesNaiveScan(t *testing.T) {
 	}
 }
 
-// TestAppendReusesCapacity pins the zero-allocation contract: once the buffer
-// has grown to the hot window's size, repeated queries must not allocate.
+// TestAppendReusesCapacity pins the zero-allocation contract of the query
+// path for one part and for several: once the buffer has grown to the hot
+// window's size, repeated queries — append, count and every attribute walk —
+// must not allocate, however many runs the probe collects.
 func TestAppendReusesCapacity(t *testing.T) {
-	s := buildRandom(t, 20_000, 11)
-	var hot event.ObjID
-	for id := event.ObjID(0); int(id) < s.NumObjects(); id++ {
-		if s.InDegree(id) > s.InDegree(hot) {
-			hot = id
+	for _, shards := range []int{1, 4} {
+		s := buildRandom(t, 20_000, 11, WithShards(shards))
+		// The busiest object overall, and the busiest file and process for
+		// the walks whose type guard would otherwise return before any row.
+		var hot, hotFile, hotProc event.ObjID
+		most, mostFile, mostProc := -1, -1, -1
+		for id := event.ObjID(0); int(id) < s.NumObjects(); id++ {
+			d := s.InDegree(id)
+			if d > most {
+				hot, most = id, d
+			}
+			if s.Object(id).Type == event.ObjFile && d > mostFile {
+				hotFile, mostFile = id, d
+			}
+			if s.Object(id).Type == event.ObjProcess && d > mostProc {
+				hotProc, mostProc = id, d
+			}
 		}
-	}
-	buf, err := s.AppendBackward(nil, hot, 0, 1_000_001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		var err error
-		buf, err = s.AppendBackward(buf[:0], hot, 0, 1_000_001)
+		// A window under the scatter cutoff even for FileTimes, which walks
+		// both endpoint indexes: a timed scatter starts goroutines and is
+		// allowed to allocate, an inline probe is not.
+		const to = 600_000
+		if shards > 1 {
+			// The zero must hold for probes that really merge runs.
+			for _, obj := range []event.ObjID{hot, hotFile, hotProc} {
+				in, _ := s.CountBackward(obj, 0, to)
+				out, _ := s.CountForward(obj, 0, to)
+				runs, _, _ := s.collect(nil, obj, false, 0, to)
+				if len(runs) < 2 || in+out >= shardScatterCutoff {
+					t.Fatalf("shards=%d: object %d's window (%d runs, %d rows) is not an inline multi-run probe",
+						shards, obj, len(runs), in+out)
+				}
+			}
+		}
+		buf, err := s.AppendBackward(nil, hot, 0, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state AppendBackward allocates %.1f times per call, want 0", allocs)
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"AppendBackward", func() (err error) { buf, err = s.AppendBackward(buf[:0], hot, 0, to); return }},
+			{"CountBackward", func() (err error) { _, err = s.CountBackward(hot, 0, to); return }},
+			{"IsReadOnlyFile", func() (err error) { _, err = s.IsReadOnlyFile(hotFile, 0, to); return }},
+			{"IsWriteThrough", func() (err error) { _, err = s.IsWriteThrough(hotProc, 0, to); return }},
+			{"FlowAmount", func() (err error) { _, err = s.FlowAmount(0, hot, 0, to); return }},
+			{"FileTimes", func() (err error) { _, _, _, err = s.FileTimes(hotFile, 0, to); return }},
+		}
+		for _, c := range calls {
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := c.call(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("shards=%d: steady-state %s allocates %.1f times per call, want 0", shards, c.name, allocs)
+			}
+		}
 	}
 }
 

@@ -11,7 +11,16 @@ import (
 // the window under investigation, not on all history.
 //
 // These are modeled as index-backed aggregate queries and charge the cost
-// model for the posting entries they examine.
+// model for the posting entries they examine: exactly the rows one ordered
+// walk over the object's whole posting list would visit, however many parts
+// hold it. Full-range aggregates (FlowAmount, FileTimes) are order-
+// independent and fold per-run partials. The early-exit predicates
+// (read-only, write-through) stop at the first disqualifying event in global
+// order, so every run finds its own first disqualifier, the earliest of them
+// by (time, seq) wins, and the charge is the rows preceding it across all
+// runs plus itself. A run may walk more rows than are charged (it keeps
+// scanning past another run's earlier disqualifier); that is real CPU only,
+// and is what a scatter can parallelize.
 
 // NoCharge is the row count the *Rows attribute variants return when a type
 // guard short-circuited the evaluation before any posting rows were examined
@@ -34,32 +43,19 @@ func (s *Store) IsReadOnlyFile(obj event.ObjID, from, to int64) (bool, error) {
 // cache the verdict need this to replay the identical charge (or its
 // absence) on a cache hit.
 func (s *Store) IsReadOnlyFileRows(obj event.ObjID, from, to int64) (bool, int64, error) {
-	if s.sh != nil {
-		return s.shardIsReadOnlyFileRows(obj, from, to)
-	}
 	if !s.sealed {
 		return false, NoCharge, ErrNotSealed
 	}
 	if s.objects[obj].Type != event.ObjFile {
 		return false, NoCharge, nil
 	}
-	list, times := s.byDst.list(obj)
-	lo, hi := postingRange(times, from, to)
-	rows := int64(0)
-	readOnly := true
-	for _, idx := range list[lo:hi] {
-		rows++
-		switch s.events[idx].Action {
-		case event.ActWrite, event.ActCreate, event.ActDelete, event.ActRename, event.ActChmod:
-			readOnly = false
-		}
-		if !readOnly {
-			break
-		}
-	}
+	var scratch [MaxShards]run
+	runs, postingLen, total := s.collect(scratch[:0], obj, false, from, to)
+	acc, durs := s.walkRuns(walkReadOnly, 0, runs, total)
+	rows := s.chargedRows(runs, acc, total)
 	s.charge(rows, from, to)
-	s.noteFlatQuery(qprof.KindReadOnly, int64(obj), from, to, rows, int64(len(list)))
-	return readOnly, rows, nil
+	s.noteRuns(qprof.KindReadOnly, obj, from, to, runs, postingLen, rows, durs)
+	return acc.run < 0, rows, nil
 }
 
 // IsWriteThrough reports whether obj is a "write-through" helper process
@@ -75,40 +71,38 @@ func (s *Store) IsWriteThrough(obj event.ObjID, from, to int64) (bool, error) {
 // when the type guard made no charge), for callers that replay charges from
 // a cache.
 func (s *Store) IsWriteThroughRows(obj event.ObjID, from, to int64) (bool, int64, error) {
-	if s.sh != nil {
-		return s.shardIsWriteThroughRows(obj, from, to)
-	}
 	if !s.sealed {
 		return false, NoCharge, ErrNotSealed
 	}
 	if s.objects[obj].Type != event.ObjProcess {
 		return false, NoCharge, nil
 	}
-	rows := int64(0)
-	seen := false
-	through := true
-	check := func(p *postings, counterpartOf func(event.Event) event.ObjID) {
-		list, times := p.list(obj)
-		lo, hi := postingRange(times, from, to)
-		for _, idx := range list[lo:hi] {
-			rows++
-			e := s.events[idx]
-			if e.Action == event.ActLoad {
-				continue // image/library loads do not disqualify a helper
-			}
-			seen = true
-			if s.objects[counterpartOf(e)].Type != event.ObjProcess {
-				through = false
-				return
-			}
+	qp, obs := s.qp.Load(), s.scatterObs
+	var snap []qprof.ShardSample
+	var rows, postingLen int64
+	seen, through := false, true
+	// The incoming index first, the outgoing one only if the helper is still
+	// in the running: a non-load event whose counterpart is not a process
+	// disqualifies it.
+	var scratch [MaxShards]run
+	for _, forward := range [2]bool{false, true} {
+		runs, n, total := s.collect(scratch[:0], obj, forward, from, to)
+		acc, durs := s.walkRuns(walkWriteThrough, 0, runs, total)
+		rows += s.chargedRows(runs, acc, total)
+		seen = seen || acc.nonLoad
+		if qp != nil || obs != nil {
+			snap = append(snap, shardSnap(runs, durs)...)
+			postingLen += int64(n)
+		}
+		if acc.run >= 0 {
+			through = false
+			break
 		}
 	}
-	check(s.byDst, func(e event.Event) event.ObjID { return e.Src() })
-	if through {
-		check(s.bySrc, func(e event.Event) event.ObjID { return e.Dst() })
-	}
 	s.charge(rows, from, to)
-	s.noteFlatQuery(qprof.KindWriteThrough, int64(obj), from, to, rows, 0)
+	if qp != nil || obs != nil {
+		s.emit(qp, obs, qprof.KindWriteThrough, int64(obj), from, to, rows, postingLen, 0, snap)
+	}
 	return seen && through, rows, nil
 }
 
@@ -116,24 +110,15 @@ func (s *Store) IsWriteThroughRows(obj event.ObjID, from, to int64) (bool, int64
 // dst within [from, to). It backs quantity-based heuristics (paper
 // Program 2: prioritize uploads at least as large as the sensitive read).
 func (s *Store) FlowAmount(src, dst event.ObjID, from, to int64) (int64, error) {
-	if s.sh != nil {
-		return s.shardFlowAmount(src, dst, from, to)
-	}
 	if !s.sealed {
 		return 0, ErrNotSealed
 	}
-	list, times := s.byDst.list(dst)
-	lo, hi := postingRange(times, from, to)
-	var total, rows int64
-	for _, idx := range list[lo:hi] {
-		rows++
-		if e := s.events[idx]; e.Src() == src {
-			total += e.Amount
-		}
-	}
-	s.charge(rows, from, to)
-	s.noteFlatQuery(qprof.KindFlowAmount, int64(dst), from, to, rows, int64(len(list)))
-	return total, nil
+	var scratch [MaxShards]run
+	runs, postingLen, total := s.collect(scratch[:0], dst, false, from, to)
+	acc, durs := s.walkRuns(walkFlowAmount, src, runs, total)
+	s.charge(int64(total), from, to)
+	s.noteRuns(qprof.KindFlowAmount, dst, from, to, runs, postingLen, int64(total), durs)
+	return acc.sum, nil
 }
 
 // FileTimes returns the file-time attributes BDL exposes for file objects
@@ -149,37 +134,183 @@ func (s *Store) FileTimes(obj event.ObjID, from, to int64) (creation, lastMod, l
 // replay charges from a cache. FileTimes has no type guard, so rows is
 // always >= 0 on success.
 func (s *Store) FileTimesRows(obj event.ObjID, from, to int64) (creation, lastMod, lastAccess, rows int64, err error) {
-	if s.sh != nil {
-		return s.shardFileTimesRows(obj, from, to)
-	}
 	if !s.sealed {
 		return 0, 0, 0, NoCharge, ErrNotSealed
 	}
-	list, times := s.byDst.list(obj)
-	lo, hi := postingRange(times, from, to)
-	for _, idx := range list[lo:hi] {
-		rows++
-		e := s.events[idx]
-		switch e.Action {
-		case event.ActCreate:
-			if creation == 0 {
-				creation = e.Time
-			}
-			lastMod = e.Time
-		case event.ActWrite, event.ActRename, event.ActChmod, event.ActDelete:
-			lastMod = e.Time
-		}
-	}
-	// Accesses flow out of the file (file is the source of a read).
-	src, srcTimes := s.bySrc.list(obj)
-	lo, hi = postingRange(srcTimes, from, to)
-	for _, idx := range src[lo:hi] {
-		rows++
-		if e := s.events[idx]; e.Action == event.ActRead || e.Action == event.ActLoad {
-			lastAccess = e.Time
-		}
-	}
+	// Mutations flow into the file, accesses out of it (the file is the
+	// source of a read): the runs of both endpoint indexes are one probe.
+	var scratch [2 * MaxShards]run
+	runs, dstLen, dstTotal := s.collect(scratch[:0], obj, false, from, to)
+	runs, srcLen, srcTotal := s.collect(runs, obj, true, from, to)
+	acc, durs := s.walkRuns(walkFileTimes, 0, runs, dstTotal+srcTotal)
+	rows = int64(dstTotal + srcTotal)
 	s.charge(rows, from, to)
-	s.noteFlatQuery(qprof.KindFileTimes, int64(obj), from, to, rows, int64(len(list)+len(src)))
-	return creation, lastMod, lastAccess, rows, nil
+	s.noteRuns(qprof.KindFileTimes, obj, from, to, runs, dstLen+srcLen, rows, durs)
+	return acc.created, acc.modified, acc.accessed, rows, nil
+}
+
+// walkKind names one of the four attribute walks over a posting run.
+type walkKind uint8
+
+const (
+	walkReadOnly walkKind = iota
+	walkWriteThrough
+	walkFlowAmount
+	walkFileTimes
+)
+
+// partial is what walking one run found, and — folded over every run of a
+// probe — the whole walk's result.
+type partial struct {
+	// Early-exit walks: the posting position of the run's first disqualifier
+	// (hit < 0: none) and, after folding, the run that holds the globally
+	// first one (run < 0: none).
+	run, hit int32
+	nonLoad  bool  // write-through: a non-load event was seen
+	sum      int64 // FlowAmount
+
+	created, modified, accessed int64 // FileTimes; 0 = no such event
+}
+
+// walkRun evaluates one attribute walk over one run, in time order. src is
+// FlowAmount's source filter.
+func (s *Store) walkRun(k walkKind, src event.ObjID, r run) partial {
+	p, pl := s.cols(r)
+	events, idx := p.events, pl.idx[r.lo:r.hi]
+	out := partial{run: -1, hit: -1}
+	switch k {
+	case walkReadOnly:
+		for j, q := range idx {
+			switch events[q].Action {
+			case event.ActWrite, event.ActCreate, event.ActDelete, event.ActRename, event.ActChmod:
+				out.hit = r.lo + int32(j)
+				return out
+			}
+		}
+	case walkWriteThrough:
+		for j, q := range idx {
+			e := &events[q]
+			if e.Action == event.ActLoad {
+				continue // image/library loads do not disqualify a helper
+			}
+			out.nonLoad = true
+			other := e.Src()
+			if r.fwd {
+				other = e.Dst()
+			}
+			if s.objects[other].Type != event.ObjProcess {
+				out.hit = r.lo + int32(j)
+				return out
+			}
+		}
+	case walkFlowAmount:
+		for _, q := range idx {
+			if e := &events[q]; e.Src() == src {
+				out.sum += e.Amount
+			}
+		}
+	case walkFileTimes:
+		if r.fwd {
+			for _, q := range idx {
+				if e := &events[q]; e.Action == event.ActRead || e.Action == event.ActLoad {
+					out.accessed = e.Time
+				}
+			}
+			break
+		}
+		for _, q := range idx {
+			e := &events[q]
+			switch e.Action {
+			case event.ActCreate:
+				if out.created == 0 {
+					out.created = e.Time
+				}
+				out.modified = e.Time
+			case event.ActWrite, event.ActRename, event.ActChmod, event.ActDelete:
+				out.modified = e.Time
+			}
+		}
+	}
+	return out
+}
+
+// fold merges run ri's partial into acc. Runs are ascending in time, so the
+// first create is the minimum nonzero creation, the "last X" are maxima, and
+// the first disqualifier is the (time, seq) minimum over the runs' own.
+func (s *Store) fold(acc *partial, runs []run, ri int, p *partial) {
+	if p.hit >= 0 && (acc.run < 0 || s.hitBefore(runs[ri], p.hit, runs[acc.run], acc.hit)) {
+		acc.run, acc.hit = int32(ri), p.hit
+	}
+	acc.nonLoad = acc.nonLoad || p.nonLoad
+	acc.sum += p.sum
+	if p.created != 0 && (acc.created == 0 || p.created < acc.created) {
+		acc.created = p.created
+	}
+	acc.modified = max(acc.modified, p.modified)
+	acc.accessed = max(acc.accessed, p.accessed)
+}
+
+// hitBefore orders posting entry a of run ra against entry b of run rb.
+func (s *Store) hitBefore(ra run, a int32, rb run, b int32) bool {
+	pa, pla := s.cols(ra)
+	pb, plb := s.cols(rb)
+	return before(pa, pla.idx[a], pb, plb.idx[b])
+}
+
+// walkRuns evaluates one attribute walk over every run of a probe and folds
+// the partials. Runs of one part, or a window-sized probe, are walked in
+// place with no allocation; a big probe that spans parts is a timed scatter,
+// whose per-run busy nanos are returned for the profiler.
+func (s *Store) walkRuns(k walkKind, src event.ObjID, runs []run, total int) (acc partial, durs []int64) {
+	acc.run = -1
+	parts := spread(runs)
+	s.noteFanout(parts)
+	if !scattered(parts > 1, total) {
+		for ri, r := range runs {
+			p := s.walkRun(k, src, r)
+			s.fold(&acc, runs, ri, &p)
+		}
+		return acc, nil
+	}
+	// The scatter's goroutines get heap copies: they must not pin the
+	// caller's stack scratch.
+	legs := append([]run(nil), runs...)
+	found := make([]partial, len(legs))
+	durs = s.scatter(len(legs), func(i int) { found[i] = s.walkRun(k, src, legs[i]) })
+	for ri := range found {
+		s.fold(&acc, runs, ri, &found[ri])
+	}
+	return acc, durs
+}
+
+// chargedRows is what an early-exit walk charges: the whole window when no
+// run held a disqualifier, else the rows that precede the first one in
+// global order, in every run, plus itself.
+func (s *Store) chargedRows(runs []run, acc partial, total int) int64 {
+	if acc.run < 0 {
+		return int64(total)
+	}
+	first := runs[acc.run]
+	rows := int64(acc.hit-first.lo) + 1
+	for ri, r := range runs {
+		if ri != int(acc.run) {
+			rows += int64(s.rowsBefore(r, first, acc.hit))
+		}
+	}
+	return rows
+}
+
+// rowsBefore counts the entries of run r that precede entry hit of another
+// part's run in global order: binary search on time, then a short seq walk
+// across the equal-time span (posting entries are (time, seq)-sorted within
+// a part).
+func (s *Store) rowsBefore(r, other run, hit int32) int32 {
+	p, pl := s.cols(r)
+	op, opl := s.cols(other)
+	t, seq := opl.times[hit], op.seq[opl.idx[hit]]
+	j := r.lo + int32(searchTimes(pl.times[r.lo:r.hi], t))
+	for j < r.hi && pl.times[j] == t && p.seq[pl.idx[j]] < seq {
+		j++
+	}
+	return j - r.lo
 }

@@ -19,22 +19,26 @@ import (
 // of the paper's system, where agents stream audit events in all day while
 // analysts investigate.
 //
-// Architecture: an immutable sealed base (segment files, as written by
-// (*Store).Save) plus an in-memory tail of newly appended events, made
-// durable by a write-ahead log. Analysts never query the live store
-// directly; they take a Snapshot — a consistent, sealed, query-ready view —
-// so investigations and collection proceed independently. Checkpoint folds
-// the tail into new base segments and truncates the WAL.
+// Architecture: an immutable persisted base (segment files, as written by
+// (*Store).Save) plus newly appended events, made durable by a write-ahead
+// log. In memory both live in one unsealed store, the write side, into whose
+// parts every event is routed once, on arrival. Analysts never query the
+// live store directly; they take a Snapshot — a consistent, sealed,
+// query-ready store — so investigations and collection proceed
+// independently. Checkpoint rewrites the base segments to include the
+// appended events and truncates the WAL.
 //
 // Recovery: on OpenLive the WAL is replayed; a torn final record (crash mid
 // append) is detected by its checksum and discarded, everything before it is
 // recovered — standard write-ahead semantics.
 type Live struct {
-	mu   sync.Mutex
-	dir  string
-	clk  simclock.Clock
-	base *Store
-	mem  []event.Event
+	mu  sync.Mutex
+	dir string
+	clk simclock.Clock
+	// w is the write side: never sealed, never queried. base counts its
+	// events that the segment files already hold.
+	w    *Store
+	base int
 	wal  *os.File
 	// walBuf reuses one encode buffer across appends.
 	walBuf []byte
@@ -54,9 +58,8 @@ const (
 
 // OpenLive opens (or initializes) a live store in dir. If dir contains a
 // persisted base store it is loaded; otherwise the base starts empty. Any
-// WAL present is replayed into the in-memory tail. Options (bucket width,
-// cost model, telemetry) apply to the base store and to every snapshot
-// taken from it.
+// WAL present is replayed on top of it. Options (bucket width, cost model,
+// telemetry, shard layout) apply to every snapshot taken.
 func OpenLive(dir string, clk simclock.Clock, opts ...Option) (*Live, error) {
 	if clk == nil {
 		clk = simclock.Real{}
@@ -65,25 +68,23 @@ func OpenLive(dir string, clk simclock.Clock, opts ...Option) (*Live, error) {
 		return nil, fmt.Errorf("store: live: %w", err)
 	}
 
-	var base *Store
+	var w *Store
 	if _, err := os.Stat(filepath.Join(dir, manifestFile)); err == nil {
-		base, err = Open(dir, clk, opts...)
+		w, err = load(dir, clk, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("store: live: load base: %w", err)
 		}
 	} else {
-		base = New(clk, opts...)
-		if err := base.Seal(); err != nil {
-			return nil, err
-		}
+		w = New(clk, opts...)
 	}
 
 	l := &Live{
 		dir:        dir,
 		clk:        clk,
-		base:       base,
-		walAppends: base.reg.Counter(telemetry.MetricWALAppends),
-		walFsyncs:  base.reg.Counter(telemetry.MetricWALFsyncs),
+		w:          w,
+		base:       w.NumEvents(),
+		walAppends: w.reg.Counter(telemetry.MetricWALAppends),
+		walFsyncs:  w.reg.Counter(telemetry.MetricWALFsyncs),
 	}
 	if err := l.replayWAL(); err != nil {
 		return nil, err
@@ -96,7 +97,7 @@ func OpenLive(dir string, clk simclock.Clock, opts ...Option) (*Live, error) {
 	return l, nil
 }
 
-// replayWAL loads surviving records from the WAL into the tail. It stops
+// replayWAL loads surviving records from the WAL into the write side. It stops
 // silently at the first corrupt or truncated record: that is the torn tail
 // of a crashed append.
 func (l *Live) replayWAL() error {
@@ -120,16 +121,15 @@ func (l *Live) replayWAL() error {
 			if err != nil || len(rest) != 0 {
 				return fmt.Errorf("store: live: wal object corrupt (checksum valid): %v", err)
 			}
-			l.base.Intern(o)
+			l.w.Intern(o)
 		case walEvent:
 			e, err := event.DecodeEvent(rec[1:])
 			if err != nil {
 				return fmt.Errorf("store: live: wal event corrupt (checksum valid): %v", err)
 			}
-			if int(e.Subject) >= l.base.NumObjects() || int(e.Object) >= l.base.NumObjects() {
-				return fmt.Errorf("store: live: wal event %d references unknown object", e.ID)
+			if err := l.w.addRaw(e); err != nil {
+				return fmt.Errorf("store: live: wal: %w", err)
 			}
-			l.mem = append(l.mem, e)
 		default:
 			return fmt.Errorf("store: live: unknown wal record type %q", rec[0])
 		}
@@ -168,7 +168,7 @@ func readWALRecord(buf []byte) (payload []byte, consumed int, ok bool) {
 	return payload, total, true
 }
 
-// Append durably records one event and adds it to the in-memory tail.
+// Append durably records one event and adds it to the write side.
 // The subject must be a process. New objects are interned into the shared
 // object table and logged ahead of the event that references them.
 func (l *Live) Append(t int64, subject, object event.Object, action event.Action, dir event.Direction, amount int64) (event.EventID, error) {
@@ -182,14 +182,14 @@ func (l *Live) Append(t int64, subject, object event.Object, action event.Action
 	}
 
 	logObj := func(o event.Object) (event.ObjID, error) {
-		if id, ok := l.base.Lookup(o); ok {
+		if id, ok := l.w.Lookup(o); ok {
 			return id, nil
 		}
 		payload := append([]byte{walObject}, event.AppendObject(nil, o)...)
 		if err := l.writeWALRecord(payload); err != nil {
 			return 0, fmt.Errorf("store: live: wal append: %w", err)
 		}
-		return l.base.Intern(o), nil
+		return l.w.Intern(o), nil
 	}
 	subID, err := logObj(subject)
 	if err != nil {
@@ -201,7 +201,7 @@ func (l *Live) Append(t int64, subject, object event.Object, action event.Action
 	}
 
 	e := event.Event{
-		ID:      event.EventID(l.base.NumEvents() + len(l.mem) + 1),
+		ID:      event.EventID(l.w.NumEvents() + 1),
 		Time:    t,
 		Subject: subID,
 		Object:  objID,
@@ -213,7 +213,9 @@ func (l *Live) Append(t int64, subject, object event.Object, action event.Action
 	if err := l.writeWALRecord(payload); err != nil {
 		return 0, fmt.Errorf("store: live: wal append: %w", err)
 	}
-	l.mem = append(l.mem, e)
+	if err := l.w.addRaw(e); err != nil {
+		return 0, err
+	}
 	return e.ID, nil
 }
 
@@ -231,25 +233,25 @@ func (l *Live) Sync() error {
 	return err
 }
 
-// BaseEvents returns the number of events in the sealed base.
+// BaseEvents returns the number of events in the persisted base.
 func (l *Live) BaseEvents() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base.NumEvents()
+	return l.base
 }
 
-// PendingEvents returns the number of tail events not yet checkpointed.
+// PendingEvents returns the number of appended events not yet checkpointed.
 func (l *Live) PendingEvents() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.mem)
+	return l.w.NumEvents() - l.base
 }
 
-// Telemetry returns the registry attached to the base store (nil if none).
+// Telemetry returns the registry attached to the store (nil if none).
 func (l *Live) Telemetry() *telemetry.Registry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base.reg
+	return l.w.reg
 }
 
 // Snapshot produces a sealed, query-ready store holding the base plus every
@@ -261,43 +263,38 @@ func (l *Live) Snapshot() (*Store, error) {
 	return l.snapshotLocked()
 }
 
+// snapshotLocked seals a copy of the write side. The copy owns its object
+// table but starts out sharing the write side's event logs, part by part:
+// sealing a part only reads its unsorted log and builds the sorted one
+// afresh, so no event is copied twice and the write side is never disturbed.
 func (l *Live) snapshotLocked() (*Store, error) {
-	snap := New(l.clk, WithBucketSeconds(l.base.bucketSeconds), WithCostModel(l.base.cost), WithTelemetry(l.base.reg))
-	snap.objects = append([]event.Object(nil), l.base.objects...)
-	snap.byKey = make(map[event.ObjectKey]event.ObjID, len(l.base.byKey))
-	for k, v := range l.base.byKey {
+	w := l.w
+	snap := New(l.clk, WithBucketSeconds(w.bucketSeconds), WithCostModel(w.cost), WithTelemetry(w.reg))
+	if err := snap.configureShards(len(w.parts), w.shardEpoch); err != nil {
+		return nil, err
+	}
+	snap.objects = append([]event.Object(nil), w.objects...)
+	snap.byKey = make(map[event.ObjectKey]event.ObjID, len(w.byKey))
+	for k, v := range w.byKey {
 		snap.byKey[k] = v
 	}
-	// Inherit the base's shard layout, so a live store over a sharded base
-	// snapshots (and checkpoints) into the same partitioning.
-	if l.base.sh != nil {
-		if err := snap.configureShards(l.base.sh.n, l.base.epochSeconds()); err != nil {
-			return nil, err
+	for i, p := range w.parts {
+		sp := snap.parts[i]
+		sp.events, sp.seq = p.events, p.seq
+		for h := range p.hosts {
+			sp.hosts[h] = struct{}{}
 		}
-		for _, e := range l.base.appendAllEvents(nil) {
-			if err := snap.addRaw(e); err != nil {
-				return nil, err
-			}
-		}
-		for _, e := range l.mem {
-			if err := snap.addRaw(e); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		snap.events = make([]event.Event, 0, len(l.base.events)+len(l.mem))
-		snap.events = append(snap.events, l.base.events...)
-		snap.events = append(snap.events, l.mem...)
 	}
+	snap.total = w.total
 	if err := snap.Seal(); err != nil {
 		return nil, err
 	}
 	return snap, nil
 }
 
-// Checkpoint folds the tail into the persisted base (rewriting segment
-// files) and truncates the WAL. After a successful checkpoint the tail is
-// empty and recovery no longer needs the log.
+// Checkpoint folds the appended events into the persisted base (rewriting
+// segment files) and truncates the WAL. After a successful checkpoint
+// nothing is pending and recovery no longer needs the log.
 func (l *Live) Checkpoint() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -318,8 +315,7 @@ func (l *Live) Checkpoint() error {
 	if _, err := l.wal.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: live: rewind wal: %w", err)
 	}
-	l.base = snap
-	l.mem = nil
+	l.base = snap.NumEvents()
 	return nil
 }
 

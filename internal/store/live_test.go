@@ -48,7 +48,7 @@ func TestLiveAppendAndSnapshot(t *testing.T) {
 	if !ok {
 		t.Fatal("object missing from snapshot")
 	}
-	got, err := snap.QueryBackward(fa, 0, 1000)
+	got, err := snap.AppendBackward(nil, fa, 0, 1000)
 	if err != nil || len(got) != 1 || got[0].ID != id1 {
 		t.Fatalf("snapshot query: %v %v", got, err)
 	}
@@ -263,12 +263,12 @@ func TestLiveSnapshotDrivesAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	malID, _ := snap.Lookup(mal)
-	deps, err := snap.QueryBackward(malID, 0, 1000)
+	deps, err := snap.AppendBackward(nil, malID, 0, 1000)
 	if err != nil || len(deps) != 1 {
 		t.Fatalf("deps of mal = %v, %v", deps, err)
 	}
 	pid, _ := snap.Lookup(payload)
-	deps2, _ := snap.QueryBackward(pid, 0, deps[0].Time)
+	deps2, _ := snap.AppendBackward(nil, pid, 0, deps[0].Time)
 	if len(deps2) != 1 || deps2[0].Subject != snapLookup(t, snap, drop) {
 		t.Fatalf("deps of payload = %v", deps2)
 	}

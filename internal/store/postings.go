@@ -10,7 +10,7 @@ import "aptrace/internal/event"
 // ascending time order, and times[off[o]:off[o+1]] is the parallel column of
 // their timestamps. Window binary searches probe the contiguous times column
 // directly instead of dereferencing the event log per probe, which is what
-// makes postingRange cache-friendly.
+// makes the window search cache-friendly.
 type postings struct {
 	off   []int32 // len NumObjects()+1 at seal time; prefix sums into idx/times
 	idx   []int32 // event-log positions, grouped by object, time-sorted
@@ -49,14 +49,4 @@ func searchTimes(times []int64, t int64) int {
 		}
 	}
 	return lo
-}
-
-// postingRange binary-searches a time column for the half-open window
-// [from, to) and returns the slice bounds. The upper bound is searched only
-// in times[lo:], since to >= from for every well-formed window (and a
-// backwards window still yields lo >= hi', i.e. an empty range).
-func postingRange(times []int64, from, to int64) (lo, hi int) {
-	lo = searchTimes(times, from)
-	hi = lo + searchTimes(times[lo:], to)
-	return lo, hi
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"math/bits"
 
+	"aptrace/internal/event"
 	"aptrace/internal/qprof"
 )
 
@@ -12,25 +13,13 @@ import (
 // after charge() and reads only real CPU and already-computed row counts:
 // profiling on or off never changes charged cost, Stats, or query results.
 
-// shardEpochSecs resolves the host×time routing epoch width without the
-// lazy write epochSeconds performs — safe on stores already serving
-// concurrent queries. Zero for a flat store.
-func (s *Store) shardEpochSecs() int64 {
-	if s.sh == nil {
-		return 0
-	}
-	if s.shardEpoch > 0 {
-		return s.shardEpoch
-	}
-	return s.bucketSeconds * segmentBuckets
-}
-
-// qprofEpoch returns the routing epoch index of t for heatmap bucketing.
+// qprofEpoch returns the routing epoch index of t for heatmap bucketing; 0
+// on a store with one part, which has no epochs.
 func (s *Store) qprofEpoch(t int64) int64 {
-	if s.sh == nil {
-		return 0
+	if w := s.ShardEpochSeconds(); w > 0 {
+		return floorDiv(t, w)
 	}
-	return floorDiv(t, s.shardEpochSecs())
+	return 0
 }
 
 // postingKind maps a posting-walk direction to its profiler kind.
@@ -47,27 +36,13 @@ func postingKind(forward, count bool) qprof.Kind {
 	}
 }
 
-// noteFlatQuery emits a fan-out-1 sample for a flat-store query, so profiles
-// of flat and sharded runs stay comparable.
-func (s *Store) noteFlatQuery(kind qprof.Kind, obj, from, to, rows, postingLen int64) {
-	qp := s.qp.Load()
-	if qp == nil {
-		return
-	}
-	qp.Observe(qprof.Sample{
-		Kind: kind, Obj: obj, From: from, To: to,
-		Fanout: 1, Rows: rows, PostingLen: postingLen,
-		Shards: []qprof.ShardSample{{Shard: 0, Rows: rows}},
-	})
-}
-
 // shardSnap captures per-run (shard, rows, busy) before a merge consumes the
 // run cursors. durs, when non-nil, holds scatter-measured busy nanos indexed
 // like runs; nil means the probe ran inline and untimed.
-func shardSnap(runs []shardRun, durs []int64) []qprof.ShardSample {
+func shardSnap(runs []run, durs []int64) []qprof.ShardSample {
 	snap := make([]qprof.ShardSample, len(runs))
-	for i := range runs {
-		snap[i] = qprof.ShardSample{Shard: int(runs[i].sid), Rows: int64(runs[i].hi - runs[i].lo)}
+	for i, r := range runs {
+		snap[i] = qprof.ShardSample{Shard: int(r.part), Rows: int64(r.hi - r.lo)}
 		if durs != nil {
 			snap[i].BusyNs = durs[i]
 		}
@@ -75,36 +50,54 @@ func shardSnap(runs []shardRun, durs []int64) []qprof.ShardSample {
 	return snap
 }
 
-// distinctShards counts the shards a sample's runs touch (FileTimes and
-// write-through walk two endpoint indexes, so the same shard may run twice).
-func distinctShards(ss []qprof.ShardSample) int {
+// finishSample fills in what every sample derives from its per-shard split:
+// the routing epoch, the busy and savable totals, and the fan-out — the
+// distinct shards touched (FileTimes and write-through walk two endpoint
+// indexes, so the same shard may appear twice). A store with one part
+// reports what profiles of unpartitioned stores have always shown, empty
+// probes included: a fan-out of one onto shard 0 carrying the charged rows,
+// so profiles stay comparable across layouts.
+func (s *Store) finishSample(smp *qprof.Sample) {
+	smp.Epoch = s.qprofEpoch(smp.From)
+	var busy, longest int64
 	var mask uint64 // MaxShards = 64 makes a word-sized set exact
-	for _, s := range ss {
-		mask |= 1 << uint(s.Shard)
-	}
-	return bits.OnesCount64(mask)
-}
-
-// emitShardSample finishes a routed-query sample (fan-out, busy and savable
-// totals) and hands it to the scatter observer and profiler. Either may be
-// nil.
-func (s *Store) emitShardSample(qp *qprof.Profiler, obs ScatterObserver, smp qprof.Sample) {
-	var busy, max int64
 	for _, ss := range smp.Shards {
 		busy += ss.BusyNs
-		if ss.BusyNs > max {
-			max = ss.BusyNs
-		}
+		longest = max(longest, ss.BusyNs)
+		mask |= 1 << uint(ss.Shard)
 	}
 	if busy > 0 {
 		smp.BusyNs = busy
-		smp.SavableNs = busy - max
+		smp.SavableNs = busy - longest
 	}
-	if smp.Fanout == 0 {
-		smp.Fanout = distinctShards(smp.Shards)
+	smp.Fanout = bits.OnesCount64(mask)
+	if len(s.parts) == 1 {
+		smp.Fanout, smp.Shards = 1, append(smp.Shards[:0], qprof.ShardSample{Rows: smp.Rows})
+	}
+}
+
+// emit builds a query's sample from its per-shard split, adds the split to
+// the routing heat ShardInfos reports, and hands the sample to the scatter
+// observer and the profiler. Either may be nil, not both: callers snapshot
+// the split only when someone listens, so an unobserved query pays for none
+// of this — not even the stack a sample would take in its frame. obj is -1
+// for range queries.
+func (s *Store) emit(qp *qprof.Profiler, obs ScatterObserver, kind qprof.Kind, obj, from, to, rows, postingLen, mergeNs int64, shards []qprof.ShardSample) {
+	smp := qprof.Sample{
+		Kind: kind, Obj: obj, From: from, To: to,
+		Rows: rows, PostingLen: postingLen, MergeNs: mergeNs, Shards: shards,
+	}
+	s.finishSample(&smp)
+	if len(s.parts) > 1 { // one part has no spread to keep heat of
+		for _, ss := range smp.Shards {
+			p := s.parts[ss.Shard]
+			p.queries.Add(1)
+			p.rows.Add(ss.Rows)
+			p.busyNs.Add(ss.BusyNs)
+		}
 	}
 	if obs != nil {
-		shardRows := make([]int64, s.sh.n)
+		shardRows := make([]int64, len(s.parts))
 		for _, ss := range smp.Shards {
 			shardRows[ss.Shard] += ss.Rows
 		}
@@ -113,16 +106,12 @@ func (s *Store) emitShardSample(qp *qprof.Profiler, obs ScatterObserver, smp qpr
 	qp.Observe(smp)
 }
 
-// noteShardQuery emits the sample for a routed query whose runs are still
-// intact (counts and attribute walks; the posting merge snapshots earlier).
-func (s *Store) noteShardQuery(kind qprof.Kind, obj, from, to int64, runs []shardRun, totalLen int, rows int64, durs []int64) {
+// noteRuns emits the sample of an attribute walk, whose runs are still
+// intact (the posting merge snapshots earlier).
+func (s *Store) noteRuns(kind qprof.Kind, obj event.ObjID, from, to int64, runs []run, postingLen int, rows int64, durs []int64) {
 	qp, obs := s.qp.Load(), s.scatterObs
 	if qp == nil && obs == nil {
 		return
 	}
-	s.emitShardSample(qp, obs, qprof.Sample{
-		Kind: kind, Obj: obj, From: from, To: to, Epoch: s.qprofEpoch(from),
-		Rows: rows, PostingLen: int64(totalLen),
-		Shards: shardSnap(runs, durs),
-	})
+	s.emit(qp, obs, kind, int64(obj), from, to, rows, int64(postingLen), 0, shardSnap(runs, durs))
 }

@@ -98,8 +98,8 @@ func qprofBattery(t *testing.T, evs []genEvent, opts ...Option) *qprof.Profiler 
 	if fv.QueryProfiler() != p {
 		t.Fatal("view did not inherit the profiler")
 	}
-	b1, _ := pv.QueryBackward(3, minT, maxT)
-	b2, _ := fv.QueryBackward(3, minT, maxT)
+	b1, _ := pv.AppendBackward(nil, 3, minT, maxT)
+	b2, _ := fv.AppendBackward(nil, 3, minT, maxT)
 	if fmt.Sprintf("%v", b1) != fmt.Sprintf("%v", b2) {
 		t.Fatal("view query diverged under profiling")
 	}

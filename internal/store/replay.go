@@ -35,11 +35,11 @@ func (s *Store) ChargeReplay(rows, from, to int64) error {
 // It is not a collision-resistant hash across unrelated datasets; a cache
 // must only ever be shared among stores from one lineage.
 //
-// A sharded store additionally folds in the shard composition — shard
-// count, routing epoch, and every shard's (count, extent) — so resharding
+// A store with several parts additionally folds in their composition — part
+// count, routing epoch, and every part's (count, extent) — so resharding
 // the same events produces a different signature and a result cache can
-// never replay a closure computed under a different partitioning. A flat
-// store's signature is unchanged from earlier releases.
+// never replay a closure computed under a different partitioning. A
+// one-part store's signature is unchanged from earlier releases.
 func (s *Store) ContentSignature() (uint64, error) {
 	if !s.sealed {
 		return 0, ErrNotSealed
@@ -56,13 +56,13 @@ func (s *Store) ContentSignature() (uint64, error) {
 	put(uint64(s.minTime))
 	put(uint64(s.maxTime))
 	if n > 0 {
-		put(uint64(s.eventAtGlobal(0).ID))
-		put(uint64(s.eventAtGlobal(n - 1).ID))
+		put(uint64(s.EventAt(0).ID))
+		put(uint64(s.EventAt(n - 1).ID))
 	}
-	if sh := s.sh; sh != nil {
-		put(uint64(sh.n))
-		put(uint64(s.epochSeconds()))
-		for _, p := range sh.parts {
+	if len(s.parts) > 1 {
+		put(uint64(len(s.parts)))
+		put(uint64(s.ShardEpochSeconds()))
+		for _, p := range s.parts {
 			put(uint64(len(p.events)))
 			put(uint64(p.minTime))
 			put(uint64(p.maxTime))

@@ -2,7 +2,6 @@ package store
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"aptrace/internal/event"
@@ -12,20 +11,20 @@ import (
 // stays serial: goroutine fan-out costs more than it saves on small logs.
 const sealParallelCutoff = 1 << 14
 
-// WithSealWorkers fixes the number of workers Seal uses for sorting the
-// event log and building the posting indexes. Zero (the default) picks
+// WithSealWorkers fixes the number of workers Seal spends on building the
+// posting indexes, split across the parts. Zero (the default) picks
 // runtime.GOMAXPROCS(0) for large logs and one for small ones. Any worker
-// count produces bit-identical indexes: the parallel sort is stable and the
-// sharded index build preserves event-log order per object.
+// count produces bit-identical indexes: each part's sort is keyed on (time,
+// arrival) and the chunked index build preserves event-log order per object.
 func WithSealWorkers(n int) Option {
 	return func(st *Store) { st.sealWorkers = n }
 }
 
-// Seal sorts the event log by time (stable, so equal-timestamp events keep
-// their ingestion order), builds the struct-of-arrays posting indexes and the
-// event-ID index, and enables queries. Sorting and index construction are
-// chunked across workers; the result is identical to a serial seal for any
-// worker count. Sealing an already-sealed store is an error.
+// Seal sorts every part's event log by time (ties keep their ingestion
+// order), builds the struct-of-arrays posting indexes, the global time-order
+// directory and the event-ID index, and enables queries. The result is
+// identical for any worker count and any GOMAXPROCS. Sealing an
+// already-sealed store is an error.
 func (s *Store) Seal() error {
 	if s.sealed {
 		return ErrSealed
@@ -38,24 +37,7 @@ func (s *Store) Seal() error {
 			workers = 1
 		}
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	if s.sh != nil {
-		s.sealSharded(workers)
-	} else {
-		sortEventsStable(s.events, workers)
-		s.byDst, s.bySrc = buildPostings(s.events, len(s.objects), workers)
-		s.buildEventIDIndex(workers)
-		if n > 0 {
-			s.minTime = s.events[0].Time
-			s.maxTime = s.events[n-1].Time
-		}
-	}
+	s.sealParts(max(min(workers, n), 1))
 	s.stats.Events = n
 	s.stats.Objects = len(s.objects)
 	s.sealed = true
@@ -70,75 +52,6 @@ func chunkBounds(n, workers int) []int {
 		bounds[i] = i * n / workers
 	}
 	return bounds
-}
-
-// sortEventsStable stable-sorts events by Time using workers goroutines:
-// each sorts a contiguous chunk, then adjacent runs are merged pairwise.
-// Merges take the left (earlier-position) run on equal timestamps, so the
-// result is bit-identical to a serial sort.SliceStable for any worker count.
-func sortEventsStable(events []event.Event, workers int) {
-	n := len(events)
-	if n == 0 {
-		return
-	}
-	if workers <= 1 {
-		sort.SliceStable(events, func(i, j int) bool {
-			return events[i].Time < events[j].Time
-		})
-		return
-	}
-	bounds := chunkBounds(n, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		chunk := events[bounds[w]:bounds[w+1]]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sort.SliceStable(chunk, func(i, j int) bool {
-				return chunk[i].Time < chunk[j].Time
-			})
-		}()
-	}
-	wg.Wait()
-
-	buf := make([]event.Event, n)
-	src, dst := events, buf
-	for width := 1; width < workers; width *= 2 {
-		var mg sync.WaitGroup
-		for lo := 0; lo < workers; lo += 2 * width {
-			a := bounds[lo]
-			mid := bounds[min(lo+width, workers)]
-			b := bounds[min(lo+2*width, workers)]
-			mg.Add(1)
-			go func() {
-				defer mg.Done()
-				mergeRuns(dst[a:b], src[a:mid], src[mid:b])
-			}()
-		}
-		mg.Wait()
-		src, dst = dst, src
-	}
-	if &src[0] != &events[0] {
-		copy(events, src)
-	}
-}
-
-// mergeRuns merges two time-sorted runs into out (len(out) == len(a)+len(b)).
-// Equal timestamps take from a first, preserving stability.
-func mergeRuns(out, a, b []event.Event) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].Time < a[i].Time {
-			out[k] = b[j]
-			j++
-		} else {
-			out[k] = a[i]
-			i++
-		}
-		k++
-	}
-	k += copy(out[k:], a[i:])
-	copy(out[k:], b[j:])
 }
 
 // buildPostings constructs the byDst and bySrc CSR indexes over a time-sorted
@@ -219,53 +132,4 @@ func buildPostings(events []event.Event, numObjects, workers int) (byDst, bySrc 
 	}
 	wg.Wait()
 	return byDst, bySrc
-}
-
-// buildEventIDIndex builds the EventID -> log-position index. IDs assigned by
-// AddEvent are exactly 1..n, so the common case is a dense []int32 filled in
-// parallel (idPos[id-1] holds position+1). Segment files could in principle
-// carry arbitrary IDs, so non-dense or duplicate IDs fall back to the map
-// index, built serially in event order to match the pre-SoA behavior.
-func (s *Store) buildEventIDIndex(workers int) {
-	n := len(s.events)
-	dense := true
-	for i := range s.events {
-		if id := s.events[i].ID; id < 1 || id > event.EventID(n) {
-			dense = false
-			break
-		}
-	}
-	if dense {
-		idPos := make([]int32, n)
-		bounds := chunkBounds(n, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := bounds[w]; i < bounds[w+1]; i++ {
-					idPos[s.events[i].ID-1] = int32(i) + 1
-				}
-			}()
-		}
-		wg.Wait()
-		// Duplicate IDs leave a pigeonhole empty; only a permutation of 1..n
-		// fills every slot.
-		for _, p := range idPos {
-			if p == 0 {
-				dense = false
-				break
-			}
-		}
-		if dense {
-			s.idPos = idPos
-			s.byID = nil
-			return
-		}
-	}
-	s.idPos = nil
-	s.byID = make(map[event.EventID]int32, n)
-	for i := range s.events {
-		s.byID[s.events[i].ID] = int32(i)
-	}
 }

@@ -37,24 +37,36 @@ func buildTied(t testing.TB, n int, seed, timeRange int64, opts ...Option) *Stor
 	return s
 }
 
-// expectSameSealed asserts two sealed stores hold bit-identical logs and
-// acceleration indexes.
+// expectSameSealed asserts two sealed stores hold bit-identical parts (logs,
+// arrival columns and acceleration indexes), directory and ID index.
 func expectSameSealed(t *testing.T, serial, parallel *Store) {
 	t.Helper()
-	if !reflect.DeepEqual(serial.events, parallel.events) {
-		for i := range serial.events {
-			if serial.events[i] != parallel.events[i] {
-				t.Fatalf("event log diverges at position %d: serial %+v, parallel %+v",
-					i, serial.events[i], parallel.events[i])
+	if len(serial.parts) != len(parallel.parts) {
+		t.Fatalf("part counts differ: %d vs %d", len(serial.parts), len(parallel.parts))
+	}
+	for pi, sp := range serial.parts {
+		pp := parallel.parts[pi]
+		if !reflect.DeepEqual(sp.events, pp.events) {
+			for i := range sp.events {
+				if sp.events[i] != pp.events[i] {
+					t.Fatalf("part %d: event log diverges at position %d: serial %+v, parallel %+v",
+						pi, i, sp.events[i], pp.events[i])
+				}
 			}
+			t.Fatalf("part %d: event logs differ", pi)
 		}
-		t.Fatal("event logs differ")
+		if !reflect.DeepEqual(sp.seq, pp.seq) {
+			t.Errorf("part %d: arrival column differs between serial and parallel seal", pi)
+		}
+		if !reflect.DeepEqual(sp.byDst, pp.byDst) {
+			t.Errorf("part %d: byDst index differs between serial and parallel seal", pi)
+		}
+		if !reflect.DeepEqual(sp.bySrc, pp.bySrc) {
+			t.Errorf("part %d: bySrc index differs between serial and parallel seal", pi)
+		}
 	}
-	if !reflect.DeepEqual(serial.byDst, parallel.byDst) {
-		t.Error("byDst index differs between serial and parallel seal")
-	}
-	if !reflect.DeepEqual(serial.bySrc, parallel.bySrc) {
-		t.Error("bySrc index differs between serial and parallel seal")
+	if !reflect.DeepEqual(serial.dir, parallel.dir) {
+		t.Error("time-order directory differs between serial and parallel seal")
 	}
 	if !reflect.DeepEqual(serial.idPos, parallel.idPos) {
 		t.Error("dense ID index differs between serial and parallel seal")
@@ -133,7 +145,7 @@ func TestParallelSealTinyAndEmpty(t *testing.T) {
 	if err := empty.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := empty.QueryBackward(0, 0, 100); err != nil || len(got) != 0 {
+	if got, err := empty.AppendBackward(nil, 0, 0, 100); err != nil || len(got) != 0 {
 		t.Fatalf("query on empty sealed store = %v, %v", got, err)
 	}
 }
@@ -174,8 +186,11 @@ func TestViewSharesSealedIndexArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.byDst != s.byDst || v.bySrc != s.bySrc {
-		t.Fatal("view must share the parent's posting indexes")
+	if len(v.parts) != 1 || v.parts[0] != s.parts[0] {
+		t.Fatal("view must share the parent's part: event log and posting indexes")
+	}
+	if &v.dir[0] != &s.dir[0] {
+		t.Fatal("view must share the parent's time-order directory")
 	}
 	if &v.idPos[0] != &s.idPos[0] {
 		t.Fatal("view must share the parent's dense ID index")

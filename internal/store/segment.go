@@ -48,7 +48,7 @@ type manifest struct {
 	Events        int   `json:"events"`
 	Objects       int   `json:"objects"`
 	// Shards records the host×time shard layout the store was built with
-	// (0 or 1 = flat). Open re-creates the same layout unless the caller
+	// (absent = one part). Open re-creates the same layout unless the caller
 	// overrides it with WithShards. Segment files themselves are laid out in
 	// global time order regardless of sharding, so a store saved with any
 	// shard count produces byte-identical segment files.
@@ -110,9 +110,9 @@ func (s *Store) Save(dir string) error {
 		return err
 	}
 
-	// Event segments, partitioned by time span; a sharded store walks its
-	// global time-order directory, so segment bytes are identical to a flat
-	// store's over the same events.
+	// Event segments, partitioned by time span, written in the order of the
+	// global time-order directory: segment bytes do not depend on the part
+	// count.
 	total := s.NumEvents()
 	man := manifest{
 		Version:       formatVersion,
@@ -120,21 +120,21 @@ func (s *Store) Save(dir string) error {
 		Events:        total,
 		Objects:       len(s.objects),
 	}
-	if s.sh != nil {
-		man.Shards = s.sh.n
-		man.ShardEpochSeconds = s.epochSeconds()
+	if n := len(s.parts); n > 1 {
+		man.Shards = n
+		man.ShardEpochSeconds = s.ShardEpochSeconds()
 	}
 	span := s.bucketSeconds * segmentBuckets
 	i := 0
 	for i < total {
-		first := s.eventAtGlobal(i)
+		first := s.EventAt(i)
 		segStart := first.Time - (first.Time % span)
 		segEnd := segStart + span // exclusive
 		j := i
 		var payload []byte
 		var last event.Event
 		for j < total {
-			e := s.eventAtGlobal(j)
+			e := s.EventAt(j)
 			if e.Time >= segEnd {
 				break
 			}
@@ -176,6 +176,20 @@ func writeFileAtomic(path string, data []byte) error {
 // Open loads a persisted store directory, rebuilds indexes, and returns a
 // sealed, query-ready store charging costs to clk.
 func Open(dir string, clk simclock.Clock, opts ...Option) (*Store, error) {
+	st, err := load(dir, clk, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Seal(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// load reads a persisted store directory into an unsealed store: the object
+// table, then every segment's events routed into the parts in global time
+// order. Open seals the result; a live store keeps writing into it.
+func load(dir string, clk simclock.Clock, opts ...Option) (*Store, error) {
 	manJSON, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
 		return nil, fmt.Errorf("store: read manifest: %w", err)
@@ -193,7 +207,7 @@ func Open(dir string, clk simclock.Clock, opts ...Option) (*Store, error) {
 	// Re-create the persisted shard layout unless the caller overrode it
 	// with WithShards (which also covers "reshard on open" and "flatten on
 	// open" — the store's contents are identical either way).
-	if !st.shardSet && man.Shards > 1 {
+	if !st.shardSet {
 		if err := st.configureShards(man.Shards, man.ShardEpochSeconds); err != nil {
 			return nil, fmt.Errorf("store: manifest shards: %w", err)
 		}
@@ -223,8 +237,8 @@ func Open(dir string, clk simclock.Clock, opts ...Option) (*Store, error) {
 	}
 
 	// Segments.
-	if st.sh == nil {
-		st.events = make([]event.Event, 0, man.Events)
+	for _, p := range st.parts {
+		p.events = make([]event.Event, 0, man.Events/len(st.parts))
 	}
 	for _, seg := range man.Segments {
 		raw, err := os.ReadFile(filepath.Join(dir, seg.File))
@@ -253,9 +267,6 @@ func Open(dir string, clk simclock.Clock, opts ...Option) (*Store, error) {
 	}
 	if st.NumEvents() != man.Events {
 		return nil, fmt.Errorf("store: manifest says %d events, segments held %d", man.Events, st.NumEvents())
-	}
-	if err := st.Seal(); err != nil {
-		return nil, err
 	}
 	return st, nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,10 +11,10 @@ import (
 	"aptrace/internal/event"
 )
 
-func buildRandom(t testing.TB, n int, seed int64) *Store {
+func buildRandom(t testing.TB, n int, seed int64, opts ...Option) *Store {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	s := New(nil)
+	s := New(nil, opts...)
 	procs := make([]event.Object, 10)
 	for i := range procs {
 		procs[i] = event.Process("host", "proc", int32(i), int64(i))
@@ -82,10 +83,54 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 	// Queries must agree.
 	for id := event.ObjID(0); int(id) < s.NumObjects(); id++ {
-		a, _ := s.QueryBackward(id, 0, 2_000_000)
-		b, _ := got.QueryBackward(id, 0, 2_000_000)
+		a, _ := s.AppendBackward(nil, id, 0, 2_000_000)
+		b, _ := got.AppendBackward(nil, id, 0, 2_000_000)
 		if len(a) != len(b) {
 			t.Fatalf("query mismatch for obj %d: %d vs %d", id, len(a), len(b))
+		}
+	}
+}
+
+// TestParentLayoutRoundTrip opens stores persisted by the release before the
+// flat store became the one-part case — one with no shard layout in its
+// manifest, one saved with four shards — and requires a re-save to reproduce
+// every file byte for byte: the on-disk format did not move.
+func TestParentLayoutRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		dir    string
+		shards int
+	}{
+		{"testdata/parent-flat", 1},
+		{"testdata/parent-shards4", 4},
+	} {
+		s, err := Open(tc.dir, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.dir, err)
+		}
+		if s.ShardCount() != tc.shards {
+			t.Fatalf("%s: opened with %d shards, want %d", tc.dir, s.ShardCount(), tc.shards)
+		}
+		out := t.TempDir()
+		if err := s.Save(out); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := filepath.Glob(filepath.Join(tc.dir, "*"))
+		got, _ := filepath.Glob(filepath.Join(out, "*"))
+		if len(want) == 0 || len(got) != len(want) {
+			t.Fatalf("%s: re-save wrote %d files, the fixture has %d", tc.dir, len(got), len(want))
+		}
+		for _, fp := range want {
+			a, err := os.ReadFile(fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(filepath.Join(out, filepath.Base(fp)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s: %s differs after open and re-save", tc.dir, filepath.Base(fp))
+			}
 		}
 	}
 }
@@ -201,7 +246,7 @@ func BenchmarkQueryBackward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.QueryBackward(hot, 400_000, 600_000); err != nil {
+		if _, err := s.AppendBackward(nil, hot, 400_000, 600_000); err != nil {
 			b.Fatal(err)
 		}
 	}

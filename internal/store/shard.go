@@ -1,8 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,99 +15,84 @@ import (
 	"aptrace/internal/qprof"
 )
 
-// Shard router: horizontal partitioning of the sealed store by host × time
-// epoch, the layout the paper's deployment uses for its 256-host, 13 TB
+// Parts: the sealed store is a list of parts, partitioned by host × time
+// epoch — the layout the paper's deployment uses for its 256-host, 13 TB
 // PostgreSQL substrate (time-partitioned tables, one collection pipeline per
 // host group).
 //
-// Each shard is a fully independent copy of the flat engine: its own
-// contiguous event log and its own SoA/CSR posting indexes, built by the same
-// bit-deterministic Seal machinery. The router on top
+// A part is the whole engine over its slice of the history: a contiguous
+// time-sorted event log and the SoA/CSR posting indexes over it. The store
 //
-//   - assigns every ingested event to a shard by (subject host, time epoch),
-//   - seals all shards in parallel,
-//   - serves queries by scattering to only the shards whose time extent
-//     intersects the probe and merging per-shard results back into the
-//     single-shard global order, and
-//   - charges the cost model exactly once per logical query, for exactly the
-//     rows and buckets the flat store would have charged.
+//   - assigns every ingested event to a part by (subject host, time epoch),
+//   - seals the parts side by side,
+//   - answers a query by collecting, from every part whose time extent meets
+//     the window, the run of posting entries inside it, and
+//   - charges the cost model exactly once per logical query, for the rows and
+//     buckets of the window — never per part.
 //
-// The load-bearing invariant is that sharding is real-CPU-only acceleration:
+// There is one implementation of every verb and its only dependence on the
+// part count is data: how many runs a probe collected. One run is already in
+// global order, so it is copied (or walked) in place with no merge, no
+// scatter and no timing; that is all a store with one part ever executes.
+// Several runs are k-way merged by (time, arrival sequence): every event of a
+// multi-part store carries its global ingestion index in a per-part seq
+// column, so ties between parts resolve exactly as one part's stable sort
+// resolves them.
+//
+// The load-bearing invariant is that the part count changes real CPU only:
 // simulated cost, Stats deltas, telemetry counters, experiment stdout, and
-// DOT graphs are byte-identical between a flat store and an N-shard store for
-// any N and any GOMAXPROCS. The global order that makes merges deterministic
-// is (time, arrival sequence): every event carries its global ingestion index
-// in a per-shard seq column, so ties between shards resolve exactly as the
-// flat store's stable sort resolves them.
-//
-// Flat operation is the degenerate N=1 case and keeps its original code path
-// untouched (s.sh == nil).
+// DOT graphs are byte-identical for any WithShards(n) and any GOMAXPROCS.
 
-// MaxShards bounds the shard count: the router's scatter state is stack-cheap
-// and merge fan-in stays small. 64 shards already exceeds any core count this
-// embedded store targets.
+// MaxShards bounds the part count: a probe's run scratch is a fixed array on
+// the caller's stack and merge fan-in stays small. 64 already exceeds any
+// core count this embedded store targets.
 const MaxShards = 64
 
-// shardScatterCutoff is the per-query row total below which scatter tasks run
-// inline without timing: goroutine fan-out and clock reads cost more than
-// they could save on a window-sized probe.
+// shardScatterCutoff is the per-query row total below which the runs of an
+// attribute walk or a match scan are walked inline without timing: goroutine
+// fan-out and clock reads cost more than they could save on a window-sized
+// probe.
 const shardScatterCutoff = 2048
 
-// sharded is the router state hanging off a Store when WithShards(n>1) is in
-// effect. After Seal it is immutable and shared by every View.
-type sharded struct {
-	n     int
-	parts []*shardPart
-	total int // events across all parts
-
-	// dir is the global time-order directory, built at Seal: dir[i] packs
-	// (shard<<32 | position) of the i-th event in (time, seq) order. It is
-	// what keeps Scan, EventAt, Save, and sampling byte-identical to the
-	// flat store.
-	dir []uint64
-
-	// idPos is the dense EventID index (idPos[id-1] = packed ref + 1), with
-	// byID the fallback for non-dense IDs, mirroring the flat store.
-	idPos []uint64
-	byID  map[event.EventID]uint64
-
-	// Real-CPU observability, shared across views (tooling only — never part
-	// of charged cost): how many scatters ran, the summed busy time of timed
-	// scatter tasks, and how much of that a perfectly parallel run would
-	// shed (zero when the tasks already ran concurrently).
-	scatters       atomic.Int64
-	scatterBusyNs  atomic.Int64
-	scatterSaveNs  atomic.Int64
-	sealDurs       []time.Duration // per-part seal wall, in shard order
-	sealSavableNs  int64           // sum-max when parts sealed serially
-	sealWall       time.Duration   // whole sharded-seal wall clock
-	sealConcurrent bool            // parts actually overlapped
-}
-
-// shardPart is one shard: a flat engine over its slice of the history.
-type shardPart struct {
-	events []event.Event // time-sorted after Seal
-	seq    []uint32      // global arrival index, permuted alongside events
-	byDst  *postings
-	bySrc  *postings
-	hosts  map[string]struct{}
+// part is one partition of the store: the whole engine over its events.
+type part struct {
+	events []event.Event       // time-sorted after Seal
+	seq    []uint32            // global arrival index per event; kept only when the store has several parts
+	byDst  *postings           // SoA index over events with Dst()==obj, time-sorted
+	bySrc  *postings           // SoA index over events with Src()==obj, time-sorted
+	hosts  map[string]struct{} // subject hosts routed here; kept like seq
 
 	minTime, maxTime int64
 
-	// Per-shard routing observability (real CPU only). busyNs accumulates
-	// the scatter-measured time this shard's tasks ran; inline sub-cutoff
-	// probes are untimed and contribute nothing.
+	// Routing heat (real CPU only), fed by the profiled samples: see emit.
 	queries atomic.Int64
 	rows    atomic.Int64
 	busyNs  atomic.Int64
 }
 
-// WithShards partitions the store into n independent shards by host × time
-// epoch. n <= 1 keeps the flat single-shard layout. Sharding changes only
-// real CPU: charged cost, Stats, and every query result are byte-identical
-// to the flat store. The option must be applied at New/Open time, before any
-// event is added; it also overrides the shard count recorded in a persisted
-// store's manifest when used with Open.
+// scatterStats is the cumulative accounting of timed scatters.
+type scatterStats struct {
+	scatters atomic.Int64
+	busyNs   atomic.Int64
+	saveNs   atomic.Int64 // sum−max of serially run scatters
+}
+
+// sealStats is what Seal measured: the whole wall clock, each part's seal
+// wall in part order, the savable nanos (sum−max) when parts sealed one
+// after another, and whether they overlapped.
+type sealStats struct {
+	wall       time.Duration
+	durs       []time.Duration
+	savableNs  int64
+	concurrent bool
+}
+
+// WithShards partitions the store into n independent parts by host × time
+// epoch; n <= 1 keeps the single part New starts with. The part count
+// changes only real CPU: charged cost, Stats, and every query result are
+// byte-identical for any n. The option must be applied at New/Open time,
+// before any event is added; it also overrides the shard count recorded in a
+// persisted store's manifest when used with Open.
 func WithShards(n int) Option {
 	return func(st *Store) {
 		st.shardSet = true
@@ -128,7 +116,7 @@ func WithShardEpoch(seconds int64) Option {
 	}
 }
 
-// configureShards (re)initializes the router. It must run before any event
+// configureShards (re)creates the part list. It must run before any event
 // is added.
 func (s *Store) configureShards(n int, epoch int64) error {
 	if s.sealed {
@@ -140,19 +128,16 @@ func (s *Store) configureShards(n int, epoch int64) error {
 	if epoch > 0 {
 		s.shardEpoch = epoch
 	}
-	if n <= 1 {
-		s.sh = nil
-		s.tel.shards.Set(1)
-		return nil
+	if n < 1 {
+		n = 1
 	}
 	if n > MaxShards {
 		return fmt.Errorf("shard count %d exceeds MaxShards (%d)", n, MaxShards)
 	}
-	sh := &sharded{n: n, parts: make([]*shardPart, n)}
-	for i := range sh.parts {
-		sh.parts[i] = &shardPart{hosts: make(map[string]struct{})}
+	s.parts = make([]*part, n)
+	for i := range s.parts {
+		s.parts[i] = &part{hosts: make(map[string]struct{})}
 	}
-	s.sh = sh
 	// Open attaches telemetry before the manifest configures shards, so
 	// refresh the layout gauge here as well as in SetTelemetry.
 	s.tel.shards.Set(int64(n))
@@ -189,106 +174,88 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// route picks the shard for an event: host hash plus time-epoch index, so
-// one host's activity stripes across shards day by day (host × time cells,
-// not whole hosts — a noisy host cannot hot-spot a single shard forever).
-func (s *Store) route(host string, t int64) int {
-	cell := uint64(fnvHost(host)) + uint64(floorDiv(t, s.epochSeconds()))
-	return int(cell % uint64(s.sh.n))
-}
-
-// shardAdd appends an event to its shard, stamping the global arrival index
-// that later makes cross-shard merges reproduce flat ingestion order.
-func (s *Store) shardAdd(e event.Event, host string) {
-	p := s.sh.parts[s.route(host, e.Time)]
+// add appends an event to its part: host hash plus time-epoch index, so one
+// host's activity stripes across parts day by day (host × time cells, not
+// whole hosts — a noisy host cannot hot-spot a single part forever). With
+// several parts the event is stamped with its global arrival index, which
+// later makes cross-part merges reproduce ingestion order, and its host is
+// noted for ShardInfos; a single part's log positions already are the
+// arrival order and there is no spread to describe.
+func (s *Store) add(e event.Event, host string) {
+	cell := uint64(fnvHost(host)) + uint64(floorDiv(e.Time, s.epochSeconds()))
+	p := s.parts[cell%uint64(len(s.parts))]
 	p.events = append(p.events, e)
-	p.seq = append(p.seq, uint32(s.sh.total))
-	p.hosts[host] = struct{}{}
-	s.sh.total++
+	if len(s.parts) > 1 {
+		p.seq = append(p.seq, uint32(s.total))
+		p.hosts[host] = struct{}{}
+	}
+	s.total++
 }
 
-// pack/unpack encode a (shard, position) event reference in one word.
-func packRef(shard, pos int) uint64 { return uint64(shard)<<32 | uint64(uint32(pos)) }
+// packRef encodes a (part, position) event reference in one word.
+func packRef(part, pos int) uint64 { return uint64(part)<<32 | uint64(uint32(pos)) }
 
-func (sh *sharded) at(ref uint64) *event.Event {
-	return &sh.parts[ref>>32].events[uint32(ref)]
-}
-
-func (sh *sharded) seqAt(ref uint64) uint32 {
-	return sh.parts[ref>>32].seq[uint32(ref)]
+func (s *Store) at(ref uint64) *event.Event {
+	return &s.parts[ref>>32].events[uint32(ref)]
 }
 
 // --- Seal ---------------------------------------------------------------
 
-// sealSharded seals every shard in parallel — each with the same machinery
-// the flat store uses — then builds the global directory and event-ID index.
-// Shard-level concurrency is min(shards, GOMAXPROCS); innerWorkers (from
-// WithSealWorkers, split across concurrent parts) drives each part's own
-// posting build. Any combination produces bit-identical shards.
-func (s *Store) sealSharded(workers int) {
-	sh := s.sh
+// sealParts seals every part — side by side when there are several and
+// cores allow — then builds the global directory and event-ID index.
+// Part-level concurrency is min(parts, GOMAXPROCS); workers (from
+// WithSealWorkers), split across the parts, drives each part's own posting
+// build. Any combination produces bit-identical parts.
+func (s *Store) sealParts(workers int) {
 	start := time.Now()
-	conc := len(sh.parts)
-	if g := runtime.GOMAXPROCS(0); conc > g {
-		conc = g
-	}
-	inner := workers / len(sh.parts)
-	if inner < 1 {
-		inner = 1
-	}
-	numObjects := len(s.objects)
-	sh.sealDurs = make([]time.Duration, len(sh.parts))
-	if conc <= 1 {
-		for i, p := range sh.parts {
+	conc := min(len(s.parts), runtime.GOMAXPROCS(0))
+	inner := max(workers/len(s.parts), 1)
+	st := sealStats{durs: make([]time.Duration, len(s.parts)), concurrent: conc > 1}
+	sem := make(chan struct{}, conc)
+	var wg sync.WaitGroup
+	for i, p := range s.parts {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
 			t0 := time.Now()
-			p.seal(numObjects, inner)
-			sh.sealDurs[i] = time.Since(t0)
-		}
-		var sum, max time.Duration
-		for _, d := range sh.sealDurs {
+			p.seal(len(s.objects), inner)
+			st.durs[i] = time.Since(t0)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	if !st.concurrent {
+		var sum, longest time.Duration
+		for _, d := range st.durs {
 			sum += d
-			if d > max {
-				max = d
-			}
+			longest = max(longest, d)
 		}
-		sh.sealSavableNs = int64(sum - max)
-	} else {
-		sh.sealConcurrent = true
-		sem := make(chan struct{}, conc)
-		var wg sync.WaitGroup
-		for i, p := range sh.parts {
-			wg.Add(1)
-			go func(i int, p *shardPart) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				t0 := time.Now()
-				p.seal(numObjects, inner)
-				sh.sealDurs[i] = time.Since(t0)
-			}(i, p)
-		}
-		wg.Wait()
+		st.savableNs = int64(sum - longest)
 	}
 
-	sh.dir = sh.buildDirectory()
-	sh.buildIDIndex()
-	if sh.total > 0 {
-		s.minTime = sh.at(sh.dir[0]).Time
-		s.maxTime = sh.at(sh.dir[sh.total-1]).Time
+	s.dir = s.buildDirectory()
+	s.buildIDIndex()
+	if s.total > 0 {
+		s.minTime = s.at(s.dir[0]).Time
+		s.maxTime = s.at(s.dir[s.total-1]).Time
 	}
-	sh.sealWall = time.Since(start)
-	s.tel.sealWall.Set(int64(sh.sealWall))
-	s.tel.sealSavable.Set(sh.sealSavableNs)
+	st.wall = time.Since(start)
+	s.sealStat = st
+	s.tel.sealWall.Set(int64(st.wall))
+	s.tel.sealSavable.Set(st.savableNs)
 	// A profiler attached before sealing learns the final layout now.
-	s.qp.Load().SetLayout(sh.n, s.shardEpochSecs())
+	s.qp.Load().SetLayout(len(s.parts), s.ShardEpochSeconds())
 }
 
-// seal sorts one shard's events into (time, arrival) order and builds its
+// seal sorts one part's events into (time, arrival) order and builds its
 // posting indexes with the shared CSR builder. The sort is an index-
 // permutation sort keyed on (time, original position): original position is
 // a strict tiebreak, so the result equals a stable sort and is identical for
-// any worker split.
-func (p *shardPart) seal(numObjects, workers int) {
+// any worker split. The sorted columns are fresh arrays — the unsorted ones
+// are only read — which is what lets a live snapshot seal straight from the
+// writer's logs.
+func (p *part) seal(numObjects, workers int) {
 	n := len(p.events)
 	if n > 0 {
 		ord := make([]int32, n)
@@ -296,36 +263,39 @@ func (p *shardPart) seal(numObjects, workers int) {
 			ord[i] = int32(i)
 		}
 		ev := p.events
-		sort.Slice(ord, func(i, j int) bool {
-			a, b := ord[i], ord[j]
-			if ev[a].Time != ev[b].Time {
-				return ev[a].Time < ev[b].Time
+		slices.SortFunc(ord, func(a, b int32) int {
+			if c := cmp.Compare(ev[a].Time, ev[b].Time); c != 0 {
+				return c
 			}
-			return a < b
+			return cmp.Compare(a, b)
 		})
-		ev2 := make([]event.Event, n)
-		seq2 := make([]uint32, n)
+		sorted := make([]event.Event, n)
 		for i, o := range ord {
-			ev2[i] = p.events[o]
-			seq2[i] = p.seq[o]
+			sorted[i] = ev[o]
 		}
-		p.events = ev2
-		p.seq = seq2
-		p.minTime = ev2[0].Time
-		p.maxTime = ev2[n-1].Time
+		if p.seq != nil {
+			seq := make([]uint32, n)
+			for i, o := range ord {
+				seq[i] = p.seq[o]
+			}
+			p.seq = seq
+		}
+		p.events = sorted
+		p.minTime = sorted[0].Time
+		p.maxTime = sorted[n-1].Time
 	}
 	p.byDst, p.bySrc = buildPostings(p.events, numObjects, workers)
 }
 
-// buildDirectory merges the sorted shards into the global (time, seq) order
-// directory by pairwise parallel merge rounds — the same shape as the flat
-// store's parallel sort merge, with packed references instead of events.
-func (sh *sharded) buildDirectory() []uint64 {
-	k := len(sh.parts)
-	ents := make([]uint64, sh.total)
+// buildDirectory merges the sorted parts into the global (time, seq) order
+// directory by pairwise parallel merge rounds over packed references. With
+// one part there is nothing to merge and the directory is the identity.
+func (s *Store) buildDirectory() []uint64 {
+	k := len(s.parts)
+	ents := make([]uint64, s.total)
 	bounds := make([]int, k+1)
 	off := 0
-	for si, p := range sh.parts {
+	for si, p := range s.parts {
 		bounds[si] = off
 		for pos := range p.events {
 			ents[off] = packRef(si, pos)
@@ -335,13 +305,9 @@ func (sh *sharded) buildDirectory() []uint64 {
 	bounds[k] = off
 
 	less := func(a, b uint64) bool {
-		ea, eb := sh.at(a), sh.at(b)
-		if ea.Time != eb.Time {
-			return ea.Time < eb.Time
-		}
-		return sh.seqAt(a) < sh.seqAt(b)
+		return before(s.parts[a>>32], int32(a), s.parts[b>>32], int32(b))
 	}
-	buf := make([]uint64, sh.total)
+	buf := make([]uint64, s.total)
 	src, dst := ents, buf
 	for width := 1; width < k; width *= 2 {
 		var wg sync.WaitGroup
@@ -373,15 +339,16 @@ func (sh *sharded) buildDirectory() []uint64 {
 	return src
 }
 
-// buildIDIndex mirrors the flat buildEventIDIndex over packed references:
-// dense 1..n IDs get a pigeonhole array, anything else the map fallback
-// built in global time order (so duplicate IDs resolve as the flat store
-// resolves them: last in time order wins).
-func (sh *sharded) buildIDIndex() {
-	n := sh.total
+// buildIDIndex builds the EventID -> packed reference index. IDs assigned by
+// AddEvent are exactly 1..n, so the common case is a dense array filled per
+// part in parallel (idPos[id-1] holds ref+1). Segment files could in
+// principle carry arbitrary IDs, so non-dense or duplicate IDs fall back to
+// the map index, built in global time order (last in time order wins).
+func (s *Store) buildIDIndex() {
+	n := s.total
 	dense := true
 scan:
-	for _, p := range sh.parts {
+	for _, p := range s.parts {
 		for i := range p.events {
 			if id := p.events[i].ID; id < 1 || id > event.EventID(n) {
 				dense = false
@@ -392,16 +359,18 @@ scan:
 	if dense {
 		idPos := make([]uint64, n)
 		var wg sync.WaitGroup
-		for si, p := range sh.parts {
+		for si, p := range s.parts {
 			wg.Add(1)
-			go func(si int, p *shardPart) {
+			go func() {
 				defer wg.Done()
 				for pos := range p.events {
 					idPos[p.events[pos].ID-1] = packRef(si, pos) + 1
 				}
-			}(si, p)
+			}()
 		}
 		wg.Wait()
+		// Duplicate IDs leave a pigeonhole empty; only a permutation of 1..n
+		// fills every slot.
 		for _, v := range idPos {
 			if v == 0 {
 				dense = false
@@ -409,141 +378,70 @@ scan:
 			}
 		}
 		if dense {
-			sh.idPos = idPos
-			sh.byID = nil
+			s.idPos = idPos
+			s.byID = nil
 			return
 		}
 	}
-	sh.idPos = nil
-	sh.byID = make(map[event.EventID]uint64, n)
-	for _, ref := range sh.dir {
-		sh.byID[sh.at(ref).ID] = ref
+	s.idPos = nil
+	s.byID = make(map[event.EventID]uint64, n)
+	for _, ref := range s.dir {
+		s.byID[s.at(ref).ID] = ref
 	}
 }
 
 // --- Scatter ------------------------------------------------------------
 
-// scatter runs one task per touched shard. Small probes run inline; above
-// the cutoff, tasks run concurrently when cores allow, serially (but timed)
-// otherwise. The timing feeds the savable-nanos counter: how much wall a
-// perfectly parallel scatter would shed versus what actually ran. On a
-// multi-core host the saving is realized directly and the counter stays
-// near zero; on a single core it is the measured critical-path projection
-// the shard benchmark reports. Results must not depend on execution order:
-// every task owns its slot.
+// scattered reports whether a probe is worth a timed scatter: work inside
+// one part, or a window-sized probe, is walked inline and untimed.
+func scattered(severalParts bool, totalRows int) bool {
+	return severalParts && totalRows >= shardScatterCutoff
+}
+
+// scatter runs work(0..n-1), one call per run, timing each: concurrently
+// when cores allow, serially otherwise. The timing feeds the savable-nanos
+// counter: how much wall a perfectly parallel scatter would shed versus what
+// actually ran. On a multi-core host the saving is realized directly and the
+// counter stays near zero; on a single core it is the measured critical-path
+// projection the shard benchmark reports. Results must not depend on
+// execution order: every call owns its slot.
 //
-// The returned slice holds each task's busy nanos when the scatter was
-// timed, nil for inline sub-cutoff probes — the query profiler and the
-// per-shard busy counters attribute from it; timing never affects charged
-// cost.
-func (s *Store) scatter(totalRows int, tasks []func()) []int64 {
-	sh := s.sh
-	switch {
-	case len(tasks) == 0:
-		return nil
-	case len(tasks) == 1 || totalRows < shardScatterCutoff:
-		for _, t := range tasks {
-			t()
-		}
-		return nil
-	}
-	sh.scatters.Add(1)
+// The returned slice holds each call's busy nanos — the query profiler and
+// the per-part heat attribute from it; timing never affects charged cost.
+func (s *Store) scatter(n int, work func(i int)) []int64 {
+	s.scat.scatters.Add(1)
 	s.tel.scatters.Inc()
-	durs := make([]int64, len(tasks))
-	if runtime.GOMAXPROCS(0) > 1 {
-		var wg sync.WaitGroup
-		for i, t := range tasks {
-			wg.Add(1)
-			go func(i int, t func()) {
-				defer wg.Done()
-				t0 := time.Now()
-				t()
-				durs[i] = int64(time.Since(t0))
-			}(i, t)
-		}
-		wg.Wait()
-		var busy int64
-		for _, d := range durs {
-			busy += d
-		}
-		sh.scatterBusyNs.Add(busy)
-		s.noteScatterTel(durs, busy, 0)
-		return durs
-	}
-	var busy, max int64
-	for i, t := range tasks {
+	durs := make([]int64, n)
+	concurrent := runtime.GOMAXPROCS(0) > 1
+	var wg sync.WaitGroup
+	timed := func(i int) {
 		t0 := time.Now()
-		t()
+		work(i)
 		durs[i] = int64(time.Since(t0))
-		busy += durs[i]
-		if durs[i] > max {
-			max = durs[i]
-		}
 	}
-	sh.scatterBusyNs.Add(busy)
-	sh.scatterSaveNs.Add(busy - max)
-	s.noteScatterTel(durs, busy, busy-max)
-	return durs
-}
-
-// scatterRuns is the attribute-walk fast path of scatter: one shared work
-// function indexed by run, no per-run closures. Small probes run inline and
-// untimed; big ones fan out across cores, or — single-core — run serially
-// with the same busy/savable accounting as scatter. The returned per-run
-// busy nanos follow the scatter contract above.
-func (s *Store) scatterRuns(totalRows, nruns int, work func(ri int)) []int64 {
-	sh := s.sh
-	if nruns == 0 {
-		return nil
-	}
-	if nruns == 1 || totalRows < shardScatterCutoff {
-		for ri := 0; ri < nruns; ri++ {
-			work(ri)
+	for i := 0; i < n; i++ {
+		if !concurrent {
+			timed(i)
+			continue
 		}
-		return nil
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			timed(i)
+		}()
 	}
-	sh.scatters.Add(1)
-	s.tel.scatters.Inc()
-	durs := make([]int64, nruns)
-	if runtime.GOMAXPROCS(0) > 1 {
-		var wg sync.WaitGroup
-		for ri := 0; ri < nruns; ri++ {
-			wg.Add(1)
-			go func(ri int) {
-				defer wg.Done()
-				t0 := time.Now()
-				work(ri)
-				durs[ri] = int64(time.Since(t0))
-			}(ri)
-		}
-		wg.Wait()
-		var busy int64
-		for _, d := range durs {
-			busy += d
-		}
-		sh.scatterBusyNs.Add(busy)
-		s.noteScatterTel(durs, busy, 0)
-		return durs
+	wg.Wait()
+	var busy, longest int64
+	for _, d := range durs {
+		busy += d
+		longest = max(longest, d)
 	}
-	var busy, max int64
-	for ri := 0; ri < nruns; ri++ {
-		t0 := time.Now()
-		work(ri)
-		durs[ri] = int64(time.Since(t0))
-		busy += durs[ri]
-		if durs[ri] > max {
-			max = durs[ri]
-		}
+	savable := int64(0)
+	if !concurrent {
+		savable = busy - longest
 	}
-	sh.scatterBusyNs.Add(busy)
-	sh.scatterSaveNs.Add(busy - max)
-	s.noteScatterTel(durs, busy, busy-max)
-	return durs
-}
-
-// noteScatterTel publishes one timed scatter's busy/savable accounting and
-// per-task busy distribution to the always-on telemetry registry.
-func (s *Store) noteScatterTel(durs []int64, busy, savable int64) {
+	s.scat.busyNs.Add(busy)
+	s.scat.saveNs.Add(savable)
 	s.tel.scatterBusy.Add(busy)
 	s.tel.scatterSavable.Add(savable)
 	if s.tel.shardBusy != nil {
@@ -551,317 +449,221 @@ func (s *Store) noteScatterTel(durs []int64, busy, savable int64) {
 			s.tel.shardBusy.Observe(float64(d))
 		}
 	}
+	return durs
 }
 
-// --- Query routing ------------------------------------------------------
+// --- Probes -------------------------------------------------------------
 
-// shardRun is one shard's slice of a posting probe: the posting sublist of
-// the window, plus the part it lives in. The trailing fields are per-query
-// scratch the attribute walks write their per-shard partials into — keeping
-// results inside the runs slice means a scattered attribute query allocates
-// one slice and one closure, not a result buffer and a closure per shard
-// (the walks are hot enough that those allocations dominated the router's
-// overhead).
-type shardRun struct {
-	part   *shardPart
-	sid    int32 // shard index, for profiler attribution
-	idx    []int32
-	times  []int64
-	lo, hi int
-
-	src bool // FileTimes: this run walks the source-endpoint index
-
-	hit                           shardHit // early-exit walks: local first disqualifier
-	nonLoad                       bool     // write-through: any non-load event seen
-	sum                           int64    // FlowAmount partial
-	creation, lastMod, lastAccess int64    // FileTimes partials
+// run is one part's slice of a posting probe: the bounds, in the part's
+// posting arrays of one endpoint index, of the entries inside the window.
+// It is deliberately small — a probe's scratch is MaxShards of them on the
+// caller's stack — so everything else is looked up through cols.
+type run struct {
+	lo, hi int32
+	part   uint8
+	fwd    bool // the run is in the source-endpoint index
 }
 
-// collectRuns scatters a posting probe: for every shard whose time extent
-// intersects [from, to), binary-search the window bounds on its posting
-// list. It returns the per-shard runs, the summed posting length across all
-// shards (the flat store's len(idx), deciding the hit/miss telemetry), and
-// the summed window rows (the flat store's charged rows).
-func (s *Store) collectRuns(obj event.ObjID, forward bool, from, to int64) (runs []shardRun, totalLen, rows int) {
-	return s.collectRunsInto(make([]shardRun, 0, s.sh.n), obj, forward, from, to)
-}
-
-// collectRunsInto appends runs to dst so callers walking both endpoint
-// indexes of one object (FileTimes) can share a single slice allocation.
-// totalLen and rows cover only the runs appended by this call.
-func (s *Store) collectRunsInto(dst []shardRun, obj event.ObjID, forward bool, from, to int64) (runs []shardRun, totalLen, rows int) {
-	sh := s.sh
-	runs = dst
-	for si, p := range sh.parts {
-		pl := p.byDst
-		if forward {
-			pl = p.bySrc
-		}
-		n := pl.count(obj)
-		totalLen += n
-		if n == 0 || len(p.events) == 0 || p.maxTime < from || p.minTime >= to {
-			continue
-		}
-		idx, times := pl.list(obj)
-		lo, hi := postingRange(times, from, to)
-		if lo == hi {
-			continue
-		}
-		runs = append(runs, shardRun{part: p, sid: int32(si), idx: idx, times: times, lo: lo, hi: hi})
-		rows += hi - lo
+// post returns the posting index of one endpoint: destination objects for
+// backward queries, source objects for forward.
+func (p *part) post(forward bool) *postings {
+	if forward {
+		return p.bySrc
 	}
-	return runs, totalLen, rows
+	return p.byDst
 }
 
-// notePosting emits the single posting hit/miss the flat store's posting()
-// lookup would emit, and updates per-shard routing counters.
-func (s *Store) notePosting(runs []shardRun, totalLen, rows int) {
-	if totalLen > 0 {
+// cols resolves a run's part and posting index.
+func (s *Store) cols(r run) (*part, *postings) {
+	p := s.parts[r.part]
+	return p, p.post(r.fwd)
+}
+
+// window binary-searches [from, to) on obj's posting list in one part and
+// returns the bounds in the part's posting arrays plus the list's whole
+// length. A part whose time extent misses the window is not searched. The
+// upper bound is searched only above the lower one, since to >= from for
+// every well-formed window (a backwards window still yields an empty range).
+func (p *part) window(obj event.ObjID, forward bool, from, to int64) (lo, hi int32, n int) {
+	pl := p.post(forward)
+	if int(obj)+1 >= len(pl.off) {
+		return 0, 0, 0
+	}
+	a, b := pl.off[obj], pl.off[obj+1]
+	if a == b || p.maxTime < from || p.minTime >= to {
+		return a, a, int(b - a)
+	}
+	lo = a + int32(searchTimes(pl.times[a:b], from))
+	hi = lo + int32(searchTimes(pl.times[lo:b], to))
+	return lo, hi, int(b - a)
+}
+
+// collect appends to runs, for every part that holds rows of obj inside
+// [from, to), the run of those rows. It returns the extended runs, the summed
+// posting length across all parts (deciding the hit/miss telemetry), and the
+// summed window rows (what the query charges). Callers pass a slice over
+// their own stack scratch, so collecting never allocates.
+func (s *Store) collect(runs []run, obj event.ObjID, forward bool, from, to int64) (_ []run, postingLen, rows int) {
+	for pi, p := range s.parts {
+		lo, hi, n := p.window(obj, forward, from, to)
+		postingLen += n
+		if lo < hi {
+			runs = append(runs, run{lo: lo, hi: hi, part: uint8(pi), fwd: forward})
+			rows += int(hi - lo)
+		}
+	}
+	return runs, postingLen, rows
+}
+
+// noteProbe emits the single posting hit/miss of a probe and its fan-out.
+func (s *Store) noteProbe(postingLen, fanout int) {
+	if postingLen > 0 {
 		s.tel.postingHits.Inc()
 	} else {
 		s.tel.postingMisses.Inc()
 	}
-	if s.tel.scatterFanout != nil {
-		s.tel.scatterFanout.Observe(float64(len(runs)))
-	}
-	for i := range runs {
-		runs[i].part.queries.Add(1)
-		runs[i].part.rows.Add(int64(runs[i].hi - runs[i].lo))
+	s.noteFanout(fanout)
+}
+
+// noteFanout records how many parts a probe that spread over several had
+// to touch.
+func (s *Store) noteFanout(parts int) {
+	if parts > 1 && s.tel.scatterFanout != nil {
+		s.tel.scatterFanout.Observe(float64(parts))
 	}
 }
 
-// runSeq returns the global arrival index of posting entry j of a run.
-func (r *shardRun) runSeq(j int) uint32 { return r.part.seq[r.idx[j]] }
+// spread counts the distinct parts a probe's runs lie in (FileTimes collects
+// from two endpoint indexes, so a part may hold two of them).
+func spread(runs []run) int {
+	var mask uint64 // MaxShards = 64 makes a word-sized set exact
+	for _, r := range runs {
+		mask |= 1 << r.part
+	}
+	return bits.OnesCount64(mask)
+}
 
-// shardAppendPosting is the sharded appendPosting: scatter the window probe,
-// then k-way merge the per-shard runs back into (time, seq) order — exactly
-// the order the flat store's single posting list holds — and charge once for
-// the summed rows.
-func (s *Store) shardAppendPosting(buf []event.Event, obj event.ObjID, forward bool, from, to int64) ([]event.Event, error) {
-	if !s.sealed {
-		return buf, ErrNotSealed
+// before orders two events of different parts by (time, arrival sequence).
+func before(pa *part, a int32, pb *part, b int32) bool {
+	ta, tb := pa.events[a].Time, pb.events[b].Time
+	if ta != tb {
+		return ta < tb
 	}
-	runs, totalLen, rows := s.collectRuns(obj, forward, from, to)
-	s.notePosting(runs, totalLen, rows)
-	// Snapshot per-shard rows before the merge consumes the run cursors;
-	// time the k-way merge only when a profiler is listening.
-	qp, obs := s.qp.Load(), s.scatterObs
-	var snap []qprof.ShardSample
-	if qp != nil || obs != nil {
-		snap = shardSnap(runs, nil)
+	return pa.seq[a] < pb.seq[b]
+}
+
+// mergeRuns k-way merges two or more runs into buf, which has room for their
+// rows, in (time, seq) order — exactly the order one part's posting list
+// would hold them in. The head key
+// of every run is cached, so picking the next row reads one small array and
+// only the run that advanced touches its posting columns again.
+func (s *Store) mergeRuns(buf []event.Event, runs []run, rows int) []event.Event {
+	type head struct {
+		t   int64
+		seq uint32
 	}
-	var mergeStart time.Time
-	if qp != nil && len(runs) > 1 {
-		mergeStart = time.Now()
+	var heads [MaxShards]head
+	for ri, r := range runs {
+		p, pl := s.cols(r)
+		heads[ri] = head{pl.times[r.lo], p.seq[pl.idx[r.lo]]}
 	}
-	if need := len(buf) + rows; need > cap(buf) {
-		grown := make([]event.Event, len(buf), need)
-		copy(grown, buf)
-		buf = grown
-	}
-	switch len(runs) {
-	case 0:
-	case 1:
-		r := runs[0]
-		for _, q := range r.idx[r.lo:r.hi] {
-			buf = append(buf, r.part.events[q])
-		}
-	default:
-		for n := 0; n < rows; n++ {
-			best := -1
-			var bt int64
-			var bs uint32
-			for ri := range runs {
-				r := &runs[ri]
-				if r.lo >= r.hi {
-					continue
-				}
-				t, sq := r.times[r.lo], r.runSeq(r.lo)
-				if best < 0 || t < bt || (t == bt && sq < bs) {
-					best, bt, bs = ri, t, sq
-				}
+	out := buf[len(buf) : len(buf)+rows]
+	for n := range out {
+		best := -1
+		var bh head
+		for ri := range runs {
+			if runs[ri].lo == runs[ri].hi {
+				continue
 			}
-			r := &runs[best]
-			buf = append(buf, r.part.events[r.idx[r.lo]])
-			r.lo++
+			if h := heads[ri]; best < 0 || h.t < bh.t || (h.t == bh.t && h.seq < bh.seq) {
+				best, bh = ri, h
+			}
+		}
+		r := &runs[best]
+		p, pl := s.cols(*r)
+		out[n] = p.events[pl.idx[r.lo]]
+		if r.lo++; r.lo < r.hi {
+			heads[best] = head{pl.times[r.lo], p.seq[pl.idx[r.lo]]}
 		}
 	}
-	var mergeNs int64
-	if !mergeStart.IsZero() {
-		mergeNs = int64(time.Since(mergeStart))
-	}
-	s.charge(int64(rows), from, to)
-	if snap != nil {
-		s.emitShardSample(qp, obs, qprof.Sample{
-			Kind: postingKind(forward, false), Obj: int64(obj), From: from, To: to,
-			Epoch: s.qprofEpoch(from), Rows: int64(rows), PostingLen: int64(totalLen),
-			MergeNs: mergeNs, Shards: snap,
-		})
-	}
-	return buf, nil
-}
-
-// shardCountPosting is the sharded countPosting: per-shard window counts
-// summed, no materialization, no charge — the same index-only estimate, with
-// the same single hit/miss emission. Its totals feed the executor's re-split
-// logic unchanged.
-func (s *Store) shardCountPosting(obj event.ObjID, forward bool, from, to int64) (int, error) {
-	if !s.sealed {
-		return 0, ErrNotSealed
-	}
-	runs, totalLen, rows := s.collectRuns(obj, forward, from, to)
-	s.notePosting(runs, totalLen, rows)
-	s.noteShardQuery(postingKind(forward, true), int64(obj), from, to, runs, totalLen, int64(rows), nil)
-	return rows, nil
-}
-
-// firstKey finds, per run, the first entry at or after the global key
-// (t, sq), by binary search on time then a short seq walk across the
-// equal-time span (posting entries are (time, seq)-sorted within a shard).
-func (r *shardRun) firstKey(t int64, sq uint32) int {
-	j := r.lo + searchTimes(r.times[r.lo:r.hi], t)
-	for j < r.hi && r.times[j] == t && r.runSeq(j) < sq {
-		j++
-	}
-	return j
-}
-
-// --- Global-order iteration --------------------------------------------
-
-// eventAtGlobal returns the i-th event in global time order.
-func (s *Store) eventAtGlobal(i int) event.Event {
-	if s.sh != nil {
-		return *s.sh.at(s.sh.dir[i])
-	}
-	return s.events[i]
-}
-
-// searchGlobal returns the first global position with Time >= t.
-func (s *Store) searchGlobal(t int64) int {
-	if s.sh != nil {
-		sh := s.sh
-		return sort.Search(sh.total, func(i int) bool { return sh.at(sh.dir[i]).Time >= t })
-	}
-	return sort.Search(len(s.events), func(i int) bool { return s.events[i].Time >= t })
-}
-
-// appendAllEvents appends every stored event in global time order.
-func (s *Store) appendAllEvents(buf []event.Event) []event.Event {
-	if s.sh == nil {
-		return append(buf, s.events...)
-	}
-	for _, ref := range s.sh.dir {
-		buf = append(buf, *s.sh.at(ref))
-	}
-	return buf
+	return buf[:len(buf)+rows]
 }
 
 // CollectMatches scans [from, to) in global time order and returns the
 // events for which a predicate holds, in that order. newPred builds one
-// predicate instance per partition walker — batch triage hands it a
-// privately compiled plan matcher, which is what lets a sharded store run
-// the walk on every shard concurrently while a flat store walks serially.
+// predicate instance per part walked — batch triage hands it a privately
+// compiled plan matcher, which is what lets a big scan walk its parts
+// concurrently.
 //
 // Charged cost is that of the equivalent full Scan: every row in the range,
-// plus the window's buckets, in one charge — identical flat vs sharded. If
+// plus the window's buckets, in one charge — identical for any part count. If
 // any predicate errors, the error reported is the one at the earliest global
-// position (deterministic for any shard layout); the rows charged on the
-// error path are those actually visited, which an aborted batch never
-// compares anyway.
+// position (deterministic for any layout); the rows charged on the error path
+// are those actually visited, which an aborted batch never compares anyway.
 func (s *Store) CollectMatches(from, to int64, newPred func() func(event.Event) (bool, error)) ([]event.Event, error) {
 	if !s.sealed {
 		return nil, ErrNotSealed
 	}
-	if s.sh == nil {
-		pred := newPred()
-		var out []event.Event
-		rows := int64(0)
-		var perr error
-		lo := s.searchGlobal(from)
-		for i := lo; i < len(s.events) && s.events[i].Time < to; i++ {
-			rows++
-			ok, err := pred(s.events[i])
-			if err != nil {
-				perr = err
-				break
-			}
-			if ok {
-				out = append(out, s.events[i])
-			}
-		}
-		s.charge(rows, from, to)
-		s.noteFlatQuery(qprof.KindMatches, -1, from, to, rows, 0)
-		return out, perr
-	}
-
-	sh := s.sh
-	type partMatch struct {
-		events []event.Event
-		seqs   []uint32
+	// leg is one part's slice of the scan and what its walk found: the log
+	// positions that matched and, if the predicate failed, where.
+	type leg struct {
+		p      *part
+		sid    int
+		lo, hi int
 		rows   int64
+		hits   []int32
 		err    error
-		errT   int64
-		errSeq uint32
+		errPos int32
 	}
-	var tasks []func()
-	var sids []int32
-	var parts []*shardPart
-	results := make([]partMatch, 0, sh.n)
+	var legs []leg
 	total := 0
-	for si, p := range sh.parts {
-		if len(p.events) == 0 || p.maxTime < from || p.minTime >= to {
+	for si, p := range s.parts {
+		ev := p.events
+		if len(ev) == 0 || p.maxTime < from || p.minTime >= to {
 			continue
 		}
-		ev := p.events
 		lo := sort.Search(len(ev), func(i int) bool { return ev[i].Time >= from })
 		hi := lo + sort.Search(len(ev)-lo, func(i int) bool { return ev[lo+i].Time >= to })
 		if lo == hi {
 			continue
 		}
 		total += hi - lo
-		results = append(results, partMatch{})
-		res := &results[len(results)-1]
-		part := p
-		sids = append(sids, int32(si))
-		parts = append(parts, p)
-		tasks = append(tasks, func() {
-			pred := newPred()
-			for i := lo; i < hi; i++ {
-				res.rows++
-				ok, err := pred(part.events[i])
-				if err != nil {
-					res.err = err
-					res.errT = part.events[i].Time
-					res.errSeq = part.seq[i]
-					return
-				}
-				if ok {
-					res.events = append(res.events, part.events[i])
-					res.seqs = append(res.seqs, part.seq[i])
-				}
-			}
-		})
+		legs = append(legs, leg{p: p, sid: si, lo: lo, hi: hi})
 	}
-	durs := s.scatter(total, tasks)
-	if durs != nil {
-		for i, d := range durs {
-			parts[i].busyNs.Add(d)
+	walk := func(i int) {
+		l := &legs[i]
+		pred := newPred()
+		for pos := l.lo; pos < l.hi; pos++ {
+			l.rows++
+			ok, err := pred(l.p.events[pos])
+			if err != nil {
+				l.err, l.errPos = err, int32(pos)
+				return
+			}
+			if ok {
+				l.hits = append(l.hits, int32(pos))
+			}
 		}
 	}
-	if s.tel.scatterFanout != nil {
-		s.tel.scatterFanout.Observe(float64(len(tasks)))
+	var durs []int64
+	if scattered(len(legs) > 1, total) {
+		durs = s.scatter(len(legs), walk)
+	} else {
+		for i := range legs {
+			walk(i)
+		}
 	}
+	s.noteFanout(len(legs))
 
 	var rows int64
-	var perr error
-	var errT int64
-	var errSeq uint32
-	for i := range results {
-		rows += results[i].rows
-		if results[i].err != nil {
-			if perr == nil || results[i].errT < errT || (results[i].errT == errT && results[i].errSeq < errSeq) {
-				perr, errT, errSeq = results[i].err, results[i].errT, results[i].errSeq
-			}
+	matched := 0
+	failed := -1
+	for i := range legs {
+		l := &legs[i]
+		rows += l.rows
+		matched += len(l.hits)
+		if l.err != nil && (failed < 0 || before(l.p, l.errPos, legs[failed].p, legs[failed].errPos)) {
+			failed = i
 		}
 	}
 	s.charge(rows, from, to)
@@ -870,316 +672,61 @@ func (s *Store) CollectMatches(from, to int64, newPred func() func(event.Event) 
 		if qp == nil && obs == nil {
 			return
 		}
-		snap := make([]qprof.ShardSample, len(results))
-		for i := range results {
-			snap[i] = qprof.ShardSample{Shard: int(sids[i]), Rows: results[i].rows}
+		snap := make([]qprof.ShardSample, len(legs))
+		for i := range legs {
+			snap[i] = qprof.ShardSample{Shard: legs[i].sid, Rows: legs[i].rows}
 			if durs != nil {
 				snap[i].BusyNs = durs[i]
 			}
 		}
-		s.emitShardSample(qp, obs, qprof.Sample{
-			Kind: qprof.KindMatches, Obj: -1, From: from, To: to,
-			Epoch: s.qprofEpoch(from), Rows: rows, MergeNs: mergeNs, Shards: snap,
-		})
+		s.emit(qp, obs, qprof.KindMatches, -1, from, to, rows, 0, mergeNs, snap)
 	}
-	if perr != nil {
+	if failed >= 0 {
 		emit(0)
-		return nil, perr
+		return nil, legs[failed].err
+	}
+	if matched == 0 {
+		emit(0)
+		return nil, nil
 	}
 
-	// k-way merge of the per-shard match lists by (time, seq).
-	var mergeStart time.Time
-	if qp != nil && len(results) > 1 {
-		mergeStart = time.Now()
+	// One leg's matches are already in order; several are k-way merged by
+	// (time, seq).
+	var start time.Time
+	if qp != nil && len(legs) > 1 {
+		start = time.Now()
 	}
-	n := 0
-	for i := range results {
-		n += len(results[i].events)
-	}
-	out := make([]event.Event, 0, n)
-	cur := make([]int, len(results))
-	for len(out) < n {
+	out := make([]event.Event, 0, matched)
+	for len(out) < matched {
 		best := -1
-		var bt int64
-		var bs uint32
-		for i := range results {
-			if cur[i] >= len(results[i].events) {
+		for i := range legs {
+			l := &legs[i]
+			if len(l.hits) == 0 {
 				continue
 			}
-			t, sq := results[i].events[cur[i]].Time, results[i].seqs[cur[i]]
-			if best < 0 || t < bt || (t == bt && sq < bs) {
-				best, bt, bs = i, t, sq
+			if best < 0 || before(l.p, l.hits[0], legs[best].p, legs[best].hits[0]) {
+				best = i
 			}
 		}
-		out = append(out, results[best].events[cur[best]])
-		cur[best]++
+		l := &legs[best]
+		out = append(out, l.p.events[l.hits[0]])
+		l.hits = l.hits[1:]
 	}
 	var mergeNs int64
-	if !mergeStart.IsZero() {
-		mergeNs = int64(time.Since(mergeStart))
+	if !start.IsZero() {
+		mergeNs = int64(time.Since(start))
 	}
 	emit(mergeNs)
 	return out, nil
 }
 
-// --- Sharded attribute evaluations -------------------------------------
-//
-// The attribute walks must charge exactly the rows the flat store's ordered
-// walk examines. Full-range aggregates (FlowAmount, FileTimes) are order-
-// independent and combine per-shard partials; the early-exit predicates
-// (read-only, write-through) stop the flat walk at the first disqualifying
-// event in global order, so the sharded versions find each shard's first
-// disqualifier, take the global (time, seq) minimum, and count the rows
-// preceding it across every shard — the exact prefix the flat walk visited.
-// Per-shard walks may examine more rows than they charge (a shard keeps
-// scanning past another shard's earlier disqualifier); that is real CPU
-// only, and is what the scatter can parallelize.
-
-func (s *Store) shardIsReadOnlyFileRows(obj event.ObjID, from, to int64) (bool, int64, error) {
-	if !s.sealed {
-		return false, NoCharge, ErrNotSealed
-	}
-	if s.objects[obj].Type != event.ObjFile {
-		return false, NoCharge, nil
-	}
-	runs, totalLen, total := s.collectRuns(obj, false, from, to)
-	durs := s.scatterRuns(total, len(runs), func(ri int) {
-		// Hoist slice headers out of the loop: writes through r would
-		// otherwise force a reload of r.part/r.idx every iteration.
-		r := &runs[ri]
-		events, idx := r.part.events, r.idx
-		for j := r.lo; j < r.hi; j++ {
-			switch events[idx[j]].Action {
-			case event.ActWrite, event.ActCreate, event.ActDelete, event.ActRename, event.ActChmod:
-				r.hit = shardHit{found: true, t: r.times[j], seq: r.runSeq(j)}
-				return
-			}
-		}
-	})
-
-	rows := int64(total)
-	readOnly := true
-	if first, ok := minHit(runs); ok {
-		readOnly = false
-		rows = 1
-		for ri := range runs {
-			rows += int64(runs[ri].firstKey(runs[first].hit.t, runs[first].hit.seq) - runs[ri].lo)
-		}
-	}
-	s.charge(rows, from, to)
-	s.noteAttr(runs, durs)
-	s.noteShardQuery(qprof.KindReadOnly, int64(obj), from, to, runs, totalLen, rows, durs)
-	return readOnly, rows, nil
-}
-
-func (s *Store) shardIsWriteThroughRows(obj event.ObjID, from, to int64) (bool, int64, error) {
-	if !s.sealed {
-		return false, NoCharge, ErrNotSealed
-	}
-	if s.objects[obj].Type != event.ObjProcess {
-		return false, NoCharge, nil
-	}
-	var rows int64
-	seen := false
-	through := true
-	qp, obs := s.qp.Load(), s.scatterObs
-	var snap []qprof.ShardSample
-	var sampleLen int64
-	// phase replicates the flat check() over one endpoint index: walk every
-	// shard's window, find the global-first disqualifier (a non-load event
-	// whose counterpart is not a process), and charge the prefix up to and
-	// including it — or the full range when none exists.
-	phase := func(forward bool, counterpartOf func(event.Event) event.ObjID) {
-		runs, totalLen, total := s.collectRuns(obj, forward, from, to)
-		durs := s.scatterRuns(total, len(runs), func(ri int) {
-			r := &runs[ri]
-			events, idx, objects := r.part.events, r.idx, s.objects
-			nonLoad := false
-			for j := r.lo; j < r.hi; j++ {
-				e := events[idx[j]]
-				if e.Action == event.ActLoad {
-					continue
-				}
-				nonLoad = true
-				if objects[counterpartOf(e)].Type != event.ObjProcess {
-					r.nonLoad = true
-					r.hit = shardHit{found: true, t: r.times[j], seq: r.runSeq(j)}
-					return
-				}
-			}
-			r.nonLoad = nonLoad
-		})
-		if first, ok := minHit(runs); ok {
-			ft, fs := runs[first].hit.t, runs[first].hit.seq
-			rows++
-			for ri := range runs {
-				rows += int64(runs[ri].firstKey(ft, fs) - runs[ri].lo)
-			}
-			seen = true // the disqualifier itself is a non-load event
-			through = false
-		} else {
-			rows += int64(total)
-			for i := range runs {
-				if runs[i].nonLoad {
-					seen = true
-				}
-			}
-		}
-		s.noteAttr(runs, durs)
-		if qp != nil || obs != nil {
-			snap = append(snap, shardSnap(runs, durs)...)
-			sampleLen += int64(totalLen)
-		}
-	}
-	phase(false, func(e event.Event) event.ObjID { return e.Src() })
-	if through {
-		phase(true, func(e event.Event) event.ObjID { return e.Dst() })
-	}
-	s.charge(rows, from, to)
-	if qp != nil || obs != nil {
-		s.emitShardSample(qp, obs, qprof.Sample{
-			Kind: qprof.KindWriteThrough, Obj: int64(obj), From: from, To: to,
-			Epoch: s.qprofEpoch(from), Rows: rows, PostingLen: sampleLen, Shards: snap,
-		})
-	}
-	return seen && through, rows, nil
-}
-
-func (s *Store) shardFlowAmount(src, dst event.ObjID, from, to int64) (int64, error) {
-	if !s.sealed {
-		return 0, ErrNotSealed
-	}
-	runs, totalLen, total := s.collectRuns(dst, false, from, to)
-	durs := s.scatterRuns(total, len(runs), func(ri int) {
-		r := &runs[ri]
-		events, idx := r.part.events, r.idx
-		var sum int64
-		for j := r.lo; j < r.hi; j++ {
-			if e := events[idx[j]]; e.Src() == src {
-				sum += e.Amount
-			}
-		}
-		r.sum = sum
-	})
-	var totalAmt int64
-	for i := range runs {
-		totalAmt += runs[i].sum
-	}
-	s.charge(int64(total), from, to)
-	s.noteAttr(runs, durs)
-	s.noteShardQuery(qprof.KindFlowAmount, int64(dst), from, to, runs, totalLen, int64(total), durs)
-	return totalAmt, nil
-}
-
-func (s *Store) shardFileTimesRows(obj event.ObjID, from, to int64) (creation, lastMod, lastAccess, rows int64, err error) {
-	if !s.sealed {
-		return 0, 0, 0, NoCharge, ErrNotSealed
-	}
-	// Both endpoint walks share one runs slice (src-index runs flagged), so
-	// the whole query costs one slice and one closure regardless of fan-out.
-	runs, dstLen, dstTotal := s.collectRuns(obj, false, from, to)
-	nDst := len(runs)
-	runs, srcLen, srcTotal := s.collectRunsInto(runs, obj, true, from, to)
-	for ri := nDst; ri < len(runs); ri++ {
-		runs[ri].src = true
-	}
-	durs := s.scatterRuns(dstTotal+srcTotal, len(runs), func(ri int) {
-		// Accumulate into locals and write back once: storing through r
-		// inside the loop would alias r.part/r.idx and force the slice
-		// headers to be reloaded on every row.
-		r := &runs[ri]
-		events, idx := r.part.events, r.idx
-		if r.src {
-			var access int64
-			for j := r.lo; j < r.hi; j++ {
-				if e := events[idx[j]]; e.Action == event.ActRead || e.Action == event.ActLoad {
-					access = e.Time
-				}
-			}
-			r.lastAccess = access
-			return
-		}
-		var created, modified int64
-		for j := r.lo; j < r.hi; j++ {
-			e := events[idx[j]]
-			switch e.Action {
-			case event.ActCreate:
-				if created == 0 {
-					created = e.Time
-				}
-				modified = e.Time
-			case event.ActWrite, event.ActRename, event.ActChmod, event.ActDelete:
-				modified = e.Time
-			}
-		}
-		r.creation, r.lastMod = created, modified
-	})
-	// Combine: per-shard walks are ascending in time, so the flat walk's
-	// "first create" is the minimum nonzero creation and the "last X" are
-	// maxima; ties carry identical time values either way.
-	for i := range runs {
-		p := &runs[i]
-		if p.creation != 0 && (creation == 0 || p.creation < creation) {
-			creation = p.creation
-		}
-		if p.lastMod > lastMod {
-			lastMod = p.lastMod
-		}
-		if p.lastAccess > lastAccess {
-			lastAccess = p.lastAccess
-		}
-	}
-	rows = int64(dstTotal + srcTotal)
-	s.charge(rows, from, to)
-	s.noteAttr(runs, durs)
-	s.noteShardQuery(qprof.KindFileTimes, int64(obj), from, to, runs, dstLen+srcLen, rows, durs)
-	return creation, lastMod, lastAccess, rows, nil
-}
-
-// shardHit is one shard's earliest in-window hit of a scattered early-exit
-// predicate, in global (time, seq) coordinates.
-type shardHit struct {
-	found bool
-	t     int64
-	seq   uint32
-}
-
-// minHit returns the run index holding the smallest (t, seq) hit, if any.
-func minHit(runs []shardRun) (int, bool) {
-	best := -1
-	for i := range runs {
-		if !runs[i].hit.found {
-			continue
-		}
-		if best < 0 || runs[i].hit.t < runs[best].hit.t ||
-			(runs[i].hit.t == runs[best].hit.t && runs[i].hit.seq < runs[best].hit.seq) {
-			best = i
-		}
-	}
-	return best, best >= 0
-}
-
-// noteAttr updates per-shard routing counters for an attribute scatter.
-// durs, when non-nil, carries the scatter's per-run busy nanos (indexed like
-// runs) into the per-shard busy counters.
-func (s *Store) noteAttr(runs []shardRun, durs []int64) {
-	if s.tel.scatterFanout != nil {
-		s.tel.scatterFanout.Observe(float64(len(runs)))
-	}
-	for i := range runs {
-		runs[i].part.queries.Add(1)
-		runs[i].part.rows.Add(int64(runs[i].hi - runs[i].lo))
-		if durs != nil {
-			runs[i].part.busyNs.Add(durs[i])
-		}
-	}
-}
-
 // --- Introspection ------------------------------------------------------
 
 // ShardInfo describes one shard of a sealed store, for apquery -stats and
-// capacity planning. Queries/RowsServed are real-CPU routing counters shared
-// across views — observability, never charged cost.
+// capacity planning. Queries/RowsServed/BusyNs are routing heat shared
+// across views — observability, never charged cost — and accumulate from
+// the per-shard samples of profiled queries, so they advance while a query
+// profiler or scatter observer is attached.
 type ShardInfo struct {
 	Shard      int           `json:"shard"`
 	Events     int           `json:"events"`
@@ -1192,31 +739,30 @@ type ShardInfo struct {
 	SealWall   time.Duration `json:"seal_wall_ns"`
 }
 
-// ShardCount returns the number of shards; 1 for a flat store.
-func (s *Store) ShardCount() int {
-	if s.sh == nil {
-		return 1
-	}
-	return s.sh.n
-}
+// ShardCount returns the number of parts; 1 unless WithShards asked for more.
+func (s *Store) ShardCount() int { return len(s.parts) }
 
 // ShardEpochSeconds returns the host × time routing epoch width; 0 for a
-// flat store.
+// store with one part, where routing has no choice to make. It never writes,
+// so it is safe on stores already serving concurrent queries.
 func (s *Store) ShardEpochSeconds() int64 {
-	if s.sh == nil {
+	switch {
+	case len(s.parts) == 1:
 		return 0
+	case s.shardEpoch > 0:
+		return s.shardEpoch
 	}
-	return s.epochSeconds()
+	return s.bucketSeconds * segmentBuckets
 }
 
-// ShardInfos returns per-shard extents and routing counters, nil for a flat
-// store.
+// ShardInfos returns per-shard extents and routing heat; nil for a store
+// with one part, which has no spread to describe.
 func (s *Store) ShardInfos() []ShardInfo {
-	if s.sh == nil {
+	if len(s.parts) == 1 {
 		return nil
 	}
-	infos := make([]ShardInfo, s.sh.n)
-	for i, p := range s.sh.parts {
+	infos := make([]ShardInfo, len(s.parts))
+	for i, p := range s.parts {
 		infos[i] = ShardInfo{
 			Shard:      i,
 			Events:     len(p.events),
@@ -1227,33 +773,27 @@ func (s *Store) ShardInfos() []ShardInfo {
 			RowsServed: p.rows.Load(),
 			BusyNs:     p.busyNs.Load(),
 		}
-		if s.sh.sealDurs != nil {
-			infos[i].SealWall = s.sh.sealDurs[i]
+		if s.sealStat.durs != nil {
+			infos[i].SealWall = s.sealStat.durs[i]
 		}
 	}
 	return infos
 }
 
-// ShardScatterStats reports the router's cumulative real-CPU scatter
-// accounting: scatters timed, their summed per-shard busy time, and the
-// portion a perfectly parallel run would shed (zero when the scatters
-// already ran concurrently — the saving is then realized in wall clock
-// directly). The shard benchmark uses the savable figure to report the
-// critical-path wall a multi-core host observes.
+// ShardScatterStats reports the cumulative real-CPU scatter accounting:
+// scatters timed, their summed per-run busy time, and the portion a
+// perfectly parallel run would shed (zero when the scatters already ran
+// concurrently — the saving is then realized in wall clock directly). The
+// shard benchmark uses the savable figure to report the critical-path wall a
+// multi-core host observes. A store with one part never scatters.
 func (s *Store) ShardScatterStats() (scatters, busyNanos, savableNanos int64) {
-	if s.sh == nil {
-		return 0, 0, 0
-	}
-	return s.sh.scatters.Load(), s.sh.scatterBusyNs.Load(), s.sh.scatterSaveNs.Load()
+	return s.scat.scatters.Load(), s.scat.busyNs.Load(), s.scat.saveNs.Load()
 }
 
-// SealShardStats reports the sharded seal's wall clock, the per-shard seal
-// durations, the savable nanos (sum minus max when parts sealed serially on
-// a saturated host; zero when they overlapped), and whether parts ran
-// concurrently. Zero values for a flat store.
+// SealShardStats reports Seal's wall clock, the per-part seal durations, the
+// savable nanos (sum minus max when parts sealed one after another; zero
+// when they overlapped, and always zero for one part), and whether parts ran
+// concurrently.
 func (s *Store) SealShardStats() (wall time.Duration, perShard []time.Duration, savableNanos int64, concurrent bool) {
-	if s.sh == nil {
-		return 0, nil, 0, false
-	}
-	return s.sh.sealWall, s.sh.sealDurs, s.sh.sealSavableNs, s.sh.sealConcurrent
+	return s.sealStat.wall, s.sealStat.durs, s.sealStat.savableNs, s.sealStat.concurrent
 }

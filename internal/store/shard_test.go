@@ -225,8 +225,8 @@ func TestShardDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b1, _ := fv.QueryBackward(3, minT, maxT)
-			b2, _ := sv.QueryBackward(3, minT, maxT)
+			b1, _ := fv.AppendBackward(nil, 3, minT, maxT)
+			b2, _ := sv.AppendBackward(nil, 3, minT, maxT)
 			if fmt.Sprintf("%v", b1) != fmt.Sprintf("%v", b2) {
 				t.Fatal("view query diverged")
 			}
@@ -285,12 +285,12 @@ func TestShardEdgeCases(t *testing.T) {
 		if nonEmpty != 1 {
 			t.Fatalf("expected exactly 1 non-empty shard, got %d", nonEmpty)
 		}
-		got, err := s.QueryBackward(s.Intern(f), 0, 1<<40)
+		got, err := s.AppendBackward(nil, s.Intern(f), 0, 1<<40)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != 50 {
-			t.Fatalf("QueryBackward over empty-shard layout: %d events, want 50", len(got))
+			t.Fatalf("AppendBackward over empty-shard layout: %d events, want 50", len(got))
 		}
 		if s.Stats().RowsExamined != 50 || s.Stats().Queries != 1 {
 			t.Fatalf("charge wrong with empty shards: %+v", s.Stats())
@@ -317,7 +317,7 @@ func TestShardEdgeCases(t *testing.T) {
 		if _, _, ok := s.TimeRange(); ok {
 			t.Fatal("empty sharded store reported a time range")
 		}
-		if got, err := s.QueryBackward(0, 0, 100); err != nil || len(got) != 0 {
+		if got, err := s.AppendBackward(nil, 0, 0, 100); err != nil || len(got) != 0 {
 			t.Fatalf("empty sharded store query: %v, %v", got, err)
 		}
 	})
@@ -425,8 +425,8 @@ func TestShardSaveOpenRoundTrip(t *testing.T) {
 	}
 	minT, maxT, _ := flat.TimeRange()
 	for obj := 0; obj < min(flat.NumObjects(), 20); obj++ {
-		a, _ := flat.QueryBackward(event.ObjID(obj), minT, maxT+1)
-		b, _ := re.QueryBackward(event.ObjID(obj), minT, maxT+1)
+		a, _ := flat.AppendBackward(nil, event.ObjID(obj), minT, maxT+1)
+		b, _ := re.AppendBackward(nil, event.ObjID(obj), minT, maxT+1)
 		if fmt.Sprintf("%v", a) != fmt.Sprintf("%v", b) {
 			t.Fatalf("query diverged after reopen (obj %d)", obj)
 		}

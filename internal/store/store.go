@@ -16,12 +16,20 @@
 // time order), then Seal to sort and build indexes. Queries are only allowed
 // on a sealed store; AddEvent is only allowed before sealing. A sealed store
 // is safe for concurrent readers.
+//
+// A store is always a list of parts (see shard.go): AddEvent routes each
+// event to a part by host × time epoch, Seal sorts and indexes every part,
+// and every query collects one posting run per part that holds rows of the
+// window and merges them. New gives one part; WithShards(n) gives n. The
+// part count is data to the query path, never a different code path: one run
+// is copied or walked in place, several are merged in (time, arrival) order.
 package store
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -62,21 +70,33 @@ type Store struct {
 	objects []event.Object
 	byKey   map[event.ObjectKey]event.ObjID
 
-	events []event.Event // time-sorted after Seal
+	// parts hold the events: len(parts) >= 1, one unless WithShards asked for
+	// more. After Seal the parts, the directory and the ID index are
+	// immutable and shared by every View.
+	parts  []*part
+	total  int // events across all parts
 	sealed bool
 
-	byDst *postings               // SoA index over events with Dst()==obj, time-sorted
-	bySrc *postings               // SoA index over events with Src()==obj, time-sorted
-	idPos []int32                 // dense EventID index: idPos[id-1] = log position+1
-	byID  map[event.EventID]int32 // fallback ID index when IDs are not dense 1..n
+	// dir is the global time-order directory, built at Seal: dir[i] packs
+	// (part<<32 | position) of the i-th event in (time, arrival) order. Scan,
+	// EventAt, Save and sampling walk it, so their output does not depend on
+	// the part count.
+	dir []uint64
+
+	// idPos is the dense EventID index (idPos[id-1] = packed ref + 1); byID
+	// is the fallback when IDs are not a permutation of 1..n.
+	idPos []uint64
+	byID  map[event.EventID]uint64
 
 	sealWorkers int // fixed Seal worker count; 0 = auto (see WithSealWorkers)
 
-	// sh is the shard router when WithShards(n>1) is in effect; nil keeps
-	// every flat code path untouched (the degenerate single-shard case).
-	sh         *sharded
 	shardSet   bool  // WithShards was applied (overrides manifest shards)
 	shardEpoch int64 // host×time routing epoch seconds; 0 = one segment span
+
+	// Real-CPU observability of the timed scatters and of Seal, shared
+	// across views (tooling only, never part of charged cost).
+	scat     *scatterStats
+	sealStat sealStats
 
 	minTime, maxTime int64 // inclusive bounds over stored events
 
@@ -120,9 +140,9 @@ type storeMetrics struct {
 	queryLatency  *telemetry.Histogram
 	shards        *telemetry.Gauge
 
-	// Shard-router real-CPU observability (never charged cost): timed
+	// Scatter and seal real-CPU observability (never charged cost): timed
 	// scatters, their busy/savable nanos, the per-task busy distribution,
-	// per-query shard fan-out, and the sharded seal's wall/savable nanos.
+	// per-query shard fan-out, and the seal's wall/savable nanos.
 	scatters       *telemetry.Counter
 	scatterBusy    *telemetry.Counter
 	scatterSavable *telemetry.Counter
@@ -190,6 +210,8 @@ func New(clk simclock.Clock, opts ...Option) *Store {
 		cost:          simclock.DefaultCostModel(),
 		bucketSeconds: DefaultBucketSeconds,
 		byKey:         make(map[event.ObjectKey]event.ObjID),
+		parts:         []*part{{}},
+		scat:          &scatterStats{},
 	}
 	for _, o := range opts {
 		o(st)
@@ -206,12 +228,12 @@ func (s *Store) Clock() simclock.Clock { return s.clock }
 func (s *Store) SetTelemetry(reg *telemetry.Registry) {
 	s.reg = reg
 	s.tel = newStoreMetrics(reg)
-	s.tel.shards.Set(int64(s.ShardCount()))
+	s.tel.shards.Set(int64(len(s.parts)))
 	// A store sealed before telemetry was attached (Open seals during load)
 	// still publishes its seal accounting.
-	if s.sh != nil && s.sealed {
-		s.tel.sealWall.Set(int64(s.sh.sealWall))
-		s.tel.sealSavable.Set(s.sh.sealSavableNs)
+	if s.sealed {
+		s.tel.sealWall.Set(int64(s.sealStat.wall))
+		s.tel.sealSavable.Set(s.sealStat.savableNs)
 	}
 }
 
@@ -236,14 +258,18 @@ func (s *Store) SetCostObserver(fn CostObserver) {
 // fan-out and the per-shard row split (indexed by shard, summing to the rows
 // the query charged). The timeline uses it to carry a shard breakdown on
 // query events. Rows are deterministic — never timing — so traces stay
-// byte-comparable across runs. Flat stores never call it.
+// byte-comparable across runs. A store with one part has no split to report
+// and never calls it.
 type ScatterObserver func(fanout int, shardRows []int64)
 
 // SetScatterObserver attaches (or detaches, with nil) a per-query scatter
 // observer. Like SetCostObserver it is per store/view, never inherited by
-// View, and must be attached before the run starts.
+// View, and must be attached before the run starts. On a store with one part
+// it attaches nothing.
 func (s *Store) SetScatterObserver(fn ScatterObserver) {
-	s.scatterObs = fn
+	if len(s.parts) > 1 {
+		s.scatterObs = fn
+	}
 }
 
 // SetQueryProfiler attaches (or detaches, with nil) a scatter-gather query
@@ -253,7 +279,7 @@ func (s *Store) SetScatterObserver(fn ScatterObserver) {
 // Profiling observes real CPU only: charged cost, Stats, and query results
 // are byte-identical with the profiler attached or nil.
 func (s *Store) SetQueryProfiler(p *qprof.Profiler) {
-	p.SetLayout(s.ShardCount(), s.shardEpochSecs())
+	p.SetLayout(len(s.parts), s.ShardEpochSeconds())
 	s.qp.Store(p)
 }
 
@@ -303,12 +329,7 @@ func (s *Store) Object(id event.ObjID) event.Object {
 func (s *Store) NumObjects() int { return len(s.objects) }
 
 // NumEvents returns the number of stored events.
-func (s *Store) NumEvents() int {
-	if s.sh != nil {
-		return s.sh.total
-	}
-	return len(s.events)
-}
+func (s *Store) NumEvents() int { return s.total }
 
 // TimeRange returns the inclusive [min, max] event-time bounds, or ok=false
 // if the store is empty.
@@ -339,11 +360,7 @@ func (s *Store) AddEvent(t int64, subject, object event.Object, action event.Act
 		Dir:     dir,
 		Amount:  amount,
 	}
-	if s.sh != nil {
-		s.shardAdd(e, subject.Host)
-		return id, nil
-	}
-	s.events = append(s.events, e)
+	s.add(e, subject.Host)
 	return id, nil
 }
 
@@ -355,11 +372,7 @@ func (s *Store) addRaw(e event.Event) error {
 	if int(e.Subject) >= len(s.objects) || int(e.Object) >= len(s.objects) {
 		return fmt.Errorf("store: event %d references unknown object", e.ID)
 	}
-	if s.sh != nil {
-		s.shardAdd(e, s.objects[e.Subject].Host)
-		return nil
-	}
-	s.events = append(s.events, e)
+	s.add(e, s.objects[e.Subject].Host)
 	return nil
 }
 
@@ -394,15 +407,16 @@ func (s *Store) View(clk simclock.Clock) (*Store, error) {
 		bucketSeconds: s.bucketSeconds,
 		objects:       s.objects,
 		byKey:         s.byKey,
-		events:        s.events,
+		parts:         s.parts,
+		total:         s.total,
 		sealed:        true,
-		byDst:         s.byDst,
-		bySrc:         s.bySrc,
+		dir:           s.dir,
 		idPos:         s.idPos,
 		byID:          s.byID,
-		sh:            s.sh,
 		shardSet:      s.shardSet,
 		shardEpoch:    s.shardEpoch,
+		scat:          s.scat,
+		sealStat:      s.sealStat,
 		minTime:       s.minTime,
 		maxTime:       s.maxTime,
 		isView:        true,
@@ -447,107 +461,124 @@ func (s *Store) charge(rows, from, to int64) {
 	s.cost.Charge(s.clock, int(rows), int(buckets))
 }
 
-// posting resolves the posting list of one data-flow endpoint — destination
-// objects for backward queries, source objects for forward — and counts the
-// lookup as a posting-table hit or miss.
-func (s *Store) posting(obj event.ObjID, forward bool) (idx []int32, times []int64) {
-	p := s.byDst
-	if forward {
-		p = s.bySrc
-	}
-	idx, times = p.list(obj)
-	if len(idx) > 0 {
-		s.tel.postingHits.Inc()
-	} else {
-		s.tel.postingMisses.Inc()
-	}
-	return idx, times
-}
-
-// appendPosting is the shared posting walk behind the Query and Append query
-// APIs: binary-search the window bounds on the contiguous time column,
-// append the rows to buf, and charge the cost model for the rows plus the
-// buckets covered. It allocates only when buf lacks capacity, which is what
-// makes the steady-state window loop allocation-free.
+// appendPosting is the posting walk behind AppendBackward and AppendForward:
+// collect the window's run from every part that holds rows of it, append the
+// rows to buf in (time, arrival) order, and charge the cost model once for
+// the rows plus the buckets covered. One run is already in that order and is
+// copied; several are merged. It allocates only when buf lacks capacity,
+// which is what makes the steady-state window loop allocation-free.
 func (s *Store) appendPosting(buf []event.Event, obj event.ObjID, forward bool, from, to int64) ([]event.Event, error) {
-	if s.sh != nil {
-		return s.shardAppendPosting(buf, obj, forward, from, to)
-	}
 	if !s.sealed {
 		return buf, ErrNotSealed
 	}
-	idx, times := s.posting(obj, forward)
-	lo, hi := postingRange(times, from, to)
-	if need := len(buf) + (hi - lo); need > cap(buf) {
+	var scratch [MaxShards]run
+	runs, postingLen, rows := s.collect(scratch[:0], obj, forward, from, to)
+	s.noteProbe(postingLen, len(runs))
+	// Snapshot per-part rows before the merge consumes the run cursors.
+	qp, obs := s.qp.Load(), s.scatterObs
+	var snap []qprof.ShardSample
+	if qp != nil || obs != nil {
+		snap = shardSnap(runs, nil)
+	}
+	if need := len(buf) + rows; need > cap(buf) {
 		grown := make([]event.Event, len(buf), need)
 		copy(grown, buf)
 		buf = grown
 	}
-	for _, q := range idx[lo:hi] {
-		buf = append(buf, s.events[q])
+	var mergeNs int64
+	switch len(runs) {
+	case 0:
+	case 1:
+		r := runs[0]
+		p, pl := s.cols(r)
+		events, out := p.events, buf[len(buf):len(buf)+rows]
+		for i, q := range pl.idx[r.lo:r.hi] {
+			out[i] = events[q]
+		}
+		buf = buf[:len(buf)+rows]
+	default:
+		// Time the k-way merge only when a profiler is listening.
+		var start time.Time
+		if qp != nil {
+			start = time.Now()
+		}
+		buf = s.mergeRuns(buf, runs, rows)
+		if qp != nil {
+			mergeNs = int64(time.Since(start))
+		}
 	}
-	s.charge(int64(hi-lo), from, to)
-	s.noteFlatQuery(postingKind(forward, false), int64(obj), from, to, int64(hi-lo), int64(len(idx)))
+	s.charge(int64(rows), from, to)
+	if qp != nil || obs != nil {
+		s.emit(qp, obs, postingKind(forward, false), int64(obj), from, to, int64(rows), int64(postingLen), mergeNs, snap)
+	}
 	return buf, nil
 }
 
-// countPosting is the shared cardinality estimate behind CountBackward and
-// CountForward. It does not materialize or charge: it models an index-only
-// estimate, which real planners get almost for free.
+// countPosting is the cardinality estimate behind CountBackward and
+// CountForward: per-part window counts summed. It does not materialize or
+// charge: it models an index-only estimate, which real planners get almost
+// for free. Its totals feed the executor's re-split logic.
 func (s *Store) countPosting(obj event.ObjID, forward bool, from, to int64) (int, error) {
-	if s.sh != nil {
-		return s.shardCountPosting(obj, forward, from, to)
-	}
 	if !s.sealed {
 		return 0, ErrNotSealed
 	}
-	_, times := s.posting(obj, forward)
-	lo, hi := postingRange(times, from, to)
-	s.noteFlatQuery(postingKind(forward, true), int64(obj), from, to, int64(hi-lo), int64(len(times)))
-	return hi - lo, nil
+	if qp, obs := s.qp.Load(), s.scatterObs; qp != nil || obs != nil {
+		return s.countObserved(qp, obs, obj, forward, from, to), nil
+	}
+	var postingLen, rows, fanout int
+	for _, p := range s.parts {
+		lo, hi, n := p.window(obj, forward, from, to)
+		postingLen += n
+		if lo < hi {
+			rows += int(hi - lo)
+			fanout++
+		}
+	}
+	s.noteProbe(postingLen, fanout)
+	return rows, nil
 }
 
-// QueryBackward returns the events whose data-flow destination is dst with
-// timestamps in the half-open window [from, to), in ascending time order.
-// This is the backtracking primitive: the returned events are exactly the
-// candidate backward dependencies of any event whose source is dst.
+// countObserved is countPosting with someone listening: the same sums, taken
+// from collected runs so the sample can carry the per-shard split. Kept apart
+// so the unobserved count needs no run scratch.
+func (s *Store) countObserved(qp *qprof.Profiler, obs ScatterObserver, obj event.ObjID, forward bool, from, to int64) int {
+	var scratch [MaxShards]run
+	runs, postingLen, rows := s.collect(scratch[:0], obj, forward, from, to)
+	s.noteProbe(postingLen, len(runs))
+	s.emit(qp, obs, postingKind(forward, true), int64(obj), from, to, int64(rows), int64(postingLen), 0, shardSnap(runs, nil))
+	return rows
+}
+
+// AppendBackward appends to buf the events whose data-flow destination is dst
+// with timestamps in the half-open window [from, to), in ascending time
+// order, and returns the extended buffer. This is the backtracking primitive:
+// the appended events are exactly the candidate backward dependencies of any
+// event whose source is dst. Reusing one buffer across a run's window queries
+// keeps the hot loop allocation-free; a nil buf allocates the exact result.
 //
 // The query charges the cost model for the rows returned plus the buckets
 // covered by the window.
-func (s *Store) QueryBackward(dst event.ObjID, from, to int64) ([]event.Event, error) {
-	return s.appendPosting(nil, dst, false, from, to)
-}
-
-// AppendBackward is QueryBackward with caller-owned storage: matching events
-// are appended to buf and the extended buffer is returned. Reusing one
-// buffer across a run's window queries keeps the hot loop allocation-free.
-// Charged cost is identical to QueryBackward.
 func (s *Store) AppendBackward(buf []event.Event, dst event.ObjID, from, to int64) ([]event.Event, error) {
 	return s.appendPosting(buf, dst, false, from, to)
 }
 
-// AppendForward is QueryForward with caller-owned storage; see AppendBackward.
+// AppendForward appends the events whose data-flow source is src within
+// [from, to), in ascending time order; see AppendBackward. Forward queries
+// serve the anomaly detector and forward (impact) tracking.
 func (s *Store) AppendForward(buf []event.Event, src event.ObjID, from, to int64) ([]event.Event, error) {
 	return s.appendPosting(buf, src, true, from, to)
 }
 
-// CountBackward returns the number of events QueryBackward would return,
+// CountBackward returns the number of events AppendBackward would append,
 // without materializing or charging for them.
 func (s *Store) CountBackward(dst event.ObjID, from, to int64) (int, error) {
 	return s.countPosting(dst, false, from, to)
 }
 
-// CountForward returns the number of events QueryForward would return,
+// CountForward returns the number of events AppendForward would append,
 // without materializing or charging for them.
 func (s *Store) CountForward(src event.ObjID, from, to int64) (int, error) {
 	return s.countPosting(src, true, from, to)
-}
-
-// QueryForward returns the events whose data-flow source is src within
-// [from, to), in ascending time order. Forward queries serve the anomaly
-// detector and forward (impact) tracking.
-func (s *Store) QueryForward(src event.ObjID, from, to int64) ([]event.Event, error) {
-	return s.appendPosting(nil, src, true, from, to)
 }
 
 // EventByID returns the stored event with the given ID.
@@ -555,30 +586,17 @@ func (s *Store) EventByID(id event.EventID) (event.Event, bool) {
 	if !s.sealed {
 		return event.Event{}, false
 	}
-	if sh := s.sh; sh != nil {
-		if sh.idPos != nil {
-			if id < 1 || int(id) > len(sh.idPos) {
-				return event.Event{}, false
-			}
-			return *sh.at(sh.idPos[id-1] - 1), true
-		}
-		ref, ok := sh.byID[id]
-		if !ok {
-			return event.Event{}, false
-		}
-		return *sh.at(ref), true
-	}
 	if s.idPos != nil {
 		if id < 1 || int(id) > len(s.idPos) {
 			return event.Event{}, false
 		}
-		return s.events[s.idPos[id-1]-1], true
+		return *s.at(s.idPos[id-1] - 1), true
 	}
-	idx, ok := s.byID[id]
+	ref, ok := s.byID[id]
 	if !ok {
 		return event.Event{}, false
 	}
-	return s.events[idx], true
+	return *s.at(ref), true
 }
 
 // Scan calls fn for every event in [from, to) in ascending time order,
@@ -588,46 +606,37 @@ func (s *Store) Scan(from, to int64, fn func(event.Event) bool) error {
 	if !s.sealed {
 		return ErrNotSealed
 	}
-	n := s.NumEvents()
-	lo := s.searchGlobal(from)
 	rows := int64(0)
-	// With a profiler attached, attribute scanned rows to the shard each
-	// event lives in (the directory packs shard<<32|pos); real CPU only.
+	// With a profiler attached, attribute scanned rows to the part each
+	// event lives in; real CPU only.
 	qp := s.qp.Load()
-	var perShard []int64
-	if qp != nil && s.sh != nil {
-		perShard = make([]int64, s.sh.n)
+	var perPart []int64
+	if qp != nil {
+		perPart = make([]int64, len(s.parts))
 	}
-	for i := lo; i < n; i++ {
-		e := s.eventAtGlobal(i)
+	lo := sort.Search(s.total, func(i int) bool { return s.at(s.dir[i]).Time >= from })
+	for i := lo; i < s.total; i++ {
+		e := s.at(s.dir[i])
 		if e.Time >= to {
 			break
 		}
 		rows++
-		if perShard != nil {
-			perShard[s.sh.dir[i]>>32]++
+		if perPart != nil {
+			perPart[s.dir[i]>>32]++
 		}
-		if !fn(e) {
+		if !fn(*e) {
 			break
 		}
 	}
 	s.charge(rows, from, to)
 	if qp != nil {
-		smp := qprof.Sample{
-			Kind: qprof.KindScan, Obj: -1, From: from, To: to,
-			Epoch: s.qprofEpoch(from), Rows: rows,
-		}
-		if perShard == nil {
-			smp.Fanout = 1
-			smp.Shards = []qprof.ShardSample{{Shard: 0, Rows: rows}}
-		} else {
-			for sid, r := range perShard {
-				if r > 0 {
-					smp.Shards = append(smp.Shards, qprof.ShardSample{Shard: sid, Rows: r})
-				}
+		smp := qprof.Sample{Kind: qprof.KindScan, Obj: -1, From: from, To: to, Rows: rows}
+		for sid, r := range perPart {
+			if r > 0 {
+				smp.Shards = append(smp.Shards, qprof.ShardSample{Shard: sid, Rows: r})
 			}
-			smp.Fanout = len(smp.Shards)
 		}
+		s.finishSample(&smp)
 		qp.Observe(smp)
 	}
 	return nil
@@ -640,7 +649,11 @@ func (s *Store) Scan(from, to int64, fn func(event.Event) bool) error {
 func (s *Store) RandomEvents(n int, rng *rand.Rand) []event.Event {
 	total := s.NumEvents()
 	if n >= total {
-		return s.appendAllEvents(make([]event.Event, 0, total))
+		out := make([]event.Event, 0, total)
+		for _, ref := range s.dir {
+			out = append(out, *s.at(ref))
+		}
+		return out
 	}
 	// Bounded partial Fisher–Yates: reproduce the first n entries of
 	// rng.Perm(len(events)) while allocating O(n) instead of O(len(events)).
@@ -663,14 +676,14 @@ func (s *Store) RandomEvents(n int, rng *rand.Rand) []event.Event {
 	}
 	out := make([]event.Event, 0, n)
 	for _, i := range sel {
-		out = append(out, s.eventAtGlobal(i))
+		out = append(out, s.EventAt(i))
 	}
 	return out
 }
 
 // EventAt returns the i-th event in time order. It is intended for tests and
 // tooling; it does not charge query cost.
-func (s *Store) EventAt(i int) event.Event { return s.eventAtGlobal(i) }
+func (s *Store) EventAt(i int) event.Event { return *s.at(s.dir[i]) }
 
 // Objects returns the full object table. The returned slice is owned by the
 // store and must not be modified.
@@ -679,26 +692,20 @@ func (s *Store) Objects() []event.Object { return s.objects }
 // InDegree returns the total number of events flowing into obj over the
 // store's whole history, an explosion-severity signal used by tooling.
 func (s *Store) InDegree(obj event.ObjID) int {
-	if s.sh != nil {
-		n := 0
-		for _, p := range s.sh.parts {
-			n += p.byDst.count(obj)
-		}
-		return n
+	n := 0
+	for _, p := range s.parts {
+		n += p.byDst.count(obj)
 	}
-	return s.byDst.count(obj)
+	return n
 }
 
 // OutDegree returns the total number of events flowing out of obj.
 func (s *Store) OutDegree(obj event.ObjID) int {
-	if s.sh != nil {
-		n := 0
-		for _, p := range s.sh.parts {
-			n += p.bySrc.count(obj)
-		}
-		return n
+	n := 0
+	for _, p := range s.parts {
+		n += p.bySrc.count(obj)
 	}
-	return s.bySrc.count(obj)
+	return n
 }
 
 // BucketSeconds returns the time-partition width.

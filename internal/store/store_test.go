@@ -44,7 +44,7 @@ func buildSmall(t testing.TB, clk simclock.Clock) *Store {
 
 func TestLifecycleErrors(t *testing.T) {
 	s := New(nil)
-	if _, err := s.QueryBackward(0, 0, 100); err != ErrNotSealed {
+	if _, err := s.AppendBackward(nil, 0, 0, 100); err != ErrNotSealed {
 		t.Errorf("query before seal: err = %v, want ErrNotSealed", err)
 	}
 	if err := s.Scan(0, 1, func(event.Event) bool { return true }); err != ErrNotSealed {
@@ -98,22 +98,22 @@ func TestQueryBackward(t *testing.T) {
 
 	// Backward deps of "scp reads /tmp/b" (src = /tmp/b):
 	// events with dst == /tmp/b before t=400 -> the cat write at t=300.
-	got, err := s.QueryBackward(fb, 0, 400)
+	got, err := s.AppendBackward(nil, fb, 0, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Time != 300 || got[0].Src() != cat {
-		t.Fatalf("QueryBackward(/tmp/b) = %+v", got)
+		t.Fatalf("AppendBackward(/tmp/b) = %+v", got)
 	}
 
 	// Half-open window: [300, 400) includes t=300, [301, 400) does not.
-	if got, _ := s.QueryBackward(fb, 300, 400); len(got) != 1 {
+	if got, _ := s.AppendBackward(nil, fb, 300, 400); len(got) != 1 {
 		t.Errorf("[300,400) should include the t=300 event")
 	}
-	if got, _ := s.QueryBackward(fb, 301, 400); len(got) != 0 {
+	if got, _ := s.AppendBackward(nil, fb, 301, 400); len(got) != 0 {
 		t.Errorf("[301,400) should be empty, got %d", len(got))
 	}
-	if got, _ := s.QueryBackward(fb, 0, 300); len(got) != 0 {
+	if got, _ := s.AppendBackward(nil, fb, 0, 300); len(got) != 0 {
 		t.Errorf("[0,300) should exclude the t=300 event, got %d", len(got))
 	}
 }
@@ -121,13 +121,13 @@ func TestQueryBackward(t *testing.T) {
 func TestQueryForward(t *testing.T) {
 	s := buildSmall(t, nil)
 	cat, _ := s.Lookup(event.Process("h1", "cat", 2, 150))
-	got, err := s.QueryForward(cat, 0, 1000)
+	got, err := s.AppendForward(nil, cat, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// cat is the flow source only of its write to /tmp/b.
 	if len(got) != 1 || got[0].Action != event.ActWrite {
-		t.Fatalf("QueryForward(cat) = %+v", got)
+		t.Fatalf("AppendForward(cat) = %+v", got)
 	}
 }
 
@@ -143,7 +143,7 @@ func TestQueryResultsAscendingAndIDsStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	fo, _ := s.Lookup(f)
-	got, _ := s.QueryBackward(fo, 0, 1000)
+	got, _ := s.AppendBackward(nil, fo, 0, 1000)
 	if len(got) != 3 {
 		t.Fatalf("got %d events", len(got))
 	}
@@ -165,7 +165,7 @@ func TestQueryChargesCost(t *testing.T) {
 	s := buildSmall(t, clk)
 	fb, _ := s.Lookup(event.File("h1", "/tmp/b"))
 	t0 := clk.Now()
-	if _, err := s.QueryBackward(fb, 0, 400); err != nil {
+	if _, err := s.AppendBackward(nil, fb, 0, 400); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := clk.Now().Sub(t0)
@@ -255,7 +255,7 @@ func TestRandomEvents(t *testing.T) {
 	}
 }
 
-// Property: QueryBackward must agree with a naive scan filter on random data.
+// Property: AppendBackward must agree with a naive scan filter on random data.
 func TestQueryBackwardMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s := New(nil)
@@ -303,7 +303,7 @@ func TestQueryBackwardMatchesNaive(t *testing.T) {
 		}
 		from := rng.Int63n(10_000)
 		to := from + rng.Int63n(5_000)
-		got, err := s.QueryBackward(id, from, to)
+		got, err := s.AppendBackward(nil, id, from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestQueryBackwardMatchesNaive(t *testing.T) {
 			}
 		}
 		if len(got) != want {
-			t.Fatalf("trial %d: QueryBackward returned %d, naive %d", trial, len(got), want)
+			t.Fatalf("trial %d: AppendBackward returned %d, naive %d", trial, len(got), want)
 		}
 		for i := 1; i < len(got); i++ {
 			if got[i-1].Time > got[i].Time {

@@ -41,13 +41,13 @@ func TestStoreMetricsAgreeWithStats(t *testing.T) {
 	if !ok {
 		t.Fatal("file not interned")
 	}
-	if _, err := s.QueryBackward(dst, 0, 1000); err != nil {
+	if _, err := s.AppendBackward(nil, dst, 0, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.QueryBackward(dst, 100, 110); err != nil {
+	if _, err := s.AppendBackward(nil, dst, 100, 110); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.QueryForward(dst, 0, 1000); err != nil { // miss: file is never a source
+	if _, err := s.AppendForward(nil, dst, 0, 1000); err != nil { // miss: file is never a source
 		t.Fatal(err)
 	}
 
@@ -90,13 +90,13 @@ func TestPostingHitMissCounters(t *testing.T) {
 	file := event.File("h", "/tmp/f")
 	dst, _ := s.Lookup(file)
 
-	if _, err := s.QueryBackward(dst, 0, 1000); err != nil { // hit
+	if _, err := s.AppendBackward(nil, dst, 0, 1000); err != nil { // hit
 		t.Fatal(err)
 	}
 	if _, err := s.CountBackward(dst, 0, 1000); err != nil { // hit
 		t.Fatal(err)
 	}
-	if _, err := s.QueryForward(dst, 0, 1000); err != nil { // miss (file never a source)
+	if _, err := s.AppendForward(nil, dst, 0, 1000); err != nil { // miss (file never a source)
 		t.Fatal(err)
 	}
 	if _, err := s.CountForward(dst, 0, 1000); err != nil { // miss
@@ -115,7 +115,7 @@ func TestQueryHistogramsPopulated(t *testing.T) {
 	s, reg := telemetryFixture(t)
 	file := event.File("h", "/tmp/f")
 	dst, _ := s.Lookup(file)
-	if _, err := s.QueryBackward(dst, 0, 1000); err != nil {
+	if _, err := s.AppendBackward(nil, dst, 0, 1000); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -190,7 +190,7 @@ func TestSnapshotInheritsTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst, _ := snap.Lookup(event.File("h", "/tmp/f0"))
-	if _, err := snap.QueryBackward(dst, 0, 100); err != nil {
+	if _, err := snap.AppendBackward(nil, dst, 0, 100); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters[telemetry.MetricStoreQueries]; got != 1 {

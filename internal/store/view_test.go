@@ -30,11 +30,11 @@ func TestViewSharesDataIsolatesAccounting(t *testing.T) {
 	view0 := viewClk.Now()
 
 	// The view sees the same data the parent does.
-	want, err := s.QueryBackward(fb, 0, 400)
+	want, err := s.AppendBackward(nil, fb, 0, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.QueryBackward(fb, 0, 400)
+	got, err := v.AppendBackward(nil, fb, 0, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestViewNilClockInheritsParent(t *testing.T) {
 	}
 	fa, _ := s.Lookup(event.File("h1", "/tmp/a"))
 	t0 := clk.Now()
-	if _, err := v.QueryBackward(fa, 0, 1000); err != nil {
+	if _, err := v.AppendBackward(nil, fa, 0, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if clk.Now() == t0 {
@@ -129,7 +129,7 @@ func TestViewsConcurrent(t *testing.T) {
 				return
 			}
 			t0 := clk.Now()
-			evs, err := v.QueryBackward(fb, 0, 400)
+			evs, err := v.AppendBackward(nil, fb, 0, 400)
 			if err != nil {
 				t.Error(err)
 				return
