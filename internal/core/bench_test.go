@@ -37,7 +37,7 @@ func BenchmarkResponsiveWindowSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := x.processWindow(w); err != nil {
+		if err := x.processWindow(&w); err != nil {
 			b.Fatal(err)
 		}
 	}

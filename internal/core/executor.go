@@ -157,6 +157,7 @@ type Executor struct {
 	covered map[event.ObjID]int64 // per object: latest (earliest, forward) time scheduled
 	dropped map[event.ObjID]bool  // objects rejected by the where filter
 	depsBuf []event.Event         // window-query buffer, reused across processWindow calls
+	winBuf  []ExecWindow          // window-generation buffer, reused across enqueue calls
 
 	updates  int
 	windows  int
@@ -490,7 +491,7 @@ loop:
 			break loop
 		}
 		x.tel.queueDepth.Set(int64(x.pq.Len()))
-		if err := x.processWindow(w); err != nil {
+		if err := x.processWindow(&w); err != nil {
 			return nil, err
 		}
 	}
@@ -554,42 +555,18 @@ func (x *Executor) enqueue(e event.Event, boost int) {
 	x.covered[obj] = te
 	clipped := e
 	clipped.Time = te
-	var ws []ExecWindow
+	ws := x.winBuf[:0]
 	switch {
 	case extension:
 		// Coverage extensions are slivers between two events of the same
 		// object; one window suffices (re-splitting bounds its size).
-		ws = []ExecWindow{{Begin: ts, Finish: te, Obj: obj, E: clipped}}
+		ws = append(ws, ExecWindow{Begin: ts, Finish: te, Obj: obj, E: clipped})
 	case x.opts.UniformWindows:
-		ws = genUniformWindows(clipped, ts, x.opts.Windows)
+		ws = appendUniformWindows(ws, clipped, ts, x.opts.Windows)
 	default:
-		ws = GenExeWindows(clipped, ts, x.opts.Windows)
+		ws = appendExeWindows(ws, clipped, ts, x.opts.Windows)
 	}
-	state := -1
-	if n, ok := x.g.Node(obj); ok {
-		state = n.State
-	}
-	for _, w := range ws {
-		// Index statistics make empty ranges detectable without touching
-		// the table (CountBackward models an index-only cardinality
-		// estimate); provably empty windows are never queried. The estimate
-		// rides along on the window so the re-split check at pop time does
-		// not count the identical range a second time.
-		n, err := x.st.CountBackward(w.Obj, w.Begin, w.Finish)
-		if err == nil && n == 0 {
-			x.rec.WindowEmpty(w.Obj, w.Begin, w.Finish)
-			continue
-		}
-		w.Card = n
-		w.State = state
-		w.Boost = boost
-		x.rec.WindowEnqueued(w.Obj, w.Begin, w.Finish, w.Card, w.State, w.Boost)
-		if x.tl != nil {
-			x.tl.Enqueued(x.clk.Now(), w.Obj, w.Begin, w.Finish, w.Card)
-		}
-		x.pq.push(w)
-	}
-	x.tel.queueDepth.Set(int64(x.pq.Len()))
+	x.schedule(ws, obj, boost)
 }
 
 // enqueueForward mirrors enqueue for impact tracking: windows extend from
@@ -613,18 +590,32 @@ func (x *Executor) enqueueForward(e event.Event, boost int) {
 	x.covered[obj] = te + 1
 	clipped := e
 	clipped.Time = te
-	var ws []ExecWindow
+	ws := x.winBuf[:0]
 	if extension {
-		ws = []ExecWindow{{Begin: te + 1, Finish: hi, Obj: obj, E: clipped}}
+		ws = append(ws, ExecWindow{Begin: te + 1, Finish: hi, Obj: obj, E: clipped})
 	} else {
-		ws = GenExeWindowsForward(clipped, hi, x.opts.Windows)
+		ws = appendExeWindowsForward(ws, clipped, hi, x.opts.Windows)
 	}
+	x.schedule(ws, obj, boost)
+}
+
+// schedule pushes the freshly generated windows of obj, all but the provably
+// empty ones, stamped with obj's maintainer state and the boost. ws is the
+// executor's window buffer; the queue copies what it keeps.
+func (x *Executor) schedule(ws []ExecWindow, obj event.ObjID, boost int) {
+	x.winBuf = ws
 	state := -1
 	if n, ok := x.g.Node(obj); ok {
 		state = n.State
 	}
-	for _, w := range ws {
-		n, err := x.st.CountForward(w.Obj, w.Begin, w.Finish)
+	for i := range ws {
+		w := &ws[i]
+		// Index statistics make empty ranges detectable without touching
+		// the table (the count models an index-only cardinality estimate);
+		// provably empty windows are never queried. The estimate rides along
+		// on the window so the re-split check at pop time does not count the
+		// identical range a second time.
+		n, err := x.count(w.Obj, w.Begin, w.Finish)
 		if err == nil && n == 0 {
 			x.rec.WindowEmpty(w.Obj, w.Begin, w.Finish)
 			continue
@@ -636,7 +627,7 @@ func (x *Executor) enqueueForward(e event.Event, boost int) {
 		if x.tl != nil {
 			x.tl.Enqueued(x.clk.Now(), w.Obj, w.Begin, w.Finish, w.Card)
 		}
-		x.pq.push(w)
+		x.pq.push(*w)
 	}
 	x.tel.queueDepth.Set(int64(x.pq.Len()))
 }
@@ -674,7 +665,7 @@ func (x *Executor) query(buf []event.Event, obj event.ObjID, from, to int64) ([]
 // than MaxWindowRows rows are split in half (re-queued nearest-half first)
 // instead of being queried, keeping every retrieval — and therefore every
 // inter-update gap — bounded.
-func (x *Executor) processWindow(w ExecWindow) error {
+func (x *Executor) processWindow(w *ExecWindow) error {
 	if !x.opts.NoSplit && w.Finish-w.Begin >= 2 {
 		// Reuse the enqueue-time cardinality estimate; the store is sealed,
 		// so the count cannot have changed. Only re-split halves (Card == 0,
@@ -699,7 +690,7 @@ func (x *Executor) processWindow(w ExecWindow) error {
 				x.tl.Resplit(x.clk.Now(), w.Obj, w.Begin, w.Finish, n)
 			}
 			mid := w.Begin + (w.Finish-w.Begin)/2
-			far, near := w, w
+			far, near := *w, *w
 			if x.fwd {
 				near.Finish = mid
 				far.Begin = mid
@@ -751,7 +742,10 @@ func (x *Executor) processWindow(w ExecWindow) error {
 		qsp.SetDetail(fmt.Sprintf("obj=%d [%d,%d)", w.Obj, w.Begin, w.Finish))
 	}
 	// The window query appends into a buffer reused across every window of
-	// the run, so the steady-state loop performs no allocations.
+	// the run, as enqueue generates into winBuf and the queue and the graph
+	// keep their records in slices: the loop allocates only when one of those
+	// grows (experiments.TestExecutorRunAllocations holds a whole run to a
+	// few hundred allocations).
 	depsBuf, err := x.query(x.depsBuf[:0], w.Obj, w.Begin, w.Finish)
 	if x.tracer != nil || x.tl != nil {
 		qend := x.clk.Now()
@@ -813,35 +807,24 @@ func (x *Executor) processWindow(w ExecWindow) error {
 				continue
 			}
 		}
-		// Hop budget: stop extending paths longer than the limit.
-		if hopLimit > 0 {
-			if kn, ok := x.g.Node(known); ok && kn.Hop+1 > hopLimit {
-				x.rec.EdgeHopBudget(dep.ID, src, known, kn.Hop+1, hopLimit)
-				continue
-			}
-		}
-		addEdge := x.g.AddEdge
-		if x.fwd {
-			addEdge = x.g.AddForwardEdge
-		}
-		newEdge, newNode, err := addEdge(dep)
+		// One graph call checks the hop budget (paths longer than the limit
+		// are not extended), inserts the edge and reports the graph's size.
+		added, err := x.g.Add(dep, x.fwd, hopLimit)
 		if err != nil {
 			return err
 		}
-		if !newEdge {
+		if added.OverBudget {
+			x.rec.EdgeHopBudget(dep.ID, src, known, added.Hop, hopLimit)
 			continue
 		}
-		if _, err := x.maint.OnEdge(x.g, dep); err != nil {
+		if !added.NewEdge {
+			continue
+		}
+		if err := x.maint.OnEdge(x.g, dep); err != nil {
 			return err
 		}
 		boost := x.boostFor(dep, w)
-		if x.rec != nil {
-			hop := 0
-			if n, ok := x.g.Node(src); ok {
-				hop = n.Hop
-			}
-			x.rec.EdgeAdded(dep.ID, src, known, hop, w.Begin, w.Finish, boost)
-		}
+		x.rec.EdgeAdded(dep.ID, src, known, added.Hop, w.Begin, w.Finish, boost)
 		x.updates++
 		if x.opts.OnUpdate != nil || x.tel.updateGap != nil || x.tl != nil {
 			now := x.clk.Now()
@@ -859,7 +842,7 @@ func (x *Executor) processWindow(w ExecWindow) error {
 				x.lastUpdate = now
 			}
 			if x.opts.OnUpdate != nil {
-				x.opts.OnUpdate(Update{Event: dep, NewNode: newNode, At: now, Edges: x.g.NumEdges()})
+				x.opts.OnUpdate(Update{Event: dep, NewNode: added.NewNode, At: now, Edges: added.Edges})
 			}
 		}
 		x.enqueue(dep, boost)
@@ -872,7 +855,7 @@ func (x *Executor) processWindow(w ExecWindow) error {
 // the window it arrived through was already boosted and the edge matches the
 // upstream pattern with the byte-conservation check against the window's
 // generating event.
-func (x *Executor) boostFor(dep event.Event, w ExecWindow) int {
+func (x *Executor) boostFor(dep event.Event, w *ExecWindow) int {
 	for _, rule := range x.plan.Prioritize {
 		if rule.Down.Match(dep, x.env) {
 			return 1
@@ -884,25 +867,25 @@ func (x *Executor) boostFor(dep event.Event, w ExecWindow) int {
 	return 0
 }
 
-// genUniformWindows is the ablation variant: k equal-width windows.
-func genUniformWindows(e event.Event, ts int64, k int) []ExecWindow {
+// appendUniformWindows is the ablation variant of appendExeWindows: k
+// equal-width windows.
+func appendUniformWindows(buf []ExecWindow, e event.Event, ts int64, k int) []ExecWindow {
 	te := e.Time
 	if te <= ts || k < 1 {
-		return nil
+		return buf
 	}
 	width := (te - ts) / int64(k)
 	if width < 1 {
 		width = 1
 	}
-	out := make([]ExecWindow, 0, k)
 	hi := te
 	for i := 0; i < k && hi > ts; i++ {
 		lo := hi - width
 		if i == k-1 || lo < ts {
 			lo = ts
 		}
-		out = append(out, ExecWindow{Begin: lo, Finish: hi, Obj: e.Src(), E: e})
+		buf = append(buf, ExecWindow{Begin: lo, Finish: hi, Obj: e.Src(), E: e})
 		hi = lo
 	}
-	return out
+	return buf
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"io"
 	"sync"
 	"testing"
 	"time"
 
 	"aptrace/internal/event"
+	"aptrace/internal/graph"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 )
@@ -117,6 +119,116 @@ func TestGraphConcurrentWithPrepare(t *testing.T) {
 	wg.Wait()
 	if x.Graph() == nil {
 		t.Fatal("graph must be visible after Prepare")
+	}
+}
+
+// TestGraphReadersDuringRun holds the graph to its one-writer, many-readers
+// contract on the path that matters: a reader polls every kind of read —
+// sorted copies, point lookups, the size, the DOT rendering — while the run
+// loop extends the graph. Under -race any unsynchronized access to the node
+// and edge slices or their index maps fails here.
+func TestGraphReadersDuringRun(t *testing.T) {
+	s, alert := fixture(t, simclock.NewSimulated(time.Time{}), 5000)
+	x, err := New(s, wildcardPlan(t, ""), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Prepare(alert); err != nil {
+		t.Fatal(err)
+	}
+	g := x.Graph()
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		last := 0
+		for {
+			edges := g.Edges()
+			if len(edges) < last {
+				t.Errorf("graph shrank under a reader: %d edges after %d", len(edges), last)
+				return
+			}
+			last = len(edges)
+			for _, e := range edges[len(edges)/2:] {
+				if _, ok := g.Node(e.Src()); !ok {
+					t.Errorf("edge %d is in the graph but its source node %d is not", e.ID, e.Src())
+					return
+				}
+			}
+			if n := g.NumEdges(); n < last {
+				t.Errorf("NumEdges = %d after Edges returned %d", n, last)
+				return
+			}
+			if err := graph.WriteDOT(io.Discard, g, s.Object); err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	res, err := x.RunUnchecked(alert)
+	close(stop)
+	<-readerDone
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.NumEdges(); got != res.Updates+1 {
+		t.Fatalf("graph has %d edges after %d updates", got, res.Updates)
+	}
+}
+
+// TestOnUpdateReentersExecutor guards the rule that no graph or executor
+// lock is held across OnUpdate: the callback, on the run goroutine, requests
+// a pause, swaps the plan with a re-propagation (which write-locks the graph
+// for every node) and reads the graph back. A lock held across the callback
+// deadlocks here. It also pins Update.Edges to the post-insert edge count.
+func TestOnUpdateReentersExecutor(t *testing.T) {
+	s, alert := fixture(t, simclock.NewSimulated(time.Time{}), 2000)
+	chain, err := refiner.ParseAndCompile(`backward ip a[dst_ip = "6.6.6.6"] -> proc p[exename = "mal.exe"] -> *`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var x *Executor
+	edges := 1 // the alert edge
+	x, err = New(s, chain, Options{OnUpdate: func(u Update) {
+		edges++
+		if u.Edges != edges || x.Graph().NumEdges() != edges {
+			t.Errorf("update %d: Update.Edges = %d, graph has %d", edges-1, u.Edges, x.Graph().NumEdges())
+		}
+		if edges%50 != 0 {
+			return
+		}
+		x.Pause()
+		if err := x.UpdatePlan(chain, refiner.Repropagate); err != nil {
+			t.Error(err)
+		}
+		x.Resume()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *Result, 1)
+	go func() {
+		res, err := x.RunUnchecked(alert)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res != nil && res.Updates+1 != edges {
+			t.Fatalf("%d updates reported, %d delivered", res.Updates, edges-1)
+		}
+		if edges < 100 {
+			t.Fatalf("run delivered %d updates; the callback never re-entered", edges-1)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run deadlocked: a lock is held across OnUpdate")
 	}
 }
 

@@ -14,11 +14,7 @@
 // graph updates stream out at a steady cadence (Table II in the paper).
 package core
 
-import (
-	"container/heap"
-
-	"aptrace/internal/event"
-)
+import "aptrace/internal/event"
 
 // MaxWindows is the largest accepted window count k. The geometric sequence
 // needs 2^k - 1 to fit in an int64, so k is clamped at 62 (the span of any
@@ -56,9 +52,15 @@ type ExecWindow struct {
 // windows; an empty span produces none. Integer remainders are absorbed by
 // the farthest window so the union exactly covers [ts, te).
 func GenExeWindows(e event.Event, ts int64, k int) []ExecWindow {
+	return appendExeWindows(nil, e, ts, k)
+}
+
+// appendExeWindows is GenExeWindows appending into buf, which the executor
+// owns and reuses across every enqueue of a run.
+func appendExeWindows(buf []ExecWindow, e event.Event, ts int64, k int) []ExecWindow {
 	te := e.Time
 	if te <= ts || k < 1 {
-		return nil
+		return buf
 	}
 	if k > MaxWindows {
 		k = MaxWindows // 1<<63 overflows int64
@@ -71,7 +73,6 @@ func GenExeWindows(e event.Event, ts int64, k int) []ExecWindow {
 	if sigma < 1 {
 		sigma = 1
 	}
-	out := make([]ExecWindow, 0, k)
 	hi := te
 	width := sigma
 	for i := 0; i < k && hi > ts; i++ {
@@ -79,11 +80,11 @@ func GenExeWindows(e event.Event, ts int64, k int) []ExecWindow {
 		if i == k-1 || lo < ts {
 			lo = ts
 		}
-		out = append(out, ExecWindow{Begin: lo, Finish: hi, Obj: e.Src(), E: e})
+		buf = append(buf, ExecWindow{Begin: lo, Finish: hi, Obj: e.Src(), E: e})
 		hi = lo
 		width *= 2
 	}
-	return out
+	return buf
 }
 
 // GenExeWindowsForward mirrors GenExeWindows for impact tracking: it cuts
@@ -92,9 +93,14 @@ func GenExeWindows(e event.Event, ts int64, k int) []ExecWindow {
 // event's flow destination. The first window begins at te+1: forward
 // dependencies must be strictly later.
 func GenExeWindowsForward(e event.Event, tEnd int64, k int) []ExecWindow {
+	return appendExeWindowsForward(nil, e, tEnd, k)
+}
+
+// appendExeWindowsForward is GenExeWindowsForward appending into buf.
+func appendExeWindowsForward(buf []ExecWindow, e event.Event, tEnd int64, k int) []ExecWindow {
 	ts := e.Time + 1
 	if tEnd <= ts || k < 1 {
-		return nil
+		return buf
 	}
 	if k > MaxWindows {
 		k = MaxWindows // 1<<63 overflows int64
@@ -105,7 +111,6 @@ func GenExeWindowsForward(e event.Event, tEnd int64, k int) []ExecWindow {
 	if sigma < 1 {
 		sigma = 1
 	}
-	out := make([]ExecWindow, 0, k)
 	lo := ts
 	width := sigma
 	for i := 0; i < k && lo < tEnd; i++ {
@@ -113,20 +118,25 @@ func GenExeWindowsForward(e event.Event, tEnd int64, k int) []ExecWindow {
 		if i == k-1 || hi > tEnd {
 			hi = tEnd
 		}
-		out = append(out, ExecWindow{Begin: lo, Finish: hi, Obj: e.Dst(), E: e})
+		buf = append(buf, ExecWindow{Begin: lo, Finish: hi, Obj: e.Dst(), E: e})
 		lo = hi
 		width *= 2
 	}
-	return out
+	return buf
 }
 
-// windowHeap is a priority queue over execution windows. Ordering:
+// windowHeap is a priority queue over execution windows: a binary heap typed
+// to ExecWindow, so a push or pop boxes nothing and compares through
+// pointers. Ordering:
 //
 //  1. higher maintainer state first (explore the declared chain),
 //  2. higher boost first (prioritize rules),
 //  3. later Finish first (temporal locality: windows closest to the
 //     starting point's time, per Algorithm 1's queue discipline),
 //  4. FIFO among equals.
+//
+// seq is unique per push, so the order is total and the pop sequence does not
+// depend on how the heap arranges its array.
 type windowHeap struct {
 	items []ExecWindow
 	next  int64
@@ -139,8 +149,7 @@ type windowHeap struct {
 
 func (h *windowHeap) Len() int { return len(h.items) }
 
-func (h *windowHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+func (h *windowHeap) less(a, b *ExecWindow) bool {
 	if h.fifo {
 		return a.seq < b.seq
 	}
@@ -160,29 +169,51 @@ func (h *windowHeap) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (h *windowHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-
-func (h *windowHeap) Push(x any) {
-	h.items = append(h.items, x.(ExecWindow))
-}
-
-func (h *windowHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
-}
-
+// push sifts a hole up from the new leaf: each level moves one window down
+// into the hole, and w is written once where the hole stops.
 func (h *windowHeap) push(w ExecWindow) {
 	w.seq = h.next
 	h.next++
-	heap.Push(h, w)
+	h.items = append(h.items, w)
+	i := len(h.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(&w, &h.items[parent]) {
+			break
+		}
+		h.items[i] = h.items[parent]
+		i = parent
+	}
+	h.items[i] = w
 }
 
+// pop removes the first window in order, sifting the hole it leaves down to
+// where the former last leaf belongs.
 func (h *windowHeap) pop() (ExecWindow, bool) {
-	if h.Len() == 0 {
+	n := len(h.items) - 1
+	if n < 0 {
 		return ExecWindow{}, false
 	}
-	return heap.Pop(h).(ExecWindow), true
+	top, last := h.items[0], h.items[n]
+	h.items = h.items[:n]
+	if n == 0 {
+		return top, true
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h.less(&h.items[r], &h.items[child]) {
+			child = r
+		}
+		if !h.less(&h.items[child], &last) {
+			break
+		}
+		h.items[i] = h.items[child]
+		i = child
+	}
+	h.items[i] = last
+	return top, true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestGenExeWindowsCoverageProperty(t *testing.T) {
 
 func TestUniformWindows(t *testing.T) {
 	e := event.Event{Time: 1000, Subject: 3, Dir: event.FlowOut}
-	ws := genUniformWindows(e, 0, 4)
+	ws := appendUniformWindows(nil, e, 0, 4)
 	if len(ws) != 4 {
 		t.Fatalf("%d windows", len(ws))
 	}
@@ -93,7 +94,7 @@ func TestUniformWindows(t *testing.T) {
 			t.Errorf("window %d width %d, want 250", i, l)
 		}
 	}
-	if ws := genUniformWindows(e, 1000, 4); ws != nil {
+	if ws := appendUniformWindows(nil, e, 1000, 4); ws != nil {
 		t.Error("empty span must yield nothing")
 	}
 }
@@ -144,5 +145,122 @@ func TestWindowHeapEmptyPop(t *testing.T) {
 	var h windowHeap
 	if _, ok := h.pop(); ok {
 		t.Fatal("pop on empty heap must report not-ok")
+	}
+}
+
+// refHeap is the queue as it was before windowHeap was typed: the same
+// ordering on container/heap. It is the oracle for TestWindowHeapMatchesReference.
+type refHeap struct {
+	items         []ExecWindow
+	next          int64
+	fifo, forward bool
+}
+
+func (h *refHeap) Len() int { return len(h.items) }
+
+func (h *refHeap) Less(i, j int) bool {
+	a, b := h.items[i], h.items[j]
+	if h.fifo {
+		return a.seq < b.seq
+	}
+	if a.State != b.State {
+		return a.State > b.State
+	}
+	if a.Boost != b.Boost {
+		return a.Boost > b.Boost
+	}
+	if h.forward {
+		if a.Begin != b.Begin {
+			return a.Begin < b.Begin
+		}
+	} else if a.Finish != b.Finish {
+		return a.Finish > b.Finish
+	}
+	return a.seq < b.seq
+}
+
+func (h *refHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *refHeap) Push(x any)    { h.items = append(h.items, x.(ExecWindow)) }
+
+func (h *refHeap) Pop() any {
+	n := len(h.items)
+	it := h.items[n-1]
+	h.items = h.items[:n-1]
+	return it
+}
+
+func (h *refHeap) push(w ExecWindow) {
+	w.seq = h.next
+	h.next++
+	heap.Push(h, w)
+}
+
+func (h *refHeap) pop() (ExecWindow, bool) {
+	if h.Len() == 0 {
+		return ExecWindow{}, false
+	}
+	return heap.Pop(h).(ExecWindow), true
+}
+
+// TestWindowHeapMatchesReference drives windowHeap and the container/heap
+// oracle with the same random interleaving of pushes and pops — keys drawn
+// from a small range so ties on every field are the rule, popped windows
+// re-split into halves and pushed back as the executor does — and requires
+// the same window out of every pop, in every queue mode.
+func TestWindowHeapMatchesReference(t *testing.T) {
+	modes := []struct {
+		name          string
+		fifo, forward bool
+	}{{"backward", false, false}, {"forward", false, true}, {"fifo", true, false}, {"fifo-forward", true, true}}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			got := windowHeap{fifo: m.fifo, forward: m.forward}
+			want := refHeap{fifo: m.fifo, forward: m.forward}
+			push := func(w ExecWindow) {
+				got.push(w)
+				want.push(w)
+			}
+			pop := func() (ExecWindow, bool) {
+				g, gok := got.pop()
+				w, wok := want.pop()
+				if g != w || gok != wok {
+					t.Fatalf("pop = %+v,%v; reference %+v,%v", g, gok, w, wok)
+				}
+				return g, gok
+			}
+			for step := 0; step < 20000; step++ {
+				switch r := rng.Intn(10); {
+				case r < 5:
+					begin := int64(rng.Intn(6))
+					push(ExecWindow{
+						Begin: begin, Finish: begin + 1 + int64(rng.Intn(6)),
+						Obj: event.ObjID(rng.Intn(4)), E: event.Event{ID: event.EventID(step)},
+						Card: rng.Intn(3), State: rng.Intn(3) - 1, Boost: rng.Intn(2),
+					})
+				case r < 8:
+					pop()
+				default:
+					// Re-split: both halves keep the key fields of the parent.
+					w, ok := pop()
+					if !ok || w.Finish-w.Begin < 2 {
+						continue
+					}
+					mid := w.Begin + (w.Finish-w.Begin)/2
+					near, far := w, w
+					near.Begin, far.Finish = mid, mid
+					push(near)
+					push(far)
+				}
+				if got.Len() != want.Len() {
+					t.Fatalf("step %d: Len = %d, reference %d", step, got.Len(), want.Len())
+				}
+			}
+			for {
+				if _, ok := pop(); !ok {
+					break
+				}
+			}
+		})
 	}
 }

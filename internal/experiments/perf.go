@@ -9,6 +9,7 @@ import (
 
 	"aptrace/internal/core"
 	"aptrace/internal/event"
+	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
 )
@@ -39,6 +40,20 @@ type PerfResult struct {
 
 // sink defeats dead-code elimination in the reference benchmark.
 var sink int
+
+// runOnce is one whole analysis from alert over a private view of the
+// dataset: the body of the executor_run benchmark.
+func (e *Env) runOnce(plan *refiner.Plan, opts core.Options, alert event.Event) (*core.Result, error) {
+	v, err := e.Dataset.Store.View(simclock.NewSimulated(time.Time{}))
+	if err != nil {
+		return nil, err
+	}
+	x, err := core.New(v, plan, opts)
+	if err != nil {
+		return nil, err
+	}
+	return x.RunUnchecked(alert)
+}
 
 // RunPerf measures the real-CPU cost of the hot query paths with
 // testing.Benchmark: posting-range resolution (SoA vs the pre-SoA reference
@@ -140,15 +155,7 @@ func RunPerf(env *Env, cfg Config, w io.Writer) (*PerfResult, error) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v, err := view()
-				if err != nil {
-					b.Fatal(err)
-				}
-				x, err := core.New(v, wildcardPlan(0), cfg.execOptions())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := x.RunUnchecked(alert); err != nil {
+				if _, err := env.runOnce(wildcardPlan(0), cfg.execOptions(), alert); err != nil {
 					b.Fatal(err)
 				}
 			}

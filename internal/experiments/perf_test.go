@@ -1,0 +1,56 @@
+package experiments
+
+import (
+	"testing"
+
+	"aptrace/internal/refiner"
+	"aptrace/internal/workload"
+)
+
+// TestExecutorRunAllocations is the allocation ceiling of the executor's
+// window loop: a whole analysis of the `apbench -exp perf` alert (apbench's
+// default dataset, first sample of seed 42) with no observer attached may
+// allocate only what amortised growth of its buffers, maps and graph slices
+// costs — a few hundred allocations for tens of thousands of edges. Before
+// the typed window heap, the reused window buffer and the slice-backed graph
+// the backward run alone made 36,491. A per-window or per-edge allocation
+// anywhere in the loop breaks the ceiling by an order of magnitude.
+func TestExecutorRunAllocations(t *testing.T) {
+	env, err := NewEnv(workload.Config{Seed: 1, Hosts: 12, Days: 10, Density: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	alert := env.sampleEvents(1, cfg.Seed)[0]
+	for _, tc := range []struct{ name, script string }{
+		{"backward", `backward proc p[exename = "*"] -> *`},
+		{"forward", `forward proc p[exename = "*"] -> *`},
+		// The where clause walks computed attributes rather than matching
+		// strings: string conditions run a regexp whose scratch state comes
+		// from a sync.Pool, which the race detector makes forgetful — CI runs
+		// this test under -race.
+		{"where+chain", `backward proc p[exename = "*"] -> proc q[exename = "explorer.exe"] -> *` + "\n" +
+			`where file.last_access_time >= "1970-01-01 00:00:00" and proc.dst.isWriteThrough != true and hop <= 12`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := refiner.ParseAndCompile(tc.script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var updates int
+			allocs := testing.AllocsPerRun(3, func() {
+				res, err := env.runOnce(plan, cfg.execOptions(), alert)
+				if err != nil {
+					t.Fatal(err)
+				}
+				updates = res.Updates
+			})
+			if updates < 10000 {
+				t.Fatalf("run found %d edges; the ceiling means nothing on a run this small", updates)
+			}
+			if allocs > 1000 {
+				t.Errorf("%.0f allocations for a run of %d edges, want <= 1000", allocs, updates)
+			}
+		})
+	}
+}

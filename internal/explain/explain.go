@@ -153,16 +153,19 @@ type Record struct {
 const DefaultCapacity = 1 << 16
 
 // Recorder is the flight recorder: a fixed-capacity ring of decision
-// records. When the ring is full the oldest records are overwritten and the
+// records. Its storage grows with the records actually emitted, up to the
+// capacity, so a run that decides little pays for little. When the ring is
+// full the oldest records are overwritten and the
 // aptrace_explain_dropped_total counter says so — overflow is visible, not
 // silent. A nil *Recorder is a valid disabled recorder: every method is a
 // no-op behind one pointer test.
 type Recorder struct {
-	mu      sync.Mutex
-	ring    []Record
-	seq     uint64 // total records emitted (next Seq)
-	dropped uint64
-	clk     simclock.Clock
+	mu       sync.Mutex
+	ring     []Record // len grows by append to capacity, then wraps at Seq % capacity
+	capacity int
+	seq      uint64 // total records emitted (next Seq)
+	dropped  uint64
+	clk      simclock.Clock
 
 	telRecords *telemetry.Counter
 	telDropped *telemetry.Counter
@@ -176,7 +179,7 @@ func New(capacity int, reg *telemetry.Registry) *Recorder {
 		capacity = DefaultCapacity
 	}
 	return &Recorder{
-		ring:       make([]Record, 0, capacity),
+		capacity:   capacity,
 		telRecords: reg.Counter(telemetry.MetricExplainRecords),
 		telDropped: reg.Counter(telemetry.MetricExplainDropped),
 	}
@@ -203,15 +206,21 @@ func (r *Recorder) add(rec Record) {
 		rec.At = r.clk.Now()
 	}
 	r.seq++
-	if len(r.ring) < cap(r.ring) {
+	if len(r.ring) < r.capacity {
+		if len(r.ring) == cap(r.ring) && len(r.ring) >= r.capacity/16 {
+			// A run that came this far usually fills the ring. Doubling the
+			// rest of the way would allocate the ring twice over and copy it
+			// once; take the remainder in one step.
+			r.ring = append(make([]Record, 0, r.capacity), r.ring...)
+		}
 		r.ring = append(r.ring, rec)
 	} else {
-		r.ring[int(rec.Seq)%cap(r.ring)] = rec
+		r.ring[int(rec.Seq)%r.capacity] = rec
 		r.dropped++
 	}
 	r.mu.Unlock()
 	r.telRecords.Inc()
-	if rec.Seq >= uint64(cap(r.ring)) {
+	if rec.Seq >= uint64(r.capacity) {
 		r.telDropped.Inc()
 	}
 }
@@ -382,12 +391,12 @@ func (r *Recorder) Records() []Record {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.seq <= uint64(cap(r.ring)) {
+	if r.seq <= uint64(r.capacity) {
 		return append([]Record(nil), r.ring...)
 	}
 	// The ring wrapped: the oldest record sits at seq % cap.
 	out := make([]Record, 0, len(r.ring))
-	head := int(r.seq) % cap(r.ring)
+	head := int(r.seq) % r.capacity
 	out = append(out, r.ring[head:]...)
 	out = append(out, r.ring[:head]...)
 	return out

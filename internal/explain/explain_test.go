@@ -3,6 +3,7 @@ package explain
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -217,4 +218,96 @@ func TestCountByKind(t *testing.T) {
 	if got["edge-dedup"] != 2 || got["pause"] != 1 {
 		t.Fatalf("CountByKind = %v", got)
 	}
+}
+
+// preallocRing is the recorder's storage as it was before the ring grew on
+// demand: the whole capacity allocated up front, append until full, then
+// overwrite at Seq % capacity. It is the oracle for TestRingGrowsOnDemand.
+type preallocRing struct {
+	ring    []Record
+	seq     uint64
+	dropped uint64
+}
+
+func (p *preallocRing) add(rec Record) {
+	p.seq++
+	if len(p.ring) < cap(p.ring) {
+		p.ring = append(p.ring, rec)
+		return
+	}
+	p.ring[int(rec.Seq)%cap(p.ring)] = rec
+	p.dropped++
+}
+
+func (p *preallocRing) records() []Record {
+	if p.seq <= uint64(cap(p.ring)) {
+		return append([]Record(nil), p.ring...)
+	}
+	head := int(p.seq) % cap(p.ring)
+	return append(append([]Record(nil), p.ring[head:]...), p.ring[:head]...)
+}
+
+// TestRingGrowsOnDemand pins the on-demand ring to the preallocated one,
+// record for record, below, at and beyond capacity — and checks that it does
+// not pay for capacity it never used.
+func TestRingGrowsOnDemand(t *testing.T) {
+	for _, capacity := range []int{8, 64} { // 64 doubles to 4 records, then takes the rest in one step
+		testRingGrowsOnDemand(t, capacity)
+	}
+	r := New(0, nil)
+	r.EdgeDedup(1, 1)
+	if got := cap(r.ring); got >= DefaultCapacity/2 {
+		t.Errorf("one record holds storage for %d; the ring must grow with use", got)
+	}
+}
+
+func testRingGrowsOnDemand(t *testing.T, capacity int) {
+	emit := func(r *Recorder, i int) {
+		id, obj := event.EventID(i), event.ObjID(i%5)
+		switch i % 4 {
+		case 0:
+			r.EdgeAdded(id, obj, obj+1, i%3, int64(i), int64(i+10), i%2)
+		case 1:
+			r.EdgeDedup(id, obj)
+		case 2:
+			r.WindowEnqueued(obj, int64(i), int64(i+7), i, -1, 0)
+		default:
+			r.EdgeHopBudget(id, obj, obj+1, 4, 3)
+		}
+	}
+	for _, n := range []int{0, 1, capacity - 1, capacity, capacity + 1, 3*capacity + 2} {
+		reg := telemetry.NewRegistry()
+		r := New(capacity, reg)
+		all := New(n+1, nil) // never wraps: the emitted sequence itself
+		for i := 0; i < n; i++ {
+			emit(r, i)
+			emit(all, i)
+		}
+		want := preallocRing{ring: make([]Record, 0, capacity)}
+		for _, rec := range all.Records() {
+			want.add(rec)
+		}
+		if got := r.Records(); !reflect.DeepEqual(got, want.records()) {
+			t.Errorf("capacity %d, n=%d: Records() = %+v\nwant %+v", capacity, n, got, want.records())
+		}
+		emitted, dropped := r.Stats()
+		if emitted != want.seq || dropped != want.dropped {
+			t.Errorf("capacity %d, n=%d: Stats() = %d,%d, want %d,%d", capacity, n, emitted, dropped, want.seq, want.dropped)
+		}
+		if got := reg.Counter(telemetry.MetricExplainDropped).Value(); got != int64(want.dropped) {
+			t.Errorf("capacity %d, n=%d: %s = %d, want %d", capacity, n, telemetry.MetricExplainDropped, got, want.dropped)
+		}
+		if node := event.ObjID(1); !reflect.DeepEqual(r.Explain(node), explainOf(want.records(), node)) {
+			t.Errorf("capacity %d, n=%d: Explain(%d) differs from the preallocated ring's", capacity, n, node)
+		}
+	}
+}
+
+// explainOf answers Explain over a given record sequence: a recorder that
+// never wraps, fed those records.
+func explainOf(recs []Record, node event.ObjID) Explanation {
+	r := New(len(recs)+1, nil)
+	r.ring = append(r.ring, recs...)
+	r.seq = uint64(len(recs))
+	return r.Explain(node)
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -27,7 +26,7 @@ func escapeDOT(s string) string {
 // are ellipses, sockets are diamonds. The starting-point (alert) edge is
 // drawn bold red.
 func WriteDOT(w io.Writer, g *Graph, resolve func(event.ObjID) event.Object) error {
-	return writeDOT(w, g, resolve, nil)
+	return writeDOT(w, g.Nodes(), g.Edges(), g.Start(), resolve, nil)
 }
 
 // DOTAnnotation marks one pruned candidate for WriteDOTAnnotated: an object
@@ -45,18 +44,17 @@ type DOTAnnotation struct {
 // have attached to (when that peer is in the graph). The picture answers
 // "what did the analysis decide NOT to include, and why" in one view.
 func WriteDOTAnnotated(w io.Writer, g *Graph, resolve func(event.ObjID) event.Object, pruned []DOTAnnotation) error {
-	return writeDOT(w, g, resolve, pruned)
+	return writeDOT(w, g.Nodes(), g.Edges(), g.Start(), resolve, pruned)
 }
 
-func writeDOT(w io.Writer, g *Graph, resolve func(event.ObjID) event.Object, pruned []DOTAnnotation) error {
+// writeDOT renders nodes (sorted by object ID) and edges (sorted by event ID).
+func writeDOT(w io.Writer, nodes []NodeInfo, edges []event.Event, start event.Event, resolve func(event.ObjID) event.Object, pruned []DOTAnnotation) error {
 	var sb strings.Builder
 	sb.WriteString("digraph aptrace {\n")
 	sb.WriteString("  rankdir=LR;\n")
 	sb.WriteString("  node [fontsize=10];\n")
 
 	inGraph := make(map[event.ObjID]bool)
-	nodes := g.Nodes()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	for _, n := range nodes {
 		inGraph[n.ID] = true
 		o := resolve(n.ID)
@@ -70,8 +68,7 @@ func writeDOT(w io.Writer, g *Graph, resolve func(event.ObjID) event.Object, pru
 		fmt.Fprintf(&sb, "  n%d [label=\"%s\" shape=%s];\n", n.ID, escapeDOT(o.Label()), shape)
 	}
 
-	start := g.Start()
-	for _, e := range g.Edges() {
+	for _, e := range edges {
 		attrs := fmt.Sprintf("label=\"%s\"", escapeDOT(fmt.Sprintf("%s @%s",
 			e.Action, time.Unix(e.Time, 0).UTC().Format("01/02 15:04:05"))))
 		if e.ID == start.ID {

@@ -1,6 +1,11 @@
 package graph
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -290,5 +295,286 @@ func TestTopFanIn(t *testing.T) {
 	}
 	if all := TopFanIn(g, 100); len(all) == 0 {
 		t.Fatal("unbounded TopFanIn empty")
+	}
+}
+
+// refGraph is the graph as it was stored before the slice-backed records: a
+// map of node pointers, a map of edges and two maps of adjacency ID lists.
+// It is the reference model TestGraphMatchesReference holds Graph to.
+type refGraph struct {
+	nodes map[event.ObjID]*NodeInfo
+	edges map[event.EventID]event.Event
+	byDst map[event.ObjID][]event.EventID
+	bySrc map[event.ObjID][]event.EventID
+	start event.Event
+}
+
+func newRefGraph(e0 event.Event) *refGraph {
+	g := &refGraph{
+		nodes: map[event.ObjID]*NodeInfo{e0.Dst(): {ID: e0.Dst(), Hop: 0, State: -1}},
+		edges: map[event.EventID]event.Event{},
+		byDst: map[event.ObjID][]event.EventID{},
+		bySrc: map[event.ObjID][]event.EventID{},
+		start: e0,
+	}
+	g.insert(e0, e0.Src(), 1)
+	return g
+}
+
+// insert links ev and min-updates (or creates) its discovered endpoint.
+func (g *refGraph) insert(ev event.Event, found event.ObjID, hop int) {
+	g.edges[ev.ID] = ev
+	g.byDst[ev.Dst()] = append(g.byDst[ev.Dst()], ev.ID)
+	g.bySrc[ev.Src()] = append(g.bySrc[ev.Src()], ev.ID)
+	if n, ok := g.nodes[found]; ok {
+		if hop < n.Hop {
+			n.Hop = hop
+		}
+	} else {
+		g.nodes[found] = &NodeInfo{ID: found, Hop: hop, State: -1}
+	}
+}
+
+// add is the executor's former per-edge conversation: the hop-budget check
+// on the known endpoint, then AddEdge/AddForwardEdge, then the discovered
+// endpoint's hop and the edge count read back.
+func (g *refGraph) add(ev event.Event, forward bool, hopLimit int) (Added, error) {
+	known, found := ev.Dst(), ev.Src()
+	if forward {
+		known, found = found, known
+	}
+	kn, ok := g.nodes[known]
+	if ok && hopLimit > 0 && kn.Hop+1 > hopLimit {
+		return Added{OverBudget: true, Hop: kn.Hop + 1, Edges: len(g.edges)}, nil
+	}
+	if !ok {
+		return Added{}, fmt.Errorf("unknown node %d", known)
+	}
+	if _, dup := g.edges[ev.ID]; dup {
+		return Added{Edges: len(g.edges)}, nil
+	}
+	_, existed := g.nodes[found]
+	g.insert(ev, found, kn.Hop+1)
+	return Added{NewEdge: true, NewNode: !existed, Hop: g.nodes[found].Hop, Edges: len(g.edges)}, nil
+}
+
+func (g *refGraph) retain(keep func(event.ObjID) bool) int {
+	gone := map[event.ObjID]bool{}
+	for id := range g.nodes {
+		if id != g.start.Dst() && !keep(id) {
+			gone[id] = true
+		}
+	}
+	if len(gone) == 0 {
+		return 0
+	}
+	removed := 0
+	for id, ev := range g.edges {
+		if gone[ev.Src()] || gone[ev.Dst()] {
+			delete(g.edges, id)
+			removed++
+		}
+	}
+	for id := range gone {
+		delete(g.nodes, id)
+	}
+	g.byDst = map[event.ObjID][]event.EventID{}
+	g.bySrc = map[event.ObjID][]event.EventID{}
+	for id, ev := range g.edges {
+		g.byDst[ev.Dst()] = append(g.byDst[ev.Dst()], id)
+		g.bySrc[ev.Src()] = append(g.bySrc[ev.Src()], id)
+	}
+	for _, lists := range []map[event.ObjID][]event.EventID{g.byDst, g.bySrc} {
+		for _, l := range lists {
+			sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
+		}
+	}
+	return removed
+}
+
+func (g *refGraph) events(ids []event.EventID) []event.Event {
+	out := make([]event.Event, 0, len(ids))
+	for _, id := range ids {
+		out = append(out, g.edges[id])
+	}
+	return out
+}
+
+func (g *refGraph) sortedEdges() []event.Event {
+	out := make([]event.Event, 0, len(g.edges))
+	for _, e := range g.edges {
+		out = append(out, e)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+func (g *refGraph) sortedNodes() []NodeInfo {
+	out := make([]NodeInfo, 0, len(g.nodes))
+	for _, n := range g.nodes {
+		out = append(out, *n)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+func (g *refGraph) maxHop() int {
+	max := 0
+	for _, n := range g.nodes {
+		if n.Hop > max {
+			max = n.Hop
+		}
+	}
+	return max
+}
+
+func (g *refGraph) topFanIn(n int) []Degree {
+	out := make([]Degree, 0, len(g.byDst))
+	for id, edges := range g.byDst {
+		out = append(out, Degree{ID: id, In: len(edges)})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].In != out[j].In {
+			return out[i].In > out[j].In
+		}
+		return out[i].ID < out[j].ID
+	})
+	if n < len(out) {
+		out = out[:n]
+	}
+	return out
+}
+
+// TestGraphMatchesReference drives Graph and the map-based model with the
+// same random operations over a dozen objects — inserts in both directions
+// with and without a hop budget, duplicates, unknown endpoints, self-loops,
+// state writes and resets, and Retain keeping everything, nothing, or a
+// random subset — and compares every public read after every operation.
+func TestGraphMatchesReference(t *testing.T) {
+	const objects = 12
+	resolve := func(id event.ObjID) event.Object { return event.File("ws1", fmt.Sprintf(`C:\obj\%d`, id)) }
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		obj := func() event.ObjID { return event.ObjID(rng.Intn(objects)) }
+		e0 := event.Event{ID: 1, Time: 1000, Subject: obj(), Object: obj(), Dir: event.FlowOut, Action: event.ActSend}
+		if seed%5 == 0 {
+			e0.Object = e0.Subject // a self-loop alert: one node, hop 0
+		}
+		g, ref := New(e0), newRefGraph(e0)
+		nextID := event.EventID(2)
+
+		check := func(op string) {
+			t.Helper()
+			fail := func(what string, got, want any) {
+				t.Helper()
+				t.Fatalf("seed %d after %s: %s = %+v, reference %+v", seed, op, what, got, want)
+			}
+			if got, want := g.Nodes(), ref.sortedNodes(); !reflect.DeepEqual(got, want) {
+				fail("Nodes", got, want)
+			}
+			if got, want := g.Edges(), ref.sortedEdges(); !reflect.DeepEqual(got, want) {
+				fail("Edges", got, want)
+			}
+			if g.NumNodes() != len(ref.nodes) || g.NumEdges() != len(ref.edges) {
+				fail("NumNodes,NumEdges", [2]int{g.NumNodes(), g.NumEdges()}, [2]int{len(ref.nodes), len(ref.edges)})
+			}
+			if got, want := g.MaxHop(), ref.maxHop(); got != want {
+				fail("MaxHop", got, want)
+			}
+			for id := event.ObjID(0); id <= objects; id++ {
+				n, ok := g.Node(id)
+				if rn, rok := ref.nodes[id]; ok != rok || (ok && n != *rn) {
+					fail(fmt.Sprintf("Node(%d)", id), n, rn)
+				}
+				if got, want := g.InEdges(id), ref.events(ref.byDst[id]); !reflect.DeepEqual(got, want) {
+					fail(fmt.Sprintf("InEdges(%d)", id), got, want)
+				}
+				if got, want := g.OutEdges(id), ref.events(ref.bySrc[id]); !reflect.DeepEqual(got, want) {
+					fail(fmt.Sprintf("OutEdges(%d)", id), got, want)
+				}
+			}
+			for id := event.EventID(0); id <= nextID; id++ {
+				if _, want := ref.edges[id]; g.HasEdge(id) != want {
+					fail(fmt.Sprintf("HasEdge(%d)", id), !want, want)
+				}
+			}
+			for _, n := range []int{0, 3, 100} {
+				if got, want := TopFanIn(g, n), ref.topFanIn(n); !reflect.DeepEqual(got, want) {
+					fail(fmt.Sprintf("TopFanIn(%d)", n), got, want)
+				}
+			}
+			var got, want bytes.Buffer
+			if err := WriteDOT(&got, g, resolve); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeDOT(&want, ref.sortedNodes(), ref.sortedEdges(), ref.start, resolve, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				fail("WriteDOT", got.String(), want.String())
+			}
+		}
+
+		check("New")
+		for step := 0; step < 400; step++ {
+			switch r := rng.Intn(100); {
+			case r < 70:
+				ev := event.Event{
+					ID: nextID, Time: int64(rng.Intn(2000)), Subject: obj(), Object: obj(),
+					Dir: event.Direction(rng.Intn(2)), Action: event.ActWrite, Amount: int64(rng.Intn(100)),
+				}
+				if rng.Intn(5) == 0 {
+					ev.ID = event.EventID(1 + rng.Intn(int(nextID))) // usually a duplicate
+				} else {
+					nextID++
+				}
+				if rng.Intn(8) == 0 {
+					ev.Object = ev.Subject // self-loop
+				}
+				forward, hopLimit := rng.Intn(2) == 0, rng.Intn(3)*2 // 0 (none), 2 or 4
+				op := fmt.Sprintf("Add(%+v, %v, %d)", ev, forward, hopLimit)
+				want, wantErr := ref.add(ev, forward, hopLimit)
+				var got Added
+				var err error
+				switch {
+				case hopLimit > 0:
+					got, err = g.Add(ev, forward, hopLimit)
+				case forward:
+					got.NewEdge, got.NewNode, err = g.AddForwardEdge(ev)
+					want = Added{NewEdge: want.NewEdge, NewNode: want.NewNode}
+				default:
+					got.NewEdge, got.NewNode, err = g.AddEdge(ev)
+					want = Added{NewEdge: want.NewEdge, NewNode: want.NewNode}
+				}
+				if got != want || (err != nil) != (wantErr != nil) {
+					t.Fatalf("seed %d: %s = %+v, %v; reference %+v, %v", seed, op, got, err, want, wantErr)
+				}
+				check(op)
+			case r < 85:
+				id, state := event.ObjID(rng.Intn(objects+1)), rng.Intn(4)-1
+				g.SetState(id, state)
+				if n, ok := ref.nodes[id]; ok {
+					n.State = state
+				}
+				check("SetState")
+			case r < 90:
+				g.ResetStates()
+				for _, n := range ref.nodes {
+					n.State = -1
+				}
+				check("ResetStates")
+			default:
+				keepSet := map[event.ObjID]bool{}
+				mode := rng.Intn(4) // 0: keep all, 1: keep only the start, else a random subset
+				for id := event.ObjID(0); id < objects; id++ {
+					keepSet[id] = mode == 0 || (mode > 1 && rng.Intn(4) > 0)
+				}
+				keep := func(id event.ObjID) bool { return keepSet[id] }
+				if got, want := g.Retain(keep), ref.retain(keep); got != want {
+					t.Fatalf("seed %d: Retain removed %d edges, reference %d", seed, got, want)
+				}
+				check(fmt.Sprintf("Retain(mode %d)", mode))
+			}
+		}
 	}
 }

@@ -74,9 +74,11 @@ type Degree struct {
 // explosion — the first candidates for exclusion heuristics.
 func TopFanIn(g *Graph, n int) []Degree {
 	g.mu.RLock()
-	out := make([]Degree, 0, len(g.byDst))
-	for id, edges := range g.byDst {
-		out = append(out, Degree{ID: id, In: len(edges)})
+	out := make([]Degree, 0, len(g.nodes))
+	for i := range g.nodes {
+		if rec := &g.nodes[i]; rec.adj[dirIn].n > 0 {
+			out = append(out, Degree{ID: rec.ID, In: int(rec.adj[dirIn].n)})
+		}
 	}
 	g.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {

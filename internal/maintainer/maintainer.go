@@ -60,31 +60,19 @@ func (m *Maintainer) FullState() int { return len(m.plan.Chain) }
 func (m *Maintainer) Seed(g *graph.Graph) {
 	g.SetState(g.Start().Dst(), 0)
 	// The alert edge itself may already satisfy the first chain pattern
-	// (its source is the first explored node).
-	if _, err := m.OnEdge(g, g.Start()); err != nil {
-		// Seed propagation failures only suppress prioritization; the
-		// graph stays correct. Matching errors resurface on Recalculate.
-		return
-	}
+	// (its source is the first explored node). Seed propagation failures
+	// only suppress prioritization; the graph stays correct. Matching errors
+	// resurface on Recalculate.
+	_ = m.OnEdge(g, g.Start())
 }
 
 // OnEdge propagates state across a newly added edge e: if the known node
 // holds state s and the newly discovered node matches chain pattern s, the
 // new node is promoted to state s+1, cascading through already-known edges.
-// It returns the discovered node's state after propagation (-1 if none).
-func (m *Maintainer) OnEdge(g *graph.Graph, e event.Event) (int, error) {
-	if err := m.propagate(g, e); err != nil {
-		return -1, err
+func (m *Maintainer) OnEdge(g *graph.Graph, e event.Event) error {
+	if len(m.plan.Chain) == 0 {
+		return nil // no pattern to advance: the graph is not even read
 	}
-	_, succID := m.currSucc(e)
-	n, ok := g.Node(succID)
-	if !ok {
-		return -1, nil
-	}
-	return n.State, nil
-}
-
-func (m *Maintainer) propagate(g *graph.Graph, e event.Event) error {
 	currID, succID := m.currSucc(e)
 	curr, ok := g.Node(currID)
 	if !ok || curr.State < 0 || curr.State >= len(m.plan.Chain) {
@@ -105,7 +93,7 @@ func (m *Maintainer) propagate(g *graph.Graph, e event.Event) error {
 	// Cascade: the promoted node's already-discovered neighbours may now
 	// match the next pattern.
 	for _, next := range m.explorationEdges(g, succID) {
-		if err := m.propagate(g, next); err != nil {
+		if err := m.OnEdge(g, next); err != nil {
 			return err
 		}
 	}
@@ -127,7 +115,7 @@ func (m *Maintainer) Recalculate(g *graph.Graph) error {
 		for _, e := range m.explorationEdges(g, curr) {
 			_, succID := m.currSucc(e)
 			before, _ := g.Node(succID)
-			if err := m.propagate(g, e); err != nil {
+			if err := m.OnEdge(g, e); err != nil {
 				return err
 			}
 			after, _ := g.Node(succID)

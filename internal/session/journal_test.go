@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aptrace/internal/core"
-	"aptrace/internal/graph"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 	"aptrace/internal/workload"
@@ -25,19 +24,13 @@ func TestJournalRecordsInvestigation(t *testing.T) {
 	j := NewJournal(&buf)
 
 	var s *Session
-	gate := make(chan struct{}, 1)
-	s = New(ds.Store, core.Options{OnUpdate: func(graph.Update) {
-		select {
-		case gate <- struct{}{}:
-			s.Pause()
-		default:
-		}
-	}})
+	onUpdate, paused := pauseAtFirstUpdate(&s)
+	s = New(ds.Store, core.Options{OnUpdate: onUpdate})
 	s.SetJournal(j)
 	if err := s.Start(atk.Scripts[0], &alert); err != nil {
 		t.Fatal(err)
 	}
-	<-gate
+	<-paused
 	if action, err := s.UpdateScript(atk.Scripts[1]); err != nil || action != refiner.Resume {
 		t.Fatalf("update: %v %v", action, err)
 	}

@@ -313,7 +313,15 @@ func (s *Session) UpdateScript(scriptSrc string) (refiner.ResumeAction, error) {
 		s.restart = plan
 		s.x.Stop() // run loop picks up the restart
 	default:
-		if err := s.x.UpdatePlan(plan, action); err != nil {
+		// UpdatePlan waits for the run loop to park, and the loop cannot
+		// park while one of its OnUpdate callbacks (record, or the analyst's
+		// own calling back into the session) is blocked on s.mu: wait
+		// unlocked.
+		x := s.x
+		s.mu.Unlock()
+		err := x.UpdatePlan(plan, action)
+		s.mu.Lock()
+		if err != nil {
 			return 0, err
 		}
 		s.plan = plan

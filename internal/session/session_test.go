@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +15,20 @@ import (
 	"aptrace/internal/simclock"
 	"aptrace/internal/workload"
 )
+
+// pauseAtFirstUpdate returns an OnUpdate callback that requests a pause of
+// *s at the first update only — a later call would pause the run again after
+// the test resumed it — and a channel closed once that pause is requested.
+func pauseAtFirstUpdate(s **Session) (func(graph.Update), <-chan struct{}) {
+	var once sync.Once
+	paused := make(chan struct{})
+	return func(graph.Update) {
+		once.Do(func() {
+			(*s).Pause()
+			close(paused)
+		})
+	}, paused
+}
 
 func dataset(t testing.TB) *workload.Dataset {
 	t.Helper()
@@ -131,18 +146,12 @@ func TestUpdateScriptRepropagate(t *testing.T) {
 	atk := ds.Attacks[0]
 	alert, _ := ds.Store.EventByID(atk.AlertID)
 	var s *Session
-	gate := make(chan struct{}, 1)
-	s = New(ds.Store, core.Options{OnUpdate: func(graph.Update) {
-		select {
-		case gate <- struct{}{}:
-			s.Pause()
-		default:
-		}
-	}})
+	onUpdate, paused := pauseAtFirstUpdate(&s)
+	s = New(ds.Store, core.Options{OnUpdate: onUpdate})
 	if err := s.Start(atk.Scripts[0], &alert); err != nil {
 		t.Fatal(err)
 	}
-	<-gate
+	<-paused
 	// Add an intermediate point: same start, so Repropagate.
 	mid := strings.Replace(atk.Scripts[0], "] -> *", `] -> proc j[exename = "java.exe"] -> *`, 1)
 	action, err := s.UpdateScript(mid)
@@ -163,18 +172,12 @@ func TestUpdateScriptRestart(t *testing.T) {
 	a1, a2 := ds.Attacks[0], ds.Attacks[2] // phishing -> shellshock
 	alert, _ := ds.Store.EventByID(a1.AlertID)
 	var s *Session
-	gate := make(chan struct{}, 1)
-	s = New(ds.Store, core.Options{OnUpdate: func(graph.Update) {
-		select {
-		case gate <- struct{}{}:
-			s.Pause()
-		default:
-		}
-	}})
+	onUpdate, paused := pauseAtFirstUpdate(&s)
+	s = New(ds.Store, core.Options{OnUpdate: onUpdate})
 	if err := s.Start(a1.Scripts[0], &alert); err != nil {
 		t.Fatal(err)
 	}
-	<-gate
+	<-paused
 	action, err := s.UpdateScript(a2.Scripts[0])
 	if err != nil {
 		t.Fatal(err)
