@@ -113,6 +113,15 @@ func main() {
 		opsRules = flag.String("ops-rules", "", "watchdog SLO rules, e.g. \"quota_429_rate>0.5,detect_stall>30s\" (empty = defaults, \"off\" disables)")
 		watchdog = flag.Duration("watchdog", 5*time.Second, "self-watchdog evaluation interval (0 disables)")
 	)
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
+		flag.PrintDefaults()
+		fmt.Fprintf(out, "\nAn SSE subscriber may trail its session's newest update by %d frames (it is a\n"+
+			"cursor into the session's history and costs no memory); one further behind skips\n"+
+			"forward and the skipped frames count as dropped for it (GET /ops, the done frame).\n",
+			serve.DefaultSubscriberBuffer)
+	}
 	flag.Parse()
 
 	reg := aptrace.NewTelemetry()

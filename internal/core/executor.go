@@ -170,6 +170,11 @@ type Executor struct {
 	tl         *timeline.Recorder
 	runSpan    *telemetry.Span // open from Prepare to the end of the run
 	lastUpdate time.Time       // timestamp of the latest distinct update
+
+	// The run loop's stamp of the analysis clock (see at). Run goroutine
+	// only: records made on other goroutines read the clock themselves.
+	now   time.Time
+	stale bool // a call that can move analysis time returned since now was read
 }
 
 // execMetrics holds the executor's pre-resolved instruments; all nil (and
@@ -264,6 +269,23 @@ func goid() int64 {
 		id = id*10 + int64(c-'0')
 	}
 	return id
+}
+
+// at is the run loop's reading of the analysis clock. Every record a run
+// emits (explain, timeline, spans, Update.At) is timed with it, and it
+// re-reads the clock only after a call that can move analysis time: under
+// the cost model those are the charging calls — the window query, the where
+// filter, the maintainer's chain matchers — plus the caller's OnUpdate hook
+// and the pause park, each of which marks the stamp stale. So a stamp always
+// equals what the clock would say, and a window's worth of records costs a
+// couple of clock reads instead of one each. Emission sites call it behind
+// their recorder's nil check, so a run nobody records reads the clock for
+// Update.At alone.
+func (x *Executor) at() time.Time {
+	if x.stale {
+		x.now, x.stale = x.clk.Now(), false
+	}
+	return x.now
 }
 
 // Graph returns the dependency graph built so far (nil before Run).
@@ -413,6 +435,7 @@ func (x *Executor) Prepare(alert event.Event) error {
 	x.covered = make(map[event.ObjID]int64)
 	x.dropped = make(map[event.ObjID]bool)
 	x.started = x.clk.Now()
+	x.now, x.stale = x.started, false
 	x.pq = windowHeap{fifo: x.opts.FIFOQueue, forward: x.fwd}
 	x.mu.Unlock()
 
@@ -422,16 +445,16 @@ func (x *Executor) Prepare(alert event.Event) error {
 	if x.tracer != nil {
 		x.runSpan = x.tracer.StartAt(telemetry.SpanRun, nil, x.started)
 		x.runSpan.SetLane(x.tl.LaneID())
-		x.runSpan.SetDetail(fmt.Sprintf("event=%d", alert.ID))
+		x.runSpan.SetDetailf("event=%d", int64(alert.ID))
 	}
 	x.tl.RunStart(x.started, alert.ID)
 
 	// The alert edge seeds the graph before exploration starts: record the
 	// hop-0 object and the second endpoint so every graph node — including
 	// the two the analyst named — has an inclusion record.
-	x.rec.RunStart(alert, alert.Dst(), x.from, x.to)
+	x.rec.RunStart(x.started, alert, alert.Dst(), x.from, x.to)
 	if x.rec != nil && alert.Src() != alert.Dst() {
-		x.rec.EdgeAdded(alert.ID, alert.Src(), alert.Dst(), 1, x.from, x.to, 0)
+		x.rec.EdgeAdded(x.started, alert.ID, alert.Src(), alert.Dst(), 1, x.from, x.to, 0)
 	}
 
 	// Line 1 of Algorithm 1: seed the queue with the alert's windows.
@@ -481,8 +504,11 @@ loop:
 		}
 		budget := x.budget
 		x.mu.Unlock()
+		// A park lets time pass, and a plan swapped in meanwhile may have
+		// charged a recalculation.
+		x.stale = true
 
-		if budget > 0 && x.clk.Now().Sub(x.started) >= budget {
+		if budget > 0 && x.at().Sub(x.started) >= budget {
 			reason = TimeBudgetExceeded
 			break loop
 		}
@@ -507,7 +533,7 @@ loop:
 			if !ok {
 				break
 			}
-			x.rec.WindowAbandoned(w.Obj, w.Begin, w.Finish, reason.String())
+			x.rec.WindowAbandoned(endAt, w.Obj, w.Begin, w.Finish, reason.String())
 			x.tl.Abandoned(endAt, w.Obj, w.Begin, w.Finish, reason.String())
 		}
 	}
@@ -617,15 +643,19 @@ func (x *Executor) schedule(ws []ExecWindow, obj event.ObjID, boost int) {
 		// identical range a second time.
 		n, err := x.count(w.Obj, w.Begin, w.Finish)
 		if err == nil && n == 0 {
-			x.rec.WindowEmpty(w.Obj, w.Begin, w.Finish)
+			if x.rec != nil {
+				x.rec.WindowEmpty(x.at(), w.Obj, w.Begin, w.Finish)
+			}
 			continue
 		}
 		w.Card = n
 		w.State = state
 		w.Boost = boost
-		x.rec.WindowEnqueued(w.Obj, w.Begin, w.Finish, w.Card, w.State, w.Boost)
+		if x.rec != nil {
+			x.rec.WindowEnqueued(x.at(), w.Obj, w.Begin, w.Finish, w.Card, w.State, w.Boost)
+		}
 		if x.tl != nil {
-			x.tl.Enqueued(x.clk.Now(), w.Obj, w.Begin, w.Finish, w.Card)
+			x.tl.Enqueued(x.at(), w.Obj, w.Begin, w.Finish, w.Card)
 		}
 		x.pq.push(*w)
 	}
@@ -681,13 +711,13 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		if n > x.opts.MaxWindowRows {
 			var sp *telemetry.Span
 			if x.tracer != nil {
-				sp = x.tracer.StartAt(telemetry.SpanWindowResplit, x.runSpan, x.clk.Now())
+				sp = x.tracer.StartAt(telemetry.SpanWindowResplit, x.runSpan, x.at())
 				sp.SetLane(x.tl.LaneID())
-				sp.SetDetail(fmt.Sprintf("obj=%d rows=%d span=%ds", w.Obj, n, w.Finish-w.Begin))
+				sp.SetDetailf("obj=%d rows=%d span=%ds", int64(w.Obj), int64(n), w.Finish-w.Begin)
 				sp.AddArg("card", int64(n))
 			}
 			if x.tl != nil {
-				x.tl.Resplit(x.clk.Now(), w.Obj, w.Begin, w.Finish, n)
+				x.tl.Resplit(x.at(), w.Obj, w.Begin, w.Finish, n)
 			}
 			mid := w.Begin + (w.Finish-w.Begin)/2
 			far, near := *w, *w
@@ -706,25 +736,31 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 				return err
 			}
 			near.Card, far.Card = nc, n-nc
-			x.rec.WindowResplit(w.Obj, w.Begin, w.Finish, n)
+			if x.rec != nil {
+				x.rec.WindowResplit(x.at(), w.Obj, w.Begin, w.Finish, n)
+			}
 			if near.Card > 0 {
-				x.rec.WindowEnqueued(near.Obj, near.Begin, near.Finish, near.Card, near.State, near.Boost)
+				if x.rec != nil {
+					x.rec.WindowEnqueued(x.at(), near.Obj, near.Begin, near.Finish, near.Card, near.State, near.Boost)
+				}
 				if x.tl != nil {
-					x.tl.Enqueued(x.clk.Now(), near.Obj, near.Begin, near.Finish, near.Card)
+					x.tl.Enqueued(x.at(), near.Obj, near.Begin, near.Finish, near.Card)
 				}
 				x.pq.push(near)
 			}
 			if far.Card > 0 {
-				x.rec.WindowEnqueued(far.Obj, far.Begin, far.Finish, far.Card, far.State, far.Boost)
+				if x.rec != nil {
+					x.rec.WindowEnqueued(x.at(), far.Obj, far.Begin, far.Finish, far.Card, far.State, far.Boost)
+				}
 				if x.tl != nil {
-					x.tl.Enqueued(x.clk.Now(), far.Obj, far.Begin, far.Finish, far.Card)
+					x.tl.Enqueued(x.at(), far.Obj, far.Begin, far.Finish, far.Card)
 				}
 				x.pq.push(far)
 			}
 			x.tel.resplits.Inc()
 			x.tel.queueDepth.Set(int64(x.pq.Len()))
 			if sp != nil {
-				sp.EndAt(x.clk.Now())
+				sp.EndAt(x.at())
 			}
 			return nil
 		}
@@ -734,12 +770,12 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 	var qsp *telemetry.Span
 	var qstart time.Time
 	if x.tracer != nil || x.tl != nil {
-		qstart = x.clk.Now()
+		qstart = x.at()
 	}
 	if x.tracer != nil {
 		qsp = x.tracer.StartAt(telemetry.SpanWindowQuery, x.runSpan, qstart)
 		qsp.SetLane(x.tl.LaneID())
-		qsp.SetDetail(fmt.Sprintf("obj=%d [%d,%d)", w.Obj, w.Begin, w.Finish))
+		qsp.SetDetailf("obj=%d [%d,%d)", int64(w.Obj), w.Begin, w.Finish)
 	}
 	// The window query appends into a buffer reused across every window of
 	// the run, as enqueue generates into winBuf and the queue and the graph
@@ -747,8 +783,9 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 	// grows (experiments.TestExecutorRunAllocations holds a whole run to a
 	// few hundred allocations).
 	depsBuf, err := x.query(x.depsBuf[:0], w.Obj, w.Begin, w.Finish)
+	x.stale = true
 	if x.tracer != nil || x.tl != nil {
-		qend := x.clk.Now()
+		qend := x.at()
 		if qsp != nil {
 			// The charged cost as span args: retrieved rows plus the
 			// enqueue-time posting estimate the scheduler priced it at.
@@ -763,7 +800,9 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 	}
 	x.depsBuf = depsBuf
 	deps := depsBuf
-	x.rec.WindowQueried(w.Obj, w.Begin, w.Finish, len(deps))
+	if x.rec != nil {
+		x.rec.WindowQueried(x.at(), w.Obj, w.Begin, w.Finish, len(deps))
+	}
 	hopLimit := x.plan.HopBudget
 	for _, dep := range deps {
 		src := dep.Src()
@@ -772,11 +811,15 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			src, known = known, src // src is the newly discovered side
 		}
 		if dep.ID == w.E.ID || x.g.HasEdge(dep.ID) {
-			x.rec.EdgeDedup(dep.ID, src)
+			if x.rec != nil {
+				x.rec.EdgeDedup(x.at(), dep.ID, src)
+			}
 			continue
 		}
 		if x.dropped[src] {
-			x.rec.EdgeDropped(dep.ID, src, known)
+			if x.rec != nil {
+				x.rec.EdgeDropped(x.at(), dep.ID, src, known)
+			}
 			continue
 		}
 		// General host constraint.
@@ -787,7 +830,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 				if x.plan.HostAllowed(host) {
 					host = x.st.Object(dep.Object).Host
 				}
-				x.rec.EdgeHostFiltered(dep.ID, src, known, host)
+				x.rec.EdgeHostFiltered(x.at(), dep.ID, src, known, host)
 			}
 			continue
 		}
@@ -795,6 +838,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		// analysis without further exploration.
 		if x.plan.Where != nil {
 			keep, err := x.plan.Where.Keep(dep, src, x.env, x.from, x.to)
+			x.stale = true // stays set across FailingClause, which charges too
 			if err != nil {
 				return err
 			}
@@ -802,7 +846,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 				x.dropped[src] = true
 				if x.rec != nil {
 					clause, pos := x.plan.Where.FailingClause(dep, src, x.env, x.from, x.to)
-					x.rec.EdgeWhereRejected(dep.ID, src, known, clause, pos)
+					x.rec.EdgeWhereRejected(x.at(), dep.ID, src, known, clause, pos)
 				}
 				continue
 			}
@@ -814,7 +858,9 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			return err
 		}
 		if added.OverBudget {
-			x.rec.EdgeHopBudget(dep.ID, src, known, added.Hop, hopLimit)
+			if x.rec != nil {
+				x.rec.EdgeHopBudget(x.at(), dep.ID, src, known, added.Hop, hopLimit)
+			}
 			continue
 		}
 		if !added.NewEdge {
@@ -824,10 +870,17 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			return err
 		}
 		boost := x.boostFor(dep, w)
-		x.rec.EdgeAdded(dep.ID, src, known, added.Hop, w.Begin, w.Finish, boost)
+		if len(x.plan.Chain) > 0 {
+			// OnEdge evaluates (and may charge) only a tracking chain's
+			// matchers; boostFor's patterns read the object table alone.
+			x.stale = true
+		}
+		if x.rec != nil {
+			x.rec.EdgeAdded(x.at(), dep.ID, src, known, added.Hop, w.Begin, w.Finish, boost)
+		}
 		x.updates++
 		if x.opts.OnUpdate != nil || x.tel.updateGap != nil || x.tl != nil {
-			now := x.clk.Now()
+			now := x.at()
 			// The lane's watchdog measures between distinct instants; the
 			// recorder itself collapses same-instant edges into one update.
 			x.tl.Update(now)
@@ -843,6 +896,9 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			}
 			if x.opts.OnUpdate != nil {
 				x.opts.OnUpdate(Update{Event: dep, NewNode: added.NewNode, At: now, Edges: added.Edges})
+				// The hook takes real time, and may swap in a plan whose
+				// recalculation charges.
+				x.stale = true
 			}
 		}
 		x.enqueue(dep, boost)

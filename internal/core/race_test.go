@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
+	"aptrace/internal/timeline"
 )
 
 // TestPauseBlocksForUpdatePlan is the regression test for the documented
@@ -127,9 +129,22 @@ func TestGraphConcurrentWithPrepare(t *testing.T) {
 // sorted copies, point lookups, the size, the DOT rendering — while the run
 // loop extends the graph. Under -race any unsynchronized access to the node
 // and edge slices or their index maps fails here.
+//
+// The run is a stamped one — explain recorder and timeline lane attached, so
+// the loop times its records with its cached clock reading — and a second
+// goroutine plays the session: it pauses the run, records the pause itself
+// (those records read the clock on their own goroutine), swaps in a plan with
+// a re-propagation, reads the graph and the records back, and resumes. The
+// stamp is run-goroutine state; any leak of it across goroutines fails here.
 func TestGraphReadersDuringRun(t *testing.T) {
 	s, alert := fixture(t, simclock.NewSimulated(time.Time{}), 5000)
-	x, err := New(s, wildcardPlan(t, ""), Options{})
+	rec := explain.New(0, nil)
+	lane := timeline.New(timeline.Options{}).Lane("run")
+	started := make(chan struct{})
+	var once sync.Once
+	x, err := New(s, wildcardPlan(t, ""), Options{Explain: rec, Timeline: lane, OnUpdate: func(Update) {
+		once.Do(func() { close(started) })
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +185,31 @@ func TestGraphReadersDuringRun(t *testing.T) {
 			}
 		}
 	}()
+	sessionDone := make(chan struct{})
+	go func() {
+		defer close(sessionDone)
+		<-started
+		for i := 0; i < 20; i++ {
+			x.Pause()
+			rec.Pause()
+			lane.Pause(s.Clock().Now())
+			if err := x.UpdatePlan(wildcardPlan(t, ""), refiner.Repropagate); err != nil {
+				t.Error(err)
+				return
+			}
+			if x.Graph() != g || len(rec.Records()) == 0 {
+				t.Error("graph or records unreadable while paused")
+				return
+			}
+			rec.Resume()
+			lane.Resume(s.Clock().Now())
+			x.Resume()
+		}
+	}()
 	res, err := x.RunUnchecked(alert)
 	close(stop)
 	<-readerDone
+	<-sessionDone
 	if err != nil {
 		t.Fatal(err)
 	}

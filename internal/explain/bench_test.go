@@ -2,6 +2,7 @@ package explain
 
 import (
 	"testing"
+	"time"
 
 	"aptrace/internal/event"
 )
@@ -14,7 +15,7 @@ func BenchmarkDisabledEmission(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.EdgeAdded(event.EventID(i), 1, 2, 3, 0, 10, 0)
+		r.EdgeAdded(time.Time{}, event.EventID(i), 1, 2, 3, 0, 10, 0)
 	}
 }
 
@@ -24,7 +25,7 @@ func BenchmarkEnabledEmission(b *testing.B) {
 	r := New(1<<12, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.EdgeAdded(event.EventID(i), 1, 2, 3, 0, 10, 0)
+		r.EdgeAdded(time.Time{}, event.EventID(i), 1, 2, 3, 0, 10, 0)
 	}
 }
 
@@ -33,7 +34,7 @@ func BenchmarkEnabledEmission(b *testing.B) {
 func BenchmarkExplain(b *testing.B) {
 	r := New(1<<12, nil)
 	for i := 0; i < 1<<12; i++ {
-		r.EdgeAdded(event.EventID(i), event.ObjID(i%64), 2, 3, 0, 10, 0)
+		r.EdgeAdded(time.Time{}, event.EventID(i), event.ObjID(i%64), 2, 3, 0, 10, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

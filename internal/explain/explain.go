@@ -185,10 +185,12 @@ func New(capacity int, reg *telemetry.Registry) *Recorder {
 	}
 }
 
-// SetClock binds the analysis clock records are stamped with. The executor
-// calls this when the recorder is attached, so records carry simulated time
-// under the cost model. Nil-safe; a recorder without a clock stamps zero
-// times.
+// SetClock binds the analysis clock that records emitted outside the run
+// loop (pause, resume, plan update, finalize, memo verdicts) are stamped
+// with; the run loop's own records carry the executor's stamp of the same
+// clock. The executor calls this when the recorder is attached, so every
+// record carries simulated time under the cost model. Nil-safe; without a
+// clock those records are stamped zero.
 func (r *Recorder) SetClock(clk simclock.Clock) {
 	if r == nil {
 		return
@@ -198,13 +200,34 @@ func (r *Recorder) SetClock(clk simclock.Clock) {
 	r.mu.Unlock()
 }
 
-// add appends one record under the lock, stamping sequence and time.
-func (r *Recorder) add(rec Record) {
+// add appends one record from the run loop. The executor stamps it: at is
+// its cached reading of the analysis clock, taken at the last point where
+// that clock could have moved, so the records of one window share one read.
+func (r *Recorder) add(at time.Time, rec Record) {
+	rec.At = at
 	r.mu.Lock()
-	rec.Seq = r.seq
+	seq := r.appendLocked(rec)
+	r.mu.Unlock()
+	r.count(seq)
+}
+
+// addNow appends one record from outside the run loop — the session's
+// goroutines, and memo lookups that sit inside a charging call — stamped
+// with the bound clock's own reading, so no stamp crosses goroutines.
+func (r *Recorder) addNow(rec Record) {
+	r.mu.Lock()
 	if r.clk != nil {
 		rec.At = r.clk.Now()
 	}
+	seq := r.appendLocked(rec)
+	r.mu.Unlock()
+	r.count(seq)
+}
+
+// appendLocked stores the record under the next sequence number, which it
+// returns.
+func (r *Recorder) appendLocked(rec Record) uint64 {
+	rec.Seq = r.seq
 	r.seq++
 	if len(r.ring) < r.capacity {
 		if len(r.ring) == cap(r.ring) && len(r.ring) >= r.capacity/16 {
@@ -218,9 +241,14 @@ func (r *Recorder) add(rec Record) {
 		r.ring[int(rec.Seq)%r.capacity] = rec
 		r.dropped++
 	}
-	r.mu.Unlock()
+	return rec.Seq
+}
+
+// count publishes one emission (and, past the ring's capacity, one
+// overwrite) to telemetry.
+func (r *Recorder) count(seq uint64) {
 	r.telRecords.Inc()
-	if rec.Seq >= uint64(r.capacity) {
+	if seq >= uint64(r.capacity) {
 		r.telDropped.Inc()
 	}
 }
@@ -228,102 +256,104 @@ func (r *Recorder) add(rec Record) {
 // The emission methods below are split into an inlinable nil check and an
 // unexported slow path, so a disabled recorder costs one pointer test at
 // every call site (the ≤2 ns/op contract asserted by BenchmarkDisabledEmission).
+// Methods the run loop calls take the record's time, at, from the caller;
+// the others read the bound clock.
 
 // RunStart records the start of an analysis from alert.
-func (r *Recorder) RunStart(alert event.Event, node event.ObjID, from, to int64) {
+func (r *Recorder) RunStart(at time.Time, alert event.Event, node event.ObjID, from, to int64) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindRunStart, Event: alert.ID, Node: node, Begin: from, Finish: to})
+	r.add(at, Record{Kind: KindRunStart, Event: alert.ID, Node: node, Begin: from, Finish: to})
 }
 
 // EdgeAdded records an edge landing in the graph: node is the newly reached
 // object, peer the known endpoint, [wb,wf) the discovering window.
-func (r *Recorder) EdgeAdded(ev event.EventID, node, peer event.ObjID, hop int, wb, wf int64, boost int) {
+func (r *Recorder) EdgeAdded(at time.Time, ev event.EventID, node, peer event.ObjID, hop int, wb, wf int64, boost int) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindEdgeAdded, Event: ev, Node: node, Peer: peer, Hop: hop, Begin: wb, Finish: wf, Boost: boost})
+	r.add(at, Record{Kind: KindEdgeAdded, Event: ev, Node: node, Peer: peer, Hop: hop, Begin: wb, Finish: wf, Boost: boost})
 }
 
 // EdgeDedup records a candidate already present as a graph edge.
-func (r *Recorder) EdgeDedup(ev event.EventID, node event.ObjID) {
+func (r *Recorder) EdgeDedup(at time.Time, ev event.EventID, node event.ObjID) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindEdgeDedup, Event: ev, Node: node})
+	r.add(at, Record{Kind: KindEdgeDedup, Event: ev, Node: node})
 }
 
 // EdgeDropped records a candidate skipped because its object was already
 // deleted by the where statement; peer is the graph-side endpoint the edge
 // would have attached to.
-func (r *Recorder) EdgeDropped(ev event.EventID, node, peer event.ObjID) {
+func (r *Recorder) EdgeDropped(at time.Time, ev event.EventID, node, peer event.ObjID) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindEdgeDropped, Event: ev, Node: node, Peer: peer})
+	r.add(at, Record{Kind: KindEdgeDropped, Event: ev, Node: node, Peer: peer})
 }
 
 // EdgeHostFiltered records a candidate rejected by the general "in" host
 // constraint.
-func (r *Recorder) EdgeHostFiltered(ev event.EventID, node, peer event.ObjID, host string) {
+func (r *Recorder) EdgeHostFiltered(at time.Time, ev event.EventID, node, peer event.ObjID, host string) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindEdgeHostFiltered, Event: ev, Node: node, Peer: peer, Detail: host})
+	r.add(at, Record{Kind: KindEdgeHostFiltered, Event: ev, Node: node, Peer: peer, Detail: host})
 }
 
 // EdgeWhereRejected records the where statement deleting a candidate object;
 // clause/pos identify the deciding BDL clause.
-func (r *Recorder) EdgeWhereRejected(ev event.EventID, node, peer event.ObjID, clause string, pos bdl.Pos) {
+func (r *Recorder) EdgeWhereRejected(at time.Time, ev event.EventID, node, peer event.ObjID, clause string, pos bdl.Pos) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindEdgeWhereRejected, Event: ev, Node: node, Peer: peer, Clause: clause, Pos: pos.String()})
+	r.add(at, Record{Kind: KindEdgeWhereRejected, Event: ev, Node: node, Peer: peer, Clause: clause, Pos: pos.String()})
 }
 
 // EdgeHopBudget records a candidate rejected by the hop budget; hop is the
 // path length the edge would have reached, limit the budget.
-func (r *Recorder) EdgeHopBudget(ev event.EventID, node, peer event.ObjID, hop, limit int) {
+func (r *Recorder) EdgeHopBudget(at time.Time, ev event.EventID, node, peer event.ObjID, hop, limit int) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindEdgeHopBudget, Event: ev, Node: node, Peer: peer, Hop: hop, Card: limit})
+	r.add(at, Record{Kind: KindEdgeHopBudget, Event: ev, Node: node, Peer: peer, Hop: hop, Card: limit})
 }
 
 // WindowEnqueued records an execution window entering the priority queue.
-func (r *Recorder) WindowEnqueued(node event.ObjID, wb, wf int64, card, state, boost int) {
+func (r *Recorder) WindowEnqueued(at time.Time, node event.ObjID, wb, wf int64, card, state, boost int) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindWindowEnqueued, Node: node, Begin: wb, Finish: wf, Card: card, State: state, Boost: boost})
+	r.add(at, Record{Kind: KindWindowEnqueued, Node: node, Begin: wb, Finish: wf, Card: card, State: state, Boost: boost})
 }
 
 // WindowEmpty records a window pruned at enqueue time by the index-only
 // cardinality estimate.
-func (r *Recorder) WindowEmpty(node event.ObjID, wb, wf int64) {
+func (r *Recorder) WindowEmpty(at time.Time, node event.ObjID, wb, wf int64) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindWindowEmpty, Node: node, Begin: wb, Finish: wf})
+	r.add(at, Record{Kind: KindWindowEmpty, Node: node, Begin: wb, Finish: wf})
 }
 
 // WindowResplit records a window split instead of queried; card is the row
 // estimate that exceeded the cap.
-func (r *Recorder) WindowResplit(node event.ObjID, wb, wf int64, card int) {
+func (r *Recorder) WindowResplit(at time.Time, node event.ObjID, wb, wf int64, card int) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindWindowResplit, Node: node, Begin: wb, Finish: wf, Card: card})
+	r.add(at, Record{Kind: KindWindowResplit, Node: node, Begin: wb, Finish: wf, Card: card})
 }
 
 // WindowQueried records a window executing as one bounded query retrieving
 // rows rows.
-func (r *Recorder) WindowQueried(node event.ObjID, wb, wf int64, rows int) {
+func (r *Recorder) WindowQueried(at time.Time, node event.ObjID, wb, wf int64, rows int) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindWindowQueried, Node: node, Begin: wb, Finish: wf, Card: rows})
+	r.add(at, Record{Kind: KindWindowQueried, Node: node, Begin: wb, Finish: wf, Card: rows})
 }
 
 // MemoVerdict records a memo-cache lookup: hit says whether the cached
@@ -338,16 +368,16 @@ func (r *Recorder) MemoVerdict(hit bool, what string, node event.ObjID, wb, wf i
 	if hit {
 		k = KindMemoHit
 	}
-	r.add(Record{Kind: k, Node: node, Begin: wb, Finish: wf, Card: rows, Detail: what})
+	r.addNow(Record{Kind: k, Node: node, Begin: wb, Finish: wf, Card: rows, Detail: what})
 }
 
 // WindowAbandoned records a window still queued when the run ended; reason
 // is the stop reason.
-func (r *Recorder) WindowAbandoned(node event.ObjID, wb, wf int64, reason string) {
+func (r *Recorder) WindowAbandoned(at time.Time, node event.ObjID, wb, wf int64, reason string) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindWindowAbandoned, Node: node, Begin: wb, Finish: wf, Detail: reason})
+	r.add(at, Record{Kind: KindWindowAbandoned, Node: node, Begin: wb, Finish: wf, Detail: reason})
 }
 
 // PlanUpdate records a script change: decision is the refiner's resume
@@ -356,7 +386,7 @@ func (r *Recorder) PlanUpdate(decision, delta string) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindPlanUpdate, Clause: decision, Detail: delta})
+	r.addNow(Record{Kind: KindPlanUpdate, Clause: decision, Detail: delta})
 }
 
 // Pause records the analyst pausing the run.
@@ -364,7 +394,7 @@ func (r *Recorder) Pause() {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindPause})
+	r.addNow(Record{Kind: KindPause})
 }
 
 // Resume records the analyst resuming the run.
@@ -372,7 +402,7 @@ func (r *Recorder) Resume() {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindResume})
+	r.addNow(Record{Kind: KindResume})
 }
 
 // Finalize records tracking-statement path pruning removing removed edges.
@@ -380,7 +410,7 @@ func (r *Recorder) Finalize(removed int) {
 	if r == nil {
 		return
 	}
-	r.add(Record{Kind: KindFinalize, Card: removed})
+	r.addNow(Record{Kind: KindFinalize, Card: removed})
 }
 
 // Records returns the retained records in emission order (oldest first).

@@ -17,18 +17,18 @@ import (
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	// Every emission method must be callable on a nil receiver.
-	r.RunStart(event.Event{ID: 1}, 2, 0, 10)
-	r.EdgeAdded(1, 2, 3, 1, 0, 10, 0)
-	r.EdgeDedup(1, 2)
-	r.EdgeDropped(1, 2, 3)
-	r.EdgeHostFiltered(1, 2, 3, "ws9")
-	r.EdgeWhereRejected(1, 2, 3, "clause", bdl.Pos{})
-	r.EdgeHopBudget(1, 2, 3, 5, 4)
-	r.WindowEnqueued(2, 0, 10, 1, -1, 0)
-	r.WindowEmpty(2, 0, 10)
-	r.WindowResplit(2, 0, 10, 99)
-	r.WindowQueried(2, 0, 10, 3)
-	r.WindowAbandoned(2, 0, 10, "stopped")
+	r.RunStart(time.Time{}, event.Event{ID: 1}, 2, 0, 10)
+	r.EdgeAdded(time.Time{}, 1, 2, 3, 1, 0, 10, 0)
+	r.EdgeDedup(time.Time{}, 1, 2)
+	r.EdgeDropped(time.Time{}, 1, 2, 3)
+	r.EdgeHostFiltered(time.Time{}, 1, 2, 3, "ws9")
+	r.EdgeWhereRejected(time.Time{}, 1, 2, 3, "clause", bdl.Pos{})
+	r.EdgeHopBudget(time.Time{}, 1, 2, 3, 5, 4)
+	r.WindowEnqueued(time.Time{}, 2, 0, 10, 1, -1, 0)
+	r.WindowEmpty(time.Time{}, 2, 0, 10)
+	r.WindowResplit(time.Time{}, 2, 0, 10, 99)
+	r.WindowQueried(time.Time{}, 2, 0, 10, 3)
+	r.WindowAbandoned(time.Time{}, 2, 0, 10, "stopped")
 	r.PlanUpdate("resume", "where changed")
 	r.Pause()
 	r.Resume()
@@ -52,7 +52,7 @@ func TestRingOverwriteAndStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	r := New(4, reg)
 	for i := 0; i < 10; i++ {
-		r.EdgeDedup(event.EventID(i), event.ObjID(i))
+		r.EdgeDedup(time.Time{}, event.EventID(i), event.ObjID(i))
 	}
 	emitted, dropped := r.Stats()
 	if emitted != 10 || dropped != 6 {
@@ -80,12 +80,18 @@ func TestClockStamping(t *testing.T) {
 	clk := simclock.NewSimulated(time.Time{})
 	r := New(0, nil)
 	r.SetClock(clk)
-	r.EdgeDedup(1, 1)
+	// A run-loop record carries the caller's stamp, whatever the clock says;
+	// a record from outside the loop reads the bound clock.
+	stamp := clk.Now()
 	clk.Advance(5 * time.Second)
-	r.EdgeDedup(2, 1)
+	r.EdgeDedup(stamp, 1, 1)
+	r.Pause()
 	recs := r.Records()
 	if len(recs) != 2 {
 		t.Fatalf("got %d records", len(recs))
+	}
+	if !recs[0].At.Equal(stamp) {
+		t.Fatalf("stamped record at %s, want the caller's %s", recs[0].At, stamp)
 	}
 	if d := recs[1].At.Sub(recs[0].At); d != 5*time.Second {
 		t.Fatalf("timestamp delta = %s, want 5s", d)
@@ -95,13 +101,13 @@ func TestClockStamping(t *testing.T) {
 func TestExplainClassification(t *testing.T) {
 	r := New(0, nil)
 	alert := event.Event{ID: 100}
-	r.RunStart(alert, 1, 0, 1000)
-	r.EdgeAdded(101, 2, 1, 1, 0, 500, 1)
-	r.WindowEnqueued(2, 0, 500, 3, -1, 1)
-	r.WindowQueried(2, 0, 500, 3)
-	r.EdgeWhereRejected(102, 3, 2, `file.path != "*.dll"`, bdl.Pos{Line: 2, Col: 7})
-	r.EdgeHopBudget(103, 4, 2, 7, 6)
-	r.WindowAbandoned(5, 0, 250, "time budget exceeded")
+	r.RunStart(time.Time{}, alert, 1, 0, 1000)
+	r.EdgeAdded(time.Time{}, 101, 2, 1, 1, 0, 500, 1)
+	r.WindowEnqueued(time.Time{}, 2, 0, 500, 3, -1, 1)
+	r.WindowQueried(time.Time{}, 2, 0, 500, 3)
+	r.EdgeWhereRejected(time.Time{}, 102, 3, 2, `file.path != "*.dll"`, bdl.Pos{Line: 2, Col: 7})
+	r.EdgeHopBudget(time.Time{}, 103, 4, 2, 7, 6)
+	r.WindowAbandoned(time.Time{}, 5, 0, 250, "time budget exceeded")
 
 	start := r.Explain(1)
 	if !start.Included || !start.Start || start.Inclusion == nil {
@@ -155,15 +161,15 @@ func labelID(id event.ObjID) string { return "obj" + string(rune('0'+id%10)) }
 
 func TestPruneFrontier(t *testing.T) {
 	r := New(0, nil)
-	r.RunStart(event.Event{ID: 1}, 1, 0, 1000)
+	r.RunStart(time.Time{}, event.Event{ID: 1}, 1, 0, 1000)
 	// Object 3: excluded twice — only the first exclusion is reported.
-	r.EdgeWhereRejected(10, 3, 1, "clause-a", bdl.Pos{Line: 1, Col: 1})
-	r.EdgeHopBudget(11, 3, 1, 9, 8)
+	r.EdgeWhereRejected(time.Time{}, 10, 3, 1, "clause-a", bdl.Pos{Line: 1, Col: 1})
+	r.EdgeHopBudget(time.Time{}, 11, 3, 1, 9, 8)
 	// Object 2: excluded, then later admitted — omitted from the frontier.
-	r.EdgeHostFiltered(12, 2, 1, "ws9")
-	r.EdgeAdded(13, 2, 1, 1, 0, 500, 0)
+	r.EdgeHostFiltered(time.Time{}, 12, 2, 1, "ws9")
+	r.EdgeAdded(time.Time{}, 13, 2, 1, 1, 0, 500, 0)
 	// Object 5: excluded once.
-	r.EdgeHostFiltered(14, 5, 2, "ws9")
+	r.EdgeHostFiltered(time.Time{}, 14, 5, 2, "ws9")
 
 	fr := r.PruneFrontier()
 	if len(fr) != 2 {
@@ -182,7 +188,7 @@ func TestPruneFrontier(t *testing.T) {
 
 func TestHandlerJSONDump(t *testing.T) {
 	r := New(0, nil)
-	r.EdgeDedup(1, 2)
+	r.EdgeDedup(time.Time{}, 1, 2)
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/explain", nil))
 	var out struct {
@@ -211,8 +217,8 @@ func TestHandlerJSONDump(t *testing.T) {
 
 func TestCountByKind(t *testing.T) {
 	r := New(0, nil)
-	r.EdgeDedup(1, 1)
-	r.EdgeDedup(2, 1)
+	r.EdgeDedup(time.Time{}, 1, 1)
+	r.EdgeDedup(time.Time{}, 2, 1)
 	r.Pause()
 	got := r.CountByKind()
 	if got["edge-dedup"] != 2 || got["pause"] != 1 {
@@ -255,7 +261,7 @@ func TestRingGrowsOnDemand(t *testing.T) {
 		testRingGrowsOnDemand(t, capacity)
 	}
 	r := New(0, nil)
-	r.EdgeDedup(1, 1)
+	r.EdgeDedup(time.Time{}, 1, 1)
 	if got := cap(r.ring); got >= DefaultCapacity/2 {
 		t.Errorf("one record holds storage for %d; the ring must grow with use", got)
 	}
@@ -266,13 +272,13 @@ func testRingGrowsOnDemand(t *testing.T, capacity int) {
 		id, obj := event.EventID(i), event.ObjID(i%5)
 		switch i % 4 {
 		case 0:
-			r.EdgeAdded(id, obj, obj+1, i%3, int64(i), int64(i+10), i%2)
+			r.EdgeAdded(time.Time{}, id, obj, obj+1, i%3, int64(i), int64(i+10), i%2)
 		case 1:
-			r.EdgeDedup(id, obj)
+			r.EdgeDedup(time.Time{}, id, obj)
 		case 2:
-			r.WindowEnqueued(obj, int64(i), int64(i+7), i, -1, 0)
+			r.WindowEnqueued(time.Time{}, obj, int64(i), int64(i+7), i, -1, 0)
 		default:
-			r.EdgeHopBudget(id, obj, obj+1, 4, 3)
+			r.EdgeHopBudget(time.Time{}, id, obj, obj+1, 4, 3)
 		}
 	}
 	for _, n := range []int{0, 1, capacity - 1, capacity, capacity + 1, 3*capacity + 2} {

@@ -13,7 +13,6 @@ import (
 	"aptrace/internal/event"
 	"aptrace/internal/graph"
 	"aptrace/internal/obs"
-	"aptrace/internal/store"
 	"aptrace/internal/telemetry"
 )
 
@@ -219,18 +218,6 @@ func (s *Server) lifecycle(op func(*Run) error) http.HandlerFunc {
 	}
 }
 
-// updateEvent is one SSE "update" payload: a graph delta.
-type updateEvent struct {
-	Seq     int    `json:"seq"`
-	EventID uint64 `json:"event_id"`
-	Subject string `json:"subject"`
-	Object  string `json:"object"`
-	Action  string `json:"action"`
-	NewNode bool   `json:"new_node"`
-	Edges   int    `json:"edges"`
-	At      string `json:"at"`
-}
-
 // doneEvent is the terminal SSE payload. Subscriber and DeliveredUpdates
 // expose this subscriber's identity and delivery accounting so a client
 // can tell "I missed N updates" apart from "the run produced N fewer".
@@ -241,42 +228,22 @@ type doneEvent struct {
 	DroppedUpdates   int `json:"dropped_updates"`
 }
 
-// objLabel names an object for the update stream.
-func objLabel(o event.Object) string {
-	switch o.Type {
-	case event.ObjFile:
-		return o.Path
-	case event.ObjSocket:
-		return fmt.Sprintf("%s:%d", o.DstIP, o.DstPort)
-	default:
-		return o.Exe
-	}
-}
-
-// sseUpdate renders one update as an SSE frame.
-func sseUpdate(w http.ResponseWriter, st *store.Store, seq int, u graph.Update) {
-	ev := updateEvent{
-		Seq:     seq,
-		EventID: uint64(u.Event.ID),
-		Action:  u.Event.Action.String(),
-		NewNode: u.NewNode,
-		Edges:   u.Edges,
-		At:      u.At.UTC().Format(time.RFC3339Nano),
-	}
-	if st != nil {
-		ev.Subject = objLabel(st.Object(u.Event.Subject))
-		ev.Object = objLabel(st.Object(u.Event.Object))
-	}
-	buf, _ := json.Marshal(ev)
-	fmt.Fprintf(w, "event: update\ndata: %s\n\n", buf)
-}
+// maxSSEBatch is the size at which the stream handler closes a batch of
+// update frames and writes it: large enough that a backlog of thousands of
+// frames is a few writes, small enough that the first frames of a long
+// backlog reach the client before the last are encoded.
+const maxSSEBatch = 64 << 10
 
 // handleUpdates streams a session's graph deltas as Server-Sent Events:
 // the backlog first, then live updates as the executor's OnUpdate hook
 // publishes them, and finally one "done" event carrying the run summary and
-// this subscriber's drop count. The stream ends when the run finishes or
-// the client disconnects; a canceled client can never block the analysis
-// (publication is non-blocking into this subscriber's bounded buffer).
+// this subscriber's delivery accounting. Backlog, live stream and the drain
+// before "done" are one loop: each wake-up claims everything published since
+// the last, encodes it into one reused buffer and hands it to the client with
+// one Write and one Flush per maxSSEBatch bytes — a handler that falls behind
+// the executor catches up in batches instead of paying a write(2) per frame.
+// The stream ends when the run finishes or the client disconnects; a
+// canceled client can never block the analysis (publication never blocks).
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.run(w, r)
 	if !ok {
@@ -311,67 +278,72 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("subscriber %d: %s, %d sent, %d dropped", sub.id, reason, sub.sent, sub.dropped),
 			int64(sub.dropped), time.Since(attached))
 	}
-	st := run.View()
-	seq := 0
-	for _, u := range backlog {
-		seq++
-		sseUpdate(w, st, seq, u)
-	}
-	flusher.Flush()
 
-	finish := func() {
+	var (
+		st  = run.View()
+		buf []byte
+		seq int
+	)
+	// send frames the updates and writes them out; it reports whether the
+	// client is still there to read.
+	send := func(updates []graph.Update) bool {
 		if st == nil {
 			st = run.View() // the run may have started since subscribe
 		}
-		// Drain whatever the buffer still holds before the terminal frame.
-		if sub != nil {
-			for {
-				select {
-				case tu := <-sub.ch:
-					seq++
-					sseUpdate(w, st, seq, tu.u)
-					continue
-				default:
-				}
-				break
+		for len(updates) > 0 {
+			buf = buf[:0]
+			for len(updates) > 0 && len(buf) < maxSSEBatch {
+				seq++
+				buf = appendUpdateFrame(buf, st, seq, updates[0])
+				updates = updates[1:]
 			}
+			if _, err := w.Write(buf); err != nil {
+				return false
+			}
+			flusher.Flush()
 		}
-		dropped := run.hub.unsubscribe(sub)
-		done := doneEvent{Summary: run.Summary(), DroppedUpdates: dropped}
-		if sub != nil {
-			done.Subscriber, done.DeliveredUpdates = sub.id, sub.sent
-		}
-		buf, _ := json.Marshal(done)
-		fmt.Fprintf(w, "event: done\ndata: %s\n\n", buf)
-		flusher.Flush()
-		closeEntry("done")
+		return true
 	}
 
-	if sub == nil { // already finished: the backlog was complete
-		finish()
-		return
+	alive := send(backlog)
+	if len(backlog) == 0 {
+		flusher.Flush() // nothing to replay yet: the client still gets its headers
 	}
-	for {
+	for live := sub != nil; live && alive; {
 		select {
-		case tu := <-sub.ch:
-			if st == nil {
-				st = run.View()
+		case <-sub.wake:
+			batch, oldest := run.hub.claim(sub)
+			if len(batch) == 0 {
+				continue // the poke outlived its updates: a claim took them
 			}
-			seq++
-			sseUpdate(w, st, seq, tu.u)
-			flusher.Flush()
-			// Live deliveries only: backlog replay measures the client's
-			// arrival time, not pipeline latency.
-			s.slis.UpdateToSSEFlush.Observe(time.Since(tu.at).Seconds())
+			alive = send(batch)
+			// Live deliveries only, once per wake-up and for its oldest
+			// update: backlog replay measures the client's arrival time, not
+			// pipeline latency.
+			s.slis.UpdateToSSEFlush.Observe(time.Since(oldest).Seconds())
 		case <-run.hub.done:
-			finish()
-			return
+			// The run is over; what it published last is still claimable.
+			batch, _ := run.hub.claim(sub)
+			alive = send(batch)
+			live = false
 		case <-r.Context().Done():
-			run.hub.unsubscribe(sub)
-			closeEntry("client disconnected")
-			return
+			alive = false
 		}
 	}
+	if !alive {
+		run.hub.unsubscribe(sub)
+		closeEntry("client disconnected")
+		return
+	}
+	dropped := run.hub.unsubscribe(sub)
+	done := doneEvent{Summary: run.Summary(), DroppedUpdates: dropped}
+	if sub != nil {
+		done.Subscriber, done.DeliveredUpdates = sub.id, sub.sent
+	}
+	body, _ := json.Marshal(done) // plain data: cannot fail
+	fmt.Fprintf(w, "event: done\ndata: %s\n\n", body)
+	flusher.Flush()
+	closeEntry("done")
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {

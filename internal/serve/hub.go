@@ -8,42 +8,53 @@ import (
 	"aptrace/internal/telemetry"
 )
 
+// DefaultSubscriberBuffer is the default Config.SubscriberBuffer: more frames
+// than the heaviest run of the repository's benchmark publishes, so a
+// default daemon drops only for a client that has stopped reading.
+const DefaultSubscriberBuffer = 1 << 16
+
 // hub fans one session's graph updates out to any number of subscribers.
 //
 // The publisher is the executor's OnUpdate hook, which runs synchronously
 // inside the analysis loop — it must NEVER block, or a slow SSE consumer
 // would stall the analysis and deadlock Pause/Stop (which wait for the run
-// loop to park). So publish is strictly non-blocking: each subscriber gets a
-// bounded buffer, and when it is full the update is dropped for that
-// subscriber and accounted (per-subscriber and in
-// aptrace_serve_updates_dropped_total). Late subscribers receive the full
-// history first; because subscribe copies history and registers the channel
-// under one lock, the replay and the live stream never miss or duplicate an
-// update.
+// loop to park). So publish only appends to the session's history and pokes:
+// a subscriber is a cursor into that append-only history plus a one-slot
+// wake channel, and costs the publisher a comparison and a non-blocking send.
+// Nothing is copied or buffered per subscriber; its memory is O(1).
+//
+// A subscriber attaches at the live edge: subscribe hands it the history so
+// far as its backlog (always complete, never subject to the bound below) and
+// claim hands it everything published since its last claim. The lag bound is
+// the one delivery policy: a subscriber more than lag frames behind the
+// newest update skips forward over the oldest unclaimed ones, which count as
+// dropped for it (and in aptrace_serve_updates_dropped_total). Every update
+// published while a subscriber is attached is therefore either sent to it —
+// claimed, or still claimable — or dropped: sent + dropped == published.
 type hub struct {
 	dropped *telemetry.Counter // shared slow-consumer drop counter
 
 	mu      sync.Mutex
-	history []graph.Update
+	history []graph.Update // append-only: elements below len never change
 	subs    map[*subscriber]struct{}
 	nextSub int // subscriber ID sequence (first subscriber is 1)
 	closed  bool
 	done    chan struct{} // closed exactly once, when the session finishes
 }
 
-// timedUpdate pairs an update with its publish wall time so the SSE writer
-// can measure publish-to-flush latency per delivered frame.
-type timedUpdate struct {
-	u  graph.Update
-	at time.Time
-}
-
-// subscriber is one attached update consumer.
+// subscriber is one attached update consumer. All fields but wake are
+// guarded by hub.mu.
 type subscriber struct {
-	id      int // stable per-hub subscriber number (for /ops and done frames)
-	ch      chan timedUpdate
-	sent    int // updates that fit the buffer (guarded by hub.mu)
-	dropped int // updates discarded because ch was full (guarded by hub.mu)
+	id      int           // stable per-hub subscriber number (for /ops and done frames)
+	wake    chan struct{} // one slot: "there is something to claim"
+	next    int           // history index of the first unclaimed update
+	lag     int           // most updates it may trail the newest by
+	sent    int           // updates claimed or still claimable
+	dropped int           // updates skipped because it trailed by more than lag
+	// oldest is the wall time the oldest unclaimed update was published at,
+	// so the SSE writer can measure publish-to-flush latency once per
+	// wake-up without the publisher stamping every update.
+	oldest time.Time
 }
 
 // subStat is one subscriber's delivery accounting, as exposed by /ops and
@@ -62,43 +73,75 @@ func newHub(dropped *telemetry.Counter) *hub {
 	}
 }
 
-// publish records the update and offers it to every subscriber without
-// blocking. Full buffers drop the update for that subscriber only.
+// publish appends the update and pokes every subscriber; it never blocks. A
+// subscriber that now trails by more than its bound loses its oldest
+// unclaimed update.
 func (h *hub) publish(u graph.Update) {
 	h.mu.Lock()
 	h.history = append(h.history, u)
-	if len(h.subs) > 0 {
-		tu := timedUpdate{u: u, at: time.Now()}
-		for s := range h.subs {
-			select {
-			case s.ch <- tu:
-				s.sent++
-			default:
-				s.dropped++
-				h.dropped.Inc()
+	n := len(h.history)
+	var now time.Time
+	for s := range h.subs {
+		if n-s.next > s.lag {
+			s.next++
+			s.dropped++
+			h.dropped.Inc()
+		} else {
+			s.sent++
+		}
+		if n-s.next == 1 {
+			if now.IsZero() {
+				now = time.Now()
 			}
+			s.oldest = now
+		}
+		select {
+		case s.wake <- struct{}{}:
+		default: // already poked: one claim takes everything pending
 		}
 	}
 	h.mu.Unlock()
 }
 
-// subscribe returns the update history so far plus a registered subscriber
-// whose channel carries everything published after the returned backlog.
-// After the hub has closed, the backlog is complete and sub is nil.
-func (h *hub) subscribe(buffer int) (backlog []graph.Update, sub *subscriber) {
-	if buffer < 1 {
-		buffer = 1
+// subscribe returns the history so far — a view of the append-only log, not
+// a copy — plus a subscriber registered at the live edge, so backlog and
+// claims together never miss or duplicate an update. lag (at least 1) is
+// how many updates the subscriber may fall behind before it skips. After
+// the hub has closed the backlog is the complete history and sub is nil.
+func (h *hub) subscribe(lag int) (backlog []graph.Update, sub *subscriber) {
+	if lag < 1 {
+		lag = 1
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	backlog = append([]graph.Update(nil), h.history...)
+	backlog = h.history[:len(h.history):len(h.history)]
 	if h.closed {
 		return backlog, nil
 	}
 	h.nextSub++
-	sub = &subscriber{id: h.nextSub, ch: make(chan timedUpdate, buffer)}
+	sub = &subscriber{id: h.nextSub, wake: make(chan struct{}, 1), next: len(h.history), lag: lag}
 	h.subs[sub] = struct{}{}
 	return backlog, sub
+}
+
+// claim takes every update published since sub's previous claim (or since it
+// attached), again as a view of the log, and the wall time the oldest of
+// them was published at. An empty claim is normal: a poke can outlive the
+// updates it announced.
+func (h *hub) claim(sub *subscriber) (batch []graph.Update, oldest time.Time) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := len(h.history)
+	batch = h.history[sub.next:n:n]
+	sub.next = n
+	return batch, sub.oldest
+}
+
+// published is how many updates the session has produced so far.
+func (h *hub) published() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.history)
 }
 
 // stats snapshots every attached subscriber's delivery accounting, oldest
@@ -124,8 +167,9 @@ func sortSubStats(s []subStat) {
 	}
 }
 
-// unsubscribe detaches sub and returns how many updates it lost to a full
-// buffer. Safe to call with nil or an already-removed subscriber.
+// unsubscribe detaches sub and returns how many updates it lost to the lag
+// bound. Safe to call with nil or an already-removed subscriber; after it
+// returns the hub no longer touches sub, so its counters are stable.
 func (h *hub) unsubscribe(sub *subscriber) int {
 	if sub == nil {
 		return 0
@@ -137,7 +181,7 @@ func (h *hub) unsubscribe(sub *subscriber) int {
 }
 
 // close marks the stream complete and wakes every subscriber (the done
-// channel). Updates already sitting in subscriber buffers stay readable.
+// channel). Updates not yet claimed stay claimable.
 func (h *hub) close() {
 	h.mu.Lock()
 	if !h.closed {
@@ -145,11 +189,4 @@ func (h *hub) close() {
 		close(h.done)
 	}
 	h.mu.Unlock()
-}
-
-// updates returns a copy of the full history.
-func (h *hub) updates() []graph.Update {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]graph.Update(nil), h.history...)
 }

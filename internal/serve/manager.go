@@ -156,7 +156,7 @@ func (r *Run) Summary() Summary {
 			s.Edges, s.Nodes = g.NumEdges(), g.NumNodes()
 		}
 	}
-	s.Updates = len(r.hub.updates())
+	s.Updates = r.hub.published()
 	return s
 }
 

@@ -98,8 +98,12 @@ type Config struct {
 	RetryAfter time.Duration
 	// Windows is the executor's window count k (0: core default).
 	Windows int
-	// SubscriberBuffer bounds each SSE subscriber's update buffer
-	// (default 256); a full buffer drops updates for that subscriber only.
+	// SubscriberBuffer is how many updates an SSE subscriber may trail the
+	// newest one by (default DefaultSubscriberBuffer). A subscriber is a
+	// cursor into the session's one update history, so the bound costs no
+	// memory; one that falls further behind skips forward, and the updates
+	// it skipped count as dropped for that subscriber only. Updates already
+	// published when it attached are replayed in full regardless.
 	SubscriberBuffer int
 	// RetainSessions bounds how many finished (done/failed/aborted) runs —
 	// and their full update histories — stay queryable; the oldest terminal
@@ -262,7 +266,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.RetryAfter = 2 * time.Second
 	}
 	if cfg.SubscriberBuffer <= 0 {
-		cfg.SubscriberBuffer = 256
+		cfg.SubscriberBuffer = DefaultSubscriberBuffer
 	}
 	if cfg.RetainSessions == 0 {
 		cfg.RetainSessions = 512

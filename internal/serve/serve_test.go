@@ -684,9 +684,10 @@ func update(i int) graph.Update {
 	return graph.Update{Event: event.Event{ID: event.EventID(i)}, Edges: i + 1}
 }
 
-// TestHubSemantics pins the fan-out contract: full buffers drop (with
-// accounting), late subscribers get the complete backlog, and subscribing
-// after close yields a complete history with no live channel.
+// TestHubSemantics pins the fan-out contract: a subscriber past its lag
+// bound skips forward (with accounting), late subscribers get the complete
+// backlog, claims carry exactly what was published since the last one, and
+// subscribing after close yields a complete history with no live cursor.
 func TestHubSemantics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ctr := reg.Counter(telemetry.MetricServeUpdatesDropped)
@@ -699,7 +700,14 @@ func TestHubSemantics(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.publish(update(i))
 	}
-	// Buffer of one: the first update sits in the channel, four dropped.
+	// Lag bound of one: only the newest update is still claimable, the four
+	// before it were skipped.
+	if st := h.stats(); len(st) != 1 || st[0].Sent != 1 || st[0].Dropped != 4 {
+		t.Fatalf("stats = %+v, want 1 sent / 4 dropped", st)
+	}
+	if batch, _ := h.claim(slow); len(batch) != 1 || batch[0].Event.ID != 4 {
+		t.Fatalf("claim after skipping = %+v, want the newest update alone", batch)
+	}
 	if got := h.unsubscribe(slow); got != 4 {
 		t.Fatalf("dropped = %d, want 4", got)
 	}
@@ -712,13 +720,22 @@ func TestHubSemantics(t *testing.T) {
 		t.Fatalf("late subscribe backlog = %d", len(backlog))
 	}
 	h.publish(update(5))
+	h.publish(update(6))
 	select {
-	case tu := <-sub.ch:
-		if tu.u.Event.ID != 5 {
-			t.Fatalf("live update = %+v", tu.u)
-		}
+	case <-sub.wake:
 	default:
-		t.Fatal("live update not delivered")
+		t.Fatal("publish did not poke the subscriber")
+	}
+	if batch, _ := h.claim(sub); len(batch) != 2 || batch[0].Event.ID != 5 || batch[1].Event.ID != 6 {
+		t.Fatalf("live claim = %+v, want updates 5 and 6", batch)
+	}
+	if batch, _ := h.claim(sub); len(batch) != 0 {
+		t.Fatalf("second claim = %+v, want nothing new", batch)
+	}
+	// The backlog is a view of the log as it was: later publishes neither
+	// extend nor rewrite it.
+	if len(backlog) != 5 || backlog[4].Event.ID != 4 {
+		t.Fatalf("backlog changed under a later publish: %+v", backlog)
 	}
 	h.unsubscribe(sub)
 
@@ -730,8 +747,11 @@ func TestHubSemantics(t *testing.T) {
 		t.Fatal("done channel not closed")
 	}
 	backlog, sub = h.subscribe(8)
-	if len(backlog) != 6 || sub != nil {
+	if len(backlog) != 7 || sub != nil {
 		t.Fatalf("post-close subscribe = (%d, %v)", len(backlog), sub)
+	}
+	if h.published() != 7 {
+		t.Fatalf("published = %d, want 7", h.published())
 	}
 	if h.unsubscribe(nil) != 0 {
 		t.Fatal("unsubscribe(nil) must be a harmless no-op")

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,6 +25,25 @@ type SpanRecord struct {
 	Duration time.Duration `json:"duration_ns"`
 	Detail   string        `json:"detail,omitempty"`
 	Args     []SpanArg     `json:"args,omitempty"`
+
+	lazy lazyDetail // formatted into Detail when Spans exports the record
+}
+
+// lazyDetail is a span annotation kept as its format and integer operands:
+// the hot path stores three words, and only a span somebody actually reads
+// pays for fmt.
+type lazyDetail struct {
+	format string
+	args   [3]int64
+	n      uint8
+}
+
+func (d lazyDetail) String() string {
+	args := make([]any, d.n)
+	for i := range args {
+		args[i] = d.args[i]
+	}
+	return fmt.Sprintf(d.format, args...)
 }
 
 // Span is an in-flight traced operation. Spans are cheap value carriers:
@@ -38,6 +58,7 @@ type Span struct {
 	name   string
 	start  time.Time
 	detail string
+	lazy   lazyDetail
 	args   []SpanArg
 }
 
@@ -53,6 +74,17 @@ func (s *Span) ID() uint64 {
 func (s *Span) SetDetail(d string) {
 	if s != nil {
 		s.detail = d
+	}
+}
+
+// SetDetailf is SetDetail for an annotation made of up to three integers:
+// the format is applied when the span is exported (Tracer.Spans), not here,
+// so a per-window span costs no formatting unless it is read. It replaces
+// any SetDetail string.
+func (s *Span) SetDetailf(format string, args ...int64) {
+	if s != nil {
+		s.lazy.format = format
+		s.lazy.n = uint8(copy(s.lazy.args[:], args))
 	}
 }
 
@@ -95,6 +127,7 @@ func (s *Span) EndAt(at time.Time) {
 		Duration: at.Sub(s.start),
 		Detail:   s.detail,
 		Args:     s.args,
+		lazy:     s.lazy,
 	})
 }
 
@@ -178,7 +211,11 @@ func (t *Tracer) Spans() []SpanRecord {
 		start += len(t.ring)
 	}
 	for i := 0; i < t.n; i++ {
-		out = append(out, t.ring[(start+i)%len(t.ring)])
+		r := t.ring[(start+i)%len(t.ring)]
+		if r.lazy.format != "" {
+			r.Detail = r.lazy.String()
+		}
+		out = append(out, r)
 	}
 	return out
 }

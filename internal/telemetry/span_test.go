@@ -36,6 +36,30 @@ func TestSpanParentLinkageAndTiming(t *testing.T) {
 	}
 }
 
+// TestSpanLazyDetail: a detail given as format and integers reads back from
+// Spans exactly as the eager Sprintf would have, and replaces a SetDetail.
+func TestSpanLazyDetail(t *testing.T) {
+	tr := NewTracer(4)
+	at := time.Unix(0, 0)
+	a := tr.StartAt("window.query", nil, at)
+	a.SetDetail("overwritten")
+	a.SetDetailf("obj=%d [%d,%d)", 7, -3, 1<<40)
+	a.EndAt(at)
+	b := tr.StartAt("run", nil, at)
+	b.SetDetailf("event=%d", 42)
+	b.EndAt(at)
+	var none *Span
+	none.SetDetailf("obj=%d", 1) // nil span: no-op
+
+	spans := tr.Spans()
+	if got, want := spans[0].Detail, "obj=7 [-3,1099511627776)"; got != want {
+		t.Errorf("detail = %q, want %q", got, want)
+	}
+	if got, want := spans[1].Detail, "event=42"; got != want {
+		t.Errorf("detail = %q, want %q", got, want)
+	}
+}
+
 func TestTracerRingWraps(t *testing.T) {
 	tr := NewTracer(4)
 	base := time.Unix(0, 0)
