@@ -164,16 +164,32 @@ type Executor struct {
 	prepared bool
 	alert    event.Event
 
-	tel        execMetrics
-	tracer     *telemetry.Tracer
-	rec        *explain.Recorder
-	tl         *timeline.Recorder
-	runSpan    *telemetry.Span // open from Prepare to the end of the run
-	lastUpdate time.Time       // timestamp of the latest distinct update
+	tel     execMetrics
+	tracer  *telemetry.Tracer
+	rec     *explain.Recorder
+	tl      *timeline.Recorder
+	runSpan *telemetry.Span // open from Prepare to the end of the run
 
-	// The run loop's stamp of the analysis clock (see at). Run goroutine
-	// only: records made on other goroutines read the clock themselves.
+	// Everything the run loop has to say — decisions for the explain
+	// recorder, the window lifecycle for the timeline lane, spans and counters
+	// for telemetry — is one record per emission site appended to stage, and
+	// flush hands the stage to each attached sink in one call. recording says
+	// whether any sink is attached; without one the sites cost a bool test (a
+	// pointer test where only the explain recorder reads the record).
+	stage     explain.Stage
+	recording bool
+	// What observe carries from one record of the stage to a later one: the
+	// open window query's start and estimate, the latest distinct update
+	// (-1 before the first).
+	queryStart, lastUpdate int64
+	queryCard              int32
+	span                   telemetry.SpanRecord // observe's scratch
+
+	// The run loop's stamp of the analysis clock (see at) and, for the
+	// stage, its distance from started. Run goroutine only: records made on
+	// other goroutines read the clock themselves.
 	now   time.Time
+	nowNs int64
 	stale bool // a call that can move analysis time returned since now was read
 }
 
@@ -242,14 +258,22 @@ func New(st *store.Store, plan *refiner.Plan, opts Options) (*Executor, error) {
 	}
 	if x.tl != nil {
 		// Per-window cost attribution: the store reports every charged
-		// query's rows/buckets/cost, which the lane folds into the next
-		// window.query trace event. The store (usually a per-run view) is
-		// private to this run, so the observer never crosses runs.
-		st.SetCostObserver(x.tl.ObserveQueryCost)
-		// On a sharded store, also fold each routed query's shard
-		// breakdown (fan-out, per-shard rows) into the same trace event.
-		st.SetScatterObserver(x.tl.ObserveScatter)
+		// query's buckets and cost — and, on a sharded store, every routed
+		// query's fan-out and per-shard rows — which go into the stage in
+		// call order, so the lane folds them into the window.query event that
+		// follows. The store (usually a per-run view) is private to this run,
+		// so the observers never cross runs.
+		st.SetCostObserver(func(_, buckets int64, cost time.Duration) {
+			d := x.stage.Add(explain.KindCharge, 0)
+			d.Begin, d.Finish = buckets, int64(cost)
+		})
+		st.SetScatterObserver(func(fanout int, shardRows []int64) {
+			d := x.stage.Add(explain.KindScatter, 0)
+			d.Card, d.Begin, d.Finish = int32(fanout), int64(len(x.stage.Rows)), int64(len(shardRows))
+			x.stage.Rows = append(x.stage.Rows, shardRows...)
+		})
 	}
+	x.recording = x.rec != nil || x.tl != nil || opts.Telemetry != nil
 	x.cond = sync.NewCond(&x.mu)
 	return x, nil
 }
@@ -279,13 +303,103 @@ func goid() int64 {
 // and the pause park, each of which marks the stamp stale. So a stamp always
 // equals what the clock would say, and a window's worth of records costs a
 // couple of clock reads instead of one each. Emission sites call it behind
-// their recorder's nil check, so a run nobody records reads the clock for
-// Update.At alone.
+// the recording check, so a run nobody records reads the clock for Update.At
+// alone.
 func (x *Executor) at() time.Time {
 	if x.stale {
 		x.now, x.stale = x.clk.Now(), false
+		if x.recording {
+			x.nowNs = int64(x.now.Sub(x.started))
+		}
 	}
 	return x.now
+}
+
+// note stages one record of the given kind at the run loop's stamp and
+// returns it for the emission site to fill in. Sites call it behind
+// x.recording.
+func (x *Executor) note(kind explain.Kind) *explain.Decision {
+	x.at()
+	return x.stage.Add(kind, x.nowNs)
+}
+
+// noteWindow stages a window-lifecycle record.
+func (x *Executor) noteWindow(kind explain.Kind, w *ExecWindow) *explain.Decision {
+	d := x.note(kind)
+	d.Node, d.Begin, d.Finish = w.Obj, w.Begin, w.Finish
+	return d
+}
+
+// noteEdge stages a per-candidate verdict: node is the object the candidate
+// event would add, peer the endpoint already in the graph.
+func (x *Executor) noteEdge(kind explain.Kind, ev event.EventID, node, peer event.ObjID) *explain.Decision {
+	d := x.note(kind)
+	d.Event, d.Node, d.Peer = ev, node, peer
+	return d
+}
+
+// flush hands the stage to the sinks — one call, one lock, one counter add
+// each — and empties it. It runs when a window ends (so the stage is empty
+// whenever the loop parks or ends), before every OnUpdate callback, and
+// before a call through the memo view, which writes its verdict records to
+// the explain recorder itself: whatever a callback, a parked reader or a
+// golden file can see of the records is what unstaged emission would have
+// shown them, and a concurrent reader trails the loop by at most the window
+// in flight.
+func (x *Executor) flush() {
+	if len(x.stage.Recs) == 0 {
+		return
+	}
+	x.rec.Consume(&x.stage)
+	x.tl.Consume(&x.stage)
+	if x.opts.Telemetry != nil {
+		x.observe()
+	}
+	x.stage.Reset()
+}
+
+// observe is telemetry's share of a flush: the window.query and
+// window.resplit spans, the window and re-split counters, the inter-update
+// gap histogram and the end of the run span, read off the staged records.
+func (x *Executor) observe() {
+	var windows, resplits int64
+	span := &x.span
+	for i := range x.stage.Recs {
+		d := &x.stage.Recs[i]
+		switch d.Kind {
+		case explain.KindQueryStart:
+			x.queryStart, x.queryCard = d.At, d.Card
+		case explain.KindWindowQueried:
+			windows++
+			span.Name, span.Start = telemetry.SpanWindowQuery, x.started.Add(time.Duration(x.queryStart))
+			span.Duration = time.Duration(d.At - x.queryStart)
+			span.SetDetailf("obj=%d [%d,%d)", int64(d.Node), d.Begin, d.Finish)
+			// The charged cost as span args: retrieved rows plus the
+			// enqueue-time posting estimate the scheduler priced it at.
+			x.tracer.Emit(span, telemetry.SpanArg{Key: "rows", Val: int64(d.Card)}, telemetry.SpanArg{Key: "card", Val: int64(x.queryCard)})
+		case explain.KindWindowResplit:
+			resplits++
+			span.Name, span.Start, span.Duration = telemetry.SpanWindowResplit, x.started.Add(time.Duration(d.At)), 0
+			span.SetDetailf("obj=%d rows=%d span=%ds", int64(d.Node), int64(d.Card), d.Finish-d.Begin)
+			x.tracer.Emit(span, telemetry.SpanArg{Key: "card", Val: int64(d.Card)})
+		case explain.KindEdgeAdded:
+			// The inter-update gap histogram is Table II's statistic as a
+			// live metric: edges landing at the same instant (one
+			// retrieval's batch) are one update, so gaps are measured
+			// between distinct timestamps only. The alert edge is no update.
+			if d.Event == x.alert.ID || d.At == x.lastUpdate {
+				continue
+			}
+			if x.lastUpdate >= 0 {
+				x.tel.updateGap.Observe(time.Duration(d.At - x.lastUpdate).Seconds())
+			}
+			x.lastUpdate = d.At
+		case explain.KindRunEnd:
+			x.runSpan.EndAt(x.started.Add(time.Duration(d.At)))
+		}
+	}
+	x.tel.windows.Add(windows)
+	x.tel.resplits.Add(resplits)
 }
 
 // Graph returns the dependency graph built so far (nil before Run).
@@ -435,30 +549,37 @@ func (x *Executor) Prepare(alert event.Event) error {
 	x.covered = make(map[event.ObjID]int64)
 	x.dropped = make(map[event.ObjID]bool)
 	x.started = x.clk.Now()
-	x.now, x.stale = x.started, false
+	x.now, x.nowNs, x.stale = x.started, 0, false
+	x.stage.Base, x.lastUpdate = x.started, -1
 	x.pq = windowHeap{fifo: x.opts.FIFOQueue, forward: x.fwd}
 	x.mu.Unlock()
 
 	// The whole run is one root span; window spans nest under it, and the
-	// timeline lane anchors its SLO watchdog at the start (so
+	// timeline lane anchors its SLO watchdog at the run-start record (so
 	// time-to-first-update is measured too).
 	if x.tracer != nil {
 		x.runSpan = x.tracer.StartAt(telemetry.SpanRun, nil, x.started)
 		x.runSpan.SetLane(x.tl.LaneID())
 		x.runSpan.SetDetailf("event=%d", int64(alert.ID))
+		x.span = telemetry.SpanRecord{Parent: x.runSpan.ID(), Lane: x.tl.LaneID()}
 	}
-	x.tl.RunStart(x.started, alert.ID)
 
 	// The alert edge seeds the graph before exploration starts: record the
 	// hop-0 object and the second endpoint so every graph node — including
 	// the two the analyst named — has an inclusion record.
-	x.rec.RunStart(x.started, alert, alert.Dst(), x.from, x.to)
-	if x.rec != nil && alert.Src() != alert.Dst() {
-		x.rec.EdgeAdded(x.started, alert.ID, alert.Src(), alert.Dst(), 1, x.from, x.to, 0)
+	if x.recording {
+		d := x.noteEdge(explain.KindRunStart, alert.ID, alert.Dst(), 0)
+		d.Begin, d.Finish = x.from, x.to
+		if alert.Src() != alert.Dst() {
+			d = x.noteEdge(explain.KindEdgeAdded, alert.ID, alert.Src(), alert.Dst())
+			d.Hop, d.Begin, d.Finish = 1, x.from, x.to
+		}
 	}
 
 	// Line 1 of Algorithm 1: seed the queue with the alert's windows.
 	x.enqueue(alert, 0)
+	x.flush()
+	x.tel.queueDepth.Set(int64(x.pq.Len()))
 	return nil
 }
 
@@ -474,6 +595,10 @@ func (x *Executor) RunUnchecked(alert event.Event) (*Result, error) {
 	x.runGoid = goid()
 	x.mu.Unlock()
 	defer func() {
+		// What a window that failed had staged, and the query samples the
+		// run's view still holds.
+		x.flush()
+		x.st.FlushQueryProfile()
 		// Release Pause/UpdatePlan callers blocked on the park handshake.
 		x.mu.Lock()
 		x.running = false
@@ -516,33 +641,30 @@ loop:
 		if !ok {
 			break loop
 		}
-		x.tel.queueDepth.Set(int64(x.pq.Len()))
 		if err := x.processWindow(&w); err != nil {
 			return nil, err
 		}
+		x.flush()
+		x.tel.queueDepth.Set(int64(x.pq.Len()))
 	}
 
 	endAt := x.clk.Now()
-
-	// Windows still queued when a budget or the analyst ended the run are
-	// frontiers the analysis never explored: record each so Explain can say
-	// "this region was abandoned", not just stay silent about it.
-	if (x.rec != nil || x.tl != nil) && reason != Completed {
-		for {
+	if x.recording {
+		x.now, x.nowNs, x.stale = endAt, int64(endAt.Sub(x.started)), false
+		why := x.stage.Str(reason.String())
+		// Windows still queued when a budget or the analyst ended the run are
+		// frontiers the analysis never explored: record each so Explain can
+		// say "this region was abandoned", not just stay silent about it.
+		for reason != Completed {
 			w, ok := x.pq.pop()
 			if !ok {
 				break
 			}
-			x.rec.WindowAbandoned(endAt, w.Obj, w.Begin, w.Finish, reason.String())
-			x.tl.Abandoned(endAt, w.Obj, w.Begin, w.Finish, reason.String())
+			x.noteWindow(explain.KindWindowAbandoned, &w).Detail = why
 		}
-	}
-
-	// Close the run: the lane's watchdog checks the tail gap (a run may
-	// stall by ending long after its last update) and the root span ends.
-	x.tl.RunEnd(endAt, reason.String())
-	if x.runSpan != nil {
-		x.runSpan.EndAt(endAt)
+		// Close the run: the lane's watchdog checks the tail gap (a run may
+		// stall by ending long after its last update) and the root span ends.
+		x.note(explain.KindRunEnd).Detail = why
 	}
 
 	return &Result{
@@ -644,22 +766,24 @@ func (x *Executor) schedule(ws []ExecWindow, obj event.ObjID, boost int) {
 		n, err := x.count(w.Obj, w.Begin, w.Finish)
 		if err == nil && n == 0 {
 			if x.rec != nil {
-				x.rec.WindowEmpty(x.at(), w.Obj, w.Begin, w.Finish)
+				x.noteWindow(explain.KindWindowEmpty, w)
 			}
 			continue
 		}
 		w.Card = n
 		w.State = state
 		w.Boost = boost
-		if x.rec != nil {
-			x.rec.WindowEnqueued(x.at(), w.Obj, w.Begin, w.Finish, w.Card, w.State, w.Boost)
-		}
-		if x.tl != nil {
-			x.tl.Enqueued(x.at(), w.Obj, w.Begin, w.Finish, w.Card)
-		}
-		x.pq.push(*w)
+		x.push(w)
 	}
-	x.tel.queueDepth.Set(int64(x.pq.Len()))
+}
+
+// push queues a window, recording its estimate and priority inputs.
+func (x *Executor) push(w *ExecWindow) {
+	if x.recording {
+		d := x.noteWindow(explain.KindWindowEnqueued, w)
+		d.Card, d.State, d.Boost = int32(w.Card), int16(w.State), int8(w.Boost)
+	}
+	x.pq.push(*w)
 }
 
 // count is the direction-resolved index-only cardinality estimate. A plain
@@ -678,6 +802,7 @@ func (x *Executor) count(obj event.ObjID, from, to int64) (int, error) {
 // way — they never charge).
 func (x *Executor) query(buf []event.Event, obj event.ObjID, from, to int64) ([]event.Event, error) {
 	if x.mv != nil {
+		x.flush() // the view records its verdict itself: ours go first
 		if x.fwd {
 			return x.mv.AppendForward(buf, obj, from, to)
 		}
@@ -709,16 +834,6 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			}
 		}
 		if n > x.opts.MaxWindowRows {
-			var sp *telemetry.Span
-			if x.tracer != nil {
-				sp = x.tracer.StartAt(telemetry.SpanWindowResplit, x.runSpan, x.at())
-				sp.SetLane(x.tl.LaneID())
-				sp.SetDetailf("obj=%d rows=%d span=%ds", int64(w.Obj), int64(n), w.Finish-w.Begin)
-				sp.AddArg("card", int64(n))
-			}
-			if x.tl != nil {
-				x.tl.Resplit(x.at(), w.Obj, w.Begin, w.Finish, n)
-			}
 			mid := w.Begin + (w.Finish-w.Begin)/2
 			far, near := *w, *w
 			if x.fwd {
@@ -736,46 +851,21 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 				return err
 			}
 			near.Card, far.Card = nc, n-nc
-			if x.rec != nil {
-				x.rec.WindowResplit(x.at(), w.Obj, w.Begin, w.Finish, n)
+			if x.recording {
+				x.noteWindow(explain.KindWindowResplit, w).Card = int32(n)
 			}
 			if near.Card > 0 {
-				if x.rec != nil {
-					x.rec.WindowEnqueued(x.at(), near.Obj, near.Begin, near.Finish, near.Card, near.State, near.Boost)
-				}
-				if x.tl != nil {
-					x.tl.Enqueued(x.at(), near.Obj, near.Begin, near.Finish, near.Card)
-				}
-				x.pq.push(near)
+				x.push(&near)
 			}
 			if far.Card > 0 {
-				if x.rec != nil {
-					x.rec.WindowEnqueued(x.at(), far.Obj, far.Begin, far.Finish, far.Card, far.State, far.Boost)
-				}
-				if x.tl != nil {
-					x.tl.Enqueued(x.at(), far.Obj, far.Begin, far.Finish, far.Card)
-				}
-				x.pq.push(far)
-			}
-			x.tel.resplits.Inc()
-			x.tel.queueDepth.Set(int64(x.pq.Len()))
-			if sp != nil {
-				sp.EndAt(x.at())
+				x.push(&far)
 			}
 			return nil
 		}
 	}
 	x.windows++
-	x.tel.windows.Inc()
-	var qsp *telemetry.Span
-	var qstart time.Time
-	if x.tracer != nil || x.tl != nil {
-		qstart = x.at()
-	}
-	if x.tracer != nil {
-		qsp = x.tracer.StartAt(telemetry.SpanWindowQuery, x.runSpan, qstart)
-		qsp.SetLane(x.tl.LaneID())
-		qsp.SetDetailf("obj=%d [%d,%d)", int64(w.Obj), w.Begin, w.Finish)
+	if x.recording {
+		x.noteWindow(explain.KindQueryStart, w).Card = int32(w.Card)
 	}
 	// The window query appends into a buffer reused across every window of
 	// the run, as enqueue generates into winBuf and the queue and the graph
@@ -784,24 +874,13 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 	// few hundred allocations).
 	depsBuf, err := x.query(x.depsBuf[:0], w.Obj, w.Begin, w.Finish)
 	x.stale = true
-	if x.tracer != nil || x.tl != nil {
-		qend := x.at()
-		if qsp != nil {
-			// The charged cost as span args: retrieved rows plus the
-			// enqueue-time posting estimate the scheduler priced it at.
-			qsp.AddArg("rows", int64(len(depsBuf)))
-			qsp.AddArg("card", int64(w.Card))
-			qsp.EndAt(qend)
-		}
-		x.tl.Query(qstart, qend, w.Obj, w.Begin, w.Finish, len(depsBuf))
-	}
 	if err != nil {
 		return err
 	}
 	x.depsBuf = depsBuf
 	deps := depsBuf
-	if x.rec != nil {
-		x.rec.WindowQueried(x.at(), w.Obj, w.Begin, w.Finish, len(deps))
+	if x.recording {
+		x.noteWindow(explain.KindWindowQueried, w).Card = int32(len(deps))
 	}
 	hopLimit := x.plan.HopBudget
 	for _, dep := range deps {
@@ -812,13 +891,13 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		}
 		if dep.ID == w.E.ID || x.g.HasEdge(dep.ID) {
 			if x.rec != nil {
-				x.rec.EdgeDedup(x.at(), dep.ID, src)
+				x.noteEdge(explain.KindEdgeDedup, dep.ID, src, 0)
 			}
 			continue
 		}
 		if x.dropped[src] {
 			if x.rec != nil {
-				x.rec.EdgeDropped(x.at(), dep.ID, src, known)
+				x.noteEdge(explain.KindEdgeDropped, dep.ID, src, known)
 			}
 			continue
 		}
@@ -830,9 +909,15 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 				if x.plan.HostAllowed(host) {
 					host = x.st.Object(dep.Object).Host
 				}
-				x.rec.EdgeHostFiltered(x.at(), dep.ID, src, known, host)
+				x.noteEdge(explain.KindEdgeHostFiltered, dep.ID, src, known).Detail = x.stage.Str(host)
 			}
 			continue
+		}
+		if x.mv != nil && (x.plan.Where != nil || len(x.plan.Chain) > 0) {
+			// The where filter and a tracking chain's matchers evaluate
+			// through the memo view, which records its verdicts itself: ours
+			// go first.
+			x.flush()
 		}
 		// Where statement: objects failing it are deleted from the
 		// analysis without further exploration.
@@ -846,7 +931,8 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 				x.dropped[src] = true
 				if x.rec != nil {
 					clause, pos := x.plan.Where.FailingClause(dep, src, x.env, x.from, x.to)
-					x.rec.EdgeWhereRejected(x.at(), dep.ID, src, known, clause, pos)
+					d := x.noteEdge(explain.KindEdgeWhereRejected, dep.ID, src, known)
+					d.Clause, d.Begin, d.Finish = x.stage.Str(clause), int64(pos.Line), int64(pos.Col)
 				}
 				continue
 			}
@@ -859,7 +945,8 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		}
 		if added.OverBudget {
 			if x.rec != nil {
-				x.rec.EdgeHopBudget(x.at(), dep.ID, src, known, added.Hop, hopLimit)
+				d := x.noteEdge(explain.KindEdgeHopBudget, dep.ID, src, known)
+				d.Hop, d.Card = int32(added.Hop), int32(hopLimit)
 			}
 			continue
 		}
@@ -875,31 +962,18 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			// matchers; boostFor's patterns read the object table alone.
 			x.stale = true
 		}
-		if x.rec != nil {
-			x.rec.EdgeAdded(x.at(), dep.ID, src, known, added.Hop, w.Begin, w.Finish, boost)
+		if x.recording {
+			d := x.noteEdge(explain.KindEdgeAdded, dep.ID, src, known)
+			d.Hop, d.Begin, d.Finish, d.Boost = int32(added.Hop), w.Begin, w.Finish, int8(boost)
 		}
 		x.updates++
-		if x.opts.OnUpdate != nil || x.tel.updateGap != nil || x.tl != nil {
-			now := x.at()
-			// The lane's watchdog measures between distinct instants; the
-			// recorder itself collapses same-instant edges into one update.
-			x.tl.Update(now)
-			// The inter-update gap histogram is Table II's statistic as a
-			// live metric: edges landing at the same instant (one
-			// retrieval's batch) are one update, so gaps are measured
-			// between distinct timestamps only.
-			if x.tel.updateGap != nil && !now.Equal(x.lastUpdate) {
-				if !x.lastUpdate.IsZero() {
-					x.tel.updateGap.Observe(now.Sub(x.lastUpdate).Seconds())
-				}
-				x.lastUpdate = now
-			}
-			if x.opts.OnUpdate != nil {
-				x.opts.OnUpdate(Update{Event: dep, NewNode: added.NewNode, At: now, Edges: added.Edges})
-				// The hook takes real time, and may swap in a plan whose
-				// recalculation charges.
-				x.stale = true
-			}
+		if x.opts.OnUpdate != nil {
+			// The hook sees every record up to its own update.
+			x.flush()
+			x.opts.OnUpdate(Update{Event: dep, NewNode: added.NewNode, At: x.at(), Edges: added.Edges})
+			// The hook takes real time, and may swap in a plan whose
+			// recalculation charges.
+			x.stale = true
 		}
 		x.enqueue(dep, boost)
 	}

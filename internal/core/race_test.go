@@ -135,15 +135,21 @@ func TestGraphConcurrentWithPrepare(t *testing.T) {
 // goroutine plays the session: it pauses the run, records the pause itself
 // (those records read the clock on their own goroutine), swaps in a plan with
 // a re-propagation, reads the graph and the records back, and resumes. The
-// stamp is run-goroutine state; any leak of it across goroutines fails here.
+// stamp and the stage of records not yet handed to the recorders are
+// run-goroutine state; any leak of either across goroutines fails here.
 func TestGraphReadersDuringRun(t *testing.T) {
 	s, alert := fixture(t, simclock.NewSimulated(time.Time{}), 5000)
-	rec := explain.New(0, nil)
+	rec := explain.New(1<<20, nil) // never wraps: every edge keeps its record
 	lane := timeline.New(timeline.Options{}).Lane("run")
-	started := make(chan struct{})
-	var once sync.Once
+	// One token per stretch of updates: the session below waits for it
+	// between two pauses, so each pause parks the loop somewhere new.
+	progress := make(chan struct{}, 1)
+	runDone := make(chan struct{})
 	x, err := New(s, wildcardPlan(t, ""), Options{Explain: rec, Timeline: lane, OnUpdate: func(Update) {
-		once.Do(func() { close(started) })
+		select {
+		case progress <- struct{}{}:
+		default:
+		}
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +194,13 @@ func TestGraphReadersDuringRun(t *testing.T) {
 	sessionDone := make(chan struct{})
 	go func() {
 		defer close(sessionDone)
-		<-started
+		defer x.Resume() // a failed check must not leave the run parked
 		for i := 0; i < 20; i++ {
+			select {
+			case <-progress:
+			case <-runDone:
+				return
+			}
 			x.Pause()
 			rec.Pause()
 			lane.Pause(s.Clock().Now())
@@ -201,12 +212,38 @@ func TestGraphReadersDuringRun(t *testing.T) {
 				t.Error("graph or records unreadable while paused")
 				return
 			}
+			// The loop flushed its stage before it parked: a reader that
+			// comes after Pause returned misses nothing of the windows done
+			// so far — every edge in the graph has its record, the lane has
+			// counted every update, and the windows recorded as queued and
+			// not yet as queried or split are the ones in the queue.
+			added, queued := 0, 0
+			for _, r := range rec.Records() {
+				switch r.Kind {
+				case explain.KindEdgeAdded:
+					added++
+				case explain.KindWindowEnqueued:
+					queued++
+				case explain.KindWindowQueried, explain.KindWindowResplit:
+					queued--
+				}
+			}
+			if n := g.NumEdges(); added != n || lane.Stats().Updates != n-1 || queued != x.pq.Len() || len(x.stage.Recs) != 0 {
+				t.Errorf("parked with %d edges and %d windows queued: %d edge records, %d lane updates, %d windows open in the records, %d records still staged",
+					n, x.pq.Len(), added, lane.Stats().Updates, queued, len(x.stage.Recs))
+				return
+			}
 			rec.Resume()
 			lane.Resume(s.Clock().Now())
+			select { // updates since the pause was asked for are not progress past it
+			case <-progress:
+			default:
+			}
 			x.Resume()
 		}
 	}()
 	res, err := x.RunUnchecked(alert)
+	close(runDone)
 	close(stop)
 	<-readerDone
 	<-sessionDone
@@ -221,8 +258,9 @@ func TestGraphReadersDuringRun(t *testing.T) {
 // TestOnUpdateReentersExecutor guards the rule that no graph or executor
 // lock is held across OnUpdate: the callback, on the run goroutine, requests
 // a pause, swaps the plan with a re-propagation (which write-locks the graph
-// for every node) and reads the graph back. A lock held across the callback
-// deadlocks here. It also pins Update.Edges to the post-insert edge count.
+// for every node) and reads the graph and the explain records back. A lock
+// held across the callback deadlocks here. It also pins Update.Edges to the
+// post-insert edge count and the records to what the hook may see of them.
 func TestOnUpdateReentersExecutor(t *testing.T) {
 	s, alert := fixture(t, simclock.NewSimulated(time.Time{}), 2000)
 	chain, err := refiner.ParseAndCompile(`backward ip a[dst_ip = "6.6.6.6"] -> proc p[exename = "mal.exe"] -> *`)
@@ -230,11 +268,20 @@ func TestOnUpdateReentersExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	var x *Executor
+	rec := explain.New(1<<20, nil)
 	edges := 1 // the alert edge
-	x, err = New(s, chain, Options{OnUpdate: func(u Update) {
+	x, err = New(s, chain, Options{Explain: rec, OnUpdate: func(u Update) {
 		edges++
 		if u.Edges != edges || x.Graph().NumEdges() != edges {
 			t.Errorf("update %d: Update.Edges = %d, graph has %d", edges-1, u.Edges, x.Graph().NumEdges())
+		}
+		// The stage is flushed before the hook runs: the hook reads the
+		// records up to and including its own update's, and nothing beyond.
+		if edges < 20 || edges%7 == 0 {
+			recs := rec.Records()
+			if last := recs[len(recs)-1]; last.Kind != explain.KindEdgeAdded || last.Event != u.Event.ID || !last.At.Equal(u.At) {
+				t.Errorf("update %d (event %d at %v): last record is %+v", edges-1, u.Event.ID, u.At, last)
+			}
 		}
 		if edges%50 != 0 {
 			return

@@ -9,9 +9,13 @@ import (
 
 	"aptrace/internal/core"
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
+	"aptrace/internal/qprof"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
+	"aptrace/internal/telemetry"
+	"aptrace/internal/timeline"
 )
 
 // PerfBench is one real-CPU benchmark measurement. Unlike every other
@@ -49,6 +53,46 @@ func (e *Env) runOnce(plan *refiner.Plan, opts core.Options, alert event.Event) 
 		return nil, err
 	}
 	x, err := core.New(v, plan, opts)
+	if err != nil {
+		return nil, err
+	}
+	return x.RunUnchecked(alert)
+}
+
+// recorders is what the triage daemon creates once and every run shares: the
+// metrics registry, and the snapshot whose query profiler each run's view
+// inherits.
+type recorders struct {
+	reg  *telemetry.Registry
+	snap *store.Store
+}
+
+func (e *Env) newRecorders() (*recorders, error) {
+	snap, err := e.Dataset.Store.View(nil)
+	if err != nil {
+		return nil, err
+	}
+	snap.SetQueryProfiler(qprof.New())
+	return &recorders{reg: telemetry.NewRegistry(), snap: snap}, nil
+}
+
+// runRecorded is runOnce as the triage daemon runs it (serve.Manager.execute):
+// a fresh explain recorder and timeline lane on the shared registry, the
+// query profiler inherited from the snapshot, and an OnUpdate hook — the body
+// of the executor_run_recorded benchmark, whose distance from executor_run is
+// the recording budget.
+func (e *Env) runRecorded(r *recorders, plan *refiner.Plan, windows int, alert event.Event) (*core.Result, error) {
+	v, err := r.snap.View(simclock.NewSimulated(time.Time{}))
+	if err != nil {
+		return nil, err
+	}
+	x, err := core.New(v, plan, core.Options{
+		Windows:   windows,
+		Telemetry: r.reg,
+		Explain:   explain.New(0, r.reg),
+		Timeline:  timeline.New(timeline.Options{Telemetry: r.reg}).Lane("run"),
+		OnUpdate:  func(core.Update) {},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -156,6 +200,20 @@ func RunPerf(env *Env, cfg Config, w io.Writer) (*PerfResult, error) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := env.runOnce(wildcardPlan(0), cfg.execOptions(), alert); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"executor_run_recorded", func(b *testing.B) {
+			alert := env.sampleEvents(1, cfg.Seed)[0]
+			rec, err := env.newRecorders()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := env.runRecorded(rec, wildcardPlan(0), cfg.Windows, alert); err != nil {
 					b.Fatal(err)
 				}
 			}

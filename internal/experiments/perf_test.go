@@ -15,6 +15,12 @@ import (
 // the typed window heap, the reused window buffer and the slice-backed graph
 // the backward run alone made 36,491. A per-window or per-edge allocation
 // anywhere in the loop breaks the ceiling by an order of magnitude.
+//
+// The recorded case is the same backward run as the daemon runs it (explain
+// recorder, timeline lane, telemetry, query profiler, OnUpdate): its 61k
+// explain records, 24k lane events, 4k spans and 36k profiler samples may add
+// only their pages and batches — a few hundred allocations, where the
+// per-record recorders made 52,145.
 func TestExecutorRunAllocations(t *testing.T) {
 	env, err := NewEnv(workload.Config{Seed: 1, Hosts: 12, Days: 10, Density: 1.5})
 	if err != nil {
@@ -53,4 +59,24 @@ func TestExecutorRunAllocations(t *testing.T) {
 			}
 		})
 	}
+	t.Run("recorded", func(t *testing.T) {
+		rec, err := env.newRecorders()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var updates int
+		allocs := testing.AllocsPerRun(3, func() {
+			res, err := env.runRecorded(rec, wildcardPlan(0), cfg.Windows, alert)
+			if err != nil {
+				t.Fatal(err)
+			}
+			updates = res.Updates
+		})
+		if updates < 10000 {
+			t.Fatalf("run found %d edges; the ceiling means nothing on a run this small", updates)
+		}
+		if allocs > 2000 {
+			t.Errorf("%.0f allocations for a recorded run of %d edges, want <= 2000", allocs, updates)
+		}
+	})
 }

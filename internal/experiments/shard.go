@@ -102,6 +102,7 @@ func shardPass(st *store.Store, alerts []event.Event) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	scanView.FlushQueryProfile() // no executor runs on this view to do it
 	mh := fnv.New64a()
 	for _, m := range matches {
 		fmt.Fprintf(mh, "%d,", m.ID)

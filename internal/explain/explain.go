@@ -91,6 +91,23 @@ const (
 	// shows where the cache intervened.
 	KindMemoHit
 	KindMemoMiss
+
+	// The kinds from here on exist only in a Stage: what the run loop tells
+	// its timeline lane and its spans besides the decisions. The recorder
+	// skips them, so they take no sequence number and are never read back.
+
+	// KindQueryStart opens a window query: At is the instant before the
+	// fetch (KindWindowQueried carries the instant after), Card the
+	// enqueue-time estimate the scheduler priced the window at.
+	KindQueryStart
+	// KindCharge is one charged store query: Begin the posting buckets
+	// walked, Finish the modeled cost in nanoseconds. Not stamped.
+	KindCharge
+	// KindScatter is one routed query's shard split: Card the fan-out,
+	// Stage.Rows[Begin:Begin+Finish] the rows per shard. Not stamped.
+	KindScatter
+	// KindRunEnd closes the run: Detail is the stop reason.
+	KindRunEnd
 )
 
 var kindNames = [...]string{
@@ -127,7 +144,8 @@ func (k Kind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
 }
 
-// Record is one decision. Field meaning varies by Kind (see the Kind
+// Record is one decision as readers see it, rebuilt from the compact
+// Decision the recorder keeps. Field meaning varies by Kind (see the Kind
 // constants); unused fields are zero.
 type Record struct {
 	Seq    uint64        `json:"seq"`
@@ -149,23 +167,29 @@ type Record struct {
 
 // DefaultCapacity is the ring size of a recorder created with capacity <= 0:
 // large enough to hold every decision of the paper-scale analyses, small
-// enough (~8 MB) to attach to each fleet worker.
+// enough (4 MB when full) to attach to each fleet worker.
 const DefaultCapacity = 1 << 16
 
-// Recorder is the flight recorder: a fixed-capacity ring of decision
-// records. Its storage grows with the records actually emitted, up to the
-// capacity, so a run that decides little pays for little. When the ring is
+// Recorder is the flight recorder: a fixed-capacity ring of decisions, kept
+// as 64-byte pointer-free records in pages that are allocated when first
+// written and reused when the ring wraps, so a run that decides little pays
+// for little and the collector never scans what is kept. When the ring is
 // full the oldest records are overwritten and the
 // aptrace_explain_dropped_total counter says so — overflow is visible, not
-// silent. A nil *Recorder is a valid disabled recorder: every method is a
+// silent. The run loop feeds it a stage at a time (Consume: one lock, one
+// counter add per flush); Records, Explain and the dump rebuild Records on
+// read. A nil *Recorder is a valid disabled recorder: every method is a
 // no-op behind one pointer test.
 type Recorder struct {
 	mu       sync.Mutex
-	ring     []Record // len grows by append to capacity, then wraps at Seq % capacity
+	ring     Pages[Decision] // slot Seq % capacity
 	capacity int
 	seq      uint64 // total records emitted (next Seq)
-	dropped  uint64
+	pos      int    // seq % capacity, kept by counting: the slot of the next record
 	clk      simclock.Clock
+	base     time.Time // Decision.At counts from here; the first record's instant
+	based    bool
+	strs     Strings
 
 	telRecords *telemetry.Counter
 	telDropped *telemetry.Counter
@@ -200,161 +224,89 @@ func (r *Recorder) SetClock(clk simclock.Clock) {
 	r.mu.Unlock()
 }
 
-// add appends one record from the run loop. The executor stamps it: at is
-// its cached reading of the analysis clock, taken at the last point where
-// that clock could have moved, so the records of one window share one read.
-func (r *Recorder) add(at time.Time, rec Record) {
-	rec.At = at
+// since returns at as nanoseconds after the recorder's base instant, which
+// the first record fixes. Caller holds r.mu.
+func (r *Recorder) since(at time.Time) int64 {
+	if !r.based {
+		r.base, r.based = at, true
+	}
+	return int64(at.Sub(r.base))
+}
+
+// Consume appends a stage of run-loop records: one lock and one counter add
+// for all of them. They keep the stamps the executor gave them (its cached
+// reading of the analysis clock, see core.Executor.at) and take consecutive
+// sequence numbers in stage order; the stage's lane-only kinds are skipped.
+// Nil-safe.
+func (r *Recorder) Consume(s *Stage) {
+	if r == nil || len(s.Recs) == 0 {
+		return
+	}
 	r.mu.Lock()
-	seq := r.appendLocked(rec)
+	first := r.seq
+	var shift int64 // zero for the run whose start is the base: no subtraction per flush
+	if !r.based || s.Base != r.base {
+		shift = r.since(s.Base)
+	}
+	for i := range s.Recs {
+		d := &s.Recs[i]
+		if d.Kind >= KindQueryStart {
+			continue
+		}
+		slot := r.next()
+		*slot = *d
+		slot.At += shift
+		if d.Detail != 0 {
+			slot.Detail = r.strs.Intern(s.Strs[d.Detail-1])
+		}
+		if d.Clause != 0 {
+			slot.Clause = r.strs.Intern(s.Strs[d.Clause-1])
+		}
+	}
+	last := r.seq
 	r.mu.Unlock()
-	r.count(seq)
+	r.count(first, last)
+}
+
+// next takes the slot of the next sequence number. Caller holds r.mu.
+func (r *Recorder) next() *Decision {
+	slot := r.ring.At(r.pos)
+	r.seq++
+	if r.pos++; r.pos == r.capacity {
+		r.pos = 0
+	}
+	return slot
 }
 
 // addNow appends one record from outside the run loop — the session's
 // goroutines, and memo lookups that sit inside a charging call — stamped
 // with the bound clock's own reading, so no stamp crosses goroutines.
-func (r *Recorder) addNow(rec Record) {
+func (r *Recorder) addNow(d Decision, clause, detail string) {
 	r.mu.Lock()
+	var at time.Time
 	if r.clk != nil {
-		rec.At = r.clk.Now()
+		at = r.clk.Now()
 	}
-	seq := r.appendLocked(rec)
+	d.At = r.since(at)
+	d.Clause, d.Detail = r.strs.Intern(clause), r.strs.Intern(detail)
+	*r.next() = d
+	last := r.seq
 	r.mu.Unlock()
-	r.count(seq)
+	r.count(last-1, last)
 }
 
-// appendLocked stores the record under the next sequence number, which it
-// returns.
-func (r *Recorder) appendLocked(rec Record) uint64 {
-	rec.Seq = r.seq
-	r.seq++
-	if len(r.ring) < r.capacity {
-		if len(r.ring) == cap(r.ring) && len(r.ring) >= r.capacity/16 {
-			// A run that came this far usually fills the ring. Doubling the
-			// rest of the way would allocate the ring twice over and copy it
-			// once; take the remainder in one step.
-			r.ring = append(make([]Record, 0, r.capacity), r.ring...)
-		}
-		r.ring = append(r.ring, rec)
-	} else {
-		r.ring[int(rec.Seq)%r.capacity] = rec
-		r.dropped++
-	}
-	return rec.Seq
-}
-
-// count publishes one emission (and, past the ring's capacity, one
-// overwrite) to telemetry.
-func (r *Recorder) count(seq uint64) {
-	r.telRecords.Inc()
-	if seq >= uint64(r.capacity) {
-		r.telDropped.Inc()
+// count publishes the emissions [first, last) — and those of them that
+// overwrote a record, past the ring's capacity — to telemetry.
+func (r *Recorder) count(first, last uint64) {
+	r.telRecords.Add(int64(last - first))
+	if kept := max(first, uint64(r.capacity)); last > kept {
+		r.telDropped.Add(int64(last - kept))
 	}
 }
 
-// The emission methods below are split into an inlinable nil check and an
-// unexported slow path, so a disabled recorder costs one pointer test at
-// every call site (the ≤2 ns/op contract asserted by BenchmarkDisabledEmission).
-// Methods the run loop calls take the record's time, at, from the caller;
-// the others read the bound clock.
-
-// RunStart records the start of an analysis from alert.
-func (r *Recorder) RunStart(at time.Time, alert event.Event, node event.ObjID, from, to int64) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindRunStart, Event: alert.ID, Node: node, Begin: from, Finish: to})
-}
-
-// EdgeAdded records an edge landing in the graph: node is the newly reached
-// object, peer the known endpoint, [wb,wf) the discovering window.
-func (r *Recorder) EdgeAdded(at time.Time, ev event.EventID, node, peer event.ObjID, hop int, wb, wf int64, boost int) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindEdgeAdded, Event: ev, Node: node, Peer: peer, Hop: hop, Begin: wb, Finish: wf, Boost: boost})
-}
-
-// EdgeDedup records a candidate already present as a graph edge.
-func (r *Recorder) EdgeDedup(at time.Time, ev event.EventID, node event.ObjID) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindEdgeDedup, Event: ev, Node: node})
-}
-
-// EdgeDropped records a candidate skipped because its object was already
-// deleted by the where statement; peer is the graph-side endpoint the edge
-// would have attached to.
-func (r *Recorder) EdgeDropped(at time.Time, ev event.EventID, node, peer event.ObjID) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindEdgeDropped, Event: ev, Node: node, Peer: peer})
-}
-
-// EdgeHostFiltered records a candidate rejected by the general "in" host
-// constraint.
-func (r *Recorder) EdgeHostFiltered(at time.Time, ev event.EventID, node, peer event.ObjID, host string) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindEdgeHostFiltered, Event: ev, Node: node, Peer: peer, Detail: host})
-}
-
-// EdgeWhereRejected records the where statement deleting a candidate object;
-// clause/pos identify the deciding BDL clause.
-func (r *Recorder) EdgeWhereRejected(at time.Time, ev event.EventID, node, peer event.ObjID, clause string, pos bdl.Pos) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindEdgeWhereRejected, Event: ev, Node: node, Peer: peer, Clause: clause, Pos: pos.String()})
-}
-
-// EdgeHopBudget records a candidate rejected by the hop budget; hop is the
-// path length the edge would have reached, limit the budget.
-func (r *Recorder) EdgeHopBudget(at time.Time, ev event.EventID, node, peer event.ObjID, hop, limit int) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindEdgeHopBudget, Event: ev, Node: node, Peer: peer, Hop: hop, Card: limit})
-}
-
-// WindowEnqueued records an execution window entering the priority queue.
-func (r *Recorder) WindowEnqueued(at time.Time, node event.ObjID, wb, wf int64, card, state, boost int) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindWindowEnqueued, Node: node, Begin: wb, Finish: wf, Card: card, State: state, Boost: boost})
-}
-
-// WindowEmpty records a window pruned at enqueue time by the index-only
-// cardinality estimate.
-func (r *Recorder) WindowEmpty(at time.Time, node event.ObjID, wb, wf int64) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindWindowEmpty, Node: node, Begin: wb, Finish: wf})
-}
-
-// WindowResplit records a window split instead of queried; card is the row
-// estimate that exceeded the cap.
-func (r *Recorder) WindowResplit(at time.Time, node event.ObjID, wb, wf int64, card int) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindWindowResplit, Node: node, Begin: wb, Finish: wf, Card: card})
-}
-
-// WindowQueried records a window executing as one bounded query retrieving
-// rows rows.
-func (r *Recorder) WindowQueried(at time.Time, node event.ObjID, wb, wf int64, rows int) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindWindowQueried, Node: node, Begin: wb, Finish: wf, Card: rows})
-}
+// The emission methods below are for callers outside the run loop; they read
+// the bound clock. Each is an inlinable nil check in front of addNow, so a
+// disabled recorder costs one pointer test per call site.
 
 // MemoVerdict records a memo-cache lookup: hit says whether the cached
 // closure was served, what names the cached query kind ("backward",
@@ -368,16 +320,7 @@ func (r *Recorder) MemoVerdict(hit bool, what string, node event.ObjID, wb, wf i
 	if hit {
 		k = KindMemoHit
 	}
-	r.addNow(Record{Kind: k, Node: node, Begin: wb, Finish: wf, Card: rows, Detail: what})
-}
-
-// WindowAbandoned records a window still queued when the run ended; reason
-// is the stop reason.
-func (r *Recorder) WindowAbandoned(at time.Time, node event.ObjID, wb, wf int64, reason string) {
-	if r == nil {
-		return
-	}
-	r.add(at, Record{Kind: KindWindowAbandoned, Node: node, Begin: wb, Finish: wf, Detail: reason})
+	r.addNow(Decision{Kind: k, Node: node, Begin: wb, Finish: wf, Card: int32(rows)}, "", what)
 }
 
 // PlanUpdate records a script change: decision is the refiner's resume
@@ -386,7 +329,7 @@ func (r *Recorder) PlanUpdate(decision, delta string) {
 	if r == nil {
 		return
 	}
-	r.addNow(Record{Kind: KindPlanUpdate, Clause: decision, Detail: delta})
+	r.addNow(Decision{Kind: KindPlanUpdate}, decision, delta)
 }
 
 // Pause records the analyst pausing the run.
@@ -394,7 +337,7 @@ func (r *Recorder) Pause() {
 	if r == nil {
 		return
 	}
-	r.addNow(Record{Kind: KindPause})
+	r.addNow(Decision{Kind: KindPause}, "", "")
 }
 
 // Resume records the analyst resuming the run.
@@ -402,7 +345,7 @@ func (r *Recorder) Resume() {
 	if r == nil {
 		return
 	}
-	r.addNow(Record{Kind: KindResume})
+	r.addNow(Decision{Kind: KindResume}, "", "")
 }
 
 // Finalize records tracking-statement path pruning removing removed edges.
@@ -410,7 +353,7 @@ func (r *Recorder) Finalize(removed int) {
 	if r == nil {
 		return
 	}
-	r.addNow(Record{Kind: KindFinalize, Card: removed})
+	r.addNow(Decision{Kind: KindFinalize, Card: int32(removed)}, "", "")
 }
 
 // Records returns the retained records in emission order (oldest first).
@@ -421,14 +364,26 @@ func (r *Recorder) Records() []Record {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.seq <= uint64(r.capacity) {
-		return append([]Record(nil), r.ring...)
+	if r.seq == 0 {
+		return nil
 	}
-	// The ring wrapped: the oldest record sits at seq % cap.
-	out := make([]Record, 0, len(r.ring))
-	head := int(r.seq) % r.capacity
-	out = append(out, r.ring[head:]...)
-	out = append(out, r.ring[:head]...)
+	oldest := r.seq - min(r.seq, uint64(r.capacity))
+	out := make([]Record, 0, r.seq-oldest)
+	for seq := oldest; seq < r.seq; seq++ {
+		d := r.ring.At(int(seq % uint64(r.capacity)))
+		rec := Record{
+			Seq: seq, Kind: d.Kind, At: r.base.Add(time.Duration(d.At)),
+			Event: d.Event, Node: d.Node, Peer: d.Peer, Hop: int(d.Hop),
+			Begin: d.Begin, Finish: d.Finish,
+			Card: int(d.Card), State: int(d.State), Boost: int(d.Boost),
+			Clause: r.strs.Get(d.Clause), Detail: r.strs.Get(d.Detail),
+		}
+		if d.Kind == KindEdgeWhereRejected {
+			rec.Pos = bdl.Pos{Line: int(d.Begin), Col: int(d.Finish)}.String()
+			rec.Begin, rec.Finish = 0, 0
+		}
+		out = append(out, rec)
+	}
 	return out
 }
 
@@ -440,7 +395,7 @@ func (r *Recorder) Stats() (emitted, dropped uint64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.seq, r.dropped
+	return r.seq, r.seq - min(r.seq, uint64(r.capacity))
 }
 
 // CountByKind tallies the retained records per kind name — the breakdown

@@ -34,8 +34,12 @@ type Explanation struct {
 // Explain assembles the justification for node from the retained records.
 // Nil-safe: a disabled recorder explains nothing.
 func (r *Recorder) Explain(node event.ObjID) Explanation {
+	return explainFrom(r.Records(), node)
+}
+
+func explainFrom(recs []Record, node event.ObjID) Explanation {
 	ex := Explanation{Node: node}
-	for _, rec := range r.Records() {
+	for _, rec := range recs {
 		if rec.Node != node {
 			continue
 		}

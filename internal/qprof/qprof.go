@@ -171,33 +171,52 @@ func (p *Profiler) SetLayout(shards int, epochSeconds int64) {
 
 // Observe records one query sample.
 func (p *Profiler) Observe(s Sample) {
-	if p == nil {
+	if p != nil {
+		p.ObserveBatch([]Sample{s})
+	}
+}
+
+// ObserveBatch records query samples, in order, under one lock: how a store
+// view delivers what it sampled (see store.FlushQueryProfile). The samples'
+// Shards may share storage the caller reuses; the profiler keeps copies of
+// the few it retains.
+func (p *Profiler) ObserveBatch(batch []Sample) {
+	if p == nil || len(batch) == 0 {
 		return
 	}
 	p.mu.Lock()
-	p.queries++
-	p.fanoutSum += int64(s.Fanout)
-	p.rows += s.Rows
-	p.busyNs += s.BusyNs
-	p.savableNs += s.SavableNs
-	p.mergeNs += s.MergeNs
-	if int(s.Kind) < len(p.byKind) {
-		a := &p.byKind[s.Kind]
-		a.queries++
-		a.rows += s.Rows
-		a.busyNs += s.BusyNs
-		a.mergeNs += s.MergeNs
-	}
-	if s.Fanout > 1 {
-		p.scattered++
-		if sk := s.Skew(); sk > 0 {
-			p.skews[p.skewN%skewRingCap] = sk
-			p.skewN++
+	for i := range batch {
+		s := &batch[i]
+		p.queries++
+		p.fanoutSum += int64(s.Fanout)
+		p.rows += s.Rows
+		p.busyNs += s.BusyNs
+		p.savableNs += s.SavableNs
+		p.mergeNs += s.MergeNs
+		if int(s.Kind) < len(p.byKind) {
+			a := &p.byKind[s.Kind]
+			a.queries++
+			a.rows += s.Rows
+			a.busyNs += s.BusyNs
+			a.mergeNs += s.MergeNs
 		}
+		if s.Fanout > 1 {
+			p.scattered++
+			if sk := s.Skew(); sk > 0 {
+				p.skews[p.skewN%skewRingCap] = sk
+				p.skewN++
+			}
+		}
+		p.heat.observe(s)
 	}
-	p.recent[p.recentN%recentRingCap] = s
-	p.recentN++
-	p.heat.observe(&s)
+	// Only the newest recentRingCap samples can survive in the recent ring.
+	for i := max(0, len(batch)-recentRingCap); i < len(batch); i++ {
+		r := &p.recent[(p.recentN+int64(i))%recentRingCap]
+		shards := append(r.Shards[:0], batch[i].Shards...)
+		*r = batch[i]
+		r.Shards = shards
+	}
+	p.recentN += int64(len(batch))
 	p.mu.Unlock()
 }
 
@@ -272,7 +291,9 @@ func (p *Profiler) Recent() []Sample {
 	out := make([]Sample, 0, n)
 	start := p.recentN - n
 	for i := start; i < p.recentN; i++ {
-		out = append(out, p.recent[i%recentRingCap])
+		s := p.recent[i%recentRingCap]
+		s.Shards = append([]ShardSample(nil), s.Shards...) // the slot's storage is reused
+		out = append(out, s)
 	}
 	return out
 }

@@ -301,6 +301,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 				return false
 			}
 			flusher.Flush()
+			run.hub.opened()
 		}
 		return true
 	}

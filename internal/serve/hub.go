@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aptrace/internal/graph"
@@ -33,6 +35,10 @@ const DefaultSubscriberBuffer = 1 << 16
 // claimed, or still claimable — or dropped: sent + dropped == published.
 type hub struct {
 	dropped *telemetry.Counter // shared slow-consumer drop counter
+	// opening counts, daemon-wide, the submitted sessions whose stream has
+	// not had its first write yet; waiting says this one is among them.
+	opening *atomic.Int32
+	waiting atomic.Bool
 
 	mu      sync.Mutex
 	history []graph.Update // append-only: elements below len never change
@@ -65,13 +71,28 @@ type subStat struct {
 	Dropped int `json:"dropped"`
 }
 
-func newHub(dropped *telemetry.Counter) *hub {
+func newHub(dropped *telemetry.Counter, opening *atomic.Int32) *hub {
 	return &hub{
 		dropped: dropped,
+		opening: opening,
 		subs:    make(map[*subscriber]struct{}),
 		done:    make(chan struct{}),
 	}
 }
+
+// yieldEvery is how many updates a run publishes between two yields of its
+// processor. The run loop is CPU-bound and shares no lock with another run,
+// so on a daemon with as many workers as cores nothing else — a stream
+// handler publish has poked, a connection with a request to read — would be
+// scheduled before the runtime preempts it, 10 ms later (the per-record
+// recorder locks used to let them in several thousand times a second, by
+// contention). A yield lets the handler write what has accumulated, so the
+// interval is also the batch: on the benchmark's two-core box every 8th frame
+// keeps the streams fed for a few percent of throughput, every 2nd cost a
+// third of it in writes of a frame or two. While a submitted session is still
+// waiting for its stream to open (hub.opening) every frame of every run
+// yields: that wait is the analyst's time to first update, and it is short.
+const yieldEvery = 8
 
 // publish appends the update and pokes every subscriber; it never blocks. A
 // subscriber that now trails by more than its bound loses its oldest
@@ -101,6 +122,9 @@ func (h *hub) publish(u graph.Update) {
 		}
 	}
 	h.mu.Unlock()
+	if n%yieldEvery == 0 || h.opening.Load() > 0 {
+		runtime.Gosched()
+	}
 }
 
 // subscribe returns the history so far — a view of the append-only log, not
@@ -182,7 +206,23 @@ func (h *hub) unsubscribe(sub *subscriber) int {
 
 // close marks the stream complete and wakes every subscriber (the done
 // channel). Updates not yet claimed stay claimable.
+// await marks the session as waiting for its stream to open: a client has
+// submitted it and will attach. opened ends the wait — at the stream's first
+// write, or when the session ends without one.
+func (h *hub) await() {
+	if h.waiting.CompareAndSwap(false, true) {
+		h.opening.Add(1)
+	}
+}
+
+func (h *hub) opened() {
+	if h.waiting.CompareAndSwap(true, false) {
+		h.opening.Add(-1)
+	}
+}
+
 func (h *hub) close() {
+	h.opened()
 	h.mu.Lock()
 	if !h.closed {
 		h.closed = true

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,12 +40,36 @@ func gatedRun(t *testing.T, cfg Config) (*Server, *Run, *gate) {
 	return srv, run, g
 }
 
+// TestHubStreamOpeningCount: a submitted session counts as opening from
+// await until its stream's first write or its end, whichever comes first, and
+// exactly once — the count every run's publish consults must return to zero.
+func TestHubStreamOpeningCount(t *testing.T) {
+	var opening atomic.Int32
+	streamed, silent := newHub(nil, &opening), newHub(nil, &opening)
+	streamed.await()
+	streamed.await()
+	silent.await()
+	if got := opening.Load(); got != 2 {
+		t.Fatalf("two sessions waiting: opening = %d", got)
+	}
+	streamed.opened() // the handler's first write
+	streamed.opened() // and its second
+	if got := opening.Load(); got != 1 {
+		t.Fatalf("one stream open: opening = %d", got)
+	}
+	streamed.close()
+	silent.close() // ended before anyone attached
+	if got := opening.Load(); got != 0 {
+		t.Fatalf("both sessions over: opening = %d", got)
+	}
+}
+
 // TestHubPublishNeverBlocks: a subscriber that never claims costs the
 // publisher nothing but its accounting, and a claimer racing the publisher
 // within its lag bound sees every update exactly once, in order.
 func TestHubPublishNeverBlocks(t *testing.T) {
 	const n = 20000
-	h := newHub(telemetry.NewRegistry().Counter(telemetry.MetricServeUpdatesDropped))
+	h := newHub(telemetry.NewRegistry().Counter(telemetry.MetricServeUpdatesDropped), new(atomic.Int32))
 	_, deaf := h.subscribe(4)
 	_, reader := h.subscribe(n)
 

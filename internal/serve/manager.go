@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aptrace/internal/core"
@@ -284,6 +285,7 @@ type Manager struct {
 	telSessions *telemetry.Counter
 	telRejected *telemetry.Counter
 	telDropped  *telemetry.Counter
+	opening     atomic.Int32 // submitted sessions whose stream has not opened (see hub.await)
 }
 
 // newManager wires a manager over a fleet pool. queue bounds the global
@@ -370,7 +372,7 @@ func (m *Manager) SubmitCorr(corr, tenant, script string, alert *event.Event, au
 		Rule:    rule,
 		Corr:    corr,
 		slis:    m.slis,
-		hub:     newHub(m.telDropped),
+		hub:     newHub(m.telDropped, &m.opening),
 		done:    make(chan struct{}),
 		created: time.Now(),
 	}
@@ -388,8 +390,12 @@ func (m *Manager) SubmitCorr(corr, tenant, script string, alert *event.Event, au
 	m.runs[run.ID] = run
 	m.order = append(m.order, run.ID)
 	m.mu.Unlock()
+	if !auto {
+		run.hub.await() // its submitter is about to attach to the stream
+	}
 
 	if !m.runner.TrySubmit(func() { m.execute(run, alertCopy) }) {
+		run.hub.opened()
 		// Global queue full (or runner closed): roll the admission back.
 		// The lock was released in between, so a concurrent Submit may have
 		// appended after us — remove our ID wherever it is, never the tail.

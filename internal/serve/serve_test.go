@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -691,7 +692,7 @@ func update(i int) graph.Update {
 func TestHubSemantics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ctr := reg.Counter(telemetry.MetricServeUpdatesDropped)
-	h := newHub(ctr)
+	h := newHub(ctr, new(atomic.Int32))
 
 	backlog, slow := h.subscribe(1)
 	if len(backlog) != 0 || slow == nil {

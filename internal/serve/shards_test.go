@@ -3,9 +3,13 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
+	"aptrace/internal/core"
+	"aptrace/internal/qprof"
+	"aptrace/internal/session"
 	"aptrace/internal/simclock"
 	"aptrace/internal/workload"
 )
@@ -15,6 +19,23 @@ import (
 // the daemon's always-on profiler), then the endpoint reports the physical
 // shard layout next to the profiler's cumulative query-side view, and the
 // same per-shard loads feed the watchdog's shard_skew stat.
+// counted keeps what a profile counts — queries, rows, heat — and drops what
+// it times, which differs from run to run.
+func counted(s qprof.Snapshot) qprof.Snapshot {
+	s.BusyNs, s.SavableNs, s.MergeNs = 0, 0, 0
+	s.SkewP50, s.SkewP90, s.SkewMax = 0, 0, 0
+	for i := range s.Kinds {
+		s.Kinds[i].BusyNs, s.Kinds[i].MergeNs = 0, 0
+	}
+	for i := range s.Shards {
+		s.Shards[i].BusyNs = 0
+	}
+	for i := range s.Cells {
+		s.Cells[i].BusyNs = 0
+	}
+	return s
+}
+
 func TestDebugShards(t *testing.T) {
 	ds, err := workload.Generate(
 		workload.Config{Seed: 9, Hosts: 4, Days: 3, Density: 0.4, Shards: 4},
@@ -55,6 +76,27 @@ func TestDebugShards(t *testing.T) {
 	}
 	if body.Profile.Rows == 0 || len(body.Profile.Shards) == 0 {
 		t.Fatalf("profile missing shard heat: %+v", body.Profile)
+	}
+
+	// The run's view folded its samples into the profiler a batch at a time
+	// and the rest when the run ended. The same investigation on a store
+	// that delivers every sample as it is made (a root store does) must leave
+	// the same profile behind: nothing is lost or double-counted in a batch.
+	ds2, err := workload.Generate(ds.Config, simclock.NewSimulated(time.Time{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := qprof.New()
+	ds2.Store.SetQueryProfiler(ref)
+	sess := session.New(ds2.Store, core.Options{})
+	if err := sess.Start(ds.Attacks[0].Scripts[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := counted(body.Profile), counted(ref.Snapshot()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("served profile differs from per-sample observation:\n got %+v\nwant %+v", got, want)
 	}
 
 	// The watchdog's counts snapshot carries the per-shard loads the

@@ -160,6 +160,9 @@ func TestSSESubscriberAfterFinishSeesFullBacklog(t *testing.T) {
 	if sum.State != "done" || sum.Updates == 0 {
 		t.Fatalf("run = %+v", sum)
 	}
+	if n := srv.Manager().opening.Load(); n != 0 {
+		t.Fatalf("the session ended, nobody attached: %d sessions still count as opening their stream", n)
+	}
 
 	for i := 0; i < 2; i++ { // replay is repeatable
 		resp := mustGet(t, ts.URL+"/api/v1/sessions/"+run.ID+"/updates")

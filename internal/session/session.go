@@ -41,7 +41,7 @@ type Session struct {
 	restart *refiner.Plan // pending restart plan, consumed by the run loop
 	running bool
 
-	updates  []graph.Update
+	updateAt []time.Time // when each update landed, on the analysis clock
 	onUpdate func(graph.Update)
 	journal  *Journal
 
@@ -59,7 +59,7 @@ type Session struct {
 }
 
 // New creates a session over the store. opts.OnUpdate, if set, receives
-// every update in addition to the session's own recording. opts.Telemetry,
+// every update; the session itself keeps only their times. opts.Telemetry,
 // if set, additionally counts emitted updates and pause/resume actions and
 // traces each pause as a session.pause span lasting until the matching
 // resume.
@@ -103,7 +103,7 @@ func (s *Session) log(e JournalEntry) {
 
 func (s *Session) record(u graph.Update) {
 	s.mu.Lock()
-	s.updates = append(s.updates, u)
+	s.updateAt = append(s.updateAt, u.At)
 	s.mu.Unlock()
 	s.telUpdates.Inc()
 	if s.onUpdate != nil {
@@ -421,23 +421,13 @@ func (s *Session) Graph() *graph.Graph {
 	return s.x.Graph()
 }
 
-// Updates returns a copy of all recorded updates so far.
-func (s *Session) Updates() []graph.Update {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]graph.Update(nil), s.updates...)
-}
-
-// UpdateTimes returns just the timestamps of recorded updates — the series
+// UpdateTimes returns the timestamps of the updates so far — the series
 // whose consecutive deltas are the paper's "waiting time between updates".
+// The updates themselves go to opts.OnUpdate; the session keeps no copy.
 func (s *Session) UpdateTimes() []time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]time.Time, len(s.updates))
-	for i, u := range s.updates {
-		out[i] = u.At
-	}
-	return out
+	return append([]time.Time(nil), s.updateAt...)
 }
 
 // Finalize applies the tracking statement's path pruning to the finished
@@ -459,6 +449,7 @@ func (s *Session) Finalize() (int, error) {
 		return 0, err
 	}
 	removed := m.Prune(g)
+	s.st.FlushQueryProfile() // the recalculation queried after the run's own flush
 	s.rec.Finalize(removed)
 	s.log(JournalEntry{Action: "finalize", Detail: fmt.Sprintf("pruned %d edges", removed)})
 	if plan.Output != "" {

@@ -64,10 +64,10 @@ func TestSessionLifecycle(t *testing.T) {
 	if res.Graph.NumEdges() < 10 {
 		t.Fatalf("suspiciously small graph: %d", res.Graph.NumEdges())
 	}
-	if got := len(s.Updates()); got != res.Updates {
+	times := s.UpdateTimes()
+	if got := len(times); got != res.Updates {
 		t.Fatalf("recorded %d updates, executor reported %d", got, res.Updates)
 	}
-	times := s.UpdateTimes()
 	for i := 1; i < len(times); i++ {
 		if times[i].Before(times[i-1]) {
 			t.Fatal("update times not monotone")

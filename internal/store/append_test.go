@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"aptrace/internal/event"
+	"aptrace/internal/qprof"
 )
 
 // naiveWindow is the reference query: a full scan of the event log filtered
@@ -145,29 +146,59 @@ func TestAppendReusesCapacity(t *testing.T) {
 				}
 			}
 		}
-		buf, err := s.AppendBackward(nil, hot, 0, to)
+		// The contract holds with nobody listening and on the profiled path:
+		// a view builds its samples in its batch, with and without a scatter
+		// observer, which is handed the batch's row split. (A root store
+		// borrows a pooled batch per query; the race detector makes pools
+		// lossy on purpose, so no zero is asserted there.)
+		profiled, err := s.View(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		calls := []struct {
-			name string
-			call func() error
-		}{
-			{"AppendBackward", func() (err error) { buf, err = s.AppendBackward(buf[:0], hot, 0, to); return }},
-			{"CountBackward", func() (err error) { _, err = s.CountBackward(hot, 0, to); return }},
-			{"IsReadOnlyFile", func() (err error) { _, err = s.IsReadOnlyFile(hotFile, 0, to); return }},
-			{"IsWriteThrough", func() (err error) { _, err = s.IsWriteThrough(hotProc, 0, to); return }},
-			{"FlowAmount", func() (err error) { _, err = s.FlowAmount(0, hot, 0, to); return }},
-			{"FileTimes", func() (err error) { _, _, _, err = s.FileTimes(hotFile, 0, to); return }},
+		profiled.SetQueryProfiler(qprof.New())
+		observed, err := s.View(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, c := range calls {
-			allocs := testing.AllocsPerRun(100, func() {
-				if err := c.call(); err != nil {
-					t.Fatal(err)
+		observed.SetQueryProfiler(qprof.New())
+		observed.SetScatterObserver(func(int, []int64) {})
+		for _, sub := range []struct {
+			name string
+			s    *Store
+		}{{"unobserved", s}, {"profiled view", profiled}, {"profiled+scatter view", observed}} {
+			s := sub.s
+			buf, err := s.AppendBackward(nil, hot, 0, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls := []struct {
+				name string
+				call func() error
+			}{
+				{"AppendBackward", func() (err error) { buf, err = s.AppendBackward(buf[:0], hot, 0, to); return }},
+				{"CountBackward", func() (err error) { _, err = s.CountBackward(hot, 0, to); return }},
+				{"IsReadOnlyFile", func() (err error) { _, err = s.IsReadOnlyFile(hotFile, 0, to); return }},
+				{"IsWriteThrough", func() (err error) { _, err = s.IsWriteThrough(hotProc, 0, to); return }},
+				{"FlowAmount", func() (err error) { _, err = s.FlowAmount(0, hot, 0, to); return }},
+				{"FileTimes", func() (err error) { _, _, _, err = s.FileTimes(hotFile, 0, to); return }},
+			}
+			for _, c := range calls {
+				// Past the first full batch the view's buffers, the
+				// profiler's recent ring and the heat of these objects have
+				// their final size.
+				for i := 0; i < 2*sampleBatchLen; i++ {
+					if err := c.call(); err != nil {
+						t.Fatal(err)
+					}
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("shards=%d: steady-state %s allocates %.1f times per call, want 0", shards, c.name, allocs)
+				allocs := testing.AllocsPerRun(2*sampleBatchLen, func() {
+					if err := c.call(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("shards=%d, %s: steady-state %s allocates %.1f times per call, want 0", shards, sub.name, c.name, allocs)
+				}
 			}
 		}
 	}

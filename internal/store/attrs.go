@@ -77,8 +77,7 @@ func (s *Store) IsWriteThroughRows(obj event.ObjID, from, to int64) (bool, int64
 	if s.objects[obj].Type != event.ObjProcess {
 		return false, NoCharge, nil
 	}
-	qp, obs := s.qp.Load(), s.scatterObs
-	var snap []qprof.ShardSample
+	qp, b := s.sampling()
 	var rows, postingLen int64
 	seen, through := false, true
 	// The incoming index first, the outgoing one only if the helper is still
@@ -90,18 +89,16 @@ func (s *Store) IsWriteThroughRows(obj event.ObjID, from, to int64) (bool, int64
 		acc, durs := s.walkRuns(walkWriteThrough, 0, runs, total)
 		rows += s.chargedRows(runs, acc, total)
 		seen = seen || acc.nonLoad
-		if qp != nil || obs != nil {
-			snap = append(snap, shardSnap(runs, durs)...)
-			postingLen += int64(n)
-		}
+		b.split(runs, durs)
+		postingLen += int64(n)
 		if acc.run >= 0 {
 			through = false
 			break
 		}
 	}
 	s.charge(rows, from, to)
-	if qp != nil || obs != nil {
-		s.emit(qp, obs, qprof.KindWriteThrough, int64(obj), from, to, rows, postingLen, 0, snap)
+	if b != nil {
+		s.emit(qp, b, qprof.KindWriteThrough, int64(obj), from, to, rows, postingLen, 0)
 	}
 	return seen && through, rows, nil
 }

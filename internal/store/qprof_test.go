@@ -228,14 +228,22 @@ func BenchmarkQueryNilProfiler(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryWithProfiler measures the same query with a live profiler
-// attached: hook cost + sample aggregation + heatmap upkeep.
+// BenchmarkQueryWithProfiler measures the same query as a run pays for it
+// with a live profiler attached: on a view, which builds its samples in its
+// batch and folds them into the profiler (aggregation + heatmap upkeep) a
+// batch at a time. It must not allocate.
 func BenchmarkQueryWithProfiler(b *testing.B) {
 	s := benchStore(b, WithShards(4), WithShardEpoch(500))
 	s.SetQueryProfiler(qprof.New())
-	minT, maxT, _ := s.TimeRange()
+	v, err := s.View(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	minT, maxT, _ := v.TimeRange()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.CountBackward(event.ObjID(i%s.NumObjects()), minT, maxT+1)
+		v.CountBackward(event.ObjID(i%v.NumObjects()), minT, maxT+1)
 	}
+	v.FlushQueryProfile()
 }

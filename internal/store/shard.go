@@ -667,19 +667,19 @@ func (s *Store) CollectMatches(from, to int64, newPred func() func(event.Event) 
 		}
 	}
 	s.charge(rows, from, to)
-	qp, obs := s.qp.Load(), s.scatterObs
+	qp, b := s.sampling()
 	emit := func(mergeNs int64) {
-		if qp == nil && obs == nil {
+		if b == nil {
 			return
 		}
-		snap := make([]qprof.ShardSample, len(legs))
 		for i := range legs {
-			snap[i] = qprof.ShardSample{Shard: legs[i].sid, Rows: legs[i].rows}
+			ss := qprof.ShardSample{Shard: legs[i].sid, Rows: legs[i].rows}
 			if durs != nil {
-				snap[i].BusyNs = durs[i]
+				ss.BusyNs = durs[i]
 			}
+			b.shards = append(b.shards, ss)
 		}
-		s.emit(qp, obs, qprof.KindMatches, -1, from, to, rows, 0, mergeNs, snap)
+		s.emit(qp, b, qprof.KindMatches, -1, from, to, rows, 0, mergeNs)
 	}
 	if failed >= 0 {
 		emit(0)

@@ -126,6 +126,11 @@ type Store struct {
 	// refreshed snapshots while queries run. A nil profiler costs one atomic
 	// load per query.
 	qp atomic.Pointer[qprof.Profiler]
+
+	// batch is where a view builds its profiler samples and keeps them until
+	// sampleBatchLen are due (see sampleBatch); nil on a root store and until
+	// the first observed query.
+	batch *sampleBatch
 }
 
 // storeMetrics holds the store's pre-resolved telemetry instruments. All
@@ -279,6 +284,7 @@ func (s *Store) SetScatterObserver(fn ScatterObserver) {
 // Profiling observes real CPU only: charged cost, Stats, and query results
 // are byte-identical with the profiler attached or nil.
 func (s *Store) SetQueryProfiler(p *qprof.Profiler) {
+	s.FlushQueryProfile() // what the view still holds belongs to the old profiler
 	p.SetLayout(len(s.parts), s.ShardEpochSeconds())
 	s.qp.Store(p)
 }
@@ -394,6 +400,11 @@ func (s *Store) Sealed() bool { return s.sealed }
 // Views are strictly read-only: AddEvent and Seal fail as on any sealed
 // store, and Intern panics. The parent must not Intern while views are in
 // use (object-table growth is not synchronized with view readers).
+//
+// A view is one run's handle: its clock, its observers and the batch it
+// builds its profiler samples in (see FlushQueryProfile) are unsynchronized,
+// so queries on ONE view must come from one goroutine at a time. Concurrency
+// comes from many views.
 func (s *Store) View(clk simclock.Clock) (*Store, error) {
 	if !s.sealed {
 		return nil, ErrNotSealed
@@ -475,11 +486,8 @@ func (s *Store) appendPosting(buf []event.Event, obj event.ObjID, forward bool, 
 	runs, postingLen, rows := s.collect(scratch[:0], obj, forward, from, to)
 	s.noteProbe(postingLen, len(runs))
 	// Snapshot per-part rows before the merge consumes the run cursors.
-	qp, obs := s.qp.Load(), s.scatterObs
-	var snap []qprof.ShardSample
-	if qp != nil || obs != nil {
-		snap = shardSnap(runs, nil)
-	}
+	qp, b := s.sampling()
+	b.split(runs, nil)
 	if need := len(buf) + rows; need > cap(buf) {
 		grown := make([]event.Event, len(buf), need)
 		copy(grown, buf)
@@ -508,8 +516,8 @@ func (s *Store) appendPosting(buf []event.Event, obj event.ObjID, forward bool, 
 		}
 	}
 	s.charge(int64(rows), from, to)
-	if qp != nil || obs != nil {
-		s.emit(qp, obs, postingKind(forward, false), int64(obj), from, to, int64(rows), int64(postingLen), mergeNs, snap)
+	if b != nil {
+		s.emit(qp, b, postingKind(forward, false), int64(obj), from, to, int64(rows), int64(postingLen), mergeNs)
 	}
 	return buf, nil
 }
@@ -522,31 +530,24 @@ func (s *Store) countPosting(obj event.ObjID, forward bool, from, to int64) (int
 	if !s.sealed {
 		return 0, ErrNotSealed
 	}
-	if qp, obs := s.qp.Load(), s.scatterObs; qp != nil || obs != nil {
-		return s.countObserved(qp, obs, obj, forward, from, to), nil
-	}
+	qp, b := s.sampling()
 	var postingLen, rows, fanout int
-	for _, p := range s.parts {
+	for pi, p := range s.parts {
 		lo, hi, n := p.window(obj, forward, from, to)
 		postingLen += n
 		if lo < hi {
 			rows += int(hi - lo)
 			fanout++
+			if b != nil {
+				b.shards = append(b.shards, qprof.ShardSample{Shard: pi, Rows: int64(hi - lo)})
+			}
 		}
 	}
 	s.noteProbe(postingLen, fanout)
+	if b != nil {
+		s.emit(qp, b, postingKind(forward, true), int64(obj), from, to, int64(rows), int64(postingLen), 0)
+	}
 	return rows, nil
-}
-
-// countObserved is countPosting with someone listening: the same sums, taken
-// from collected runs so the sample can carry the per-shard split. Kept apart
-// so the unobserved count needs no run scratch.
-func (s *Store) countObserved(qp *qprof.Profiler, obs ScatterObserver, obj event.ObjID, forward bool, from, to int64) int {
-	var scratch [MaxShards]run
-	runs, postingLen, rows := s.collect(scratch[:0], obj, forward, from, to)
-	s.noteProbe(postingLen, len(runs))
-	s.emit(qp, obs, postingKind(forward, true), int64(obj), from, to, int64(rows), int64(postingLen), 0, shardSnap(runs, nil))
-	return rows
 }
 
 // AppendBackward appends to buf the events whose data-flow destination is dst
@@ -609,7 +610,7 @@ func (s *Store) Scan(from, to int64, fn func(event.Event) bool) error {
 	rows := int64(0)
 	// With a profiler attached, attribute scanned rows to the part each
 	// event lives in; real CPU only.
-	qp := s.qp.Load()
+	qp, b := s.sampling()
 	var perPart []int64
 	if qp != nil {
 		perPart = make([]int64, len(s.parts))
@@ -630,14 +631,13 @@ func (s *Store) Scan(from, to int64, fn func(event.Event) bool) error {
 	}
 	s.charge(rows, from, to)
 	if qp != nil {
-		smp := qprof.Sample{Kind: qprof.KindScan, Obj: -1, From: from, To: to, Rows: rows}
 		for sid, r := range perPart {
 			if r > 0 {
-				smp.Shards = append(smp.Shards, qprof.ShardSample{Shard: sid, Rows: r})
+				b.shards = append(b.shards, qprof.ShardSample{Shard: sid, Rows: r})
 			}
 		}
-		s.finishSample(&smp)
-		qp.Observe(smp)
+		s.sample(b, qprof.KindScan, -1, from, to, rows, 0, 0)
+		s.deliver(qp, b)
 	}
 	return nil
 }

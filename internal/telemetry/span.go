@@ -38,6 +38,11 @@ type lazyDetail struct {
 	n      uint8
 }
 
+func (d *lazyDetail) set(format string, args []int64) {
+	d.format = format
+	d.n = uint8(copy(d.args[:], args))
+}
+
 func (d lazyDetail) String() string {
 	args := make([]any, d.n)
 	for i := range args {
@@ -59,7 +64,6 @@ type Span struct {
 	start  time.Time
 	detail string
 	lazy   lazyDetail
-	args   []SpanArg
 }
 
 // ID returns the span's ID (0 on a nil span).
@@ -83,8 +87,7 @@ func (s *Span) SetDetail(d string) {
 // any SetDetail string.
 func (s *Span) SetDetailf(format string, args ...int64) {
 	if s != nil {
-		s.lazy.format = format
-		s.lazy.n = uint8(copy(s.lazy.args[:], args))
+		s.lazy.set(format, args)
 	}
 }
 
@@ -93,14 +96,6 @@ func (s *Span) SetDetailf(format string, args ...int64) {
 func (s *Span) SetLane(lane int64) {
 	if s != nil {
 		s.lane = lane
-	}
-}
-
-// AddArg attaches one integer annotation (e.g. rows=12) recorded with the
-// span. Args keep insertion order.
-func (s *Span) AddArg(key string, val int64) {
-	if s != nil {
-		s.args = append(s.args, SpanArg{Key: key, Val: val})
 	}
 }
 
@@ -118,7 +113,7 @@ func (s *Span) EndAt(at time.Time) {
 	if s == nil {
 		return
 	}
-	s.tr.record(SpanRecord{
+	s.tr.record(&SpanRecord{
 		ID:       s.id,
 		Parent:   s.parent,
 		Lane:     s.lane,
@@ -126,9 +121,13 @@ func (s *Span) EndAt(at time.Time) {
 		Start:    s.start,
 		Duration: at.Sub(s.start),
 		Detail:   s.detail,
-		Args:     s.args,
 		lazy:     s.lazy,
-	})
+	}, nil)
+}
+
+// SetDetailf is Span.SetDetailf for a record handed to Tracer.Emit.
+func (r *SpanRecord) SetDetailf(format string, args ...int64) {
+	r.lazy.set(format, args)
 }
 
 // Tracer records finished spans into a fixed-size ring buffer: cheap,
@@ -188,9 +187,26 @@ func (t *Tracer) StartAt(name string, parent *Span, at time.Time) *Span {
 	return s
 }
 
-func (t *Tracer) record(r SpanRecord) {
+// Emit records a span that is already over — the caller knows its start and
+// duration, as the executor does when it reads its windows back from its
+// stage — without a Span in between: the record takes the next ID and goes
+// into the ring with args. A nil tracer drops it.
+func (t *Tracer) Emit(r *SpanRecord, args ...SpanArg) {
+	if t == nil {
+		return
+	}
+	r.ID = t.nextID.Add(1)
+	t.record(r, args)
+}
+
+// record stores r with a copy of args in the slot's own storage, so a ring
+// that has wrapped once records without allocating.
+func (t *Tracer) record(r *SpanRecord, args []SpanArg) {
 	t.mu.Lock()
-	t.ring[t.head] = r
+	slot := &t.ring[t.head]
+	kept := append(slot.Args[:0], args...)
+	*slot = *r
+	slot.Args = kept
 	t.head = (t.head + 1) % len(t.ring)
 	if t.n < len(t.ring) {
 		t.n++
@@ -215,6 +231,7 @@ func (t *Tracer) Spans() []SpanRecord {
 		if r.lazy.format != "" {
 			r.Detail = r.lazy.String()
 		}
+		r.Args = append([]SpanArg(nil), r.Args...) // the slot's storage is reused
 		out = append(out, r)
 	}
 	return out

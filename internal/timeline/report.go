@@ -45,7 +45,7 @@ func (r *Recorder) Stats() LaneReport {
 	defer r.mu.Unlock()
 	return LaneReport{
 		ID: r.id, Name: r.name,
-		Events: len(r.events), Dropped: r.dropped,
+		Events: r.n, Dropped: r.dropped,
 		Updates: r.updates, Queries: r.queries,
 		WorstGap: r.worstGap,
 		Stalls:   append([]Stall(nil), r.stalls...),

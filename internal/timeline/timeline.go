@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
 	"aptrace/internal/telemetry"
 )
 
@@ -249,10 +250,32 @@ func (p *Profiler) snapshot() []*Recorder {
 	return append([]*Recorder(nil), p.lanes...)
 }
 
+// laneEvent is an Event as the lane keeps it: fixed size, no pointers. Times
+// count nanoseconds from the lane's base instant, detail indexes the lane's
+// string table, shards/nshards locate the per-shard rows in Recorder.rows,
+// and KindRun keeps its alert event in begin.
+type laneEvent struct {
+	start, dur    int64
+	begin, finish int64
+	buckets, cost int64
+	obj           event.ObjID
+	rows          int32
+	shards        uint32
+	detail        uint32
+	nshards       uint8
+	fanout        uint8
+	kind          Kind
+	window        bool
+}
+
 // Recorder records one lane — one analysis run (or one analyst session).
-// Every emission takes an explicit instant from the run's own clock; the
-// recorder never reads wall time. All methods are safe on a nil receiver
-// (single pointer test) and safe for concurrent use.
+// The executor hands it its stage once per flush (Consume) and the lane
+// derives the window lifecycle, the graph updates and the watchdog's verdicts
+// from the decisions in it; harnesses and the session bracket and annotate a
+// run through the direct methods. Every instant comes from the run's own
+// clock; the recorder never reads wall time. Events are kept as pointer-free
+// records in pages allocated on demand. All methods are safe on a nil
+// receiver (single pointer test) and safe for concurrent use.
 type Recorder struct {
 	id       int64
 	name     string
@@ -262,32 +285,35 @@ type Recorder struct {
 	observer func(Event)
 
 	mu      sync.Mutex
-	events  []Event
+	base    time.Time // laneEvent times count from here; the first instant seen
+	based   bool
+	events  explain.Pages[laneEvent]
+	n       int // events kept
 	dropped int
+	strs    explain.Strings
+	rows    []int64 // per-shard row splits of the kept query events
 
-	runStart time.Time
+	runStart int64
 	started  bool
 	alert    event.EventID
 
-	anchor   time.Time // the instant the watchdog measures the gap from
+	anchor   int64 // the instant the watchdog measures the gap from
 	anchored bool
 
-	pauseStart time.Time
+	pauseStart int64
 	pausedOpen bool
 
-	// pending* accumulate store-charged cost between ObserveQueryCost and
-	// the Query() emission that claims it.
-	pendingRows    int64
-	pendingBuckets int64
-	pendingCost    time.Duration
-
-	// pendingFanout/pendingShardRows accumulate the shard breakdown
-	// reported by ObserveScatter (sharded stores only): the widest fan-out
-	// and the element-wise per-shard row sum since the last Query() claim.
+	// queryStart and pending* accumulate what the stage says about a window
+	// query before the KindWindowQueried that claims it: the instant it
+	// began, the store-charged cost (KindCharge), and on a sharded store the
+	// widest fan-out and the element-wise per-shard row sum (KindScatter).
+	queryStart       int64
+	pendingBuckets   int64
+	pendingCost      int64
 	pendingFanout    int
 	pendingShardRows []int64
 
-	heavy     Event // heaviest query since the last update (stall offender)
+	heavy     laneEvent // heaviest query since the last update (stall offender)
 	haveHeavy bool
 
 	updates  int
@@ -319,15 +345,113 @@ func (r *Recorder) SetObserver(f func(Event)) {
 	r.observer = f
 }
 
-func (r *Recorder) appendLocked(ev Event) {
-	if r.observer != nil {
-		r.observer(ev)
+// since returns at as nanoseconds after the lane's base instant, which the
+// first instant the lane sees fixes. Caller holds r.mu.
+func (r *Recorder) since(at time.Time) int64 {
+	if !r.based {
+		r.base, r.based = at, true
 	}
-	if len(r.events) >= r.max {
+	return int64(at.Sub(r.base))
+}
+
+// event rebuilds the Event a kept record stands for.
+func (r *Recorder) event(le *laneEvent) Event {
+	ev := Event{
+		Kind: le.kind, Start: r.base.Add(time.Duration(le.start)), Dur: time.Duration(le.dur),
+		Obj: le.obj, Begin: le.begin, Finish: le.finish, Rows: int(le.rows),
+		Buckets: le.buckets, Cost: time.Duration(le.cost), Fanout: int(le.fanout),
+		Detail: r.strs.Get(le.detail), HasWindow: le.window,
+	}
+	if le.kind == KindRun {
+		ev.Alert, ev.Begin = event.EventID(le.begin), 0
+	}
+	if le.shards > 0 {
+		ev.ShardRows = r.rows[le.shards-1:][:le.nshards:le.nshards]
+	}
+	return ev
+}
+
+// eventsLocked rebuilds the kept events, oldest first.
+func (r *Recorder) eventsLocked() []Event {
+	out := make([]Event, r.n)
+	for i := range out {
+		out[i] = r.event(r.events.At(i))
+	}
+	return out
+}
+
+func (r *Recorder) appendLocked(le laneEvent, detail string) {
+	le.detail = r.strs.Intern(detail)
+	if r.observer != nil {
+		r.observer(r.event(&le))
+	}
+	if r.n >= r.max {
 		r.dropped++
 		return
 	}
-	r.events = append(r.events, ev)
+	*r.events.At(r.n) = le
+	r.n++
+}
+
+// Consume folds a stage of the run loop's records into the lane under one
+// lock: the window lifecycle (enqueue, re-split, query with the cost and
+// shard split staged ahead of it, abandon), one graph update per added edge,
+// and the run's start and end, each at the stamp the executor gave it.
+// Nil-safe.
+func (r *Recorder) Consume(s *explain.Stage) {
+	if r == nil || len(s.Recs) == 0 {
+		return
+	}
+	r.mu.Lock()
+	var shift int64 // zero for the run whose start is the base: no subtraction per flush
+	if !r.based || s.Base != r.base {
+		shift = r.since(s.Base)
+	}
+	for i := range s.Recs {
+		d := &s.Recs[i]
+		at := d.At + shift
+		switch d.Kind {
+		case explain.KindRunStart:
+			r.runStartLocked(at, d.Event)
+		case explain.KindWindowEnqueued:
+			r.appendLocked(windowEvent(KindEnqueue, at, d), "")
+		case explain.KindWindowResplit:
+			r.appendLocked(windowEvent(KindResplit, at, d), "")
+		case explain.KindQueryStart:
+			r.queryStart = at
+		case explain.KindCharge:
+			r.pendingBuckets += d.Begin
+			r.pendingCost += d.Finish
+		case explain.KindScatter:
+			r.pendingFanout = max(r.pendingFanout, int(d.Card))
+			split := s.Rows[d.Begin : d.Begin+d.Finish]
+			if len(split) > len(r.pendingShardRows) {
+				r.pendingShardRows = append(r.pendingShardRows, make([]int64, len(split)-len(r.pendingShardRows))...)
+			}
+			for i, n := range split {
+				r.pendingShardRows[i] += n
+			}
+		case explain.KindWindowQueried:
+			le := windowEvent(KindQuery, r.queryStart, d)
+			le.dur = at - r.queryStart
+			r.queryLocked(le)
+		case explain.KindEdgeAdded:
+			if d.Event != r.alert { // the alert edge seeds the graph; it is no update
+				r.updateLocked(at)
+			}
+		case explain.KindWindowAbandoned:
+			r.appendLocked(windowEvent(KindAbandon, at, d), s.Strs[d.Detail-1])
+		case explain.KindRunEnd:
+			r.runEndLocked(at, s.Strs[d.Detail-1])
+		}
+	}
+	r.mu.Unlock()
+}
+
+// windowEvent is the lane event of a staged window record: its object, its
+// range, and its cardinality (estimate or retrieved rows) as Rows.
+func windowEvent(kind Kind, start int64, d *explain.Decision) laneEvent {
+	return laneEvent{kind: kind, start: start, obj: d.Node, begin: d.Begin, finish: d.Finish, rows: d.Card, window: true}
 }
 
 // RunStart opens the run: the watchdog anchor starts here, so a run that
@@ -337,11 +461,15 @@ func (r *Recorder) RunStart(at time.Time, alert event.EventID) {
 		return
 	}
 	r.mu.Lock()
+	r.runStartLocked(r.since(at), alert)
+	r.mu.Unlock()
+}
+
+func (r *Recorder) runStartLocked(at int64, alert event.EventID) {
 	r.runStart, r.started = at, true
 	r.alert = alert
 	r.anchor, r.anchored = at, true
 	r.haveHeavy = false
-	r.mu.Unlock()
 }
 
 // RunEnd closes the run: the tail gap is checked (a run may stall by
@@ -352,34 +480,43 @@ func (r *Recorder) RunEnd(at time.Time, reason string) {
 		return
 	}
 	r.mu.Lock()
+	r.runEndLocked(r.since(at), reason)
+	r.mu.Unlock()
+}
+
+func (r *Recorder) runEndLocked(at int64, reason string) {
 	if r.pausedOpen {
-		r.appendLocked(Event{Kind: KindPause, Start: r.pauseStart, Dur: at.Sub(r.pauseStart)})
+		r.appendLocked(laneEvent{kind: KindPause, start: r.pauseStart, dur: at - r.pauseStart}, "")
 		r.pausedOpen = false
 	}
-	if r.anchored && at.After(r.anchor) {
+	if r.anchored && at > r.anchor {
 		r.checkGapLocked(at)
 	}
 	start := r.runStart
 	if !r.started {
 		start = at
 	}
-	r.appendLocked(Event{Kind: KindRun, Start: start, Dur: at.Sub(start), Alert: r.alert, Detail: reason})
+	r.appendLocked(laneEvent{kind: KindRun, start: start, dur: at - start, begin: int64(r.alert)}, reason)
 	r.anchored = false
-	r.mu.Unlock()
 }
 
 // Update marks a graph update batch. Updates sharing one clock instant
-// (edges of a single retrieval) are one update, mirroring the executor's
-// inter-update-gap histogram; the watchdog measures gaps between distinct
-// instants and fires a stall when one exceeds the limit.
+// (edges of a single retrieval, on a clock only charges move) are one
+// update, mirroring the executor's inter-update-gap histogram; the watchdog
+// measures gaps between distinct instants and fires a stall when one exceeds
+// the limit.
 func (r *Recorder) Update(at time.Time) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
+	r.updateLocked(r.since(at))
+	r.mu.Unlock()
+}
+
+func (r *Recorder) updateLocked(at int64) {
 	r.updates++
-	if r.anchored && !at.After(r.anchor) {
-		r.mu.Unlock()
+	if r.anchored && at <= r.anchor {
 		return
 	}
 	if r.anchored {
@@ -387,132 +524,52 @@ func (r *Recorder) Update(at time.Time) {
 	}
 	r.anchor, r.anchored = at, true
 	r.haveHeavy = false
-	r.appendLocked(Event{Kind: KindUpdate, Start: at})
-	r.mu.Unlock()
+	r.appendLocked(laneEvent{kind: KindUpdate, start: at}, "")
 }
 
 // checkGapLocked runs the watchdog for the gap [r.anchor, at]: it tracks
 // the worst gap and records a stall — a trace span covering the whole gap,
 // a report entry naming the heaviest query inside it, and the
 // aptrace_slo_stall_total counter — when the gap exceeds the limit.
-func (r *Recorder) checkGapLocked(at time.Time) {
-	gap := at.Sub(r.anchor)
+func (r *Recorder) checkGapLocked(at int64) {
+	gap := time.Duration(at - r.anchor)
 	if gap > r.worstGap {
 		r.worstGap = gap
 	}
 	if r.limit <= 0 || gap <= r.limit {
 		return
 	}
-	st := Stall{Lane: r.id, LaneName: r.name, At: r.anchor, Gap: gap}
-	ev := Event{Kind: KindStall, Start: r.anchor, Dur: gap}
+	st := Stall{Lane: r.id, LaneName: r.name, At: r.base.Add(time.Duration(r.anchor)), Gap: gap}
+	le := laneEvent{kind: KindStall, start: r.anchor, dur: int64(gap)}
 	if r.haveHeavy {
-		st.Obj, st.Begin, st.Finish = r.heavy.Obj, r.heavy.Begin, r.heavy.Finish
-		st.Rows, st.Cost, st.HasWindow = r.heavy.Rows, r.heavy.Cost, true
-		ev.Obj, ev.Begin, ev.Finish = st.Obj, st.Begin, st.Finish
-		ev.Rows, ev.Buckets, ev.Cost = st.Rows, r.heavy.Buckets, st.Cost
-		ev.HasWindow = true
+		h := r.heavy
+		st.Obj, st.Begin, st.Finish = h.obj, h.begin, h.finish
+		st.Rows, st.Cost, st.HasWindow = int(h.rows), time.Duration(h.cost), true
+		le.obj, le.begin, le.finish, le.rows = h.obj, h.begin, h.finish, h.rows
+		le.buckets, le.cost, le.window = h.buckets, h.cost, true
 	}
 	r.stalls = append(r.stalls, st)
-	r.appendLocked(ev)
+	r.appendLocked(le, "")
 	r.stallCtr.Inc()
 }
 
-// Enqueued marks a window entering the queue; card is the index-only
-// cardinality estimate priced at enqueue time.
-func (r *Recorder) Enqueued(at time.Time, obj event.ObjID, begin, finish int64, card int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.appendLocked(Event{Kind: KindEnqueue, Start: at, Obj: obj, Begin: begin, Finish: finish, Rows: card, HasWindow: true})
-	r.mu.Unlock()
-}
-
-// Resplit marks a window split in half instead of queried; card is the
-// estimate that exceeded the per-retrieval cap.
-func (r *Recorder) Resplit(at time.Time, obj event.ObjID, begin, finish int64, card int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.appendLocked(Event{Kind: KindResplit, Start: at, Obj: obj, Begin: begin, Finish: finish, Rows: card, HasWindow: true})
-	r.mu.Unlock()
-}
-
-// Query records one bounded window query as a span [start, end], claiming
-// whatever cost ObserveQueryCost accumulated since the previous claim. The
-// heaviest query since the last update is remembered as the watchdog's
-// stall offender.
-func (r *Recorder) Query(start, end time.Time, obj event.ObjID, begin, finish int64, rows int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
+// queryLocked records one bounded window query as a span, claiming the cost
+// and shard split staged since the previous claim. The heaviest query since
+// the last update is remembered as the watchdog's stall offender.
+func (r *Recorder) queryLocked(le laneEvent) {
 	r.queries++
-	ev := Event{
-		Kind: KindQuery, Start: start, Dur: end.Sub(start),
-		Obj: obj, Begin: begin, Finish: finish, Rows: rows,
-		Buckets: r.pendingBuckets, Cost: r.pendingCost,
-		Fanout: r.pendingFanout, ShardRows: r.pendingShardRows, HasWindow: true,
+	le.buckets, le.cost, le.fanout = r.pendingBuckets, r.pendingCost, uint8(r.pendingFanout)
+	if n := len(r.pendingShardRows); n > 0 && r.n < r.max {
+		le.shards, le.nshards = uint32(len(r.rows))+1, uint8(n)
+		r.rows = append(r.rows, r.pendingShardRows...)
 	}
-	r.pendingRows, r.pendingBuckets, r.pendingCost = 0, 0, 0
-	r.pendingFanout, r.pendingShardRows = 0, nil
-	if !r.haveHeavy || ev.Cost > r.heavy.Cost ||
-		(ev.Cost == r.heavy.Cost && ev.Rows > r.heavy.Rows) {
-		r.heavy, r.haveHeavy = ev, true
+	r.pendingBuckets, r.pendingCost = 0, 0
+	r.pendingFanout, r.pendingShardRows = 0, r.pendingShardRows[:0]
+	if !r.haveHeavy || le.cost > r.heavy.cost ||
+		(le.cost == r.heavy.cost && le.rows > r.heavy.rows) {
+		r.heavy, r.haveHeavy = le, true
 	}
-	r.appendLocked(ev)
-	r.mu.Unlock()
-}
-
-// ObserveQueryCost accumulates store-charged cost (rows examined, posting
-// buckets walked, modeled duration) until the next Query() claims it. Its
-// signature matches store.CostObserver so a recorder can be attached
-// directly via Store.SetCostObserver.
-func (r *Recorder) ObserveQueryCost(rows, buckets int64, cost time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.pendingRows += rows
-	r.pendingBuckets += buckets
-	r.pendingCost += cost
-	r.mu.Unlock()
-}
-
-// ObserveScatter accumulates the shard breakdown of routed store queries
-// (widest fan-out, element-wise per-shard row sum) until the next Query()
-// claims it. Its signature matches store.ScatterObserver so a recorder can
-// be attached directly via Store.SetScatterObserver. Values are
-// deterministic row counts, never timing, so traces stay comparable across
-// runs.
-func (r *Recorder) ObserveScatter(fanout int, shardRows []int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if fanout > r.pendingFanout {
-		r.pendingFanout = fanout
-	}
-	if len(shardRows) > len(r.pendingShardRows) {
-		grown := make([]int64, len(shardRows))
-		copy(grown, r.pendingShardRows)
-		r.pendingShardRows = grown
-	}
-	for i, n := range shardRows {
-		r.pendingShardRows[i] += n
-	}
-	r.mu.Unlock()
-}
-
-// Abandoned marks a window still queued when the run ended early.
-func (r *Recorder) Abandoned(at time.Time, obj event.ObjID, begin, finish int64, reason string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.appendLocked(Event{Kind: KindAbandon, Start: at, Obj: obj, Begin: begin, Finish: finish, Detail: reason, HasWindow: true})
-	r.mu.Unlock()
+	r.appendLocked(le, "")
 }
 
 // Pause opens an analyst pause; Resume (or RunEnd) closes it.
@@ -522,7 +579,7 @@ func (r *Recorder) Pause(at time.Time) {
 	}
 	r.mu.Lock()
 	if !r.pausedOpen {
-		r.pauseStart, r.pausedOpen = at, true
+		r.pauseStart, r.pausedOpen = r.since(at), true
 	}
 	r.mu.Unlock()
 }
@@ -536,10 +593,11 @@ func (r *Recorder) Resume(at time.Time) {
 	}
 	r.mu.Lock()
 	if r.pausedOpen {
-		r.appendLocked(Event{Kind: KindPause, Start: r.pauseStart, Dur: at.Sub(r.pauseStart)})
+		now := r.since(at)
+		r.appendLocked(laneEvent{kind: KindPause, start: r.pauseStart, dur: now - r.pauseStart}, "")
 		r.pausedOpen = false
 		if r.anchored {
-			r.anchor = at
+			r.anchor = now
 		}
 	}
 	r.mu.Unlock()
@@ -552,6 +610,6 @@ func (r *Recorder) PlanUpdate(at time.Time, detail string) {
 		return
 	}
 	r.mu.Lock()
-	r.appendLocked(Event{Kind: KindPlan, Start: at, Detail: detail})
+	r.appendLocked(laneEvent{kind: KindPlan, start: r.since(at)}, detail)
 	r.mu.Unlock()
 }

@@ -104,7 +104,7 @@ func TestSameInstantUpdatesCollapse(t *testing.T) {
 func snapshotEvents(r *Recorder) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
+	return r.eventsLocked()
 }
 
 func TestPauseResetsWatchdogAnchor(t *testing.T) {
@@ -317,11 +317,14 @@ func TestCorrelateStall(t *testing.T) {
 // nanoseconds, zero allocations.
 func BenchmarkNilRecorder(b *testing.B) {
 	var r *Recorder
+	var s explain.Stage
+	s.Add(explain.KindWindowQueried, 0)
 	ts := at(0)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Update(ts)
-		r.Query(ts, ts, 1, 0, 1, 1)
-		r.ObserveQueryCost(1, 1, 0)
+		r.Consume(&s)
+		r.PlanUpdate(ts, "resume")
 	}
 }

@@ -45,27 +45,33 @@ const tracePid = 1
 // recorded — identical runs export identical bytes, serial or parallel.
 func (p *Profiler) WriteTrace(w io.Writer) error {
 	lanes := p.snapshot()
-
-	type laneDump struct {
-		id      int64
-		name    string
-		dropped int
-		events  []Event
-	}
 	dumps := make([]laneDump, 0, len(lanes))
-	var base time.Time
-	haveBase := false
 	for _, r := range lanes {
 		r.mu.Lock()
-		d := laneDump{id: r.id, name: r.name, dropped: r.dropped,
-			events: append([]Event(nil), r.events...)}
+		dumps = append(dumps, laneDump{id: r.id, name: r.name, dropped: r.dropped, events: r.eventsLocked()})
 		r.mu.Unlock()
+	}
+	return writeDumps(w, dumps)
+}
+
+// laneDump is one lane's share of a trace: what WriteTrace reads under the
+// lane's lock.
+type laneDump struct {
+	id      int64
+	name    string
+	dropped int
+	events  []Event
+}
+
+func writeDumps(w io.Writer, dumps []laneDump) error {
+	var base time.Time
+	haveBase := false
+	for _, d := range dumps {
 		for _, ev := range d.events {
 			if !haveBase || ev.Start.Before(base) {
 				base, haveBase = ev.Start, true
 			}
 		}
-		dumps = append(dumps, d)
 	}
 
 	doc := traceDoc{DisplayTimeUnit: "ms", TraceEvents: []traceEvent{{
