@@ -28,12 +28,14 @@ func BenchmarkResponsiveWindowSteadyState(b *testing.B) {
 			hot = id
 		}
 	}
-	w := ExecWindow{Obj: hot, Begin: 0, Finish: alert.Time, E: alert}
-	w.Card, err = s.CountBackward(hot, w.Begin, w.Finish)
+	w := ExecWindow{Obj: hot, Begin: 0, Finish: alert.Time, Gen: alert.ID}
+	w.Slot, _ = x.g.Slot(hot)
+	card, err := s.CountBackward(hot, w.Begin, w.Finish)
 	if err != nil {
 		b.Fatal(err)
 	}
-	x.opts.MaxWindowRows = w.Card + 1 // never re-split: measure the query path
+	w.Card = int32(card)
+	x.opts.MaxWindowRows = card + 1 // never re-split: measure the query path
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

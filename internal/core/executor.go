@@ -13,6 +13,7 @@ import (
 	"aptrace/internal/maintainer"
 	"aptrace/internal/memo"
 	"aptrace/internal/obs"
+	"aptrace/internal/pages"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
@@ -152,12 +153,16 @@ type Executor struct {
 	started  time.Time
 	budget   time.Duration
 
-	fwd     bool // forward (impact) tracking, from the plan
-	pq      windowHeap
-	covered map[event.ObjID]int64 // per object: latest (earliest, forward) time scheduled
-	dropped map[event.ObjID]bool  // objects rejected by the where filter
-	depsBuf []event.Event         // window-query buffer, reused across processWindow calls
-	winBuf  []ExecWindow          // window-generation buffer, reused across enqueue calls
+	fwd bool // forward (impact) tracking, from the plan
+	pq  windowHeap
+	// covered is the run's state per graph node, addressed by node slot: the
+	// latest (earliest, forward) time scheduled for the object, once any is.
+	covered pages.Pages[coverage]
+	// dropped are the objects rejected by the where filter — mostly not nodes,
+	// so keyed by ID; no plan without a filter ever puts one in.
+	dropped map[event.ObjID]bool
+	depsBuf []event.Event // window-query buffer, reused across processWindow calls
+	winBuf  []ExecWindow  // window-generation buffer, reused across enqueue calls
 
 	updates  int
 	windows  int
@@ -191,6 +196,12 @@ type Executor struct {
 	now   time.Time
 	nowNs int64
 	stale bool // a call that can move analysis time returned since now was read
+}
+
+// coverage is how far an object's history has been scheduled.
+type coverage struct {
+	until int64
+	any   bool
 }
 
 // execMetrics holds the executor's pre-resolved instruments; all nil (and
@@ -546,7 +557,6 @@ func (x *Executor) Prepare(alert event.Event) error {
 	x.g = graph.New(alert)
 	x.maint = maintainer.New(x.plan, x.env, x.from, x.to)
 	x.maint.Seed(x.g)
-	x.covered = make(map[event.ObjID]int64)
 	x.dropped = make(map[event.ObjID]bool)
 	x.started = x.clk.Now()
 	x.now, x.nowNs, x.stale = x.started, 0, false
@@ -577,7 +587,12 @@ func (x *Executor) Prepare(alert event.Event) error {
 	}
 
 	// Line 1 of Algorithm 1: seed the queue with the alert's windows.
-	x.enqueue(alert, 0)
+	explored := alert.Src()
+	if x.fwd {
+		explored = alert.Dst()
+	}
+	slot, _ := x.g.Slot(explored)
+	x.enqueue(&alert, slot, 0)
 	x.flush()
 	x.tel.queueDepth.Set(int64(x.pq.Len()))
 	return nil
@@ -641,6 +656,11 @@ loop:
 		if !ok {
 			break loop
 		}
+		if x.g.Epoch() != 0 {
+			// Queued windows hold node slots, and pruning renumbers them: it
+			// belongs after the run (session.Finalize), never under a pause.
+			return nil, errors.New("core: the graph was pruned while windows were still queued")
+		}
 		if err := x.processWindow(&w); err != nil {
 			return nil, err
 		}
@@ -677,85 +697,66 @@ loop:
 }
 
 // enqueue generates and schedules the execution windows of event e, whose
-// flow-source object (flow destination in forward mode) is about to be
-// explored. boost carries prioritize-rule priority. Ranges already scheduled
-// for the same object are skipped, so every (object, time point) pair is
-// queried at most once per run.
-func (x *Executor) enqueue(e event.Event, boost int) {
+// flow-source object (flow destination in forward mode), the node in slot, is
+// about to be explored. boost carries prioritize-rule priority. Ranges already
+// scheduled for the same object are skipped, so every (object, time point)
+// pair is queried at most once per run.
+func (x *Executor) enqueue(e *event.Event, slot int32, boost int) {
+	w := ExecWindow{Gen: e.ID, Obj: e.Src(), Slot: slot, State: int16(x.g.State(slot)), Boost: int8(boost)}
+	done := x.covered.At(int(slot))
+	ws := x.winBuf[:0]
 	if x.fwd {
-		x.enqueueForward(e, boost)
+		// Impact tracking: windows extend from the event's time towards the
+		// end of the analysis range, and the explored object is the event's
+		// flow destination.
+		w.Obj = e.Dst()
+		ts := e.Time
+		if ts < x.from {
+			ts = x.from
+		}
+		ts++
+		if done.any {
+			if ts >= done.until {
+				return // already covered from an earlier event
+			}
+			// Only the uncovered prefix needs new windows, and one will do.
+			w.Begin, w.Finish = ts, done.until
+			ws = append(ws, w)
+		} else {
+			ws = appendExeWindowsForward(ws, w, ts, x.to, x.opts.Windows)
+		}
+		*done = coverage{until: ts, any: true}
+		x.schedule(ws)
 		return
 	}
-	obj := e.Src()
-	ts := x.from
-	te := e.Time
+	ts, te := x.from, e.Time
 	if te > x.to {
 		te = x.to
 	}
-	extension := false
-	if prev, ok := x.covered[obj]; ok {
-		if te <= prev {
+	switch {
+	case done.any:
+		if te <= done.until {
 			return
 		}
-		ts = prev // only the uncovered suffix needs new windows
-		extension = true
-	}
-	x.covered[obj] = te
-	clipped := e
-	clipped.Time = te
-	ws := x.winBuf[:0]
-	switch {
-	case extension:
 		// Coverage extensions are slivers between two events of the same
-		// object; one window suffices (re-splitting bounds its size).
-		ws = append(ws, ExecWindow{Begin: ts, Finish: te, Obj: obj, E: clipped})
+		// object: only the uncovered suffix needs a window, and one suffices
+		// (re-splitting bounds its size).
+		w.Begin, w.Finish = done.until, te
+		ws = append(ws, w)
 	case x.opts.UniformWindows:
-		ws = appendUniformWindows(ws, clipped, ts, x.opts.Windows)
+		ws = appendUniformWindows(ws, w, ts, te, x.opts.Windows)
 	default:
-		ws = appendExeWindows(ws, clipped, ts, x.opts.Windows)
+		ws = appendExeWindows(ws, w, ts, te, x.opts.Windows)
 	}
-	x.schedule(ws, obj, boost)
+	*done = coverage{until: te, any: true}
+	x.schedule(ws)
 }
 
-// enqueueForward mirrors enqueue for impact tracking: windows extend from
-// the event's time towards the end of the analysis range, and the explored
-// object is the event's flow destination.
-func (x *Executor) enqueueForward(e event.Event, boost int) {
-	obj := e.Dst()
-	te := e.Time
-	if te < x.from {
-		te = x.from
-	}
-	hi := x.to
-	extension := false
-	if prev, ok := x.covered[obj]; ok {
-		if te+1 >= prev {
-			return // already covered from an earlier event
-		}
-		hi = prev // only the uncovered prefix needs new windows
-		extension = true
-	}
-	x.covered[obj] = te + 1
-	clipped := e
-	clipped.Time = te
-	ws := x.winBuf[:0]
-	if extension {
-		ws = append(ws, ExecWindow{Begin: te + 1, Finish: hi, Obj: obj, E: clipped})
-	} else {
-		ws = appendExeWindowsForward(ws, clipped, hi, x.opts.Windows)
-	}
-	x.schedule(ws, obj, boost)
-}
-
-// schedule pushes the freshly generated windows of obj, all but the provably
-// empty ones, stamped with obj's maintainer state and the boost. ws is the
-// executor's window buffer; the queue copies what it keeps.
-func (x *Executor) schedule(ws []ExecWindow, obj event.ObjID, boost int) {
+// schedule pushes the freshly generated windows of one object, all but the
+// provably empty ones. ws is the executor's window buffer; the queue copies
+// what it keeps.
+func (x *Executor) schedule(ws []ExecWindow) {
 	x.winBuf = ws
-	state := -1
-	if n, ok := x.g.Node(obj); ok {
-		state = n.State
-	}
 	for i := range ws {
 		w := &ws[i]
 		// Index statistics make empty ranges detectable without touching
@@ -770,9 +771,7 @@ func (x *Executor) schedule(ws []ExecWindow, obj event.ObjID, boost int) {
 			}
 			continue
 		}
-		w.Card = n
-		w.State = state
-		w.Boost = boost
+		w.Card = int32(n)
 		x.push(w)
 	}
 }
@@ -781,9 +780,9 @@ func (x *Executor) schedule(ws []ExecWindow, obj event.ObjID, boost int) {
 func (x *Executor) push(w *ExecWindow) {
 	if x.recording {
 		d := x.noteWindow(explain.KindWindowEnqueued, w)
-		d.Card, d.State, d.Boost = int32(w.Card), int16(w.State), int8(w.Boost)
+		d.Card, d.State, d.Boost = w.Card, w.State, w.Boost
 	}
-	x.pq.push(*w)
+	x.pq.push(w)
 }
 
 // count is the direction-resolved index-only cardinality estimate. A plain
@@ -825,7 +824,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		// Reuse the enqueue-time cardinality estimate; the store is sealed,
 		// so the count cannot have changed. Only re-split halves (Card == 0,
 		// unknown) need a fresh count.
-		n := w.Card
+		n := int(w.Card)
 		if n <= 0 {
 			var err error
 			n, err = x.count(w.Obj, w.Begin, w.Finish)
@@ -850,7 +849,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			if err != nil {
 				return err
 			}
-			near.Card, far.Card = nc, n-nc
+			near.Card, far.Card = int32(nc), int32(n-nc)
 			if x.recording {
 				x.noteWindow(explain.KindWindowResplit, w).Card = int32(n)
 			}
@@ -865,53 +864,58 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 	}
 	x.windows++
 	if x.recording {
-		x.noteWindow(explain.KindQueryStart, w).Card = int32(w.Card)
+		x.noteWindow(explain.KindQueryStart, w).Card = w.Card
 	}
 	// The window query appends into a buffer reused across every window of
-	// the run, as enqueue generates into winBuf and the queue and the graph
-	// keep their records in slices: the loop allocates only when one of those
-	// grows (experiments.TestExecutorRunAllocations holds a whole run to a
-	// few hundred allocations).
+	// the run, as enqueue generates into winBuf and the queue keeps its
+	// windows in a slice, and the graph and the per-node state grow a page at a
+	// time: the loop allocates only when one of those grows
+	// (experiments.TestExecutorRunAllocations holds a whole run to a few
+	// hundred allocations).
 	depsBuf, err := x.query(x.depsBuf[:0], w.Obj, w.Begin, w.Finish)
 	x.stale = true
 	if err != nil {
 		return err
 	}
 	x.depsBuf = depsBuf
-	deps := depsBuf
 	if x.recording {
-		x.noteWindow(explain.KindWindowQueried, w).Card = int32(len(deps))
+		x.noteWindow(explain.KindWindowQueried, w).Card = int32(len(depsBuf))
 	}
 	hopLimit := x.plan.HopBudget
-	for _, dep := range deps {
+	// Every dependency's known endpoint is the window's object, so its node
+	// slot comes with the window; events are read in place in the buffer,
+	// which nothing below appends to.
+	for i := range depsBuf {
+		dep := &depsBuf[i]
 		src := dep.Src()
-		known := dep.Dst()
 		if x.fwd {
-			src, known = known, src // src is the newly discovered side
+			src = dep.Dst() // src is the newly discovered side
 		}
-		if dep.ID == w.E.ID || x.g.HasEdge(dep.ID) {
+		known := w.Obj
+		if dep.ID == w.Gen || x.g.Seen(dep.ID) {
 			if x.rec != nil {
 				x.noteEdge(explain.KindEdgeDedup, dep.ID, src, 0)
 			}
 			continue
 		}
-		if x.dropped[src] {
+		if len(x.dropped) != 0 && x.dropped[src] {
 			if x.rec != nil {
 				x.noteEdge(explain.KindEdgeDropped, dep.ID, src, known)
 			}
 			continue
 		}
 		// General host constraint.
-		if !x.plan.HostAllowed(x.st.Object(dep.Subject).Host) ||
-			!x.plan.HostAllowed(x.st.Object(dep.Object).Host) {
-			if x.rec != nil {
-				host := x.st.Object(dep.Subject).Host
-				if x.plan.HostAllowed(host) {
-					host = x.st.Object(dep.Object).Host
-				}
-				x.noteEdge(explain.KindEdgeHostFiltered, dep.ID, src, known).Detail = x.stage.Str(host)
+		if len(x.plan.Hosts) != 0 {
+			host := x.st.Host(dep.Subject)
+			if x.plan.HostAllowed(host) {
+				host = x.st.Host(dep.Object)
 			}
-			continue
+			if !x.plan.HostAllowed(host) {
+				if x.rec != nil {
+					x.noteEdge(explain.KindEdgeHostFiltered, dep.ID, src, known).Detail = x.stage.Str(host)
+				}
+				continue
+			}
 		}
 		if x.mv != nil && (x.plan.Where != nil || len(x.plan.Chain) > 0) {
 			// The where filter and a tracking chain's matchers evaluate
@@ -922,7 +926,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		// Where statement: objects failing it are deleted from the
 		// analysis without further exploration.
 		if x.plan.Where != nil {
-			keep, err := x.plan.Where.Keep(dep, src, x.env, x.from, x.to)
+			keep, err := x.plan.Where.Keep(*dep, src, x.env, x.from, x.to)
 			x.stale = true // stays set across FailingClause, which charges too
 			if err != nil {
 				return err
@@ -930,7 +934,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			if !keep {
 				x.dropped[src] = true
 				if x.rec != nil {
-					clause, pos := x.plan.Where.FailingClause(dep, src, x.env, x.from, x.to)
+					clause, pos := x.plan.Where.FailingClause(*dep, src, x.env, x.from, x.to)
 					d := x.noteEdge(explain.KindEdgeWhereRejected, dep.ID, src, known)
 					d.Clause, d.Begin, d.Finish = x.stage.Str(clause), int64(pos.Line), int64(pos.Col)
 				}
@@ -939,10 +943,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		}
 		// One graph call checks the hop budget (paths longer than the limit
 		// are not extended), inserts the edge and reports the graph's size.
-		added, err := x.g.Add(dep, x.fwd, hopLimit)
-		if err != nil {
-			return err
-		}
+		added := x.g.Add(dep, w.Slot, x.fwd, hopLimit)
 		if added.OverBudget {
 			if x.rec != nil {
 				d := x.noteEdge(explain.KindEdgeHopBudget, dep.ID, src, known)
@@ -970,12 +971,12 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		if x.opts.OnUpdate != nil {
 			// The hook sees every record up to its own update.
 			x.flush()
-			x.opts.OnUpdate(Update{Event: dep, NewNode: added.NewNode, At: x.at(), Edges: added.Edges})
+			x.opts.OnUpdate(Update{Event: *dep, NewNode: added.NewNode, At: x.at(), Edges: added.Edges})
 			// The hook takes real time, and may swap in a plan whose
 			// recalculation charges.
 			x.stale = true
 		}
-		x.enqueue(dep, boost)
+		x.enqueue(dep, added.Slot, boost)
 	}
 	return nil
 }
@@ -984,14 +985,16 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 // priority: either the edge itself matches a rule's downstream pattern, or
 // the window it arrived through was already boosted and the edge matches the
 // upstream pattern with the byte-conservation check against the window's
-// generating event.
-func (x *Executor) boostFor(dep event.Event, w *ExecWindow) int {
+// generating event, which is an edge of the graph.
+func (x *Executor) boostFor(dep *event.Event, w *ExecWindow) int {
 	for _, rule := range x.plan.Prioritize {
-		if rule.Down.Match(dep, x.env) {
+		if rule.Down.Match(*dep, x.env) {
 			return 1
 		}
-		if w.Boost > 0 && rule.BoostEdge(dep, w.E, x.env) {
-			return 1
+		if w.Boost > 0 {
+			if gen, ok := x.g.Edge(w.Gen); ok && rule.BoostEdge(*dep, *gen, x.env) {
+				return 1
+			}
 		}
 	}
 	return 0
@@ -999,8 +1002,7 @@ func (x *Executor) boostFor(dep event.Event, w *ExecWindow) int {
 
 // appendUniformWindows is the ablation variant of appendExeWindows: k
 // equal-width windows.
-func appendUniformWindows(buf []ExecWindow, e event.Event, ts int64, k int) []ExecWindow {
-	te := e.Time
+func appendUniformWindows(buf []ExecWindow, w ExecWindow, ts, te int64, k int) []ExecWindow {
 	if te <= ts || k < 1 {
 		return buf
 	}
@@ -1008,14 +1010,14 @@ func appendUniformWindows(buf []ExecWindow, e event.Event, ts int64, k int) []Ex
 	if width < 1 {
 		width = 1
 	}
-	hi := te
-	for i := 0; i < k && hi > ts; i++ {
-		lo := hi - width
-		if i == k-1 || lo < ts {
-			lo = ts
+	w.Finish = te
+	for i := 0; i < k && w.Finish > ts; i++ {
+		w.Begin = w.Finish - width
+		if i == k-1 || w.Begin < ts {
+			w.Begin = ts
 		}
-		buf = append(buf, ExecWindow{Begin: lo, Finish: hi, Obj: e.Src(), E: e})
-		hi = lo
+		buf = append(buf, w)
+		w.Finish = w.Begin
 	}
 	return buf
 }

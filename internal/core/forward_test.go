@@ -229,9 +229,9 @@ func TestGenExeWindowsForward(t *testing.T) {
 
 func TestForwardHeapOrder(t *testing.T) {
 	h := windowHeap{forward: true}
-	h.push(ExecWindow{Begin: 500, Finish: 600})
-	h.push(ExecWindow{Begin: 100, Finish: 200})
-	h.push(ExecWindow{Begin: 300, Finish: 400})
+	h.push(&ExecWindow{Begin: 500, Finish: 600})
+	h.push(&ExecWindow{Begin: 100, Finish: 200})
+	h.push(&ExecWindow{Begin: 300, Finish: 400})
 	want := []int64{100, 300, 500}
 	for _, wb := range want {
 		w, _ := h.pop()

@@ -11,6 +11,7 @@ import (
 	"aptrace/internal/graph"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
+	"aptrace/internal/store"
 	"aptrace/internal/timeline"
 )
 
@@ -137,6 +138,52 @@ func TestGraphConcurrentWithPrepare(t *testing.T) {
 // a re-propagation, reads the graph and the records back, and resumes. The
 // stamp and the stage of records not yet handed to the recorders are
 // run-goroutine state; any leak of either across goroutines fails here.
+// hammerGraph reads g the way the graph's concurrent readers do — the counts
+// behind a session summary, the node and adjacency lookups of the console and
+// the suggester, the DOT rendering — until stop closes, while the run loop
+// inserts under its short lock and reads without one. It returns a channel
+// closed when the reader has stopped. Under -race this is what holds the
+// writer's lock-free accessors to the readers' copy-out-under-lock contract.
+func hammerGraph(t *testing.T, g *graph.Graph, s *store.Store, stop <-chan struct{}) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for last := 0; ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			edges, nodes := g.NumEdges(), g.NumNodes() // Run.Summary
+			if edges < last || nodes < 1 || g.MaxHop() < 0 {
+				t.Errorf("graph shrank under a reader: %d edges after %d, %d nodes", edges, last, nodes)
+				return
+			}
+			last = edges
+			for _, d := range graph.TopFanIn(g, 3) { // console "top"
+				n, ok := g.Node(d.ID)
+				in := g.InEdges(d.ID)
+				if !ok || n.ID != d.ID || len(in) < d.In {
+					t.Errorf("node %d: Node = %+v, %v; %d in-edges after TopFanIn counted %d", d.ID, n, ok, len(in), d.In)
+					return
+				}
+				for _, e := range in {
+					if e.Dst() != d.ID || !g.HasEdge(e.ID) || len(g.OutEdges(e.Src())) == 0 {
+						t.Errorf("in-edge %d of node %d: flows into %d, HasEdge %v, source has %d out-edges",
+							e.ID, d.ID, e.Dst(), g.HasEdge(e.ID), len(g.OutEdges(e.Src())))
+						return
+					}
+				}
+			}
+			if err := graph.WriteDOT(io.Discard, g, s.Object); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	return done
+}
+
 func TestGraphReadersDuringRun(t *testing.T) {
 	s, alert := fixture(t, simclock.NewSimulated(time.Time{}), 5000)
 	rec := explain.New(1<<20, nil) // never wraps: every edge keeps its record
@@ -159,6 +206,7 @@ func TestGraphReadersDuringRun(t *testing.T) {
 	}
 	g := x.Graph()
 	stop := make(chan struct{})
+	hammerDone := hammerGraph(t, g, s, stop)
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
@@ -246,6 +294,7 @@ func TestGraphReadersDuringRun(t *testing.T) {
 	close(runDone)
 	close(stop)
 	<-readerDone
+	<-hammerDone
 	<-sessionDone
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +344,11 @@ func TestOnUpdateReentersExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := x.Prepare(alert); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	hammerDone := hammerGraph(t, x.Graph(), s, stop)
 	done := make(chan *Result, 1)
 	go func() {
 		res, err := x.RunUnchecked(alert)
@@ -302,6 +356,10 @@ func TestOnUpdateReentersExecutor(t *testing.T) {
 			t.Error(err)
 		}
 		done <- res
+	}()
+	defer func() {
+		close(stop)
+		<-hammerDone
 	}()
 	select {
 	case res := <-done:

@@ -23,24 +23,26 @@ import "aptrace/internal/event"
 const MaxWindows = 62
 
 // ExecWindow is the unit of search: look for backward dependencies of Obj
-// (the source object of the generating event E) in the half-open time range
-// [Begin, Finish).
+// (the source object of the generating event) in the half-open time range
+// [Begin, Finish). It is 48 bytes and holds no copy of an event: the queue
+// moves windows around on every push and pop.
 type ExecWindow struct {
 	Begin  int64
 	Finish int64
-	Obj    event.ObjID // object whose dependencies this window searches
-	E      event.Event // the event that generated this window
+	Gen    event.EventID // the event that generated this window
+	seq    int64         // FIFO tiebreaker
+	Obj    event.ObjID   // object whose dependencies this window searches
+	Slot   int32         // Obj's node slot in the run's graph
 
 	// Card is the cardinality estimate taken when the window was enqueued
 	// (the same index-only count that pruned empty windows), carried so the
 	// re-split check does not have to count the identical range again.
 	// Zero means unknown — the halves of a re-split window recount at pop.
-	Card int
+	Card int32
 
 	// Scheduling attributes.
-	State int   // maintainer state of Obj at enqueue time (-1 if none)
-	Boost int   // prioritize-rule boost (0 or 1)
-	seq   int64 // FIFO tiebreaker
+	State int16 // maintainer state of Obj at enqueue time (-1 if none)
+	Boost int8  // prioritize-rule boost (0 or 1)
 }
 
 // GenExeWindows implements genExeWindow from Algorithm 1: it cuts the
@@ -52,13 +54,14 @@ type ExecWindow struct {
 // windows; an empty span produces none. Integer remainders are absorbed by
 // the farthest window so the union exactly covers [ts, te).
 func GenExeWindows(e event.Event, ts int64, k int) []ExecWindow {
-	return appendExeWindows(nil, e, ts, k)
+	return appendExeWindows(nil, ExecWindow{Obj: e.Src(), Gen: e.ID}, ts, e.Time, k)
 }
 
 // appendExeWindows is GenExeWindows appending into buf, which the executor
-// owns and reuses across every enqueue of a run.
-func appendExeWindows(buf []ExecWindow, e event.Event, ts int64, k int) []ExecWindow {
-	te := e.Time
+// owns and reuses across every enqueue of a run: each window is w — the
+// object, its slot, the generating event and the scheduling attributes — with
+// its piece of [ts, te).
+func appendExeWindows(buf []ExecWindow, w ExecWindow, ts, te int64, k int) []ExecWindow {
 	if te <= ts || k < 1 {
 		return buf
 	}
@@ -73,15 +76,15 @@ func appendExeWindows(buf []ExecWindow, e event.Event, ts int64, k int) []ExecWi
 	if sigma < 1 {
 		sigma = 1
 	}
-	hi := te
+	w.Finish = te
 	width := sigma
-	for i := 0; i < k && hi > ts; i++ {
-		lo := hi - width
-		if i == k-1 || lo < ts {
-			lo = ts
+	for i := 0; i < k && w.Finish > ts; i++ {
+		w.Begin = w.Finish - width
+		if i == k-1 || w.Begin < ts {
+			w.Begin = ts
 		}
-		buf = append(buf, ExecWindow{Begin: lo, Finish: hi, Obj: e.Src(), E: e})
-		hi = lo
+		buf = append(buf, w)
+		w.Finish = w.Begin
 		width *= 2
 	}
 	return buf
@@ -93,12 +96,12 @@ func appendExeWindows(buf []ExecWindow, e event.Event, ts int64, k int) []ExecWi
 // event's flow destination. The first window begins at te+1: forward
 // dependencies must be strictly later.
 func GenExeWindowsForward(e event.Event, tEnd int64, k int) []ExecWindow {
-	return appendExeWindowsForward(nil, e, tEnd, k)
+	return appendExeWindowsForward(nil, ExecWindow{Obj: e.Dst(), Gen: e.ID}, e.Time+1, tEnd, k)
 }
 
-// appendExeWindowsForward is GenExeWindowsForward appending into buf.
-func appendExeWindowsForward(buf []ExecWindow, e event.Event, tEnd int64, k int) []ExecWindow {
-	ts := e.Time + 1
+// appendExeWindowsForward is GenExeWindowsForward appending into buf: w's
+// pieces of [ts, tEnd).
+func appendExeWindowsForward(buf []ExecWindow, w ExecWindow, ts, tEnd int64, k int) []ExecWindow {
 	if tEnd <= ts || k < 1 {
 		return buf
 	}
@@ -111,15 +114,15 @@ func appendExeWindowsForward(buf []ExecWindow, e event.Event, tEnd int64, k int)
 	if sigma < 1 {
 		sigma = 1
 	}
-	lo := ts
+	w.Begin = ts
 	width := sigma
-	for i := 0; i < k && lo < tEnd; i++ {
-		hi := lo + width
-		if i == k-1 || hi > tEnd {
-			hi = tEnd
+	for i := 0; i < k && w.Begin < tEnd; i++ {
+		w.Finish = w.Begin + width
+		if i == k-1 || w.Finish > tEnd {
+			w.Finish = tEnd
 		}
-		buf = append(buf, ExecWindow{Begin: lo, Finish: hi, Obj: e.Dst(), E: e})
-		lo = hi
+		buf = append(buf, w)
+		w.Begin = w.Finish
 		width *= 2
 	}
 	return buf
@@ -169,22 +172,23 @@ func (h *windowHeap) less(a, b *ExecWindow) bool {
 	return a.seq < b.seq
 }
 
-// push sifts a hole up from the new leaf: each level moves one window down
-// into the hole, and w is written once where the hole stops.
-func (h *windowHeap) push(w ExecWindow) {
+// push stamps w with its sequence number and sifts a hole up from the new
+// leaf: each level moves one window down into the hole, and w is written once
+// where the hole stops.
+func (h *windowHeap) push(w *ExecWindow) {
 	w.seq = h.next
 	h.next++
-	h.items = append(h.items, w)
+	h.items = append(h.items, *w)
 	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(&w, &h.items[parent]) {
+		if !h.less(w, &h.items[parent]) {
 			break
 		}
 		h.items[i] = h.items[parent]
 		i = parent
 	}
-	h.items[i] = w
+	h.items[i] = *w
 }
 
 // pop removes the first window in order, sifting the hole it leaves down to

@@ -21,7 +21,7 @@ func TestGenExeWindowsGeometric(t *testing.T) {
 		if w.Begin != want[i][0] || w.Finish != want[i][1] {
 			t.Errorf("window %d = [%d,%d), want [%d,%d)", i, w.Begin, w.Finish, want[i][0], want[i][1])
 		}
-		if w.Obj != e.Src() || w.E.ID != e.ID {
+		if w.Obj != e.Src() || w.Gen != e.ID {
 			t.Errorf("window %d carries wrong object/event", i)
 		}
 	}
@@ -84,8 +84,8 @@ func TestGenExeWindowsCoverageProperty(t *testing.T) {
 }
 
 func TestUniformWindows(t *testing.T) {
-	e := event.Event{Time: 1000, Subject: 3, Dir: event.FlowOut}
-	ws := appendUniformWindows(nil, e, 0, 4)
+	w := ExecWindow{Obj: 3}
+	ws := appendUniformWindows(nil, w, 0, 1000, 4)
 	if len(ws) != 4 {
 		t.Fatalf("%d windows", len(ws))
 	}
@@ -94,18 +94,18 @@ func TestUniformWindows(t *testing.T) {
 			t.Errorf("window %d width %d, want 250", i, l)
 		}
 	}
-	if ws := appendUniformWindows(nil, e, 1000, 4); ws != nil {
+	if ws := appendUniformWindows(nil, w, 1000, 1000, 4); ws != nil {
 		t.Error("empty span must yield nothing")
 	}
 }
 
 func TestWindowHeapOrdering(t *testing.T) {
 	var h windowHeap
-	h.push(ExecWindow{State: 0, Boost: 0, Finish: 100})
-	h.push(ExecWindow{State: 0, Boost: 0, Finish: 900})
-	h.push(ExecWindow{State: 2, Boost: 0, Finish: 50})
-	h.push(ExecWindow{State: 0, Boost: 1, Finish: 10})
-	h.push(ExecWindow{State: 2, Boost: 0, Finish: 500})
+	h.push(&ExecWindow{State: 0, Boost: 0, Finish: 100})
+	h.push(&ExecWindow{State: 0, Boost: 0, Finish: 900})
+	h.push(&ExecWindow{State: 2, Boost: 0, Finish: 50})
+	h.push(&ExecWindow{State: 0, Boost: 1, Finish: 10})
+	h.push(&ExecWindow{State: 2, Boost: 0, Finish: 500})
 
 	pops := make([]ExecWindow, 0, 5)
 	for {
@@ -129,9 +129,9 @@ func TestWindowHeapOrdering(t *testing.T) {
 
 func TestWindowHeapFIFO(t *testing.T) {
 	h := windowHeap{fifo: true}
-	h.push(ExecWindow{State: 0, Finish: 1})
-	h.push(ExecWindow{State: 9, Finish: 999})
-	h.push(ExecWindow{State: 5, Finish: 5})
+	h.push(&ExecWindow{State: 0, Finish: 1})
+	h.push(&ExecWindow{State: 9, Finish: 999})
+	h.push(&ExecWindow{State: 5, Finish: 5})
 	order := []int64{1, 999, 5}
 	for i := range order {
 		w, _ := h.pop()
@@ -218,8 +218,8 @@ func TestWindowHeapMatchesReference(t *testing.T) {
 			got := windowHeap{fifo: m.fifo, forward: m.forward}
 			want := refHeap{fifo: m.fifo, forward: m.forward}
 			push := func(w ExecWindow) {
-				got.push(w)
 				want.push(w)
+				got.push(&w)
 			}
 			pop := func() (ExecWindow, bool) {
 				g, gok := got.pop()
@@ -235,8 +235,8 @@ func TestWindowHeapMatchesReference(t *testing.T) {
 					begin := int64(rng.Intn(6))
 					push(ExecWindow{
 						Begin: begin, Finish: begin + 1 + int64(rng.Intn(6)),
-						Obj: event.ObjID(rng.Intn(4)), E: event.Event{ID: event.EventID(step)},
-						Card: rng.Intn(3), State: rng.Intn(3) - 1, Boost: rng.Intn(2),
+						Obj: event.ObjID(rng.Intn(4)), Gen: event.EventID(step),
+						Card: int32(rng.Intn(3)), State: int16(rng.Intn(3) - 1), Boost: int8(rng.Intn(2)),
 					})
 				case r < 8:
 					pop()

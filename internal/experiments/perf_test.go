@@ -3,9 +3,22 @@ package experiments
 import (
 	"testing"
 
+	"aptrace/internal/event"
 	"aptrace/internal/refiner"
 	"aptrace/internal/workload"
 )
+
+// perfAlert is the `apbench -exp perf` alert: apbench's default dataset and
+// configuration, first sample of seed 42.
+func perfAlert(tb testing.TB) (*Env, Config, event.Event) {
+	tb.Helper()
+	env, err := NewEnv(workload.Config{Seed: 1, Hosts: 12, Days: 10, Density: 1.5})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	return env, cfg, env.sampleEvents(1, cfg.Seed)[0]
+}
 
 // TestExecutorRunAllocations is the allocation ceiling of the executor's
 // window loop: a whole analysis of the `apbench -exp perf` alert (apbench's
@@ -22,12 +35,7 @@ import (
 // only their pages and batches — a few hundred allocations, where the
 // per-record recorders made 52,145.
 func TestExecutorRunAllocations(t *testing.T) {
-	env, err := NewEnv(workload.Config{Seed: 1, Hosts: 12, Days: 10, Density: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	alert := env.sampleEvents(1, cfg.Seed)[0]
+	env, cfg, alert := perfAlert(t)
 	for _, tc := range []struct{ name, script string }{
 		{"backward", `backward proc p[exename = "*"] -> *`},
 		{"forward", `forward proc p[exename = "*"] -> *`},
@@ -77,6 +85,39 @@ func TestExecutorRunAllocations(t *testing.T) {
 		}
 		if allocs > 2000 {
 			t.Errorf("%.0f allocations for a recorded run of %d edges, want <= 2000", allocs, updates)
+		}
+	})
+}
+
+// BenchmarkExecutorRun is the executor_run pair of `apbench -exp perf` as a
+// testing.B, so the standard profiler flags apply to it:
+//
+//	go test -run '^$' -bench ExecutorRun -cpuprofile cpu.out ./internal/experiments
+//	go tool pprof -top -cum -focus RunUnchecked cpu.out
+//
+// bare is the run nobody records; recorded attaches what the triage daemon
+// attaches (see runRecorded).
+func BenchmarkExecutorRun(b *testing.B) {
+	env, cfg, alert := perfAlert(b)
+	b.Run("bare", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := env.runOnce(wildcardPlan(0), cfg.execOptions(), alert); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("recorded", func(b *testing.B) {
+		rec, err := env.newRecorders()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := env.runRecorded(rec, wildcardPlan(0), cfg.Windows, alert); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

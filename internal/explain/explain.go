@@ -27,6 +27,7 @@ import (
 
 	"aptrace/internal/bdl"
 	"aptrace/internal/event"
+	"aptrace/internal/pages"
 	"aptrace/internal/simclock"
 	"aptrace/internal/telemetry"
 )
@@ -182,7 +183,7 @@ const DefaultCapacity = 1 << 16
 // no-op behind one pointer test.
 type Recorder struct {
 	mu       sync.Mutex
-	ring     Pages[Decision] // slot Seq % capacity
+	ring     pages.Pages[Decision] // slot Seq % capacity
 	capacity int
 	seq      uint64 // total records emitted (next Seq)
 	pos      int    // seq % capacity, kept by counting: the slot of the next record

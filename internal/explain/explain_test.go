@@ -262,7 +262,7 @@ func TestRingGrowsOnDemand(t *testing.T) {
 	}
 	r := New(0, nil)
 	r.EdgeDedup(time.Time{}, 1, 1)
-	if got := len(r.ring.pages) * PageLen; got >= DefaultCapacity/2 {
+	if got := r.ring.Cap(); got >= DefaultCapacity/2 {
 		t.Errorf("one record holds storage for %d; the ring must grow with use", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"aptrace/internal/bdl"
 	"aptrace/internal/event"
+	"aptrace/internal/pages"
 	"aptrace/internal/simclock"
 	"aptrace/internal/telemetry"
 )
@@ -24,7 +25,7 @@ import (
 // agree, at the end and wherever a reader could look in between.
 func TestStagedRecorderMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		for _, capacity := range []int{5, 64, PageLen + 3} {
+		for _, capacity := range []int{5, 64, 4*pages.Len + 3} {
 			for _, n := range []int{capacity - 1, capacity, 3*capacity + 2} {
 				t.Run(fmt.Sprintf("seed%d/cap%d/n%d", seed, capacity, n), func(t *testing.T) {
 					driveRecorder(t, seed, capacity, n)

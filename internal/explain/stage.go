@@ -59,29 +59,6 @@ func (s *Stage) Reset() {
 	s.Recs, s.Strs, s.Rows = s.Recs[:0], s.Strs[:0], s.Rows[:0]
 }
 
-// PageLen is the number of records in one page of a Pages store.
-const PageLen = 1 << 10
-
-// Pages stores fixed-size records by index in pages of PageLen that are
-// allocated when first touched and never regrown or copied: growing costs one
-// page, not a copy of everything kept, and a holder that wraps reuses its
-// pages.
-type Pages[T any] struct {
-	pages [][]T
-}
-
-// At returns the slot of index i.
-func (p *Pages[T]) At(i int) *T {
-	pg := i / PageLen
-	for len(p.pages) <= pg {
-		p.pages = append(p.pages, nil)
-	}
-	if p.pages[pg] == nil {
-		p.pages[pg] = make([]T, PageLen)
-	}
-	return &p.pages[pg][i%PageLen]
-}
-
 // Strings is the side table of a record store: the few distinct strings its
 // records carry (hosts, clauses, stop reasons), each kept once.
 type Strings struct {

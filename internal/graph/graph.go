@@ -6,16 +6,20 @@
 // dependencies, and is consulted by the Dependency Graph Maintainer for
 // state propagation and final path pruning.
 //
-// Storage is two slices, one record per node and one per edge, reached
-// through one ObjID→index and one EventID→index map. A node's in- and
-// out-edges are intrusive singly linked lists threaded through the edge
-// records by index (head/tail/length on the node, next on the edge), so
-// accepting an edge costs two amortised slice appends and two map inserts
-// and allocates nothing else. Indices are private: every read copies values
-// out under the lock, which is what makes the graph safe for one writer and
-// any number of concurrent readers. Two writers are not supported beyond
-// mutual exclusion (the executor's duplicate pre-check assumes nobody else
-// inserts).
+// Storage is two paged logs, one record per node and one per edge, that grow
+// a page at a time and are never copied, reached through one ObjID→slot and
+// one EventID→edge index. A node's in- and out-edges are intrusive singly
+// linked lists threaded through the edge records by number (head/tail/length
+// on the node, next on the edge), so accepting an edge costs two record
+// writes and two index inserts and allocates nothing but a page now and then.
+//
+// The graph has one writer — the run loop, or whoever holds its place while
+// it is parked or over (the maintainer's recalculation, final pruning) — and
+// any number of concurrent readers. Every public read copies values out under
+// the read lock. The writer's own reads (Seen, Slot, State, Edge, and what Add
+// checks before it inserts) take no lock: nothing changes except by its hand.
+// It works in node slots, which Add hands out and which stay put until Retain
+// removes something (Epoch counts those). Two writers are not supported.
 package graph
 
 import (
@@ -25,6 +29,7 @@ import (
 	"time"
 
 	"aptrace/internal/event"
+	"aptrace/internal/pages"
 )
 
 // Update is one responsive progress report: an edge just landed in the
@@ -78,13 +83,59 @@ type edgeRec struct {
 	next [2]int32
 }
 
+// index maps an ID to its record's number in a log: open addressing with
+// linear probing over a power-of-two table kept at most half full. A miss
+// returns the cell the key belongs in, so look-up-then-insert walks once,
+// and growing is one pass over a flat array.
+type index struct {
+	cells []indexCell
+	n     int
+	shift uint // 64 - log2(len(cells)): Fibonacci hashing keeps the top bits
+}
+
+type indexCell struct {
+	key uint64
+	ref int32 // record number + 1; 0 marks an empty cell
+}
+
+func newIndex() index { return index{cells: make([]indexCell, 32), shift: 64 - 5} }
+
+// find returns key's record number, or -1 and the cell put would fill.
+func (x *index) find(key uint64) (cell int, rec int32) {
+	mask := len(x.cells) - 1
+	for i := int(key * 0x9E3779B97F4A7C15 >> x.shift); ; i = (i + 1) & mask {
+		if c := &x.cells[i]; c.ref == 0 || c.key == key {
+			return i, c.ref - 1
+		}
+	}
+}
+
+// put fills the empty cell find just returned for key.
+func (x *index) put(cell int, key uint64, rec int32) {
+	x.cells[cell] = indexCell{key, rec + 1}
+	if x.n++; 2*x.n <= len(x.cells) {
+		return
+	}
+	old := x.cells
+	x.cells, x.shift = make([]indexCell, 2*len(old)), x.shift-1
+	for _, c := range old {
+		if c.ref != 0 {
+			at, _ := x.find(c.key)
+			x.cells[at] = c
+		}
+	}
+}
+
 // Graph is an incrementally built dependency graph.
 type Graph struct {
 	mu      sync.RWMutex
-	nodes   []nodeRec
-	edges   []edgeRec
-	nodeIdx map[event.ObjID]int32
-	edgeIdx map[event.EventID]int32
+	nodes   pages.Pages[nodeRec]
+	edges   pages.Pages[edgeRec]
+	nNodes  int32
+	nEdges  int32
+	nodeIdx index // ObjID → node slot
+	edgeIdx index // EventID → edge record
+	epoch   int   // times Retain has renumbered the slots
 
 	start event.Event // the starting-point event (the anomaly alert)
 }
@@ -93,14 +144,11 @@ type Graph struct {
 // Algorithm 1 line 1: G <- e0). The destination object of e0 gets hop 0 and
 // its source hop 1.
 func New(e0 event.Event) *Graph {
-	g := &Graph{
-		nodeIdx: make(map[event.ObjID]int32),
-		edgeIdx: make(map[event.EventID]int32),
-		start:   e0,
-	}
-	di, _ := g.reachLocked(e0.Dst(), 0)
-	si, _ := g.reachLocked(e0.Src(), 1)
-	g.appendEdgeLocked(e0, si, di)
+	g := &Graph{nodeIdx: newIndex(), edgeIdx: newIndex(), start: e0}
+	di := g.reachLocked(e0.Dst(), 0)
+	si := g.reachLocked(e0.Src(), 1)
+	cell, _ := g.edgeIdx.find(uint64(e0.ID))
+	g.appendEdgeLocked(&e0, cell, si, di)
 	return g
 }
 
@@ -114,6 +162,8 @@ type Added struct {
 	// OverBudget: the edge was refused because the discovered endpoint would
 	// sit more than hopLimit hops from the starting point.
 	OverBudget bool
+	// Slot is the discovered endpoint's node slot, when the edge was inserted.
+	Slot int32
 	// Hop is the discovered endpoint's hop after the insert; for a refused
 	// edge, the hop that broke the budget.
 	Hop int
@@ -121,117 +171,154 @@ type Added struct {
 	Edges int
 }
 
-// Add is the one insert: the whole per-edge conversation under one write
-// lock. The known endpoint of ev — its destination when tracking backward,
-// its source when forward — must already be a node (it is the object whose
-// dependencies were being searched). Unless hopLimit is zero, an edge that
-// would put its discovered endpoint beyond hopLimit hops is refused; a
-// duplicate is ignored; otherwise the edge is linked in and the discovered
-// endpoint's hop is min-updated to hop(known)+1.
-func (g *Graph) Add(ev event.Event, forward bool, hopLimit int) (Added, error) {
-	known, found := ev.Dst(), ev.Src()
+// Add is the one insert, for the writer only. known is the slot of the
+// endpoint of ev already in the graph — its destination when tracking
+// backward, its source when forward: the object whose dependencies were being
+// searched. Unless hopLimit is zero, an edge that would put its discovered
+// endpoint beyond hopLimit hops is refused; a duplicate is ignored; otherwise
+// the edge is linked in and the discovered endpoint's hop is min-updated to
+// hop(known)+1. The checks read without the lock; the insert is one short
+// critical section.
+func (g *Graph) Add(ev *event.Event, known int32, forward bool, hopLimit int) Added {
+	found := ev.Src()
 	if forward {
-		known, found = found, known
+		found = ev.Dst()
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	ki, ok := g.nodeIdx[known]
-	if !ok {
-		if forward {
-			return Added{}, fmt.Errorf("graph: edge %d departs from unknown node %d", ev.ID, known)
-		}
-		return Added{}, fmt.Errorf("graph: edge %d arrives at unknown node %d", ev.ID, known)
-	}
-	hop := g.nodes[ki].Hop + 1
+	hop := g.nodes.Get(int(known)).Hop + 1
 	if hopLimit > 0 && hop > hopLimit {
-		return Added{OverBudget: true, Hop: hop, Edges: len(g.edges)}, nil
+		return Added{OverBudget: true, Hop: hop, Edges: int(g.nEdges)}
 	}
-	if _, dup := g.edgeIdx[ev.ID]; dup {
-		return Added{Edges: len(g.edges)}, nil
+	cell, dup := g.edgeIdx.find(uint64(ev.ID))
+	if dup >= 0 {
+		return Added{Edges: int(g.nEdges)}
 	}
-	fi, existed := g.reachLocked(found, hop)
+	nodes := g.nNodes
+	g.mu.Lock()
+	fi := g.reachLocked(found, hop)
 	if forward {
-		g.appendEdgeLocked(ev, ki, fi)
+		g.appendEdgeLocked(ev, cell, known, fi)
 	} else {
-		g.appendEdgeLocked(ev, fi, ki)
+		g.appendEdgeLocked(ev, cell, fi, known)
 	}
-	return Added{NewEdge: true, NewNode: !existed, Hop: g.nodes[fi].Hop, Edges: len(g.edges)}, nil
+	g.mu.Unlock()
+	return Added{NewEdge: true, NewNode: g.nNodes > nodes, Slot: fi, Hop: g.nodes.Get(int(fi)).Hop, Edges: int(g.nEdges)}
 }
 
 // AddEdge records a newly discovered backward dependency with no hop budget.
 // It returns whether the edge was new, and whether its source object was
 // seen for the first time.
 func (g *Graph) AddEdge(ev event.Event) (newEdge, newNode bool, err error) {
-	a, err := g.Add(ev, false, 0)
-	return a.NewEdge, a.NewNode, err
+	known, ok := g.Slot(ev.Dst())
+	if !ok {
+		return false, false, fmt.Errorf("graph: edge %d arrives at unknown node %d", ev.ID, ev.Dst())
+	}
+	a := g.Add(&ev, known, false, 0)
+	return a.NewEdge, a.NewNode, nil
 }
 
 // AddForwardEdge mirrors AddEdge for impact tracking: ev's source must
 // already be a node, and its destination is the discovered endpoint.
 func (g *Graph) AddForwardEdge(ev event.Event) (newEdge, newNode bool, err error) {
-	a, err := g.Add(ev, true, 0)
-	return a.NewEdge, a.NewNode, err
+	known, ok := g.Slot(ev.Src())
+	if !ok {
+		return false, false, fmt.Errorf("graph: edge %d departs from unknown node %d", ev.ID, ev.Src())
+	}
+	a := g.Add(&ev, known, true, 0)
+	return a.NewEdge, a.NewNode, nil
 }
 
 // reachLocked records that node id is reachable in hop hops: an existing
 // node's hop is min-updated, a new one is appended with no edges and no
-// state. It returns the node's index.
-func (g *Graph) reachLocked(id event.ObjID, hop int) (i int32, existed bool) {
-	if i, existed = g.nodeIdx[id]; existed {
-		if n := &g.nodes[i]; hop < n.Hop {
+// state. It returns the node's slot.
+func (g *Graph) reachLocked(id event.ObjID, hop int) int32 {
+	cell, i := g.nodeIdx.find(uint64(id))
+	if i >= 0 {
+		if n := g.nodes.Get(int(i)); hop < n.Hop {
 			n.Hop = hop
 		}
-		return i, true
+		return i
 	}
-	i = int32(len(g.nodes))
-	g.nodes = append(g.nodes, nodeRec{NodeInfo: NodeInfo{ID: id, Hop: hop, State: -1}})
-	g.nodeIdx[id] = i
-	return i, false
+	i = g.nNodes
+	*g.nodes.At(int(i)) = nodeRec{NodeInfo: NodeInfo{ID: id, Hop: hop, State: -1}}
+	g.nNodes++
+	g.nodeIdx.put(cell, uint64(id), i)
+	return i
 }
 
-// appendEdgeLocked appends ev's record and links it at the tail of its
-// source node's (index si) out-list and its destination's (di) in-list.
-func (g *Graph) appendEdgeLocked(ev event.Event, si, di int32) {
-	ei := int32(len(g.edges))
-	g.edges = append(g.edges, edgeRec{ev: ev})
-	g.edgeIdx[ev.ID] = ei
+// appendEdgeLocked appends ev's record, enters it in the edge index at cell
+// (where find missed it) and links it at the tail of its source node's (slot
+// si) out-list and its destination's (di) in-list.
+func (g *Graph) appendEdgeLocked(ev *event.Event, cell int, si, di int32) {
+	ei := g.nEdges
+	*g.edges.At(int(ei)) = edgeRec{ev: *ev}
+	g.nEdges++
+	g.edgeIdx.put(cell, uint64(ev.ID), ei)
 	for dir, ni := range [2]int32{dirIn: di, dirOut: si} {
-		l := &g.nodes[ni].adj[dir]
+		l := &g.nodes.Get(int(ni)).adj[dir]
 		if l.n == 0 {
 			l.head = ei
 		} else {
-			g.edges[l.tail].next[dir] = ei
+			g.edges.Get(int(l.tail)).next[dir] = ei
 		}
 		l.tail = ei
 		l.n++
 	}
 }
 
+// Seen is HasEdge for the writer: no lock.
+func (g *Graph) Seen(id event.EventID) bool {
+	_, ei := g.edgeIdx.find(uint64(id))
+	return ei >= 0
+}
+
+// Slot returns the node slot of an object, if it is a node. Writer only.
+func (g *Graph) Slot(id event.ObjID) (int32, bool) {
+	_, i := g.nodeIdx.find(uint64(id))
+	return i, i >= 0
+}
+
+// State returns the maintainer state of the node in slot. Writer only.
+func (g *Graph) State(slot int32) int { return g.nodes.Get(int(slot)).State }
+
+// Edge returns the edge an event is, if it is one. Writer only; the pointer
+// is into the edge log and is for reading.
+func (g *Graph) Edge(id event.EventID) (*event.Event, bool) {
+	_, ei := g.edgeIdx.find(uint64(id))
+	if ei < 0 {
+		return nil, false
+	}
+	return &g.edges.Get(int(ei)).ev, true
+}
+
+// Epoch counts the Retain calls that removed something, each of which
+// renumbers the node slots: a slot is good for as long as Epoch stands still.
+// Writer only.
+func (g *Graph) Epoch() int { return g.epoch }
+
 // HasEdge reports whether the event is already an edge of the graph.
 func (g *Graph) HasEdge(id event.EventID) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	_, ok := g.edgeIdx[id]
-	return ok
+	return g.Seen(id)
 }
 
 // Node returns a copy of the bookkeeping for an object, if present.
 func (g *Graph) Node(id event.ObjID) (NodeInfo, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	i, ok := g.nodeIdx[id]
+	i, ok := g.Slot(id)
 	if !ok {
 		return NodeInfo{}, false
 	}
-	return g.nodes[i].NodeInfo, true
+	return g.nodes.Get(int(i)).NodeInfo, true
 }
 
 // SetState assigns the maintainer state of a node. Unknown nodes are ignored.
 func (g *Graph) SetState(id event.ObjID, state int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if i, ok := g.nodeIdx[id]; ok {
-		g.nodes[i].State = state
+	if i, ok := g.Slot(id); ok {
+		g.nodes.Get(int(i)).State = state
 	}
 }
 
@@ -240,8 +327,8 @@ func (g *Graph) SetState(id event.ObjID, state int) {
 func (g *Graph) ResetStates() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i := range g.nodes {
-		g.nodes[i].State = -1
+	for i := 0; i < int(g.nNodes); i++ {
+		g.nodes.Get(i).State = -1
 	}
 }
 
@@ -250,14 +337,14 @@ func (g *Graph) ResetStates() {
 func (g *Graph) NumEdges() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.edges)
+	return int(g.nEdges)
 }
 
 // NumNodes returns the number of object nodes.
 func (g *Graph) NumNodes() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.nodes)
+	return int(g.nNodes)
 }
 
 // MaxHop returns the largest hop among nodes: the graph "diameter" that the
@@ -266,8 +353,8 @@ func (g *Graph) MaxHop() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	max := 0
-	for i := range g.nodes {
-		if h := g.nodes[i].Hop; h > max {
+	for i := 0; i < int(g.nNodes); i++ {
+		if h := g.nodes.Get(i).Hop; h > max {
 			max = h
 		}
 	}
@@ -285,13 +372,13 @@ func (g *Graph) adjacent(obj event.ObjID, dir int) []event.Event {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var l edgeList
-	if i, ok := g.nodeIdx[obj]; ok {
-		l = g.nodes[i].adj[dir]
+	if i, ok := g.Slot(obj); ok {
+		l = g.nodes.Get(int(i)).adj[dir]
 	}
 	out := make([]event.Event, l.n)
 	ei := l.head
 	for k := range out {
-		e := &g.edges[ei]
+		e := g.edges.Get(int(ei))
 		out[k] = e.ev
 		ei = e.next[dir]
 	}
@@ -302,9 +389,9 @@ func (g *Graph) adjacent(obj event.ObjID, dir int) []event.Event {
 // output and tests).
 func (g *Graph) Edges() []event.Event {
 	g.mu.RLock()
-	out := make([]event.Event, len(g.edges))
-	for i := range g.edges {
-		out[i] = g.edges[i].ev
+	out := make([]event.Event, g.nEdges)
+	for i := range out {
+		out[i] = g.edges.Get(i).ev
 	}
 	g.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -314,9 +401,9 @@ func (g *Graph) Edges() []event.Event {
 // Nodes returns all node infos sorted by object ID.
 func (g *Graph) Nodes() []NodeInfo {
 	g.mu.RLock()
-	out := make([]NodeInfo, len(g.nodes))
-	for i := range g.nodes {
-		out[i] = g.nodes[i].NodeInfo
+	out := make([]NodeInfo, g.nNodes)
+	for i := range out {
+		out[i] = g.nodes.Get(i).NodeInfo
 	}
 	g.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -329,43 +416,46 @@ func (g *Graph) Nodes() []NodeInfo {
 // for final path pruning (paper Section III-A: "APTrace removes the paths
 // that do not meet the constraints of the intermediate points").
 //
-// When anything is removed the surviving edges are re-linked in event-ID
-// order, so InEdges/OutEdges then list by event ID.
+// When anything is removed the surviving nodes are renumbered (Epoch moves)
+// and the surviving edges re-linked in event-ID order, so InEdges/OutEdges
+// then list by event ID.
 func (g *Graph) Retain(keep func(event.ObjID) bool) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	gone := make([]bool, len(g.nodes))
-	anyGone := false
-	for i := range g.nodes {
-		if id := g.nodes[i].ID; id != g.start.Dst() && !keep(id) {
-			gone[i] = true
-			anyGone = true
+	var nodes []NodeInfo
+	for i := 0; i < int(g.nNodes); i++ {
+		if n := g.nodes.Get(i).NodeInfo; n.ID == g.start.Dst() || keep(n.ID) {
+			nodes = append(nodes, n)
 		}
 	}
-	if !anyGone {
+	if len(nodes) == int(g.nNodes) {
 		return 0
 	}
-	var kept []event.Event
-	for i := range g.edges {
-		if ev := g.edges[i].ev; !gone[g.nodeIdx[ev.Src()]] && !gone[g.nodeIdx[ev.Dst()]] {
-			kept = append(kept, ev)
-		}
-	}
-	removed := len(g.edges) - len(kept)
-	sort.Slice(kept, func(i, j int) bool { return kept[i].ID < kept[j].ID })
 	// Rebuild from the survivors: nodes in their old order, edges by event ID.
-	old := g.nodes
-	g.nodes, g.edges = nil, make([]edgeRec, 0, len(kept))
-	g.nodeIdx = make(map[event.ObjID]int32)
-	g.edgeIdx = make(map[event.EventID]int32, len(kept))
-	for i := range old {
-		if !gone[i] {
-			at, _ := g.reachLocked(old[i].ID, old[i].Hop)
-			g.nodes[at].State = old[i].State
+	oldEdges, had := g.edges, int(g.nEdges)
+	g.nodes, g.edges, g.nNodes, g.nEdges = pages.Pages[nodeRec]{}, pages.Pages[edgeRec]{}, 0, 0
+	g.nodeIdx, g.edgeIdx = newIndex(), newIndex()
+	g.epoch++
+	for _, n := range nodes {
+		g.nodes.Get(int(g.reachLocked(n.ID, n.Hop))).State = n.State
+	}
+	type survivor struct {
+		ev     *event.Event
+		si, di int32
+	}
+	var kept []survivor
+	for i := 0; i < had; i++ {
+		ev := &oldEdges.Get(i).ev
+		si, srcKept := g.Slot(ev.Src())
+		di, dstKept := g.Slot(ev.Dst())
+		if srcKept && dstKept {
+			kept = append(kept, survivor{ev, si, di})
 		}
 	}
-	for _, ev := range kept {
-		g.appendEdgeLocked(ev, g.nodeIdx[ev.Src()], g.nodeIdx[ev.Dst()])
+	sort.Slice(kept, func(i, j int) bool { return kept[i].ev.ID < kept[j].ev.ID })
+	for _, k := range kept {
+		cell, _ := g.edgeIdx.find(uint64(k.ev.ID))
+		g.appendEdgeLocked(k.ev, cell, k.si, k.di)
 	}
-	return removed
+	return had - len(kept)
 }

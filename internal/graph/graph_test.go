@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"aptrace/internal/event"
+	"aptrace/internal/pages"
 )
 
 // chainGraph builds:
@@ -446,135 +447,239 @@ func (g *refGraph) topFanIn(n int) []Degree {
 }
 
 // TestGraphMatchesReference drives Graph and the map-based model with the
-// same random operations over a dozen objects — inserts in both directions
-// with and without a hop budget, duplicates, unknown endpoints, self-loops,
-// state writes and resets, and Retain keeping everything, nothing, or a
-// random subset — and compares every public read after every operation.
+// same random operations — inserts in both directions with and without a hop
+// budget through the slot-carrying Add and its two wrappers, duplicates,
+// unknown endpoints, self-loops, state writes and resets, and Retain keeping
+// everything, nothing, or a random subset — and compares every public read
+// and every writer-side one (Slot, State, Seen, Edge, Epoch, Added.Slot)
+// against the model. The small universe makes duplicates, shortcuts and
+// self-loops the rule and is checked after every operation; the large one
+// grows the node and edge logs past their first pages and is checked when a
+// log is one short of a page, at it and one past it, after every Retain, and
+// every 1500 steps in between.
 func TestGraphMatchesReference(t *testing.T) {
-	const objects = 12
+	for _, tc := range []struct {
+		name           string
+		objects, steps int
+		seeds          int64
+		sparse         bool // check at page boundaries, after Retain and every 1500th step only
+	}{
+		{"small", 12, 400, 20, false},
+		{"paged", 2*pages.Len + 200, 3000, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= tc.seeds; seed++ {
+				graphMatchesReference(t, seed, tc.objects, tc.steps, tc.sparse)
+			}
+		})
+	}
+}
+
+func graphMatchesReference(t *testing.T, seed int64, objects, steps int, sparse bool) {
 	resolve := func(id event.ObjID) event.Object { return event.File("ws1", fmt.Sprintf(`C:\obj\%d`, id)) }
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		obj := func() event.ObjID { return event.ObjID(rng.Intn(objects)) }
-		e0 := event.Event{ID: 1, Time: 1000, Subject: obj(), Object: obj(), Dir: event.FlowOut, Action: event.ActSend}
-		if seed%5 == 0 {
-			e0.Object = e0.Subject // a self-loop alert: one node, hop 0
-		}
-		g, ref := New(e0), newRefGraph(e0)
-		nextID := event.EventID(2)
+	rng := rand.New(rand.NewSource(seed))
+	obj := func() event.ObjID { return event.ObjID(rng.Intn(objects)) }
+	e0 := event.Event{ID: 1, Time: 1000, Subject: obj(), Object: obj(), Dir: event.FlowOut, Action: event.ActSend}
+	if seed%5 == 0 {
+		e0.Object = e0.Subject // a self-loop alert: one node, hop 0
+	}
+	g, ref := New(e0), newRefGraph(e0)
+	nextID := event.EventID(2)
+	// The slots the writer has been handed, good until Epoch moves.
+	slots, epoch := map[event.ObjID]int32{}, 0
+	nodeIDs := []event.ObjID{e0.Dst()} // some nodes of the graph, for the large universe to grow from
 
-		check := func(op string) {
+	check := func(op string) {
+		t.Helper()
+		fail := func(what string, got, want any) {
 			t.Helper()
-			fail := func(what string, got, want any) {
-				t.Helper()
-				t.Fatalf("seed %d after %s: %s = %+v, reference %+v", seed, op, what, got, want)
+			t.Fatalf("seed %d after %s: %s = %+v, reference %+v", seed, op, what, got, want)
+		}
+		if got, want := g.Nodes(), ref.sortedNodes(); !reflect.DeepEqual(got, want) {
+			fail("Nodes", got, want)
+		}
+		if got, want := g.Edges(), ref.sortedEdges(); !reflect.DeepEqual(got, want) {
+			fail("Edges", got, want)
+		}
+		if g.NumNodes() != len(ref.nodes) || g.NumEdges() != len(ref.edges) {
+			fail("NumNodes,NumEdges", [2]int{g.NumNodes(), g.NumEdges()}, [2]int{len(ref.nodes), len(ref.edges)})
+		}
+		if got, want := g.MaxHop(), ref.maxHop(); got != want {
+			fail("MaxHop", got, want)
+		}
+		if g.Epoch() != epoch {
+			slots, epoch = map[event.ObjID]int32{}, g.Epoch()
+		}
+		taken := map[int32]event.ObjID{}
+		for id := event.ObjID(0); int(id) <= objects; id++ {
+			n, ok := g.Node(id)
+			rn, rok := ref.nodes[id]
+			if ok != rok || (ok && n != *rn) {
+				fail(fmt.Sprintf("Node(%d)", id), n, rn)
 			}
-			if got, want := g.Nodes(), ref.sortedNodes(); !reflect.DeepEqual(got, want) {
-				fail("Nodes", got, want)
+			slot, sok := g.Slot(id)
+			if sok != rok {
+				fail(fmt.Sprintf("Slot(%d)", id), sok, rok)
 			}
-			if got, want := g.Edges(), ref.sortedEdges(); !reflect.DeepEqual(got, want) {
-				fail("Edges", got, want)
-			}
-			if g.NumNodes() != len(ref.nodes) || g.NumEdges() != len(ref.edges) {
-				fail("NumNodes,NumEdges", [2]int{g.NumNodes(), g.NumEdges()}, [2]int{len(ref.nodes), len(ref.edges)})
-			}
-			if got, want := g.MaxHop(), ref.maxHop(); got != want {
-				fail("MaxHop", got, want)
-			}
-			for id := event.ObjID(0); id <= objects; id++ {
-				n, ok := g.Node(id)
-				if rn, rok := ref.nodes[id]; ok != rok || (ok && n != *rn) {
-					fail(fmt.Sprintf("Node(%d)", id), n, rn)
+			if sok {
+				if was, seen := slots[id]; seen && was != slot {
+					fail(fmt.Sprintf("Slot(%d) within one epoch", id), slot, was)
 				}
-				if got, want := g.InEdges(id), ref.events(ref.byDst[id]); !reflect.DeepEqual(got, want) {
-					fail(fmt.Sprintf("InEdges(%d)", id), got, want)
+				if other, dup := taken[slot]; dup || slot < 0 || int(slot) >= len(ref.nodes) {
+					fail(fmt.Sprintf("Slot(%d)", id), slot, fmt.Sprintf("a slot of its own below %d (object %d has it)", len(ref.nodes), other))
 				}
-				if got, want := g.OutEdges(id), ref.events(ref.bySrc[id]); !reflect.DeepEqual(got, want) {
-					fail(fmt.Sprintf("OutEdges(%d)", id), got, want)
-				}
-			}
-			for id := event.EventID(0); id <= nextID; id++ {
-				if _, want := ref.edges[id]; g.HasEdge(id) != want {
-					fail(fmt.Sprintf("HasEdge(%d)", id), !want, want)
+				slots[id], taken[slot] = slot, id
+				if got := g.State(slot); got != rn.State {
+					fail(fmt.Sprintf("State(slot of %d)", id), got, rn.State)
 				}
 			}
-			for _, n := range []int{0, 3, 100} {
-				if got, want := TopFanIn(g, n), ref.topFanIn(n); !reflect.DeepEqual(got, want) {
-					fail(fmt.Sprintf("TopFanIn(%d)", n), got, want)
-				}
+			if got, want := g.InEdges(id), ref.events(ref.byDst[id]); !reflect.DeepEqual(got, want) {
+				fail(fmt.Sprintf("InEdges(%d)", id), got, want)
 			}
-			var got, want bytes.Buffer
-			if err := WriteDOT(&got, g, resolve); err != nil {
-				t.Fatal(err)
-			}
-			if err := writeDOT(&want, ref.sortedNodes(), ref.sortedEdges(), ref.start, resolve, nil); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				fail("WriteDOT", got.String(), want.String())
+			if got, want := g.OutEdges(id), ref.events(ref.bySrc[id]); !reflect.DeepEqual(got, want) {
+				fail(fmt.Sprintf("OutEdges(%d)", id), got, want)
 			}
 		}
+		for id := event.EventID(0); id <= nextID; id++ {
+			rev, want := ref.edges[id]
+			if g.HasEdge(id) != want || g.Seen(id) != want {
+				fail(fmt.Sprintf("HasEdge,Seen(%d)", id), [2]bool{g.HasEdge(id), g.Seen(id)}, want)
+			}
+			if ev, ok := g.Edge(id); ok != want || (ok && *ev != rev) {
+				fail(fmt.Sprintf("Edge(%d)", id), ev, rev)
+			}
+		}
+		for _, n := range []int{0, 3, 100} {
+			if got, want := TopFanIn(g, n), ref.topFanIn(n); !reflect.DeepEqual(got, want) {
+				fail(fmt.Sprintf("TopFanIn(%d)", n), got, want)
+			}
+		}
+		var got, want bytes.Buffer
+		if err := WriteDOT(&got, g, resolve); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeDOT(&want, ref.sortedNodes(), ref.sortedEdges(), ref.start, resolve, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			fail("WriteDOT", got.String(), want.String())
+		}
+	}
+	atPageEdge := func(n int) bool { r := n % pages.Len; return n >= pages.Len-1 && (r == pages.Len-1 || r <= 1) }
 
-		check("New")
-		for step := 0; step < 400; step++ {
-			switch r := rng.Intn(100); {
-			case r < 70:
-				ev := event.Event{
-					ID: nextID, Time: int64(rng.Intn(2000)), Subject: obj(), Object: obj(),
-					Dir: event.Direction(rng.Intn(2)), Action: event.ActWrite, Amount: int64(rng.Intn(100)),
-				}
-				if rng.Intn(5) == 0 {
-					ev.ID = event.EventID(1 + rng.Intn(int(nextID))) // usually a duplicate
-				} else {
-					nextID++
-				}
-				if rng.Intn(8) == 0 {
-					ev.Object = ev.Subject // self-loop
-				}
-				forward, hopLimit := rng.Intn(2) == 0, rng.Intn(3)*2 // 0 (none), 2 or 4
-				op := fmt.Sprintf("Add(%+v, %v, %d)", ev, forward, hopLimit)
-				want, wantErr := ref.add(ev, forward, hopLimit)
-				var got Added
-				var err error
-				switch {
-				case hopLimit > 0:
-					got, err = g.Add(ev, forward, hopLimit)
-				case forward:
-					got.NewEdge, got.NewNode, err = g.AddForwardEdge(ev)
-					want = Added{NewEdge: want.NewEdge, NewNode: want.NewNode}
-				default:
-					got.NewEdge, got.NewNode, err = g.AddEdge(ev)
-					want = Added{NewEdge: want.NewEdge, NewNode: want.NewNode}
-				}
-				if got != want || (err != nil) != (wantErr != nil) {
-					t.Fatalf("seed %d: %s = %+v, %v; reference %+v, %v", seed, op, got, err, want, wantErr)
-				}
-				check(op)
-			case r < 85:
-				id, state := event.ObjID(rng.Intn(objects+1)), rng.Intn(4)-1
-				g.SetState(id, state)
-				if n, ok := ref.nodes[id]; ok {
-					n.State = state
-				}
-				check("SetState")
-			case r < 90:
-				g.ResetStates()
-				for _, n := range ref.nodes {
-					n.State = -1
-				}
-				check("ResetStates")
-			default:
-				keepSet := map[event.ObjID]bool{}
-				mode := rng.Intn(4) // 0: keep all, 1: keep only the start, else a random subset
-				for id := event.ObjID(0); id < objects; id++ {
-					keepSet[id] = mode == 0 || (mode > 1 && rng.Intn(4) > 0)
-				}
-				keep := func(id event.ObjID) bool { return keepSet[id] }
-				if got, want := g.Retain(keep), ref.retain(keep); got != want {
-					t.Fatalf("seed %d: Retain removed %d edges, reference %d", seed, got, want)
-				}
-				check(fmt.Sprintf("Retain(mode %d)", mode))
-			}
+	check("New")
+	for step := 0; step < steps; step++ {
+		op, must := "", false
+		r := rng.Intn(100)
+		if sparse && r >= 70 && rng.Intn(500) > 0 {
+			r = rng.Intn(70) // a growing graph: inserts, but for a state write or a Retain now and then
 		}
+		switch {
+		case r < 70:
+			ev := event.Event{
+				ID: nextID, Time: int64(rng.Intn(2000)), Subject: obj(), Object: obj(),
+				Dir: event.Direction(rng.Intn(2)), Action: event.ActWrite, Amount: int64(rng.Intn(100)),
+			}
+			if sparse && rng.Intn(4) > 0 {
+				// Keep the large graph connected enough to grow: hang most edges
+				// off a node it already has.
+				known := nodeIDs[rng.Intn(len(nodeIDs))]
+				if ev.Dir == event.FlowOut {
+					ev.Object = known
+				} else {
+					ev.Subject = known
+				}
+			}
+			if rng.Intn(5) == 0 {
+				ev.ID = event.EventID(1 + rng.Intn(int(nextID))) // usually a duplicate
+			} else {
+				nextID++
+			}
+			if rng.Intn(8) == 0 {
+				ev.Object = ev.Subject // self-loop
+			}
+			forward, hopLimit := rng.Intn(2) == 0, rng.Intn(3)*2 // 0 (none), 2 or 4
+			if sparse && hopLimit > 0 {
+				hopLimit += 20
+			}
+			op = fmt.Sprintf("Add(%+v, %v, %d)", ev, forward, hopLimit)
+			want, wantErr := ref.add(ev, forward, hopLimit)
+			var got Added
+			var err error
+			switch {
+			case hopLimit > 0:
+				known, found := ev.Dst(), ev.Src()
+				if forward {
+					known, found = found, known
+				}
+				slot, ok := g.Slot(known)
+				if !ok {
+					err = fmt.Errorf("unknown node %d", known)
+					break
+				}
+				got = g.Add(&ev, slot, forward, hopLimit)
+				if fs, _ := g.Slot(found); got.NewEdge && got.Slot != fs {
+					t.Fatalf("seed %d: %s handed out slot %d, Slot(%d) = %d", seed, op, got.Slot, found, fs)
+				}
+				got.Slot = 0
+			case forward:
+				got.NewEdge, got.NewNode, err = g.AddForwardEdge(ev)
+				want = Added{NewEdge: want.NewEdge, NewNode: want.NewNode}
+			default:
+				got.NewEdge, got.NewNode, err = g.AddEdge(ev)
+				want = Added{NewEdge: want.NewEdge, NewNode: want.NewNode}
+			}
+			if got != want || (err != nil) != (wantErr != nil) {
+				t.Fatalf("seed %d: %s = %+v, %v; reference %+v, %v", seed, op, got, err, want, wantErr)
+			}
+			must = got.NewEdge && (atPageEdge(len(ref.edges)) || (got.NewNode && atPageEdge(len(ref.nodes))))
+			if got.NewNode {
+				nodeIDs = append(nodeIDs, ev.Src(), ev.Dst()) // one of them is new, both are nodes
+			}
+		case r < 85:
+			id, state := event.ObjID(rng.Intn(objects+1)), rng.Intn(4)-1
+			g.SetState(id, state)
+			if n, ok := ref.nodes[id]; ok {
+				n.State = state
+			}
+			op = "SetState"
+		case r < 90:
+			g.ResetStates()
+			for _, n := range ref.nodes {
+				n.State = -1
+			}
+			op = "ResetStates"
+		default:
+			keepSet := map[event.ObjID]bool{}
+			mode := rng.Intn(4) // 0: keep all, 1: keep only the start, else a random subset
+			odds := 4
+			if sparse {
+				mode, odds = 2, 16 // the large graph loses a node in sixteen and grows back
+			}
+			for id := event.ObjID(0); int(id) < objects; id++ {
+				keepSet[id] = mode == 0 || (mode > 1 && rng.Intn(odds) > 0)
+			}
+			keep := func(id event.ObjID) bool { return keepSet[id] }
+			nodes, was := len(ref.nodes), g.Epoch()
+			got, want := g.Retain(keep), ref.retain(keep)
+			if got != want {
+				t.Fatalf("seed %d: Retain removed %d edges, reference %d", seed, got, want)
+			}
+			if moved, removed := g.Epoch() != was, len(ref.nodes) != nodes; moved != removed {
+				t.Fatalf("seed %d: Retain removed nodes: %v, Epoch moved: %v", seed, removed, moved)
+			}
+			op, must = fmt.Sprintf("Retain(mode %d)", mode), true
+			nodeIDs = nodeIDs[:0]
+			for id := range ref.nodes {
+				nodeIDs = append(nodeIDs, id)
+			}
+			sort.Slice(nodeIDs, func(i, j int) bool { return nodeIDs[i] < nodeIDs[j] })
+		}
+		if !sparse || must || step%1500 == 0 || step == steps-1 {
+			check(op)
+		}
+	}
+	if sparse && (len(ref.edges) <= pages.Len+1 || len(ref.nodes) <= pages.Len+1) {
+		t.Fatalf("seed %d: %d edges and %d nodes at the end: the logs never left their first page", seed, len(ref.edges), len(ref.nodes))
 	}
 }

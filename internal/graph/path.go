@@ -74,9 +74,9 @@ type Degree struct {
 // explosion — the first candidates for exclusion heuristics.
 func TopFanIn(g *Graph, n int) []Degree {
 	g.mu.RLock()
-	out := make([]Degree, 0, len(g.nodes))
-	for i := range g.nodes {
-		if rec := &g.nodes[i]; rec.adj[dirIn].n > 0 {
+	out := make([]Degree, 0, g.nNodes)
+	for i := 0; i < int(g.nNodes); i++ {
+		if rec := g.nodes.Get(i); rec.adj[dirIn].n > 0 {
 			out = append(out, Degree{ID: rec.ID, In: int(rec.adj[dirIn].n)})
 		}
 	}

@@ -36,7 +36,7 @@ func New(plan *refiner.Plan, env refiner.Env, from, to int64) *Maintainer {
 
 // currSucc returns the (already known, newly discovered) endpoints of an
 // exploration edge under the maintainer's direction.
-func (m *Maintainer) currSucc(e event.Event) (curr, succ event.ObjID) {
+func (m *Maintainer) currSucc(e *event.Event) (curr, succ event.ObjID) {
 	if m.fwd {
 		return e.Src(), e.Dst()
 	}
@@ -63,13 +63,15 @@ func (m *Maintainer) Seed(g *graph.Graph) {
 	// (its source is the first explored node). Seed propagation failures
 	// only suppress prioritization; the graph stays correct. Matching errors
 	// resurface on Recalculate.
-	_ = m.OnEdge(g, g.Start())
+	start := g.Start()
+	_ = m.OnEdge(g, &start)
 }
 
 // OnEdge propagates state across a newly added edge e: if the known node
 // holds state s and the newly discovered node matches chain pattern s, the
 // new node is promoted to state s+1, cascading through already-known edges.
-func (m *Maintainer) OnEdge(g *graph.Graph, e event.Event) error {
+// e is only read.
+func (m *Maintainer) OnEdge(g *graph.Graph, e *event.Event) error {
 	if len(m.plan.Chain) == 0 {
 		return nil // no pattern to advance: the graph is not even read
 	}
@@ -82,7 +84,7 @@ func (m *Maintainer) OnEdge(g *graph.Graph, e event.Event) error {
 	if !ok {
 		return nil
 	}
-	match, err := m.plan.Chain[curr.State].Match(e, succID, m.env, m.from, m.to)
+	match, err := m.plan.Chain[curr.State].Match(*e, succID, m.env, m.from, m.to)
 	if err != nil {
 		return err
 	}
@@ -92,8 +94,9 @@ func (m *Maintainer) OnEdge(g *graph.Graph, e event.Event) error {
 	g.SetState(succID, curr.State+1)
 	// Cascade: the promoted node's already-discovered neighbours may now
 	// match the next pattern.
-	for _, next := range m.explorationEdges(g, succID) {
-		if err := m.OnEdge(g, next); err != nil {
+	next := m.explorationEdges(g, succID)
+	for i := range next {
+		if err := m.OnEdge(g, &next[i]); err != nil {
 			return err
 		}
 	}
@@ -112,7 +115,9 @@ func (m *Maintainer) Recalculate(g *graph.Graph) error {
 	for len(queue) > 0 {
 		curr := queue[0]
 		queue = queue[1:]
-		for _, e := range m.explorationEdges(g, curr) {
+		edges := m.explorationEdges(g, curr)
+		for i := range edges {
+			e := &edges[i]
 			_, succID := m.currSucc(e)
 			before, _ := g.Node(succID)
 			if err := m.OnEdge(g, e); err != nil {
@@ -180,7 +185,7 @@ func (m *Maintainer) Prune(g *graph.Graph) int {
 			continue
 		}
 		for _, e := range promotedFrom(ns.id) {
-			prevID, _ := m.currSucc(e)
+			prevID, _ := m.currSucc(&e)
 			d, ok := g.Node(prevID)
 			if !ok || d.State < ns.s-1 {
 				continue
@@ -201,7 +206,7 @@ func (m *Maintainer) Prune(g *graph.Graph) int {
 			id := up[len(up)-1]
 			up = up[:len(up)-1]
 			for _, e := range m.explorationEdges(g, id) {
-				_, succID := m.currSucc(e)
+				_, succID := m.currSucc(&e)
 				if !keep[succID] {
 					keep[succID] = true
 					up = append(up, succID)

@@ -138,7 +138,7 @@ backward ip alert[dst_ip = "168.120.11.118"]
 	m1.Seed(g1)
 	for _, e := range []event.Event{evs[2], evs[3], evs[1], evs[0]} {
 		mustAdd(t, g1, e)
-		if err := m1.OnEdge(g1, e); err != nil {
+		if err := m1.OnEdge(g1, &e); err != nil {
 			t.Fatal(err)
 		}
 	}

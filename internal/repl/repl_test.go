@@ -44,8 +44,15 @@ func TestConsoleFullInvestigation(t *testing.T) {
 		"quit",
 	}, "\n")
 
+	// The run takes a few milliseconds, the console as long as the scheduler
+	// gives it: so that no command can find the analysis already over, the run
+	// requests its own pause at every update (from the run goroutine that is
+	// only a request, honoured when the window ends). "pause" finds it parked
+	// or about to park, "resume" lets it go as far as its next update, and
+	// "stop" is what ends it.
 	var out bytes.Buffer
-	c := New(ds.Store, core.Options{}, &out)
+	var c *Console
+	c = New(ds.Store, core.Options{OnUpdate: func(core.Update) { c.sess.Pause() }}, &out)
 	n, err := c.Run(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)

@@ -259,12 +259,12 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	backlog, sub := run.hub.subscribe(s.cfg.SubscriberBuffer)
+	views, sub := run.hub.subscribe(s.cfg.SubscriberBuffer)
 	defer run.hub.unsubscribe(sub)
 	attached := time.Now()
 	if sub != nil {
 		run.scope.Emit(obs.Info, obs.StageSSESubscribe,
-			fmt.Sprintf("subscriber %d: %d backlog", sub.id, len(backlog)), int64(len(backlog)), 0)
+			fmt.Sprintf("subscriber %d: %d backlog", sub.id, sub.next), int64(sub.next), 0)
 	}
 	// closeEntry journals the subscriber's detachment. Call only after
 	// unsubscribe: the hub no longer touches sub, so its counters are
@@ -284,48 +284,56 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		buf []byte
 		seq int
 	)
-	// send frames the updates and writes them out; it reports whether the
-	// client is still there to read.
-	send := func(updates []graph.Update) bool {
+	write := func() bool {
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		if err != nil {
+			return false
+		}
+		flusher.Flush()
+		run.hub.opened()
+		return true
+	}
+	// send frames the updates — views of the history, a slice per page they
+	// lie on — and writes them out; it reports whether the client is still
+	// there to read.
+	send := func(views [][]graph.Update) bool {
 		if st == nil {
 			st = run.View() // the run may have started since subscribe
 		}
-		for len(updates) > 0 {
-			buf = buf[:0]
-			for len(updates) > 0 && len(buf) < maxSSEBatch {
+		for _, updates := range views {
+			for i := range updates {
 				seq++
-				buf = appendUpdateFrame(buf, st, seq, updates[0])
-				updates = updates[1:]
+				buf = appendUpdateFrame(buf, st, seq, updates[i])
+				if len(buf) >= maxSSEBatch && !write() {
+					return false
+				}
 			}
-			if _, err := w.Write(buf); err != nil {
-				return false
-			}
-			flusher.Flush()
-			run.hub.opened()
 		}
-		return true
+		return len(buf) == 0 || write()
 	}
 
-	alive := send(backlog)
-	if len(backlog) == 0 {
+	alive := send(views) // the backlog
+	if len(views) == 0 {
 		flusher.Flush() // nothing to replay yet: the client still gets its headers
 	}
 	for live := sub != nil; live && alive; {
 		select {
 		case <-sub.wake:
-			batch, oldest := run.hub.claim(sub)
-			if len(batch) == 0 {
+			var oldest time.Time
+			views, oldest = run.hub.claim(sub, views[:0])
+			if len(views) == 0 {
 				continue // the poke outlived its updates: a claim took them
 			}
-			alive = send(batch)
+			alive = send(views)
 			// Live deliveries only, once per wake-up and for its oldest
 			// update: backlog replay measures the client's arrival time, not
 			// pipeline latency.
 			s.slis.UpdateToSSEFlush.Observe(time.Since(oldest).Seconds())
 		case <-run.hub.done:
 			// The run is over; what it published last is still claimable.
-			batch, _ := run.hub.claim(sub)
-			alive = send(batch)
+			views, _ = run.hub.claim(sub, views[:0])
+			alive = send(views)
 			live = false
 		case <-r.Context().Done():
 			alive = false

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aptrace/internal/graph"
+	"aptrace/internal/pages"
 	"aptrace/internal/telemetry"
 )
 
@@ -23,7 +24,9 @@ const DefaultSubscriberBuffer = 1 << 16
 // loop to park). So publish only appends to the session's history and pokes:
 // a subscriber is a cursor into that append-only history plus a one-slot
 // wake channel, and costs the publisher a comparison and a non-blocking send.
-// Nothing is copied or buffered per subscriber; its memory is O(1).
+// Nothing is copied or buffered per subscriber; its memory is O(1). The
+// history grows a page at a time and is never copied either, so what a
+// subscriber is handed is views of it: one slice per page its updates lie on.
 //
 // A subscriber attaches at the live edge: subscribe hands it the history so
 // far as its backlog (always complete, never subject to the bound below) and
@@ -41,7 +44,8 @@ type hub struct {
 	waiting atomic.Bool
 
 	mu      sync.Mutex
-	history []graph.Update // append-only: elements below len never change
+	history pages.Pages[graph.Update] // append-only: updates below n never change or move
+	n       int
 	subs    map[*subscriber]struct{}
 	nextSub int // subscriber ID sequence (first subscriber is 1)
 	closed  bool
@@ -99,8 +103,9 @@ const yieldEvery = 8
 // unclaimed update.
 func (h *hub) publish(u graph.Update) {
 	h.mu.Lock()
-	h.history = append(h.history, u)
-	n := len(h.history)
+	*h.history.At(h.n) = u
+	h.n++
+	n := h.n
 	var now time.Time
 	for s := range h.subs {
 		if n-s.next > s.lag {
@@ -127,37 +132,37 @@ func (h *hub) publish(u graph.Update) {
 	}
 }
 
-// subscribe returns the history so far — a view of the append-only log, not
-// a copy — plus a subscriber registered at the live edge, so backlog and
-// claims together never miss or duplicate an update. lag (at least 1) is
-// how many updates the subscriber may fall behind before it skips. After
-// the hub has closed the backlog is the complete history and sub is nil.
-func (h *hub) subscribe(lag int) (backlog []graph.Update, sub *subscriber) {
+// subscribe returns the history so far — views of the append-only log, one
+// per page, not a copy — plus a subscriber registered at the live edge, so
+// backlog and claims together never miss or duplicate an update. lag (at
+// least 1) is how many updates the subscriber may fall behind before it
+// skips. After the hub has closed the backlog is the complete history and sub
+// is nil.
+func (h *hub) subscribe(lag int) (backlog [][]graph.Update, sub *subscriber) {
 	if lag < 1 {
 		lag = 1
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	backlog = h.history[:len(h.history):len(h.history)]
+	backlog = h.history.Span(nil, 0, h.n)
 	if h.closed {
 		return backlog, nil
 	}
 	h.nextSub++
-	sub = &subscriber{id: h.nextSub, wake: make(chan struct{}, 1), next: len(h.history), lag: lag}
+	sub = &subscriber{id: h.nextSub, wake: make(chan struct{}, 1), next: h.n, lag: lag}
 	h.subs[sub] = struct{}{}
 	return backlog, sub
 }
 
 // claim takes every update published since sub's previous claim (or since it
-// attached), again as a view of the log, and the wall time the oldest of
-// them was published at. An empty claim is normal: a poke can outlive the
-// updates it announced.
-func (h *hub) claim(sub *subscriber) (batch []graph.Update, oldest time.Time) {
+// attached), again as views of the log, appended to buf, and the wall time
+// the oldest of them was published at. An empty claim is normal: a poke can
+// outlive the updates it announced.
+func (h *hub) claim(sub *subscriber, buf [][]graph.Update) (batch [][]graph.Update, oldest time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := len(h.history)
-	batch = h.history[sub.next:n:n]
-	sub.next = n
+	batch = h.history.Span(buf, sub.next, h.n)
+	sub.next = h.n
 	return batch, sub.oldest
 }
 
@@ -165,7 +170,7 @@ func (h *hub) claim(sub *subscriber) (batch []graph.Update, oldest time.Time) {
 func (h *hub) published() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.history)
+	return h.n
 }
 
 // stats snapshots every attached subscriber's delivery accounting, oldest

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"aptrace/internal/event"
+	"aptrace/internal/graph"
+	"aptrace/internal/pages"
 	"aptrace/internal/telemetry"
 )
 
@@ -80,15 +82,13 @@ func TestHubPublishNeverBlocks(t *testing.T) {
 			select {
 			case <-reader.wake:
 			case <-h.done:
-				batch, _ := h.claim(reader)
-				for _, u := range batch {
+				for _, u := range claimed(h, reader) {
 					ids = append(ids, u.Event.ID)
 				}
 				read <- ids
 				return
 			}
-			batch, _ := h.claim(reader)
-			for _, u := range batch {
+			for _, u := range claimed(h, reader) {
 				ids = append(ids, u.Event.ID)
 			}
 		}
@@ -136,13 +136,15 @@ func TestHubPublishNeverBlocks(t *testing.T) {
 // in order, numbered 1..N, then "done" with nothing dropped. Backlog replay,
 // live claims and the final drain must join without a seam.
 func TestSSEAttachAnywhereContiguous(t *testing.T) {
-	const synthetic, clients = 4000, 6
+	const synthetic, clients = 4000, 9
 	srv, run, g := gatedRun(t, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	rng := rand.New(rand.NewSource(14))
-	attachAt := []int{0, synthetic} // one before the first update, one after the last
+	// One before the first update, one after the last, and around the history's
+	// first page boundary.
+	attachAt := []int{0, synthetic, pages.Len - 1, pages.Len, pages.Len + 1}
 	for len(attachAt) < clients {
 		attachAt = append(attachAt, rng.Intn(synthetic))
 	}
@@ -181,7 +183,8 @@ func TestSSEAttachAnywhereContiguous(t *testing.T) {
 	if sum.State != "done" || sum.Updates <= synthetic {
 		t.Fatalf("run = %+v", sum)
 	}
-	history, _ := run.hub.subscribe(1) // closed: the complete log
+	views, _ := run.hub.subscribe(1) // closed: the complete log
+	history := flat(views)
 
 	for i := 0; i < clients; i++ {
 		res := <-results
@@ -320,6 +323,79 @@ func TestSSEPendingUpdatesShareOneWrite(t *testing.T) {
 			if seq++; upd.Seq != seq || upd.EventID != uint64(seq-1) {
 				t.Fatalf("frame %d: seq %d event %d", seq, upd.Seq, upd.EventID)
 			}
+		}
+	}
+}
+
+// TestHubPagedHistory attaches subscribers before the first update, inside a
+// page of the history, on either side of a page boundary and after close, and
+// holds each to the whole history in order: its backlog, then its claims, as
+// views that never span a page, never grow under a later publish and never
+// move — the first page a subscriber was shown is the page every later one is.
+func TestHubPagedHistory(t *testing.T) {
+	const total = 2*pages.Len + 10
+	attachAt := []int{0, pages.Len / 2, pages.Len - 1, pages.Len, pages.Len + 1, total}
+	h := newHub(nil, new(atomic.Int32))
+	type client struct {
+		at    int
+		sub   *subscriber
+		views [][]graph.Update // backlog as handed out
+		got   []graph.Update
+	}
+	var clients []*client
+	attach := func(at int) {
+		views, sub := h.subscribe(total)
+		c := &client{at: at, sub: sub, views: views, got: flat(views)}
+		if len(c.got) != at {
+			t.Fatalf("attached at %d: backlog of %d", at, len(c.got))
+		}
+		clients = append(clients, c)
+	}
+	for i := 0; i <= total; i++ {
+		for _, at := range attachAt[:len(attachAt)-1] {
+			if at == i {
+				attach(at)
+			}
+		}
+		if i == total {
+			break
+		}
+		h.publish(update(i))
+		if i%97 == 0 { // claims of every size, some crossing a page boundary
+			for _, c := range clients {
+				views, _ := h.claim(c.sub, nil)
+				for _, v := range views {
+					if len(v) == 0 || len(v) > pages.Len || cap(v) != len(v) {
+						t.Fatalf("attached at %d: claimed a view of len %d cap %d", c.at, len(v), cap(v))
+					}
+				}
+				c.got = append(c.got, flat(views)...)
+			}
+		}
+	}
+	h.close()
+	attach(total) // after close: the complete history, no cursor
+	if last := clients[len(clients)-1]; last.sub != nil {
+		t.Fatal("subscribing after close must not register a cursor")
+	}
+	first := &clients[len(clients)-1].views[0][0]
+	for _, c := range clients {
+		if c.sub != nil {
+			c.got = append(c.got, claimed(h, c.sub)...)
+		}
+		if len(c.got) != total {
+			t.Fatalf("attached at %d: %d of %d updates", c.at, len(c.got), total)
+		}
+		for i, u := range c.got {
+			if u.Event.ID != event.EventID(i) {
+				t.Fatalf("attached at %d: update %d has ID %d", c.at, i, u.Event.ID)
+			}
+		}
+		if n := len(flat(c.views)); n != c.at {
+			t.Errorf("attached at %d: backlog views now hold %d", c.at, n)
+		}
+		if len(c.views) > 0 && &c.views[0][0] != first {
+			t.Errorf("attached at %d: the history's first page moved", c.at)
 		}
 	}
 }

@@ -685,6 +685,21 @@ func update(i int) graph.Update {
 	return graph.Update{Event: event.Event{ID: event.EventID(i)}, Edges: i + 1}
 }
 
+// flat copies the hub's page-wise views of its history into one slice.
+func flat(views [][]graph.Update) []graph.Update {
+	var out []graph.Update
+	for _, v := range views {
+		out = append(out, v...)
+	}
+	return out
+}
+
+// claimed is everything sub can claim from h, flattened.
+func claimed(h *hub, sub *subscriber) []graph.Update {
+	views, _ := h.claim(sub, nil)
+	return flat(views)
+}
+
 // TestHubSemantics pins the fan-out contract: a subscriber past its lag
 // bound skips forward (with accounting), late subscribers get the complete
 // backlog, claims carry exactly what was published since the last one, and
@@ -694,9 +709,9 @@ func TestHubSemantics(t *testing.T) {
 	ctr := reg.Counter(telemetry.MetricServeUpdatesDropped)
 	h := newHub(ctr, new(atomic.Int32))
 
-	backlog, slow := h.subscribe(1)
-	if len(backlog) != 0 || slow == nil {
-		t.Fatalf("fresh subscribe = (%d, %v)", len(backlog), slow)
+	views, slow := h.subscribe(1)
+	if len(views) != 0 || slow == nil {
+		t.Fatalf("fresh subscribe = (%d, %v)", len(views), slow)
 	}
 	for i := 0; i < 5; i++ {
 		h.publish(update(i))
@@ -706,7 +721,7 @@ func TestHubSemantics(t *testing.T) {
 	if st := h.stats(); len(st) != 1 || st[0].Sent != 1 || st[0].Dropped != 4 {
 		t.Fatalf("stats = %+v, want 1 sent / 4 dropped", st)
 	}
-	if batch, _ := h.claim(slow); len(batch) != 1 || batch[0].Event.ID != 4 {
+	if batch := claimed(h, slow); len(batch) != 1 || batch[0].Event.ID != 4 {
 		t.Fatalf("claim after skipping = %+v, want the newest update alone", batch)
 	}
 	if got := h.unsubscribe(slow); got != 4 {
@@ -716,7 +731,8 @@ func TestHubSemantics(t *testing.T) {
 		t.Fatalf("drop counter = %d, want 4", ctr.Value())
 	}
 
-	backlog, sub := h.subscribe(8)
+	views, sub := h.subscribe(8)
+	backlog := flat(views)
 	if len(backlog) != 5 || sub == nil {
 		t.Fatalf("late subscribe backlog = %d", len(backlog))
 	}
@@ -727,16 +743,16 @@ func TestHubSemantics(t *testing.T) {
 	default:
 		t.Fatal("publish did not poke the subscriber")
 	}
-	if batch, _ := h.claim(sub); len(batch) != 2 || batch[0].Event.ID != 5 || batch[1].Event.ID != 6 {
+	if batch := claimed(h, sub); len(batch) != 2 || batch[0].Event.ID != 5 || batch[1].Event.ID != 6 {
 		t.Fatalf("live claim = %+v, want updates 5 and 6", batch)
 	}
-	if batch, _ := h.claim(sub); len(batch) != 0 {
+	if batch := claimed(h, sub); len(batch) != 0 {
 		t.Fatalf("second claim = %+v, want nothing new", batch)
 	}
 	// The backlog is a view of the log as it was: later publishes neither
 	// extend nor rewrite it.
-	if len(backlog) != 5 || backlog[4].Event.ID != 4 {
-		t.Fatalf("backlog changed under a later publish: %+v", backlog)
+	if len(views) != 1 || len(views[0]) != 5 || cap(views[0]) != 5 || views[0][4].Event.ID != 4 {
+		t.Fatalf("backlog changed under a later publish: %+v", views)
 	}
 	h.unsubscribe(sub)
 
@@ -747,8 +763,8 @@ func TestHubSemantics(t *testing.T) {
 	default:
 		t.Fatal("done channel not closed")
 	}
-	backlog, sub = h.subscribe(8)
-	if len(backlog) != 7 || sub != nil {
+	views, sub = h.subscribe(8)
+	if backlog = flat(views); len(backlog) != 7 || sub != nil {
 		t.Fatalf("post-close subscribe = (%d, %v)", len(backlog), sub)
 	}
 	if h.published() != 7 {

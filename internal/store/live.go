@@ -99,9 +99,11 @@ func OpenLive(dir string, clk simclock.Clock, opts ...Option) (*Live, error) {
 
 // replayWAL loads surviving records from the WAL into the write side. It stops
 // silently at the first corrupt or truncated record: that is the torn tail
-// of a crashed append.
+// of a crashed append, and it is cut off the file — records appended behind
+// it would be out of the next replay's reach.
 func (l *Live) replayWAL() error {
-	raw, err := os.ReadFile(filepath.Join(l.dir, walFile))
+	path := filepath.Join(l.dir, walFile)
+	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -132,6 +134,11 @@ func (l *Live) replayWAL() error {
 			}
 		default:
 			return fmt.Errorf("store: live: unknown wal record type %q", rec[0])
+		}
+	}
+	if off < len(raw) {
+		if err := os.Truncate(path, int64(off)); err != nil {
+			return fmt.Errorf("store: live: drop torn wal tail: %w", err)
 		}
 	}
 	return nil

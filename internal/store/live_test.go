@@ -126,6 +126,17 @@ func TestLiveTornTailDiscarded(t *testing.T) {
 	if l2.PendingEvents() != 2 {
 		t.Fatal("append after torn-tail recovery failed")
 	}
+	// And what it appended is durable: the torn tail was cut off the log, so
+	// the next recovery reads past where it was.
+	l2.Close()
+	l3, err := OpenLive(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	if l3.PendingEvents() != 2 {
+		t.Fatalf("recovered %d events after a torn tail and one more append, want 2", l3.PendingEvents())
+	}
 }
 
 func TestLiveCorruptTailDiscarded(t *testing.T) {

@@ -201,6 +201,9 @@ func load(dir string, clk simclock.Clock, opts ...Option) (*Store, error) {
 	if man.Version != formatVersion {
 		return nil, fmt.Errorf("store: unsupported manifest version %d", man.Version)
 	}
+	if man.BucketSeconds <= 0 || man.Events < 0 {
+		return nil, fmt.Errorf("store: manifest: bucket_seconds %d, events %d", man.BucketSeconds, man.Events)
+	}
 
 	st := New(clk, opts...)
 	st.bucketSeconds = man.BucketSeconds
@@ -222,6 +225,9 @@ func load(dir string, clk simclock.Clock, opts ...Option) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", objectsFile, err)
 	}
+	if count > uint64(len(payload)) {
+		return nil, fmt.Errorf("store: %s: %d objects in %d bytes", objectsFile, count, len(payload))
+	}
 	st.objects = make([]event.Object, 0, count)
 	for n := uint64(0); n < count; n++ {
 		var o event.Object
@@ -236,7 +242,19 @@ func load(dir string, clk simclock.Clock, opts ...Option) (*Store, error) {
 		return nil, fmt.Errorf("store: %s: %d trailing bytes", objectsFile, len(payload))
 	}
 
-	// Segments.
+	// Segments. The manifest's event count sizes the logs up front, so it is
+	// held to what the segment files have room for before it is believed.
+	var room int64
+	for _, seg := range man.Segments {
+		fi, err := os.Stat(filepath.Join(dir, seg.File))
+		if err != nil {
+			return nil, fmt.Errorf("store: read segment: %w", err)
+		}
+		room += fi.Size() / event.EventEncodedSize
+	}
+	if int64(man.Events) > room {
+		return nil, fmt.Errorf("store: manifest says %d events, segment files have room for %d", man.Events, room)
+	}
 	for _, p := range st.parts {
 		p.events = make([]event.Event, 0, man.Events/len(st.parts))
 	}
@@ -249,7 +267,7 @@ func load(dir string, clk simclock.Clock, opts ...Option) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: %s: %w", seg.File, err)
 		}
-		if int(count) != seg.Count {
+		if count > uint64(len(payload)) || int(count) != seg.Count {
 			return nil, fmt.Errorf("store: %s: manifest says %d events, file says %d", seg.File, seg.Count, count)
 		}
 		if len(payload) != int(count)*event.EventEncodedSize {

@@ -303,6 +303,9 @@ func (s *Store) buildDirectory() []uint64 {
 		}
 	}
 	bounds[k] = off
+	if k == 1 {
+		return ents // no merge round runs: no merge buffer either
+	}
 
 	less := func(a, b uint64) bool {
 		return before(s.parts[a>>32], int32(a), s.parts[b>>32], int32(b))

@@ -331,6 +331,12 @@ func (s *Store) Object(id event.ObjID) event.Object {
 	return s.objects[id]
 }
 
+// Host returns the host of the object for an ID without copying the object:
+// what a per-candidate host constraint reads.
+func (s *Store) Host(id event.ObjID) string {
+	return s.objects[id].Host
+}
+
 // NumObjects returns the number of distinct interned objects.
 func (s *Store) NumObjects() int { return len(s.objects) }
 

@@ -23,6 +23,7 @@ import (
 
 	"aptrace/internal/event"
 	"aptrace/internal/explain"
+	"aptrace/internal/pages"
 	"aptrace/internal/telemetry"
 )
 
@@ -287,7 +288,7 @@ type Recorder struct {
 	mu      sync.Mutex
 	base    time.Time // laneEvent times count from here; the first instant seen
 	based   bool
-	events  explain.Pages[laneEvent]
+	events  pages.Pages[laneEvent]
 	n       int // events kept
 	dropped int
 	strs    explain.Strings
