@@ -118,29 +118,29 @@ type (
 // Timeline layer: the run profiler and responsiveness SLO watchdog.
 type (
 	// TimelineProfiler owns the lanes of one profiled run (or fleet of
-	// runs) and exports them as a Chrome trace-event JSON file Perfetto
-	// can load. See NewTimeline.
+	// runs) — each lane a name bound to a run's ExplainRecorder — and
+	// exports them as a Chrome trace-event JSON file Perfetto can load. See
+	// NewTimeline.
 	TimelineProfiler = timeline.Profiler
-	// TimelineRecorder is one lane: attach it to an analysis through
-	// ExecOptions.Timeline. A nil *TimelineRecorder disables profiling at
-	// the cost of one pointer test per emission.
-	TimelineRecorder = timeline.Recorder
 	// TimelineOptions configure a profiler (SLO gap target, stall factor,
-	// per-lane event cap, telemetry registry for the stall counter).
+	// telemetry registry for the stall counter).
 	TimelineOptions = timeline.Options
 	// TimelineReport is the end-of-run SLO summary across every lane.
 	TimelineReport = timeline.Report
 	// TimelineStall is one watchdog hit: an inter-update gap that exceeded
 	// the stall limit, with the heaviest query of the gap as the suspected
 	// offender.
-	TimelineStall = timeline.Stall
+	TimelineStall = explain.Stall
 )
 
-// Explain layer: the decision flight recorder.
+// Explain layer: the run log.
 type (
-	// ExplainRecorder is the ring-buffered decision flight recorder; attach
-	// one per analysis through ExecOptions.Explain. A nil *ExplainRecorder
-	// disables recording at the cost of one pointer test per decision.
+	// ExplainRecorder is a run's log, a ring-buffered record of every
+	// decision the analysis made; attach one per analysis through
+	// ExecOptions.Explain. EXPLAIN answers come from it, and a profiler
+	// lane's trace and SLO report when TimelineProfiler.Lane bound it. A nil
+	// *ExplainRecorder disables recording at the cost of one pointer test
+	// per decision.
 	ExplainRecorder = explain.Recorder
 	// ExplainRecord is one retained decision record.
 	ExplainRecord = explain.Record
@@ -386,17 +386,19 @@ func FleetForEach(p *Fleet, n int, job func(int) error) error {
 	return fleet.ForEach(p, n, job)
 }
 
-// NewTimeline returns a run timeline profiler: allocate a lane per analysis
-// (Lane or Lanes), attach lanes through ExecOptions.Timeline, then export
-// with WriteTrace or serve live via Handler at /debug/timeline. The zero
-// Options value uses the paper-derived SLO defaults.
+// NewTimeline returns a run timeline profiler: make each analysis's log a
+// lane (Lane, or Lanes to allocate the logs too), attach it through
+// ExecOptions.Explain, then export with WriteTrace or serve live via Handler
+// at /debug/timeline. The zero Options value uses the paper-derived SLO
+// defaults.
 func NewTimeline(opts TimelineOptions) *TimelineProfiler { return timeline.New(opts) }
 
-// FleetMapTimeline is FleetMap with one profiler lane per job, allocated as
-// a contiguous block before any job runs so the exported trace does not
-// depend on scheduling. A nil profiler hands every job a nil (free) lane.
+// FleetMapTimeline is FleetMap with one profiler lane — a run log — per job,
+// allocated as a contiguous block before any job runs so the exported trace
+// does not depend on scheduling. A nil profiler hands every job a nil (free)
+// log.
 func FleetMapTimeline[T any](p *Fleet, n int, tl *TimelineProfiler, name string,
-	job func(i int, lane *TimelineRecorder) (T, error)) ([]T, error) {
+	job func(i int, lane *ExplainRecorder) (T, error)) ([]T, error) {
 	return fleet.MapTimeline(p, n, tl, name, job)
 }
 

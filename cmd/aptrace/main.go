@@ -43,7 +43,9 @@
 // ui.perfetto.dev) and served live at /debug/timeline when -metrics is on.
 // The SLO watchdog flags any inter-update gap beyond 3x the -slo target and
 // the end-of-run report (stderr) names the offending query, correlated with
-// -explain decision records when both are enabled.
+// -explain decision records when both are enabled. -explain and -timeline
+// read the same run log: either flag attaches it, each selects its own
+// output.
 package main
 
 import (
@@ -77,9 +79,9 @@ func main() {
 		parallel  = flag.Int("parallel", 1, "concurrent analyses in -batch mode (0 = all cores)")
 		memoOn    = flag.Bool("memo", false, "share a cross-alert result cache across -batch analyses (identical output, less real CPU)")
 		memoBytes = flag.Int64("memo-bytes", 0, "byte budget of the -memo cache (0 = 64 MiB default)")
-		explArg   = flag.String("explain", "", "record every analysis decision and explain the result: an object ID, \"all\" (every graph node), \"frontier\" (pruned candidates), or \"on\" (record only, for -interactive); explanations go to stderr")
+		explArg   = flag.String("explain", "", "attach the run log and explain the result from it: an object ID, \"all\" (every graph node), \"frontier\" (pruned candidates), or \"on\" (record only, for -interactive); explanations go to stderr")
 		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address (shares the -metrics mux when the addresses match)")
-		timelineF = flag.String("timeline", "", "profile the run(s) into a timeline; write the Chrome trace-event JSON to this path")
+		timelineF = flag.String("timeline", "", "attach the run log and profile the run(s) from it into a timeline; write the Chrome trace-event JSON to this path")
 		gap       = flag.Duration("slo", aptrace.DefaultGapTarget, "SLO inter-update gap target for the -timeline watchdog")
 		shards    = flag.Int("shards", 0, "override the store's persisted host×time shard count at open (0 = keep, 1 = flatten)")
 		qprofOn   = flag.Bool("qprof", false, "profile scatter-gather queries; the per-shard load summary goes to stderr at end of run (stdout is byte-identical either way)")
@@ -101,9 +103,13 @@ func main() {
 		reg = aptrace.NewTelemetry()
 		aptrace.RegisterRuntimeMetrics(reg)
 	}
+	// -explain and -timeline select outputs of a run, not recorders: either
+	// attaches the one run log, and each reads its own view of it back.
 	var rec *aptrace.ExplainRecorder
-	if *explArg != "" {
+	if *explArg != "" || *timelineF != "" {
 		rec = aptrace.NewExplainRecorder(0, reg)
+	}
+	if *explArg != "" {
 		// Mount the decision dump next to the telemetry endpoints; must
 		// happen before ServeTelemetry builds the mux.
 		reg.RegisterDebug("/debug/explain", rec.Handler())
@@ -113,6 +119,29 @@ func main() {
 		tl = aptrace.NewTimeline(aptrace.TimelineOptions{GapTarget: *gap, Telemetry: reg})
 		// Live view of the trace, same mux rule as /debug/explain.
 		reg.RegisterDebug("/debug/timeline", tl.Handler())
+	}
+	// writeTimeline exports the profiler's trace and prints the SLO report to
+	// stderr, naming the decision behind each stall when -explain is on.
+	writeTimeline := func() {
+		if tl == nil {
+			return
+		}
+		f, err := os.Create(*timelineF)
+		if err != nil {
+			fatal(err)
+		}
+		if err := tl.WriteTrace(f); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "\ntimeline: trace written to %s (load in ui.perfetto.dev)\n", *timelineF)
+		var explained *aptrace.ExplainRecorder
+		if *explArg != "" && !*batch {
+			explained = rec
+		}
+		tl.Report().Print(os.Stderr, explained)
 	}
 	var qp *aptrace.QueryProfiler
 	if *qprofOn {
@@ -171,13 +200,11 @@ func main() {
 		return
 	}
 	if *inter {
-		console := repl.New(st, aptrace.ExecOptions{Windows: *k, Telemetry: reg, Explain: rec, Timeline: tl.Lane("console")}, os.Stdout)
+		console := repl.New(st, aptrace.ExecOptions{Windows: *k, Telemetry: reg, Explain: tl.Lane("console", rec)}, os.Stdout)
 		if _, err := console.Run(os.Stdin); err != nil {
 			fatal(err)
 		}
-		if tl != nil {
-			writeTimeline(tl, *timelineF, rec)
-		}
+		writeTimeline()
 		qprofSummary()
 		return
 	}
@@ -201,34 +228,11 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		runScript(st, string(raw), *k, *quiet, *doSug, reg, rec, *explArg, tl)
+		runScript(st, string(raw), *k, *quiet, *doSug, reg, tl.Lane("run", rec), *explArg)
 	}
-	if tl != nil {
-		writeTimeline(tl, *timelineF, rec)
-	}
+	writeTimeline()
 	qprofSummary()
 	dumpTelemetry(reg)
-}
-
-// writeTimeline exports the profiler's trace and prints the SLO report to
-// stderr, correlating stalls against the decision recorder when -explain ran.
-func writeTimeline(tl *aptrace.TimelineProfiler, path string, rec *aptrace.ExplainRecorder) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := tl.WriteTrace(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "\ntimeline: trace written to %s (load in ui.perfetto.dev)\n", path)
-	var recs []aptrace.ExplainRecord
-	if rec != nil {
-		recs = rec.Records()
-	}
-	tl.Report().Print(os.Stderr, recs)
 }
 
 // runBatch runs the script from every event matching its starting point,
@@ -293,13 +297,13 @@ func runBatch(stdout io.Writer, st *aptrace.Store, src string, k, workers int, s
 		windows int
 		elapsed time.Duration
 		graph   *aptrace.Graph
-		rec     *aptrace.ExplainRecorder // per-run recorder (nil unless -explain)
+		rec     *aptrace.ExplainRecorder // per-run log (nil unless -explain or -timeline)
 	}
 	wall := time.Now()
 	// Lanes are pre-allocated by alert index — the trace cannot depend on
 	// which worker ran which alert. FleetMapTimeline hands each job its lane
 	// (nil, and therefore free, when -timeline is off).
-	runs, err := aptrace.FleetMapTimeline(pool, len(starts), tl, "alert", func(i int, lane *aptrace.TimelineRecorder) (outcome, error) {
+	runs, err := aptrace.FleetMapTimeline(pool, len(starts), tl, "alert", func(i int, rec *aptrace.ExplainRecorder) (outcome, error) {
 		var clk aptrace.Clock
 		if simulate {
 			clk = aptrace.NewSimulatedClock()
@@ -314,13 +318,13 @@ func runBatch(stdout io.Writer, st *aptrace.Store, src string, k, workers int, s
 		if err != nil {
 			return outcome{}, err
 		}
-		// One recorder per analysis (the counters are shared): decision
-		// traces stay per-run, so fleet scheduling cannot interleave them.
-		var rec *aptrace.ExplainRecorder
-		if explArg != "" {
+		// One log per analysis (the counters are shared), the alert's lane
+		// when -timeline is on: decision traces stay per-run, so fleet
+		// scheduling cannot interleave them.
+		if rec == nil && explArg != "" {
 			rec = aptrace.NewExplainRecorder(0, reg)
 		}
-		x, err := aptrace.NewExecutor(view, p, aptrace.ExecOptions{Windows: k, Telemetry: reg, Explain: rec, Timeline: lane, Memo: cache})
+		x, err := aptrace.NewExecutor(view, p, aptrace.ExecOptions{Windows: k, Telemetry: reg, Explain: rec, Memo: cache})
 		if err != nil {
 			return outcome{}, err
 		}
@@ -374,7 +378,7 @@ func runBatch(stdout io.Writer, st *aptrace.Store, src string, k, workers int, s
 			// With -explain the DOT carries the prune frontier: dashed gray
 			// nodes for the candidates the analysis decided against.
 			var werr error
-			if r.rec != nil {
+			if explArg != "" {
 				werr = aptrace.WriteDOTAnnotated(f, r.graph, st.Object, aptrace.PruneFrontierAnnotations(r.rec))
 			} else {
 				werr = aptrace.WriteDOT(f, r.graph, st.Object)
@@ -438,15 +442,12 @@ func listAlerts(st *aptrace.Store) {
 	fmt.Fprintf(os.Stderr, "%d alerts\n", len(found))
 }
 
-func runScript(st *aptrace.Store, src string, k int, quiet, doSuggest bool, reg *aptrace.Telemetry, rec *aptrace.ExplainRecorder, explArg string, tl *aptrace.TimelineProfiler) {
-	var times []time.Time
+func runScript(st *aptrace.Store, src string, k int, quiet, doSuggest bool, reg *aptrace.Telemetry, rec *aptrace.ExplainRecorder, explArg string) {
 	sess := aptrace.NewSession(st, aptrace.ExecOptions{
 		Windows:   k,
 		Telemetry: reg,
 		Explain:   rec,
-		Timeline:  tl.Lane("run"),
 		OnUpdate: func(u aptrace.Update) {
-			times = append(times, u.At)
 			if quiet {
 				return
 			}
@@ -469,10 +470,10 @@ func runScript(st *aptrace.Store, src string, k int, quiet, doSuggest bool, reg 
 
 	fmt.Fprintf(os.Stderr, "\nanalysis %s: %d events, %d nodes (pruned %d), %d windows, elapsed %s\n",
 		res.Reason, res.Graph.NumEdges(), res.Graph.NumNodes(), pruned, res.Windows, res.Elapsed.Round(time.Millisecond))
-	if rec != nil {
+	if explArg != "" {
 		explainReport(os.Stderr, st, rec, res.Graph, explArg)
 	}
-	if ds := stats.Deltas(stats.DistinctTimes(times)); len(ds) > 0 {
+	if ds := stats.Deltas(stats.DistinctTimes(sess.UpdateTimes())); len(ds) > 0 {
 		xs := stats.Durations(ds)
 		ps := stats.Percentiles(xs, 0.5, 0.9, 0.99)
 		fmt.Fprintf(os.Stderr, "update gaps: median %.2fs, p90 %.2fs, p99 %.2fs\n", ps[0], ps[1], ps[2])

@@ -18,7 +18,6 @@ import (
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
 	"aptrace/internal/telemetry"
-	"aptrace/internal/timeline"
 )
 
 // DefaultWindows is the default window count k; the paper's blue team used
@@ -89,17 +88,14 @@ type Options struct {
 	// (window.query, window.resplit) to the registry. Nil disables
 	// publication at near-zero cost.
 	Telemetry *telemetry.Registry
-	// Explain, if set, receives a decision record for every per-edge
-	// verdict and scheduling choice the executor makes, powering the
-	// EXPLAIN query layer. Nil disables recording at the cost of one
-	// pointer test per emission site.
+	// Explain, if set, is the run's log: it receives a decision record for
+	// every per-edge verdict and scheduling choice the executor makes, with
+	// the store's charged cost on every window query, and everything that
+	// reads a run back reads it — the EXPLAIN query layer, and, when a
+	// timeline profiler made the log one of its lanes, the Chrome trace and
+	// the SLO watchdog over the inter-update gap. Nil disables recording at
+	// the cost of one pointer test per emission site.
 	Explain *explain.Recorder
-	// Timeline, if set, is this run's profiler lane: the executor emits
-	// the window lifecycle (enqueue/query/resplit/abandon) and graph
-	// updates into it, the store's charged query cost is attributed to it,
-	// and its SLO watchdog measures the inter-update gap. Nil disables
-	// profiling at the cost of one pointer test per emission site.
-	Timeline *timeline.Recorder
 	// Memo, if set, is a shared cross-alert result cache: window row
 	// closures and computed-attribute evaluations are served from it when
 	// another run over the same sealed content already computed them. A
@@ -111,8 +107,8 @@ type Options struct {
 	// Obs, if set, is the run's lifecycle-journal scope (bound to the
 	// triage daemon's correlation ID and run ID). The executor does not
 	// add emission sites of its own: window milestones reach the journal
-	// through the Timeline lane's observer, memo verdicts through the
-	// bound memo view — the same hooks the profiler and EXPLAIN layers
+	// through the log (when it is a profiler lane), memo verdicts through
+	// the bound memo view — the same hooks the profiler and EXPLAIN layers
 	// already use. The journal stamps wall-clock time only, never the
 	// analysis clock, so enabling it cannot change any charged cost or
 	// graph output. Nil (and a nil scope is valid) journals nothing.
@@ -172,23 +168,20 @@ type Executor struct {
 	tel     execMetrics
 	tracer  *telemetry.Tracer
 	rec     *explain.Recorder
-	tl      *timeline.Recorder
 	runSpan *telemetry.Span // open from Prepare to the end of the run
 
-	// Everything the run loop has to say — decisions for the explain
-	// recorder, the window lifecycle for the timeline lane, spans and counters
-	// for telemetry — is one record per emission site appended to stage, and
-	// flush hands the stage to each attached sink in one call. recording says
-	// whether any sink is attached; without one the sites cost a bool test (a
-	// pointer test where only the explain recorder reads the record).
+	// Everything the run loop has to say — decisions and the window
+	// lifecycle for the log, spans and counters for telemetry — is one record
+	// per emission site appended to stage, and flush hands the stage to the
+	// log in one call, which calls observe on each record in the same pass.
+	// recording says whether either is attached; without one the sites cost a
+	// bool test (a pointer test where only EXPLAIN reads the record).
 	stage     explain.Stage
 	recording bool
-	// What observe carries from one record of the stage to a later one: the
-	// open window query's start and estimate, the latest distinct update
-	// (-1 before the first).
-	queryStart, lastUpdate int64
-	queryCard              int32
-	span                   telemetry.SpanRecord // observe's scratch
+	observe   func(*explain.Decision) // telemetry's share of a flush; nil without a registry
+	watch     explain.Watch           // feeds the gap histogram when there is no log to
+	queryCard int32                   // the enqueue-time estimate of the window query in flight
+	span      telemetry.SpanRecord    // observe's scratch
 
 	// The run loop's stamp of the analysis clock (see at) and, for the
 	// stage, its distance from started. Run goroutine only: records made on
@@ -241,7 +234,6 @@ func New(st *store.Store, plan *refiner.Plan, opts Options) (*Executor, error) {
 	x.tel = newExecMetrics(opts.Telemetry)
 	x.tracer = opts.Telemetry.Tracer()
 	x.rec = opts.Explain
-	x.rec.SetClock(st.Clock())
 	x.env = st
 	if opts.Memo != nil {
 		mv, err := opts.Memo.Bind(st, plan.FilterFingerprint(), x.rec)
@@ -252,39 +244,37 @@ func New(st *store.Store, plan *refiner.Plan, opts Options) (*Executor, error) {
 		x.env = mv
 		x.mv.SetObs(opts.Obs)
 	}
-	x.tl = opts.Timeline
-	if x.tl != nil && opts.Obs != nil {
-		// Mirror the lane's window milestones and graph updates into the
-		// lifecycle journal: one emission site (the lane), two sinks.
+	if opts.Telemetry != nil {
+		x.observe = x.observeRecord
+	}
+	x.watch.Gaps = x.tel.updateGap
+	var mirror func(explain.Event)
+	if opts.Obs != nil && x.rec.Progress().ID != 0 {
+		// Mirror a profiled run's window milestones and graph updates into
+		// the lifecycle journal: one emission site (the log), two readers.
 		// Stalls are operator-relevant, so they journal at Warn; the rest
 		// is Debug and subject to the journal's deterministic sampling.
 		scope := opts.Obs
-		x.tl.SetObserver(func(ev timeline.Event) {
+		mirror = func(ev explain.Event) {
 			lvl := obs.Debug
-			if ev.Kind == timeline.KindStall {
+			if ev.Kind == explain.EvStall {
 				lvl = obs.Warn
 			}
 			scope.Emit(lvl, ev.Kind.String(), ev.Detail, int64(ev.Rows), ev.Dur)
-		})
+		}
 	}
-	if x.tl != nil {
+	x.rec.Attach(st.Clock(), x.tel.updateGap, mirror)
+	if x.rec != nil {
 		// Per-window cost attribution: the store reports every charged
 		// query's buckets and cost — and, on a sharded store, every routed
-		// query's fan-out and per-shard rows — which go into the stage in
-		// call order, so the lane folds them into the window.query event that
-		// follows. The store (usually a per-run view) is private to this run,
-		// so the observers never cross runs.
-		st.SetCostObserver(func(_, buckets int64, cost time.Duration) {
-			d := x.stage.Add(explain.KindCharge, 0)
-			d.Begin, d.Finish = buckets, int64(cost)
-		})
-		st.SetScatterObserver(func(fanout int, shardRows []int64) {
-			d := x.stage.Add(explain.KindScatter, 0)
-			d.Card, d.Begin, d.Finish = int32(fanout), int64(len(x.stage.Rows)), int64(len(shardRows))
-			x.stage.Rows = append(x.stage.Rows, shardRows...)
-		})
+		// query's fan-out and per-shard rows — to the stage, and the
+		// window-queried record that follows claims them. The store (usually a
+		// per-run view) is private to this run, so the observers never cross
+		// runs.
+		st.SetCostObserver(func(_, buckets int64, cost time.Duration) { x.stage.Charge(buckets, cost) })
+		st.SetScatterObserver(x.stage.Scatter)
 	}
-	x.recording = x.rec != nil || x.tl != nil || opts.Telemetry != nil
+	x.recording = x.rec != nil || opts.Telemetry != nil
 	x.cond = sync.NewCond(&x.mu)
 	return x, nil
 }
@@ -349,68 +339,52 @@ func (x *Executor) noteEdge(kind explain.Kind, ev event.EventID, node, peer even
 	return d
 }
 
-// flush hands the stage to the sinks — one call, one lock, one counter add
-// each — and empties it. It runs when a window ends (so the stage is empty
-// whenever the loop parks or ends), before every OnUpdate callback, and
+// flush hands the stage to the log — one call, one lock, one pass, one
+// counter add — and empties it. It runs when a window ends (so the stage is
+// empty whenever the loop parks or ends), before every OnUpdate callback, and
 // before a call through the memo view, which writes its verdict records to
-// the explain recorder itself: whatever a callback, a parked reader or a
-// golden file can see of the records is what unstaged emission would have
-// shown them, and a concurrent reader trails the loop by at most the window
-// in flight.
+// the log itself: whatever a callback, a parked reader or a golden file can
+// see of the records is what unstaged emission would have shown them, and a
+// concurrent reader trails the loop by at most the window in flight.
 func (x *Executor) flush() {
 	if len(x.stage.Recs) == 0 {
 		return
 	}
-	x.rec.Consume(&x.stage)
-	x.tl.Consume(&x.stage)
-	if x.opts.Telemetry != nil {
-		x.observe()
+	if x.rec != nil {
+		x.rec.Consume(&x.stage, x.observe)
+	} else { // recording for telemetry alone
+		for i := range x.stage.Recs {
+			x.watch.Step(0, &x.stage.Recs[i], x.stage.Nums)
+			x.observe(&x.stage.Recs[i])
+		}
 	}
 	x.stage.Reset()
 }
 
-// observe is telemetry's share of a flush: the window.query and
-// window.resplit spans, the window and re-split counters, the inter-update
-// gap histogram and the end of the run span, read off the staged records.
-func (x *Executor) observe() {
-	var windows, resplits int64
+// observeRecord is telemetry's share of a flush, per staged record: the
+// window.query and window.resplit spans, the window and re-split counters
+// and the end of the run span. (The inter-update gap histogram is the
+// watch's: the log's, or the executor's own without one.)
+func (x *Executor) observeRecord(d *explain.Decision) {
 	span := &x.span
-	for i := range x.stage.Recs {
-		d := &x.stage.Recs[i]
-		switch d.Kind {
-		case explain.KindQueryStart:
-			x.queryStart, x.queryCard = d.At, d.Card
-		case explain.KindWindowQueried:
-			windows++
-			span.Name, span.Start = telemetry.SpanWindowQuery, x.started.Add(time.Duration(x.queryStart))
-			span.Duration = time.Duration(d.At - x.queryStart)
-			span.SetDetailf("obj=%d [%d,%d)", int64(d.Node), d.Begin, d.Finish)
-			// The charged cost as span args: retrieved rows plus the
-			// enqueue-time posting estimate the scheduler priced it at.
-			x.tracer.Emit(span, telemetry.SpanArg{Key: "rows", Val: int64(d.Card)}, telemetry.SpanArg{Key: "card", Val: int64(x.queryCard)})
-		case explain.KindWindowResplit:
-			resplits++
-			span.Name, span.Start, span.Duration = telemetry.SpanWindowResplit, x.started.Add(time.Duration(d.At)), 0
-			span.SetDetailf("obj=%d rows=%d span=%ds", int64(d.Node), int64(d.Card), d.Finish-d.Begin)
-			x.tracer.Emit(span, telemetry.SpanArg{Key: "card", Val: int64(d.Card)})
-		case explain.KindEdgeAdded:
-			// The inter-update gap histogram is Table II's statistic as a
-			// live metric: edges landing at the same instant (one
-			// retrieval's batch) are one update, so gaps are measured
-			// between distinct timestamps only. The alert edge is no update.
-			if d.Event == x.alert.ID || d.At == x.lastUpdate {
-				continue
-			}
-			if x.lastUpdate >= 0 {
-				x.tel.updateGap.Observe(time.Duration(d.At - x.lastUpdate).Seconds())
-			}
-			x.lastUpdate = d.At
-		case explain.KindRunEnd:
-			x.runSpan.EndAt(x.started.Add(time.Duration(d.At)))
-		}
+	switch d.Kind {
+	case explain.KindWindowQueried:
+		x.tel.windows.Inc()
+		start := x.stage.Nums[d.Query-1]
+		span.Name, span.Start = telemetry.SpanWindowQuery, x.started.Add(time.Duration(start))
+		span.Duration = time.Duration(d.At - start)
+		span.SetDetailf("obj=%d [%d,%d)", int64(d.Node), d.Begin, d.Finish)
+		// The charged cost as span args: retrieved rows plus the
+		// enqueue-time posting estimate the scheduler priced it at.
+		x.tracer.Emit(span, telemetry.SpanArg{Key: "rows", Val: int64(d.Card)}, telemetry.SpanArg{Key: "card", Val: int64(x.queryCard)})
+	case explain.KindWindowResplit:
+		x.tel.resplits.Inc()
+		span.Name, span.Start, span.Duration = telemetry.SpanWindowResplit, x.started.Add(time.Duration(d.At)), 0
+		span.SetDetailf("obj=%d rows=%d span=%ds", int64(d.Node), int64(d.Card), d.Finish-d.Begin)
+		x.tracer.Emit(span, telemetry.SpanArg{Key: "card", Val: int64(d.Card)})
+	case explain.KindRunEnd:
+		x.runSpan.EndAt(x.started.Add(time.Duration(d.At)))
 	}
-	x.tel.windows.Add(windows)
-	x.tel.resplits.Add(resplits)
 }
 
 // Graph returns the dependency graph built so far (nil before Run).
@@ -560,18 +534,19 @@ func (x *Executor) Prepare(alert event.Event) error {
 	x.dropped = make(map[event.ObjID]bool)
 	x.started = x.clk.Now()
 	x.now, x.nowNs, x.stale = x.started, 0, false
-	x.stage.Base, x.lastUpdate = x.started, -1
+	x.stage.Base = x.started
 	x.pq = windowHeap{fifo: x.opts.FIFOQueue, forward: x.fwd}
 	x.mu.Unlock()
 
 	// The whole run is one root span; window spans nest under it, and the
-	// timeline lane anchors its SLO watchdog at the run-start record (so
+	// log anchors its SLO watchdog at the run-start record (so
 	// time-to-first-update is measured too).
 	if x.tracer != nil {
+		lane := x.rec.Progress().ID
 		x.runSpan = x.tracer.StartAt(telemetry.SpanRun, nil, x.started)
-		x.runSpan.SetLane(x.tl.LaneID())
+		x.runSpan.SetLane(lane)
 		x.runSpan.SetDetailf("event=%d", int64(alert.ID))
-		x.span = telemetry.SpanRecord{Parent: x.runSpan.ID(), Lane: x.tl.LaneID()}
+		x.span = telemetry.SpanRecord{Parent: x.runSpan.ID(), Lane: lane}
 	}
 
 	// The alert edge seeds the graph before exploration starts: record the
@@ -863,8 +838,10 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		}
 	}
 	x.windows++
+	var began int64
 	if x.recording {
-		x.noteWindow(explain.KindQueryStart, w).Card = w.Card
+		x.at()
+		began, x.queryCard = x.nowNs, w.Card
 	}
 	// The window query appends into a buffer reused across every window of
 	// the run, as enqueue generates into winBuf and the queue keeps its
@@ -879,7 +856,9 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 	}
 	x.depsBuf = depsBuf
 	if x.recording {
-		x.noteWindow(explain.KindWindowQueried, w).Card = int32(len(depsBuf))
+		x.at()
+		d := x.stage.Queried(began, x.nowNs)
+		d.Node, d.Begin, d.Finish, d.Card = w.Obj, w.Begin, w.Finish, int32(len(depsBuf))
 	}
 	hopLimit := x.plan.HopBudget
 	// Every dependency's known endpoint is the window's object, so its node

@@ -186,13 +186,13 @@ func hammerGraph(t *testing.T, g *graph.Graph, s *store.Store, stop <-chan struc
 
 func TestGraphReadersDuringRun(t *testing.T) {
 	s, alert := fixture(t, simclock.NewSimulated(time.Time{}), 5000)
-	rec := explain.New(1<<20, nil) // never wraps: every edge keeps its record
-	lane := timeline.New(timeline.Options{}).Lane("run")
+	prof := timeline.New(timeline.Options{})
+	rec := prof.Lane("run", explain.New(1<<20, nil)) // never wraps: every edge keeps its record
 	// One token per stretch of updates: the session below waits for it
 	// between two pauses, so each pause parks the loop somewhere new.
 	progress := make(chan struct{}, 1)
 	runDone := make(chan struct{})
-	x, err := New(s, wildcardPlan(t, ""), Options{Explain: rec, Timeline: lane, OnUpdate: func(Update) {
+	x, err := New(s, wildcardPlan(t, ""), Options{Explain: rec, OnUpdate: func(Update) {
 		select {
 		case progress <- struct{}{}:
 		default:
@@ -239,6 +239,31 @@ func TestGraphReadersDuringRun(t *testing.T) {
 			}
 		}
 	}()
+	// Every view of the log, read while the loop flushes into it.
+	logDone := make(chan struct{})
+	go func() {
+		defer close(logDone)
+		for emitted := uint64(0); ; {
+			if err := prof.WriteTrace(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+			recs := rec.Records()
+			ex := rec.Explain(alert.Dst())
+			updates := rec.Progress().Updates
+			now, _ := rec.Stats()
+			if now < emitted || uint64(len(recs)) < emitted || !ex.Start || updates >= int(now) {
+				t.Errorf("log inconsistent under a reader: %d records emitted after %d, %d read, %d updates folded, start explained %v", now, emitted, len(recs), updates, ex.Start)
+				return
+			}
+			emitted = now
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	sessionDone := make(chan struct{})
 	go func() {
 		defer close(sessionDone)
@@ -251,7 +276,6 @@ func TestGraphReadersDuringRun(t *testing.T) {
 			}
 			x.Pause()
 			rec.Pause()
-			lane.Pause(s.Clock().Now())
 			if err := x.UpdatePlan(wildcardPlan(t, ""), refiner.Repropagate); err != nil {
 				t.Error(err)
 				return
@@ -262,7 +286,7 @@ func TestGraphReadersDuringRun(t *testing.T) {
 			}
 			// The loop flushed its stage before it parked: a reader that
 			// comes after Pause returned misses nothing of the windows done
-			// so far — every edge in the graph has its record, the lane has
+			// so far — every edge in the graph has its record, the log has
 			// counted every update, and the windows recorded as queued and
 			// not yet as queried or split are the ones in the queue.
 			added, queued := 0, 0
@@ -276,13 +300,12 @@ func TestGraphReadersDuringRun(t *testing.T) {
 					queued--
 				}
 			}
-			if n := g.NumEdges(); added != n || lane.Stats().Updates != n-1 || queued != x.pq.Len() || len(x.stage.Recs) != 0 {
-				t.Errorf("parked with %d edges and %d windows queued: %d edge records, %d lane updates, %d windows open in the records, %d records still staged",
-					n, x.pq.Len(), added, lane.Stats().Updates, queued, len(x.stage.Recs))
+			if n := g.NumEdges(); added != n || rec.Progress().Updates != n-1 || queued != x.pq.Len() || len(x.stage.Recs) != 0 {
+				t.Errorf("parked with %d edges and %d windows queued: %d edge records, %d updates folded, %d windows open in the records, %d records still staged",
+					n, x.pq.Len(), added, rec.Progress().Updates, queued, len(x.stage.Recs))
 				return
 			}
 			rec.Resume()
-			lane.Resume(s.Clock().Now())
 			select { // updates since the pause was asked for are not progress past it
 			case <-progress:
 			default:
@@ -295,6 +318,7 @@ func TestGraphReadersDuringRun(t *testing.T) {
 	close(stop)
 	<-readerDone
 	<-hammerDone
+	<-logDone
 	<-sessionDone
 	if err != nil {
 		t.Fatal(err)

@@ -49,8 +49,8 @@ func stampRun(t *testing.T, s *store.Store, plan *refiner.Plan, alert event.Even
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	rec := explain.New(0, nil)
 	p := timeline.New(timeline.Options{})
+	rec := p.Lane("run", explain.New(0, nil))
 	var updateAt []time.Time
 	var x *Executor
 	parked := make(chan struct{})
@@ -58,7 +58,6 @@ func stampRun(t *testing.T, s *store.Store, plan *refiner.Plan, alert event.Even
 		Windows:   4,
 		Telemetry: reg,
 		Explain:   rec,
-		Timeline:  p.Lane("run"),
 		Memo:      cache,
 		OnUpdate: func(u Update) {
 			updateAt = append(updateAt, u.At)
@@ -192,14 +191,11 @@ func TestServedRunClockReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := explain.New(0, nil)
-	p := timeline.New(timeline.Options{})
-	lane := p.Lane("run")
+	rec := timeline.New(timeline.Options{}).Lane("run", explain.New(0, nil))
 	updates := 0
 	x, err := New(v, wildcardPlan(t, stampWhere), Options{
 		Telemetry: telemetry.NewRegistry(),
 		Explain:   rec,
-		Timeline:  lane,
 		OnUpdate:  func(Update) { updates++ },
 	})
 	if err != nil {
@@ -215,7 +211,7 @@ func TestServedRunClockReads(t *testing.T) {
 	const fixed = 4                                                                               // Prepare, the last loop top, the run's end, slack
 	bound := 2*pops + filtered + updates + fixed
 	emitted, _ := rec.Stats()
-	records := int(emitted) + lane.Stats().Events
+	records := int(emitted) + rec.Progress().Events
 	t.Logf("%d clock reads for %d records (%d pops, %d filtered candidates, %d updates): bound %d",
 		clk.reads, records, pops, filtered, updates, bound)
 	if updates == 0 || kinds["window-resplit"] == 0 || kinds["edge-where-rejected"] == 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
 	"aptrace/internal/simclock"
 	"aptrace/internal/telemetry"
 	"aptrace/internal/timeline"
@@ -27,13 +28,13 @@ func TestTimelineZeroEffect(t *testing.T) {
 	clk := simclock.NewSimulated(time.Time{})
 	st, alert := fixture(t, clk, 200)
 
-	run := func(lane *timeline.Recorder) *Result {
+	run := func(lane *explain.Recorder) *Result {
 		clkR := simclock.NewSimulated(time.Time{})
 		v, err := st.View(clkR)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := New(v, wildcardPlan(t, ""), Options{Windows: 4, Timeline: lane})
+		x, err := New(v, wildcardPlan(t, ""), Options{Windows: 4, Explain: lane})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestTimelineZeroEffect(t *testing.T) {
 
 	plain := run(nil)
 	p := timeline.New(timeline.Options{})
-	profiled := run(p.Lane("run"))
+	profiled := run(p.Lane("run", explain.New(0, nil)))
 
 	if got, want := edgeSet(profiled.Graph.Edges()), edgeSet(plain.Graph.Edges()); len(got) != len(want) {
 		t.Fatalf("edge count diverged: %d vs %d", len(got), len(want))
@@ -77,8 +78,8 @@ func TestTimelineRecordsRunLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := timeline.New(timeline.Options{})
-	lane := p.Lane("run")
-	x, err := New(v, wildcardPlan(t, ""), Options{Windows: 4, Timeline: lane})
+	lane := p.Lane("run", explain.New(0, nil))
+	x, err := New(v, wildcardPlan(t, ""), Options{Windows: 4, Explain: lane})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestTimelineRecordsRunLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lr := lane.Stats()
+	lr := lane.Progress()
 	if lr.Queries == 0 {
 		t.Error("no queries recorded")
 	}
@@ -126,8 +127,8 @@ func TestTimelineStallOnStarvedUpdates(t *testing.T) {
 	// A nanosecond target makes any modeled retrieval latency a stall:
 	// the monolithic hot.log query must trip it.
 	p := timeline.New(timeline.Options{GapTarget: time.Nanosecond, StallFactor: 1, Telemetry: reg})
-	lane := p.Lane("starved")
-	x, err := New(v, wildcardPlan(t, ""), Options{Windows: 1, NoSplit: true, Timeline: lane})
+	lane := p.Lane("starved", explain.New(0, nil))
+	x, err := New(v, wildcardPlan(t, ""), Options{Windows: 1, NoSplit: true, Explain: lane})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestTimelineStallOnStarvedUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lr := lane.Stats()
+	lr := lane.Progress()
 	if len(lr.Stalls) == 0 {
 		t.Fatal("watchdog did not fire on a starved run")
 	}

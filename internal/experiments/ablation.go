@@ -7,11 +7,11 @@ import (
 
 	"aptrace/internal/core"
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/simclock"
 	"aptrace/internal/stats"
 	"aptrace/internal/store"
-	"aptrace/internal/timeline"
 )
 
 // AblationRow summarizes one executor variant's responsiveness over the
@@ -81,12 +81,12 @@ func runVariant(env *Env, cfg Config, name string, opts core.Options) (AblationR
 		windows int
 	}
 	runs, err := fanOut(env, cfg, events, "ablation "+name,
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *timeline.Recorder) (run, error) {
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (run, error) {
 			start := clk.Now()
 			var times []time.Time
 			o := opts
 			o.Telemetry = cfg.Telemetry
-			o.Timeline = lane
+			o.Explain = lane
 			o.OnUpdate = func(u graph.Update) { times = append(times, u.At) }
 			x, err := core.New(st, wildcardPlan(cfg.Cap), o)
 			if err != nil {

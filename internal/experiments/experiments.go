@@ -21,9 +21,12 @@ import (
 	"math/rand"
 	"time"
 
+	"aptrace/internal/baseline"
 	"aptrace/internal/core"
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
 	"aptrace/internal/fleet"
+	"aptrace/internal/graph"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
@@ -72,11 +75,38 @@ func (c Config) execOptions() core.Options {
 	return core.Options{Windows: c.Windows, Telemetry: c.Telemetry}
 }
 
-// laneOptions is execOptions plus this run's profiler lane.
-func (c Config) laneOptions(lane *timeline.Recorder) core.Options {
+// laneOptions is execOptions plus this run's profiler lane as its log.
+func (c Config) laneOptions(lane *explain.Recorder) core.Options {
 	o := c.execOptions()
-	o.Timeline = lane
+	o.Explain = lane
 	return o
+}
+
+// runBaseline runs the King-Chen baseline from ev and, as it has no executor
+// to write a log, brackets the run in lane itself: its start, an update per
+// added edge, its end and why. The baseline's monolithic queries are exactly
+// what makes the lane's SLO watchdog fire.
+func runBaseline(st *store.Store, ev event.Event, opts baseline.Options, lane *explain.Recorder) (*baseline.Result, error) {
+	clk := st.Clock()
+	lane.Note(clk.Now(), explain.Decision{Kind: explain.KindRunStart, Event: ev.ID}, "", "")
+	if hook := opts.OnUpdate; lane != nil {
+		opts.OnUpdate = func(u graph.Update) {
+			if hook != nil {
+				hook(u)
+			}
+			lane.Note(u.At, explain.Decision{Kind: explain.KindEdgeAdded, Event: u.Event.ID}, "", "")
+		}
+	}
+	out, err := baseline.Run(st, ev, opts)
+	if err != nil {
+		return nil, err
+	}
+	reason := "completed"
+	if !out.Completed {
+		reason = "time budget exceeded"
+	}
+	lane.Note(clk.Now(), explain.Decision{Kind: explain.KindRunEnd}, "", reason)
+	return out, nil
 }
 
 // DefaultConfig mirrors the paper's experiment parameters.
@@ -116,17 +146,18 @@ func (e *Env) sampleEvents(n int, seed int64) []event.Event {
 // the aggregates — and every printed table — bit-for-bit identical to the
 // serial loop, while real wall-clock work spreads across cfg.Parallel
 // goroutines.
-// Each job also receives its own profiler lane (nil unless cfg.Timeline is
-// set), named "name i" with the lane ID pinned to the sample index before
-// dispatch — the trace, like the tables, cannot depend on scheduling.
+// Each job also receives its own profiler lane — a run log, nil unless
+// cfg.Timeline is set — named "name i" with the lane ID pinned to the sample
+// index before dispatch: the trace, like the tables, cannot depend on
+// scheduling.
 func fanOut[T any](env *Env, cfg Config, events []event.Event, name string,
-	job func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *timeline.Recorder) (T, error)) ([]T, error) {
+	job func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (T, error)) ([]T, error) {
 	workers := cfg.Parallel
 	if workers < 1 {
 		workers = 1
 	}
 	pool := fleet.New(workers, cfg.Telemetry)
-	return fleet.MapTimeline(pool, len(events), cfg.Timeline, name, func(i int, lane *timeline.Recorder) (T, error) {
+	return fleet.MapTimeline(pool, len(events), cfg.Timeline, name, func(i int, lane *explain.Recorder) (T, error) {
 		clk := simclock.NewSimulated(time.Time{})
 		v, err := env.Dataset.Store.View(clk)
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
-	"aptrace/internal/timeline"
 )
 
 // ExplainResult is the outcome of the decision-flight-recorder experiment:
@@ -75,7 +74,7 @@ func RunExplain(env *Env, cfg Config, w io.Writer) (*ExplainResult, error) {
 		wall          time.Duration
 	}
 	runs, err := fanOut(env, cfg, events, "explain",
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *timeline.Recorder) (xrun, error) {
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (xrun, error) {
 			// Plain run on the fanOut-provided view.
 			x1, err := core.New(st, explainPlan(), cfg.execOptions())
 			if err != nil {
@@ -86,18 +85,18 @@ func RunExplain(env *Env, cfg Config, w io.Writer) (*ExplainResult, error) {
 				return xrun{}, err
 			}
 
-			// Recorded run on a second private view and clock; the timeline
-			// lane rides along on this one (it shares the recorder's
-			// zero-effect obligation, checked below).
+			// Recorded run on a second private view and clock, into the
+			// timeline lane's log when there is one.
 			clk2 := simclock.NewSimulated(time.Time{})
 			v2, err := env.Dataset.Store.View(clk2)
 			if err != nil {
 				return xrun{}, err
 			}
-			rec := explain.New(0, cfg.Telemetry)
-			opts := cfg.laneOptions(lane)
-			opts.Explain = rec
-			x2, err := core.New(v2, explainPlan(), opts)
+			rec := lane
+			if rec == nil {
+				rec = explain.New(0, cfg.Telemetry)
+			}
+			x2, err := core.New(v2, explainPlan(), cfg.laneOptions(rec))
 			if err != nil {
 				return xrun{}, err
 			}

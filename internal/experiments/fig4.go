@@ -7,11 +7,11 @@ import (
 
 	"aptrace/internal/baseline"
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/simclock"
 	"aptrace/internal/stats"
 	"aptrace/internal/store"
-	"aptrace/internal/timeline"
 )
 
 // Fig4Result holds, for each time-limit threshold k (minutes), the
@@ -39,26 +39,16 @@ func RunFig4(env *Env, cfg Config, w io.Writer) (*Fig4Result, error) {
 		size int
 	}
 	curves, err := fanOut(env, cfg, events, "fig4",
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *timeline.Recorder) ([]point, error) {
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) ([]point, error) {
 			start := clk.Now()
-			lane.RunStart(start, ev.ID)
 			var curve []point
-			out, err := baseline.Run(st, ev, baseline.Options{
+			_, err := runBaseline(st, ev, baseline.Options{
 				TimeBudget: maxMinutes * time.Minute,
 				OnUpdate: func(u graph.Update) {
 					curve = append(curve, point{u.At.Sub(start), u.Edges})
-					lane.Update(u.At)
 				},
-			})
-			if err != nil {
-				return nil, err
-			}
-			reason := "completed"
-			if !out.Completed {
-				reason = "time budget exceeded"
-			}
-			lane.RunEnd(clk.Now(), reason)
-			return curve, nil
+			}, lane)
+			return curve, err
 		})
 	if err != nil {
 		return nil, err

@@ -8,12 +8,12 @@ import (
 
 	"aptrace/internal/core"
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/memo"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
-	"aptrace/internal/timeline"
 )
 
 // memoScript is the triage plan the memoization experiment batches over the
@@ -60,7 +60,7 @@ type MemoResult struct {
 // store's charged Stats, and an FNV-64a hash of the rendered DOT graph.
 func memoPass(env *Env, cfg Config, events []event.Event, name string, cache *memo.Cache) ([]string, error) {
 	return fanOut(env, cfg, events, name,
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *timeline.Recorder) (string, error) {
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (string, error) {
 			plan, err := refiner.ParseAndCompile(memoScript)
 			if err != nil {
 				return "", err

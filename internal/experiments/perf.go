@@ -77,7 +77,7 @@ func (e *Env) newRecorders() (*recorders, error) {
 }
 
 // runRecorded is runOnce as the triage daemon runs it (serve.Manager.execute):
-// a fresh explain recorder and timeline lane on the shared registry, the
+// a fresh run log as a timeline lane on the shared registry, the
 // query profiler inherited from the snapshot, and an OnUpdate hook — the body
 // of the executor_run_recorded benchmark, whose distance from executor_run is
 // the recording budget.
@@ -89,8 +89,7 @@ func (e *Env) runRecorded(r *recorders, plan *refiner.Plan, windows int, alert e
 	x, err := core.New(v, plan, core.Options{
 		Windows:   windows,
 		Telemetry: r.reg,
-		Explain:   explain.New(0, r.reg),
-		Timeline:  timeline.New(timeline.Options{Telemetry: r.reg}).Lane("run"),
+		Explain:   timeline.New(timeline.Options{Telemetry: r.reg}).Lane("run", explain.New(0, r.reg)),
 		OnUpdate:  func(core.Update) {},
 	})
 	if err != nil {

@@ -7,10 +7,9 @@ import (
 
 	"aptrace/internal/baseline"
 	"aptrace/internal/event"
-	"aptrace/internal/graph"
+	"aptrace/internal/explain"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
-	"aptrace/internal/timeline"
 )
 
 // SeverityResult is the outcome of the Section IV-B1 experiment: run
@@ -40,25 +39,12 @@ func RunSeverity(env *Env, cfg Config, w io.Writer) (*SeverityResult, error) {
 		completed bool
 	}
 	runs, err := fanOut(env, cfg, events, "severity",
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *timeline.Recorder) (run, error) {
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (run, error) {
 			start := clk.Now()
-			// The baseline has no executor to emit timeline events, so the
-			// harness brackets the run itself; its monolithic queries are
-			// exactly what makes the SLO watchdog fire.
-			lane.RunStart(start, ev.ID)
-			opts := baseline.Options{TimeBudget: cfg.Cap}
-			if lane != nil {
-				opts.OnUpdate = func(u graph.Update) { lane.Update(u.At) }
-			}
-			out, err := baseline.Run(st, ev, opts)
+			out, err := runBaseline(st, ev, baseline.Options{TimeBudget: cfg.Cap}, lane)
 			if err != nil {
 				return run{}, err
 			}
-			reason := "completed"
-			if !out.Completed {
-				reason = "time budget exceeded"
-			}
-			lane.RunEnd(clk.Now(), reason)
 			return run{
 				elapsed:   clk.Now().Sub(start),
 				size:      out.Graph.NumEdges(),

@@ -8,11 +8,11 @@ import (
 	"aptrace/internal/baseline"
 	"aptrace/internal/core"
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/simclock"
 	"aptrace/internal/stats"
 	"aptrace/internal/store"
-	"aptrace/internal/timeline"
 )
 
 // Table2Side is one row of Table II: the inter-update waiting-time
@@ -58,24 +58,15 @@ func RunTable2(env *Env, cfg Config, w io.Writer) (*Table2Result, error) {
 	}
 
 	baseRuns, err := fanOut(env, cfg, events, "table2/baseline",
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *timeline.Recorder) (run, error) {
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (run, error) {
 			var times []time.Time
-			lane.RunStart(clk.Now(), ev.ID)
-			out, err := baseline.Run(st, ev, baseline.Options{
+			_, err := runBaseline(st, ev, baseline.Options{
 				TimeBudget: cfg.Cap,
-				OnUpdate: func(u graph.Update) {
-					times = append(times, u.At)
-					lane.Update(u.At)
-				},
-			})
+				OnUpdate:   func(u graph.Update) { times = append(times, u.At) },
+			}, lane)
 			if err != nil {
 				return run{}, err
 			}
-			reason := "completed"
-			if !out.Completed {
-				reason = "time budget exceeded"
-			}
-			lane.RunEnd(clk.Now(), reason)
 			return collect(times), nil
 		})
 	if err != nil {
@@ -83,7 +74,7 @@ func RunTable2(env *Env, cfg Config, w io.Writer) (*Table2Result, error) {
 	}
 
 	apRuns, err := fanOut(env, cfg, events, "table2/aptrace",
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *timeline.Recorder) (run, error) {
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (run, error) {
 			var times []time.Time
 			o := cfg.laneOptions(lane)
 			o.OnUpdate = func(u graph.Update) { times = append(times, u.At) }

@@ -11,7 +11,6 @@ import (
 	"aptrace/internal/core"
 	"aptrace/internal/explain"
 	"aptrace/internal/fleet"
-	"aptrace/internal/graph"
 	"aptrace/internal/simclock"
 	"aptrace/internal/timeline"
 )
@@ -64,7 +63,7 @@ func RunTimeline(env *Env, cfg Config, w io.Writer) (*TimelineResult, error) {
 
 	type trun struct {
 		identical bool
-		ap, base  timeline.LaneReport
+		ap, base  explain.Progress
 		apStall   string // formatted + explain-correlated, "" when none
 	}
 	workers := cfg.Parallel
@@ -90,17 +89,14 @@ func RunTimeline(env *Env, cfg Config, w io.Writer) (*TimelineResult, error) {
 			return trun{}, err
 		}
 
-		// 2. Profiled APTrace run: timeline lane + explain recorder (for
-		// stall correlation) on a second private view and clock.
+		// 2. Profiled APTrace run, into its lane's log, on a second private
+		// view and clock.
 		clk2 := simclock.NewSimulated(time.Time{})
 		v2, err := env.Dataset.Store.View(clk2)
 		if err != nil {
 			return trun{}, err
 		}
-		rec := explain.New(0, cfg.Telemetry)
-		opts := cfg.laneOptions(apLanes[i])
-		opts.Explain = rec
-		x2, err := core.New(v2, wildcardPlan(cfg.Cap), opts)
+		x2, err := core.New(v2, wildcardPlan(cfg.Cap), cfg.laneOptions(apLanes[i]))
 		if err != nil {
 			return trun{}, err
 		}
@@ -117,29 +113,18 @@ func RunTimeline(env *Env, cfg Config, w io.Writer) (*TimelineResult, error) {
 		if err != nil {
 			return trun{}, err
 		}
-		lane := baseLanes[i]
-		lane.RunStart(clk3.Now(), ev.ID)
-		out, err := baseline.Run(v3, ev, baseline.Options{
-			TimeBudget: cfg.Cap,
-			OnUpdate:   func(u graph.Update) { lane.Update(u.At) },
-		})
-		if err != nil {
+		if _, err := runBaseline(v3, ev, baseline.Options{TimeBudget: cfg.Cap}, baseLanes[i]); err != nil {
 			return trun{}, err
 		}
-		reason := "completed"
-		if !out.Completed {
-			reason = "time budget exceeded"
-		}
-		lane.RunEnd(clk3.Now(), reason)
 
 		r := trun{
 			identical: sameEdges(res1.Graph.Edges(), res2.Graph.Edges()) &&
 				res1.Elapsed == res2.Elapsed,
-			ap:   apLanes[i].Stats(),
-			base: lane.Stats(),
+			ap:   apLanes[i].Progress(),
+			base: baseLanes[i].Progress(),
 		}
-		// Name the decision behind the first APTrace stall, if any, via
-		// explain-record correlation (the recorder ran alongside the lane).
+		// Name the decision behind the first APTrace stall, if any, from the
+		// records of the same log.
 		if len(r.ap.Stalls) > 0 {
 			s := r.ap.Stalls[0]
 			r.apStall = fmt.Sprintf("[%s] gap %s after t=%s",
@@ -148,7 +133,7 @@ func RunTimeline(env *Env, cfg Config, w io.Writer) (*TimelineResult, error) {
 				r.apStall += fmt.Sprintf("; offending query obj=%d [%d,%d) rows=%d",
 					s.Obj, s.Begin, s.Finish, s.Rows)
 			}
-			if er, ok := timeline.CorrelateStall(s, rec.Records()); ok {
+			if er, ok := timeline.CorrelateStall(s, apLanes[i]); ok {
 				r.apStall += fmt.Sprintf("; explain seq=%d %s obj=%d card=%d",
 					er.Seq, er.Kind, er.Node, er.Card)
 			}
@@ -214,8 +199,11 @@ func RunTimeline(env *Env, cfg Config, w io.Writer) (*TimelineResult, error) {
 	if res.ExampleStall != "" {
 		fmt.Fprintf(w, "example stall:                %s\n", res.ExampleStall)
 	}
-	fmt.Fprintf(w, "trace events recorded:        %d (%d dropped by lane caps)\n",
-		res.TraceEventsRecorded, res.TraceDropped)
+	lost := "0 dropped by lane caps" // what a run that drops nothing has always printed
+	if res.TraceDropped > 0 {
+		lost = fmt.Sprintf("%d log records dropped by ring overflow", res.TraceDropped)
+	}
+	fmt.Fprintf(w, "trace events recorded:        %d (%s)\n", res.TraceEventsRecorded, lost)
 	fmt.Fprintf(w, "trace-event JSON schema:      %s\n", validWord(res.TraceValid))
 	// Trace size in bytes depends on every lane the (possibly shared)
 	// profiler holds, so it goes to stderr like the other wall facts.

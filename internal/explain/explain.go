@@ -71,7 +71,7 @@ const (
 	// that triggered the split.
 	KindWindowResplit
 	// KindWindowQueried: the window ran as one bounded query; Card is the
-	// number of rows retrieved.
+	// number of rows retrieved, Query locates what the query cost.
 	KindWindowQueried
 	// KindWindowAbandoned: the run ended with this window still queued.
 	// Detail carries the stop reason (time budget, analyst stop).
@@ -93,21 +93,9 @@ const (
 	KindMemoHit
 	KindMemoMiss
 
-	// The kinds from here on exist only in a Stage: what the run loop tells
-	// its timeline lane and its spans besides the decisions. The recorder
-	// skips them, so they take no sequence number and are never read back.
-
-	// KindQueryStart opens a window query: At is the instant before the
-	// fetch (KindWindowQueried carries the instant after), Card the
-	// enqueue-time estimate the scheduler priced the window at.
-	KindQueryStart
-	// KindCharge is one charged store query: Begin the posting buckets
-	// walked, Finish the modeled cost in nanoseconds. Not stamped.
-	KindCharge
-	// KindScatter is one routed query's shard split: Card the fan-out,
-	// Stage.Rows[Begin:Begin+Finish] the rows per shard. Not stamped.
-	KindScatter
-	// KindRunEnd closes the run: Detail is the stop reason.
+	// KindRunEnd closes the run: Detail is the stop reason. It is no
+	// decision: the log keeps a run's end beside the ring, so it takes no
+	// sequence number and is never read back as a Record.
 	KindRunEnd
 )
 
@@ -166,66 +154,102 @@ type Record struct {
 	Detail string        `json:"detail,omitempty"`
 }
 
-// DefaultCapacity is the ring size of a recorder created with capacity <= 0:
+// DefaultCapacity is the ring size of a log created with capacity <= 0:
 // large enough to hold every decision of the paper-scale analyses, small
 // enough (4 MB when full) to attach to each fleet worker.
 const DefaultCapacity = 1 << 16
 
-// Recorder is the flight recorder: a fixed-capacity ring of decisions, kept
-// as 64-byte pointer-free records in pages that are allocated when first
-// written and reused when the ring wraps, so a run that decides little pays
-// for little and the collector never scans what is kept. When the ring is
-// full the oldest records are overwritten and the
+// Recorder is a run's log, the one place its records live: a fixed-capacity
+// ring of decisions, kept as 64-byte pointer-free records in pages that are
+// allocated when first written and reused when the ring wraps, so a run that
+// decides little pays for little and the collector never scans what is kept.
+// When the ring is full the oldest records are overwritten and the
 // aptrace_explain_dropped_total counter says so — overflow is visible, not
-// silent. The run loop feeds it a stage at a time (Consume: one lock, one
-// counter add per flush); Records, Explain and the dump rebuild Records on
-// read. A nil *Recorder is a valid disabled recorder: every method is a
-// no-op behind one pointer test.
+// silent — while the run's Progress stays complete, because every record is
+// folded into a Watch as it arrives. The run loop feeds the log a stage at a
+// time (Consume); EXPLAIN (query.go), the Chrome trace and the SLO report
+// (internal/timeline) rebuild Records and Events on read. A nil *Recorder is
+// a valid disabled log: every method is a no-op behind one pointer test.
 type Recorder struct {
 	mu       sync.Mutex
 	ring     pages.Pages[Decision] // slot Seq % capacity
 	capacity int
 	seq      uint64 // total records emitted (next Seq)
-	pos      int    // seq % capacity, kept by counting: the slot of the next record
+	pos      int    // records written in the current lap of the ring
+	lap      int    // seq / capacity of the newest record, kept by counting
 	clk      simclock.Clock
 	base     time.Time // Decision.At counts from here; the first record's instant
 	based    bool
 	strs     Strings
+	// nums holds the query costs of the window-queried records, one slice
+	// per lap of the ring by parity: a lap's slice is emptied when the lap
+	// after next begins, by when the ring holds none of its records.
+	nums [2][]int64
+	lane int64  // the profiler lane this log is bound to (0 = none) ...
+	name string // ... and its name
+
+	// live is the fold of every record emitted; ends are the runs' ends by
+	// position in the record sequence.
+	live Watch
+	ends []runEnd
 
 	telRecords *telemetry.Counter
 	telDropped *telemetry.Counter
 }
 
-// New returns a recorder holding the most recent capacity records
+// runEnd is a run's end, after the records before seq: the span it closed
+// (start to at), the run's alert, and the stop reason.
+type runEnd struct {
+	seq       uint64
+	start, at int64
+	alert     event.EventID
+	reason    uint32
+}
+
+// New returns a log holding the most recent capacity records
 // (DefaultCapacity if capacity <= 0). reg, if non-nil, receives the
 // aptrace_explain_records_total / aptrace_explain_dropped_total counters.
 func New(capacity int, reg *telemetry.Registry) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{
+	r := &Recorder{
 		capacity:   capacity,
 		telRecords: reg.Counter(telemetry.MetricExplainRecords),
 		telDropped: reg.Counter(telemetry.MetricExplainDropped),
 	}
+	r.live.log = r
+	return r
 }
 
-// SetClock binds the analysis clock that records emitted outside the run
-// loop (pause, resume, plan update, finalize, memo verdicts) are stamped
-// with; the run loop's own records carry the executor's stamp of the same
-// clock. The executor calls this when the recorder is attached, so every
-// record carries simulated time under the cost model. Nil-safe; without a
-// clock those records are stamped zero.
-func (r *Recorder) SetClock(clk simclock.Clock) {
+// Attach is the executor taking the log. clk is the analysis clock that
+// records emitted outside the run loop (pause, resume, plan update, finalize,
+// memo verdicts) are stamped with — the run loop's own carry the executor's
+// stamp of the same clock, so every record carries simulated time under the
+// cost model; without a clock those are stamped zero. gaps receives every
+// inter-update gap and mirror, under the log's lock, every timeline event as
+// the record behind it arrives; either may be nil. Nil-safe.
+func (r *Recorder) Attach(clk simclock.Clock, gaps *telemetry.Histogram, mirror func(Event)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.clk = clk
+	r.clk, r.live.Gaps, r.live.emit = clk, gaps, mirror
 	r.mu.Unlock()
 }
 
-// since returns at as nanoseconds after the recorder's base instant, which
+// Bind makes the log a profiler's lane: its spans, stalls and trace carry
+// the lane's id and name, and its watchdog records a stall — counted in
+// stalls — for every inter-update gap over limit. Call before the run.
+func (r *Recorder) Bind(lane int64, name string, limit time.Duration, stalls *telemetry.Counter) {
+	r.mu.Lock()
+	r.lane, r.name = lane, name
+	r.live.limit = limit
+	r.live.stallCtr = stalls
+	r.mu.Unlock()
+}
+
+// since returns at as nanoseconds after the log's base instant, which
 // the first record fixes. Caller holds r.mu.
 func (r *Recorder) since(at time.Time) int64 {
 	if !r.based {
@@ -234,12 +258,13 @@ func (r *Recorder) since(at time.Time) int64 {
 	return int64(at.Sub(r.base))
 }
 
-// Consume appends a stage of run-loop records: one lock and one counter add
-// for all of them. They keep the stamps the executor gave them (its cached
-// reading of the analysis clock, see core.Executor.at) and take consecutive
-// sequence numbers in stage order; the stage's lane-only kinds are skipped.
-// Nil-safe.
-func (r *Recorder) Consume(s *Stage) {
+// Consume appends a stage of run-loop records: one pass, one lock and one
+// counter add for all of them. They keep the stamps the executor gave them
+// (its cached reading of the analysis clock, see core.Executor.at) and take
+// consecutive sequence numbers in stage order; each, if set, is called — in
+// the same pass, under the log's lock — with every staged record once the log
+// has taken it. Nil-safe.
+func (r *Recorder) Consume(s *Stage, each func(*Decision)) {
 	if r == nil || len(s.Recs) == 0 {
 		return
 	}
@@ -251,17 +276,16 @@ func (r *Recorder) Consume(s *Stage) {
 	}
 	for i := range s.Recs {
 		d := &s.Recs[i]
-		if d.Kind >= KindQueryStart {
-			continue
-		}
-		slot := r.next()
-		*slot = *d
-		slot.At += shift
-		if d.Detail != 0 {
-			slot.Detail = r.strs.Intern(s.Strs[d.Detail-1])
-		}
+		var clause, detail uint32
 		if d.Clause != 0 {
-			slot.Clause = r.strs.Intern(s.Strs[d.Clause-1])
+			clause = r.strs.Intern(s.Strs[d.Clause-1])
+		}
+		if d.Detail != 0 {
+			detail = r.strs.Intern(s.Strs[d.Detail-1])
+		}
+		r.add(d, d.At+shift, clause, detail, s.Nums)
+		if each != nil {
+			each(d)
 		}
 	}
 	last := r.seq
@@ -269,31 +293,68 @@ func (r *Recorder) Consume(s *Stage) {
 	r.count(first, last)
 }
 
-// next takes the slot of the next sequence number. Caller holds r.mu.
-func (r *Recorder) next() *Decision {
-	slot := r.ring.At(r.pos)
-	r.seq++
-	if r.pos++; r.pos == r.capacity {
-		r.pos = 0
+// add appends *d stamped at, its strings interned as clause and detail and
+// its query cost, if any, read from nums, and folds it into the live watch.
+// A run's end takes no slot. Caller holds r.mu.
+func (r *Recorder) add(d *Decision, at int64, clause, detail uint32, nums []int64) {
+	if d.Kind == KindRunEnd {
+		r.ends = append(r.ends, runEnd{r.seq, r.live.end(at, detail), at, r.live.alert, detail})
+		return
 	}
-	return slot
+	slot := r.next()
+	*slot = *d
+	slot.At, slot.Clause, slot.Detail = at, clause, detail
+	side := &r.nums[r.lap&1]
+	if d.Query != 0 {
+		cost := nums[d.Query-1:]
+		slot.Query = uint32(len(*side)) + 1
+		*side = append(*side, cost[:queryHead+cost[queryHead-1]]...)
+		(*side)[slot.Query-1] += at - d.At // the query's start moves to the log's base with its end
+	}
+	r.live.Step(r.seq-1, slot, *side)
 }
 
-// addNow appends one record from outside the run loop — the session's
-// goroutines, and memo lookups that sit inside a charging call — stamped
-// with the bound clock's own reading, so no stamp crosses goroutines.
-func (r *Recorder) addNow(d Decision, clause, detail string) {
-	r.mu.Lock()
-	var at time.Time
-	if r.clk != nil {
-		at = r.clk.Now()
+// next takes the slot of the next sequence number, the oldest record's once
+// the ring has wrapped. Caller holds r.mu.
+func (r *Recorder) next() *Decision {
+	if r.pos == r.capacity {
+		r.pos = 0
+		r.lap++
+		r.nums[r.lap&1] = r.nums[r.lap&1][:0]
 	}
-	d.At = r.since(at)
-	d.Clause, d.Detail = r.strs.Intern(clause), r.strs.Intern(detail)
-	*r.next() = d
+	r.seq++
+	r.pos++
+	return r.ring.At(r.pos - 1)
+}
+
+// Note appends one record stamped at: for a run driven from outside an
+// executor, which has no stage (the experiment harnesses bracket the
+// King-Chen baseline with KindRunStart, KindEdgeAdded and KindRunEnd).
+// Nil-safe.
+func (r *Recorder) Note(at time.Time, d Decision, clause, detail string) {
+	r.note(&at, d, clause, detail)
+}
+
+// note appends one record from outside the run loop, stamped *at or — for
+// the session's goroutines, and memo lookups that sit inside a charging call
+// — with the bound clock's own reading, so no stamp crosses goroutines.
+// Nil-safe.
+func (r *Recorder) note(at *time.Time, d Decision, clause, detail string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	var now time.Time
+	if at != nil {
+		now = *at
+	} else if r.clk != nil {
+		now = r.clk.Now()
+	}
+	first := r.seq
+	r.add(&d, r.since(now), r.strs.Intern(clause), r.strs.Intern(detail), nil)
 	last := r.seq
 	r.mu.Unlock()
-	r.count(last-1, last)
+	r.count(first, last)
 }
 
 // count publishes the emissions [first, last) — and those of them that
@@ -306,8 +367,8 @@ func (r *Recorder) count(first, last uint64) {
 }
 
 // The emission methods below are for callers outside the run loop; they read
-// the bound clock. Each is an inlinable nil check in front of addNow, so a
-// disabled recorder costs one pointer test per call site.
+// the bound clock. The memo view's sits in every cached lookup, so it tests
+// for a disabled log before it builds anything; the session's are note's.
 
 // MemoVerdict records a memo-cache lookup: hit says whether the cached
 // closure was served, what names the cached query kind ("backward",
@@ -321,70 +382,91 @@ func (r *Recorder) MemoVerdict(hit bool, what string, node event.ObjID, wb, wf i
 	if hit {
 		k = KindMemoHit
 	}
-	r.addNow(Decision{Kind: k, Node: node, Begin: wb, Finish: wf, Card: int32(rows)}, "", what)
+	r.note(nil, Decision{Kind: k, Node: node, Begin: wb, Finish: wf, Card: int32(rows)}, "", what)
 }
 
 // PlanUpdate records a script change: decision is the refiner's resume
 // action, delta a human-readable summary of what changed.
 func (r *Recorder) PlanUpdate(decision, delta string) {
-	if r == nil {
-		return
-	}
-	r.addNow(Decision{Kind: KindPlanUpdate}, decision, delta)
+	r.note(nil, Decision{Kind: KindPlanUpdate}, decision, delta)
 }
 
 // Pause records the analyst pausing the run.
 func (r *Recorder) Pause() {
-	if r == nil {
-		return
-	}
-	r.addNow(Decision{Kind: KindPause}, "", "")
+	r.note(nil, Decision{Kind: KindPause}, "", "")
 }
 
 // Resume records the analyst resuming the run.
 func (r *Recorder) Resume() {
-	if r == nil {
-		return
-	}
-	r.addNow(Decision{Kind: KindResume}, "", "")
+	r.note(nil, Decision{Kind: KindResume}, "", "")
 }
 
 // Finalize records tracking-statement path pruning removing removed edges.
 func (r *Recorder) Finalize(removed int) {
+	r.note(nil, Decision{Kind: KindFinalize, Card: int32(removed)}, "", "")
+}
+
+// Cursor is a retained record in place, number Seq of its log, as Scan hands
+// it to its callback: good for that call alone.
+type Cursor struct {
+	*Decision
+	Seq uint64
+	log *Recorder
+}
+
+// Scan calls f with every retained record in place, oldest first, until f
+// returns false. It holds the log's lock throughout: f must not keep the
+// cursor's Decision, nor call the log. Nil-safe.
+func (r *Recorder) Scan(f func(Cursor) bool) {
 	if r == nil {
 		return
 	}
-	r.addNow(Decision{Kind: KindFinalize, Card: int32(removed)}, "", "")
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for seq := r.oldest(); seq < r.seq; seq++ {
+		if !f(Cursor{r.ring.Get(int(seq % uint64(r.capacity))), seq, r}) {
+			return
+		}
+	}
+}
+
+// oldest is the sequence number of the oldest retained record. Caller holds
+// r.mu.
+func (r *Recorder) oldest() uint64 {
+	return r.seq - min(r.seq, uint64(r.capacity))
+}
+
+// Time is the instant the record was stamped with.
+func (c Cursor) Time() time.Time { return c.log.base.Add(time.Duration(c.At)) }
+
+// Record rebuilds the record as readers see it, strings resolved.
+func (c Cursor) Record() Record {
+	d, r := c.Decision, c.log
+	rec := Record{
+		Seq: c.Seq, Kind: d.Kind, At: c.Time(),
+		Event: d.Event, Node: d.Node, Peer: d.Peer, Hop: int(d.Hop),
+		Begin: d.Begin, Finish: d.Finish,
+		Card: int(d.Card), State: int(d.State), Boost: int(d.Boost),
+		Clause: r.strs.Get(d.Clause), Detail: r.strs.Get(d.Detail),
+	}
+	if d.Kind == KindEdgeWhereRejected {
+		rec.Pos = bdl.Pos{Line: int(d.Begin), Col: int(d.Finish)}.String()
+		rec.Begin, rec.Finish = 0, 0
+	}
+	return rec
 }
 
 // Records returns the retained records in emission order (oldest first).
-// Nil-safe: a disabled recorder returns nil.
+// Nil-safe: a disabled log returns nil.
 func (r *Recorder) Records() []Record {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.seq == 0 {
-		return nil
-	}
-	oldest := r.seq - min(r.seq, uint64(r.capacity))
-	out := make([]Record, 0, r.seq-oldest)
-	for seq := oldest; seq < r.seq; seq++ {
-		d := r.ring.At(int(seq % uint64(r.capacity)))
-		rec := Record{
-			Seq: seq, Kind: d.Kind, At: r.base.Add(time.Duration(d.At)),
-			Event: d.Event, Node: d.Node, Peer: d.Peer, Hop: int(d.Hop),
-			Begin: d.Begin, Finish: d.Finish,
-			Card: int(d.Card), State: int(d.State), Boost: int(d.Boost),
-			Clause: r.strs.Get(d.Clause), Detail: r.strs.Get(d.Detail),
+	var out []Record
+	r.Scan(func(c Cursor) bool {
+		if out == nil {
+			out = make([]Record, 0, r.seq-c.Seq)
 		}
-		if d.Kind == KindEdgeWhereRejected {
-			rec.Pos = bdl.Pos{Line: int(d.Begin), Col: int(d.Finish)}.String()
-			rec.Begin, rec.Finish = 0, 0
-		}
-		out = append(out, rec)
-	}
+		out = append(out, c.Record())
+		return true
+	})
 	return out
 }
 
@@ -396,15 +478,22 @@ func (r *Recorder) Stats() (emitted, dropped uint64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.seq, r.seq - min(r.seq, uint64(r.capacity))
+	return r.seq, r.oldest()
 }
 
 // CountByKind tallies the retained records per kind name — the breakdown
 // journal entries and benchmark summaries report.
 func (r *Recorder) CountByKind() map[string]int {
+	var n [KindRunEnd]int
+	r.Scan(func(c Cursor) bool {
+		n[c.Kind]++
+		return true
+	})
 	out := make(map[string]int)
-	for _, rec := range r.Records() {
-		out[rec.Kind.String()]++
+	for k, c := range n {
+		if c > 0 {
+			out[Kind(k).String()] = c
+		}
 	}
 	return out
 }

@@ -41,7 +41,7 @@ func driveRecorder(t *testing.T, seed int64, capacity, n int) {
 	clk := simclock.NewSimulated(start)
 	reg := telemetry.NewRegistry()
 	r := New(capacity, reg)
-	r.SetClock(clk)
+	r.Attach(clk, nil, nil)
 	want := preallocRing{ring: make([]Record, 0, capacity)}
 	add := func(rec Record) {
 		rec.Seq, rec.At = want.seq, clk.Now()
@@ -50,7 +50,7 @@ func driveRecorder(t *testing.T, seed int64, capacity, n int) {
 
 	stage := Stage{Base: start}
 	flush := func() {
-		r.Consume(&stage)
+		r.Consume(&stage, nil)
 		stage.Reset()
 	}
 	check := func(when string) {
@@ -138,15 +138,14 @@ func driveRecorder(t *testing.T, seed int64, capacity, n int) {
 			d.Node, d.Begin, d.Finish, d.Card = obj, wb, wf, int32(card)
 			add(Record{Kind: KindWindowResplit, Node: obj, Begin: wb, Finish: wf, Card: card})
 		case 14, 15:
-			// A window query: its start and the store's charges are for the
-			// lane alone; with a memo bound the verdict lands mid-query,
-			// after everything staged before it.
-			d := note(KindQueryStart)
-			d.Node, d.Begin, d.Finish = obj, wb, wf
+			// A window query: the store's charges ride on its record as its
+			// cost; with a memo bound the verdict lands mid-query, after
+			// everything staged before it.
+			began := int64(clk.Now().Sub(start))
 			rows := rng.Intn(9)
 			if hit := rng.Intn(2) == 0; rng.Intn(2) == 0 {
 				flush()
-				stage.Add(KindCharge, 0).Finish = int64(400 * time.Millisecond)
+				stage.Charge(0, 400*time.Millisecond)
 				clk.Advance(400 * time.Millisecond)
 				r.MemoVerdict(hit, "backward", obj, wb, wf, rows)
 				kind := KindMemoMiss
@@ -155,7 +154,7 @@ func driveRecorder(t *testing.T, seed int64, capacity, n int) {
 				}
 				add(Record{Kind: kind, Node: obj, Begin: wb, Finish: wf, Card: rows, Detail: "backward"})
 			}
-			d = note(KindWindowQueried)
+			d := stage.Queried(began, int64(clk.Now().Sub(start)))
 			d.Node, d.Begin, d.Finish, d.Card = obj, wb, wf, int32(rows)
 			add(Record{Kind: KindWindowQueried, Node: obj, Begin: wb, Finish: wf, Card: rows})
 		case 16:
@@ -181,7 +180,7 @@ func driveRecorder(t *testing.T, seed int64, capacity, n int) {
 			}
 		}
 	}
-	stage.Add(KindRunEnd, int64(clk.Now().Sub(start))).Detail = stage.Str("completed") // for the lane and the spans: no record
+	stage.Add(KindRunEnd, int64(clk.Now().Sub(start))).Detail = stage.Str("completed") // for the watch and the spans: no record
 	flush()
 	check("at the end")
 	for node := event.ObjID(0); node < 7; node++ {
@@ -189,6 +188,36 @@ func driveRecorder(t *testing.T, seed int64, capacity, n int) {
 			t.Fatalf("Explain(%d) = %+v\nwant %+v", node, got, want)
 		}
 	}
+}
+
+// explainFrom is Explain as it was over a copy of the ring: every retained
+// record rebuilt, then filtered by node.
+func explainFrom(recs []Record, node event.ObjID) Explanation {
+	ex := Explanation{Node: node}
+	for _, rec := range recs {
+		if rec.Node != node {
+			continue
+		}
+		switch rec.Kind {
+		case KindRunStart:
+			ex.Included, ex.Start = true, true
+			c := rec
+			ex.Inclusion = &c
+		case KindEdgeAdded:
+			ex.Included = true
+			if ex.Inclusion == nil {
+				c := rec
+				ex.Inclusion = &c
+			}
+		case KindEdgeDedup:
+			// Neutral: the candidate was already an edge.
+		case KindEdgeDropped, KindEdgeHostFiltered, KindEdgeWhereRejected, KindEdgeHopBudget:
+			ex.Exclusions = append(ex.Exclusions, rec)
+		case KindWindowEnqueued, KindWindowEmpty, KindWindowResplit, KindWindowQueried, KindWindowAbandoned:
+			ex.Scheduling = append(ex.Scheduling, rec)
+		}
+	}
+	return ex
 }
 
 // sameRecords compares record lists, stamps by instant.

@@ -31,37 +31,35 @@ type Explanation struct {
 	Scheduling []Record `json:"scheduling,omitempty"`
 }
 
-// Explain assembles the justification for node from the retained records.
-// Nil-safe: a disabled recorder explains nothing.
+// Explain assembles the justification for node from the retained records,
+// read in place: only the records about node are rebuilt. Nil-safe: a
+// disabled log explains nothing.
 func (r *Recorder) Explain(node event.ObjID) Explanation {
-	return explainFrom(r.Records(), node)
-}
-
-func explainFrom(recs []Record, node event.ObjID) Explanation {
 	ex := Explanation{Node: node}
-	for _, rec := range recs {
-		if rec.Node != node {
-			continue
+	r.Scan(func(c Cursor) bool {
+		if c.Node != node {
+			return true
 		}
-		switch rec.Kind {
+		switch c.Kind {
 		case KindRunStart:
 			ex.Included, ex.Start = true, true
-			c := rec
-			ex.Inclusion = &c
+			rec := c.Record()
+			ex.Inclusion = &rec
 		case KindEdgeAdded:
 			ex.Included = true
 			if ex.Inclusion == nil {
-				c := rec
-				ex.Inclusion = &c
+				rec := c.Record()
+				ex.Inclusion = &rec
 			}
 		case KindEdgeDedup:
 			// Neutral: the candidate was already an edge.
 		case KindEdgeDropped, KindEdgeHostFiltered, KindEdgeWhereRejected, KindEdgeHopBudget:
-			ex.Exclusions = append(ex.Exclusions, rec)
+			ex.Exclusions = append(ex.Exclusions, c.Record())
 		case KindWindowEnqueued, KindWindowEmpty, KindWindowResplit, KindWindowQueried, KindWindowAbandoned:
-			ex.Scheduling = append(ex.Scheduling, rec)
+			ex.Scheduling = append(ex.Scheduling, c.Record())
 		}
-	}
+		return true
+	})
 	return ex
 }
 
@@ -148,14 +146,15 @@ type Pruned struct {
 func (r *Recorder) PruneFrontier() []Pruned {
 	included := map[event.ObjID]bool{}
 	first := map[event.ObjID]Pruned{}
-	for _, rec := range r.Records() {
-		switch rec.Kind {
+	r.Scan(func(c Cursor) bool {
+		switch c.Kind {
 		case KindRunStart, KindEdgeAdded:
-			included[rec.Node] = true
+			included[c.Node] = true
 		case KindEdgeWhereRejected, KindEdgeHostFiltered, KindEdgeHopBudget:
-			if _, ok := first[rec.Node]; ok {
-				continue
+			if _, ok := first[c.Node]; ok {
+				break
 			}
+			rec := c.Record()
 			p := Pruned{Node: rec.Node, Peer: rec.Peer, Kind: rec.Kind}
 			switch rec.Kind {
 			case KindEdgeWhereRejected:
@@ -167,7 +166,8 @@ func (r *Recorder) PruneFrontier() []Pruned {
 			}
 			first[rec.Node] = p
 		}
-	}
+		return true
+	})
 	out := make([]Pruned, 0, len(first))
 	for id, p := range first {
 		if included[id] {

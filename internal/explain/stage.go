@@ -6,12 +6,13 @@ import (
 	"aptrace/internal/event"
 )
 
-// Decision is a record in the form the run loop stages it and the recorder
-// keeps it: 64 bytes, no pointers. Fields mean what Record's do; At counts
-// nanoseconds from the holder's base instant (Stage.Base, or the recorder's
-// first record), strings are 1-based indexes into the holder's side table
-// (0 = none), and a where rejection keeps its clause position as
-// Begin = line, Finish = column.
+// Decision is a record in the form the run loop stages it and the log keeps
+// it: 64 bytes, no pointers. Fields mean what Record's do; At counts
+// nanoseconds from the holder's base instant (Stage.Base, or the log's first
+// record), strings are 1-based indexes into the holder's side table (0 =
+// none), a where rejection keeps its clause position as Begin = line,
+// Finish = column, and a window query keeps what it cost (see QueryCost) in
+// the holder's Nums at the 1-based offset Query.
 type Decision struct {
 	At     int64
 	Begin  int64
@@ -23,21 +24,54 @@ type Decision struct {
 	Hop    int32
 	Detail uint32
 	Clause uint32
+	Query  uint32
 	State  int16
 	Boost  int8
 	Kind   Kind
 }
 
+// QueryCost is what a KindWindowQueried record says about its query besides
+// the verdict: Start the instant before the fetch (the record's At is the
+// instant after), the posting Buckets walked and the modeled Cost in
+// nanoseconds of every store query charged since the previous window query
+// claimed them, and on a sharded store the widest Fanout of those queries
+// and their element-wise summed rows per shard.
+type QueryCost struct {
+	Start, Buckets, Cost int64
+	Fanout               int
+	ShardRows            []int64
+}
+
+// queryHead is how many numbers of a QueryCost precede its per-shard rows
+// in Nums: start, buckets, cost, fan-out, shard count.
+const queryHead = 5
+
+// queryAt reads the cost d keeps in nums; a record without one began when it
+// ended and cost nothing.
+func queryAt(nums []int64, d *Decision) QueryCost {
+	if d.Query == 0 {
+		return QueryCost{Start: d.At}
+	}
+	e := nums[d.Query-1:]
+	end := queryHead + e[queryHead-1]
+	return QueryCost{Start: e[0], Buckets: e[1], Cost: e[2], Fanout: int(e[3]), ShardRows: e[queryHead:end:end]}
+}
+
 // Stage is the run loop's outbox: the executor appends one Decision per
-// emission site — no lock, no counter — and hands the stage to every attached
-// sink (Recorder.Consume, the timeline lane, its own span and metric
-// bookkeeping) once per flush. Strs holds the strings of the staged records,
-// Rows the shard splits of KindScatter.
+// emission site — no lock, no counter — and hands the stage to the log
+// (Recorder.Consume) once per flush. Strs holds the strings of the staged
+// records, Nums the costs of the staged window queries. What the store
+// charges between two window queries accumulates here too (Charge, Scatter)
+// until the next one claims it; Reset keeps it.
 type Stage struct {
 	Base time.Time
 	Recs []Decision
 	Strs []string
-	Rows []int64
+	Nums []int64
+
+	buckets, cost int64
+	fanout        int
+	shardRows     []int64
 }
 
 // Add appends a record of the given kind stamped at (nanoseconds since Base)
@@ -54,9 +88,41 @@ func (s *Stage) Str(v string) uint32 {
 	return uint32(len(s.Strs))
 }
 
-// Reset empties the stage, keeping its buffers.
+// Charge notes one charged store query: the posting buckets it walked and
+// its modeled cost.
+func (s *Stage) Charge(buckets int64, cost time.Duration) {
+	s.buckets += buckets
+	s.cost += int64(cost)
+}
+
+// Scatter notes one routed query's shard split: its fan-out and the rows
+// each shard returned.
+func (s *Stage) Scatter(fanout int, shardRows []int64) {
+	s.fanout = max(s.fanout, fanout)
+	if n := len(shardRows) - len(s.shardRows); n > 0 {
+		s.shardRows = append(s.shardRows, make([]int64, n)...)
+	}
+	for i, n := range shardRows {
+		s.shardRows[i] += n
+	}
+}
+
+// Queried adds the KindWindowQueried record of a query that began at start
+// and returned at, claiming everything charged since the previous one.
+func (s *Stage) Queried(start, at int64) *Decision {
+	off := uint32(len(s.Nums)) + 1
+	s.Nums = append(s.Nums, start, s.buckets, s.cost, int64(s.fanout), int64(len(s.shardRows)))
+	s.Nums = append(s.Nums, s.shardRows...)
+	s.buckets, s.cost, s.fanout, s.shardRows = 0, 0, 0, s.shardRows[:0]
+	d := s.Add(KindWindowQueried, at)
+	d.Query = off
+	return d
+}
+
+// Reset empties the stage, keeping its buffers and what no query has
+// claimed yet.
 func (s *Stage) Reset() {
-	s.Recs, s.Strs, s.Rows = s.Recs[:0], s.Strs[:0], s.Rows[:0]
+	s.Recs, s.Strs, s.Nums = s.Recs[:0], s.Strs[:0], s.Nums[:0]
 }
 
 // Strings is the side table of a record store: the few distinct strings its

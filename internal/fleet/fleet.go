@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"aptrace/internal/explain"
 	"aptrace/internal/telemetry"
 	"aptrace/internal/timeline"
 )
@@ -206,16 +207,16 @@ func (r *Runner) Close() {
 	r.wg.Wait()
 }
 
-// MapTimeline is Map with one profiler lane per job. Lanes are allocated
-// as one contiguous block — named "name i" with IDs pinned to job indexes —
-// before any job runs, so the exported trace is identical no matter how
-// the pool schedules the work. A nil profiler hands every job a nil (and
-// therefore free) lane.
+// MapTimeline is Map with one profiler lane per job: a run log to attach to
+// the job's analysis. The logs are allocated as one contiguous block of
+// lanes — named "name i" with IDs pinned to job indexes — before any job
+// runs, so the exported trace is identical no matter how the pool schedules
+// the work. A nil profiler hands every job a nil (and therefore free) log.
 func MapTimeline[T any](p *Pool, n int, tl *timeline.Profiler, name string,
-	job func(i int, lane *timeline.Recorder) (T, error)) ([]T, error) {
+	job func(i int, lane *explain.Recorder) (T, error)) ([]T, error) {
 	lanes := tl.Lanes(name, n)
 	return Map(p, n, func(i int) (T, error) {
-		var lane *timeline.Recorder
+		var lane *explain.Recorder
 		if lanes != nil {
 			lane = lanes[i]
 		}

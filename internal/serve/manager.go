@@ -466,9 +466,8 @@ func (m *Manager) execute(run *Run, alert *event.Event) {
 		run.finish(RunFailed, nil, err, "")
 		return
 	}
-	rec := explain.New(0, m.reg)
 	tl := timeline.New(timeline.Options{Telemetry: m.reg})
-	lane := tl.Lane(run.ID)
+	rec := tl.Lane(run.ID, explain.New(0, m.reg))
 	// noteFirstUpdate takes run.mu; safe here because core invokes OnUpdate
 	// outside x.mu (processWindow runs unlocked), so there is no cycle with
 	// Summary's run.mu → Graph() → x.mu ordering.
@@ -481,7 +480,6 @@ func (m *Manager) execute(run *Run, alert *event.Event) {
 		OnUpdate:  onUpdate,
 		Telemetry: m.reg,
 		Explain:   rec,
-		Timeline:  lane,
 		Memo:      m.memo,
 		Obs:       run.scope,
 	})

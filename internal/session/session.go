@@ -18,14 +18,12 @@ import (
 	"aptrace/internal/bdl"
 	"aptrace/internal/core"
 	"aptrace/internal/event"
-	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/maintainer"
 	"aptrace/internal/obs"
 	"aptrace/internal/refiner"
 	"aptrace/internal/store"
 	"aptrace/internal/telemetry"
-	"aptrace/internal/timeline"
 )
 
 // Session drives one investigation over a sealed store.
@@ -50,8 +48,6 @@ type Session struct {
 	telResumes *telemetry.Counter
 	tracer     *telemetry.Tracer
 	pauseSpan  *telemetry.Span // open from Pause until Resume/Stop
-	rec        *explain.Recorder
-	tl         *timeline.Recorder
 
 	done chan struct{}
 	res  *core.Result
@@ -70,8 +66,6 @@ func New(st *store.Store, opts core.Options) *Session {
 	s.telPauses = opts.Telemetry.Counter(telemetry.MetricSessionPauses)
 	s.telResumes = opts.Telemetry.Counter(telemetry.MetricSessionResumes)
 	s.tracer = opts.Telemetry.Tracer()
-	s.rec = opts.Explain
-	s.tl = opts.Timeline
 	return s
 }
 
@@ -221,7 +215,7 @@ func (s *Session) runLoop() {
 			detail = res.Reason.String()
 		}
 		s.log(JournalEntry{Action: "finished", Detail: detail})
-		if emitted, dropped := s.rec.Stats(); emitted > 0 {
+		if emitted, dropped := s.opts.Explain.Stats(); emitted > 0 {
 			s.log(JournalEntry{Action: "decisions",
 				Detail: fmt.Sprintf("%d decision records (%d overwritten by ring overflow)", emitted, dropped)})
 		}
@@ -240,8 +234,7 @@ func (s *Session) Pause() {
 	if x != nil {
 		x.Pause()
 		s.telPauses.Inc()
-		s.rec.Pause()
-		s.tl.Pause(s.st.Clock().Now())
+		s.opts.Explain.Pause()
 		s.log(JournalEntry{Action: "pause"})
 		s.opts.Obs.Emit(obs.Info, obs.StageSession, "pause", 0, 0)
 	}
@@ -256,8 +249,7 @@ func (s *Session) Resume() {
 	if x != nil {
 		x.Resume()
 		s.telResumes.Inc()
-		s.rec.Resume()
-		s.tl.Resume(s.st.Clock().Now())
+		s.opts.Explain.Resume()
 		s.log(JournalEntry{Action: "resume"})
 		s.opts.Obs.Emit(obs.Info, obs.StageSession, "resume", 0, 0)
 	}
@@ -326,8 +318,7 @@ func (s *Session) UpdateScript(scriptSrc string) (refiner.ResumeAction, error) {
 		}
 		s.plan = plan
 	}
-	s.rec.PlanUpdate(action.String(), delta)
-	s.tl.PlanUpdate(s.st.Clock().Now(), action.String()+": "+delta)
+	s.opts.Explain.PlanUpdate(action.String(), delta)
 	s.opts.Obs.Emit(obs.Info, obs.StageSession, "update-script: "+action.String()+": "+delta, 0, 0)
 	if s.journal != nil {
 		e := JournalEntry{Action: "update-script", Script: scriptSrc, Decision: action.String(), Detail: delta, AnalysisAt: s.st.Clock().Now()}
@@ -450,7 +441,7 @@ func (s *Session) Finalize() (int, error) {
 	}
 	removed := m.Prune(g)
 	s.st.FlushQueryProfile() // the recalculation queried after the run's own flush
-	s.rec.Finalize(removed)
+	s.opts.Explain.Finalize(removed)
 	s.log(JournalEntry{Action: "finalize", Detail: fmt.Sprintf("pruned %d edges", removed)})
 	if plan.Output != "" {
 		f, err := os.Create(plan.Output)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -92,54 +93,146 @@ func FuzzReplayWAL(f *testing.F) {
 	f.Add([]byte("not a log at all"))
 	f.Add(append(append([]byte(nil), whole...), whole...)) // every record twice: duplicate objects and event IDs
 
-	f.Fuzz(func(t *testing.T, wal []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, walFile)
-		if err := os.WriteFile(path, wal, 0o644); err != nil {
+	f.Fuzz(func(t *testing.T, wal []byte) { recoverWAL(t, wal) })
+}
+
+// recoverWAL opens a live store on the given WAL image and holds the
+// recovery to its contract: never a panic; a checksummed record that is no
+// record is a named error; otherwise exactly the events of the longest prefix
+// of whole records come back, what is appended next extends that prefix in the
+// file — a torn tail may not stay for new records to hide behind — and the
+// next recovery finds it. It returns the recovered events in order (nil when
+// OpenLive refused the log).
+func recoverWAL(t *testing.T, wal []byte) []event.Event {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, walFile)
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	valid, events, clean := walPrefix(wal)
+	l, err := OpenLive(dir, nil)
+	if !clean {
+		if err == nil {
+			t.Fatalf("OpenLive accepted a log whose checksummed record at byte %d is not a record", valid)
+		}
+		if !strings.HasPrefix(err.Error(), "store: ") {
+			t.Fatalf("unnamed error: %v", err)
+		}
+		return nil
+	}
+	if err != nil {
+		t.Fatalf("OpenLive: %v (the log's valid prefix is %d bytes, %d events)", err, valid, events)
+	}
+	if got := l.PendingEvents(); got != events {
+		t.Fatalf("recovered %d events, the valid prefix holds %d", got, events)
+	}
+	var recovered []event.Event
+	if events > 0 {
+		snap, err := l.Snapshot()
+		if err != nil {
 			t.Fatal(err)
 		}
-		valid, events, clean := walPrefix(wal)
-		l, err := OpenLive(dir, nil)
-		if !clean {
-			if err == nil {
-				t.Fatalf("OpenLive accepted a log whose checksummed record at byte %d is not a record", valid)
+		if err := snap.Scan(0, 1<<62, func(e event.Event) bool { recovered = append(recovered, e); return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.Append(7, event.Process("fz", "fuzz.exe", 7, 7), event.File("fz", "/fuzz"), event.ActWrite, event.FlowOut, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, wal[:valid]) || len(after) <= valid {
+		t.Fatalf("the log after recovery and one append is %d bytes and does not extend the %d-byte valid prefix", len(after), valid)
+	}
+	if v, n, ok := walPrefix(after); v != len(after) || n != events+1 || !ok {
+		t.Fatalf("the log after recovery and one append: %d of %d bytes valid, %d events, want all and %d", v, len(after), n, events+1)
+	}
+	l, err = OpenLive(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := l.PendingEvents(); got != events+1 {
+		t.Fatalf("second recovery found %d events, want the %d of the first and the one appended", got, events)
+	}
+	return recovered
+}
+
+// TestWALEveryTruncationAndBitFlip is the fuzzer's adversary made exhaustive
+// on a small log: a WAL of three synced batches, cut at every byte offset and
+// with one bit flipped at every byte offset. Each damaged log must recover
+// (recoverWAL's contract) exactly the events that were appended before the
+// damage — compared against the list this test appended, not against the
+// oracle's own reading of the bytes — and nothing after it.
+func TestWALEveryTruncationAndBitFlip(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLive(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type appended struct {
+		time int64
+		end  int // the log's length once the event's record was written
+	}
+	var want []appended
+	walPath := filepath.Join(dir, walFile)
+	for batch := 0; batch < 3; batch++ {
+		for i := 0; i < 2; i++ {
+			tm := int64(100*batch + 10*i + 1)
+			liveAppend(t, l, tm, "svc", string(rune('a'+batch))+"/"+string(rune('x'+i))) // a new object per event: object records sit between
+			st, err := os.Stat(walPath)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !strings.HasPrefix(err.Error(), "store: ") {
-				t.Fatalf("unnamed error: %v", err)
+			want = append(want, appended{tm, int(st.Size())})
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(whole) != want[len(want)-1].end {
+		t.Fatalf("the log is %d bytes, the last record ended at %d", len(whole), want[len(want)-1].end)
+	}
+	// check recovers image, whose first intact bytes are whole[:intact].
+	check := func(what string, image []byte, intact int) {
+		t.Helper()
+		got := recoverWAL(t, image)
+		n := 0
+		for n < len(want) && want[n].end <= intact {
+			n++
+		}
+		if len(got) != n {
+			t.Fatalf("%s: recovered %d events, %d were whole before the damage", what, len(got), n)
+		}
+		for i, e := range got {
+			if e.Time != want[i].time {
+				t.Fatalf("%s: event %d recovered with time %d, appended with %d", what, i, e.Time, want[i].time)
 			}
-			return
 		}
-		if err != nil {
-			t.Fatalf("OpenLive: %v (the log's valid prefix is %d bytes, %d events)", err, valid, events)
-		}
-		if got := l.PendingEvents(); got != events {
-			t.Fatalf("recovered %d events, the valid prefix holds %d", got, events)
-		}
-		if _, err := l.Append(7, event.Process("fz", "fuzz.exe", 7, 7), event.File("fz", "/fuzz"), event.ActWrite, event.FlowOut, 7); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		after, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(after, wal[:valid]) || len(after) <= valid {
-			t.Fatalf("the log after recovery and one append is %d bytes and does not extend the %d-byte valid prefix", len(after), valid)
-		}
-		if v, n, ok := walPrefix(after); v != len(after) || n != events+1 || !ok {
-			t.Fatalf("the log after recovery and one append: %d of %d bytes valid, %d events, want all and %d", v, len(after), n, events+1)
-		}
-		l, err = OpenLive(dir, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		if got := l.PendingEvents(); got != events+1 {
-			t.Fatalf("second recovery found %d events, want the %d of the first and the one appended", got, events)
-		}
-	})
+	}
+	for cut := 0; cut <= len(whole); cut++ {
+		check(fmt.Sprintf("cut at byte %d", cut), whole[:cut], cut)
+	}
+	for at := range whole {
+		flipped := append([]byte(nil), whole...)
+		flipped[at] ^= 1 << (at % 8)
+		// The record holding the flipped bit fails its checksum (or its
+		// framing): what was whole before byte at is what ended before it.
+		check(fmt.Sprintf("bit flipped at byte %d", at), flipped, at)
+	}
 }
 
 // reframe gives a fuzzed store file a good checksum, so that mutations of its

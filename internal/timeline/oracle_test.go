@@ -2,8 +2,10 @@ package timeline
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,17 +13,17 @@ import (
 	"aptrace/internal/explain"
 )
 
-// oracleLane is the lane as it was before the executor staged its records:
-// one call and one lock per step, Events kept by value in a plain slice. It
-// is the reference TestStagedLaneMatchesOracle drives the staged lane
-// against.
+// oracleLane is the lane as it was before the executor staged its records
+// and before a lane was a view of the run's log: one call per step, Events
+// kept by value in a plain slice. It is the reference
+// TestStagedLaneMatchesOracle drives the log's fold against.
 type oracleLane struct {
 	id    int64
 	name  string
 	limit time.Duration
 	max   int
 
-	events  []Event
+	events  []explain.Event
 	dropped int
 
 	runStart time.Time
@@ -39,16 +41,16 @@ type oracleLane struct {
 	pendingFanout    int
 	pendingShardRows []int64
 
-	heavy     Event
+	heavy     explain.Event
 	haveHeavy bool
 
 	updates  int
 	queries  int
 	worstGap time.Duration
-	stalls   []Stall
+	stalls   []explain.Stall
 }
 
-func (r *oracleLane) append(ev Event) {
+func (r *oracleLane) append(ev explain.Event) {
 	if len(r.events) >= r.max {
 		r.dropped++
 		return
@@ -65,7 +67,7 @@ func (r *oracleLane) RunStart(at time.Time, alert event.EventID) {
 
 func (r *oracleLane) RunEnd(at time.Time, reason string) {
 	if r.pausedOpen {
-		r.append(Event{Kind: KindPause, Start: r.pauseStart, Dur: at.Sub(r.pauseStart)})
+		r.append(explain.Event{Kind: explain.EvPause, Start: r.pauseStart, Dur: at.Sub(r.pauseStart)})
 		r.pausedOpen = false
 	}
 	if r.anchored && at.After(r.anchor) {
@@ -75,7 +77,7 @@ func (r *oracleLane) RunEnd(at time.Time, reason string) {
 	if !r.started {
 		start = at
 	}
-	r.append(Event{Kind: KindRun, Start: start, Dur: at.Sub(start), Alert: r.alert, Detail: reason})
+	r.append(explain.Event{Kind: explain.EvRun, Start: start, Dur: at.Sub(start), Alert: r.alert, Detail: reason})
 	r.anchored = false
 }
 
@@ -89,7 +91,7 @@ func (r *oracleLane) Update(at time.Time) {
 	}
 	r.anchor, r.anchored = at, true
 	r.haveHeavy = false
-	r.append(Event{Kind: KindUpdate, Start: at})
+	r.append(explain.Event{Kind: explain.EvUpdate, Start: at})
 }
 
 func (r *oracleLane) checkGap(at time.Time) {
@@ -100,8 +102,8 @@ func (r *oracleLane) checkGap(at time.Time) {
 	if r.limit <= 0 || gap <= r.limit {
 		return
 	}
-	st := Stall{Lane: r.id, LaneName: r.name, At: r.anchor, Gap: gap}
-	ev := Event{Kind: KindStall, Start: r.anchor, Dur: gap}
+	st := explain.Stall{Lane: r.id, LaneName: r.name, At: r.anchor, Gap: gap}
+	ev := explain.Event{Kind: explain.EvStall, Start: r.anchor, Dur: gap}
 	if r.haveHeavy {
 		st.Obj, st.Begin, st.Finish = r.heavy.Obj, r.heavy.Begin, r.heavy.Finish
 		st.Rows, st.Cost, st.HasWindow = r.heavy.Rows, r.heavy.Cost, true
@@ -114,17 +116,17 @@ func (r *oracleLane) checkGap(at time.Time) {
 }
 
 func (r *oracleLane) Enqueued(at time.Time, obj event.ObjID, begin, finish int64, card int) {
-	r.append(Event{Kind: KindEnqueue, Start: at, Obj: obj, Begin: begin, Finish: finish, Rows: card, HasWindow: true})
+	r.append(explain.Event{Kind: explain.EvEnqueue, Start: at, Obj: obj, Begin: begin, Finish: finish, Rows: card, HasWindow: true})
 }
 
 func (r *oracleLane) Resplit(at time.Time, obj event.ObjID, begin, finish int64, card int) {
-	r.append(Event{Kind: KindResplit, Start: at, Obj: obj, Begin: begin, Finish: finish, Rows: card, HasWindow: true})
+	r.append(explain.Event{Kind: explain.EvResplit, Start: at, Obj: obj, Begin: begin, Finish: finish, Rows: card, HasWindow: true})
 }
 
 func (r *oracleLane) Query(start, end time.Time, obj event.ObjID, begin, finish int64, rows int) {
 	r.queries++
-	ev := Event{
-		Kind: KindQuery, Start: start, Dur: end.Sub(start),
+	ev := explain.Event{
+		Kind: explain.EvQuery, Start: start, Dur: end.Sub(start),
 		Obj: obj, Begin: begin, Finish: finish, Rows: rows,
 		Buckets: r.pendingBuckets, Cost: r.pendingCost,
 		Fanout: r.pendingFanout, ShardRows: r.pendingShardRows, HasWindow: true,
@@ -158,7 +160,7 @@ func (r *oracleLane) ObserveScatter(fanout int, shardRows []int64) {
 }
 
 func (r *oracleLane) Abandoned(at time.Time, obj event.ObjID, begin, finish int64, reason string) {
-	r.append(Event{Kind: KindAbandon, Start: at, Obj: obj, Begin: begin, Finish: finish, Detail: reason, HasWindow: true})
+	r.append(explain.Event{Kind: explain.EvAbandon, Start: at, Obj: obj, Begin: begin, Finish: finish, Detail: reason, HasWindow: true})
 }
 
 func (r *oracleLane) Pause(at time.Time) {
@@ -169,7 +171,7 @@ func (r *oracleLane) Pause(at time.Time) {
 
 func (r *oracleLane) Resume(at time.Time) {
 	if r.pausedOpen {
-		r.append(Event{Kind: KindPause, Start: r.pauseStart, Dur: at.Sub(r.pauseStart)})
+		r.append(explain.Event{Kind: explain.EvPause, Start: r.pauseStart, Dur: at.Sub(r.pauseStart)})
 		r.pausedOpen = false
 		if r.anchored {
 			r.anchor = at
@@ -178,60 +180,63 @@ func (r *oracleLane) Resume(at time.Time) {
 }
 
 func (r *oracleLane) PlanUpdate(at time.Time, detail string) {
-	r.append(Event{Kind: KindPlan, Start: at, Detail: detail})
+	r.append(explain.Event{Kind: explain.EvPlan, Start: at, Detail: detail})
 }
 
 // TestStagedLaneMatchesOracle drives random runs — enqueues, re-splits,
 // queries with staged cost and shard splits, added edges at moving and
 // standing instants, abandoned windows, and pauses, resumes and plan updates
-// made from another goroutine while the run loop is parked — through the
-// staged lane (one Consume per flush, flushes at random points) and through
-// the per-call lane it replaced, with the event cap below, at and above what
-// the run emits: kept events, drops, updates, queries, stalls, worst gap and
-// the Chrome trace must be identical.
+// made from another goroutine while the run loop is parked — through a lane's
+// log (one Consume per flush, flushes at random points) and through the
+// per-call lane it replaced. With the log's ring as large as the run, events,
+// updates, queries, stalls, worst gap and the Chrome trace must be identical;
+// with it one record short, and far short, the run's progress (updates,
+// queries, stalls, worst gap) must still be, the drops must be counted, and
+// the events read back must be the tail of the oracle's.
 func TestStagedLaneMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		var total int
 		for _, limit := range []int{1 << 20, 0, -1, 7} { // uncapped first: it measures the run
-			max := limit
+			capacity := limit
 			switch limit {
 			case 0:
-				max = total
+				capacity = total
 			case -1:
-				max = total - 1
+				capacity = total - 1
 			}
-			total = driveLane(t, seed, max)
+			total = driveLane(t, seed, capacity)
 		}
 	}
 }
 
-// driveLane runs one random script through both lanes with the given event
-// cap and returns how many events the script emitted.
-func driveLane(t *testing.T, seed int64, max int) int {
+// driveLane runs one random script through the oracle and through a lane
+// whose log retains capacity records, and returns how many records the
+// script emitted.
+func driveLane(t *testing.T, seed int64, capacity int) int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	p := New(Options{GapTarget: time.Second, MaxLaneEvents: max})
-	lane := p.Lane("run")
-	want := &oracleLane{id: lane.id, name: lane.name, limit: p.limit, max: lane.max}
+	p := New(Options{GapTarget: time.Second})
+	lane := newLane(p, "run", capacity)
+	want := &oracleLane{id: lane.LaneID(), name: "run", limit: p.limit, max: 1 << 20}
 
 	var (
 		now   = t0
-		stage = explain.Stage{Base: t0}
+		stage = &lane.stage
 		tick  = func() {
 			if rng.Intn(3) > 0 {
 				now = now.Add(time.Duration(rng.Intn(2500)) * time.Millisecond)
 			}
 		}
-		flush = func() {
-			lane.Consume(&stage)
-			stage.Reset()
-		}
-		note = func(kind explain.Kind) *explain.Decision {
+		flush = lane.flush
+		note  = func(kind explain.Kind) *explain.Decision {
 			return stage.Add(kind, int64(now.Sub(t0)))
 		}
-		window = func(kind explain.Kind) (*explain.Decision, event.ObjID, int64, int64) {
+		window = func() (event.ObjID, int64, int64) {
 			obj, begin := event.ObjID(rng.Intn(9)), int64(rng.Intn(1000))
-			finish := begin + 1 + int64(rng.Intn(500))
+			return obj, begin, begin + 1 + int64(rng.Intn(500))
+		}
+		noteWindow = func(kind explain.Kind) (*explain.Decision, event.ObjID, int64, int64) {
+			obj, begin, finish := window()
 			d := note(kind)
 			d.Node, d.Begin, d.Finish = obj, begin, finish
 			return d, obj, begin, finish
@@ -245,6 +250,7 @@ func driveLane(t *testing.T, seed int64, max int) int {
 			<-done
 		}
 	)
+	stage.Base = t0
 	alert := event.EventID(40 + seed)
 	d := note(explain.KindRunStart)
 	d.Event = alert
@@ -256,24 +262,22 @@ func driveLane(t *testing.T, seed int64, max int) int {
 		tick()
 		switch k := rng.Intn(20); {
 		case k < 6:
-			d, obj, b, f := window(explain.KindWindowEnqueued)
+			d, obj, b, f := noteWindow(explain.KindWindowEnqueued)
 			d.Card = int32(rng.Intn(50))
 			want.Enqueued(now, obj, b, f, int(d.Card))
 		case k < 8:
-			d, obj, b, f := window(explain.KindWindowResplit)
+			d, obj, b, f := noteWindow(explain.KindWindowResplit)
 			d.Card = int32(9 + rng.Intn(50))
 			want.Resplit(now, obj, b, f, int(d.Card))
 		case k < 13:
-			d, obj, b, f := window(explain.KindQueryStart)
-			d.Card = int32(rng.Intn(9))
+			obj, b, f := window()
 			start := now
 			for n := rng.Intn(4); n > 0; n-- { // the store's observers, inside the fetch
 				if rng.Intn(3) == 0 {
 					flush() // the memo view's verdict sits here
 				}
 				buckets, cost := int64(rng.Intn(6)), time.Duration(rng.Intn(900))*time.Millisecond
-				c := stage.Add(explain.KindCharge, 0)
-				c.Begin, c.Finish = buckets, int64(cost)
+				stage.Charge(buckets, cost)
 				want.ObserveQueryCost(buckets, cost)
 				now = now.Add(cost)
 				if rng.Intn(2) == 0 {
@@ -281,13 +285,11 @@ func driveLane(t *testing.T, seed int64, max int) int {
 					for i := range split {
 						split[i] = int64(rng.Intn(5))
 					}
-					s := stage.Add(explain.KindScatter, 0)
-					s.Card, s.Begin, s.Finish = int32(len(split)), int64(len(stage.Rows)), int64(len(split))
-					stage.Rows = append(stage.Rows, split...)
+					stage.Scatter(len(split), split)
 					want.ObserveScatter(len(split), split)
 				}
 			}
-			q := note(explain.KindWindowQueried)
+			q := stage.Queried(int64(start.Sub(t0)), int64(now.Sub(t0)))
 			q.Node, q.Begin, q.Finish, q.Card = obj, b, f, int32(rng.Intn(9))
 			want.Query(start, now, obj, b, f, int(q.Card))
 			for n := rng.Intn(4); n > 0; n-- { // edges of the retrieval
@@ -318,7 +320,7 @@ func driveLane(t *testing.T, seed int64, max int) int {
 	tick()
 	why := stage.Str(reason)
 	for n := rng.Intn(4); n > 0 && reason != "completed"; n-- {
-		d, obj, b, f := window(explain.KindWindowAbandoned)
+		d, obj, b, f := noteWindow(explain.KindWindowAbandoned)
 		d.Detail = why
 		want.Abandoned(now, obj, b, f, reason)
 	}
@@ -326,35 +328,100 @@ func driveLane(t *testing.T, seed int64, max int) int {
 	want.RunEnd(now, reason)
 	flush()
 
+	emitted, _ := lane.Recorder.Stats()
+	dropped := max(0, int(emitted)-capacity)
+	events, _ := lane.Events()
 	got := lane.Stats()
-	wantStats := LaneReport{
-		ID: want.id, Name: want.name, Events: len(want.events), Dropped: want.dropped,
+	wantStats := explain.Progress{
+		ID: want.id, Name: want.name, Events: len(want.events), Dropped: dropped,
 		Updates: want.updates, Queries: want.queries, WorstGap: want.worstGap, Stalls: want.stalls,
 	}
+	for i := range min(len(got.Stalls), len(wantStats.Stalls)) { // the oracle never knew which record a stall's query was
+		wantStats.Stalls[i].Seq = got.Stalls[i].Seq
+	}
 	if !reflect.DeepEqual(got, wantStats) {
-		t.Fatalf("seed %d, cap %d: Stats() = %+v\nwant %+v", seed, max, got, wantStats)
+		t.Fatalf("seed %d, capacity %d: Stats() = %+v\nwant %+v", seed, capacity, got, wantStats)
 	}
-	if events := snapshotEvents(lane); !sameEvents(events, want.events) {
-		t.Fatalf("seed %d, cap %d: events = %+v\nwant %+v", seed, max, events, want.events)
-	}
-	var gotTrace, wantTrace bytes.Buffer
+	var gotTrace bytes.Buffer
 	if err := p.WriteTrace(&gotTrace); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeDumps(&wantTrace, []laneDump{{id: want.id, name: want.name, dropped: want.dropped, events: want.events}}); err != nil {
+	if err := Validate(gotTrace.Bytes()); err != nil {
+		t.Fatalf("seed %d, capacity %d: %v", seed, capacity, err)
+	}
+	if dropped > 0 {
+		if note := fmt.Sprintf(`"dropped_records":%d`, dropped); !bytes.Contains(gotTrace.Bytes(), []byte(note)) {
+			t.Fatalf("seed %d, capacity %d: trace does not say %s", seed, capacity, note)
+		}
+		checkTail(t, fmt.Sprintf("seed %d, capacity %d", seed, capacity), events, want.events, lane.Records()[0].At)
+		return int(emitted)
+	}
+	if !sameEvents(events, want.events) {
+		t.Fatalf("seed %d, capacity %d: events = %+v\nwant %+v", seed, capacity, events, want.events)
+	}
+	var wantTrace bytes.Buffer
+	if err := writeDumps(&wantTrace, []laneDump{{id: want.id, name: want.name, events: want.events}}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotTrace.Bytes(), wantTrace.Bytes()) {
-		t.Fatalf("seed %d, cap %d: Chrome trace differs\n got %s\nwant %s", seed, max, gotTrace.Bytes(), wantTrace.Bytes())
+		t.Fatalf("seed %d, capacity %d: Chrome trace differs\n got %s\nwant %s", seed, capacity, gotTrace.Bytes(), wantTrace.Bytes())
 	}
-	if err := Validate(gotTrace.Bytes()); err != nil {
-		t.Fatalf("seed %d, cap %d: %v", seed, max, err)
+	return int(emitted)
+}
+
+// checkTail holds the events read from a log whose ring has wrapped to the
+// policy: every stall and run span of the whole run (the live watch's), the
+// run's last window and plan events exactly — as many as the retained records
+// make — no pause but the tail of one of the run's, and every update after oldest, the
+// instant of the oldest retained record, with none before it.
+func checkTail(t *testing.T, name string, got, all []explain.Event, oldest time.Time) {
+	t.Helper()
+	pick := func(evs []explain.Event, keep func(explain.Event) bool) (out []explain.Event) {
+		for _, ev := range evs {
+			if keep(ev) {
+				if ev.Kind == explain.EvStall {
+					ev.Buckets = 0 // a Stall keeps no bucket count
+				}
+				out = append(out, ev)
+			}
+		}
+		return out
 	}
-	return len(want.events) + want.dropped
+	of := func(kinds ...explain.EventKind) func(explain.Event) bool {
+		return func(ev explain.Event) bool { return slices.Contains(kinds, ev.Kind) }
+	}
+	whole := of(explain.EvStall, explain.EvRun)
+	if g, w := pick(got, whole), pick(all, whole); !sameEvents(g, w) {
+		t.Fatalf("%s: stalls and run spans = %+v\nwant %+v", name, g, w)
+	}
+	own := of(explain.EvEnqueue, explain.EvResplit, explain.EvQuery, explain.EvAbandon, explain.EvPlan)
+	g, w := pick(got, own), pick(all, own)
+	if len(g) > len(w) || !sameEvents(g, w[len(w)-len(g):]) {
+		t.Fatalf("%s: window and plan events = %+v\nwant the tail of %+v", name, g, w)
+	}
+	for _, ev := range pick(got, of(explain.EvPause)) {
+		// It may have begun in a dropped record; it ends where the run's did.
+		if !slices.ContainsFunc(all, func(o explain.Event) bool {
+			return o.Kind == ev.Kind && !o.Start.After(ev.Start) && o.Start.Add(o.Dur).Equal(ev.Start.Add(ev.Dur))
+		}) {
+			t.Fatalf("%s: pause %+v is none of the run's", name, ev)
+		}
+	}
+	updates := pick(got, of(explain.EvUpdate))
+	for _, ev := range updates {
+		if ev.Start.Before(oldest) {
+			t.Fatalf("%s: update at %v precedes the oldest retained record (%v)", name, ev.Start, oldest)
+		}
+	}
+	for _, ev := range pick(all, func(ev explain.Event) bool { return ev.Kind == explain.EvUpdate && ev.Start.After(oldest) }) {
+		if !slices.ContainsFunc(updates, func(g explain.Event) bool { return g.Start.Equal(ev.Start) }) {
+			t.Fatalf("%s: update at %v is lost", name, ev.Start)
+		}
+	}
 }
 
 // sameEvents compares event lists, an empty shard split equal to none.
-func sameEvents(a, b []Event) bool {
+func sameEvents(a, b []explain.Event) bool {
 	if len(a) != len(b) {
 		return false
 	}

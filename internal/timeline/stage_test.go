@@ -1,58 +1,100 @@
 package timeline
 
 import (
+	"math"
+	"strings"
 	"time"
 
 	"aptrace/internal/event"
 	"aptrace/internal/explain"
 )
 
-// The executor's window lifecycle as the tests call it: each helper stages
-// the records the run loop stages for that step (stamps relative to t0) and
-// hands the stage to the lane.
+// lane is a profiler lane as the tests drive it: the lane's log, and the
+// stage the steps below put their records through. Each helper stages what
+// the run loop (or, for the out-of-loop steps, the session or a harness)
+// records for that step, stamps relative to t0, and hands it to the log.
+type lane struct {
+	*explain.Recorder
+	stage explain.Stage
+}
 
-func window(s *explain.Stage, kind explain.Kind, at time.Time, obj event.ObjID, begin, finish int64, card int) *explain.Decision {
-	s.Base = t0
-	d := s.Add(kind, int64(at.Sub(t0)))
+// newLane binds a fresh log of the given ring capacity (0 = default) to p.
+func newLane(p *Profiler, name string, capacity int) *lane {
+	return &lane{Recorder: p.Lane(name, explain.New(capacity, nil))}
+}
+
+func (r *lane) LaneID() int64 {
+	return r.Progress().ID
+}
+
+// Stats is the lane's entry of its profiler's report.
+func (r *lane) Stats() explain.Progress { return r.Progress() }
+
+func (r *lane) flush() {
+	r.Consume(&r.stage, nil)
+	r.stage.Reset()
+}
+
+func (r *lane) window(kind explain.Kind, at time.Time, obj event.ObjID, begin, finish int64, card int) *explain.Decision {
+	r.stage.Base = t0
+	d := r.stage.Add(kind, int64(at.Sub(t0)))
 	d.Node, d.Begin, d.Finish, d.Card = obj, begin, finish, int32(card)
 	return d
 }
 
-func (r *Recorder) Enqueued(at time.Time, obj event.ObjID, begin, finish int64, card int) {
-	var s explain.Stage
-	window(&s, explain.KindWindowEnqueued, at, obj, begin, finish, card)
-	r.Consume(&s)
+func (r *lane) Enqueued(at time.Time, obj event.ObjID, begin, finish int64, card int) {
+	r.window(explain.KindWindowEnqueued, at, obj, begin, finish, card)
+	r.flush()
 }
 
-func (r *Recorder) Resplit(at time.Time, obj event.ObjID, begin, finish int64, card int) {
-	var s explain.Stage
-	window(&s, explain.KindWindowResplit, at, obj, begin, finish, card)
-	r.Consume(&s)
+func (r *lane) Resplit(at time.Time, obj event.ObjID, begin, finish int64, card int) {
+	r.window(explain.KindWindowResplit, at, obj, begin, finish, card)
+	r.flush()
 }
 
-func (r *Recorder) Query(start, end time.Time, obj event.ObjID, begin, finish int64, rows int) {
-	var s explain.Stage
-	window(&s, explain.KindQueryStart, start, obj, begin, finish, 0)
-	window(&s, explain.KindWindowQueried, end, obj, begin, finish, rows)
-	r.Consume(&s)
+func (r *lane) Query(start, end time.Time, obj event.ObjID, begin, finish int64, rows int) {
+	r.stage.Base = t0
+	d := r.stage.Queried(int64(start.Sub(t0)), int64(end.Sub(t0)))
+	d.Node, d.Begin, d.Finish, d.Card = obj, begin, finish, int32(rows)
+	r.flush()
 }
 
-func (r *Recorder) Abandoned(at time.Time, obj event.ObjID, begin, finish int64, reason string) {
-	var s explain.Stage
-	window(&s, explain.KindWindowAbandoned, at, obj, begin, finish, 0).Detail = s.Str(reason)
-	r.Consume(&s)
+func (r *lane) Abandoned(at time.Time, obj event.ObjID, begin, finish int64, reason string) {
+	r.window(explain.KindWindowAbandoned, at, obj, begin, finish, 0).Detail = r.stage.Str(reason)
+	r.flush()
 }
 
-func (r *Recorder) ObserveQueryCost(rows, buckets int64, cost time.Duration) {
-	s := explain.Stage{Base: t0}
-	d := s.Add(explain.KindCharge, 0)
-	d.Begin, d.Finish = buckets, int64(cost)
-	r.Consume(&s)
+func (r *lane) ObserveQueryCost(rows, buckets int64, cost time.Duration) {
+	r.stage.Charge(buckets, cost)
 }
 
-func (r *Recorder) ObserveScatter(fanout int, shardRows []int64) {
-	s := explain.Stage{Base: t0, Rows: shardRows}
-	d := s.Add(explain.KindScatter, 0)
-	d.Card, d.Finish = int32(fanout), int64(len(shardRows))
-	r.Consume(&s)
+func (r *lane) ObserveScatter(fanout int, shardRows []int64) {
+	r.stage.Scatter(fanout, shardRows)
+}
+
+func (r *lane) RunStart(at time.Time, alert event.EventID) {
+	r.Note(at, explain.Decision{Kind: explain.KindRunStart, Event: alert}, "", "")
+}
+
+// Update records an added edge that is not the alert's.
+func (r *lane) Update(at time.Time) {
+	r.Note(at, explain.Decision{Kind: explain.KindEdgeAdded, Event: math.MaxUint64}, "", "")
+}
+
+func (r *lane) RunEnd(at time.Time, reason string) {
+	r.Note(at, explain.Decision{Kind: explain.KindRunEnd}, "", reason)
+}
+
+func (r *lane) Pause(at time.Time) {
+	r.Note(at, explain.Decision{Kind: explain.KindPause}, "", "")
+}
+
+func (r *lane) Resume(at time.Time) {
+	r.Note(at, explain.Decision{Kind: explain.KindResume}, "", "")
+}
+
+// PlanUpdate records a script swap whose trace detail is "decision: delta".
+func (r *lane) PlanUpdate(at time.Time, detail string) {
+	decision, delta, _ := strings.Cut(detail, ": ")
+	r.Note(at, explain.Decision{Kind: explain.KindPlanUpdate}, decision, delta)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"aptrace/internal/event"
 	"aptrace/internal/explain"
 	"aptrace/internal/telemetry"
 )
@@ -25,7 +26,7 @@ func TestWatchdogStallFires(t *testing.T) {
 	if p.GapTarget() != time.Second || p.StallLimit() != 3*time.Second {
 		t.Fatalf("GapTarget=%v StallLimit=%v, want 1s/3s", p.GapTarget(), p.StallLimit())
 	}
-	r := p.Lane("run")
+	r := newLane(p, "run", 0)
 	r.RunStart(at(0), 7)
 	r.Update(at(1 * time.Second))
 	r.Update(at(10 * time.Second)) // 9 s gap > 3 s limit
@@ -52,7 +53,7 @@ func TestWatchdogStallFires(t *testing.T) {
 
 func TestWatchdogTimeToFirstUpdateCounts(t *testing.T) {
 	p := newTestProfiler(nil)
-	r := p.Lane("run")
+	r := newLane(p, "run", 0)
 	// A run that never updates must still stall: the anchor is RunStart.
 	r.RunStart(at(0), 1)
 	r.RunEnd(at(5*time.Second), "time budget exceeded")
@@ -63,7 +64,7 @@ func TestWatchdogTimeToFirstUpdateCounts(t *testing.T) {
 
 func TestWatchdogWithinLimitNoStall(t *testing.T) {
 	p := newTestProfiler(nil)
-	r := p.Lane("run")
+	r := newLane(p, "run", 0)
 	r.RunStart(at(0), 1)
 	for i := 1; i <= 10; i++ {
 		r.Update(at(time.Duration(i) * time.Second)) // every gap exactly 1 s
@@ -83,7 +84,7 @@ func TestWatchdogWithinLimitNoStall(t *testing.T) {
 
 func TestSameInstantUpdatesCollapse(t *testing.T) {
 	p := newTestProfiler(nil)
-	r := p.Lane("run")
+	r := newLane(p, "run", 0)
 	r.RunStart(at(0), 1)
 	// One retrieval lands many edges at one instant: a single update batch.
 	r.Update(at(time.Second))
@@ -92,7 +93,7 @@ func TestSameInstantUpdatesCollapse(t *testing.T) {
 	r.RunEnd(at(2*time.Second), "completed")
 	instants := 0
 	for _, ev := range snapshotEvents(r) {
-		if ev.Kind == KindUpdate {
+		if ev.Kind == explain.EvUpdate {
 			instants++
 		}
 	}
@@ -101,15 +102,14 @@ func TestSameInstantUpdatesCollapse(t *testing.T) {
 	}
 }
 
-func snapshotEvents(r *Recorder) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eventsLocked()
+func snapshotEvents(r *lane) []explain.Event {
+	evs, _ := r.Events()
+	return evs
 }
 
 func TestPauseResetsWatchdogAnchor(t *testing.T) {
 	p := newTestProfiler(nil)
-	r := p.Lane("session")
+	r := newLane(p, "session", 0)
 	r.RunStart(at(0), 1)
 	r.Update(at(time.Second))
 	r.Pause(at(2 * time.Second))
@@ -121,9 +121,9 @@ func TestPauseResetsWatchdogAnchor(t *testing.T) {
 	if len(lr.Stalls) != 0 {
 		t.Fatalf("stalls = %d, want 0: paused time must be forgiven", len(lr.Stalls))
 	}
-	var pause *Event
+	var pause *explain.Event
 	for _, ev := range snapshotEvents(r) {
-		if ev.Kind == KindPause {
+		if ev.Kind == explain.EvPause {
 			e := ev
 			pause = &e
 		}
@@ -138,14 +138,14 @@ func TestPauseResetsWatchdogAnchor(t *testing.T) {
 
 func TestRunEndClosesOpenPause(t *testing.T) {
 	p := newTestProfiler(nil)
-	r := p.Lane("session")
+	r := newLane(p, "session", 0)
 	r.RunStart(at(0), 1)
 	r.Update(at(time.Second))
 	r.Pause(at(2 * time.Second))
 	r.RunEnd(at(4*time.Second), "abandoned")
 	found := false
 	for _, ev := range snapshotEvents(r) {
-		if ev.Kind == KindPause && ev.Dur == 2*time.Second {
+		if ev.Kind == explain.EvPause && ev.Dur == 2*time.Second {
 			found = true
 		}
 	}
@@ -156,7 +156,7 @@ func TestRunEndClosesOpenPause(t *testing.T) {
 
 func TestStallNamesHeaviestQuery(t *testing.T) {
 	p := newTestProfiler(nil)
-	r := p.Lane("run")
+	r := newLane(p, "run", 0)
 	r.RunStart(at(0), 1)
 	r.Update(at(time.Second))
 	// Two queries inside the gap; the second is heavier (more charged cost).
@@ -182,7 +182,7 @@ func TestStallNamesHeaviestQuery(t *testing.T) {
 
 func TestQueryClaimsPendingCostOnce(t *testing.T) {
 	p := newTestProfiler(nil)
-	r := p.Lane("run")
+	r := newLane(p, "run", 0)
 	r.ObserveQueryCost(100, 4, time.Second)
 	r.Query(at(0), at(time.Second), 1, 0, 10, 100)
 	r.Query(at(2*time.Second), at(3*time.Second), 2, 10, 20, 50)
@@ -202,45 +202,49 @@ func TestLaneBlocksAreContiguous(t *testing.T) {
 		t.Fatalf("Lanes returned %d lanes, want 3", len(block))
 	}
 	for i, r := range block {
-		if r.LaneID() != int64(i+1) {
-			t.Errorf("lane %d ID = %d, want %d", i, r.LaneID(), i+1)
+		id, name := r.Progress().ID, r.Progress().Name
+		if id != int64(i+1) {
+			t.Errorf("lane %d ID = %d, want %d", i, id, i+1)
 		}
 		want := "worker " + string(rune('0'+i))
-		if r.Stats().Name != want {
-			t.Errorf("lane %d name = %q, want %q", i, r.Stats().Name, want)
+		if name != want {
+			t.Errorf("lane %d name = %q, want %q", i, name, want)
 		}
 	}
-	if next := p.Lane("extra"); next.LaneID() != 4 {
+	if next := newLane(p, "extra", 0); next.LaneID() != 4 {
 		t.Errorf("next lane ID = %d, want 4", next.LaneID())
 	}
 	var nilP *Profiler
-	if nilP.Lanes("x", 2) != nil || nilP.Lane("x") != nil {
+	if nilP.Lanes("x", 2) != nil || nilP.Lane("x", nil) != nil {
 		t.Error("nil profiler must hand out nil lanes")
 	}
 }
 
 func TestLaneEventCapCountsDropsKeepsStalls(t *testing.T) {
-	p := New(Options{GapTarget: time.Second, MaxLaneEvents: 2})
-	r := p.Lane("run")
+	p := New(Options{GapTarget: time.Second})
+	r := newLane(p, "run", 2) // a ring of two records: the run start and ten windows overflow it
 	r.RunStart(at(0), 1)
 	for i := 0; i < 10; i++ {
 		r.Enqueued(at(time.Duration(i)*time.Millisecond), 1, 0, 10, 5)
 	}
 	r.RunEnd(at(20*time.Second), "completed") // tail gap: stall
 	lr := r.Stats()
-	if lr.Events != 2 {
-		t.Errorf("Events = %d, want 2 (cap)", lr.Events)
+	if lr.Events != 12 {
+		t.Errorf("Events = %d, want 12 (the run's ten windows, the stall, the run)", lr.Events)
 	}
-	if lr.Dropped == 0 {
-		t.Error("Dropped = 0, want > 0")
+	if lr.Dropped != 9 {
+		t.Errorf("Dropped = %d, want 9", lr.Dropped)
 	}
 	if len(lr.Stalls) != 1 {
 		t.Errorf("stalls = %d, want 1: the stall list must survive truncation", len(lr.Stalls))
 	}
+	if evs := snapshotEvents(r); len(evs) != 4 {
+		t.Errorf("%d events read back, want 4 (the stall, the run, the two retained windows)", len(evs))
+	}
 }
 
 func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
+	r := &lane{} // no log
 	r.RunStart(at(0), 1)
 	r.RunEnd(at(0), "x")
 	r.Update(at(0))
@@ -262,8 +266,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestProfilerReportAggregates(t *testing.T) {
 	p := newTestProfiler(nil)
-	a := p.Lane("a")
-	b := p.Lane("b")
+	a := newLane(p, "a", 0)
+	b := newLane(p, "b", 0)
 	a.RunStart(at(0), 1)
 	a.Update(at(time.Second))
 	a.RunEnd(at(time.Second), "completed")
@@ -293,14 +297,22 @@ func TestProfilerReportAggregates(t *testing.T) {
 }
 
 func TestCorrelateStall(t *testing.T) {
-	s := Stall{At: at(time.Second), Gap: 9 * time.Second, Obj: 9, HasWindow: true}
-	recs := []explain.Record{
-		{Seq: 1, Kind: explain.KindWindowQueried, At: at(500 * time.Millisecond), Node: 9, Card: 100}, // before the gap
-		{Seq: 2, Kind: explain.KindWindowQueried, At: at(2 * time.Second), Node: 4, Card: 9000},       // in gap, wrong obj
-		{Seq: 3, Kind: explain.KindWindowQueried, At: at(3 * time.Second), Node: 9, Card: 50},         // in gap, offender obj
-		{Seq: 4, Kind: explain.KindWindowQueried, At: at(11 * time.Second), Node: 9, Card: 99},        // after the gap
+	s := explain.Stall{At: at(time.Second), Gap: 9 * time.Second, Obj: 9, HasWindow: true}
+	log := explain.New(0, nil)
+	log.Note(at(0), explain.Decision{Kind: explain.KindRunStart}, "", "") // seq 0
+	for _, q := range []struct {
+		at   time.Duration
+		node event.ObjID
+		card int32
+	}{
+		{500 * time.Millisecond, 9, 100}, // seq 1: before the gap
+		{2 * time.Second, 4, 9000},       // seq 2: in gap, wrong obj
+		{3 * time.Second, 9, 50},         // seq 3: in gap, offender obj
+		{11 * time.Second, 9, 99},        // seq 4: after the gap
+	} {
+		log.Note(at(q.at), explain.Decision{Kind: explain.KindWindowQueried, Node: q.node, Card: q.card}, "", "")
 	}
-	got, ok := CorrelateStall(s, recs)
+	got, ok := CorrelateStall(s, log)
 	if !ok {
 		t.Fatal("no record correlated")
 	}
@@ -309,22 +321,5 @@ func TestCorrelateStall(t *testing.T) {
 	}
 	if _, ok := CorrelateStall(s, nil); ok {
 		t.Error("nil records must not correlate")
-	}
-}
-
-// BenchmarkNilRecorder proves the nil-lane invariant the executor relies
-// on: a disabled timeline costs one pointer test per emission — a couple of
-// nanoseconds, zero allocations.
-func BenchmarkNilRecorder(b *testing.B) {
-	var r *Recorder
-	var s explain.Stage
-	s.Add(explain.KindWindowQueried, 0)
-	ts := at(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Update(ts)
-		r.Consume(&s)
-		r.PlanUpdate(ts, "resume")
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"aptrace/internal/explain"
 )
 
 // traceEvent is one entry of the Chrome trace-event JSON array. Field
@@ -37,30 +39,42 @@ type traceDoc struct {
 // threads within it.
 const tracePid = 1
 
-// WriteTrace exports every lane recorded so far as Chrome trace-event
+// WriteTrace exports every lane's log as it stands as Chrome trace-event
 // JSON, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. The
 // trace origin (ts 0) is the earliest recorded instant across all lanes;
 // per-lane events are emitted sorted by start time, so ts is monotonic
-// non-decreasing within each tid. The output depends only on what was
-// recorded — identical runs export identical bytes, serial or parallel.
+// non-decreasing within each tid. A lane whose log has dropped records shows
+// the events of the ones it retains and says how many it dropped. The output
+// depends only on what was recorded — identical runs export identical bytes,
+// serial or parallel.
 func (p *Profiler) WriteTrace(w io.Writer) error {
 	lanes := p.snapshot()
-	dumps := make([]laneDump, 0, len(lanes))
-	for _, r := range lanes {
-		r.mu.Lock()
-		dumps = append(dumps, laneDump{id: r.id, name: r.name, dropped: r.dropped, events: r.eventsLocked()})
-		r.mu.Unlock()
+	dumps := make([]laneDump, len(lanes))
+	for i, log := range lanes {
+		d := &dumps[i]
+		lane := log.Progress()
+		d.id, d.name = lane.ID, lane.Name
+		d.events, d.dropped = log.Events()
 	}
 	return writeDumps(w, dumps)
 }
 
-// laneDump is one lane's share of a trace: what WriteTrace reads under the
-// lane's lock.
+// laneDump is one lane's share of a trace.
 type laneDump struct {
 	id      int64
 	name    string
-	dropped int
-	events  []Event
+	dropped uint64
+	events  []explain.Event
+}
+
+// ph maps an event kind to its Chrome trace-event phase: "X" (complete, with
+// a duration) or "i" (instant).
+func ph(k explain.EventKind) string {
+	switch k {
+	case explain.EvRun, explain.EvQuery, explain.EvPause, explain.EvStall:
+		return "X"
+	}
+	return "i"
 }
 
 func writeDumps(w io.Writer, dumps []laneDump) error {
@@ -81,7 +95,7 @@ func writeDumps(w io.Writer, dumps []laneDump) error {
 	for _, d := range dumps {
 		args := map[string]any{"name": d.name}
 		if d.dropped > 0 {
-			args["dropped_events"] = d.dropped
+			args["dropped_records"] = d.dropped
 		}
 		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
 			Name: "thread_name", Ph: "M", Pid: tracePid, Tid: d.id, Args: args,
@@ -93,7 +107,7 @@ func writeDumps(w io.Writer, dumps []laneDump) error {
 		for _, ev := range evs {
 			te := traceEvent{
 				Name: ev.Kind.String(),
-				Ph:   ev.Kind.ph(),
+				Ph:   ph(ev.Kind),
 				Ts:   ev.Start.Sub(base).Microseconds(),
 				Pid:  tracePid,
 				Tid:  d.id,
@@ -119,7 +133,7 @@ func writeDumps(w io.Writer, dumps []laneDump) error {
 
 // traceArgs builds the per-kind args map (nil when there is nothing to
 // say). Only integers and strings, so the JSON is stable.
-func traceArgs(ev Event) map[string]any {
+func traceArgs(ev explain.Event) map[string]any {
 	var a map[string]any
 	set := func(k string, v any) {
 		if a == nil {
@@ -133,7 +147,7 @@ func traceArgs(ev Event) map[string]any {
 		set("finish", ev.Finish)
 	}
 	switch ev.Kind {
-	case KindQuery:
+	case explain.EvQuery:
 		set("rows", ev.Rows)
 		if ev.Buckets > 0 {
 			set("buckets", ev.Buckets)
@@ -156,9 +170,9 @@ func traceArgs(ev Event) map[string]any {
 				set("shard_rows", sb.String())
 			}
 		}
-	case KindEnqueue, KindResplit:
+	case explain.EvEnqueue, explain.EvResplit:
 		set("card", ev.Rows)
-	case KindStall:
+	case explain.EvStall:
 		set("gap_ms", ev.Dur.Milliseconds())
 		if ev.HasWindow {
 			set("rows", ev.Rows)
@@ -166,12 +180,12 @@ func traceArgs(ev Event) map[string]any {
 				set("cost_ms", ev.Cost.Milliseconds())
 			}
 		}
-	case KindRun:
+	case explain.EvRun:
 		set("alert", int64(ev.Alert))
 		if ev.Detail != "" {
 			set("reason", ev.Detail)
 		}
-	case KindAbandon, KindPlan:
+	case explain.EvAbandon, explain.EvPlan:
 		if ev.Detail != "" {
 			set("detail", ev.Detail)
 		}

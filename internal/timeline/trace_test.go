@@ -12,7 +12,7 @@ import (
 // record plays a fixed two-lane session — queries, updates, a re-split, an
 // abandon, a pause, and one stall — so trace tests exercise every phase.
 func record(p *Profiler) {
-	a := p.Lane("aptrace run")
+	a := newLane(p, "aptrace run", 0)
 	a.RunStart(at(0), 42)
 	a.Enqueued(at(0), 3, 0, 100, 12)
 	a.ObserveQueryCost(120, 3, 200*time.Millisecond)
@@ -24,7 +24,7 @@ func record(p *Profiler) {
 	a.Abandoned(at(3*time.Second), 5, 0, 500, "time budget exceeded")
 	a.RunEnd(at(3*time.Second), "time budget exceeded")
 
-	b := p.Lane("baseline run")
+	b := newLane(p, "baseline run", 0)
 	b.RunStart(at(0), 43)
 	b.Update(at(10 * time.Second)) // stall on the 1 s-target test profiler
 	b.RunEnd(at(10*time.Second), "completed")
