@@ -885,9 +885,9 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		}
 		// General host constraint.
 		if len(x.plan.Hosts) != 0 {
-			host := x.st.Host(dep.Subject)
+			host := x.st.ObjectRef(dep.Subject).Host
 			if x.plan.HostAllowed(host) {
-				host = x.st.Host(dep.Object)
+				host = x.st.ObjectRef(dep.Object).Host
 			}
 			if !x.plan.HostAllowed(host) {
 				if x.rec != nil {

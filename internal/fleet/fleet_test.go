@@ -73,28 +73,39 @@ func TestMapBoundedConcurrency(t *testing.T) {
 	}
 }
 
+// TestMapErrorPropagation: a failure aborts the batch — jobs not yet started
+// are skipped, jobs already running finish — and the error reported is the
+// lowest failing index, not the first to fail. Two channels fix the order the
+// pool's scheduling would otherwise decide: job 12 fails only once job 7 is
+// running, and job 7 fails only once job 12 is on its way out. Job 7 holds one
+// of the two workers meanwhile, so the other runs 8..12 and, having flagged
+// its own failure, skips the rest; exactly jobs 0..12 run.
 func TestMapErrorPropagation(t *testing.T) {
 	sentinel := errors.New("boom")
+	running7, leaving12 := make(chan struct{}), make(chan struct{})
 	var ran int32
 	_, err := Map(New(2, nil), 20, func(i int) (int, error) {
 		atomic.AddInt32(&ran, 1)
-		if i == 7 {
+		switch i {
+		case 7:
+			close(running7)
+			<-leaving12
 			return 0, sentinel
+		case 12:
+			<-running7
+			close(leaving12)
+			return 0, errors.New("later job, earlier failure")
 		}
 		return i, nil
 	})
 	if err == nil {
 		t.Fatal("Map must propagate the job error")
 	}
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want wrapped sentinel", err)
+	if !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "run 7") {
+		t.Fatalf("err = %v, want job 7's error wrapped with its index: the lowest failing index wins", err)
 	}
-	if !strings.Contains(err.Error(), "run 7") {
-		t.Fatalf("err = %v, want the failing job index", err)
-	}
-	// Unstarted jobs are skipped after the failure.
-	if n := atomic.LoadInt32(&ran); n >= 20 {
-		t.Fatalf("all %d jobs ran despite the failure", n)
+	if n := atomic.LoadInt32(&ran); n != 13 {
+		t.Fatalf("%d jobs ran, want 13: unstarted jobs are skipped after the failure", n)
 	}
 }
 

@@ -36,37 +36,25 @@ type heatmap struct {
 	hot   []map[int64]*hotStat // indexed by shard; grown on demand
 }
 
-func (h *heatmap) init() {
-	h.cells = make(map[heatKey]*heatCell)
-}
-
-// observe folds one sample into the map. Object attribution uses the whole
-// query's per-shard rows under the sample's object — range queries (scan,
-// matches) carry Obj = -1 and skip the hot-object table.
-func (h *heatmap) observe(s *Sample) {
+// cell returns the cell of key k, making room for it and adding it if it is
+// not there.
+func (h *heatmap) cell(k heatKey) *heatCell {
 	if h.cells == nil {
-		h.init()
+		h.cells = make(map[heatKey]*heatCell)
 	}
-	for _, ss := range s.Shards {
-		k := heatKey{shard: ss.Shard, epoch: s.Epoch}
-		c := h.cells[k]
-		if c == nil {
-			if len(h.cells) >= heatMaxCells {
-				h.pruneCells()
-			}
-			c = &heatCell{}
-			h.cells[k] = c
+	c := h.cells[k]
+	if c == nil {
+		if len(h.cells) >= heatMaxCells {
+			h.pruneCells()
 		}
-		c.accesses++
-		c.rows += ss.Rows
-		c.busyNs += ss.BusyNs
-		if s.Obj >= 0 && ss.Rows > 0 {
-			h.noteHot(ss.Shard, s.Obj, ss.Rows)
-		}
+		c = &heatCell{}
+		h.cells[k] = c
 	}
+	return c
 }
 
-func (h *heatmap) noteHot(shard int, obj, rows int64) {
+// hotStat returns shard's stats of obj, likewise.
+func (h *heatmap) hotStat(shard int, obj int64) *hotStat {
 	for len(h.hot) <= shard {
 		h.hot = append(h.hot, nil)
 	}
@@ -84,8 +72,7 @@ func (h *heatmap) noteHot(shard int, obj, rows int64) {
 		st = &hotStat{}
 		m[obj] = st
 	}
-	st.rows += rows
-	st.accesses++
+	return st
 }
 
 // pruneCells drops the oldest-epoch cells to make room, keeping the map
@@ -108,24 +95,9 @@ func (h *heatmap) pruneCells() {
 
 // pruneHot keeps a shard's top hotKeep objects by (rows desc, obj asc).
 func (h *heatmap) pruneHot(shard int) {
-	m := h.hot[shard]
-	type entry struct {
-		obj int64
-		st  *hotStat
-	}
-	ents := make([]entry, 0, len(m))
-	for obj, st := range m {
-		ents = append(ents, entry{obj, st})
-	}
-	sort.Slice(ents, func(i, j int) bool {
-		if ents[i].st.rows != ents[j].st.rows {
-			return ents[i].st.rows > ents[j].st.rows
-		}
-		return ents[i].obj < ents[j].obj
-	})
-	kept := make(map[int64]*hotStat, hotKeep)
-	for _, e := range ents[:min(hotKeep, len(ents))] {
-		kept[e.obj] = e.st
+	m, kept := h.hot[shard], make(map[int64]*hotStat, hotKeep)
+	for _, o := range h.ranked(shard, hotKeep) {
+		kept[o.Obj] = m[o.Obj]
 	}
 	h.hot[shard] = kept
 }
@@ -159,21 +131,8 @@ type ShardHeat struct {
 // (shard, epoch), shard aggregates by shard, hottest objects by
 // (rows desc, obj asc) capped at hotTopK.
 func (h *heatmap) snapshot() (cells []HeatCell, shards []ShardHeat) {
-	if h.cells == nil {
-		return nil, nil
-	}
-	cells = make([]HeatCell, 0, len(h.cells))
-	agg := map[int]*ShardHeat{}
 	for k, c := range h.cells {
 		cells = append(cells, HeatCell{Shard: k.shard, Epoch: k.epoch, Accesses: c.accesses, Rows: c.rows, BusyNs: c.busyNs})
-		sa := agg[k.shard]
-		if sa == nil {
-			sa = &ShardHeat{Shard: k.shard}
-			agg[k.shard] = sa
-		}
-		sa.Accesses += c.accesses
-		sa.Rows += c.rows
-		sa.BusyNs += c.busyNs
 	}
 	sort.Slice(cells, func(i, j int) bool {
 		if cells[i].Shard != cells[j].Shard {
@@ -181,18 +140,20 @@ func (h *heatmap) snapshot() (cells []HeatCell, shards []ShardHeat) {
 		}
 		return cells[i].Epoch < cells[j].Epoch
 	})
-	shards = make([]ShardHeat, 0, len(agg))
-	for _, sa := range agg {
-		shards = append(shards, *sa)
-	}
-	sort.Slice(shards, func(i, j int) bool { return shards[i].Shard < shards[j].Shard })
-	for i := range shards {
-		shards[i].Hottest = h.hottest(shards[i].Shard)
+	for _, c := range cells {
+		if n := len(shards); n == 0 || shards[n-1].Shard != c.Shard {
+			shards = append(shards, ShardHeat{Shard: c.Shard, Hottest: h.ranked(c.Shard, hotTopK)})
+		}
+		sa := &shards[len(shards)-1]
+		sa.Accesses += c.Accesses
+		sa.Rows += c.Rows
+		sa.BusyNs += c.BusyNs
 	}
 	return cells, shards
 }
 
-func (h *heatmap) hottest(shard int) []HotObject {
+// ranked returns up to k of shard's objects, hottest first: by rows, then ID.
+func (h *heatmap) ranked(shard, k int) []HotObject {
 	if shard >= len(h.hot) || h.hot[shard] == nil {
 		return nil
 	}
@@ -207,8 +168,5 @@ func (h *heatmap) hottest(shard int) []HotObject {
 		}
 		return out[i].Obj < out[j].Obj
 	})
-	if len(out) > hotTopK {
-		out = out[:hotTopK]
-	}
-	return out
+	return out[:min(k, len(out))]
 }

@@ -19,6 +19,7 @@
 package qprof
 
 import (
+	"slices"
 	"sync"
 )
 
@@ -65,8 +66,7 @@ type ShardSample struct {
 // probes), zero for inline sub-cutoff probes.
 type Sample struct {
 	Kind       Kind          `json:"kind"`
-	Obj        int64         `json:"obj"` // object ID; -1 for range queries (scan, matches)
-	From, To   int64         `json:"-"`
+	Obj        int64         `json:"obj"`    // object ID; -1 for range queries (scan, matches)
 	Epoch      int64         `json:"epoch"`  // host×time routing epoch index of From
 	Fanout     int           `json:"fanout"` // shards touched (1 on a flat store)
 	Rows       int64         `json:"rows"`
@@ -85,28 +85,19 @@ func (s *Sample) Skew() float64 {
 	if len(s.Shards) < 2 {
 		return 0
 	}
-	var sum, max int64
-	timed := false
+	var rows, busy, maxRows, maxBusy int64
 	for _, ss := range s.Shards {
-		if ss.BusyNs > 0 {
-			timed = true
-		}
+		rows, maxRows = rows+ss.Rows, max(maxRows, ss.Rows)
+		busy, maxBusy = busy+ss.BusyNs, max(maxBusy, ss.BusyNs)
 	}
-	for _, ss := range s.Shards {
-		v := ss.Rows
-		if timed {
-			v = ss.BusyNs
-		}
-		sum += v
-		if v > max {
-			max = v
-		}
+	sum, top := rows, maxRows
+	if maxBusy > 0 { // timed
+		sum, top = busy, maxBusy
 	}
 	if sum <= 0 {
 		return 0
 	}
-	mean := float64(sum) / float64(len(s.Shards))
-	return float64(max) / mean
+	return float64(top) / (float64(sum) / float64(len(s.Shards)))
 }
 
 const (
@@ -114,9 +105,99 @@ const (
 	recentRingCap = 32   // most recent samples kept for breakdown tables
 )
 
-// kindAgg accumulates per-kind totals.
+// kindAgg is what samples of one kind, or of all kinds, sum to.
 type kindAgg struct {
 	queries, rows, busyNs, mergeNs int64
+}
+
+func (k *kindAgg) add(o kindAgg) {
+	k.queries += o.queries
+	k.rows += o.rows
+	k.busyNs += o.busyNs
+	k.mergeNs += o.mergeNs
+}
+
+// totals is what samples sum to, whoever adds them up.
+type totals struct {
+	kindAgg         // over all kinds
+	scattered int64 // samples with fanout > 1
+	fanoutSum int64
+	savableNs int64
+	byKind    [numKinds]kindAgg
+}
+
+func (t *totals) add(o *totals) {
+	t.kindAgg.add(o.kindAgg)
+	t.scattered += o.scattered
+	t.fanoutSum += o.fanoutSum
+	t.savableNs += o.savableNs
+	for k := range t.byKind {
+		t.byKind[k].add(o.byKind[k])
+	}
+}
+
+// heatOp is what consecutive samples did to one (shard, epoch) cell of the
+// heatmap and, through hot of its accesses, to one of that shard's objects.
+type heatOp struct {
+	key           heatKey
+	obj           int64
+	accesses, hot int64 // hot: the accesses that count for the object (it is one, they walked rows)
+	rows, busyNs  int64
+}
+
+// Aggregate is a run of samples folded where they were made — a store view
+// keeps one, one goroutine by construction — so that the shared profiler's
+// lock, maps and cache lines are paid once per Fold and not once per query.
+// It holds what the samples sum to, their skews, what they did to the heatmap
+// in order — consecutive accesses to one cell for one object are one
+// operation, which changes nothing the bounded maps do: they prune only to
+// admit a new key — and the newest of them, raw, for Recent. A profiler fed
+// aggregates of any length ends up exactly where one fed sample by sample does.
+type Aggregate struct {
+	totals
+	skews  []float64
+	ops    []heatOp
+	recent [recentRingCap]Sample // sample i of this aggregate in slot i%recentRingCap
+}
+
+// Add folds one sample in and returns how many a holds since the last Fold. s
+// and its Shards are the caller's to reuse.
+func (a *Aggregate) Add(s *Sample) int {
+	r := &a.recent[a.queries%recentRingCap]
+	shards := append(r.Shards[:0], s.Shards...)
+	*r = *s
+	r.Shards = shards
+
+	k := kindAgg{1, s.Rows, s.BusyNs, s.MergeNs}
+	a.kindAgg.add(k)
+	if int(s.Kind) < len(a.byKind) {
+		a.byKind[s.Kind].add(k)
+	}
+	a.fanoutSum += int64(s.Fanout)
+	a.savableNs += s.SavableNs
+	if s.Fanout > 1 {
+		a.scattered++
+		if sk := s.Skew(); sk > 0 {
+			a.skews = append(a.skews, sk)
+		}
+	}
+	// Object attribution uses the whole query's per-shard rows under the
+	// sample's object — range queries (scan, matches) carry Obj = -1 and skip
+	// the hot-object table.
+	for _, ss := range s.Shards {
+		key := heatKey{shard: ss.Shard, epoch: s.Epoch}
+		if n := len(a.ops); n == 0 || a.ops[n-1].key != key || a.ops[n-1].obj != s.Obj {
+			a.ops = append(a.ops, heatOp{key: key, obj: s.Obj})
+		}
+		op := &a.ops[len(a.ops)-1]
+		op.accesses++
+		op.rows += ss.Rows
+		op.busyNs += ss.BusyNs
+		if s.Obj >= 0 && ss.Rows > 0 {
+			op.hot++
+		}
+	}
+	return int(a.queries)
 }
 
 // Profiler aggregates query samples. All methods are safe on a nil receiver
@@ -127,15 +208,7 @@ type Profiler struct {
 	shardCount   int
 	epochSeconds int64
 
-	queries   int64 // samples observed
-	scattered int64 // samples with fanout > 1
-	fanoutSum int64
-	rows      int64
-	busyNs    int64
-	savableNs int64
-	mergeNs   int64
-
-	byKind [numKinds]kindAgg
+	totals
 
 	skews   [skewRingCap]float64
 	skewN   int64 // total skew values ever pushed
@@ -143,14 +216,11 @@ type Profiler struct {
 	recentN int64
 
 	heat heatmap
+	one  Aggregate // Observe's: a sample arriving alone
 }
 
 // New returns an empty profiler.
-func New() *Profiler {
-	p := &Profiler{}
-	p.heat.init()
-	return p
-}
+func New() *Profiler { return &Profiler{} }
 
 // SetLayout records the store layout the profiler observes (shard count and
 // routing epoch width), for reporting only. The store calls it when the
@@ -169,112 +239,77 @@ func (p *Profiler) SetLayout(shards int, epochSeconds int64) {
 	p.mu.Unlock()
 }
 
-// Observe records one query sample.
+// Observe records one query sample: how a store whose queries may come from
+// any goroutine delivers them.
 func (p *Profiler) Observe(s Sample) {
-	if p != nil {
-		p.ObserveBatch([]Sample{s})
-	}
-}
-
-// ObserveBatch records query samples, in order, under one lock: how a store
-// view delivers what it sampled (see store.FlushQueryProfile). The samples'
-// Shards may share storage the caller reuses; the profiler keeps copies of
-// the few it retains.
-func (p *Profiler) ObserveBatch(batch []Sample) {
-	if p == nil || len(batch) == 0 {
+	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	for i := range batch {
-		s := &batch[i]
-		p.queries++
-		p.fanoutSum += int64(s.Fanout)
-		p.rows += s.Rows
-		p.busyNs += s.BusyNs
-		p.savableNs += s.SavableNs
-		p.mergeNs += s.MergeNs
-		if int(s.Kind) < len(p.byKind) {
-			a := &p.byKind[s.Kind]
-			a.queries++
-			a.rows += s.Rows
-			a.busyNs += s.BusyNs
-			a.mergeNs += s.MergeNs
-		}
-		if s.Fanout > 1 {
-			p.scattered++
-			if sk := s.Skew(); sk > 0 {
-				p.skews[p.skewN%skewRingCap] = sk
-				p.skewN++
-			}
-		}
-		p.heat.observe(s)
-	}
-	// Only the newest recentRingCap samples can survive in the recent ring.
-	for i := max(0, len(batch)-recentRingCap); i < len(batch); i++ {
-		r := &p.recent[(p.recentN+int64(i))%recentRingCap]
-		shards := append(r.Shards[:0], batch[i].Shards...)
-		*r = batch[i]
-		r.Shards = shards
-	}
-	p.recentN += int64(len(batch))
+	p.one.Add(&s)
+	p.fold(&p.one)
 	p.mu.Unlock()
 }
 
-// Queries returns the number of samples observed.
-func (p *Profiler) Queries() int64 {
-	if p == nil {
-		return 0
+// Fold records the samples a has gathered, in order, under one lock, and
+// empties it: how a store view delivers what it sampled (see
+// store.FlushQueryProfile).
+func (p *Profiler) Fold(a *Aggregate) {
+	if p == nil || a.queries == 0 {
+		return
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.queries
+	p.fold(a)
+	p.mu.Unlock()
 }
 
-// SkewQuantile returns the q-quantile (0..1) over retained per-query skew
-// ratios, or 0 when no scattered query has been observed.
-func (p *Profiler) SkewQuantile(q float64) float64 {
-	if p == nil {
-		return 0
+// fold is Fold with p.mu held.
+func (p *Profiler) fold(a *Aggregate) {
+	p.totals.add(&a.totals)
+	for _, sk := range a.skews {
+		p.skews[p.skewN%skewRingCap] = sk
+		p.skewN++
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return quantile(p.skewSlice(), q)
+	var c *heatCell
+	for i := range a.ops {
+		op := &a.ops[i]
+		if i == 0 || op.key != a.ops[i-1].key { // else still c: nothing was admitted since
+			c = p.heat.cell(op.key)
+		}
+		c.accesses += op.accesses
+		c.rows += op.rows
+		c.busyNs += op.busyNs
+		if op.hot > 0 {
+			st := p.heat.hotStat(op.key.shard, op.obj)
+			st.rows += op.rows
+			st.accesses += op.hot
+		}
+	}
+	// Only the newest recentRingCap samples can survive in the recent ring.
+	for i := max(0, a.queries-recentRingCap); i < a.queries; i++ {
+		src, dst := &a.recent[i%recentRingCap], &p.recent[(p.recentN+i)%recentRingCap]
+		shards := append(dst.Shards[:0], src.Shards...)
+		*dst = *src
+		dst.Shards = shards
+	}
+	p.recentN += a.queries
+	a.totals, a.skews, a.ops = totals{}, a.skews[:0], a.ops[:0] // emptied, storage kept
 }
 
 // skewSlice returns the retained skew values in a fresh sorted slice.
 // Callers must hold p.mu.
 func (p *Profiler) skewSlice() []float64 {
-	n := p.skewN
-	if n > skewRingCap {
-		n = skewRingCap
-	}
-	out := make([]float64, n)
-	copy(out, p.skews[:n])
-	insertionSort(out)
+	out := slices.Clone(p.skews[:min(p.skewN, skewRingCap)])
+	slices.Sort(out)
 	return out
 }
 
-func insertionSort(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-// quantile reads the q-quantile from an ascending slice (nearest rank).
+// quantile reads the q-quantile (0..1) from an ascending slice (nearest rank).
 func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 // Recent returns up to recentRingCap most recent samples, newest last.
@@ -284,13 +319,9 @@ func (p *Profiler) Recent() []Sample {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := p.recentN
-	if n > recentRingCap {
-		n = recentRingCap
-	}
+	n := min(p.recentN, recentRingCap)
 	out := make([]Sample, 0, n)
-	start := p.recentN - n
-	for i := start; i < p.recentN; i++ {
+	for i := p.recentN - n; i < p.recentN; i++ {
 		s := p.recent[i%recentRingCap]
 		s.Shards = append([]ShardSample(nil), s.Shards...) // the slot's storage is reused
 		out = append(out, s)

@@ -101,7 +101,7 @@ func TestSkew(t *testing.T) {
 		p.Observe(Sample{Fanout: 2, Rows: 10,
 			Shards: []ShardSample{{Shard: 0, Rows: 6}, {Shard: 1, Rows: 4}}})
 	}
-	if q := p.SkewQuantile(0.5); q != 1.2 {
+	if q := p.Snapshot().SkewP50; q != 1.2 {
 		t.Fatalf("p50 skew=%v, want 1.2", q)
 	}
 }
@@ -141,7 +141,7 @@ func TestNilProfilerSafe(t *testing.T) {
 	var p *Profiler
 	p.Observe(Sample{Kind: KindScan, Rows: 5})
 	p.SetLayout(4, 60)
-	if p.Queries() != 0 || p.SkewQuantile(0.5) != 0 || p.Recent() != nil {
+	if p.Recent() != nil {
 		t.Fatal("nil profiler leaked state")
 	}
 	sn := p.Snapshot()

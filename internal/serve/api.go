@@ -264,7 +264,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	attached := time.Now()
 	if sub != nil {
 		run.scope.Emit(obs.Info, obs.StageSSESubscribe,
-			fmt.Sprintf("subscriber %d: %d backlog", sub.id, sub.next), int64(sub.next), 0)
+			fmt.Sprintf("subscriber %d: %d backlog", sub.id, sub.start), int64(sub.start), 0)
 	}
 	// closeEntry journals the subscriber's detachment. Call only after
 	// unsubscribe: the hub no longer touches sub, so its counters are
@@ -304,7 +304,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		for _, updates := range views {
 			for i := range updates {
 				seq++
-				buf = appendUpdateFrame(buf, st, seq, updates[i])
+				buf = appendUpdateFrame(buf, st, seq, &updates[i])
 				if len(buf) >= maxSSEBatch && !write() {
 					return false
 				}
@@ -329,7 +329,9 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 			// Live deliveries only, once per wake-up and for its oldest
 			// update: backlog replay measures the client's arrival time, not
 			// pipeline latency.
-			s.slis.UpdateToSSEFlush.Observe(time.Since(oldest).Seconds())
+			if !oldest.IsZero() {
+				s.slis.UpdateToSSEFlush.Observe(time.Since(oldest).Seconds())
+			}
 		case <-run.hub.done:
 			// The run is over; what it published last is still claimable.
 			views, _ = run.hub.claim(sub, views[:0])

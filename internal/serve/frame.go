@@ -20,18 +20,18 @@ import (
 // encoding/json gives for the same payload as a struct (the frame tests and
 // fuzzer hold it to that). It allocates nothing beyond growing buf, which is
 // what lets the stream handler turn a whole wake-up's updates into one write.
-func appendUpdateFrame(buf []byte, st *store.Store, seq int, u graph.Update) []byte {
+func appendUpdateFrame(buf []byte, st *store.Store, seq int, u *graph.Update) []byte {
 	buf = append(buf, "event: update\ndata: {\"seq\":"...)
 	buf = strconv.AppendInt(buf, int64(seq), 10)
 	buf = append(buf, `,"event_id":`...)
 	buf = strconv.AppendUint(buf, uint64(u.Event.ID), 10)
 	buf = append(buf, `,"subject":"`...)
 	if st != nil {
-		buf = appendObjLabel(buf, st.Object(u.Event.Subject))
+		buf = appendObjLabel(buf, st.ObjectRef(u.Event.Subject))
 	}
 	buf = append(buf, `","object":"`...)
 	if st != nil {
-		buf = appendObjLabel(buf, st.Object(u.Event.Object))
+		buf = appendObjLabel(buf, st.ObjectRef(u.Event.Object))
 	}
 	buf = append(buf, `","action":"`...)
 	buf = appendJSONString(buf, u.Event.Action.String())
@@ -47,7 +47,7 @@ func appendUpdateFrame(buf []byte, st *store.Store, seq int, u graph.Update) []b
 // appendObjLabel appends the update stream's name for an object — a file's
 // path, a socket's destination ip:port, a process's executable — escaped for
 // a JSON string.
-func appendObjLabel(buf []byte, o event.Object) []byte {
+func appendObjLabel(buf []byte, o *event.Object) []byte {
 	switch o.Type {
 	case event.ObjFile:
 		return appendJSONString(buf, o.Path)

@@ -103,7 +103,7 @@ func TestUpdateFrameMatchesJSON(t *testing.T) {
 	check := func(st *store.Store, u graph.Update) {
 		t.Helper()
 		seq++
-		buf = appendUpdateFrame(buf[:0], st, seq, u)
+		buf = appendUpdateFrame(buf[:0], st, seq, &u)
 		if want := referenceFrame(st, seq, u); string(buf) != want {
 			t.Errorf("frame %d differs\n got: %q\nwant: %q", seq, buf, want)
 		}
@@ -132,7 +132,7 @@ func FuzzUpdateFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, exe, label string, socket bool, port uint16, seq, edges int, newNode bool, sec, nsec int64) {
 		st, ev := frameStore(t, exe, label, socket, port)
 		u := graph.Update{Event: ev, NewNode: newNode, Edges: edges, At: time.Unix(sec, nsec)}
-		got := appendUpdateFrame(nil, st, seq, u)
+		got := appendUpdateFrame(nil, st, seq, &u)
 		if want := referenceFrame(st, seq, u); string(got) != want {
 			t.Errorf("frame differs\n got: %q\nwant: %q", got, want)
 		}

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,21 +21,30 @@ const DefaultSubscriberBuffer = 1 << 16
 // The publisher is the executor's OnUpdate hook, which runs synchronously
 // inside the analysis loop — it must NEVER block, or a slow SSE consumer
 // would stall the analysis and deadlock Pause/Stop (which wait for the run
-// loop to park). So publish only appends to the session's history and pokes:
-// a subscriber is a cursor into that append-only history plus a one-slot
-// wake channel, and costs the publisher a comparison and a non-blocking send.
-// Nothing is copied or buffered per subscriber; its memory is O(1). The
-// history grows a page at a time and is never copied either, so what a
-// subscriber is handed is views of it: one slice per page its updates lie on.
+// loop to park). It is also the hub's only writer, so publish takes no lock:
+// it writes the next slot of the append-only history, stores the new length
+// and reads each subscriber's cursor. A subscriber is that cursor plus a
+// one-slot wake channel: O(1) memory, nothing copied or buffered. The history
+// grows a page at a time (the one step publish locks for: readers walk the
+// page table) and is never copied, so a subscriber is handed views of it, one
+// slice per page its updates lie on.
+//
+// Delivery contract: a live update is on the wire within the scheduler's
+// preemption quantum (10 ms) of its publication, or the subscriber is lagging.
+// The update that finds a cursor at the live edge opens a burst — one poke —
+// and those behind it ride along in the handler's next claim: at once on an
+// idle processor, at the next preemption of a run on a saturated daemon, which
+// therefore writes hundreds of updates per write(2). Yielding every few
+// updates bought smaller writes and nothing else, and yielding by the age of
+// the pending updates measured the same as not (EXPERIMENTS.md, "Served runs").
 //
 // A subscriber attaches at the live edge: subscribe hands it the history so
-// far as its backlog (always complete, never subject to the bound below) and
-// claim hands it everything published since its last claim. The lag bound is
-// the one delivery policy: a subscriber more than lag frames behind the
-// newest update skips forward over the oldest unclaimed ones, which count as
-// dropped for it (and in aptrace_serve_updates_dropped_total). Every update
-// published while a subscriber is attached is therefore either sent to it —
-// claimed, or still claimable — or dropped: sent + dropped == published.
+// far as its backlog (always complete) and claim everything published since
+// its last claim. The lag bound is the one drop policy: a subscriber more than
+// lag updates behind the newest skips forward over the oldest unclaimed ones,
+// which count as dropped for it (and in aptrace_serve_updates_dropped_total),
+// when someone looks (claim, stats, unsubscribe). Every update published while
+// it is attached is sent to it — claimed, or still claimable — or dropped.
 type hub struct {
 	dropped *telemetry.Counter // shared slow-consumer drop counter
 	// opening counts, daemon-wide, the submitted sessions whose stream has
@@ -43,28 +52,35 @@ type hub struct {
 	opening *atomic.Int32
 	waiting atomic.Bool
 
+	n    atomic.Int64                  // updates published; slots below it never change or move
+	subs atomic.Pointer[[]*subscriber] // attached, in attach order; replaced, never edited
+
+	// mu guards the history's page table, the subscriber set and every
+	// subscriber's cursor and accounting; the publisher takes it to add a page.
 	mu      sync.Mutex
-	history pages.Pages[graph.Update] // append-only: updates below n never change or move
-	n       int
-	subs    map[*subscriber]struct{}
+	history pages.Pages[graph.Update]
 	nextSub int // subscriber ID sequence (first subscriber is 1)
 	closed  bool
 	done    chan struct{} // closed exactly once, when the session finishes
 }
 
-// subscriber is one attached update consumer. All fields but wake are
-// guarded by hub.mu.
+// subscriber is one attached update consumer.
 type subscriber struct {
-	id      int           // stable per-hub subscriber number (for /ops and done frames)
-	wake    chan struct{} // one slot: "there is something to claim"
-	next    int           // history index of the first unclaimed update
-	lag     int           // most updates it may trail the newest by
-	sent    int           // updates claimed or still claimable
-	dropped int           // updates skipped because it trailed by more than lag
-	// oldest is the wall time the oldest unclaimed update was published at,
-	// so the SSE writer can measure publish-to-flush latency once per
-	// wake-up without the publisher stamping every update.
-	oldest time.Time
+	id    int           // stable per-hub subscriber number (for /ops and done frames)
+	wake  chan struct{} // one slot: "there is something to claim"
+	lag   int           // most updates it may trail the newest by
+	start int           // updates published before it attached: its backlog
+	// next is the history index of the first unclaimed update: moved under
+	// hub.mu, read by the publisher to tell a subscriber that has caught up.
+	next atomic.Int64
+	// stamp is the wall time (Unix ns) the oldest unclaimed update was
+	// published at, for the handler's publish-to-flush SLI: set by the
+	// publisher when an update opens a burst, zeroed by the claim that takes it.
+	stamp atomic.Int64
+
+	// Accounting as of the last claim, stats or unsubscribe, under hub.mu.
+	sent    int // updates claimed or still claimable
+	dropped int // updates skipped because it trailed by more than lag
 }
 
 // subStat is one subscriber's delivery accounting, as exposed by /ops and
@@ -76,124 +92,129 @@ type subStat struct {
 }
 
 func newHub(dropped *telemetry.Counter, opening *atomic.Int32) *hub {
-	return &hub{
-		dropped: dropped,
-		opening: opening,
-		subs:    make(map[*subscriber]struct{}),
-		done:    make(chan struct{}),
-	}
+	h := &hub{dropped: dropped, opening: opening, done: make(chan struct{})}
+	h.subs.Store(new([]*subscriber))
+	return h
 }
 
-// yieldEvery is how many updates a run publishes between two yields of its
-// processor. The run loop is CPU-bound and shares no lock with another run,
-// so on a daemon with as many workers as cores nothing else — a stream
-// handler publish has poked, a connection with a request to read — would be
-// scheduled before the runtime preempts it, 10 ms later (the per-record
-// recorder locks used to let them in several thousand times a second, by
-// contention). A yield lets the handler write what has accumulated, so the
-// interval is also the batch: on the benchmark's two-core box every 8th frame
-// keeps the streams fed for a few percent of throughput, every 2nd cost a
-// third of it in writes of a frame or two. While a submitted session is still
-// waiting for its stream to open (hub.opening) every frame of every run
-// yields: that wait is the analyst's time to first update, and it is short.
-const yieldEvery = 8
-
-// publish appends the update and pokes every subscriber; it never blocks. A
-// subscriber that now trails by more than its bound loses its oldest
-// unclaimed update.
-func (h *hub) publish(u graph.Update) {
-	h.mu.Lock()
-	*h.history.At(h.n) = u
-	h.n++
-	n := h.n
-	var now time.Time
-	for s := range h.subs {
-		if n-s.next > s.lag {
-			s.next++
-			s.dropped++
-			h.dropped.Inc()
-		} else {
-			s.sent++
-		}
-		if n-s.next == 1 {
-			if now.IsZero() {
-				now = time.Now()
+// publish appends the update and pokes the subscribers it finds caught up; it
+// never blocks. It reports whether the run should now yield its processor:
+// every update of every run does while a submitted session waits for its stream
+// to open (hub.opening) — the analyst's time to first update, and a short one.
+func (h *hub) publish(u graph.Update) (yield bool) {
+	i := int(h.n.Load())
+	if i%pages.Len == 0 {
+		h.mu.Lock()
+		h.history.At(i)
+		h.mu.Unlock()
+	}
+	*h.history.Get(i) = u
+	h.n.Store(int64(i + 1))
+	var now int64
+	for _, s := range *h.subs.Load() {
+		if int(s.next.Load()) == i { // caught up: u opens a burst
+			if now == 0 {
+				now = time.Now().UnixNano()
 			}
-			s.oldest = now
-		}
-		select {
-		case s.wake <- struct{}{}:
-		default: // already poked: one claim takes everything pending
+			s.stamp.Store(now)
+			s.poke()
 		}
 	}
-	h.mu.Unlock()
-	if n%yieldEvery == 0 || h.opening.Load() > 0 {
-		runtime.Gosched()
+	return h.opening.Load() > 0
+}
+
+// poke tells the subscriber there is something to claim; it never blocks.
+func (s *subscriber) poke() {
+	select {
+	case s.wake <- struct{}{}:
+	default: // a poke it has not taken yet: one claim takes everything pending
 	}
 }
 
 // subscribe returns the history so far — views of the append-only log, one
 // per page, not a copy — plus a subscriber registered at the live edge, so
 // backlog and claims together never miss or duplicate an update. lag (at
-// least 1) is how many updates the subscriber may fall behind before it
-// skips. After the hub has closed the backlog is the complete history and sub
-// is nil.
+// least 1) is how far it may fall behind before it skips. After the hub has
+// closed the backlog is the complete history and sub is nil.
 func (h *hub) subscribe(lag int) (backlog [][]graph.Update, sub *subscriber) {
 	if lag < 1 {
 		lag = 1
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	backlog = h.history.Span(nil, 0, h.n)
+	n := int(h.n.Load())
+	backlog = h.history.Span(nil, 0, n)
 	if h.closed {
 		return backlog, nil
 	}
 	h.nextSub++
-	sub = &subscriber{id: h.nextSub, wake: make(chan struct{}, 1), next: h.n, lag: lag}
-	h.subs[sub] = struct{}{}
+	sub = &subscriber{id: h.nextSub, wake: make(chan struct{}, 1), lag: lag, start: n}
+	sub.next.Store(int64(n))
+	subs := append(slices.Clone(*h.subs.Load()), sub)
+	h.subs.Store(&subs)
+	if int(h.n.Load()) > n {
+		// Published while sub was being listed: the publisher may have looked
+		// before it was there, and nothing later would open its burst.
+		sub.poke()
+	}
 	return backlog, sub
+}
+
+// reach applies the lag bound as of end published updates, brings sub's
+// accounting up to end and returns where what it may still be handed starts.
+// Caller holds h.mu.
+func (h *hub) reach(sub *subscriber, end int) (from int) {
+	from = int(sub.next.Load())
+	if over := end - from - sub.lag; over > 0 {
+		from += over
+		sub.next.Store(int64(from))
+		sub.dropped += over
+		h.dropped.Add(int64(over))
+	}
+	sub.sent = end - sub.start - sub.dropped
+	return from
 }
 
 // claim takes every update published since sub's previous claim (or since it
 // attached), again as views of the log, appended to buf, and the wall time
-// the oldest of them was published at. An empty claim is normal: a poke can
-// outlive the updates it announced.
+// the oldest of them was published at — zero when sub took it before the
+// publisher had stamped it. An empty claim is normal: a poke can outlive the
+// updates it announced. claim returns only once it has seen nothing published
+// past what it took: the publisher pokes for the update that finds the cursor
+// at the live edge, so either it sees the cursor there or claim sees its update.
 func (h *hub) claim(sub *subscriber, buf [][]graph.Update) (batch [][]graph.Update, oldest time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	batch = h.history.Span(buf, sub.next, h.n)
-	sub.next = h.n
-	return batch, sub.oldest
+	if at := sub.stamp.Load(); at != 0 {
+		oldest = time.Unix(0, at)
+	}
+	for batch = buf; ; {
+		end := int(h.n.Load())
+		from := h.reach(sub, end)
+		if from == end {
+			return batch, oldest
+		}
+		batch = h.history.Span(batch, from, end)
+		sub.stamp.Store(0) // before the cursor moves: a stamp that survives is the next burst's
+		sub.next.Store(int64(end))
+	}
 }
 
 // published is how many updates the session has produced so far.
-func (h *hub) published() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
+func (h *hub) published() int { return int(h.n.Load()) }
 
 // stats snapshots every attached subscriber's delivery accounting, oldest
-// subscription first. Detached subscribers are not reported — their drop
-// totals already landed in the shared counter.
+// subscription first; a detached one's drops are in the shared counter.
 func (h *hub) stats() []subStat {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]subStat, 0, len(h.subs))
-	for s := range h.subs {
+	subs, end := *h.subs.Load(), int(h.n.Load())
+	out := make([]subStat, 0, len(subs))
+	for _, s := range subs {
+		h.reach(s, end)
 		out = append(out, subStat{ID: s.id, Sent: s.sent, Dropped: s.dropped})
 	}
-	sortSubStats(out)
 	return out
-}
-
-// sortSubStats orders by subscriber ID (insertion sort; the set is tiny).
-func sortSubStats(s []subStat) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1].ID > s[j].ID; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
 }
 
 // unsubscribe detaches sub and returns how many updates it lost to the lag
@@ -205,12 +226,14 @@ func (h *hub) unsubscribe(sub *subscriber) int {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	delete(h.subs, sub)
+	if subs := *h.subs.Load(); slices.Contains(subs, sub) {
+		h.reach(sub, int(h.n.Load()))
+		subs = slices.DeleteFunc(slices.Clone(subs), func(s *subscriber) bool { return s == sub })
+		h.subs.Store(&subs)
+	}
 	return sub.dropped
 }
 
-// close marks the stream complete and wakes every subscriber (the done
-// channel). Updates not yet claimed stay claimable.
 // await marks the session as waiting for its stream to open: a client has
 // submitted it and will attach. opened ends the wait — at the stream's first
 // write, or when the session ends without one.
@@ -226,6 +249,8 @@ func (h *hub) opened() {
 	}
 }
 
+// close marks the stream complete and wakes every subscriber (the done
+// channel). Updates not yet claimed stay claimable.
 func (h *hub) close() {
 	h.opened()
 	h.mu.Lock()

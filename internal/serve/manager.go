@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,7 +117,7 @@ type Run struct {
 	created     time.Time
 	started     time.Time
 	finished    time.Time
-	firstUpdate bool // LaunchToFirstUpdate observed (once per run)
+	firstUpdate bool // LaunchToFirstUpdate observed (once per run); the run loop's own, not under mu
 }
 
 // Summary is the API-facing snapshot of a run.
@@ -468,12 +469,11 @@ func (m *Manager) execute(run *Run, alert *event.Event) {
 	}
 	tl := timeline.New(timeline.Options{Telemetry: m.reg})
 	rec := tl.Lane(run.ID, explain.New(0, m.reg))
-	// noteFirstUpdate takes run.mu; safe here because core invokes OnUpdate
-	// outside x.mu (processWindow runs unlocked), so there is no cycle with
-	// Summary's run.mu → Graph() → x.mu ordering.
 	onUpdate := func(u graph.Update) {
 		run.noteFirstUpdate()
-		run.hub.publish(u)
+		if run.hub.publish(u) {
+			runtime.Gosched()
+		}
 	}
 	sess := session.New(snap, core.Options{
 		Windows:   m.windows,
@@ -504,16 +504,14 @@ func (m *Manager) execute(run *Run, alert *event.Event) {
 }
 
 // noteFirstUpdate marks the run's first graph update: it observes the
-// launch-to-first-update SLI and journals the milestone, exactly once.
+// launch-to-first-update SLI and journals the milestone, exactly once. The run
+// loop is its one caller, so it takes no lock: every later update pays a test.
 func (r *Run) noteFirstUpdate() {
-	r.mu.Lock()
 	if r.firstUpdate {
-		r.mu.Unlock()
 		return
 	}
 	r.firstUpdate = true
-	lat := time.Since(r.started)
-	r.mu.Unlock()
+	lat := time.Since(r.started) // set before the run loop started, never again
 	r.slis.LaunchToFirstUpdate.Observe(lat.Seconds())
 	r.scope.Emit(obs.Info, obs.StageRunFirstUpdate, "first graph update", 0, lat)
 }

@@ -170,7 +170,12 @@ func (s *Session) Start(scriptSrc string, alert *event.Event) error {
 // runLoop owns the executor lifecycle, honoring restarts requested by
 // UpdateScript (a changed starting point abandons the current analysis).
 func (s *Session) runLoop() {
-	defer close(s.done)
+	defer func() {
+		s.mu.Lock()
+		s.endPauseSpanLocked() // of a Pause that came after the Stop which ended the run
+		s.mu.Unlock()
+		close(s.done)
+	}()
 	for {
 		s.mu.Lock()
 		x, alert := s.x, s.alert

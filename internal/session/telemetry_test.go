@@ -108,3 +108,40 @@ func TestSessionStopEndsPauseSpan(t *testing.T) {
 		t.Fatalf("stop is not a resume: resumes counter = %d", got)
 	}
 }
+
+// TestSessionPauseAfterStopEndsPauseSpan forces the interleaving the test
+// above meets once in sixty runs: the Stop that ends the run has already
+// closed whatever pause span was open when a Pause opens one. Both come from
+// an OnUpdate callback, so the order is the program's, not the scheduler's;
+// the run ends at the next window boundary and must close the span itself.
+func TestSessionPauseAfterStopEndsPauseSpan(t *testing.T) {
+	ds := dataset(t)
+	atk := ds.Attacks[0]
+	alert, _ := ds.Store.EventByID(atk.AlertID)
+	reg := telemetry.NewRegistry()
+
+	var s *Session
+	first := true
+	s = New(ds.Store, core.Options{Telemetry: reg, OnUpdate: func(graph.Update) {
+		if first {
+			first = false
+			s.Stop()
+			s.Pause()
+		}
+	}})
+	if err := s.Start(atk.Scripts[0], &alert); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	pauses := 0
+	for _, sp := range reg.Tracer().Spans() {
+		if sp.Name == telemetry.SpanSessionPause {
+			pauses++
+		}
+	}
+	if pauses != 1 {
+		t.Fatalf("%d finished pause spans, want the one the late Pause opened", pauses)
+	}
+}

@@ -229,21 +229,26 @@ func BenchmarkQueryNilProfiler(b *testing.B) {
 }
 
 // BenchmarkQueryWithProfiler measures the same query as a run pays for it
-// with a live profiler attached: on a view, which builds its samples in its
-// batch and folds them into the profiler (aggregation + heatmap upkeep) a
-// batch at a time. It must not allocate.
+// with a live profiler attached: on a view, which folds its samples into its
+// aggregate and hands that to the profiler (heatmap upkeep) a batch at a
+// time — on one part, the layout every served run of the repository's
+// benchmark queries, and on four. It must not allocate.
 func BenchmarkQueryWithProfiler(b *testing.B) {
-	s := benchStore(b, WithShards(4), WithShardEpoch(500))
-	s.SetQueryProfiler(qprof.New())
-	v, err := s.View(nil)
-	if err != nil {
-		b.Fatal(err)
+	for name, opts := range map[string][]Option{"flat": nil, "shards=4": {WithShards(4), WithShardEpoch(500)}} {
+		b.Run(name, func(b *testing.B) {
+			s := benchStore(b, opts...)
+			s.SetQueryProfiler(qprof.New())
+			v, err := s.View(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			minT, maxT, _ := v.TimeRange()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.CountBackward(event.ObjID(i%v.NumObjects()), minT, maxT+1)
+			}
+			v.FlushQueryProfile()
+		})
 	}
-	minT, maxT, _ := v.TimeRange()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.CountBackward(event.ObjID(i%v.NumObjects()), minT, maxT+1)
-	}
-	v.FlushQueryProfile()
 }

@@ -682,7 +682,7 @@ func (s *Store) CollectMatches(from, to int64, newPred func() func(event.Event) 
 			}
 			b.shards = append(b.shards, ss)
 		}
-		s.emit(qp, b, qprof.KindMatches, -1, from, to, rows, 0, mergeNs)
+		s.emit(qp, b, qprof.KindMatches, -1, from, rows, 0, mergeNs)
 	}
 	if failed >= 0 {
 		emit(0)

@@ -331,10 +331,11 @@ func (s *Store) Object(id event.ObjID) event.Object {
 	return s.objects[id]
 }
 
-// Host returns the host of the object for an ID without copying the object:
-// what a per-candidate host constraint reads.
-func (s *Store) Host(id event.ObjID) string {
-	return s.objects[id].Host
+// ObjectRef returns the object for an ID in place, in the object table, for
+// a caller that reads a field or two per call and must not write: a
+// per-candidate host constraint, the update stream's frame encoder.
+func (s *Store) ObjectRef(id event.ObjID) *event.Object {
+	return &s.objects[id]
 }
 
 // NumObjects returns the number of distinct interned objects.
@@ -523,7 +524,7 @@ func (s *Store) appendPosting(buf []event.Event, obj event.ObjID, forward bool, 
 	}
 	s.charge(int64(rows), from, to)
 	if b != nil {
-		s.emit(qp, b, postingKind(forward, false), int64(obj), from, to, int64(rows), int64(postingLen), mergeNs)
+		s.emit(qp, b, postingKind(forward, false), int64(obj), from, int64(rows), int64(postingLen), mergeNs)
 	}
 	return buf, nil
 }
@@ -551,7 +552,7 @@ func (s *Store) countPosting(obj event.ObjID, forward bool, from, to int64) (int
 	}
 	s.noteProbe(postingLen, fanout)
 	if b != nil {
-		s.emit(qp, b, postingKind(forward, true), int64(obj), from, to, int64(rows), int64(postingLen), 0)
+		s.emit(qp, b, postingKind(forward, true), int64(obj), from, int64(rows), int64(postingLen), 0)
 	}
 	return rows, nil
 }
@@ -642,8 +643,9 @@ func (s *Store) Scan(from, to int64, fn func(event.Event) bool) error {
 				b.shards = append(b.shards, qprof.ShardSample{Shard: sid, Rows: r})
 			}
 		}
-		s.sample(b, qprof.KindScan, -1, from, to, rows, 0, 0)
-		s.deliver(qp, b)
+		var smp qprof.Sample
+		s.sample(&smp, b, qprof.KindScan, -1, from, rows, 0, 0)
+		s.deliver(qp, b, &smp)
 	}
 	return nil
 }
