@@ -1,28 +1,30 @@
 // Command apbench regenerates the paper's evaluation (Section IV): every
 // table and figure, over a freshly generated synthetic enterprise dataset
-// bound to the simulated query-latency clock.
+// bound to the simulated query-latency clock. Every figure it reports is
+// charged cost on that clock; real-clock measurements are the repository
+// benchmark's (bench/, BENCHMARK.json) and the Go benchmarks'.
 //
 // Usage:
 //
-//	apbench [-exp all|severity|fig4|table1|table2|fig6|timeline|ablation-k|ablation-policy|perf|serve|memo|obs|shard|qprof]
+//	apbench [-exp all|severity|fig4|table1|table2|fig6|refiner|explain|timeline|ablation-k|ablation-policy]
 //	        [-hosts 12] [-days 10] [-density 1.5] [-samples 200] [-cap 2h] [-k 8]
 //	        [-parallel 1] [-shards 1] [-json dir] [-metrics addr] [-pprof addr]
-//	        [-timeline trace.json] [-benchtime 3x]
+//	        [-timeline trace.json]
 //
-// With -json, each experiment's structured result is also written as
-// BENCH_<exp>.json in the given directory, so perf trajectories can be
-// tracked across revisions. With -metrics, a telemetry registry is wired
-// through the store and every executor, served at /metrics (Prometheus
-// text) and /debug/telemetry (JSON) for the duration of the run. With
-// -parallel N, each experiment fans its sampled starting events across N
-// concurrent analyses over shared store views; results are collected in
-// sample order, so the tables are byte-identical to a serial run (-parallel 0
-// uses all cores). With -timeline, every fanned-out analysis records into a
-// per-sample profiler lane; the run's Chrome trace-event file (Perfetto:
-// ui.perfetto.dev) is written to the given path, the SLO watchdog report
-// goes to stderr, and — combined with -metrics — the live trace is also
-// served at /debug/timeline. All profiler output is off stdout, so tables
-// stay byte-identical with the flag on or off.
+// -exp takes a comma-separated list; an unknown name fails before the dataset
+// is generated. With -json, each experiment's structured result is also
+// written as BENCH_<exp>.json in the given directory. With -metrics, a
+// telemetry registry is wired through the store and every executor, served at
+// /metrics (Prometheus text) and /debug/telemetry (JSON) for the duration of
+// the run. With -parallel N, each experiment fans its sampled starting events
+// across N concurrent analyses over shared store views; results are collected
+// in sample order, so the tables are byte-identical to a serial run
+// (-parallel 0 uses all cores). With -timeline, every fanned-out analysis
+// records into a per-sample profiler lane; the run's Chrome trace-event file
+// (Perfetto: ui.perfetto.dev) is written to the given path, the SLO watchdog
+// report goes to stderr, and — combined with -metrics — the live trace is
+// also served at /debug/timeline. All profiler output is off stdout, so
+// tables stay byte-identical with the flag on or off.
 //
 // Paper mapping:
 //
@@ -31,42 +33,17 @@
 //	table1          -> Table I       (five attack cases, No Opt vs Opt)
 //	table2          -> Table II      (inter-update waiting time)
 //	fig6            -> Figure 6      (CPU/memory during a long analysis)
+//	refiner         -> Section III-B3 (changing intermediate points:
+//	                   re-propagation over the cached graph vs a re-run)
 //	explain         -> decision flight recorder: zero graph effect, full
 //	                   explanation coverage, recording overhead
 //	timeline        -> run timeline profiler + SLO watchdog: zero graph
 //	                   effect, per-lane update cadence, stall detection,
 //	                   trace-event schema validation
 //	ablation-*      -> design-choice ablations from DESIGN.md
-//	perf            -> real-CPU benchmarks of the query engine hot loops
-//	                   (testing.Benchmark; BENCH_perf.json with -json)
-//	serve           -> triage-daemon load test: an in-process serve.Server
-//	                   driven over loopback HTTP by concurrent clients
-//	                   (submit BDL, consume SSE), reporting submit-to-first-
-//	                   update p50/p95, updates/sec, the 429 rejection rate
-//	                   at saturation, and drain cleanliness
-//	                   (BENCH_serve.json with -json)
-//	memo            -> cross-alert backward-closure memoization: wall-clock
-//	                   speedup of the batch triage fan-out with the shared
-//	                   memo cache on vs off, with per-alert byte-identity
-//	                   checked on every sample (BENCH_memo.json with -json;
-//	                   -benchtime Nx sets repetitions per mode)
-//	obs             -> alert-lifecycle journal: nil/gated/enabled emission
-//	                   cost (ns/op), byte-identity of the full pipeline
-//	                   journal on vs off, per-correlation-ID chain
-//	                   completeness, and the five pipeline-latency SLIs
-//	                   (BENCH_obs.json with -json)
-//	shard           -> host×time store sharding: parallel-seal and batch-
-//	                   backtrack wall plus critical-path time at 1/2/4/8
-//	                   shards, with per-alert byte-identity enforced across
-//	                   every shard count (BENCH_shard.json with -json)
-//	qprof           -> scatter-gather query profiler: per-alert byte-identity
-//	                   with the profiler on vs off at 1/2/4/8 shards, nil and
-//	                   live observe cost (ns/op), and per-shard load skew
-//	                   quantiles (BENCH_qprof.json with -json)
 //
-// -shards N runs every experiment against an N-shard store (the shard
-// experiment ignores it and sweeps its own configs). Because sharding is
-// real-CPU-only acceleration, every table is byte-identical to -shards 1 —
+// -shards N runs every experiment against an N-shard store. Because sharding
+// is real-CPU-only acceleration, every table is byte-identical to -shards 1 —
 // CI diffs exactly that.
 package main
 
@@ -74,6 +51,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -86,7 +64,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment(s) to run, comma separated")
+		exp       = flag.String("exp", "all", "experiment(s) to run, comma separated: all, "+strings.Join(names(), ", "))
 		hosts     = flag.Int("hosts", 12, "workstations in the dataset")
 		days      = flag.Int("days", 10, "days of history")
 		density   = flag.Float64("density", 1.5, "background activity scale")
@@ -101,10 +79,9 @@ func main() {
 		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address (shares the -metrics mux when the addresses match)")
 		timelineF = flag.String("timeline", "", "profile every analysis into a run timeline; write the Chrome trace-event JSON to this path")
 		gap       = flag.Duration("slo", aptrace.DefaultGapTarget, "SLO inter-update gap target for the -timeline watchdog")
-		benchtime = flag.String("benchtime", "3x", "wall-clock repetitions per mode for the memo experiment, as Nx")
 	)
 	flag.Parse()
-	iters, err := parseBenchtime(*benchtime)
+	selected, err := resolve(*exp)
 	if err != nil {
 		fatal(err)
 	}
@@ -167,60 +144,25 @@ func main() {
 		env.Dataset.Store.NumEvents(), env.Dataset.Store.NumObjects(),
 		len(env.Dataset.Attacks), time.Since(wall).Seconds())
 
-	cfg := experiments.Config{Samples: *samples, Cap: *cap_, Windows: *k, Seed: 42, Parallel: *parallel, Telemetry: reg, Timeline: tl, BenchIters: iters}
+	cfg := experiments.Config{Samples: *samples, Cap: *cap_, Windows: *k, Seed: 42, Parallel: *parallel, Telemetry: reg, Timeline: tl}
 	if *parallel > 1 {
 		// Stderr, so stdout stays byte-comparable against a serial run.
 		fmt.Fprintf(os.Stderr, "parallel analyses per experiment: %d\n", *parallel)
 	}
 
-	// Every runner returns its structured result so -json can persist the
-	// machine-readable rows next to the printed tables.
-	runners := map[string]func() (any, error){
-		"severity": func() (any, error) { return experiments.RunSeverity(env, cfg, os.Stdout) },
-		"fig4":     func() (any, error) { return experiments.RunFig4(env, cfg, os.Stdout) },
-		"table1":   func() (any, error) { return experiments.RunTable1(env, cfg, os.Stdout) },
-		"table2":   func() (any, error) { return experiments.RunTable2(env, cfg, os.Stdout) },
-		"fig6":     func() (any, error) { return experiments.RunFig6(env, cfg, os.Stdout) },
-		"refiner":  func() (any, error) { return experiments.RunRefiner(env, cfg, os.Stdout) },
-		"explain":  func() (any, error) { return experiments.RunExplain(env, cfg, os.Stdout) },
-		"timeline": func() (any, error) { return experiments.RunTimeline(env, cfg, os.Stdout) },
-		"ablation-k": func() (any, error) {
-			return experiments.RunAblationK(env, cfg, os.Stdout)
-		},
-		"ablation-policy": func() (any, error) {
-			return experiments.RunAblationPolicy(env, cfg, os.Stdout)
-		},
-		"perf":  func() (any, error) { return experiments.RunPerf(env, cfg, os.Stdout) },
-		"serve": func() (any, error) { return experiments.RunServe(env, cfg, os.Stdout) },
-		"memo":  func() (any, error) { return experiments.RunMemo(env, cfg, os.Stdout) },
-		"obs":   func() (any, error) { return experiments.RunObs(env, cfg, os.Stdout) },
-		"shard": func() (any, error) { return experiments.RunShard(env, cfg, os.Stdout) },
-		"qprof": func() (any, error) { return experiments.RunQprof(env, cfg, os.Stdout) },
-	}
-	order := []string{"severity", "fig4", "table1", "table2", "fig6", "refiner", "explain", "timeline", "ablation-k", "ablation-policy", "perf", "serve", "memo", "obs", "shard", "qprof"}
-
-	selected := strings.Split(*exp, ",")
-	if *exp == "all" {
-		selected = order
-	}
-	for _, name := range selected {
-		name = strings.TrimSpace(name)
-		run, ok := runners[name]
-		if !ok {
-			fatal(fmt.Errorf("unknown experiment %q (want one of %s)", name, strings.Join(order, ", ")))
-		}
+	for _, e := range selected {
 		wall := time.Now()
-		res, err := run()
+		res, err := e.run(env, cfg, os.Stdout)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
+			fatal(fmt.Errorf("%s: %w", e.name, err))
 		}
-		fmt.Printf("[%s done in %.1fs wall]\n", name, time.Since(wall).Seconds())
+		fmt.Printf("[%s done in %.1fs wall]\n", e.name, time.Since(wall).Seconds())
 		if *jsonDir != "" {
-			path := filepath.Join(*jsonDir, "BENCH_"+name+".json")
+			path := filepath.Join(*jsonDir, "BENCH_"+e.name+".json")
 			if err := writeJSON(path, res); err != nil {
-				fatal(fmt.Errorf("%s: %w", name, err))
+				fatal(fmt.Errorf("%s: %w", e.name, err))
 			}
-			fmt.Printf("[%s rows written to %s]\n", name, path)
+			fmt.Printf("[%s rows written to %s]\n", e.name, path)
 		}
 	}
 
@@ -246,13 +188,64 @@ func main() {
 	}
 }
 
-// parseBenchtime accepts the go-test style iteration form "Nx".
-func parseBenchtime(s string) (int, error) {
-	var n int
-	if _, err := fmt.Sscanf(s, "%dx", &n); err != nil || n < 1 {
-		return 0, fmt.Errorf("-benchtime wants the form Nx with N >= 1, got %q", s)
+// experiment is one -exp name and the runner behind it. Every runner returns
+// its structured result so -json can persist the machine-readable rows next to
+// the printed tables.
+type experiment struct {
+	name string
+	run  runFunc
+}
+
+type runFunc = func(*experiments.Env, experiments.Config, io.Writer) (any, error)
+
+// order is every experiment, in the order -exp all runs them.
+var order = []experiment{
+	{"severity", runner(experiments.RunSeverity)},
+	{"fig4", runner(experiments.RunFig4)},
+	{"table1", runner(experiments.RunTable1)},
+	{"table2", runner(experiments.RunTable2)},
+	{"fig6", runner(experiments.RunFig6)},
+	{"refiner", runner(experiments.RunRefiner)},
+	{"explain", runner(experiments.RunExplain)},
+	{"timeline", runner(experiments.RunTimeline)},
+	{"ablation-k", runner(experiments.RunAblationK)},
+	{"ablation-policy", runner(experiments.RunAblationPolicy)},
+}
+
+// runner erases a Run function's result type.
+func runner[T any](f func(*experiments.Env, experiments.Config, io.Writer) (T, error)) runFunc {
+	return func(env *experiments.Env, cfg experiments.Config, w io.Writer) (any, error) {
+		return f(env, cfg, w)
 	}
-	return n, nil
+}
+
+func names() []string {
+	out := make([]string, len(order))
+	for i, e := range order {
+		out[i] = e.name
+	}
+	return out
+}
+
+// resolve maps the -exp value to the experiments it names, so a misspelt name
+// fails before any dataset is generated or experiment run.
+func resolve(exp string) ([]experiment, error) {
+	if exp == "all" {
+		return order, nil
+	}
+	var selected []experiment
+next:
+	for _, name := range strings.Split(exp, ",") {
+		name = strings.TrimSpace(name)
+		for _, e := range order {
+			if e.name == name {
+				selected = append(selected, e)
+				continue next
+			}
+		}
+		return nil, fmt.Errorf("unknown experiment %q (want one of %s)", name, strings.Join(names(), ", "))
+	}
+	return selected, nil
 }
 
 func fatal(err error) {

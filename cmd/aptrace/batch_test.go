@@ -11,25 +11,27 @@ import (
 	"aptrace"
 )
 
-func testDataset(t *testing.T) *aptrace.Dataset {
+// testStore generates the fixture's history into a store of the given part
+// count (1 = flat).
+func testStore(t *testing.T, shards int) *aptrace.Store {
 	t.Helper()
-	ds, err := aptrace.Generate(aptrace.WorkloadConfig{Seed: 3, Hosts: 2, Days: 1, Density: 0.3}, nil)
+	ds, err := aptrace.Generate(aptrace.WorkloadConfig{Seed: 3, Hosts: 2, Days: 1, Density: 0.3, Shards: shards}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds
+	return ds.Store
 }
 
 // TestBatchZeroStarts: a detector rule with no hits is a normal outcome —
 // exit clean with a clear message, write no per-alert DOT files.
 func TestBatchZeroStarts(t *testing.T) {
-	ds := testDataset(t)
+	st := testStore(t, 1)
 	dir := t.TempDir()
 	src := fmt.Sprintf(`backward proc p[exename = "no-such-binary-xyz"] -> *
 output = %q`, filepath.Join(dir, "graph.dot"))
 
 	var out bytes.Buffer
-	if err := runBatch(&out, ds.Store, src, 8, 2, true, nil, "", nil, nil); err != nil {
+	if err := runBatch(&out, st, src, 8, 2, true, nil, "", nil, nil); err != nil {
 		t.Fatalf("zero matching starts must not be an error, got: %v", err)
 	}
 	if !strings.Contains(out.String(), "0 starting events") {
@@ -64,19 +66,21 @@ func TestDotPathsCollision(t *testing.T) {
 }
 
 // TestBatchMemoByteIdentical is the CLI-level slice of the charged-cost
-// invariant: the summary table on stdout and every per-alert DOT file must
-// be byte-identical with the memo cache on and off (simulated clock, so the
-// elapsed column is deterministic).
+// invariant: the summary table on stdout and every per-alert DOT file must be
+// byte-identical to the plain run's under everything runBatch accepts that
+// only accelerates or observes — the memo cache, a query profiler on the
+// store, -explain all, a timeline profiler, a 4-part store (simulated clock,
+// so the elapsed column is deterministic). Each case also shows that what it
+// attached was exercised.
 func TestBatchMemoByteIdentical(t *testing.T) {
-	ds := testDataset(t)
-
-	run := func(cache *aptrace.MemoCache) (string, map[string]string) {
+	run := func(t *testing.T, st *aptrace.Store, explArg string, tl *aptrace.TimelineProfiler, cache *aptrace.MemoCache) (string, map[string]string) {
+		t.Helper()
 		dir := t.TempDir()
 		src := fmt.Sprintf(`backward proc p[exename = "explorer*"] -> *
 where file.path != "*.dll" and time <= 30mins
 output = %q`, filepath.Join(dir, "graph.dot"))
 		var out bytes.Buffer
-		if err := runBatch(&out, ds.Store, src, 8, 4, true, nil, "", nil, cache); err != nil {
+		if err := runBatch(&out, st, src, 8, 4, true, nil, explArg, tl, cache); err != nil {
 			t.Fatal(err)
 		}
 		dots := make(map[string]string)
@@ -89,30 +93,78 @@ output = %q`, filepath.Join(dir, "graph.dot"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			dots[e.Name()] = string(b)
+			// -explain draws the prune frontier into the DOT as extra
+			// x-nodes and their edges; the graph proper is every other line.
+			var graph []string
+			for _, line := range strings.SplitAfter(string(b), "\n") {
+				if !strings.HasPrefix(line, "  x") {
+					graph = append(graph, line)
+				}
+			}
+			dots[e.Name()] = strings.Join(graph, "")
 		}
 		return out.String(), dots
 	}
 
-	plainOut, plainDots := run(nil)
+	flat := testStore(t, 1)
+	plainOut, plainDots := run(t, flat, "", nil, nil)
 	if len(plainDots) == 0 {
 		t.Fatal("fixture error: the batch should produce per-alert DOT files")
 	}
-	cache := aptrace.NewMemoCache(0, nil)
-	memoOut, memoDots := run(cache)
 
-	if plainOut != memoOut {
-		t.Fatalf("stdout diverged with memo on:\n--- off ---\n%s\n--- on ---\n%s", plainOut, memoOut)
-	}
-	if len(plainDots) != len(memoDots) {
-		t.Fatalf("DOT file count diverged: %d vs %d", len(plainDots), len(memoDots))
-	}
-	for name, want := range plainDots {
-		if got, ok := memoDots[name]; !ok || got != want {
-			t.Fatalf("DOT %s diverged with memo on", name)
-		}
-	}
-	if cs := cache.Stats(); cs.Hits+cs.Misses == 0 {
-		t.Fatalf("cache never consulted: %+v", cs)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) (string, map[string]string)
+	}{
+		{"memo", func(t *testing.T) (string, map[string]string) {
+			cache := aptrace.NewMemoCache(0, nil)
+			out, dots := run(t, flat, "", nil, cache)
+			if cs := cache.Stats(); cs.Hits+cs.Misses == 0 {
+				t.Errorf("cache never consulted: %+v", cs)
+			}
+			return out, dots
+		}},
+		{"qprof", func(t *testing.T) (string, map[string]string) {
+			st, qp := testStore(t, 4), aptrace.NewQueryProfiler()
+			st.SetQueryProfiler(qp)
+			out, dots := run(t, st, "", nil, nil)
+			if snap := qp.Snapshot(); snap.Queries == 0 || snap.ShardCount != 4 {
+				t.Errorf("profiler saw %d queries over %d shards, want some over 4", snap.Queries, snap.ShardCount)
+			}
+			return out, dots
+		}},
+		{"explain", func(t *testing.T) (string, map[string]string) {
+			return run(t, flat, "all", nil, nil)
+		}},
+		{"timeline", func(t *testing.T) (string, map[string]string) {
+			tl := aptrace.NewTimeline(aptrace.TimelineOptions{})
+			out, dots := run(t, flat, "", tl, nil)
+			if rep := tl.Report(); len(rep.Lanes) != len(plainDots) || rep.Updates == 0 {
+				t.Errorf("timeline recorded %d lanes and %d updates for %d alerts", len(rep.Lanes), rep.Updates, len(plainDots))
+			}
+			return out, dots
+		}},
+		{"4 shards", func(t *testing.T) (string, map[string]string) {
+			st := testStore(t, 4)
+			if st.ShardCount() != 4 {
+				t.Fatalf("store has %d parts, want 4", st.ShardCount())
+			}
+			return run(t, st, "", nil, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, dots := tc.run(t)
+			if out != plainOut {
+				t.Fatalf("stdout diverged from the plain run:\n--- plain ---\n%s\n--- %s ---\n%s", plainOut, tc.name, out)
+			}
+			if len(dots) != len(plainDots) {
+				t.Fatalf("DOT file count diverged: %d vs %d", len(dots), len(plainDots))
+			}
+			for name, want := range plainDots {
+				if got, ok := dots[name]; !ok || got != want {
+					t.Fatalf("DOT %s diverged from the plain run", name)
+				}
+			}
+		})
 	}
 }

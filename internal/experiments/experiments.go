@@ -63,10 +63,6 @@ type Config struct {
 	// profiler's SLO watchdog measures every run's update cadence. Nil
 	// (the default) profiles nothing at near-zero cost.
 	Timeline *timeline.Profiler
-	// BenchIters is how many times the real-CPU experiments (memo) repeat
-	// each measured configuration, keeping the best wall-clock reading.
-	// 0 or 1 measures once.
-	BenchIters int
 }
 
 // execOptions returns the baseline core options for this config, with the

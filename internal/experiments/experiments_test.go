@@ -330,3 +330,44 @@ func TestRunRefiner(t *testing.T) {
 		t.Error("report missing")
 	}
 }
+
+func TestRunExplain(t *testing.T) {
+	env := testEnv(t)
+	cfg := testCfg()
+	var buf bytes.Buffer
+	res, err := RunExplain(env, cfg, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Samples != cfg.Samples {
+		t.Fatalf("samples = %d, want %d", res.Samples, cfg.Samples)
+	}
+	if !res.GraphsIdentical {
+		t.Error("recording changed the analysis output")
+	}
+	if res.Nodes == 0 || !res.AllNodesExplained {
+		t.Errorf("explained %d of %d graph nodes", res.NodesExplained, res.Nodes)
+	}
+	// The plan's where clause and hop budget must both leave a frontier.
+	if res.PrunedCandidates == 0 || res.ExampleExclusion == "" {
+		t.Errorf("prune frontier empty: %d candidates, example %q", res.PrunedCandidates, res.ExampleExclusion)
+	}
+	if res.Records == 0 || res.Dropped != 0 {
+		t.Errorf("recorders kept %d records and dropped %d", res.Records, res.Dropped)
+	}
+	for _, want := range []string{"recording effect on graphs:    none", "example exclusion:"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, buf.String())
+		}
+	}
+
+	// Like every fan-out experiment, the report cannot depend on -parallel.
+	cfg.Parallel = 4
+	var par bytes.Buffer
+	if _, err := RunExplain(env, cfg, &par); err != nil {
+		t.Fatal(err)
+	}
+	if par.String() != buf.String() {
+		t.Errorf("parallel report differs from serial:\n%s\nvs\n%s", par.String(), buf.String())
+	}
+}

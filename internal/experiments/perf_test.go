@@ -1,14 +1,76 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
+	"aptrace/internal/core"
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
+	"aptrace/internal/qprof"
 	"aptrace/internal/refiner"
+	"aptrace/internal/simclock"
+	"aptrace/internal/store"
+	"aptrace/internal/telemetry"
+	"aptrace/internal/timeline"
 	"aptrace/internal/workload"
 )
 
-// perfAlert is the `apbench -exp perf` alert: apbench's default dataset and
+// runOnce is one whole analysis from alert over a private view of the
+// dataset: the body of BenchmarkExecutorRun/bare.
+func (e *Env) runOnce(plan *refiner.Plan, opts core.Options, alert event.Event) (*core.Result, error) {
+	v, err := e.Dataset.Store.View(simclock.NewSimulated(time.Time{}))
+	if err != nil {
+		return nil, err
+	}
+	x, err := core.New(v, plan, opts)
+	if err != nil {
+		return nil, err
+	}
+	return x.RunUnchecked(alert)
+}
+
+// recorders is what the triage daemon creates once and every run shares: the
+// metrics registry, and the snapshot whose query profiler each run's view
+// inherits.
+type recorders struct {
+	reg  *telemetry.Registry
+	snap *store.Store
+}
+
+func (e *Env) newRecorders() (*recorders, error) {
+	snap, err := e.Dataset.Store.View(nil)
+	if err != nil {
+		return nil, err
+	}
+	snap.SetQueryProfiler(qprof.New())
+	return &recorders{reg: telemetry.NewRegistry(), snap: snap}, nil
+}
+
+// runRecorded is runOnce as the triage daemon runs it (serve.Manager.execute):
+// a fresh run log as a timeline lane on the shared registry, the
+// query profiler inherited from the snapshot, and an OnUpdate hook — the body
+// of BenchmarkExecutorRun/recorded, whose distance from bare is the recording
+// budget.
+func (e *Env) runRecorded(r *recorders, plan *refiner.Plan, windows int, alert event.Event) (*core.Result, error) {
+	v, err := r.snap.View(simclock.NewSimulated(time.Time{}))
+	if err != nil {
+		return nil, err
+	}
+	x, err := core.New(v, plan, core.Options{
+		Windows:   windows,
+		Telemetry: r.reg,
+		Explain:   timeline.New(timeline.Options{Telemetry: r.reg}).Lane("run", explain.New(0, r.reg)),
+		OnUpdate:  func(core.Update) {},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return x.RunUnchecked(alert)
+}
+
+// perfAlert is the benchmark alert: apbench's default dataset and
 // configuration, first sample of seed 42.
 func perfAlert(tb testing.TB) (*Env, Config, event.Event) {
 	tb.Helper()
@@ -21,10 +83,10 @@ func perfAlert(tb testing.TB) (*Env, Config, event.Event) {
 }
 
 // TestExecutorRunAllocations is the allocation ceiling of the executor's
-// window loop: a whole analysis of the `apbench -exp perf` alert (apbench's
-// default dataset, first sample of seed 42) with no observer attached may
-// allocate only what amortised growth of its buffers, maps and graph slices
-// costs — a few hundred allocations for tens of thousands of edges. Before
+// window loop: a whole analysis of the benchmark alert (apbench's default
+// dataset, first sample of seed 42) with no observer attached may allocate
+// only what amortised growth of its buffers, maps and graph slices costs — a
+// few hundred allocations for tens of thousands of edges. Before
 // the typed window heap, the reused window buffer and the slice-backed graph
 // the backward run alone made 36,491. A per-window or per-edge allocation
 // anywhere in the loop breaks the ceiling by an order of magnitude.
@@ -33,17 +95,24 @@ func perfAlert(tb testing.TB) (*Env, Config, event.Event) {
 // recorder, timeline lane, telemetry, query profiler, OnUpdate): its 61k
 // explain records, 24k lane events, 4k spans and 36k profiler samples may add
 // only their pages and batches — a few hundred allocations, where the
-// per-record recorders made 52,145.
+// per-record recorders made 52,145 — and at most 10.5 MB, a quarter above the
+// one ring's 8.3 MB.
 func TestExecutorRunAllocations(t *testing.T) {
 	env, cfg, alert := perfAlert(t)
-	for _, tc := range []struct{ name, script string }{
-		{"backward", `backward proc p[exename = "*"] -> *`},
-		{"forward", `forward proc p[exename = "*"] -> *`},
+	for _, tc := range []struct {
+		name, script string
+		maxBytes     float64 // 0: no byte ceiling
+	}{
+		// The benchmark's own run (BenchmarkExecutorRun/bare): 3.4 MB, the
+		// ceiling a quarter above it.
+		{name: "backward", script: `backward proc p[exename = "*"] -> *`, maxBytes: 4.3e6},
+		// Three times the edges of the backward run.
+		{name: "forward", script: `forward proc p[exename = "*"] -> *`},
 		// The where clause walks computed attributes rather than matching
 		// strings: string conditions run a regexp whose scratch state comes
 		// from a sync.Pool, which the race detector makes forgetful — CI runs
 		// this test under -race.
-		{"where+chain", `backward proc p[exename = "*"] -> proc q[exename = "explorer.exe"] -> *` + "\n" +
+		{name: "where+chain", script: `backward proc p[exename = "*"] -> proc q[exename = "explorer.exe"] -> *` + "\n" +
 			`where file.last_access_time >= "1970-01-01 00:00:00" and proc.dst.isWriteThrough != true and hop <= 12`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,20 +120,9 @@ func TestExecutorRunAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var updates int
-			allocs := testing.AllocsPerRun(3, func() {
-				res, err := env.runOnce(plan, cfg.execOptions(), alert)
-				if err != nil {
-					t.Fatal(err)
-				}
-				updates = res.Updates
+			checkRunCost(t, 1000, tc.maxBytes, func() (*core.Result, error) {
+				return env.runOnce(plan, cfg.execOptions(), alert)
 			})
-			if updates < 10000 {
-				t.Fatalf("run found %d edges; the ceiling means nothing on a run this small", updates)
-			}
-			if allocs > 1000 {
-				t.Errorf("%.0f allocations for a run of %d edges, want <= 1000", allocs, updates)
-			}
 		})
 	}
 	t.Run("recorded", func(t *testing.T) {
@@ -72,25 +130,48 @@ func TestExecutorRunAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var updates int
-		allocs := testing.AllocsPerRun(3, func() {
-			res, err := env.runRecorded(rec, wildcardPlan(0), cfg.Windows, alert)
-			if err != nil {
-				t.Fatal(err)
-			}
-			updates = res.Updates
+		checkRunCost(t, 2000, 10.5e6, func() (*core.Result, error) {
+			return env.runRecorded(rec, wildcardPlan(0), cfg.Windows, alert)
 		})
-		if updates < 10000 {
-			t.Fatalf("run found %d edges; the ceiling means nothing on a run this small", updates)
-		}
-		if allocs > 2000 {
-			t.Errorf("%.0f allocations for a recorded run of %d edges, want <= 2000", allocs, updates)
-		}
 	})
 }
 
-// BenchmarkExecutorRun is the executor_run pair of `apbench -exp perf` as a
-// testing.B, so the standard profiler flags apply to it:
+// checkRunCost fails unless a run of at least 10,000 edges stays under both
+// ceilings. It measures as testing.AllocsPerRun does — one processor, one
+// warm-up, the mean of three runs — reading bytes from the same counters.
+func checkRunCost(t *testing.T, maxAllocs, maxBytes float64, run func() (*core.Result, error)) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 3
+	var updates int
+	var before, after runtime.MemStats
+	for i := 0; i <= runs; i++ {
+		if i == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		res, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		updates = res.Updates
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if updates < 10000 {
+		t.Fatalf("run found %d edges; the ceilings mean nothing on a run this small", updates)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("%.0f allocations for a run of %d edges, want <= %.0f", allocs, updates, maxAllocs)
+	}
+	if maxBytes > 0 && bytes > maxBytes {
+		t.Errorf("%.0f bytes allocated for a run of %d edges, want <= %.0f", bytes, updates, maxBytes)
+	}
+	t.Logf("%d edges: %.0f allocs, %.0f bytes per run", updates, allocs, bytes)
+}
+
+// BenchmarkExecutorRun times the run TestExecutorRunAllocations bounds, so the
+// standard profiler flags apply to it:
 //
 //	go test -run '^$' -bench ExecutorRun -cpuprofile cpu.out ./internal/experiments
 //	go tool pprof -top -cum -focus RunUnchecked cpu.out

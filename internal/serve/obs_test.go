@@ -5,12 +5,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 
 	"testing"
 	"time"
 
+	"aptrace/internal/graph"
 	"aptrace/internal/obs"
 	"aptrace/internal/store"
 	"aptrace/internal/telemetry"
@@ -106,20 +109,18 @@ func chainStages(entries []obs.Entry) map[string]bool {
 	return got
 }
 
-// TestCorrelationChainCompleteness is the tentpole acceptance test: every
-// auto-launched run's lifecycle must reconstruct gap-free from its single
-// correlation ID — ingest batch, alert, queued, active, first update,
-// terminal — plus the pipeline SLIs the chain feeds.
-func TestCorrelationChainCompleteness(t *testing.T) {
-	ds := dataset(t)
-	reg := telemetry.NewRegistry()
-	journal := obs.New(obs.Options{Level: obs.Info, Telemetry: reg})
+// chainPipeline runs the whole triage pipeline on a fresh daemon over a fresh
+// live store: the dataset's audit wire ingested in four batches (so distinct
+// correlation IDs map distinct event-ID ranges, one corr per batch), one
+// detection pass with auto-backtrack, every launched run awaited. It returns
+// the daemon and the batch count.
+func chainPipeline(t *testing.T, wire []byte, reg *telemetry.Registry, journal *obs.Journal) (*Server, int) {
+	t.Helper()
 	live, err := store.OpenLive(t.TempDir(), nil, store.WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer live.Close()
-
+	t.Cleanup(func() { live.Close() })
 	srv, err := New(Config{
 		Live:          live,
 		AutoBacktrack: true,
@@ -133,12 +134,7 @@ func TestCorrelationChainCompleteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Ingest in several batches so distinct correlation IDs map distinct
-	// event-ID ranges (one corr per batch, not one for the whole wire).
-	lines := bytes.Split(bytes.TrimRight(auditWire(t, ds), "\n"), []byte("\n"))
+	lines := bytes.Split(bytes.TrimRight(wire, "\n"), []byte("\n"))
 	chunk := (len(lines) + 3) / 4
 	batches := 0
 	for at := 0; at < len(lines); at += chunk {
@@ -152,12 +148,56 @@ func TestCorrelationChainCompleteness(t *testing.T) {
 		}
 		batches++
 	}
-	if got := len(journal.Query(obs.Filter{Stage: obs.StageIngest})); got != batches {
-		t.Fatalf("ingest.batch entries = %d, want %d", got, batches)
-	}
-
 	if n, err := srv.DetectNow(); err != nil || n == 0 {
 		t.Fatalf("DetectNow = %d, %v", n, err)
+	}
+	for _, run := range srv.Manager().Runs() {
+		run.Wait()
+	}
+	return srv, batches
+}
+
+// pipelineFingerprint renders everything a daemon's pipeline produced: the
+// alert log (rule, severity, event, auto-launched session) and each run's
+// terminal summary with an FNV-64a hash of its DOT graph.
+func pipelineFingerprint(t *testing.T, srv *Server) []string {
+	t.Helper()
+	var fps []string
+	for _, a := range srv.Alerts() {
+		fps = append(fps, fmt.Sprintf("alert seq=%d rule=%s sev=%s event=%d session=%s",
+			a.Seq, a.Rule, a.Severity, a.EventID, a.SessionID))
+	}
+	for _, run := range srv.Manager().Runs() {
+		sum := run.Summary()
+		h := fnv.New64a()
+		if err := graph.WriteDOT(h, run.Graph(), run.View().Object); err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, fmt.Sprintf("run id=%s auto=%v rule=%s alert=%d state=%s reason=%s updates=%d edges=%d nodes=%d dot=%016x",
+			sum.ID, sum.Auto, sum.Rule, sum.AlertID, sum.State, sum.Reason,
+			sum.Updates, sum.Edges, sum.Nodes, h.Sum64()))
+	}
+	return fps
+}
+
+// TestCorrelationChainCompleteness is the tentpole invariant: every
+// auto-launched run's lifecycle must reconstruct gap-free from its single
+// correlation ID — ingest batch, alert, queued, active, first update,
+// terminal — plus the pipeline SLIs the chain feeds. Its last phase is the
+// journal's zero-effect contract: the same wire through a daemon with no
+// journal yields the same alerts and the same runs, graph for graph.
+func TestCorrelationChainCompleteness(t *testing.T) {
+	wire := auditWire(t, dataset(t))
+	reg := telemetry.NewRegistry()
+	// Debug, so the comparison below covers every emission site; the ring
+	// is large enough that sampling, not eviction, decides what is kept.
+	journal := obs.New(obs.Options{Level: obs.Debug, Ring: 1 << 16, Telemetry: reg})
+	srv, batches := chainPipeline(t, wire, reg, journal)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if got := len(journal.Query(obs.Filter{Stage: obs.StageIngest})); got != batches {
+		t.Fatalf("ingest.batch entries = %d, want %d", got, batches)
 	}
 
 	auto := 0
@@ -228,6 +268,19 @@ func TestCorrelationChainCompleteness(t *testing.T) {
 	}
 	if ops.AlertsTotal == 0 || ops.Sessions["submitted"] == 0 {
 		t.Fatalf("/ops = %+v", ops)
+	}
+
+	// The journal only reads: a daemon without one finds the same alerts
+	// and launches the same runs to the same graphs.
+	bare, _ := chainPipeline(t, wire, telemetry.NewRegistry(), nil)
+	want, got := pipelineFingerprint(t, bare), pipelineFingerprint(t, srv)
+	if len(got) != len(want) {
+		t.Fatalf("journaled daemon produced %d alerts+runs, unjournaled %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("journal changed the pipeline's output:\n  on:  %s\n  off: %s", got[i], want[i])
+		}
 	}
 }
 

@@ -218,7 +218,7 @@ func benchStore(b *testing.B, opts ...Option) *Store {
 
 // BenchmarkQueryNilProfiler measures the per-query cost of the profiling
 // hooks when no profiler is attached — the price every deployment pays.
-// BENCH_qprof.json records this figure; it must stay a few ns.
+// It must stay a few ns.
 func BenchmarkQueryNilProfiler(b *testing.B) {
 	s := benchStore(b, WithShards(4), WithShardEpoch(500))
 	minT, maxT, _ := s.TimeRange()

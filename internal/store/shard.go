@@ -792,11 +792,3 @@ func (s *Store) ShardInfos() []ShardInfo {
 func (s *Store) ShardScatterStats() (scatters, busyNanos, savableNanos int64) {
 	return s.scat.scatters.Load(), s.scat.busyNs.Load(), s.scat.saveNs.Load()
 }
-
-// SealShardStats reports Seal's wall clock, the per-part seal durations, the
-// savable nanos (sum minus max when parts sealed one after another; zero
-// when they overlapped, and always zero for one part), and whether parts ran
-// concurrently.
-func (s *Store) SealShardStats() (wall time.Duration, perShard []time.Duration, savableNanos int64, concurrent bool) {
-	return s.sealStat.wall, s.sealStat.durs, s.sealStat.savableNs, s.sealStat.concurrent
-}

@@ -56,10 +56,6 @@ type Config struct {
 	// directly into their shards, so no single slice ever holds the whole
 	// dataset, and Seal runs per shard in parallel.
 	Shards int
-	// SealWorkers fixes each shard's internal Seal worker count
-	// (store.WithSealWorkers); 0 auto-sizes. The shard benchmark pins it
-	// to 1 so shard count is the only parallelism axis.
-	SealWorkers int
 }
 
 // Dataset is a generated enterprise history: a sealed store plus ground
@@ -67,7 +63,8 @@ type Config struct {
 type Dataset struct {
 	Store *store.Store
 	// SealWall is the wall-clock duration of the dataset's Seal call —
-	// real CPU, never simulated cost. The shard benchmark reads it.
+	// real CPU, never simulated cost. apgen prints it and the repository
+	// benchmark reports it as store.seal_*_s.
 	SealWall time.Duration
 	Attacks  []Attack
 	Config   Config
@@ -136,9 +133,6 @@ func Generate(cfg Config, clk storeClock) (*Dataset, error) {
 	var opts []store.Option
 	if cfg.Shards > 1 {
 		opts = append(opts, store.WithShards(cfg.Shards))
-	}
-	if cfg.SealWorkers > 0 {
-		opts = append(opts, store.WithSealWorkers(cfg.SealWorkers))
 	}
 	st := store.New(clk, opts...)
 	g := &generator{
