@@ -340,9 +340,6 @@ func ServePprof(addr string) (*http.Server, string, error) {
 // The zero time starts the clock at a fixed epoch.
 func NewSimulatedClock() *SimulatedClock { return simclock.NewSimulated(time.Time{}) }
 
-// RealClock returns the wall-clock time source (query charges are no-ops).
-func RealClock() Clock { return simclock.Real{} }
-
 // Generate builds a synthetic enterprise dataset with the paper's five
 // attack scenarios injected (see WorkloadConfig.Attacks to select a subset).
 func Generate(cfg WorkloadConfig, clk Clock) (*Dataset, error) {
@@ -379,11 +376,6 @@ func NewFleet(workers int, reg *Telemetry) *Fleet { return fleet.New(workers, re
 // batch and is returned wrapped with its job index.
 func FleetMap[T any](p *Fleet, n int, job func(int) (T, error)) ([]T, error) {
 	return fleet.Map(p, n, job)
-}
-
-// FleetForEach is FleetMap for jobs with no result value.
-func FleetForEach(p *Fleet, n int, job func(int) error) error {
-	return fleet.ForEach(p, n, job)
 }
 
 // NewTimeline returns a run timeline profiler: make each analysis's log a
@@ -514,17 +506,6 @@ type (
 // NewTriageServer assembles the always-on triage daemon. Start launches the
 // detection loop, Serve binds the HTTP API, Drain shuts down gracefully.
 func NewTriageServer(cfg TriageConfig) (*TriageServer, error) { return serve.New(cfg) }
-
-// TriageScript builds the bounded auto-backtrack BDL script the triage
-// daemon launches per alert: the start node typed after the event's flow
-// destination, a hop ceiling, and (when budget > 0) an analysis time budget.
-func TriageScript(e Event, st *Store, hops int, budget time.Duration) string {
-	return serve.ScriptForEvent(e, st, hops, budget)
-}
-
-// StaticTriageSource adapts a sealed store as a triage Source — read-only
-// deployments and load tests (no ingest, fixed history).
-func StaticTriageSource(st *Store) serve.Source { return serve.StaticSource(st) }
 
 // ExportAudit writes a sealed store's events to w in the given wire format.
 func ExportAudit(st *Store, w io.Writer, f AuditFormat) (int, error) {

@@ -20,8 +20,8 @@
 //
 // The journal only ever *reads* pipeline state and stamps wall-clock time —
 // never the analysis clock — so enabling it cannot change any detection or
-// graph output (the obs experiment enforces byte-identity journal on vs
-// off).
+// graph output (serve.TestCorrelationChainCompleteness holds byte identity
+// journal on vs off).
 package obs
 
 import (

@@ -51,6 +51,9 @@ type hub struct {
 	// not had its first write yet; waiting says this one is among them.
 	opening *atomic.Int32
 	waiting atomic.Bool
+	// awaited is set by await, before the run starts, and cleared by the run
+	// goroutine alone in justOpened.
+	awaited bool
 
 	n    atomic.Int64                  // updates published; slots below it never change or move
 	subs atomic.Pointer[[]*subscriber] // attached, in attach order; replaced, never edited
@@ -239,8 +242,21 @@ func (h *hub) unsubscribe(sub *subscriber) int {
 // write, or when the session ends without one.
 func (h *hub) await() {
 	if h.waiting.CompareAndSwap(false, true) {
+		h.awaited = true
 		h.opening.Add(1)
 	}
+}
+
+// justOpened reports, once, that this run's own awaited stream has had its
+// first write. The reader of that frame is parked on the network, and a
+// saturated runtime polls the network only when a processor goes idle, so the
+// run then sleeps once to leave its processor idle. Run goroutine only.
+func (h *hub) justOpened() bool {
+	if !h.awaited || h.waiting.Load() {
+		return false
+	}
+	h.awaited = false
+	return true
 }
 
 func (h *hub) opened() {

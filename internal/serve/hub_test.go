@@ -66,6 +66,26 @@ func TestHubStreamOpeningCount(t *testing.T) {
 	}
 }
 
+// TestHubJustOpened: a run naps once, after its own awaited stream's first
+// write — never while the stream is still waiting, never twice, and never for
+// a session nobody awaited (an auto-run).
+func TestHubJustOpened(t *testing.T) {
+	var opening atomic.Int32
+	awaited, auto := newHub(nil, &opening), newHub(nil, &opening)
+	awaited.await()
+	if awaited.justOpened() {
+		t.Fatal("nap while the stream is still waiting")
+	}
+	awaited.opened()
+	if !awaited.justOpened() || awaited.justOpened() {
+		t.Fatal("want exactly one nap after the first write")
+	}
+	auto.opened()
+	if auto.justOpened() {
+		t.Fatal("nap for a session nobody awaited")
+	}
+}
+
 // TestHubPublishNeverBlocks: a subscriber that never claims costs the
 // publisher nothing but its accounting, and a claimer racing the publisher
 // within its lag bound sees every update exactly once, in order.

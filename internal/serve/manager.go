@@ -473,6 +473,8 @@ func (m *Manager) execute(run *Run, alert *event.Event) {
 		run.noteFirstUpdate()
 		if run.hub.publish(u) {
 			runtime.Gosched()
+		} else if run.hub.justOpened() {
+			time.Sleep(time.Microsecond)
 		}
 	}
 	sess := session.New(snap, core.Options{

@@ -134,8 +134,9 @@ type Config struct {
 	// detection, the auto-launched session, its executor milestones, SSE
 	// delivery, and eviction. The journal stamps wall-clock time only and
 	// never touches the analysis clock, so detection and graph output are
-	// byte-identical with it on or off (the obs experiment enforces
-	// this). Nil journals nothing at ~2 ns per emission site.
+	// byte-identical with it on or off
+	// (serve.TestCorrelationChainCompleteness holds this). Nil journals
+	// nothing at ~2 ns per emission site (obs.TestNilJournalIsFree).
 	Journal *obs.Journal
 	// OpsRules are the self-watchdog's SLO rules; nil selects
 	// obs.DefaultRules, an empty (non-nil) slice disables every rule

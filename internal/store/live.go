@@ -39,6 +39,8 @@ type Live struct {
 	// events that the segment files already hold.
 	w    *Store
 	base int
+	// snap is the last snapshot taken, the one the next extends.
+	snap *Store
 	wal  *os.File
 	// walBuf reuses one encode buffer across appends.
 	walBuf []byte
@@ -263,39 +265,34 @@ func (l *Live) Telemetry() *telemetry.Registry {
 
 // Snapshot produces a sealed, query-ready store holding the base plus every
 // appended event at this instant. The snapshot is independent: collection
-// may continue while analyses run against it.
+// may continue while analyses run against it, and no later append or
+// snapshot changes a byte it reads. A snapshot costs its tail — it shares
+// the events, objects and directory of the one before it and builds only
+// what arrived since — and with nothing appended since the last call it is
+// that same store.
 func (l *Live) Snapshot() (*Store, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.snapshotLocked()
 }
 
-// snapshotLocked seals a copy of the write side. The copy owns its object
-// table but starts out sharing the write side's event logs, part by part:
-// sealing a part only reads its unsorted log and builds the sorted one
-// afresh, so no event is copied twice and the write side is never disturbed.
+// snapshotLocked extends the last snapshot by what the write side gained
+// since (see extend). The snapshot aliases the write side's event logs and
+// object table by prefix: the write side only ever appends past what a
+// snapshot reads, or moves a log to a fresh array when a late arrival must
+// be sorted in among events a snapshot already holds.
 func (l *Live) snapshotLocked() (*Store, error) {
-	w := l.w
+	w, prev := l.w, l.snap
+	if prev != nil && prev.total == w.total && len(prev.objects) == len(w.objects) {
+		return prev, nil
+	}
 	snap := New(l.clk, WithBucketSeconds(w.bucketSeconds), WithCostModel(w.cost), WithTelemetry(w.reg))
 	if err := snap.configureShards(len(w.parts), w.shardEpoch); err != nil {
 		return nil, err
 	}
-	snap.objects = append([]event.Object(nil), w.objects...)
-	snap.byKey = make(map[event.ObjectKey]event.ObjID, len(w.byKey))
-	for k, v := range w.byKey {
-		snap.byKey[k] = v
-	}
-	for i, p := range w.parts {
-		sp := snap.parts[i]
-		sp.events, sp.seq = p.events, p.seq
-		for h := range p.hosts {
-			sp.hosts[h] = struct{}{}
-		}
-	}
-	snap.total = w.total
-	if err := snap.Seal(); err != nil {
-		return nil, err
-	}
+	snap.objects = w.objects[:len(w.objects):len(w.objects)]
+	snap.extend(prev, w)
+	l.snap = snap
 	return snap, nil
 }
 

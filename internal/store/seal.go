@@ -1,8 +1,14 @@
 package store
 
 import (
+	"cmp"
+	"maps"
+	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
+	"time"
 
 	"aptrace/internal/event"
 )
@@ -25,23 +31,222 @@ func WithSealWorkers(n int) Option {
 // directory and the event-ID index, and enables queries. The result is
 // identical for any worker count and any GOMAXPROCS. Sealing an
 // already-sealed store is an error.
+//
+// Seal is extend from nothing, with the store as its own write side: the
+// same routine a live store reseals with (see Live.Snapshot).
 func (s *Store) Seal() error {
 	if s.sealed {
 		return ErrSealed
 	}
-	n := s.NumEvents()
+	s.extend(nil, s)
+	return nil
+}
+
+// extend seals s as prev (nil: an empty store) plus the events the write side
+// w holds beyond it, and is the only sealing routine. w's parts must extend
+// prev's — the same layout, prev's events a prefix of each log — and s must
+// already hold w's object table.
+//
+// Only what prev lacks costs work. Each part's log is brought into (time,
+// arrival) order by sorting just the suffix its late arrivals disturb (see
+// tidy) and is then aliased, not copied. The posting lists are fresh arrays:
+// each object's list is prev's, as far as the sort left it in place, followed
+// by the entries of the rest of the log. The directory and the dense ID index
+// keep prev's leading entries and are extended in prev's own array when
+// nothing prev holds moved. The result is byte-identical to sealing all of
+// w's events from nothing, and no byte prev (or any store sealed before it)
+// reads is ever rewritten.
+func (s *Store) extend(prev, w *Store) {
+	start := time.Now()
+	k := len(w.parts)
+	var prevParts []*part
+	var prevDir, prevIDPos []uint64
+	prevTotal, dense := 0, true
+	if prev != nil {
+		prevParts, prevDir, prevIDPos = prev.parts, prev.dir, prev.idPos
+		prevTotal, dense = prev.total, prev.byID == nil
+	} else {
+		prevParts = make([]*part, k)
+	}
+
 	workers := s.sealWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-		if n < sealParallelCutoff {
+		if w.total-prevTotal < sealParallelCutoff {
 			workers = 1
 		}
 	}
-	s.sealParts(max(min(workers, n), 1))
-	s.stats.Events = n
+	workers = max(min(workers, w.total-prevTotal), 1)
+
+	// Parts seal side by side: part-level concurrency is min(parts,
+	// GOMAXPROCS), and the workers split across the parts drive each part's
+	// own posting build. Any combination produces bit-identical parts.
+	conc := min(k, runtime.GOMAXPROCS(0))
+	inner := max(workers/k, 1)
+	st := sealStats{durs: make([]time.Duration, k), concurrent: conc > 1}
+	keep := make([]int, k)      // per part: leading positions prev's indexes still describe
+	tailMin := make([]int64, k) // per part: earliest time among the events prev lacks
+	sem := make(chan struct{}, conc)
+	var wg sync.WaitGroup
+	for i, wp := range w.parts {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			sp, pp := s.parts[i], prevParts[i]
+			m := pp.size()
+			tailMin[i] = math.MaxInt64
+			for _, e := range wp.events[m:] {
+				tailMin[i] = min(tailMin[i], e.Time)
+			}
+			// A store sealing itself has no reader yet, so a log it has to
+			// sort anyway moves to an exact-size array, as if all published.
+			published := m
+			if sp == wp {
+				published = len(wp.events)
+			}
+			keep[i] = min(wp.tidy(published), m)
+
+			n := len(wp.events)
+			sp.events = wp.events[:n:n]
+			if wp.seq != nil {
+				sp.seq = wp.seq[:n:n]
+			}
+			if sp != wp {
+				sp.hosts = maps.Clone(wp.hosts)
+			}
+			if n > 0 {
+				sp.minTime, sp.maxTime = sp.events[0].Time, sp.events[n-1].Time
+			}
+			sp.byDst, sp.bySrc = buildPostings(pp, keep[i], sp.events, len(s.objects), inner)
+			st.durs[i] = time.Since(t0)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	if !st.concurrent {
+		var sum, longest time.Duration
+		for _, d := range st.durs {
+			sum += d
+			longest = max(longest, d)
+		}
+		st.savableNs = int64(sum - longest)
+	}
+
+	s.total = w.total
+	// The directory keeps prev's entries up to the earliest new event: every
+	// prev event at or before it kept its place in its part.
+	first := slices.Min(tailMin)
+	starts := make([]int, k)
+	kept := 0
+	for i, pp := range prevParts {
+		if pp != nil {
+			starts[i] = sort.Search(len(pp.events), func(j int) bool { return pp.events[j].Time > first })
+			kept += starts[i]
+		}
+	}
+	s.dir = grow(prevDir, kept, s.total, true)
+	s.buildDirectory(s.dir[kept:], starts)
+
+	moved := false
+	for i, pp := range prevParts {
+		moved = moved || keep[i] < pp.size()
+	}
+	s.buildIDIndex(prevIDPos, prevTotal, keep, dense, !moved)
+
+	if s.total > 0 {
+		s.minTime = s.at(s.dir[0]).Time
+		s.maxTime = s.at(s.dir[s.total-1]).Time
+	}
+	s.stats.Events = s.total
 	s.stats.Objects = len(s.objects)
 	s.sealed = true
-	return nil
+	st.wall = time.Since(start)
+	s.sealStat = st
+	s.tel.sealWall.Set(int64(st.wall))
+	s.tel.sealSavable.Set(st.savableNs)
+	// A profiler attached before sealing learns the final layout now.
+	s.qp.Load().SetLayout(len(s.parts), s.ShardEpochSeconds())
+}
+
+// size is the part's event count; a missing part (an empty predecessor) has
+// none.
+func (p *part) size() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.events)
+}
+
+// tidy brings the part's log into (time, arrival) order and returns the
+// first position whose event moved (the log's length when none did). Only
+// the suffix from the first sorted event later than the earliest late
+// arrival is sorted, so an in-order log is never touched and the worst case
+// is one whole-part sort. The sort is an index-permutation sort keyed on
+// (time, position): the suffix is sorted ahead of the arrivals behind it and
+// those are in arrival order, so position is a strict arrival tiebreak and
+// the result equals a stable sort. The first published events are aliased by
+// a sealed store and are never rewritten: a sort that reaches below them
+// moves the log to a fresh array.
+func (p *part) tidy(published int) int {
+	n := len(p.events)
+	if p.inOrder == n {
+		return n
+	}
+	ev := p.events
+	late := ev[p.inOrder].Time
+	for _, e := range ev[p.inOrder+1:] {
+		late = min(late, e.Time)
+	}
+	j := sort.Search(p.inOrder, func(i int) bool { return ev[i].Time > late })
+	ord := make([]int32, n-j)
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	tail := ev[j:]
+	slices.SortFunc(ord, func(a, b int32) int {
+		if c := cmp.Compare(tail[a].Time, tail[b].Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	fresh := j < published
+	p.events = permute(p.events, j, ord, fresh)
+	if p.seq != nil {
+		p.seq = permute(p.seq, j, ord, fresh)
+	}
+	p.inOrder = n
+	return j
+}
+
+// permute reorders col[j:] by ord (col[j+i] becomes the old col[j+ord[i]]),
+// in place or, when fresh is set, into a new exact-size array that copies
+// col[:j].
+func permute[T any](col []T, j int, ord []int32, fresh bool) []T {
+	tail := col[j:]
+	if fresh {
+		col = append(make([]T, 0, len(col)), col[:j]...)[:len(col)]
+	} else {
+		tail = slices.Clone(tail)
+	}
+	for i, o := range ord {
+		col[j+i] = tail[o]
+	}
+	return col
+}
+
+// grow returns prev[:keep] extended with zeroed slots to length n. It
+// appends in prev's own array only when shared is set and keep is all of
+// prev: the slots past len(prev) are read by no sealed store. Otherwise the
+// result is a fresh array, so no byte prev reads is ever rewritten.
+func grow[T any](prev []T, keep, n int, shared bool) []T {
+	if !shared || keep < len(prev) {
+		prev = prev[:keep:keep]
+	}
+	out := slices.Grow(prev, n-keep)[:n]
+	clear(out[keep:])
+	return out
 }
 
 // chunkBounds splits n items into workers contiguous ranges; bounds[w] is
@@ -54,22 +259,20 @@ func chunkBounds(n, workers int) []int {
 	return bounds
 }
 
-// buildPostings constructs the byDst and bySrc CSR indexes over a time-sorted
-// event log with a sharded two-pass build: workers count endpoint occurrences
-// per contiguous chunk, a serial prefix-sum pass turns the per-chunk counts
-// into disjoint write cursors, and workers then fill their slots in event-log
-// order. Chunk c's slots for an object precede chunk c+1's, so the per-object
-// ordering — and therefore the whole index — is identical for any worker
-// count.
-func buildPostings(events []event.Event, numObjects, workers int) (byDst, bySrc *postings) {
-	n := len(events)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	bounds := chunkBounds(n, workers)
+// buildPostings constructs the byDst and bySrc CSR indexes over a
+// time-sorted event log, given the part prev whose first keep events are
+// this log's (keep 0: none). Each object's list is prev's
+// entries below keep followed by the entries of events[keep:], built with a
+// sharded two-pass build: workers count endpoint occurrences per contiguous
+// chunk, a serial prefix-sum pass copies prev's entries and turns the
+// per-chunk counts into disjoint write cursors behind them, and workers then
+// fill their slots in event-log order. Chunk c's slots for an object precede
+// chunk c+1's, so the per-object ordering — and therefore the whole index —
+// is identical for any worker count and any prefix it was extended from.
+func buildPostings(prev *part, keep int, events []event.Event, numObjects, workers int) (byDst, bySrc *postings) {
+	tail := events[keep:]
+	workers = max(min(workers, len(tail)), 1)
+	bounds := chunkBounds(len(tail), workers)
 
 	dstCounts := make([][]int32, workers)
 	srcCounts := make([][]int32, workers)
@@ -80,9 +283,9 @@ func buildPostings(events []event.Event, numObjects, workers int) (byDst, bySrc 
 			defer wg.Done()
 			dc := make([]int32, numObjects)
 			sc := make([]int32, numObjects)
-			for i := bounds[w]; i < bounds[w+1]; i++ {
-				dc[events[i].Dst()]++
-				sc[events[i].Src()]++
+			for _, e := range tail[bounds[w]:bounds[w+1]] {
+				dc[e.Dst()]++
+				sc[e.Src()]++
 			}
 			dstCounts[w] = dc
 			srcCounts[w] = sc
@@ -90,14 +293,20 @@ func buildPostings(events []event.Event, numObjects, workers int) (byDst, bySrc 
 	}
 	wg.Wait()
 
+	n := len(events)
 	byDst = &postings{off: make([]int32, numObjects+1), idx: make([]int32, n), times: make([]int64, n)}
 	bySrc = &postings{off: make([]int32, numObjects+1), idx: make([]int32, n), times: make([]int64, n)}
-	// Prefix sums: convert each chunk's per-object count into that chunk's
-	// starting write cursor while accumulating the global offsets.
+	// Prefix sums: carry prev's list, then convert each chunk's per-object
+	// count into that chunk's starting write cursor while accumulating the
+	// global offsets.
 	var dtot, stot int32
 	for obj := 0; obj < numObjects; obj++ {
 		byDst.off[obj] = dtot
 		bySrc.off[obj] = stot
+		if keep > 0 {
+			dtot += byDst.carry(prev.byDst, event.ObjID(obj), keep, dtot)
+			stot += bySrc.carry(prev.bySrc, event.ObjID(obj), keep, stot)
+		}
 		for w := 0; w < workers; w++ {
 			c := dstCounts[w][obj]
 			dstCounts[w][obj] = dtot
@@ -117,7 +326,7 @@ func buildPostings(events []event.Event, numObjects, workers int) (byDst, bySrc 
 		go func() {
 			defer wg.Done()
 			dcur, scur := dstCounts[w], srcCounts[w]
-			for i := bounds[w]; i < bounds[w+1]; i++ {
+			for i := keep + bounds[w]; i < keep+bounds[w+1]; i++ {
 				e := &events[i]
 				p := dcur[e.Dst()]
 				byDst.idx[p] = int32(i)
@@ -132,4 +341,18 @@ func buildPostings(events []event.Event, numObjects, workers int) (byDst, bySrc 
 	}
 	wg.Wait()
 	return byDst, bySrc
+}
+
+// carry copies to position pos of p the entries of prev's list for obj that
+// point below keep — a leading run, since a list is in log order — and
+// returns how many it copied.
+func (p *postings) carry(prev *postings, obj event.ObjID, keep int, pos int32) int32 {
+	idx, times := prev.list(obj)
+	n := len(idx)
+	if n > 0 && int(idx[n-1]) >= keep {
+		n = sort.Search(n, func(i int) bool { return int(idx[i]) >= keep })
+	}
+	copy(p.idx[pos:], idx[:n])
+	copy(p.times[pos:], times[:n])
+	return int32(n)
 }

@@ -39,40 +39,40 @@ func buildTied(t testing.TB, n int, seed, timeRange int64, opts ...Option) *Stor
 
 // expectSameSealed asserts two sealed stores hold bit-identical parts (logs,
 // arrival columns and acceleration indexes), directory and ID index.
-func expectSameSealed(t *testing.T, serial, parallel *Store) {
+func expectSameSealed(t *testing.T, want, got *Store) {
 	t.Helper()
-	if len(serial.parts) != len(parallel.parts) {
-		t.Fatalf("part counts differ: %d vs %d", len(serial.parts), len(parallel.parts))
+	if len(want.parts) != len(got.parts) {
+		t.Fatalf("part counts differ: %d vs %d", len(want.parts), len(got.parts))
 	}
-	for pi, sp := range serial.parts {
-		pp := parallel.parts[pi]
-		if !reflect.DeepEqual(sp.events, pp.events) {
-			for i := range sp.events {
-				if sp.events[i] != pp.events[i] {
-					t.Fatalf("part %d: event log diverges at position %d: serial %+v, parallel %+v",
-						pi, i, sp.events[i], pp.events[i])
+	for pi, wp := range want.parts {
+		gp := got.parts[pi]
+		if !reflect.DeepEqual(wp.events, gp.events) {
+			for i := range wp.events {
+				if wp.events[i] != gp.events[i] {
+					t.Fatalf("part %d: event log diverges at position %d: want %+v, got %+v",
+						pi, i, wp.events[i], gp.events[i])
 				}
 			}
 			t.Fatalf("part %d: event logs differ", pi)
 		}
-		if !reflect.DeepEqual(sp.seq, pp.seq) {
-			t.Errorf("part %d: arrival column differs between serial and parallel seal", pi)
+		if !reflect.DeepEqual(wp.seq, gp.seq) {
+			t.Errorf("part %d: arrival columns differ", pi)
 		}
-		if !reflect.DeepEqual(sp.byDst, pp.byDst) {
-			t.Errorf("part %d: byDst index differs between serial and parallel seal", pi)
+		if !reflect.DeepEqual(wp.byDst, gp.byDst) {
+			t.Errorf("part %d: byDst indexes differ", pi)
 		}
-		if !reflect.DeepEqual(sp.bySrc, pp.bySrc) {
-			t.Errorf("part %d: bySrc index differs between serial and parallel seal", pi)
+		if !reflect.DeepEqual(wp.bySrc, gp.bySrc) {
+			t.Errorf("part %d: bySrc indexes differ", pi)
 		}
 	}
-	if !reflect.DeepEqual(serial.dir, parallel.dir) {
-		t.Error("time-order directory differs between serial and parallel seal")
+	if !reflect.DeepEqual(want.dir, got.dir) {
+		t.Error("time-order directories differ")
 	}
-	if !reflect.DeepEqual(serial.idPos, parallel.idPos) {
-		t.Error("dense ID index differs between serial and parallel seal")
+	if !reflect.DeepEqual(want.idPos, got.idPos) {
+		t.Error("dense ID indexes differ")
 	}
-	if !reflect.DeepEqual(serial.byID, parallel.byID) {
-		t.Error("fallback ID index differs between serial and parallel seal")
+	if !reflect.DeepEqual(want.byID, got.byID) {
+		t.Error("fallback ID indexes differ")
 	}
 }
 

@@ -235,7 +235,6 @@ func load(dir string, clk simclock.Clock, opts ...Option) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: %s object %d: %w", objectsFile, n, err)
 		}
-		st.byKey[o.Key()] = event.ObjID(len(st.objects))
 		st.objects = append(st.objects, o)
 	}
 	if len(payload) != 0 {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -56,11 +55,16 @@ const shardScatterCutoff = 2048
 
 // part is one partition of the store: the whole engine over its events.
 type part struct {
-	events []event.Event       // time-sorted after Seal
+	events []event.Event       // time-sorted after Seal, aliased by later snapshots
 	seq    []uint32            // global arrival index per event; kept only when the store has several parts
 	byDst  *postings           // SoA index over events with Dst()==obj, time-sorted
 	bySrc  *postings           // SoA index over events with Src()==obj, time-sorted
 	hosts  map[string]struct{} // subject hosts routed here; kept like seq
+
+	// inOrder is how long the log has stayed in (time, arrival) order: the
+	// events past it arrived out of order and wait for the next seal to
+	// sort them (see tidy).
+	inOrder int
 
 	minTime, maxTime int64
 
@@ -184,6 +188,9 @@ func floorDiv(a, b int64) int64 {
 func (s *Store) add(e event.Event, host string) {
 	cell := uint64(fnvHost(host)) + uint64(floorDiv(e.Time, s.epochSeconds()))
 	p := s.parts[cell%uint64(len(s.parts))]
+	if p.inOrder == len(p.events) && (p.inOrder == 0 || e.Time >= p.events[p.inOrder-1].Time) {
+		p.inOrder++
+	}
 	p.events = append(p.events, e)
 	if len(s.parts) > 1 {
 		p.seq = append(p.seq, uint32(s.total))
@@ -201,117 +208,31 @@ func (s *Store) at(ref uint64) *event.Event {
 
 // --- Seal ---------------------------------------------------------------
 
-// sealParts seals every part — side by side when there are several and
-// cores allow — then builds the global directory and event-ID index.
-// Part-level concurrency is min(parts, GOMAXPROCS); workers (from
-// WithSealWorkers), split across the parts, drives each part's own posting
-// build. Any combination produces bit-identical parts.
-func (s *Store) sealParts(workers int) {
-	start := time.Now()
-	conc := min(len(s.parts), runtime.GOMAXPROCS(0))
-	inner := max(workers/len(s.parts), 1)
-	st := sealStats{durs: make([]time.Duration, len(s.parts)), concurrent: conc > 1}
-	sem := make(chan struct{}, conc)
-	var wg sync.WaitGroup
-	for i, p := range s.parts {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			p.seal(len(s.objects), inner)
-			st.durs[i] = time.Since(t0)
-			<-sem
-		}()
-	}
-	wg.Wait()
-	if !st.concurrent {
-		var sum, longest time.Duration
-		for _, d := range st.durs {
-			sum += d
-			longest = max(longest, d)
-		}
-		st.savableNs = int64(sum - longest)
-	}
-
-	s.dir = s.buildDirectory()
-	s.buildIDIndex()
-	if s.total > 0 {
-		s.minTime = s.at(s.dir[0]).Time
-		s.maxTime = s.at(s.dir[s.total-1]).Time
-	}
-	st.wall = time.Since(start)
-	s.sealStat = st
-	s.tel.sealWall.Set(int64(st.wall))
-	s.tel.sealSavable.Set(st.savableNs)
-	// A profiler attached before sealing learns the final layout now.
-	s.qp.Load().SetLayout(len(s.parts), s.ShardEpochSeconds())
-}
-
-// seal sorts one part's events into (time, arrival) order and builds its
-// posting indexes with the shared CSR builder. The sort is an index-
-// permutation sort keyed on (time, original position): original position is
-// a strict tiebreak, so the result equals a stable sort and is identical for
-// any worker split. The sorted columns are fresh arrays — the unsorted ones
-// are only read — which is what lets a live snapshot seal straight from the
-// writer's logs.
-func (p *part) seal(numObjects, workers int) {
-	n := len(p.events)
-	if n > 0 {
-		ord := make([]int32, n)
-		for i := range ord {
-			ord[i] = int32(i)
-		}
-		ev := p.events
-		slices.SortFunc(ord, func(a, b int32) int {
-			if c := cmp.Compare(ev[a].Time, ev[b].Time); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
-		sorted := make([]event.Event, n)
-		for i, o := range ord {
-			sorted[i] = ev[o]
-		}
-		if p.seq != nil {
-			seq := make([]uint32, n)
-			for i, o := range ord {
-				seq[i] = p.seq[o]
-			}
-			p.seq = seq
-		}
-		p.events = sorted
-		p.minTime = sorted[0].Time
-		p.maxTime = sorted[n-1].Time
-	}
-	p.byDst, p.bySrc = buildPostings(p.events, numObjects, workers)
-}
-
-// buildDirectory merges the sorted parts into the global (time, seq) order
-// directory by pairwise parallel merge rounds over packed references. With
-// one part there is nothing to merge and the directory is the identity.
-func (s *Store) buildDirectory() []uint64 {
+// buildDirectory writes into out the directory entries of every part's
+// events from starts[part] on, merged into global (time, seq) order by
+// pairwise parallel merge rounds over packed references. With one part there
+// is nothing to merge and the entries are the identity.
+func (s *Store) buildDirectory(out []uint64, starts []int) {
 	k := len(s.parts)
-	ents := make([]uint64, s.total)
 	bounds := make([]int, k+1)
 	off := 0
 	for si, p := range s.parts {
 		bounds[si] = off
-		for pos := range p.events {
-			ents[off] = packRef(si, pos)
+		for pos := starts[si]; pos < len(p.events); pos++ {
+			out[off] = packRef(si, pos)
 			off++
 		}
 	}
 	bounds[k] = off
 	if k == 1 {
-		return ents // no merge round runs: no merge buffer either
+		return // no merge round runs: no merge buffer either
 	}
 
 	less := func(a, b uint64) bool {
 		return before(s.parts[a>>32], int32(a), s.parts[b>>32], int32(b))
 	}
-	buf := make([]uint64, s.total)
-	src, dst := ents, buf
+	buf := make([]uint64, len(out))
+	src, dst := out, buf
 	for width := 1; width < k; width *= 2 {
 		var wg sync.WaitGroup
 		for lo := 0; lo < k; lo += 2 * width {
@@ -339,48 +260,52 @@ func (s *Store) buildDirectory() []uint64 {
 		wg.Wait()
 		src, dst = dst, src
 	}
-	return src
+	copy(out, src)
 }
 
-// buildIDIndex builds the EventID -> packed reference index. IDs assigned by
-// AddEvent are exactly 1..n, so the common case is a dense array filled per
-// part in parallel (idPos[id-1] holds ref+1). Segment files could in
-// principle carry arbitrary IDs, so non-dense or duplicate IDs fall back to
-// the map index, built in global time order (last in time order wins).
-func (s *Store) buildIDIndex() {
+// buildIDIndex builds the EventID -> packed reference index, extending
+// prev's (the dense index of the prevTotal events sealed before; dense is
+// false when those fell back to the map). IDs assigned by AddEvent are
+// exactly 1..n, so the common case is a dense array (idPos[id-1] holds
+// ref+1): prev's slots are kept — in prev's own array when shared is set,
+// that is when no event prev holds moved — and the slots of every part's
+// events from keep[part] on are written per part in parallel. Segment files
+// could in principle carry arbitrary IDs, so non-dense or duplicate IDs fall
+// back to the map index, built in global time order (last in time order
+// wins).
+func (s *Store) buildIDIndex(prev []uint64, prevTotal int, keep []int, dense, shared bool) {
 	n := s.total
-	dense := true
+	// A shared array may only be written past prev: the new IDs must all be.
+	lo := event.EventID(1)
+	if shared {
+		lo = event.EventID(prevTotal + 1)
+	}
 scan:
-	for _, p := range s.parts {
-		for i := range p.events {
-			if id := p.events[i].ID; id < 1 || id > event.EventID(n) {
+	for si, p := range s.parts {
+		for _, e := range p.events[keep[si]:] {
+			if !dense || e.ID < lo || e.ID > event.EventID(n) {
 				dense = false
 				break scan
 			}
 		}
 	}
 	if dense {
-		idPos := make([]uint64, n)
+		idPos := grow(prev, prevTotal, n, shared)
 		var wg sync.WaitGroup
 		for si, p := range s.parts {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for pos := range p.events {
+				for pos := keep[si]; pos < len(p.events); pos++ {
 					idPos[p.events[pos].ID-1] = packRef(si, pos) + 1
 				}
 			}()
 		}
 		wg.Wait()
-		// Duplicate IDs leave a pigeonhole empty; only a permutation of 1..n
-		// fills every slot.
-		for _, v := range idPos {
-			if v == 0 {
-				dense = false
-				break
-			}
-		}
-		if dense {
+		// prev was a permutation of 1..prevTotal; duplicate IDs leave a
+		// pigeonhole past it empty, so only a permutation of 1..n fills
+		// every slot.
+		if !slices.Contains(idPos[prevTotal:], 0) {
 			s.idPos = idPos
 			s.byID = nil
 			return
@@ -406,8 +331,8 @@ func scattered(severalParts bool, totalRows int) bool {
 // counter: how much wall a perfectly parallel scatter would shed versus what
 // actually ran. On a multi-core host the saving is realized directly and the
 // counter stays near zero; on a single core it is the measured critical-path
-// projection the shard benchmark reports. Results must not depend on
-// execution order: every call owns its slot.
+// projection. Results must not depend on execution order: every call owns
+// its slot (TestShardDifferential holds flat and sharded answers equal).
 //
 // The returned slice holds each call's busy nanos — the query profiler and
 // the per-part heat attribute from it; timing never affects charged cost.
@@ -787,8 +712,9 @@ func (s *Store) ShardInfos() []ShardInfo {
 // scatters timed, their summed per-run busy time, and the portion a
 // perfectly parallel run would shed (zero when the scatters already ran
 // concurrently — the saving is then realized in wall clock directly). The
-// shard benchmark uses the savable figure to report the critical-path wall a
-// multi-core host observes. A store with one part never scatters.
+// savable figure is the critical-path wall a multi-core host would observe;
+// timing never changes an answer (TestShardDifferential). A store with one
+// part never scatters.
 func (s *Store) ShardScatterStats() (scatters, busyNanos, savableNanos int64) {
 	return s.scat.scatters.Load(), s.scat.busyNs.Load(), s.scat.saveNs.Load()
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -67,8 +68,10 @@ type Store struct {
 
 	bucketSeconds int64
 
+	// objects is append-only: a live snapshot shares the write side's table
+	// by prefix. keys is shared by views.
 	objects []event.Object
-	byKey   map[event.ObjectKey]event.ObjID
+	keys    *keyIndex
 
 	// parts hold the events: len(parts) >= 1, one unless WithShards asked for
 	// more. After Seal the parts, the directory and the ID index are
@@ -214,7 +217,7 @@ func New(clk simclock.Clock, opts ...Option) *Store {
 		clock:         clk,
 		cost:          simclock.DefaultCostModel(),
 		bucketSeconds: DefaultBucketSeconds,
-		byKey:         make(map[event.ObjectKey]event.ObjID),
+		keys:          &keyIndex{},
 		parts:         []*part{{}},
 		scat:          &scatterStats{},
 	}
@@ -222,6 +225,26 @@ func New(clk simclock.Clock, opts ...Option) *Store {
 		o(st)
 	}
 	return st
+}
+
+// keyIndex maps object keys to IDs. It is built from the object table on
+// first use, once, so a live snapshot that nobody looks objects up in by key
+// (nothing on the query path does) never builds it.
+type keyIndex struct {
+	once  sync.Once
+	byKey map[event.ObjectKey]event.ObjID
+}
+
+// byKey returns the store's key index, building it first if need be.
+func (s *Store) byKey() map[event.ObjectKey]event.ObjID {
+	k := s.keys
+	k.once.Do(func() {
+		k.byKey = make(map[event.ObjectKey]event.ObjID, len(s.objects))
+		for i, o := range s.objects {
+			k.byKey[o.Key()] = event.ObjID(i)
+		}
+	})
+	return k.byKey
 }
 
 // Clock returns the clock this store charges query costs to.
@@ -309,19 +332,19 @@ func (s *Store) Intern(o event.Object) event.ObjID {
 	if s.isView {
 		panic("store: Intern on a read view (views are read-only)")
 	}
-	key := o.Key()
-	if id, ok := s.byKey[key]; ok {
+	key, byKey := o.Key(), s.byKey()
+	if id, ok := byKey[key]; ok {
 		return id
 	}
 	id := event.ObjID(len(s.objects))
 	s.objects = append(s.objects, o)
-	s.byKey[key] = id
+	byKey[key] = id
 	return id
 }
 
 // Lookup returns the ObjID for an object that may or may not be interned.
 func (s *Store) Lookup(o event.Object) (event.ObjID, bool) {
-	id, ok := s.byKey[o.Key()]
+	id, ok := s.byKey()[o.Key()]
 	return id, ok
 }
 
@@ -424,7 +447,7 @@ func (s *Store) View(clk simclock.Clock) (*Store, error) {
 		cost:          s.cost,
 		bucketSeconds: s.bucketSeconds,
 		objects:       s.objects,
-		byKey:         s.byKey,
+		keys:          s.keys,
 		parts:         s.parts,
 		total:         s.total,
 		sealed:        true,

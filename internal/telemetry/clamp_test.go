@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -128,6 +129,44 @@ func TestTracerRingWraparoundTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTracerConcurrentWriters: writers on every core share the ring with a
+// reader (run it under -race). No record is torn — each span's arg still
+// equals its duration — and once the writers stop the ring holds exactly its
+// capacity of distinct spans.
+func TestTracerConcurrentWriters(t *testing.T) {
+	const capacity, writers, each = 64, 4, 2000
+	tr := NewTracer(capacity)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= each; i++ {
+				r := SpanRecord{Name: "w", Duration: time.Duration(w*each + i)}
+				tr.Emit(&r, SpanArg{Key: "d", Val: int64(r.Duration)})
+			}
+		}()
+	}
+	check := func(spans []SpanRecord) {
+		seen := make(map[uint64]bool)
+		for _, s := range spans {
+			if len(s.Args) != 1 || s.Args[0].Val != int64(s.Duration) || seen[s.ID] {
+				t.Fatalf("torn or repeated span %+v", s)
+			}
+			seen[s.ID] = true
+		}
+	}
+	for i := 0; i < 50; i++ {
+		check(tr.Spans())
+	}
+	wg.Wait()
+	spans := tr.Spans()
+	if len(spans) != capacity || tr.Len() != capacity {
+		t.Fatalf("after %d spans: Spans() holds %d, Len() %d, want %d", writers*each, len(spans), tr.Len(), capacity)
+	}
+	check(spans)
 }
 
 // TestTracerSetNowTable injects several clock behaviours — fixed, stepping,

@@ -133,14 +133,24 @@ func (r *SpanRecord) SetDetailf(format string, args ...int64) {
 // Tracer records finished spans into a fixed-size ring buffer: cheap,
 // bounded, and always holding the most recent activity. A nil *Tracer
 // hands out nil spans, so instrumented code needs no enabled check.
+//
+// Every run's window queries land here, from every fleet worker at once, so
+// the ring has no lock of its own: a record claims its slot with one atomic
+// add and locks only that slot, and writers never wait for each other.
 type Tracer struct {
 	nextID atomic.Uint64
 	nowFn  atomic.Value // func() time.Time
 
-	mu   sync.Mutex
-	ring []SpanRecord
-	head int // next write position
-	n    int // number of valid records
+	written atomic.Uint64 // records claimed so far; record n goes to slot (n-1) % len(ring)
+	ring    []spanSlot
+}
+
+// spanSlot is one ring position. seq is the claim number of the record it
+// holds (0: none yet), so a reader can tell it from an older or newer lap.
+type spanSlot struct {
+	mu  sync.Mutex
+	seq uint64
+	rec SpanRecord
 }
 
 // NewTracer returns a tracer holding the most recent capacity spans
@@ -149,7 +159,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	t := &Tracer{ring: make([]SpanRecord, capacity)}
+	t := &Tracer{ring: make([]spanSlot, capacity)}
 	t.nowFn.Store(time.Now)
 	return t
 }
@@ -200,38 +210,42 @@ func (t *Tracer) Emit(r *SpanRecord, args ...SpanArg) {
 }
 
 // record stores r with a copy of args in the slot's own storage, so a ring
-// that has wrapped once records without allocating.
+// that has wrapped once records without allocating. A writer that lost its
+// slot to one a lap ahead drops its record: the ring keeps the newest.
 func (t *Tracer) record(r *SpanRecord, args []SpanArg) {
-	t.mu.Lock()
-	slot := &t.ring[t.head]
-	kept := append(slot.Args[:0], args...)
-	*slot = *r
-	slot.Args = kept
-	t.head = (t.head + 1) % len(t.ring)
-	if t.n < len(t.ring) {
-		t.n++
+	n := t.written.Add(1)
+	slot := &t.ring[(n-1)%uint64(len(t.ring))]
+	slot.mu.Lock()
+	if n > slot.seq {
+		kept := append(slot.rec.Args[:0], args...)
+		slot.rec = *r
+		slot.rec.Args = kept
+		slot.seq = n
 	}
-	t.mu.Unlock()
+	slot.mu.Unlock()
 }
 
 // Spans returns the recorded spans, oldest first. Nil tracer returns nil.
+// A span whose slot a writer is filling at that moment may be missing.
 func (t *Tracer) Spans() []SpanRecord {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanRecord, 0, t.n)
-	start := t.head - t.n
-	if start < 0 {
-		start += len(t.ring)
-	}
-	for i := 0; i < t.n; i++ {
-		r := t.ring[(start+i)%len(t.ring)]
+	end := t.written.Load()
+	first := end - min(end, uint64(len(t.ring)))
+	out := make([]SpanRecord, 0, end-first)
+	for n := first + 1; n <= end; n++ {
+		slot := &t.ring[(n-1)%uint64(len(t.ring))]
+		slot.mu.Lock()
+		r, ok := slot.rec, slot.seq == n
+		r.Args = append([]SpanArg(nil), r.Args...) // the slot's storage is reused
+		slot.mu.Unlock()
+		if !ok {
+			continue
+		}
 		if r.lazy.format != "" {
 			r.Detail = r.lazy.String()
 		}
-		r.Args = append([]SpanArg(nil), r.Args...) // the slot's storage is reused
 		out = append(out, r)
 	}
 	return out
@@ -242,7 +256,5 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
+	return int(min(t.written.Load(), uint64(len(t.ring))))
 }
