@@ -191,12 +191,12 @@ type (
 	// own (*Store).View so runs share the event log but not clocks or
 	// counters. See NewFleet, FleetMap.
 	Fleet = fleet.Pool
-	// MemoCache is the shared cross-alert result cache batch triage and
-	// the triage daemon hang off ExecOptions.Memo: backward/forward window
-	// closures and computed-attribute verdicts are reused across runs over
-	// the same sealed content. A hit replays the identical charged cost,
-	// so all analysis output is byte-identical cached or uncached. See
-	// NewMemoCache.
+	// MemoCache is the shared cross-alert attribute-verdict cache batch
+	// triage and the triage daemon hang off ExecOptions.Memo: the computed
+	// attributes where clauses evaluate (read-only, write-through, file
+	// times) are reused across runs over the same sealed content. A hit
+	// replays the identical charged cost, so all analysis output is
+	// byte-identical cached or uncached. See NewMemoCache.
 	MemoCache = memo.Cache
 	// MemoStats is a point-in-time cache-effectiveness snapshot.
 	MemoStats = memo.Stats
@@ -268,10 +268,11 @@ func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 // pays nothing between scrapes. Nil-safe no-op.
 func RegisterRuntimeMetrics(reg *Telemetry) { telemetry.RegisterRuntime(reg) }
 
-// NewMemoCache builds a cross-alert result cache with the given byte budget
-// (0 means the 64 MiB default). Share one cache across every run of a batch
-// (or a triage daemon's fleet) via ExecOptions.Memo; reg may be nil, or a
-// registry to publish the aptrace_memo_* hit/miss/evict/bytes instruments.
+// NewMemoCache builds a cross-alert attribute-verdict cache with the given
+// byte budget (0 means the 64 MiB default). Share one cache across every run
+// of a batch (or a triage daemon's fleet) via ExecOptions.Memo; reg may be
+// nil, or a registry to publish the aptrace_memo_* hit/miss/evict/bytes
+// instruments.
 func NewMemoCache(maxBytes int64, reg *Telemetry) *MemoCache { return memo.New(maxBytes, reg) }
 
 // WithTelemetry attaches a telemetry registry to a store at open/create

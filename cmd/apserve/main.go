@@ -105,7 +105,7 @@ func main() {
 		sDensity = flag.Float64("sample-density", 0.5, "sample workload: density")
 		metricsA = flag.String("metrics", "", "also serve /metrics on this separate address")
 		pprofF   = flag.Bool("pprof", false, "mount /debug/pprof on the API mux")
-		memoOn   = flag.Bool("memo", false, "share a backward-closure memo cache across sessions (reset on reseal; charged cost unchanged)")
+		memoOn   = flag.Bool("memo", false, "share an attribute-verdict memo cache (where-clause read-only, write-through and file-time walks) across sessions (reset on reseal; charged cost unchanged)")
 		memoB    = flag.Int64("memo-bytes", 0, "memo cache byte budget (0 with -memo = 64 MiB default)")
 		journalF = flag.String("journal", "", "write the alert-lifecycle journal (NDJSON) to this path (\"-\" = stdout; empty disables)")
 		jLevel   = flag.String("journal-level", "info", "journal level: debug|info|warn|error")

@@ -77,7 +77,7 @@ func main() {
 		metrics   = flag.String("metrics", "", "serve /metrics (Prometheus) and /debug/telemetry (JSON) on this address, e.g. :9090")
 		batch     = flag.Bool("batch", false, "run the script from every matching starting event (see -parallel)")
 		parallel  = flag.Int("parallel", 1, "concurrent analyses in -batch mode (0 = all cores)")
-		memoOn    = flag.Bool("memo", false, "share a cross-alert result cache across -batch analyses (identical output, less real CPU)")
+		memoOn    = flag.Bool("memo", false, "share a cross-alert attribute-verdict cache (where-clause read-only, write-through and file-time walks) across -batch analyses (identical output, less real CPU)")
 		memoBytes = flag.Int64("memo-bytes", 0, "byte budget of the -memo cache (0 = 64 MiB default)")
 		explArg   = flag.String("explain", "", "attach the run log and explain the result from it: an object ID, \"all\" (every graph node), \"frontier\" (pruned candidates), or \"on\" (record only, for -interactive); explanations go to stderr")
 		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address (shares the -metrics mux when the addresses match)")

@@ -96,13 +96,14 @@ type Options struct {
 	// the SLO watchdog over the inter-update gap. Nil disables recording at
 	// the cost of one pointer test per emission site.
 	Explain *explain.Recorder
-	// Memo, if set, is a shared cross-alert result cache: window row
-	// closures and computed-attribute evaluations are served from it when
+	// Memo, if set, is a shared cross-alert attribute-verdict cache: the
+	// computed attributes where filters and chain matchers evaluate
+	// (read-only, write-through, file times) are served from it when
 	// another run over the same sealed content already computed them. A
 	// hit replays the identical charged cost (rows + latency on the
 	// analysis clock), so results, stats deltas, and all experiment output
 	// are byte-identical with the cache on or off — only real CPU changes.
-	// Nil disables caching.
+	// Window queries always go to the store. Nil disables caching.
 	Memo *memo.Cache
 	// Obs, if set, is the run's lifecycle-journal scope (bound to the
 	// triage daemon's correlation ID and run ID). The executor does not
@@ -342,10 +343,11 @@ func (x *Executor) noteEdge(kind explain.Kind, ev event.EventID, node, peer even
 // flush hands the stage to the log — one call, one lock, one pass, one
 // counter add — and empties it. It runs when a window ends (so the stage is
 // empty whenever the loop parks or ends), before every OnUpdate callback, and
-// before a call through the memo view, which writes its verdict records to
-// the log itself: whatever a callback, a parked reader or a golden file can
-// see of the records is what unstaged emission would have shown them, and a
-// concurrent reader trails the loop by at most the window in flight.
+// before an evaluation through the memo view, which writes its verdict
+// records to the log itself: whatever a callback, a parked reader or a golden
+// file can see of the records is what unstaged emission would have shown
+// them, and a concurrent reader trails the loop by at most the window in
+// flight.
 func (x *Executor) flush() {
 	if len(x.stage.Recs) == 0 {
 		return
@@ -471,7 +473,7 @@ func (x *Executor) UpdatePlan(plan *refiner.Plan, action refiner.ResumeAction) e
 	x.budget = plan.TimeBudget
 	if x.mv != nil {
 		// The filter fingerprint keys the cache; rebind under the new
-		// plan's so closures cached under the old filter cannot serve it.
+		// plan's so verdicts cached under the old filter cannot serve it.
 		mv, err := x.opts.Memo.Bind(x.st, plan.FilterFingerprint(), x.rec)
 		if err != nil {
 			return err
@@ -770,18 +772,8 @@ func (x *Executor) count(obj event.ObjID, from, to int64) (int, error) {
 	return x.st.CountBackward(obj, from, to)
 }
 
-// query is the direction-resolved window fetch, appending into buf. With a
-// memo bound it consults the shared closure cache first; hit or miss, the
-// charged cost is identical (counts stay index-only and uncached either
-// way — they never charge).
+// query is the direction-resolved window fetch, appending into buf.
 func (x *Executor) query(buf []event.Event, obj event.ObjID, from, to int64) ([]event.Event, error) {
-	if x.mv != nil {
-		x.flush() // the view records its verdict itself: ours go first
-		if x.fwd {
-			return x.mv.AppendForward(buf, obj, from, to)
-		}
-		return x.mv.AppendBackward(buf, obj, from, to)
-	}
 	if x.fwd {
 		return x.st.AppendForward(buf, obj, from, to)
 	}

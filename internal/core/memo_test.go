@@ -75,11 +75,11 @@ func TestMemoDifferential(t *testing.T) {
 
 // TestMemoPlanFingerprintSeparation runs two plans whose filters differ over
 // the same cache and alert: results must match each plan's uncached run, so
-// a closure cached under one filter can never leak into the other.
+// a verdict cached under one filter can never leak into the other.
 func TestMemoPlanFingerprintSeparation(t *testing.T) {
 	s, alert := fixture(t, nil, 200)
-	whereA := "where file.path != \"*.dll\""
-	whereB := "" // no filter: DLL loads stay in the graph
+	whereA := "where file.path != \"*.dll\" and proc.dst.isWriteThrough != true"
+	whereB := "where proc.dst.isWriteThrough != true" // DLL loads stay in the graph
 
 	unA := runFingerprint(t, s, alert, whereA, nil)
 	unB := runFingerprint(t, s, alert, whereB, nil)
@@ -95,5 +95,24 @@ func TestMemoPlanFingerprintSeparation(t *testing.T) {
 		if got := runFingerprint(t, s, alert, whereB, cache); got != unB {
 			t.Fatalf("pass %d: plan B diverged under the shared cache", pass)
 		}
+	}
+	if cs := cache.Stats(); cs.Hits == 0 {
+		t.Fatalf("the two plans never hit the cache: %+v", cs)
+	}
+}
+
+// TestMemoPlainScriptLeavesCacheEmpty: window closures go straight to the
+// store, so runs whose scripts evaluate no computed attribute never touch
+// the cache, however many windows they query.
+func TestMemoPlainScriptLeavesCacheEmpty(t *testing.T) {
+	s, alert := fixture(t, nil, 200)
+	cache := memo.New(0, nil)
+	for _, where := range []string{"", "where file.path != \"*.dll\""} {
+		for pass := 1; pass <= 2; pass++ {
+			runFingerprint(t, s, alert, where, cache)
+		}
+	}
+	if cs := cache.Stats(); cs != (memo.Stats{}) {
+		t.Fatalf("plain scripts used the cache: %+v", cs)
 	}
 }

@@ -85,9 +85,9 @@ const (
 	// KindFinalize: tracking-statement path pruning removed Card edges.
 	KindFinalize
 	// KindMemoHit and KindMemoMiss record cross-alert memo cache verdicts:
-	// Node is the queried object, Begin/Finish the window, Card the row
-	// count served (hit) or computed (miss), Detail the cached query kind
-	// (backward rows, forward rows, or a computed attribute). A hit changes
+	// Node is the queried object, Begin/Finish the analysis range, Card the
+	// rows charged (replayed on a hit, walked on a miss), Detail the cached
+	// attribute ("readonly", "write-through", "file-times"). A hit changes
 	// no charged cost — only real CPU — so these records are how a trace
 	// shows where the cache intervened.
 	KindMemoHit
@@ -371,9 +371,9 @@ func (r *Recorder) count(first, last uint64) {
 // for a disabled log before it builds anything; the session's are note's.
 
 // MemoVerdict records a memo-cache lookup: hit says whether the cached
-// closure was served, what names the cached query kind ("backward",
-// "forward", "readonly", "write-through", "file-times"), node/wb/wf identify
-// the (object, window) key, and rows is the row count served or computed.
+// verdict was served, what names the cached attribute ("readonly",
+// "write-through", "file-times"), node/wb/wf identify the (object, range)
+// key, and rows is the row count replayed or walked.
 func (r *Recorder) MemoVerdict(hit bool, what string, node event.ObjID, wb, wf int64, rows int) {
 	if r == nil {
 		return

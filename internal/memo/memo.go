@@ -1,18 +1,21 @@
-// Package memo is the cross-alert backward-closure cache: a shared,
-// immutable, size-bounded cache of sealed-store query results, keyed by
-// (object, time window, plan-filter fingerprint, store content signature).
+// Package memo is the cross-alert attribute-verdict cache: a shared,
+// immutable, size-bounded cache of the computed object attributes BDL
+// heuristics evaluate per candidate edge (IsReadOnlyFile, IsWriteThrough,
+// FileTimes), keyed by (store content signature, plan-filter fingerprint,
+// object, analysis range, attribute).
 //
 // Batch triage re-runs hundreds of independent backtracks over one sealed
 // store, and dependency explosion (paper E1: up to 35k events per backtrack)
-// means the same heavy-hitter objects — explorer.exe, hot DLLs — are
-// re-expanded in nearly every run. The memo lets later runs reuse the
-// posting walks earlier runs already did: window row closures
-// (AppendBackward/AppendForward) and the computed object attributes BDL
-// heuristics evaluate per candidate edge (IsReadOnlyFile, IsWriteThrough,
-// FileTimes).
+// means the same heavy-hitter objects — explorer.exe, hot DLLs — reach the
+// where filter in nearly every run. Each attribute is a walk over the
+// object's postings across the plan's whole analysis range, which for a
+// script without a time range is the same for every alert, so later runs
+// reuse the verdicts earlier runs computed. Window row closures are not
+// cached: a window reads a short posting range, and copying its rows out of a
+// cache costs more than reading them from the store again.
 //
-// The load-bearing invariant is the one PR 4 established for the SoA
-// indexes: ACCELERATION NEVER CHANGES CHARGED COST. A cache hit replays the
+// The load-bearing invariant is the one the SoA indexes established:
+// ACCELERATION NEVER CHANGES CHARGED COST. A cache hit replays the
 // logical query's simulated cost through store.ChargeReplay — same stats
 // counters, same telemetry, same cost-observer callbacks, same analysis-
 // clock advance — so every experiment table, batch summary, and DOT file is
@@ -21,18 +24,24 @@
 // and in memo-hit/memo-miss explain records.
 //
 // Correctness guards in the key:
-//   - the plan-filter fingerprint (refiner.Plan.FilterFingerprint) keeps a
-//     closure computed under one filter from ever serving a run compiled
-//     from a different script;
+//   - the plan-filter fingerprint (refiner.Plan.FilterFingerprint), interned
+//     per cache into an exact integer ID, keeps a verdict computed under one
+//     filter from ever serving a run compiled from a different script;
 //   - the store content signature (store.ContentSignature) invalidates every
 //     entry the moment a live store is resealed with new events — stale
 //     entries simply stop matching and age out of the LRU.
+//
+// A hit is most of what a heuristic workload spends on the cache, so it
+// writes no shared cache line beyond its shard's: the key is all integers,
+// the hit and miss counters live in the shard beside its lock, and LRU
+// promotion is sampled on the looking-up run's own hit count.
 package memo
 
 import (
+	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"aptrace/internal/event"
 	"aptrace/internal/telemetry"
@@ -44,91 +53,84 @@ const DefaultMaxBytes = 64 << 20
 // numShards spreads the LRU lock; must be a power of two.
 const numShards = 64
 
-// kind tags which logical query an entry caches. Distinct kinds with the
-// same (object, window) are distinct entries.
+// kind tags which attribute an entry caches. Distinct kinds with the same
+// (object, range) are distinct entries.
 type kind uint8
 
 const (
-	kindBackward kind = iota
-	kindForward
-	kindReadOnly
+	kindReadOnly kind = iota
 	kindWriteThrough
 	kindFileTimes
 )
 
 var kindNames = [...]string{
-	kindBackward:     "backward",
-	kindForward:      "forward",
 	kindReadOnly:     "readonly",
 	kindWriteThrough: "write-through",
 	kindFileTimes:    "file-times",
 }
 
-// key identifies one cached closure. sig is the sealed store's content
-// signature, fp the plan-filter fingerprint of the run that computed the
-// entry.
+// key identifies one cached verdict. sig is the sealed store's content
+// signature, fp the interned plan-filter fingerprint of the run that
+// computed the entry.
 type key struct {
 	sig      uint64
-	fp       string
-	obj      event.ObjID
 	from, to int64
+	obj      event.ObjID
+	fp       uint32
 	kind     kind
 }
 
-var eventSize = int64(unsafe.Sizeof(event.Event{}))
-
-// entryOverhead approximates the fixed per-entry cost: the entry struct,
-// its map slot, and the key (the fp string is shared across entries from
-// one bind, so only the header is counted).
-const entryOverhead = 160
+// entrySize approximates what one entry holds resident: the entry struct,
+// its map slot and its key. Every entry is the same size, so the byte budget
+// is an entry count per shard.
+const entrySize = 160
 
 type entry struct {
-	key    key
-	rows   []event.Event // kindBackward / kindForward closures
-	flag   bool          // kindReadOnly / kindWriteThrough verdicts
-	t1, t2 int64         // kindFileTimes: creation, lastMod
-	t3     int64         // kindFileTimes: lastAccess
-	charge int64         // rows to replay on a hit (store.NoCharge possible)
-	size   int64
-	uses   atomic.Int64 // hit count, drives sampled LRU promotion
+	key        key
+	flag       bool  // kindReadOnly / kindWriteThrough verdicts
+	t1, t2, t3 int64 // kindFileTimes: creation, lastMod, lastAccess
+	charge     int64 // rows to replay on a hit (store.NoCharge possible)
 
 	prev, next *entry // shard LRU list; head = most recent
 }
 
+// shard is one stripe of the cache. Its hit and miss counters sit beside
+// its lock, on the line a lookup writes anyway, and 64 bytes of padding
+// after its 64 bytes of fields keep any two shards off a common cache line.
 type shard struct {
-	mu         sync.RWMutex
-	entries    map[key]*entry
-	head, tail *entry
-	bytes      int64
+	mu           sync.RWMutex
+	hits, misses atomic.Int64
+	entries      map[key]*entry
+	head, tail   *entry
+	_            [64]byte
 }
 
-// Cache is a concurrent, byte-bounded LRU of sealed-store query results.
-// One Cache serves one store lineage (a sealed store and its views, or a
-// live store across reseals); shards keep contention off the batch fleet's
-// hot path.
+// Cache is a concurrent, byte-bounded LRU of attribute verdicts. One Cache
+// serves one store lineage (a sealed store and its views, or a live store
+// across reseals); shards keep contention off the batch fleet's hot path.
 type Cache struct {
-	maxPerShard int64
+	maxPerShard int // entries
 	shards      [numShards]shard
 
-	hits, misses, evictions atomic.Int64
-	bytes                   atomic.Int64
+	evictions, resident atomic.Int64
+
+	fpMu sync.Mutex
+	fps  map[string]uint32 // plan-filter fingerprint -> its ID, never reused
 
 	telHits, telMisses, telEvictions *telemetry.Counter
 	telBytes                         *telemetry.Gauge
 }
 
 // New builds a cache with the given byte budget (0 means DefaultMaxBytes).
-// reg may be nil; the aptrace_memo_* instruments become no-ops.
+// reg may be nil; the aptrace_memo_* instruments become no-ops. (With a
+// registry each lookup also adds to a shared hit or miss counter.)
 func New(maxBytes int64, reg *telemetry.Registry) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	perShard := maxBytes / numShards
-	if perShard < 1 {
-		perShard = 1
-	}
 	c := &Cache{
-		maxPerShard:  perShard,
+		maxPerShard:  int(maxBytes / numShards / entrySize),
+		fps:          make(map[string]uint32),
 		telHits:      reg.Counter(telemetry.MetricMemoHits),
 		telMisses:    reg.Counter(telemetry.MetricMemoMisses),
 		telEvictions: reg.Counter(telemetry.MetricMemoEvictions),
@@ -157,23 +159,21 @@ func (s Stats) HitRate() float64 {
 	return 0
 }
 
-// Stats snapshots the counters. Safe on a nil cache (all zeros).
+// Stats sums the shards' counters. Safe on a nil cache (all zeros).
 func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	s := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Bytes:     c.bytes.Load(),
-	}
+	s := Stats{Evictions: c.evictions.Load()}
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.mu.Lock()
+		s.Hits += sh.hits.Load()
+		s.Misses += sh.misses.Load()
+		sh.mu.RLock()
 		s.Entries += int64(len(sh.entries))
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
+	s.Bytes = s.Entries * entrySize
 	return s
 }
 
@@ -189,45 +189,62 @@ func (c *Cache) Reset() {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		dropped := int64(len(sh.entries))
-		freed := sh.bytes
 		sh.entries = make(map[key]*entry)
 		sh.head, sh.tail = nil, nil
-		sh.bytes = 0
 		sh.mu.Unlock()
 		if dropped > 0 {
 			c.evictions.Add(dropped)
 			c.telEvictions.Add(dropped)
+			c.resident.Add(-dropped)
 		}
-		c.bytes.Add(-freed)
 	}
-	c.telBytes.Set(c.bytes.Load())
+	c.telBytes.Set(c.resident.Load() * entrySize)
+}
+
+// intern returns the ID of a plan-filter fingerprint, assigning the next one
+// to a fingerprint not seen before. IDs are never reused, so two different
+// fingerprints never share one.
+func (c *Cache) intern(fp string) (uint32, error) {
+	c.fpMu.Lock()
+	defer c.fpMu.Unlock()
+	id, ok := c.fps[fp]
+	if !ok {
+		if uint64(len(c.fps)) > math.MaxUint32 {
+			return 0, errors.New("memo: plan-filter fingerprint IDs exhausted")
+		}
+		id = uint32(len(c.fps))
+		c.fps[fp] = id
+	}
+	return id, nil
 }
 
 func (c *Cache) shard(k key) *shard {
-	h := uint64(k.obj)*0x9E3779B97F4A7C15 ^ uint64(k.from)*0xC2B2AE3D27D4EB4F ^ uint64(k.to) ^ uint64(k.kind)<<56 ^ k.sig
+	h := uint64(k.obj)*0x9E3779B97F4A7C15 ^ uint64(k.from)*0xC2B2AE3D27D4EB4F ^ uint64(k.to) ^ uint64(k.fp)<<32 ^ uint64(k.kind)<<56 ^ k.sig
 	return &c.shards[h&(numShards-1)]
 }
 
-// get returns the cached entry for k. The returned entry is immutable;
-// callers must not modify its rows.
+// get returns the cached entry for k. The returned entry is immutable.
 //
-// The hit path takes only the shard's read lock: batch triage hammers a
-// few heavy-hitter keys from every worker at once, and an exclusive lock
-// per hit serializes the whole fleet on those entries. LRU promotion is
-// sampled instead — every promoteEvery-th hit on an entry takes the write
-// lock and moves it to the front, which preserves eviction order for the
-// hot entries that matter while keeping the common hit uncontended.
-func (c *Cache) get(k key) (*entry, bool) {
+// The hit path takes only the shard's read lock and counts in the shard:
+// batch triage hammers a few heavy-hitter keys from every worker at once,
+// and an exclusive lock per hit serializes the whole fleet on those entries.
+// LRU promotion is sampled instead — the caller says when (see
+// View.lookup): a sampled hit takes the write lock and moves its entry to the
+// front, which preserves eviction order for the hot entries that matter
+// while keeping the common hit uncontended.
+func (c *Cache) get(k key, promote bool) (*entry, bool) {
 	sh := c.shard(k)
 	sh.mu.RLock()
 	e, ok := sh.entries[k]
 	sh.mu.RUnlock()
 	if !ok {
-		c.misses.Add(1)
+		sh.misses.Add(1)
 		c.telMisses.Inc()
 		return nil, false
 	}
-	if e.uses.Add(1)%promoteEvery == 1 {
+	sh.hits.Add(1)
+	c.telHits.Inc()
+	if promote {
 		sh.mu.Lock()
 		// The entry may have been evicted or Reset away since the read
 		// lock dropped; promote only if it still owns its map slot.
@@ -237,49 +254,39 @@ func (c *Cache) get(k key) (*entry, bool) {
 		}
 		sh.mu.Unlock()
 	}
-	c.hits.Add(1)
-	c.telHits.Inc()
 	return e, true
 }
 
-// promoteEvery samples LRU promotion on the read-locked hit path: the
-// first hit on an entry always promotes (uses goes 0 -> 1), then every
-// 16th after that.
-const promoteEvery = 16
-
 // put inserts a freshly computed entry. First writer wins: if the key is
-// already present (two workers computed the same closure concurrently), the
+// already present (two workers computed the same verdict concurrently), the
 // existing entry stays and the new one is discarded — both are equal by
-// construction. Entries larger than a whole shard's budget are not cached.
+// construction.
 func (c *Cache) put(k key, e *entry) {
-	e.key = k
-	e.size += entryOverhead
-	if e.size > c.maxPerShard {
+	if c.maxPerShard == 0 {
 		return
 	}
+	e.key = k
 	sh := c.shard(k)
 	var evicted int64
 	sh.mu.Lock()
-	if _, dup := sh.entries[k]; !dup {
-		sh.entries[k] = e
-		sh.pushFront(e)
-		sh.bytes += e.size
-		c.bytes.Add(e.size)
-		for sh.bytes > c.maxPerShard && sh.tail != nil && sh.tail != e {
-			victim := sh.tail
-			sh.unlink(victim)
-			delete(sh.entries, victim.key)
-			sh.bytes -= victim.size
-			c.bytes.Add(-victim.size)
-			evicted++
-		}
+	if _, dup := sh.entries[k]; dup {
+		sh.mu.Unlock()
+		return
+	}
+	sh.entries[k] = e
+	sh.pushFront(e)
+	for len(sh.entries) > c.maxPerShard {
+		victim := sh.tail
+		sh.unlink(victim)
+		delete(sh.entries, victim.key)
+		evicted++
 	}
 	sh.mu.Unlock()
 	if evicted > 0 {
 		c.evictions.Add(evicted)
 		c.telEvictions.Add(evicted)
 	}
-	c.telBytes.Set(c.bytes.Load())
+	c.telBytes.Set(c.resident.Add(1-evicted) * entrySize)
 }
 
 func (sh *shard) pushFront(e *entry) {

@@ -2,6 +2,7 @@ package memo
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,6 +80,8 @@ func TestHitMatchesMissExactly(t *testing.T) {
 		run  func(v *View) (string, error)
 	}
 	probes := []probe{
+		// Window fetches are not cached: both views pass through to the
+		// store, which must charge them alike.
 		{"backward", func(v *View) (string, error) {
 			rows, err := v.AppendBackward(nil, fa, 0, 1000)
 			return fmt.Sprint(rows), err
@@ -145,51 +148,61 @@ func TestHitMatchesMissExactly(t *testing.T) {
 	}
 }
 
-// TestFingerprintPoisoning is the satellite-4 poisoning test: a run bound
-// under a different plan-filter fingerprint must never be served a closure
-// cached under another, even for the identical (object, window).
-func TestFingerprintPoisoning(t *testing.T) {
-	base := buildStore(t, simclock.NewSimulated(time.Time{}))
-	c := New(0, nil)
-	fa := objID(t, base, event.File("h1", "/tmp/a"))
-
-	a, err := c.Bind(view(t, base), `backward|in=|where=file.path != "*.dll"`, nil)
+// fileTimes evaluates the file-time triple through v.
+func fileTimes(t *testing.T, v *View, obj event.ObjID) [3]int64 {
+	t.Helper()
+	a, b, c, err := v.FileTimes(obj, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.AppendBackward(nil, fa, 0, 1000); err != nil {
-		t.Fatal(err)
+	return [3]int64{a, b, c}
+}
+
+// TestFingerprintPoisoning: a run bound under a different plan-filter
+// fingerprint must never be served a verdict cached under another, even for
+// the identical (object, range, attribute).
+func TestFingerprintPoisoning(t *testing.T) {
+	base := buildStore(t, simclock.NewSimulated(time.Time{}))
+	c := New(0, nil)
+	helper := objID(t, base, event.Process("h1", "helper", 4, 160))
+	bind := func(fp string) *View {
+		t.Helper()
+		v, err := c.Bind(view(t, base), fp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
+	writeThrough := func(v *View) {
+		t.Helper()
+		if _, err := v.IsWriteThrough(helper, 0, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	writeThrough(bind(`backward|in=|where=file.path != "*.dll"`))
 	if s := c.Stats(); s.Misses != 1 || s.Hits != 0 {
 		t.Fatalf("priming run: %+v", s)
 	}
 
-	b, err := c.Bind(view(t, base), `backward|in=|where=`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.AppendBackward(nil, fa, 0, 1000); err != nil {
-		t.Fatal(err)
-	}
+	writeThrough(bind(`backward|in=|where=`))
 	if s := c.Stats(); s.Hits != 0 || s.Misses != 2 {
-		t.Fatalf("fingerprint mismatch served a cached closure: %+v", s)
+		t.Fatalf("fingerprint mismatch served a cached verdict: %+v", s)
 	}
 
-	// Same fingerprint does share.
-	a2, err := c.Bind(view(t, base), `backward|in=|where=file.path != "*.dll"`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a2.AppendBackward(nil, fa, 0, 1000); err != nil {
-		t.Fatal(err)
-	}
+	// Same fingerprint does share, and interning gives it the same ID.
+	a2 := bind(`backward|in=|where=file.path != "*.dll"`)
+	writeThrough(a2)
 	if s := c.Stats(); s.Hits != 1 {
 		t.Fatalf("identical fingerprint should hit: %+v", s)
+	}
+	if b := bind(`backward|in=|where=`); a2.fp == b.fp {
+		t.Fatalf("two fingerprints share ID %d", b.fp)
 	}
 }
 
 // TestContentSignatureIsolation: two sealed stores with different content
-// sharing one cache must never serve each other's closures.
+// sharing one cache must never serve each other's verdicts.
 func TestContentSignatureIsolation(t *testing.T) {
 	s1 := buildStore(t, simclock.NewSimulated(time.Time{}))
 	s2 := store.New(simclock.NewSimulated(time.Time{}))
@@ -203,47 +216,38 @@ func TestContentSignatureIsolation(t *testing.T) {
 	}
 
 	c := New(0, nil)
-	fa1 := objID(t, s1, f)
 	v1, err := c.Bind(view(t, s1), "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows1, err := v1.AppendBackward(nil, fa1, 0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fa2 := objID(t, s2, f)
+	times1 := fileTimes(t, v1, objID(t, s1, f))
 	v2, err := c.Bind(view(t, s2), "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := v2.AppendBackward(nil, fa2, 0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	times2 := fileTimes(t, v2, objID(t, s2, f))
 	if s := c.Stats(); s.Hits != 0 || s.Misses != 2 {
 		t.Fatalf("stores with different signatures shared entries: %+v", s)
 	}
-	if len(rows1) != 1 || len(rows2) != 1 || rows1[0].Time == rows2[0].Time {
-		t.Fatalf("each store must serve its own closure: %v vs %v", rows1, rows2)
+	if times1 != [3]int64{0, 100, 200} || times2 != [3]int64{0, 111, 0} {
+		t.Fatalf("each store must serve its own file times: %v vs %v", times1, times2)
 	}
 }
 
 // TestEvictionBudget: the cache stays within its byte budget and reports
-// evictions once closures are displaced.
+// evictions once verdicts are displaced.
 func TestEvictionBudget(t *testing.T) {
 	base := buildStore(t, simclock.NewSimulated(time.Time{}))
 	fa := objID(t, base, event.File("h1", "/tmp/a"))
-	const budget = numShards * (entryOverhead + 256)
+	const budget = numShards * entrySize * 2
 	c := New(budget, nil)
 	v, err := c.Bind(view(t, base), "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Distinct windows make distinct keys; enough of them must evict.
+	// Distinct ranges make distinct keys; enough of them must evict.
 	for i := int64(0); i < 500; i++ {
-		if _, err := v.AppendBackward(nil, fa, i, 1000+i); err != nil {
+		if _, _, _, err := v.FileTimes(fa, i, 1000+i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,6 +261,9 @@ func TestEvictionBudget(t *testing.T) {
 	if s.Entries == 0 {
 		t.Fatal("cache should retain recent entries after eviction")
 	}
+	if s.Entries+s.Evictions != s.Misses {
+		t.Fatalf("every miss caches one entry, resident or evicted: %+v", s)
+	}
 }
 
 // TestReset drops everything and accounts the drops as evictions.
@@ -268,9 +275,7 @@ func TestReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.AppendBackward(nil, fa, 0, 1000); err != nil {
-		t.Fatal(err)
-	}
+	fileTimes(t, v, fa)
 	pre := c.Stats()
 	if pre.Entries == 0 || pre.Bytes == 0 {
 		t.Fatalf("expected a resident entry: %+v", pre)
@@ -282,6 +287,67 @@ func TestReset(t *testing.T) {
 	}
 	if post.Evictions != pre.Entries {
 		t.Fatalf("reset should count %d evictions, got %d", pre.Entries, post.Evictions)
+	}
+	// A view bound before the reset keeps working: its next lookup misses.
+	fileTimes(t, v, fa)
+	if s := c.Stats(); s.Entries != 1 || s.Misses != pre.Misses+1 {
+		t.Fatalf("lookup after reset: %+v", s)
+	}
+}
+
+// TestConcurrentHitCounts: lookups from many runs at once, each through its
+// own view, are all counted exactly once — the per-shard counters summed by
+// Stats lose none (run under -race: the views' promotion sampling is
+// run-local, the shared state is the shards').
+func TestConcurrentHitCounts(t *testing.T) {
+	base := buildStore(t, simclock.NewSimulated(time.Time{}))
+	objs := []event.ObjID{
+		objID(t, base, event.File("h1", "/tmp/a")),
+		objID(t, base, event.File("h1", "/tmp/b")),
+		objID(t, base, event.File("h1", "/lib/ro.so")),
+		objID(t, base, event.Process("h1", "helper", 4, 160)),
+	}
+	c := New(0, nil)
+	const runs, rounds = 8, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, runs)
+	for r := 0; r < runs; r++ {
+		v, err := c.Bind(view(t, base), "fp", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for _, o := range objs {
+					if _, err := v.IsReadOnlyFile(o, 0, 1000); err != nil {
+						errs <- err
+						return
+					}
+					if _, err := v.IsWriteThrough(o, 0, 1000); err != nil {
+						errs <- err
+						return
+					}
+					if _, _, _, err := v.FileTimes(o, 0, 1000); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	s := c.Stats()
+	if want := int64(runs * rounds * len(objs) * 3); s.Hits+s.Misses != want {
+		t.Fatalf("%d hits + %d misses, want %d lookups", s.Hits, s.Misses, want)
+	}
+	if s.Entries != int64(len(objs)*3) || s.Hits == 0 {
+		t.Fatalf("want %d resident verdicts and hits: %+v", len(objs)*3, s)
 	}
 }
 
@@ -307,11 +373,11 @@ func TestUnsealedBindFails(t *testing.T) {
 }
 
 // TestReshardPoisoning: the same events partitioned into different shard
-// counts must never share cache entries — a closure computed under one
-// partitioning could otherwise replay against a reshard whose signature,
-// by satellite contract, has to differ (store.ContentSignature folds in the
-// shard composition). Results must still be identical, served by fresh
-// misses, because sharding is real-CPU-only acceleration.
+// counts must never share cache entries — a verdict computed under one
+// partitioning could otherwise replay against a reshard whose signature has
+// to differ (store.ContentSignature folds in the shard composition). Results
+// must still be identical, served by fresh misses, because sharding is
+// real-CPU-only acceleration.
 func TestReshardPoisoning(t *testing.T) {
 	buildSharded := func(n int) *store.Store {
 		s := store.New(simclock.NewSimulated(time.Time{}), store.WithShards(n))
@@ -343,33 +409,24 @@ func TestReshardPoisoning(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sig2 == sig3 {
-		t.Fatal("reshard kept the content signature; stale closures would replay")
+		t.Fatal("reshard kept the content signature; stale verdicts would replay")
 	}
 
 	c := New(0, nil)
-	fb2 := objID(t, two, event.File("h2", "/srv/b"))
 	v2, err := c.Bind(view(t, two), "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := v2.AppendBackward(nil, fb2, 0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fb3 := objID(t, three, event.File("h2", "/srv/b"))
+	times2 := fileTimes(t, v2, objID(t, two, event.File("h2", "/srv/b")))
 	v3, err := c.Bind(view(t, three), "fp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows3, err := v3.AppendBackward(nil, fb3, 0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	times3 := fileTimes(t, v3, objID(t, three, event.File("h2", "/srv/b")))
 	if s := c.Stats(); s.Hits != 0 || s.Misses != 2 {
 		t.Fatalf("resharded stores shared cache entries: %+v", s)
 	}
-	if fmt.Sprintf("%v", rows2) != fmt.Sprintf("%v", rows3) {
-		t.Fatalf("reshard changed query results:\n%v\nvs\n%v", rows2, rows3)
+	if times2 != times3 || times2 == ([3]int64{}) {
+		t.Fatalf("reshard changed query results: %v vs %v", times2, times3)
 	}
 }

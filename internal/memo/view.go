@@ -10,22 +10,25 @@ import (
 )
 
 // View is one run's binding of the shared cache to its store view: the
-// executor routes every cacheable query — window row retrieval and the
-// computed-attribute evaluations behind where/prioritize clauses — through
-// it. View satisfies refiner.Env, so it drops in anywhere the executor used
-// to pass the store.
+// executor evaluates where/prioritize clauses and tracking-chain matchers
+// through it, so every computed-attribute evaluation consults the cache.
+// View satisfies refiner.Env, so it drops in anywhere the executor used to
+// pass the store.
 //
 // Hit or miss, the store is charged identically: a miss charges by actually
 // executing the query, a hit replays the recorded charge through
 // store.ChargeReplay. Each verdict is also emitted to the run's explain
 // recorder (nil-safe), so EXPLAIN output stays complete under caching.
+//
+// A view belongs to one run and is used from one goroutine at a time.
 type View struct {
-	c   *Cache
-	st  *store.Store
-	fp  string
-	sig uint64
-	rec *explain.Recorder
-	obs *obs.Scope
+	c    *Cache
+	st   *store.Store
+	sig  uint64
+	fp   uint32
+	hits uint32 // this view's cache hits; samples LRU promotion
+	rec  *explain.Recorder
+	obs  *obs.Scope
 }
 
 // Bind couples a sealed store (usually a per-run store.View) to the cache
@@ -39,17 +42,11 @@ func (c *Cache) Bind(st *store.Store, fp string, rec *explain.Recorder) (*View, 
 	if err != nil {
 		return nil, err
 	}
-	return &View{c: c, st: st, fp: fp, sig: sig, rec: rec}, nil
-}
-
-// Store returns the underlying store view.
-func (v *View) Store() *store.Store { return v.st }
-
-// Cache returns the shared cache this view is bound to.
-func (v *View) Cache() *Cache { return v.c }
-
-func (v *View) key(obj event.ObjID, from, to int64, k kind) key {
-	return key{sig: v.sig, fp: v.fp, obj: obj, from: from, to: to, kind: k}
+	id, err := c.intern(fp)
+	if err != nil {
+		return nil, err
+	}
+	return &View{c: c, st: st, fp: id, sig: sig, rec: rec}, nil
 }
 
 // SetObs attaches a lifecycle-journal scope: every verdict then also
@@ -61,6 +58,40 @@ func (v *View) SetObs(s *obs.Scope) {
 		return
 	}
 	v.obs = s
+}
+
+// promoteEvery samples LRU promotion: a view's first hit promotes its entry,
+// then every 16th after that.
+const promoteEvery = 16
+
+// lookup serves the verdict of kind k for (obj, [from, to)) from the cache,
+// or computes, caches and returns it.
+func (v *View) lookup(k kind, obj event.ObjID, from, to int64) (*entry, error) {
+	ck := key{sig: v.sig, from: from, to: to, obj: obj, fp: v.fp, kind: k}
+	if e, ok := v.c.get(ck, v.hits%promoteEvery == 0); ok {
+		v.hits++
+		if err := v.st.ChargeReplay(e.charge, from, to); err != nil {
+			return nil, err
+		}
+		v.verdict(true, k, obj, from, to, e.charge)
+		return e, nil
+	}
+	e := &entry{}
+	var err error
+	switch k {
+	case kindReadOnly:
+		e.flag, e.charge, err = v.st.IsReadOnlyFileRows(obj, from, to)
+	case kindWriteThrough:
+		e.flag, e.charge, err = v.st.IsWriteThroughRows(obj, from, to)
+	default:
+		e.t1, e.t2, e.t3, e.charge, err = v.st.FileTimesRows(obj, from, to)
+	}
+	if err != nil {
+		return nil, err
+	}
+	v.c.put(ck, e)
+	v.verdict(false, k, obj, from, to, e.charge)
+	return e, nil
 }
 
 func (v *View) verdict(hit bool, k kind, obj event.ObjID, from, to, rows int64) {
@@ -77,112 +108,44 @@ func (v *View) verdict(hit bool, k kind, obj event.ObjID, from, to, rows int64) 
 	}
 }
 
-// appendRows is the shared hit/miss path for the two closure kinds.
-func (v *View) appendRows(buf []event.Event, obj event.ObjID, from, to int64, k kind, forward bool) ([]event.Event, error) {
-	ck := v.key(obj, from, to, k)
-	if e, ok := v.c.get(ck); ok {
-		if err := v.st.ChargeReplay(e.charge, from, to); err != nil {
-			return buf, err
-		}
-		v.verdict(true, k, obj, from, to, int64(len(e.rows)))
-		// Exact-capacity growth, mirroring the store's append path.
-		if need := len(buf) + len(e.rows); need > cap(buf) {
-			grown := make([]event.Event, len(buf), need)
-			copy(grown, buf)
-			buf = grown
-		}
-		return append(buf, e.rows...), nil
-	}
-	pre := len(buf)
-	var err error
-	if forward {
-		buf, err = v.st.AppendForward(buf, obj, from, to)
-	} else {
-		buf, err = v.st.AppendBackward(buf, obj, from, to)
-	}
-	if err != nil {
-		return buf, err
-	}
-	rows := buf[pre:]
-	cp := make([]event.Event, len(rows))
-	copy(cp, rows)
-	v.c.put(ck, &entry{
-		rows:   cp,
-		charge: int64(len(cp)),
-		size:   int64(len(cp)) * eventSize,
-	})
-	v.verdict(false, k, obj, from, to, int64(len(cp)))
-	return buf, nil
-}
-
-// AppendBackward serves the backward closure of (dst, [from, to)) from the
-// cache when present, appending rows to buf like store.AppendBackward.
-func (v *View) AppendBackward(buf []event.Event, dst event.ObjID, from, to int64) ([]event.Event, error) {
-	return v.appendRows(buf, dst, from, to, kindBackward, false)
-}
-
-// AppendForward is the impact-tracking twin of AppendBackward.
-func (v *View) AppendForward(buf []event.Event, src event.ObjID, from, to int64) ([]event.Event, error) {
-	return v.appendRows(buf, src, from, to, kindForward, true)
-}
-
-// Object passes through to the store: object resolution is an uncharged
-// in-memory table read and not worth caching.
-func (v *View) Object(id event.ObjID) event.Object { return v.st.Object(id) }
-
 // IsReadOnlyFile serves the cached verdict when present; see store.
 func (v *View) IsReadOnlyFile(obj event.ObjID, from, to int64) (bool, error) {
-	ck := v.key(obj, from, to, kindReadOnly)
-	if e, ok := v.c.get(ck); ok {
-		if err := v.st.ChargeReplay(e.charge, from, to); err != nil {
-			return false, err
-		}
-		v.verdict(true, kindReadOnly, obj, from, to, e.charge)
-		return e.flag, nil
-	}
-	val, rows, err := v.st.IsReadOnlyFileRows(obj, from, to)
+	e, err := v.lookup(kindReadOnly, obj, from, to)
 	if err != nil {
 		return false, err
 	}
-	v.c.put(ck, &entry{flag: val, charge: rows})
-	v.verdict(false, kindReadOnly, obj, from, to, rows)
-	return val, nil
+	return e.flag, nil
 }
 
 // IsWriteThrough serves the cached verdict when present; see store.
 func (v *View) IsWriteThrough(obj event.ObjID, from, to int64) (bool, error) {
-	ck := v.key(obj, from, to, kindWriteThrough)
-	if e, ok := v.c.get(ck); ok {
-		if err := v.st.ChargeReplay(e.charge, from, to); err != nil {
-			return false, err
-		}
-		v.verdict(true, kindWriteThrough, obj, from, to, e.charge)
-		return e.flag, nil
-	}
-	val, rows, err := v.st.IsWriteThroughRows(obj, from, to)
+	e, err := v.lookup(kindWriteThrough, obj, from, to)
 	if err != nil {
 		return false, err
 	}
-	v.c.put(ck, &entry{flag: val, charge: rows})
-	v.verdict(false, kindWriteThrough, obj, from, to, rows)
-	return val, nil
+	return e.flag, nil
 }
 
 // FileTimes serves the cached file-time triple when present; see store.
 func (v *View) FileTimes(obj event.ObjID, from, to int64) (creation, lastMod, lastAccess int64, err error) {
-	ck := v.key(obj, from, to, kindFileTimes)
-	if e, ok := v.c.get(ck); ok {
-		if err := v.st.ChargeReplay(e.charge, from, to); err != nil {
-			return 0, 0, 0, err
-		}
-		v.verdict(true, kindFileTimes, obj, from, to, e.charge)
-		return e.t1, e.t2, e.t3, nil
-	}
-	t1, t2, t3, rows, err := v.st.FileTimesRows(obj, from, to)
+	e, err := v.lookup(kindFileTimes, obj, from, to)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	v.c.put(ck, &entry{t1: t1, t2: t2, t3: t3, charge: rows})
-	v.verdict(false, kindFileTimes, obj, from, to, rows)
-	return t1, t2, t3, nil
+	return e.t1, e.t2, e.t3, nil
+}
+
+// ObjectRef passes through to the store: object resolution is an uncharged
+// in-memory table read and not worth caching.
+func (v *View) ObjectRef(id event.ObjID) *event.Object { return v.st.ObjectRef(id) }
+
+// AppendBackward passes through to the store: window closures are not
+// cached.
+func (v *View) AppendBackward(buf []event.Event, dst event.ObjID, from, to int64) ([]event.Event, error) {
+	return v.st.AppendBackward(buf, dst, from, to)
+}
+
+// AppendForward passes through to the store, like AppendBackward.
+func (v *View) AppendForward(buf []event.Event, src event.ObjID, from, to int64) ([]event.Event, error) {
+	return v.st.AppendForward(buf, src, from, to)
 }

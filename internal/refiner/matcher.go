@@ -18,9 +18,10 @@ import (
 )
 
 // Env resolves object IDs and computed attributes during condition
-// evaluation. *store.Store satisfies it.
+// evaluation. *store.Store satisfies it. ObjectRef hands the object in place,
+// in the store's object table: callers read it and never write.
 type Env interface {
-	Object(event.ObjID) event.Object
+	ObjectRef(event.ObjID) *event.Object
 	IsReadOnlyFile(obj event.ObjID, from, to int64) (bool, error)
 	IsWriteThrough(obj event.ObjID, from, to int64) (bool, error)
 	FileTimes(obj event.ObjID, from, to int64) (creation, lastMod, lastAccess int64, err error)
@@ -200,7 +201,7 @@ func (cd *cond) setValue(c *bdl.Cmp) error {
 // evalCond evaluates the comparison against a connecting event and the node
 // object.
 func (cd *cond) eval(e event.Event, nodeID event.ObjID, env Env, from, to int64) (bool, error) {
-	nodeObj := env.Object(nodeID)
+	nodeObj := env.ObjectRef(nodeID)
 	switch cd.class {
 	case fieldEvent:
 		switch cd.field {
@@ -214,7 +215,7 @@ func (cd *cond) eval(e event.Event, nodeID event.ObjID, env Env, from, to int64)
 			return cmpInt(e.Amount, cd.op, cd.num), nil
 		}
 	case fieldSubject:
-		sub := env.Object(e.Subject)
+		sub := env.ObjectRef(e.Subject)
 		switch cd.field {
 		case "subject_name":
 			return cd.matchString(sub.Exe), nil
@@ -367,7 +368,7 @@ func compileNode(n *bdl.Node) (*NodeMatcher, error) {
 // alert event's flow destination; for every later node in the chain it is
 // the discovered event's flow source.
 func (m *NodeMatcher) Match(e event.Event, nodeID event.ObjID, env Env, from, to int64) (bool, error) {
-	if env.Object(nodeID).Type != m.Type {
+	if env.ObjectRef(nodeID).Type != m.Type {
 		return false, nil
 	}
 	return m.expr.eval(e, nodeID, env, from, to)

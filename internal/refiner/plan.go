@@ -126,7 +126,7 @@ func (p *Plan) HostAllowed(host string) bool {
 // host patterns, and the compiled where-filter text (budgets excluded — they
 // stop a run but never change a per-candidate verdict). Two plans with equal
 // fingerprints make identical filter decisions for the same (object, window)
-// query; result caches key on this string so a cached closure computed under
+// query; result caches key on this string so a cached result computed under
 // one filter is never served to a run using a different one.
 func (p *Plan) FilterFingerprint() string {
 	var sb strings.Builder
@@ -163,7 +163,7 @@ func (p *Plan) Range(storeMin, storeMax int64) (from, to int64) {
 // flow-destination object satisfies the start node's type and conditions,
 // and both endpoint hosts pass the "in" constraint.
 func (p *Plan) MatchStart(e event.Event, env Env) (bool, error) {
-	if !p.HostAllowed(env.Object(e.Subject).Host) || !p.HostAllowed(env.Object(e.Object).Host) {
+	if !p.HostAllowed(env.ObjectRef(e.Subject).Host) || !p.HostAllowed(env.ObjectRef(e.Object).Host) {
 		return false, nil
 	}
 	from, to := p.From, p.To

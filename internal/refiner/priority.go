@@ -137,7 +137,7 @@ func (fp *FlowPattern) Match(e event.Event, env Env) bool {
 		ok := false
 		switch c.side {
 		case "type":
-			for _, name := range typeName(env.Object(e.Object).Type) {
+			for _, name := range typeName(env.ObjectRef(e.Object).Type) {
 				if c.pat.Match(name) {
 					ok = true
 					break
@@ -149,9 +149,9 @@ func (fp *FlowPattern) Match(e event.Event, env Env) bool {
 		case "amount":
 			ok = cmpInt(e.Amount, c.op, c.num)
 		case "src", "dst":
-			obj := env.Object(e.Src())
+			obj := env.ObjectRef(e.Src())
 			if c.side == "dst" {
-				obj = env.Object(e.Dst())
+				obj = env.ObjectRef(e.Dst())
 			}
 			v, has := obj.Field(c.field)
 			if !has && c.field == "ip" {

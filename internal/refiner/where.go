@@ -295,7 +295,7 @@ func (c *whereCond) eval(e event.Event, obj event.ObjID, env Env, from, to int64
 	// Typed conditions are vacuously true for other object types.
 	if c.typ != "" {
 		typ, _ := event.ParseObjectType(c.typ)
-		if env.Object(obj).Type != typ {
+		if env.ObjectRef(obj).Type != typ {
 			return true, nil
 		}
 	}

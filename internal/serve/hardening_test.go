@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -349,7 +350,9 @@ func evictedFixture(t *testing.T, memoBytes int64) (*Server, string, string) {
 		t.Fatal(err)
 	}
 	mgr := srv.Manager()
-	script := ds.Attacks[0].Scripts[0]
+	// An attribute where clause, so a memo-backed server consults its cache
+	// (which holds attribute verdicts only).
+	script := strings.Replace(ds.Attacks[0].Scripts[1], "where ", "where proc.dst.isWriteThrough != true and ", 1)
 	var ids []string
 	for i := 0; i < 3; i++ {
 		run, err := mgr.Submit("ops", script, nil, false, "")

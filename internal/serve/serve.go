@@ -113,11 +113,13 @@ type Config struct {
 	// RetainAlerts bounds the recorded alert log (oldest evicted; Seq keeps
 	// counting across evictions). Default 4096; negative keeps everything.
 	RetainAlerts int
-	// MemoBytes, when positive, shares one backward-closure memo cache
-	// (internal/memo) of that byte budget across every session the manager
-	// runs. Hits replay the charged cost of the query they elide, so graphs,
-	// update streams, and explain/timeline output are byte-identical with
-	// the cache on or off — only real CPU changes. The cache is reset
+	// MemoBytes, when positive, shares one attribute-verdict memo cache
+	// (internal/memo: the read-only, write-through and file-time walks
+	// where clauses evaluate) of that byte budget across every session the
+	// manager runs. Hits replay the charged cost of the walk they elide, so
+	// graphs, update streams and timelines are byte-identical with the
+	// cache on or off (explain adds memo-hit/memo-miss records) — only real
+	// CPU changes. The cache is reset
 	// whenever a live store reseals with new content (the content signature
 	// in every key already keeps stale entries from matching; the reset
 	// reclaims their memory immediately). Zero disables the cache.

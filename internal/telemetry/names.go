@@ -83,9 +83,9 @@ const (
 
 	// Cross-alert memo cache (internal/memo). hits/misses count cache
 	// verdicts, evictions counts entries displaced by the byte budget, and
-	// bytes is the resident size of all cached closures. A hit saves only
-	// real CPU: charged cost is replayed identically, so these counters are
-	// the ONLY place cache effectiveness is visible.
+	// bytes is the resident size of all cached attribute verdicts. A hit
+	// saves only real CPU: charged cost is replayed identically, so these
+	// counters are the ONLY place cache effectiveness is visible.
 	MetricMemoHits      = "aptrace_memo_hits_total"
 	MetricMemoMisses    = "aptrace_memo_misses_total"
 	MetricMemoEvictions = "aptrace_memo_evictions_total"
