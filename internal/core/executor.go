@@ -190,6 +190,9 @@ type Executor struct {
 	now   time.Time
 	nowNs int64
 	stale bool // a call that can move analysis time returned since now was read
+	// staging says the run loop is inside a window, outside OnUpdate: the
+	// memo view's verdicts go into the stage (stageVerdict), not to the log.
+	staging bool
 }
 
 // coverage is how far an object's history has been scheduled.
@@ -237,13 +240,9 @@ func New(st *store.Store, plan *refiner.Plan, opts Options) (*Executor, error) {
 	x.rec = opts.Explain
 	x.env = st
 	if opts.Memo != nil {
-		mv, err := opts.Memo.Bind(st, plan.FilterFingerprint(), x.rec)
-		if err != nil {
+		if err := x.bindMemo(plan); err != nil {
 			return nil, err
 		}
-		x.mv = mv
-		x.env = mv
-		x.mv.SetObs(opts.Obs)
 	}
 	if opts.Telemetry != nil {
 		x.observe = x.observeRecord
@@ -340,14 +339,48 @@ func (x *Executor) noteEdge(kind explain.Kind, ev event.EventID, node, peer even
 	return d
 }
 
+// bindMemo binds the memo cache under plan's filter fingerprint, so verdicts
+// cached under another filter cannot serve it, and evaluates through the
+// view from then on. With a log, the view offers its verdicts to
+// stageVerdict.
+func (x *Executor) bindMemo(plan *refiner.Plan) error {
+	mv, err := x.opts.Memo.Bind(x.st, plan.FilterFingerprint(), x.rec)
+	if err != nil {
+		return err
+	}
+	mv.SetObs(x.opts.Obs)
+	if x.rec != nil {
+		mv.SetStage(x.stageVerdict)
+	}
+	x.mv, x.env = mv, mv
+	return nil
+}
+
+// stageVerdict stages a memo verdict the run loop reached inside a window,
+// in order with the loop's own records and stamped, like them, at the
+// clock's reading: the lookup that calls it has just charged. Elsewhere —
+// MatchStart before the run, a plan swap from OnUpdate or from another
+// goroutine — it declines, and the view notes the verdict in the log itself.
+func (x *Executor) stageVerdict(hit bool, what string, obj event.ObjID, from, to int64, rows int) bool {
+	if !x.staging {
+		return false
+	}
+	kind := explain.KindMemoMiss
+	if hit {
+		kind = explain.KindMemoHit
+	}
+	x.stale = true
+	d := x.note(kind)
+	d.Node, d.Begin, d.Finish, d.Card, d.Detail = obj, from, to, int32(rows), x.stage.Str(what)
+	return true
+}
+
 // flush hands the stage to the log — one call, one lock, one pass, one
 // counter add — and empties it. It runs when a window ends (so the stage is
-// empty whenever the loop parks or ends), before every OnUpdate callback, and
-// before an evaluation through the memo view, which writes its verdict
-// records to the log itself: whatever a callback, a parked reader or a golden
-// file can see of the records is what unstaged emission would have shown
-// them, and a concurrent reader trails the loop by at most the window in
-// flight.
+// empty whenever the loop parks or ends) and before every OnUpdate callback:
+// whatever a callback, a parked reader or a golden file can see of the
+// records is what unstaged emission would have shown them, and a concurrent
+// reader trails the loop by at most the window in flight.
 func (x *Executor) flush() {
 	if len(x.stage.Recs) == 0 {
 		return
@@ -472,15 +505,10 @@ func (x *Executor) UpdatePlan(plan *refiner.Plan, action refiner.ResumeAction) e
 	x.from, x.to = plan.Range(min, max)
 	x.budget = plan.TimeBudget
 	if x.mv != nil {
-		// The filter fingerprint keys the cache; rebind under the new
-		// plan's so verdicts cached under the old filter cannot serve it.
-		mv, err := x.opts.Memo.Bind(x.st, plan.FilterFingerprint(), x.rec)
-		if err != nil {
+		x.mv.Flush()
+		if err := x.bindMemo(plan); err != nil {
 			return err
 		}
-		x.mv = mv
-		x.env = mv
-		x.mv.SetObs(x.opts.Obs)
 	}
 	x.maint = maintainer.New(plan, x.env, x.from, x.to)
 	// New filters may admit objects dropped under the old plan.
@@ -587,10 +615,12 @@ func (x *Executor) RunUnchecked(alert event.Event) (*Result, error) {
 	x.runGoid = goid()
 	x.mu.Unlock()
 	defer func() {
-		// What a window that failed had staged, and the query samples the
-		// run's view still holds.
+		// What a window that failed had staged, the query samples the run's
+		// view still holds and the memo hits it has not published.
+		x.staging = false
 		x.flush()
 		x.st.FlushQueryProfile()
+		x.mv.Flush()
 		// Release Pause/UpdatePlan callers blocked on the park handshake.
 		x.mu.Lock()
 		x.running = false
@@ -638,9 +668,11 @@ loop:
 			// belongs after the run (session.Finalize), never under a pause.
 			return nil, errors.New("core: the graph was pruned while windows were still queued")
 		}
+		x.staging = true
 		if err := x.processWindow(&w); err != nil {
 			return nil, err
 		}
+		x.staging = false
 		x.flush()
 		x.tel.queueDepth.Set(int64(x.pq.Len()))
 	}
@@ -888,17 +920,11 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 				continue
 			}
 		}
-		if x.mv != nil && (x.plan.Where != nil || len(x.plan.Chain) > 0) {
-			// The where filter and a tracking chain's matchers evaluate
-			// through the memo view, which records its verdicts itself: ours
-			// go first.
-			x.flush()
-		}
 		// Where statement: objects failing it are deleted from the
 		// analysis without further exploration.
 		if x.plan.Where != nil {
 			keep, err := x.plan.Where.Keep(*dep, src, x.env, x.from, x.to)
-			x.stale = true // stays set across FailingClause, which charges too
+			x.stale = true
 			if err != nil {
 				return err
 			}
@@ -906,6 +932,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 				x.dropped[src] = true
 				if x.rec != nil {
 					clause, pos := x.plan.Where.FailingClause(*dep, src, x.env, x.from, x.to)
+					x.stale = true // FailingClause charges too
 					d := x.noteEdge(explain.KindEdgeWhereRejected, dep.ID, src, known)
 					d.Clause, d.Begin, d.Finish = x.stage.Str(clause), int64(pos.Line), int64(pos.Col)
 				}
@@ -940,12 +967,14 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		}
 		x.updates++
 		if x.opts.OnUpdate != nil {
-			// The hook sees every record up to its own update.
+			// The hook sees every record up to its own update, and a plan it
+			// swaps in logs its recalculation's verdicts itself.
 			x.flush()
+			x.staging = false
 			x.opts.OnUpdate(Update{Event: *dep, NewNode: added.NewNode, At: x.at(), Edges: added.Edges})
 			// The hook takes real time, and may swap in a plan whose
 			// recalculation charges.
-			x.stale = true
+			x.stale, x.staging = true, true
 		}
 		x.enqueue(dep, added.Slot, boost)
 	}

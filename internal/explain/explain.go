@@ -224,7 +224,7 @@ func New(capacity int, reg *telemetry.Registry) *Recorder {
 
 // Attach is the executor taking the log. clk is the analysis clock that
 // records emitted outside the run loop (pause, resume, plan update, finalize,
-// memo verdicts) are stamped with — the run loop's own carry the executor's
+// memo verdicts reached outside a window) are stamped with — the run loop's own carry the executor's
 // stamp of the same clock, so every record carries simulated time under the
 // cost model; without a clock those are stamped zero. gaps receives every
 // inter-update gap and mirror, under the log's lock, every timeline event as
@@ -336,9 +336,8 @@ func (r *Recorder) Note(at time.Time, d Decision, clause, detail string) {
 }
 
 // note appends one record from outside the run loop, stamped *at or — for
-// the session's goroutines, and memo lookups that sit inside a charging call
-// — with the bound clock's own reading, so no stamp crosses goroutines.
-// Nil-safe.
+// the session's goroutines, and memo lookups outside a window — with the
+// bound clock's own reading, so no stamp crosses goroutines. Nil-safe.
 func (r *Recorder) note(at *time.Time, d Decision, clause, detail string) {
 	if r == nil {
 		return
@@ -367,8 +366,9 @@ func (r *Recorder) count(first, last uint64) {
 }
 
 // The emission methods below are for callers outside the run loop; they read
-// the bound clock. The memo view's sits in every cached lookup, so it tests
-// for a disabled log before it builds anything; the session's are note's.
+// the bound clock. The memo view's is for verdicts reached outside a window
+// (the executor stages the rest), so it tests for a disabled log before it
+// builds anything; the session's are note's.
 
 // MemoVerdict records a memo-cache lookup: hit says whether the cached
 // verdict was served, what names the cached attribute ("readonly",

@@ -31,10 +31,18 @@
 //     entry the moment a live store is resealed with new events — stale
 //     entries simply stop matching and age out of the LRU.
 //
-// A hit is most of what a heuristic workload spends on the cache, so it
-// writes no shared cache line beyond its shard's: the key is all integers,
-// the hit and miss counters live in the shard beside its lock, and LRU
-// promotion is sampled on the looking-up run's own hit count.
+// A hit is most of what a heuristic workload spends on the cache, so a run
+// reads each verdict from the shared cache at most once. Every View (one run)
+// keeps a run-local verdict table in front of the cache: lookup order is local
+// table → shared cache → store, and a local hit takes no lock, probes no
+// shared map and writes no line another run writes. The table holds the
+// cache's immutable entries, starts small and grows by open addressing. The
+// counts stay exact without a shared write per hit: a shared hit or a miss
+// counts in its shard beside the lock it took, and a local hit adds to one of
+// a few padded stripes handed out round-robin at Bind; Stats sums both, and
+// aptrace_memo_hits_total is fed per view in batches. Reset bumps a cache
+// generation, read once per lookup from a line only Reset writes, and a view
+// whose generation is stale drops its table before its next lookup.
 package memo
 
 import (
@@ -52,6 +60,9 @@ const DefaultMaxBytes = 64 << 20
 
 // numShards spreads the LRU lock; must be a power of two.
 const numShards = 64
+
+// numStripes spreads the views' local-hit counts; must be a power of two.
+const numStripes = 16
 
 // kind tags which attribute an entry caches. Distinct kinds with the same
 // (object, range) are distinct entries.
@@ -94,9 +105,10 @@ type entry struct {
 	prev, next *entry // shard LRU list; head = most recent
 }
 
-// shard is one stripe of the cache. Its hit and miss counters sit beside
-// its lock, on the line a lookup writes anyway, and 64 bytes of padding
-// after its 64 bytes of fields keep any two shards off a common cache line.
+// shard is one slice of the shared cache. Its hit and miss counters sit
+// beside its lock, on the line a shared lookup writes anyway, and 64 bytes of
+// padding after its 64 bytes of fields keep any two shards off a common cache
+// line.
 type shard struct {
 	mu           sync.RWMutex
 	hits, misses atomic.Int64
@@ -105,12 +117,24 @@ type shard struct {
 	_            [64]byte
 }
 
+// stripe counts the local hits of the views bound to it, padded like a shard.
+type stripe struct {
+	hits atomic.Int64
+	_    [120]byte
+}
+
 // Cache is a concurrent, byte-bounded LRU of attribute verdicts. One Cache
 // serves one store lineage (a sealed store and its views, or a live store
 // across reseals); shards keep contention off the batch fleet's hot path.
 type Cache struct {
+	// gen counts Resets. Every lookup reads it and only Reset writes it, so
+	// the padding keeps it off the lines lookups write.
+	gen         atomic.Uint64
 	maxPerShard int // entries
+	_           [112]byte
 	shards      [numShards]shard
+	stripes     [numStripes]stripe
+	nextStripe  atomic.Uint32
 
 	evictions, resident atomic.Int64
 
@@ -123,7 +147,8 @@ type Cache struct {
 
 // New builds a cache with the given byte budget (0 means DefaultMaxBytes).
 // reg may be nil; the aptrace_memo_* instruments become no-ops. (With a
-// registry each lookup also adds to a shared hit or miss counter.)
+// registry each miss also adds to a shared counter, and each view adds its
+// hits in batches.)
 func New(maxBytes int64, reg *telemetry.Registry) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
@@ -159,7 +184,8 @@ func (s Stats) HitRate() float64 {
 	return 0
 }
 
-// Stats sums the shards' counters. Safe on a nil cache (all zeros).
+// Stats sums the shards' counters and the stripes' local hits. Safe on a nil
+// cache (all zeros).
 func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
@@ -173,14 +199,19 @@ func (c *Cache) Stats() Stats {
 		s.Entries += int64(len(sh.entries))
 		sh.mu.RUnlock()
 	}
+	for i := range c.stripes {
+		s.Hits += c.stripes[i].hits.Load()
+	}
 	s.Bytes = s.Entries * entrySize
 	return s
 }
 
-// Reset drops every entry, counting them as evictions. Serve calls this
-// when a live store reseals with new content: the signature in the key
-// already keeps stale entries from matching, Reset reclaims their memory
-// immediately instead of waiting for the LRU to age them out.
+// Reset drops every entry, counting them as evictions, and then bumps the
+// generation, so every view drops its run-local table before its next
+// lookup. Serve calls this when a live store reseals with new content: the
+// signature in the key already keeps stale entries from matching, Reset
+// reclaims their memory immediately instead of waiting for the LRU to age
+// them out.
 func (c *Cache) Reset() {
 	if c == nil {
 		return
@@ -198,6 +229,10 @@ func (c *Cache) Reset() {
 			c.resident.Add(-dropped)
 		}
 	}
+	// After the shards are empty: a view that read the old generation
+	// during the sweep may have taken an entry the sweep dropped, and
+	// must drop it again.
+	c.gen.Add(1)
 	c.telBytes.Set(c.resident.Load() * entrySize)
 }
 
@@ -231,7 +266,8 @@ func (c *Cache) shard(k key) *shard {
 // LRU promotion is sampled instead — the caller says when (see
 // View.lookup): a sampled hit takes the write lock and moves its entry to the
 // front, which preserves eviction order for the hot entries that matter
-// while keeping the common hit uncontended.
+// while keeping the common hit uncontended. (A view asks here at most once
+// per key and run, but promoting every such hit measured slower.)
 func (c *Cache) get(k key, promote bool) (*entry, bool) {
 	sh := c.shard(k)
 	sh.mu.RLock()
@@ -243,7 +279,6 @@ func (c *Cache) get(k key, promote bool) (*entry, bool) {
 		return nil, false
 	}
 	sh.hits.Add(1)
-	c.telHits.Inc()
 	if promote {
 		sh.mu.Lock()
 		// The entry may have been evicted or Reset away since the read
@@ -262,10 +297,10 @@ func (c *Cache) get(k key, promote bool) (*entry, bool) {
 // existing entry stays and the new one is discarded — both are equal by
 // construction.
 func (c *Cache) put(k key, e *entry) {
+	e.key = k
 	if c.maxPerShard == 0 {
 		return
 	}
-	e.key = k
 	sh := c.shard(k)
 	var evicted int64
 	sh.mu.Lock()

@@ -2,13 +2,16 @@ package memo
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"aptrace/internal/event"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
+	"aptrace/internal/telemetry"
 )
 
 // buildStore seals a small history: three processes chained through two
@@ -349,6 +352,171 @@ func TestConcurrentHitCounts(t *testing.T) {
 	if s.Entries != int64(len(objs)*3) || s.Hits == 0 {
 		t.Fatalf("want %d resident verdicts and hits: %+v", len(objs)*3, s)
 	}
+}
+
+// storeVerdict is the store's own answer to attribute k of (obj, [from, to))
+// and the rows it charges for it.
+func storeVerdict(s *store.Store, k kind, obj event.ObjID, from, to int64) (string, int64, error) {
+	switch k {
+	case kindReadOnly:
+		ok, rows, err := s.IsReadOnlyFileRows(obj, from, to)
+		return fmt.Sprint(ok), rows, err
+	case kindWriteThrough:
+		ok, rows, err := s.IsWriteThroughRows(obj, from, to)
+		return fmt.Sprint(ok), rows, err
+	default:
+		a, b, c, rows, err := s.FileTimesRows(obj, from, to)
+		return fmt.Sprint(a, b, c), rows, err
+	}
+}
+
+// viewVerdict is the same question asked through a memo view.
+func viewVerdict(v *View, k kind, obj event.ObjID, from, to int64) (string, error) {
+	switch k {
+	case kindReadOnly:
+		ok, err := v.IsReadOnlyFile(obj, from, to)
+		return fmt.Sprint(ok), err
+	case kindWriteThrough:
+		ok, err := v.IsWriteThrough(obj, from, to)
+		return fmt.Sprint(ok), err
+	default:
+		a, b, c, err := v.FileTimes(obj, from, to)
+		return fmt.Sprint(a, b, c), err
+	}
+}
+
+// TestViewMatchesStoreOracle: random lookups from several runs at once, each
+// through its own view, under a budget of one entry per shard (so entries are
+// evicted while run-local tables still hold them) and with a Reset partway
+// through, answer exactly what the store answers and charge exactly the rows
+// the store charges — whether a lookup hit the run's table, hit the shared
+// cache or missed — and each is counted once, as a hit or a miss.
+func TestViewMatchesStoreOracle(t *testing.T) {
+	base := buildStore(t, simclock.NewSimulated(time.Time{}))
+	var objs []event.ObjID
+	for id := 0; id < base.Stats().Objects; id++ {
+		objs = append(objs, event.ObjID(id))
+	}
+	type question struct {
+		k        kind
+		obj      event.ObjID
+		from, to int64
+	}
+	type answer struct {
+		val  string
+		rows int64
+	}
+	var questions []question
+	oracle := make(map[question]answer)
+	ov := view(t, base)
+	for _, k := range []kind{kindReadOnly, kindWriteThrough, kindFileTimes} {
+		for _, obj := range objs {
+			for _, r := range [][2]int64{{0, 1000}, {0, 250}, {150, 450}, {300, 600}, {120, 130}} {
+				q := question{k, obj, r[0], r[1]}
+				val, rows, err := storeVerdict(ov, k, obj, r[0], r[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				questions = append(questions, q)
+				oracle[q] = answer{val, rows}
+			}
+		}
+	}
+
+	reg := telemetry.NewRegistry()
+	c := New(numShards*entrySize, reg)
+	const workers, runs, lookups = 4, 3, 400
+	var asked atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for r := 0; r < runs; r++ {
+				sv, err := base.View(simclock.NewSimulated(time.Time{}))
+				if err != nil {
+					errs <- err
+					return
+				}
+				v, err := c.Bind(sv, "fp", nil)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := 0; i < lookups; i++ {
+					if w == 0 && r == 1 && i == lookups/2 {
+						c.Reset()
+					}
+					q := questions[rng.Intn(len(questions))]
+					before := sv.Stats()
+					val, err := viewVerdict(v, q.k, q.obj, q.from, q.to)
+					if err != nil {
+						errs <- err
+						return
+					}
+					asked.Add(1)
+					after, want := sv.Stats(), oracle[q]
+					rows, queries := max(want.rows, 0), int64(0)
+					if want.rows != store.NoCharge {
+						queries = 1
+					}
+					if val != want.val || after.RowsExamined-before.RowsExamined != rows || after.Queries-before.Queries != queries {
+						errs <- fmt.Errorf("%+v: view answered %q charging %d rows in %d queries, store %q charging %d",
+							q, val, after.RowsExamined-before.RowsExamined, after.Queries-before.Queries, want.val, want.rows)
+						return
+					}
+				}
+				v.Flush() // as the executor does when a run ends
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	s := c.Stats()
+	if s.Hits+s.Misses != asked.Load() {
+		t.Fatalf("%d hits + %d misses, want %d lookups", s.Hits, s.Misses, asked.Load())
+	}
+	if hits := reg.Counter(telemetry.MetricMemoHits).Value(); hits != s.Hits {
+		t.Fatalf("%s = %d after every run flushed, Stats says %d hits", telemetry.MetricMemoHits, hits, s.Hits)
+	}
+	if s.Evictions == 0 || s.Hits == 0 || s.Bytes > numShards*entrySize {
+		t.Fatalf("want evictions and hits within a one-entry-per-shard budget: %+v", s)
+	}
+}
+
+// BenchmarkHitParallel is the hit path as a batch fleet drives it: one view
+// per goroutine, all on a few hot keys.
+func BenchmarkHitParallel(b *testing.B) {
+	base := buildStore(b, simclock.NewSimulated(time.Time{}))
+	objs := []event.ObjID{
+		objID(b, base, event.File("h1", "/tmp/a")),
+		objID(b, base, event.File("h1", "/lib/ro.so")),
+		objID(b, base, event.Process("h1", "helper", 4, 160)),
+	}
+	c := New(0, nil)
+	b.RunParallel(func(pb *testing.PB) {
+		sv, err := base.View(simclock.NewSimulated(time.Time{}))
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		v, err := c.Bind(sv, "fp", nil)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		for i := 0; pb.Next(); i++ {
+			if _, err := v.IsWriteThrough(objs[i%len(objs)], 0, 1000); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // TestNilCache: binding a nil cache means "memo off".

@@ -123,14 +123,17 @@ func TestHubSingleWriter(t *testing.T) {
 								t.Errorf("backlog of %d ends with update %d", sub.start, tail[len(tail)-1].Event.ID)
 							}
 						}
-						last, got, missed := event.EventID(sub.start)-1, 0, 0
+						// Signed: a subscription made before the first publish
+						// starts at 0 and has seen nothing, update -1.
+						last, got, missed := int64(sub.start)-1, 0, 0
 						take := func() {
 							for _, u := range claimed(h, sub) {
-								if u.Event.ID <= last {
-									t.Errorf("update %d after %d: duplicated or out of order", u.Event.ID, last)
+								id := int64(u.Event.ID)
+								if id <= last {
+									t.Errorf("update %d after %d: duplicated or out of order", id, last)
 								}
-								missed += int(u.Event.ID-last) - 1
-								last = u.Event.ID
+								missed += int(id-last) - 1
+								last = id
 								got++
 							}
 						}
