@@ -97,22 +97,13 @@ type (
 
 // Telemetry layer.
 type (
-	// Telemetry is the metrics + tracing registry: atomic counters,
-	// gauges, fixed-bucket histograms, and a span ring buffer, exposed as
-	// JSON snapshots and Prometheus text. A nil *Telemetry disables all
-	// publication at near-zero cost.
+	// Telemetry is the metrics registry: atomic counters, gauges and
+	// fixed-bucket histograms, exposed as JSON snapshots and Prometheus
+	// text. A nil *Telemetry disables all publication at near-zero cost.
 	Telemetry = telemetry.Registry
 	// TelemetrySnapshot is a consistent point-in-time copy of every
 	// registered instrument, shaped for JSON encoding.
 	TelemetrySnapshot = telemetry.Snapshot
-	// SpanRecord is one finished trace span (window.query,
-	// window.resplit, session.pause).
-	SpanRecord = telemetry.SpanRecord
-	// Span is an in-flight trace span; obtain one from the registry's
-	// Tracer. A nil *Span is a safe no-op on every method.
-	Span = telemetry.Span
-	// SpanArg is one integer annotation attached to a span (e.g. rows=12).
-	SpanArg = telemetry.SpanArg
 )
 
 // Timeline layer: the run profiler and responsiveness SLO watchdog.
@@ -257,7 +248,7 @@ func OpenStore(dir string, clk Clock, opts ...StoreOption) (*Store, error) {
 	return store.Open(dir, clk, opts...)
 }
 
-// NewTelemetry returns an enabled metrics + tracing registry. Attach it to
+// NewTelemetry returns an enabled metrics registry. Attach it to
 // a store with WithTelemetry and to an executor or session through
 // ExecOptions.Telemetry.
 func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }

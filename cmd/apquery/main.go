@@ -18,13 +18,11 @@
 //
 // Like the other tools, -metrics serves /metrics (Prometheus) and
 // /debug/telemetry (JSON) for the process lifetime, and -pprof serves
-// net/http/pprof (sharing the -metrics mux when the addresses match). -trace
-// wraps the lookup in a span and dumps the recent span ring to stderr as
-// JSON afterwards. -profile attaches a scatter-gather query profiler: the
-// lookup's per-shard breakdown (fanout, rows, busy time, merge time, skew)
-// prints to stderr, and with -metrics the live profile is also served at
-// /debug/shards. The profiler reads real CPU only — stdout is byte-identical
-// with it on or off.
+// net/http/pprof (sharing the -metrics mux when the addresses match).
+// -profile attaches a scatter-gather query profiler: the lookup's per-shard
+// breakdown (fanout, rows, busy time, merge time, skew) prints to stderr, and
+// with -metrics the live profile is also served at /debug/shards. The
+// profiler reads real CPU only — stdout is byte-identical with it on or off.
 package main
 
 import (
@@ -51,7 +49,6 @@ func main() {
 		n        = flag.Int("n", 20, "row limit")
 		metrics  = flag.String("metrics", "", "serve /metrics (Prometheus) and /debug/telemetry (JSON) on this address, e.g. :9090")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (shares the -metrics mux when the addresses match)")
-		trace    = flag.Bool("trace", false, "span the lookup and dump the recent span ring to stderr as JSON")
 		profile  = flag.Bool("profile", false, "attach a scatter-gather query profiler and print the per-query breakdown to stderr after the lookup")
 	)
 	flag.Parse()
@@ -60,12 +57,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// With -stats (or -metrics/-trace) alongside a query, a telemetry
-	// registry observes the store so the per-query work counters — and with
-	// -trace the lookup span — can be dumped afterwards.
+	// With -stats (or -metrics) alongside a query, a telemetry registry
+	// observes the store so the per-query work counters can be dumped
+	// afterwards.
 	var reg *aptrace.Telemetry
 	var opts []aptrace.StoreOption
-	if *stats || *metrics != "" || *trace {
+	if *stats || *metrics != "" {
 		reg = aptrace.NewTelemetry()
 		opts = append(opts, aptrace.WithTelemetry(reg))
 	}
@@ -106,28 +103,15 @@ func main() {
 		fatal(err)
 	}
 
-	// span wraps one lookup so -trace has something to show; on a nil
-	// tracer (no -trace/-stats/-metrics) both calls are free no-ops.
-	span := func(name, detail string, op func()) {
-		var sp *aptrace.Span
-		if *trace {
-			sp = reg.Tracer().Start(name, nil)
-			sp.SetDetail(detail)
-		}
-		op()
-		sp.End()
-	}
-
 	switch {
 	case *objects != "":
-		span("query.objects", *objects, func() { printObjects(st, *objects, *n) })
+		printObjects(st, *objects, *n)
 	case *events != "":
-		span("query.events", *events, func() { printEvents(st, *events, *n) })
+		printEvents(st, *events, *n)
 	case *around != "":
-		span("query.around", *around, func() { printAround(st, *around, *n) })
+		printAround(st, *around, *n)
 	case *stats:
-		span("query.stats", "", func() { printStats(st) })
-		dumpSpans(reg, *trace)
+		printStats(st)
 		if qp != nil {
 			qp.WriteBreakdown(os.Stderr)
 		}
@@ -136,7 +120,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "apquery: pick one of -stats, -objects, -events, -around")
 		os.Exit(2)
 	}
-	dumpSpans(reg, *trace)
 	if qp != nil {
 		qp.WriteBreakdown(os.Stderr)
 	}
@@ -147,20 +130,6 @@ func main() {
 		if err := enc.Encode(reg.Snapshot()); err != nil {
 			fmt.Fprintln(os.Stderr, "apquery: telemetry snapshot:", err)
 		}
-	}
-}
-
-// dumpSpans prints the registry's recent span ring — the lookup span plus
-// any store-internal spans it covered — to stderr as JSON.
-func dumpSpans(reg *aptrace.Telemetry, trace bool) {
-	if !trace {
-		return
-	}
-	fmt.Fprintln(os.Stderr, "\nrecent spans:")
-	enc := json.NewEncoder(os.Stderr)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(reg.Tracer().Spans()); err != nil {
-		fmt.Fprintln(os.Stderr, "apquery: span dump:", err)
 	}
 }
 

@@ -84,9 +84,8 @@ type Options struct {
 	MaxWindowRows int
 	NoSplit       bool
 	// Telemetry, if set, publishes executor metrics (queue depth,
-	// windows executed, re-splits, inter-update gap histogram) and spans
-	// (window.query, window.resplit) to the registry. Nil disables
-	// publication at near-zero cost.
+	// windows executed, re-splits, inter-update gap histogram) to the
+	// registry. Nil disables publication at near-zero cost.
 	Telemetry *telemetry.Registry
 	// Explain, if set, is the run's log: it receives a decision record for
 	// every per-edge verdict and scheduling choice the executor makes, with
@@ -166,23 +165,17 @@ type Executor struct {
 	prepared bool
 	alert    event.Event
 
-	tel     execMetrics
-	tracer  *telemetry.Tracer
-	rec     *explain.Recorder
-	runSpan *telemetry.Span // open from Prepare to the end of the run
+	tel execMetrics
+	rec *explain.Recorder
 
 	// Everything the run loop has to say — decisions and the window
-	// lifecycle for the log, spans and counters for telemetry — is one record
-	// per emission site appended to stage, and flush hands the stage to the
-	// log in one call, which calls observe on each record in the same pass.
-	// recording says whether either is attached; without one the sites cost a
-	// bool test (a pointer test where only EXPLAIN reads the record).
+	// lifecycle — is one record per emission site appended to stage, and
+	// flush hands the stage to the log in one call. recording says whether a
+	// log or a registry is attached; without one the sites cost a bool test
+	// (a pointer test where only EXPLAIN reads the record).
 	stage     explain.Stage
 	recording bool
-	observe   func(*explain.Decision) // telemetry's share of a flush; nil without a registry
-	watch     explain.Watch           // feeds the gap histogram when there is no log to
-	queryCard int32                   // the enqueue-time estimate of the window query in flight
-	span      telemetry.SpanRecord    // observe's scratch
+	watch     explain.Watch // feeds the gap histogram when there is no log to
 
 	// The run loop's stamp of the analysis clock (see at) and, for the
 	// stage, its distance from started. Run goroutine only: records made on
@@ -236,16 +229,12 @@ func New(st *store.Store, plan *refiner.Plan, opts Options) (*Executor, error) {
 	}
 	x := &Executor{st: st, clk: st.Clock(), opts: opts, plan: plan}
 	x.tel = newExecMetrics(opts.Telemetry)
-	x.tracer = opts.Telemetry.Tracer()
 	x.rec = opts.Explain
 	x.env = st
 	if opts.Memo != nil {
 		if err := x.bindMemo(plan); err != nil {
 			return nil, err
 		}
-	}
-	if opts.Telemetry != nil {
-		x.observe = x.observeRecord
 	}
 	x.watch.Gaps = x.tel.updateGap
 	var mirror func(explain.Event)
@@ -297,7 +286,7 @@ func goid() int64 {
 }
 
 // at is the run loop's reading of the analysis clock. Every record a run
-// emits (explain, timeline, spans, Update.At) is timed with it, and it
+// emits (explain, timeline, Update.At) is timed with it, and it
 // re-reads the clock only after a call that can move analysis time: under
 // the cost model those are the charging calls — the window query, the where
 // filter, the maintainer's chain matchers — plus the caller's OnUpdate hook
@@ -386,40 +375,13 @@ func (x *Executor) flush() {
 		return
 	}
 	if x.rec != nil {
-		x.rec.Consume(&x.stage, x.observe)
+		x.rec.Consume(&x.stage)
 	} else { // recording for telemetry alone
 		for i := range x.stage.Recs {
 			x.watch.Step(0, &x.stage.Recs[i], x.stage.Nums)
-			x.observe(&x.stage.Recs[i])
 		}
 	}
 	x.stage.Reset()
-}
-
-// observeRecord is telemetry's share of a flush, per staged record: the
-// window.query and window.resplit spans, the window and re-split counters
-// and the end of the run span. (The inter-update gap histogram is the
-// watch's: the log's, or the executor's own without one.)
-func (x *Executor) observeRecord(d *explain.Decision) {
-	span := &x.span
-	switch d.Kind {
-	case explain.KindWindowQueried:
-		x.tel.windows.Inc()
-		start := x.stage.Nums[d.Query-1]
-		span.Name, span.Start = telemetry.SpanWindowQuery, x.started.Add(time.Duration(start))
-		span.Duration = time.Duration(d.At - start)
-		span.SetDetailf("obj=%d [%d,%d)", int64(d.Node), d.Begin, d.Finish)
-		// The charged cost as span args: retrieved rows plus the
-		// enqueue-time posting estimate the scheduler priced it at.
-		x.tracer.Emit(span, telemetry.SpanArg{Key: "rows", Val: int64(d.Card)}, telemetry.SpanArg{Key: "card", Val: int64(x.queryCard)})
-	case explain.KindWindowResplit:
-		x.tel.resplits.Inc()
-		span.Name, span.Start, span.Duration = telemetry.SpanWindowResplit, x.started.Add(time.Duration(d.At)), 0
-		span.SetDetailf("obj=%d rows=%d span=%ds", int64(d.Node), int64(d.Card), d.Finish-d.Begin)
-		x.tracer.Emit(span, telemetry.SpanArg{Key: "card", Val: int64(d.Card)})
-	case explain.KindRunEnd:
-		x.runSpan.EndAt(x.started.Add(time.Duration(d.At)))
-	}
 }
 
 // Graph returns the dependency graph built so far (nil before Run).
@@ -568,20 +530,11 @@ func (x *Executor) Prepare(alert event.Event) error {
 	x.pq = windowHeap{fifo: x.opts.FIFOQueue, forward: x.fwd}
 	x.mu.Unlock()
 
-	// The whole run is one root span; window spans nest under it, and the
-	// log anchors its SLO watchdog at the run-start record (so
-	// time-to-first-update is measured too).
-	if x.tracer != nil {
-		lane := x.rec.Progress().ID
-		x.runSpan = x.tracer.StartAt(telemetry.SpanRun, nil, x.started)
-		x.runSpan.SetLane(lane)
-		x.runSpan.SetDetailf("event=%d", int64(alert.ID))
-		x.span = telemetry.SpanRecord{Parent: x.runSpan.ID(), Lane: lane}
-	}
-
 	// The alert edge seeds the graph before exploration starts: record the
 	// hop-0 object and the second endpoint so every graph node — including
-	// the two the analyst named — has an inclusion record.
+	// the two the analyst named — has an inclusion record. The run-start
+	// record also opens the run's span in the trace and anchors the log's SLO
+	// watchdog (so time-to-first-update is measured too).
 	if x.recording {
 		d := x.noteEdge(explain.KindRunStart, alert.ID, alert.Dst(), 0)
 		d.Begin, d.Finish = x.from, x.to
@@ -692,7 +645,7 @@ loop:
 			x.noteWindow(explain.KindWindowAbandoned, &w).Detail = why
 		}
 		// Close the run: the lane's watchdog checks the tail gap (a run may
-		// stall by ending long after its last update) and the root span ends.
+		// stall by ending long after its last update) and the run's span ends.
 		x.note(explain.KindRunEnd).Detail = why
 	}
 
@@ -851,6 +804,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			near.Card, far.Card = int32(nc), int32(n-nc)
 			if x.recording {
 				x.noteWindow(explain.KindWindowResplit, w).Card = int32(n)
+				x.tel.resplits.Inc()
 			}
 			if near.Card > 0 {
 				x.push(&near)
@@ -865,7 +819,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 	var began int64
 	if x.recording {
 		x.at()
-		began, x.queryCard = x.nowNs, w.Card
+		began = x.nowNs
 	}
 	// The window query appends into a buffer reused across every window of
 	// the run, as enqueue generates into winBuf and the queue keeps its
@@ -883,6 +837,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 		x.at()
 		d := x.stage.Queried(began, x.nowNs)
 		d.Node, d.Begin, d.Finish, d.Card = w.Obj, w.Begin, w.Finish, int32(len(depsBuf))
+		x.tel.windows.Inc()
 	}
 	hopLimit := x.plan.HopBudget
 	// Every dependency's known endpoint is the window's object, so its node

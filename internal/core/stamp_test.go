@@ -38,10 +38,10 @@ prioritize [type = file] <- [type = network and amount >= size]`
 where time <= 130s`
 )
 
-// stampRun executes one fully observed run (explain, timeline lane, spans,
-// OnUpdate) over a fresh simulated-clock view and returns everything of it
-// that carries analysis time — explain records, Update.At values and spans,
-// one JSON value per line — plus the lane's Chrome trace.
+// stampRun executes one fully observed run (explain, timeline lane,
+// telemetry, OnUpdate) over a fresh simulated-clock view and returns
+// everything of it that carries analysis time — explain records and Update.At
+// values, one JSON value per line — plus the lane's Chrome trace.
 func stampRun(t *testing.T, s *store.Store, plan *refiner.Plan, alert event.Event, cache *memo.Cache, replan bool) (obs, trace []byte) {
 	t.Helper()
 	v, err := s.View(simclock.NewSimulated(time.Time{}))
@@ -100,9 +100,6 @@ func stampRun(t *testing.T, s *store.Store, plan *refiner.Plan, alert event.Even
 		enc.Encode(r)
 	}
 	enc.Encode(updateAt)
-	for _, sp := range reg.Tracer().Spans() {
-		enc.Encode(sp)
-	}
 	var buf bytes.Buffer
 	if err := p.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -113,9 +110,9 @@ func stampRun(t *testing.T, s *store.Store, plan *refiner.Plan, alert event.Even
 // TestStampGolden pins the stamp invariant against the code that had no
 // stamp: the goldens under testdata/ were written by the commit before the
 // executor cached its clock reading, when every record read the clock for
-// itself. Explain records (with "at"), the Update.At sequence, the span dump
-// and the timeline trace must come out byte for byte the same, backward and
-// forward, with the memo off, cold and warm.
+// itself. Explain records (with "at"), the Update.At sequence and the
+// timeline trace must come out byte for byte the same, backward and forward,
+// with the memo off, cold and warm.
 func TestStampGolden(t *testing.T) {
 	back, backAlert := fixture(t, nil, 60)
 	fwd, fwdAlert := forwardFixture(t)
@@ -175,13 +172,13 @@ func (c *countingClock) Now() time.Time {
 }
 
 // TestServedRunClockReads bounds how often a run in the served configuration
-// — explain recorder, timeline lane, spans and an OnUpdate hook all attached,
+// — explain recorder, timeline lane, telemetry and an OnUpdate hook all attached,
 // as the triage daemon runs it — reads the analysis clock: once per point
 // where analysis time can have moved, not once per record. Per popped window
 // that is the loop top and the query's return (a re-split pops without
 // querying); per candidate that reaches the where filter, its verdict; per
 // update, the hook's return. Everything else a window emits (enqueue, empty
-// and dedup records, lane events, span ends) must ride on those stamps: a
+// and dedup records, lane events, the run's end) must ride on those stamps: a
 // run that reads the clock per record reads it more often than it has
 // records, and the bound is below that count.
 func TestServedRunClockReads(t *testing.T) {

@@ -5,17 +5,20 @@ import (
 	"testing"
 	"time"
 
+	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/simclock"
 	"aptrace/internal/stats"
 	"aptrace/internal/telemetry"
+	"aptrace/internal/timeline"
 )
 
 // TestExecutorTelemetryMatchesRecordedUpdates runs an instrumented analysis
 // and cross-checks every published metric against the ground truth the run
 // itself recorded: the inter-update-gap histogram must agree with the
-// deltas of the distinct update timestamps (Table II's statistic), and the
-// executor counters must agree with the Result.
+// deltas of the distinct update timestamps (Table II's statistic), the
+// executor counters must agree with the Result, and — with a run log
+// attached — with the log's trace.
 func TestExecutorTelemetryMatchesRecordedUpdates(t *testing.T) {
 	clk := simclock.NewSimulated(time.Time{})
 	st, alert := fixture(t, clk, 400)
@@ -76,21 +79,34 @@ func TestExecutorTelemetryMatchesRecordedUpdates(t *testing.T) {
 		t.Fatalf("queries counter = %d, store.Stats() = %d", got, s.Queries)
 	}
 
-	// Spans: every executed window traced a window.query span, every
-	// re-split a window.resplit span (ring capacity permitting).
-	var queries, resplits int
-	for _, sp := range reg.Tracer().Spans() {
-		switch sp.Name {
-		case telemetry.SpanWindowQuery:
+	// With a lane-bound log beside the registry, as the triage daemon runs
+	// it, the trace has one window.query per window counted and one
+	// window.resplit per re-split.
+	st, alert = fixture(t, simclock.NewSimulated(time.Time{}), 400)
+	reg = telemetry.NewRegistry()
+	rec := timeline.New(timeline.Options{}).Lane("run", explain.New(0, nil))
+	if x, err = New(st, wildcardPlan(t, ""), Options{Telemetry: reg, Explain: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.RunUnchecked(alert); err != nil {
+		t.Fatal(err)
+	}
+	evs, _ := rec.Events()
+	var queries, resplits int64
+	for _, ev := range evs {
+		switch ev.Kind {
+		case explain.EvQuery:
 			queries++
-		case telemetry.SpanWindowResplit:
+		case explain.EvResplit:
 			resplits++
 		}
 	}
-	total := int64(queries + resplits)
-	wantTotal := snap.Counters[telemetry.MetricExecWindows] + snap.Counters[telemetry.MetricExecResplits]
-	if wantTotal <= telemetry.DefaultSpanCapacity && total != wantTotal {
-		t.Fatalf("recorded %d spans, want %d (windows+resplits)", total, wantTotal)
+	snap = reg.Snapshot()
+	if want := snap.Counters[telemetry.MetricExecWindows]; queries != want {
+		t.Fatalf("trace has %d window.query events, windows counter = %d", queries, want)
+	}
+	if want := snap.Counters[telemetry.MetricExecResplits]; resplits != want || resplits == 0 {
+		t.Fatalf("trace has %d window.resplit events, resplits counter = %d", resplits, want)
 	}
 }
 

@@ -93,7 +93,7 @@ func perfAlert(tb testing.TB) (*Env, Config, event.Event) {
 //
 // The recorded case is the same backward run as the daemon runs it (explain
 // recorder, timeline lane, telemetry, query profiler, OnUpdate): its 61k
-// explain records, 24k lane events, 4k spans and 36k profiler samples may add
+// explain records, 24k lane events and 36k profiler samples may add
 // only their pages and batches — a few hundred allocations, where the
 // per-record recorders made 52,145 — and at most 10.5 MB, a quarter above the
 // one ring's 8.3 MB.

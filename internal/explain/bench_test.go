@@ -18,7 +18,7 @@ func BenchmarkDisabledEmission(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Consume(&s, nil)
+		r.Consume(&s)
 		r.MemoVerdict(true, "backward", 1, 0, 10, 3)
 	}
 }
@@ -34,7 +34,7 @@ func BenchmarkEnabledEmission(b *testing.B) {
 		d := s.Add(KindEdgeAdded, int64(i))
 		d.Event, d.Node, d.Peer, d.Hop, d.Finish = event.EventID(i), 1, 2, 3, 10
 		if len(s.Recs) == 16 {
-			r.Consume(&s, nil)
+			r.Consume(&s)
 			s.Reset()
 		}
 	}

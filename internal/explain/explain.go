@@ -261,10 +261,8 @@ func (r *Recorder) since(at time.Time) int64 {
 // Consume appends a stage of run-loop records: one pass, one lock and one
 // counter add for all of them. They keep the stamps the executor gave them
 // (its cached reading of the analysis clock, see core.Executor.at) and take
-// consecutive sequence numbers in stage order; each, if set, is called — in
-// the same pass, under the log's lock — with every staged record once the log
-// has taken it. Nil-safe.
-func (r *Recorder) Consume(s *Stage, each func(*Decision)) {
+// consecutive sequence numbers in stage order. Nil-safe.
+func (r *Recorder) Consume(s *Stage) {
 	if r == nil || len(s.Recs) == 0 {
 		return
 	}
@@ -284,9 +282,6 @@ func (r *Recorder) Consume(s *Stage, each func(*Decision)) {
 			detail = r.strs.Intern(s.Strs[d.Detail-1])
 		}
 		r.add(d, d.At+shift, clause, detail, s.Nums)
-		if each != nil {
-			each(d)
-		}
 	}
 	last := r.seq
 	r.mu.Unlock()

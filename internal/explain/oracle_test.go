@@ -50,7 +50,7 @@ func driveRecorder(t *testing.T, seed int64, capacity, n int) {
 
 	stage := Stage{Base: start}
 	flush := func() {
-		r.Consume(&stage, nil)
+		r.Consume(&stage)
 		stage.Reset()
 	}
 	check := func(when string) {

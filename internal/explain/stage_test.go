@@ -21,7 +21,7 @@ func (r *Recorder) stage1(at time.Time, d Decision, clause, detail string) {
 	if detail != "" {
 		rec.Detail = s.Str(detail)
 	}
-	r.Consume(&s, nil)
+	r.Consume(&s)
 }
 
 func (r *Recorder) RunStart(at time.Time, alert event.Event, node event.ObjID, from, to int64) {

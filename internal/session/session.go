@@ -46,8 +46,6 @@ type Session struct {
 	telUpdates *telemetry.Counter
 	telPauses  *telemetry.Counter
 	telResumes *telemetry.Counter
-	tracer     *telemetry.Tracer
-	pauseSpan  *telemetry.Span // open from Pause until Resume/Stop
 
 	done chan struct{}
 	res  *core.Result
@@ -56,16 +54,15 @@ type Session struct {
 
 // New creates a session over the store. opts.OnUpdate, if set, receives
 // every update; the session itself keeps only their times. opts.Telemetry,
-// if set, additionally counts emitted updates and pause/resume actions and
-// traces each pause as a session.pause span lasting until the matching
-// resume.
+// if set, additionally counts emitted updates and pause/resume actions;
+// opts.Explain, if set, logs each pause and resume, and its trace shows each
+// pause as a span lasting until the matching resume (or the run's end).
 func New(st *store.Store, opts core.Options) *Session {
 	s := &Session{st: st, opts: opts, onUpdate: opts.OnUpdate}
 	s.opts.OnUpdate = s.record
 	s.telUpdates = opts.Telemetry.Counter(telemetry.MetricSessionUpdates)
 	s.telPauses = opts.Telemetry.Counter(telemetry.MetricSessionPauses)
 	s.telResumes = opts.Telemetry.Counter(telemetry.MetricSessionResumes)
-	s.tracer = opts.Telemetry.Tracer()
 	return s
 }
 
@@ -102,15 +99,6 @@ func (s *Session) record(u graph.Update) {
 	s.telUpdates.Inc()
 	if s.onUpdate != nil {
 		s.onUpdate(u)
-	}
-}
-
-// endPauseSpanLocked closes the open session.pause span, if any. Caller
-// must hold s.mu.
-func (s *Session) endPauseSpanLocked() {
-	if s.pauseSpan != nil {
-		s.pauseSpan.EndAt(s.st.Clock().Now())
-		s.pauseSpan = nil
 	}
 }
 
@@ -170,12 +158,7 @@ func (s *Session) Start(scriptSrc string, alert *event.Event) error {
 // runLoop owns the executor lifecycle, honoring restarts requested by
 // UpdateScript (a changed starting point abandons the current analysis).
 func (s *Session) runLoop() {
-	defer func() {
-		s.mu.Lock()
-		s.endPauseSpanLocked() // of a Pause that came after the Stop which ended the run
-		s.mu.Unlock()
-		close(s.done)
-	}()
+	defer close(s.done)
 	for {
 		s.mu.Lock()
 		x, alert := s.x, s.alert
@@ -232,9 +215,6 @@ func (s *Session) runLoop() {
 func (s *Session) Pause() {
 	s.mu.Lock()
 	x := s.x
-	if x != nil && s.pauseSpan == nil && s.tracer != nil {
-		s.pauseSpan = s.tracer.StartAt(telemetry.SpanSessionPause, nil, s.st.Clock().Now())
-	}
 	s.mu.Unlock()
 	if x != nil {
 		x.Pause()
@@ -249,7 +229,6 @@ func (s *Session) Pause() {
 func (s *Session) Resume() {
 	s.mu.Lock()
 	x := s.x
-	s.endPauseSpanLocked()
 	s.mu.Unlock()
 	if x != nil {
 		x.Resume()
@@ -264,7 +243,6 @@ func (s *Session) Resume() {
 func (s *Session) Stop() {
 	s.mu.Lock()
 	x := s.x
-	s.endPauseSpanLocked()
 	s.mu.Unlock()
 	if x != nil {
 		x.Stop()

@@ -5,23 +5,37 @@ import (
 	"time"
 
 	"aptrace/internal/core"
+	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/telemetry"
 )
 
-// TestSessionTelemetry drives a pause/resume cycle with a registry attached
-// and checks the session counters and the session.pause span.
+// pauseSpans counts the session.pause spans of the run log's trace.
+func pauseSpans(rec *explain.Recorder) int {
+	evs, _ := rec.Events()
+	n := 0
+	for _, ev := range evs {
+		if ev.Kind == explain.EvPause {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSessionTelemetry drives a pause/resume cycle with a registry and a run
+// log attached and checks the session counters and the trace's pause span.
 func TestSessionTelemetry(t *testing.T) {
 	ds := dataset(t)
 	atk := ds.Attacks[0]
 	alert, _ := ds.Store.EventByID(atk.AlertID)
 	reg := telemetry.NewRegistry()
 	ds.Store.SetTelemetry(reg)
+	rec := explain.New(0, nil)
 
 	var s *Session
 	paused := make(chan struct{}, 1)
 	n := 0
-	s = New(ds.Store, core.Options{Telemetry: reg, OnUpdate: func(u graph.Update) {
+	s = New(ds.Store, core.Options{Telemetry: reg, Explain: rec, OnUpdate: func(u graph.Update) {
 		n++
 		if n == 3 {
 			s.Pause()
@@ -55,32 +69,23 @@ func TestSessionTelemetry(t *testing.T) {
 	if got := snap.Counters[telemetry.MetricSessionResumes]; got != 1 {
 		t.Fatalf("resumes counter = %d, want 1", got)
 	}
-
-	var pauseSpans int
-	for _, sp := range reg.Tracer().Spans() {
-		if sp.Name == telemetry.SpanSessionPause {
-			pauseSpans++
-			if sp.Duration < 0 {
-				t.Fatalf("pause span has negative duration %v", sp.Duration)
-			}
-		}
-	}
-	if pauseSpans != 1 {
-		t.Fatalf("recorded %d session.pause spans, want 1", pauseSpans)
+	if got := pauseSpans(rec); got != 1 {
+		t.Fatalf("trace has %d session.pause spans, want 1", got)
 	}
 }
 
 // TestSessionStopEndsPauseSpan ensures a session stopped while paused still
-// closes its open pause span.
+// shows its pause in the trace: the run's end closes it.
 func TestSessionStopEndsPauseSpan(t *testing.T) {
 	ds := dataset(t)
 	atk := ds.Attacks[0]
 	alert, _ := ds.Store.EventByID(atk.AlertID)
 	reg := telemetry.NewRegistry()
+	rec := explain.New(0, nil)
 
 	var s *Session
 	paused := make(chan struct{}, 1)
-	s = New(ds.Store, core.Options{Telemetry: reg, OnUpdate: func(graph.Update) {
+	s = New(ds.Store, core.Options{Telemetry: reg, Explain: rec, OnUpdate: func(graph.Update) {
 		select {
 		case paused <- struct{}{}:
 			s.Pause()
@@ -95,34 +100,27 @@ func TestSessionStopEndsPauseSpan(t *testing.T) {
 	if _, err := s.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, sp := range reg.Tracer().Spans() {
-		if sp.Name == telemetry.SpanSessionPause {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("stop while paused must still record the pause span")
+	if got := pauseSpans(rec); got != 1 {
+		t.Fatalf("stop while paused: trace has %d session.pause spans, want 1", got)
 	}
 	if got := reg.Snapshot().Counters[telemetry.MetricSessionResumes]; got != 0 {
 		t.Fatalf("stop is not a resume: resumes counter = %d", got)
 	}
 }
 
-// TestSessionPauseAfterStopEndsPauseSpan forces the interleaving the test
-// above meets once in sixty runs: the Stop that ends the run has already
-// closed whatever pause span was open when a Pause opens one. Both come from
-// an OnUpdate callback, so the order is the program's, not the scheduler's;
-// the run ends at the next window boundary and must close the span itself.
+// TestSessionPauseAfterStopEndsPauseSpan forces a Pause after the Stop that
+// ends the run. Both come from an OnUpdate callback, so the order is the
+// program's, not the scheduler's; the run ends at the next window boundary
+// and its end must close the pause.
 func TestSessionPauseAfterStopEndsPauseSpan(t *testing.T) {
 	ds := dataset(t)
 	atk := ds.Attacks[0]
 	alert, _ := ds.Store.EventByID(atk.AlertID)
-	reg := telemetry.NewRegistry()
+	rec := explain.New(0, nil)
 
 	var s *Session
 	first := true
-	s = New(ds.Store, core.Options{Telemetry: reg, OnUpdate: func(graph.Update) {
+	s = New(ds.Store, core.Options{Telemetry: telemetry.NewRegistry(), Explain: rec, OnUpdate: func(graph.Update) {
 		if first {
 			first = false
 			s.Stop()
@@ -135,13 +133,7 @@ func TestSessionPauseAfterStopEndsPauseSpan(t *testing.T) {
 	if _, err := s.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	pauses := 0
-	for _, sp := range reg.Tracer().Spans() {
-		if sp.Name == telemetry.SpanSessionPause {
-			pauses++
-		}
-	}
-	if pauses != 1 {
-		t.Fatalf("%d finished pause spans, want the one the late Pause opened", pauses)
+	if got := pauseSpans(rec); got != 1 {
+		t.Fatalf("trace has %d session.pause spans, want the one the late Pause opened", got)
 	}
 }

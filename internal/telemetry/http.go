@@ -56,8 +56,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // debugPayload is the /debug/telemetry response body.
 type debugPayload struct {
-	Metrics Snapshot     `json:"metrics"`
-	Spans   []SpanRecord `json:"spans"`
+	Metrics Snapshot `json:"metrics"`
 }
 
 // RegisterDebug mounts an extra handler on the registry's HTTP surface
@@ -79,7 +78,7 @@ func (r *Registry) RegisterDebug(path string, h http.Handler) {
 // Handler returns an http.Handler serving the registry:
 //
 //	/metrics          Prometheus text format
-//	/debug/telemetry  JSON: full metrics snapshot + recent spans
+//	/debug/telemetry  JSON: full metrics snapshot
 //
 // plus any endpoints added with RegisterDebug. It is safe to call on a nil
 // registry (the endpoints serve empty data).
@@ -93,7 +92,7 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(debugPayload{Metrics: r.Snapshot(), Spans: r.Tracer().Spans()})
+		enc.Encode(debugPayload{Metrics: r.Snapshot()})
 	})
 	if r != nil {
 		r.mu.Lock()

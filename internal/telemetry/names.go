@@ -111,18 +111,6 @@ const (
 	MetricRuntimeGCPause    = "aptrace_runtime_gc_pause_seconds"
 )
 
-// Span names recorded by the tracer.
-const (
-	SpanRun           = "run"
-	SpanWindowQuery   = "window.query"
-	SpanWindowResplit = "window.resplit"
-	SpanSessionPause  = "session.pause"
-	SpanSessionResume = "session.resume"
-)
-
-// DefaultSpanCapacity is the ring-buffer size of a registry's tracer.
-const DefaultSpanCapacity = 1024
-
 // Default bucket boundaries. LatencyBuckets cover the simulated query-cost
 // regime (50 ms seek + 400 ms/row puts bounded windows at 0.05–4 s and
 // monolithic scans at minutes); GapBuckets cover Table II's inter-update

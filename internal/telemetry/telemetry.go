@@ -1,6 +1,7 @@
-// Package telemetry is APTrace's runtime observability layer: metrics
-// (counters, gauges, fixed-bucket histograms) and lightweight spans, built
-// entirely on the standard library.
+// Package telemetry is APTrace's runtime metrics layer — counters, gauges
+// and fixed-bucket histograms — built entirely on the standard library. A
+// run's windows, pauses and run span are not here: they are the run log's
+// (internal/explain), read back as its timeline.
 //
 // The paper's headline claim is responsiveness — the distribution of
 // inter-update waiting times in Table II — so the subsystem is designed to
@@ -177,10 +178,10 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry is the root of the subsystem: a namespace of instruments plus a
-// span tracer. Instruments are created on first use (get-or-create by name)
-// and live for the registry's lifetime. A nil *Registry hands out nil
-// instruments and a nil tracer, so instrumented code needs no enabled check.
+// Registry is the root of the subsystem: a namespace of instruments.
+// Instruments are created on first use (get-or-create by name) and live for
+// the registry's lifetime. A nil *Registry hands out nil instruments, so
+// instrumented code needs no enabled check.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -194,8 +195,6 @@ type Registry struct {
 	// hooks run before every Snapshot/WritePrometheus, outside r.mu, so
 	// scrape-time collectors (Go runtime stats) can refresh instruments.
 	hooks []func()
-
-	tracer *Tracer
 }
 
 // AddScrapeHook registers f to run at the start of every Snapshot and
@@ -224,15 +223,13 @@ func (r *Registry) runScrapeHooks() {
 	}
 }
 
-// NewRegistry returns an enabled registry with a span recorder holding the
-// most recent DefaultSpanCapacity spans.
+// NewRegistry returns an enabled registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 		order:      make(map[string]int),
-		tracer:     NewTracer(DefaultSpanCapacity),
 	}
 }
 
@@ -293,14 +290,6 @@ func (r *Registry) note(name string) {
 		r.order[name] = r.next
 		r.next++
 	}
-}
-
-// Tracer returns the registry's span recorder (nil on a nil registry).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
 }
 
 // HistogramSnapshot is the frozen state of one histogram. Buckets has one

@@ -31,7 +31,7 @@ func (r *lane) LaneID() int64 {
 func (r *lane) Stats() explain.Progress { return r.Progress() }
 
 func (r *lane) flush() {
-	r.Consume(&r.stage, nil)
+	r.Consume(&r.stage)
 	r.stage.Reset()
 }
 
