@@ -13,17 +13,21 @@
 //	        [-retain-sessions 512] [-retain-alerts 4096]
 //	        [-sample] [-sample-hosts 4] [-sample-days 3] [-sample-density 0.5]
 //	        [-metrics addr] [-pprof]
-//	        [-journal out.ndjson] [-journal-level info] [-journal-sample 16]
+//	        [-journal out.ndjson] [-journal-level info]
 //	        [-ops-rules "quota_429_rate>0.5,..."] [-watchdog 5s]
 //
 // -journal enables the correlated alert-lifecycle journal: every ingest
 // batch mints a correlation ID that threads through detection, the
-// auto-launched session, its executor milestones, SSE delivery, and
-// eviction — queryable live at GET /debug/journal?corr=... and written as
-// NDJSON to the given path ("-" for stdout). -ops-rules configures the
-// self-watchdog's SLO rules ("off" disables them); violations land in the
-// journal and aptrace_ops_alerts_total. GET /readyz reports per-component
-// readiness and GET /ops the operator summary (SLIs, watchdog, subscribers).
+// auto-launched run's queueing, start, first update and end, SSE delivery,
+// and eviction — queryable live at GET /debug/journal?corr=... and written
+// as NDJSON to the given path ("-" for stdout). It records the pipeline
+// only: a run's windows, memo verdicts and pauses are its log's, at
+// /api/v1/sessions/{id}/explain and /timeline. A failed journal write shows
+// as journal.error on GET /ops and makes the exit status non-zero.
+// -ops-rules configures the self-watchdog's SLO rules ("off" disables them);
+// violations land in the journal and aptrace_ops_alerts_total. GET /readyz
+// reports per-component readiness and GET /ops the operator summary (SLIs,
+// watchdog, subscribers).
 //
 // With -sample, a synthetic enterprise workload is generated and streamed
 // through the ingest path at startup, so the daemon is immediately
@@ -109,7 +113,6 @@ func main() {
 		memoB    = flag.Int64("memo-bytes", 0, "memo cache byte budget (0 with -memo = 64 MiB default)")
 		journalF = flag.String("journal", "", "write the alert-lifecycle journal (NDJSON) to this path (\"-\" = stdout; empty disables)")
 		jLevel   = flag.String("journal-level", "info", "journal level: debug|info|warn|error")
-		jSample  = flag.Int("journal-sample", 0, "keep 1-in-N debug entries per stage after the burst (0 = default 16)")
 		opsRules = flag.String("ops-rules", "", "watchdog SLO rules, e.g. \"quota_429_rate>0.5,detect_stall>30s\" (empty = defaults, \"off\" disables)")
 		watchdog = flag.Duration("watchdog", 5*time.Second, "self-watchdog evaluation interval (0 disables)")
 	)
@@ -131,7 +134,10 @@ func main() {
 		reg.RegisterPprof()
 	}
 
-	var journal *obs.Journal
+	var (
+		journal     *obs.Journal
+		journalFile *os.File
+	)
 	if *journalF != "" {
 		level, err := obs.ParseLevel(*jLevel)
 		if err != nil {
@@ -139,19 +145,12 @@ func main() {
 		}
 		out := io.Writer(os.Stdout)
 		if *journalF != "-" {
-			f, err := os.Create(*journalF)
-			if err != nil {
+			if journalFile, err = os.Create(*journalF); err != nil {
 				log.Fatalf("apserve: -journal: %v", err)
 			}
-			defer f.Close()
-			out = f
+			out = journalFile
 		}
-		journal = obs.New(obs.Options{
-			Level:       level,
-			Out:         out,
-			SampleEvery: *jSample,
-			Telemetry:   reg,
-		})
+		journal = obs.New(obs.Options{Level: level, Out: out, Telemetry: reg})
 	}
 	rules, err := obs.ParseRules(*opsRules)
 	if err != nil {
@@ -268,7 +267,18 @@ func main() {
 	if err := live.Close(); err != nil {
 		log.Fatal(err)
 	}
-	if !rep.Clean {
+	failed := !rep.Clean
+	if err := journal.Err(); err != nil {
+		log.Printf("apserve: journal write failed: %v", err)
+		failed = true
+	}
+	if journalFile != nil {
+		if err := journalFile.Close(); err != nil {
+			log.Printf("apserve: journal close failed: %v", err)
+			failed = true
+		}
+	}
+	if failed {
 		os.Exit(1)
 	}
 }

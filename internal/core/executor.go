@@ -12,7 +12,6 @@ import (
 	"aptrace/internal/graph"
 	"aptrace/internal/maintainer"
 	"aptrace/internal/memo"
-	"aptrace/internal/obs"
 	"aptrace/internal/pages"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
@@ -104,15 +103,6 @@ type Options struct {
 	// are byte-identical with the cache on or off — only real CPU changes.
 	// Window queries always go to the store. Nil disables caching.
 	Memo *memo.Cache
-	// Obs, if set, is the run's lifecycle-journal scope (bound to the
-	// triage daemon's correlation ID and run ID). The executor does not
-	// add emission sites of its own: window milestones reach the journal
-	// through the log (when it is a profiler lane), memo verdicts through
-	// the bound memo view — the same hooks the profiler and EXPLAIN layers
-	// already use. The journal stamps wall-clock time only, never the
-	// analysis clock, so enabling it cannot change any charged cost or
-	// graph output. Nil (and a nil scope is valid) journals nothing.
-	Obs *obs.Scope
 }
 
 // DefaultMaxWindowRows is the default per-window retrieval cap. At the
@@ -237,22 +227,7 @@ func New(st *store.Store, plan *refiner.Plan, opts Options) (*Executor, error) {
 		}
 	}
 	x.watch.Gaps = x.tel.updateGap
-	var mirror func(explain.Event)
-	if opts.Obs != nil && x.rec.Progress().ID != 0 {
-		// Mirror a profiled run's window milestones and graph updates into
-		// the lifecycle journal: one emission site (the log), two readers.
-		// Stalls are operator-relevant, so they journal at Warn; the rest
-		// is Debug and subject to the journal's deterministic sampling.
-		scope := opts.Obs
-		mirror = func(ev explain.Event) {
-			lvl := obs.Debug
-			if ev.Kind == explain.EvStall {
-				lvl = obs.Warn
-			}
-			scope.Emit(lvl, ev.Kind.String(), ev.Detail, int64(ev.Rows), ev.Dur)
-		}
-	}
-	x.rec.Attach(st.Clock(), x.tel.updateGap, mirror)
+	x.rec.Attach(st.Clock(), x.tel.updateGap)
 	if x.rec != nil {
 		// Per-window cost attribution: the store reports every charged
 		// query's buckets and cost — and, on a sharded store, every routed
@@ -337,7 +312,6 @@ func (x *Executor) bindMemo(plan *refiner.Plan) error {
 	if err != nil {
 		return err
 	}
-	mv.SetObs(x.opts.Obs)
 	if x.rec != nil {
 		mv.SetStage(x.stageVerdict)
 	}

@@ -226,15 +226,14 @@ func New(capacity int, reg *telemetry.Registry) *Recorder {
 // records emitted outside the run loop (pause, resume, plan update, finalize,
 // memo verdicts reached outside a window) are stamped with — the run loop's own carry the executor's
 // stamp of the same clock, so every record carries simulated time under the
-// cost model; without a clock those are stamped zero. gaps receives every
-// inter-update gap and mirror, under the log's lock, every timeline event as
-// the record behind it arrives; either may be nil. Nil-safe.
-func (r *Recorder) Attach(clk simclock.Clock, gaps *telemetry.Histogram, mirror func(Event)) {
+// cost model; without a clock those are stamped zero. gaps, if non-nil,
+// receives every inter-update gap. Nil-safe.
+func (r *Recorder) Attach(clk simclock.Clock, gaps *telemetry.Histogram) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.clk, r.live.Gaps, r.live.emit = clk, gaps, mirror
+	r.clk, r.live.Gaps = clk, gaps
 	r.mu.Unlock()
 }
 

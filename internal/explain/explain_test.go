@@ -33,7 +33,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Pause()
 	r.Resume()
 	r.Finalize(2)
-	r.Attach(simclock.NewSimulated(time.Time{}), nil, nil)
+	r.Attach(simclock.NewSimulated(time.Time{}), nil)
 	if got := r.Records(); got != nil {
 		t.Fatalf("nil recorder Records() = %v, want nil", got)
 	}
@@ -79,7 +79,7 @@ func TestRingOverwriteAndStats(t *testing.T) {
 func TestClockStamping(t *testing.T) {
 	clk := simclock.NewSimulated(time.Time{})
 	r := New(0, nil)
-	r.Attach(clk, nil, nil)
+	r.Attach(clk, nil)
 	// A run-loop record carries the caller's stamp, whatever the clock says;
 	// a record from outside the loop reads the bound clock.
 	stamp := clk.Now()

@@ -41,7 +41,7 @@ func driveRecorder(t *testing.T, seed int64, capacity, n int) {
 	clk := simclock.NewSimulated(start)
 	reg := telemetry.NewRegistry()
 	r := New(capacity, reg)
-	r.Attach(clk, nil, nil)
+	r.Attach(clk, nil)
 	want := preallocRing{ring: make([]Record, 0, capacity)}
 	add := func(rec Record) {
 		rec.Seq, rec.At = want.seq, clk.Now()

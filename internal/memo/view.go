@@ -1,12 +1,10 @@
 package memo
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"aptrace/internal/event"
 	"aptrace/internal/explain"
-	"aptrace/internal/obs"
 	"aptrace/internal/store"
 )
 
@@ -38,7 +36,6 @@ type View struct {
 	shared      uint32
 	rec         *explain.Recorder
 	stage       func(hit bool, what string, obj event.ObjID, from, to int64, rows int) bool
-	obs         *obs.Scope
 }
 
 // Bind couples a sealed store (usually a per-run store.View) to the cache
@@ -61,17 +58,6 @@ func (c *Cache) Bind(st *store.Store, fp string, rec *explain.Recorder) (*View, 
 		gen:    c.gen.Load(),
 		stripe: &c.stripes[c.nextStripe.Add(1)&(numStripes-1)].hits,
 	}, nil
-}
-
-// SetObs attaches a lifecycle-journal scope: every verdict then also
-// journals a Debug "memo.hit"/"memo.miss" entry under the run's corr ID.
-// Nil-safe on both sides; journaling reads only — charged cost and cache
-// state are untouched.
-func (v *View) SetObs(s *obs.Scope) {
-	if v == nil {
-		return
-	}
-	v.obs = s
 }
 
 // SetStage gives the view a way into its run's stage: every verdict is
@@ -151,13 +137,6 @@ func (v *View) verdict(hit bool, k kind, obj event.ObjID, from, to, rows int64) 
 	}
 	if v.stage == nil || !v.stage(hit, kindNames[k], obj, from, to, int(rows)) {
 		v.rec.MemoVerdict(hit, kindNames[k], obj, from, to, int(rows))
-	}
-	if v.obs.Enabled(obs.Debug) {
-		stage := "memo.miss"
-		if hit {
-			stage = "memo.hit"
-		}
-		v.obs.Emit(obs.Debug, stage, fmt.Sprintf("%s obj=%d [%d,%d)", kindNames[k], obj, from, to), rows, 0)
 	}
 }
 

@@ -30,20 +30,14 @@ func TestLevelRoundTrip(t *testing.T) {
 func TestNilJournalIsFree(t *testing.T) {
 	var j *Journal
 	j.Emit(Error, "x", "c", "r", "m", 1, time.Second) // must not panic
-	if j.Enabled(Error) {
-		t.Fatal("nil journal enabled")
-	}
 	if got := j.Query(Filter{}); got != nil {
 		t.Fatalf("nil Query = %v", got)
 	}
-	if s := j.Stats(); s.Kept != 0 || s.Dropped != 0 {
+	if s := j.Stats(); s != (Stats{}) {
 		t.Fatalf("nil Stats = %+v", s)
 	}
 	var sc *Scope
-	sc.Emit(Error, "x", "m", 0, 0)
-	if sc.Enabled(Error) || sc.Corr() != "" || sc.Run() != "" {
-		t.Fatal("nil scope not inert")
-	}
+	sc.Emit(Error, "x", "m", 0, 0) // must not panic
 	if j.Scope("c", "r") != nil {
 		t.Fatal("nil journal handed out a scope")
 	}
@@ -68,80 +62,40 @@ func TestLevelGateAndNDJSON(t *testing.T) {
 		t.Fatalf("entry = %+v", e)
 	}
 	st := j.Stats()
-	if st.Kept != 2 || st.Dropped != 0 {
-		t.Fatalf("stats = %+v (level-gated entries must not count as sampled drops)", st)
+	if st.Kept != 2 {
+		t.Fatalf("stats = %+v (level-gated entries must not count as kept)", st)
 	}
 }
 
-// emitScript drives a fixed mixed-stage emission sequence and returns the
-// kept Seq-ordered (stage, msg) identities.
-func emitScript(j *Journal) []string {
+// TestDebugEntriesAllKept holds the journal to keeping every entry its level
+// admits, Debug included, in emission order: nothing is sampled away.
+func TestDebugEntriesAllKept(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	j := New(Options{Level: Debug, Telemetry: reg})
+	var want []string
 	for i := 0; i < 500; i++ {
-		stage := "window.query"
-		if i%3 == 0 {
-			stage = "memo.hit"
-		}
-		j.Emit(Debug, stage, "c-1", "s-1", fmt.Sprintf("i=%d", i), int64(i), 0)
+		j.Emit(Debug, StageDetect, "", "", fmt.Sprintf("pass %d", i), int64(i), 0)
+		want = append(want, StageDetect+"|"+fmt.Sprintf("pass %d", i))
 		if i%50 == 0 {
 			j.Emit(Info, StageRunActive, "c-1", "s-1", fmt.Sprintf("milestone %d", i), 0, 0)
+			want = append(want, StageRunActive+"|"+fmt.Sprintf("milestone %d", i))
 		}
 	}
-	var ids []string
+	var got []string
 	for _, e := range j.Query(Filter{Limit: 10000}) {
-		ids = append(ids, e.Stage+"|"+e.Msg)
+		got = append(got, e.Stage+"|"+e.Msg)
 	}
-	return ids
-}
-
-func TestSamplingDeterministic(t *testing.T) {
-	a := emitScript(New(Options{Level: Debug, Seed: 7}))
-	b := emitScript(New(Options{Level: Debug, Seed: 7}))
-	if len(a) == 0 {
-		t.Fatal("no entries kept")
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("kept %d entries, want all %d in emission order", len(got), len(want))
 	}
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatal("same seed produced different kept sets")
-	}
-	// Sampling must actually drop something at this volume...
-	j := New(Options{Level: Debug, Seed: 7})
-	got := emitScript(j)
-	if st := j.Stats(); st.Dropped == 0 {
-		t.Fatalf("stats = %+v, want Debug drops", st)
-	}
-	// ...but never an Info+ entry.
-	info := 0
-	for _, id := range got {
-		if strings.HasPrefix(id, StageRunActive) {
-			info++
-		}
-	}
-	if info != 10 {
-		t.Fatalf("kept %d Info milestones, want all 10", info)
-	}
-	// A different seed shifts the sampling phase.
-	c := emitScript(New(Options{Level: Debug, Seed: 8}))
-	if fmt.Sprint(a) == fmt.Sprint(c) {
-		t.Log("seeds 7 and 8 happened to collide on every stage phase (unlikely but legal)")
-	}
-}
-
-func TestSamplingBurstAndCadence(t *testing.T) {
-	j := New(Options{Level: Debug, SampleBurst: 4, SampleEvery: 5, Seed: 1})
-	for i := 0; i < 104; i++ {
-		j.Emit(Debug, "s", "", "", "", int64(i), 0)
-	}
-	st := j.Stats()
-	if len(st.Stages) != 1 || st.Stages[0].Seen != 104 {
-		t.Fatalf("stage stats = %+v", st.Stages)
-	}
-	// 4 burst + exactly 1-in-5 of the remaining 100.
-	if st.Stages[0].Kept != 4+20 {
-		t.Fatalf("kept = %d, want 24", st.Stages[0].Kept)
+	if st := j.Stats(); st.Kept != uint64(len(want)) ||
+		reg.Snapshot().Counters[telemetry.MetricObsJournalEntries] != int64(len(want)) {
+		t.Fatalf("stats = %+v, counters %v, want %d kept", st, reg.Snapshot().Counters, len(want))
 	}
 }
 
 func TestQueryFilters(t *testing.T) {
-	j := New(Options{Level: Debug, SampleEvery: 1})
+	j := New(Options{Level: Debug})
 	j.Emit(Info, StageIngest, "c-1", "", "batch", 10, 0)
 	j.Emit(Info, StageAlert, "c-1", "", "alert", 0, 0)
 	j.Emit(Info, StageRunQueued, "c-1", "s-1", "queued", 0, 0)
@@ -166,7 +120,7 @@ func TestQueryFilters(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	j := New(Options{Level: Debug, Ring: 8, SampleEvery: 1})
+	j := New(Options{Level: Debug, Ring: 8})
 	for i := 0; i < 20; i++ {
 		j.Emit(Info, "s", "", "", fmt.Sprintf("m%d", i), 0, 0)
 	}
@@ -182,7 +136,7 @@ func TestRingWraparound(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	j := New(Options{Level: Debug, SampleEvery: 1})
+	j := New(Options{Level: Debug})
 	j.Emit(Info, StageAlert, "c-9", "", "alert", 0, 0)
 	j.Emit(Info, StageRunQueued, "c-9", "s-3", "queued", 0, 0)
 
@@ -214,7 +168,7 @@ func TestHandler(t *testing.T) {
 
 func TestJournalTelemetryAndConcurrency(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	j := New(Options{Level: Debug, SampleBurst: 1, SampleEvery: 4, Seed: 3, Telemetry: reg})
+	j := New(Options{Level: Debug, Telemetry: reg})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -227,13 +181,11 @@ func TestJournalTelemetryAndConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	st := j.Stats()
-	if st.Kept+st.Dropped != 1600 {
-		t.Fatalf("kept+dropped = %d, want 1600", st.Kept+st.Dropped)
+	if st.Kept != 1600 {
+		t.Fatalf("kept = %d, want 1600", st.Kept)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters[telemetry.MetricObsJournalEntries] != int64(st.Kept) ||
-		snap.Counters[telemetry.MetricObsJournalDropped] != int64(st.Dropped) {
-		t.Fatalf("telemetry %v vs stats %+v", snap.Counters, st)
+	if got := reg.Snapshot().Counters[telemetry.MetricObsJournalEntries]; got != int64(st.Kept) {
+		t.Fatalf("telemetry %d vs stats %+v", got, st)
 	}
 }
 
@@ -256,6 +208,9 @@ func TestJournalWriteErrorSticky(t *testing.T) {
 	j.Emit(Info, "b", "", "", "", 0, 0)
 	if j.Err() != io.ErrClosedPipe {
 		t.Fatalf("Err = %v, want ErrClosedPipe", j.Err())
+	}
+	if st := j.Stats(); st.Error != io.ErrClosedPipe.Error() {
+		t.Fatalf("Stats = %+v, want the write error", st)
 	}
 }
 
@@ -280,8 +235,8 @@ func BenchmarkNilJournalEmit(b *testing.B) {
 }
 
 // BenchmarkLevelGatedEmit measures an enabled journal rejecting a
-// below-level entry — the hot path when -journal-level info filters the
-// executor's Debug milestones.
+// below-level entry — the path of every Debug entry under -journal-level
+// info.
 func BenchmarkLevelGatedEmit(b *testing.B) {
 	j := New(Options{Level: Info, Ring: -1})
 	b.ReportAllocs()
@@ -293,7 +248,7 @@ func BenchmarkLevelGatedEmit(b *testing.B) {
 // BenchmarkEnabledEmit measures a kept Debug emission into the ring plus
 // an NDJSON discard write — the full enabled path.
 func BenchmarkEnabledEmit(b *testing.B) {
-	j := New(Options{Level: Debug, SampleEvery: 1, Out: bufio.NewWriter(io.Discard)})
+	j := New(Options{Level: Debug, Out: bufio.NewWriter(io.Discard)})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		j.Emit(Debug, StageIngest, "c", "r", "msg", 1, time.Second)

@@ -483,7 +483,6 @@ func (m *Manager) execute(run *Run, alert *event.Event) {
 		Telemetry: m.reg,
 		Explain:   rec,
 		Memo:      m.memo,
-		Obs:       run.scope,
 	})
 
 	run.mu.Lock()

@@ -7,12 +7,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"net/http/httptest"
-
+	"strings"
 	"testing"
 	"time"
 
+	"aptrace/internal/event"
 	"aptrace/internal/graph"
 	"aptrace/internal/obs"
 	"aptrace/internal/store"
@@ -399,4 +401,141 @@ func TestSlowSubscriberPerSubDrops(t *testing.T) {
 		t.Fatalf("journal disabled: GET /debug/journal = %d, want 404", jr.StatusCode)
 	}
 	jr.Body.Close()
+}
+
+// TestJournalCarriesPipelineStagesOnly holds the journal to the pipeline: a
+// daemon journaled at Debug, with the memo cache on and a run paused and
+// resumed through the API, journals only obs's own stages — nothing of a
+// run's windows, memo verdicts or analyst actions, which are the run log's.
+func TestJournalCarriesPipelineStagesOnly(t *testing.T) {
+	ds := dataset(t)
+	journal := obs.New(obs.Options{Level: obs.Debug, Ring: 1 << 16})
+	srv, err := New(Config{
+		Source:        StaticSource(ds.Store),
+		AutoBacktrack: true,
+		AutoHops:      8,
+		Quota:         Quota{MaxActive: 8, MaxQueued: 64},
+		QueueCap:      64,
+		MemoBytes:     16 << 20,
+		ViewClock:     simClock,
+		Journal:       journal,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if n, err := srv.DetectNow(); err != nil || n == 0 {
+		t.Fatalf("DetectNow = %d, %v", n, err)
+	}
+	// An attribute where clause, so the run consults the memo cache.
+	script := strings.Replace(ds.Attacks[0].Scripts[1], "where ", "where proc.dst.isWriteThrough != true and ", 1)
+	run, err := srv.Manager().Submit("analyst", script, nil, false, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); run.session() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("session never became active")
+		}
+	}
+	for _, op := range []string{"pause", "resume"} {
+		resp := postJSON(t, ts.URL+"/api/v1/sessions/"+run.ID+"/"+op, struct{}{})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d", op, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	for _, r := range srv.Manager().Runs() {
+		r.Wait()
+	}
+	if st := srv.memo.Stats(); st.Hits+st.Misses == 0 {
+		t.Fatal("no run consulted the memo cache")
+	}
+
+	pipeline := map[string]bool{}
+	for _, s := range []string{
+		obs.StageIngest, obs.StageDetect, obs.StageAlert,
+		obs.StageRunQueued, obs.StageRunRejected, obs.StageRunActive,
+		obs.StageRunFirstUpdate, obs.StageRunTerminal, obs.StageRunEvicted,
+		obs.StageSSESubscribe, obs.StageSSEClose, obs.StageOpsAlert, obs.StageDrain,
+	} {
+		pipeline[s] = true
+	}
+	entries := journal.Query(obs.Filter{Limit: 1 << 16})
+	if !chainStages(entries)[obs.StageDetect] {
+		t.Fatal("no Debug detect.pass entry: the journal is not at Debug")
+	}
+	for _, e := range entries {
+		if !pipeline[e.Stage] {
+			t.Errorf("journal entry of stage %q (%s): not a pipeline stage", e.Stage, e.Msg)
+		}
+	}
+}
+
+// TestWatchdogMemoHitRateExact holds the watchdog's memo_hit_rate to the
+// cache's exact counts: a view's hits reach aptrace_memo_hits_total only in
+// batches, so a tick while runs are in flight must not read that counter.
+func TestWatchdogMemoHitRateExact(t *testing.T) {
+	ds := dataset(t)
+	srv, err := New(Config{
+		Source:    StaticSource(ds.Store),
+		MemoBytes: 8 << 20,
+		OpsRules:  []obs.Rule{{Stat: obs.StatMemoHitRate, Less: true, Threshold: 0.05}},
+		ViewClock: simClock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Watchdog().Tick(time.Now()) // the baseline
+
+	snap, _ := srv.Snapshot()
+	view, err := srv.memo.Bind(snap, "exact-counts", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to, _ := snap.TimeRange()
+	const objects, repeats = 20, 3 // 20 misses, then 40 hits — fewer than a view publishes at once
+	for r := 0; r < repeats; r++ {
+		for obj := 0; obj < objects; obj++ {
+			if _, err := view.IsReadOnlyFile(event.ObjID(obj), from, to); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c := srv.opsCounts()
+	if wantHits := int64(objects * (repeats - 1)); c.MemoHits != wantHits || c.MemoMisses != objects {
+		t.Fatalf("opsCounts memo hits/misses = %d/%d, want %d/%d", c.MemoHits, c.MemoMisses, wantHits, objects)
+	}
+	if fired := srv.Watchdog().Tick(time.Now()); len(fired) != 0 {
+		t.Fatalf("memo_hit_rate rule fired on a 2/3 hit rate: %+v", fired)
+	}
+}
+
+// failingWriter fails every write, like a full disk or a closed stdout.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestJournalWriteErrorOnOps shows a journal whose NDJSON writer failed on
+// GET /ops, as journal.error.
+func TestJournalWriteErrorOnOps(t *testing.T) {
+	ds := dataset(t)
+	srv, err := New(Config{
+		Source:    StaticSource(ds.Store),
+		ViewClock: simClock,
+		Journal:   obs.New(obs.Options{Level: obs.Debug, Out: failingWriter{}}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if _, err := srv.DetectNow(); err != nil {
+		t.Fatal(err)
+	}
+	ops := decodeBody[opsResponse](t, mustGet(t, ts.URL+"/ops"))
+	if ops.Journal == nil || ops.Journal.Error != io.ErrClosedPipe.Error() {
+		t.Fatalf("/ops journal = %+v, want error %q", ops.Journal, io.ErrClosedPipe)
+	}
 }

@@ -133,8 +133,9 @@ type Config struct {
 	ViewClock func() simclock.Clock
 	// Journal, when set, receives the correlated alert-lifecycle journal:
 	// a correlation ID is minted per ingest batch and threaded through
-	// detection, the auto-launched session, its executor milestones, SSE
-	// delivery, and eviction. The journal stamps wall-clock time only and
+	// detection, the auto-launched run's queueing, start, first update and
+	// end, SSE delivery, and eviction — the pipeline only: what happens
+	// inside a run is its log's. The journal stamps wall-clock time only and
 	// never touches the analysis clock, so detection and graph output are
 	// byte-identical with it on or off
 	// (serve.TestCorrelationChainCompleteness holds this). Nil journals
@@ -242,8 +243,6 @@ type opsCounters struct {
 	ingestRecs  *telemetry.Counter
 	ingestDecs  *telemetry.Counter
 	ingestInval *telemetry.Counter
-	memoHits    *telemetry.Counter
-	memoMisses  *telemetry.Counter
 }
 
 // New assembles a server. It takes an initial snapshot so the API can
@@ -299,8 +298,6 @@ func New(cfg Config) (*Server, error) {
 		ingestRecs:  s.reg.Counter(telemetry.MetricIngestRecords),
 		ingestDecs:  s.reg.Counter(telemetry.MetricIngestDecodeErrors),
 		ingestInval: s.reg.Counter(telemetry.MetricIngestInvalid),
-		memoHits:    s.reg.Counter(telemetry.MetricMemoHits),
-		memoMisses:  s.reg.Counter(telemetry.MetricMemoMisses),
 	}
 	if cfg.MemoBytes > 0 {
 		s.memo = memo.New(cfg.MemoBytes, s.reg)
@@ -392,9 +389,12 @@ func (s *Server) corrForEvent(id event.EventID) (string, time.Time, bool) {
 }
 
 // opsCounts snapshots the daemon's cumulative counters for the watchdog
-// and the /ops summary.
+// and the /ops summary. Memo hits and misses come from the cache's exact
+// Stats, not from aptrace_memo_hits_total, which a view feeds in batches:
+// read mid-run, that counter lags the misses and biases the hit rate down.
 func (s *Server) opsCounts() obs.Counts {
 	qlen, qcap := s.mgr.queue()
+	ms := s.memo.Stats()
 	c := obs.Counts{
 		Submissions:      s.opsCounters.sessions.Value(),
 		Rejected:         s.opsCounters.rejected.Value(),
@@ -402,8 +402,8 @@ func (s *Server) opsCounts() obs.Counts {
 		UpdatesDropped:   s.opsCounters.sseDropped.Value(),
 		IngestLines:      s.opsCounters.ingestRecs.Value() + s.opsCounters.ingestDecs.Value() + s.opsCounters.ingestInval.Value(),
 		DecodeErrors:     s.opsCounters.ingestDecs.Value(),
-		MemoHits:         s.opsCounters.memoHits.Value(),
-		MemoMisses:       s.opsCounters.memoMisses.Value(),
+		MemoHits:         ms.Hits,
+		MemoMisses:       ms.Misses,
 		QueueLen:         qlen,
 		QueueCap:         qcap,
 	}

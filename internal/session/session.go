@@ -20,7 +20,6 @@ import (
 	"aptrace/internal/event"
 	"aptrace/internal/graph"
 	"aptrace/internal/maintainer"
-	"aptrace/internal/obs"
 	"aptrace/internal/refiner"
 	"aptrace/internal/store"
 	"aptrace/internal/telemetry"
@@ -41,7 +40,6 @@ type Session struct {
 
 	updateAt []time.Time // when each update landed, on the analysis clock
 	onUpdate func(graph.Update)
-	journal  *Journal
 
 	telUpdates *telemetry.Counter
 	telPauses  *telemetry.Counter
@@ -64,32 +62,6 @@ func New(st *store.Store, opts core.Options) *Session {
 	s.telPauses = opts.Telemetry.Counter(telemetry.MetricSessionPauses)
 	s.telResumes = opts.Telemetry.Counter(telemetry.MetricSessionResumes)
 	return s
-}
-
-// SetJournal attaches an investigation journal; every analyst action is
-// recorded to it as a JSON line. Call before Start.
-func (s *Session) SetJournal(j *Journal) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.journal = j
-}
-
-func (s *Session) log(e JournalEntry) {
-	s.mu.Lock()
-	j := s.journal
-	g := (*graph.Graph)(nil)
-	if s.x != nil {
-		g = s.x.Graph()
-	}
-	s.mu.Unlock()
-	if j == nil {
-		return
-	}
-	e.AnalysisAt = s.st.Clock().Now()
-	if g != nil {
-		e.Edges, e.Nodes = g.NumEdges(), g.NumNodes()
-	}
-	j.record(e)
 }
 
 func (s *Session) record(u graph.Update) {
@@ -147,10 +119,6 @@ func (s *Session) Start(scriptSrc string, alert *event.Event) error {
 	s.script, s.plan, s.x, s.alert = script, plan, x, a
 	s.running = true
 	s.done = make(chan struct{})
-	// Record the start before the run loop can emit its own entries.
-	if s.journal != nil {
-		s.journal.record(JournalEntry{Action: "start", Script: scriptSrc, AnalysisAt: s.st.Clock().Now()})
-	}
 	go s.runLoop()
 	return nil
 }
@@ -196,17 +164,6 @@ func (s *Session) runLoop() {
 		s.res, s.err = res, err
 		s.running = false
 		s.mu.Unlock()
-		detail := ""
-		if err != nil {
-			detail = err.Error()
-		} else if res != nil {
-			detail = res.Reason.String()
-		}
-		s.log(JournalEntry{Action: "finished", Detail: detail})
-		if emitted, dropped := s.opts.Explain.Stats(); emitted > 0 {
-			s.log(JournalEntry{Action: "decisions",
-				Detail: fmt.Sprintf("%d decision records (%d overwritten by ring overflow)", emitted, dropped)})
-		}
 		return
 	}
 }
@@ -220,8 +177,6 @@ func (s *Session) Pause() {
 		x.Pause()
 		s.telPauses.Inc()
 		s.opts.Explain.Pause()
-		s.log(JournalEntry{Action: "pause"})
-		s.opts.Obs.Emit(obs.Info, obs.StageSession, "pause", 0, 0)
 	}
 }
 
@@ -234,8 +189,6 @@ func (s *Session) Resume() {
 		x.Resume()
 		s.telResumes.Inc()
 		s.opts.Explain.Resume()
-		s.log(JournalEntry{Action: "resume"})
-		s.opts.Obs.Emit(obs.Info, obs.StageSession, "resume", 0, 0)
 	}
 }
 
@@ -246,8 +199,6 @@ func (s *Session) Stop() {
 	s.mu.Unlock()
 	if x != nil {
 		x.Stop()
-		s.log(JournalEntry{Action: "stop"})
-		s.opts.Obs.Emit(obs.Info, obs.StageSession, "stop", 0, 0)
 	}
 }
 
@@ -302,20 +253,12 @@ func (s *Session) UpdateScript(scriptSrc string) (refiner.ResumeAction, error) {
 		s.plan = plan
 	}
 	s.opts.Explain.PlanUpdate(action.String(), delta)
-	s.opts.Obs.Emit(obs.Info, obs.StageSession, "update-script: "+action.String()+": "+delta, 0, 0)
-	if s.journal != nil {
-		e := JournalEntry{Action: "update-script", Script: scriptSrc, Decision: action.String(), Detail: delta, AnalysisAt: s.st.Clock().Now()}
-		if g := s.x.Graph(); g != nil {
-			e.Edges, e.Nodes = g.NumEdges(), g.NumNodes()
-		}
-		s.journal.record(e)
-	}
 	return action, nil
 }
 
 // scriptDelta summarizes what changed between two script versions — the
 // human-readable side of the Refiner's resume decision, recorded in the
-// plan-update decision record and the journal.
+// plan-update decision record.
 func scriptDelta(old, new *bdl.Script) string {
 	if old == nil {
 		return "initial script"
@@ -425,7 +368,6 @@ func (s *Session) Finalize() (int, error) {
 	removed := m.Prune(g)
 	s.st.FlushQueryProfile() // the recalculation queried after the run's own flush
 	s.opts.Explain.Finalize(removed)
-	s.log(JournalEntry{Action: "finalize", Detail: fmt.Sprintf("pruned %d edges", removed)})
 	if plan.Output != "" {
 		f, err := os.Create(plan.Output)
 		if err != nil {

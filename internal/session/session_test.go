@@ -10,6 +10,7 @@ import (
 
 	"aptrace/internal/core"
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
@@ -271,4 +272,67 @@ func TestSessionRecordsForTableII(t *testing.T) {
 		}
 	}
 	_ = event.NoObj
+}
+
+// TestRunLogRecordsInvestigation holds the session to its one record of an
+// investigation: the run log carries every analyst action — run start, pause,
+// the script update with the Refiner's decision and delta, resume, finalize —
+// and the run's end with its stop reason.
+func TestRunLogRecordsInvestigation(t *testing.T) {
+	ds := dataset(t)
+	atk := ds.Attacks[0]
+	alert, _ := ds.Store.EventByID(atk.AlertID)
+
+	rec := explain.New(0, nil)
+	var s *Session
+	onUpdate, paused := pauseAtFirstUpdate(&s)
+	s = New(ds.Store, core.Options{OnUpdate: onUpdate, Explain: rec})
+	if err := s.Start(atk.Scripts[0], &alert); err != nil {
+		t.Fatal(err)
+	}
+	<-paused
+	out := strings.ReplaceAll(filepath.Join(t.TempDir(), "result.dot"), `\`, `/`)
+	if action, err := s.UpdateScript(strings.ReplaceAll(atk.Scripts[1], `"./result.dot"`, `"`+out+`"`)); err != nil || action != refiner.Resume {
+		t.Fatalf("update: %v %v", action, err)
+	}
+	s.Resume()
+	res, err := s.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed, err := s.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var kinds []string
+	for _, r := range rec.Records() {
+		switch r.Kind {
+		case explain.KindRunStart, explain.KindPause, explain.KindResume:
+		case explain.KindPlanUpdate:
+			if r.Clause != refiner.Resume.String() || r.Detail == "" {
+				t.Errorf("plan update record = %+v, want the resume decision and a delta", r)
+			}
+		case explain.KindFinalize:
+			if r.Card != removed {
+				t.Errorf("finalize record prunes %d edges, Finalize said %d", r.Card, removed)
+			}
+		default:
+			continue
+		}
+		kinds = append(kinds, r.Kind.String())
+	}
+	if got, want := strings.Join(kinds, ","), "run-start,pause,plan-update,resume,finalize"; got != want {
+		t.Errorf("analyst actions in the log = %s, want %s", got, want)
+	}
+	events, _ := rec.Events()
+	var ends []string
+	for _, ev := range events {
+		if ev.Kind == explain.EvRun {
+			ends = append(ends, ev.Detail)
+		}
+	}
+	if len(ends) != 1 || ends[0] != res.Reason.String() {
+		t.Errorf("run spans carry stop reasons %q, want [%q]", ends, res.Reason)
+	}
 }

@@ -95,7 +95,6 @@ const (
 	// the five pipeline-latency SLIs (wall-clock, never the analysis
 	// clock), and the self-watchdog's fired-alert counter.
 	MetricObsJournalEntries      = "aptrace_obs_journal_entries_total"
-	MetricObsJournalDropped      = "aptrace_obs_journal_dropped_total"
 	MetricOpsAlerts              = "aptrace_ops_alerts_total"
 	MetricSLIIngestToDetect      = "aptrace_sli_ingest_to_detect_seconds"
 	MetricSLIDetectToLaunch      = "aptrace_sli_detect_to_launch_seconds"
