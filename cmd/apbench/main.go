@@ -6,25 +6,18 @@
 //
 // Usage:
 //
-//	apbench [-exp all|severity|fig4|table1|table2|fig6|refiner|explain|timeline|ablation-k|ablation-policy]
-//	        [-hosts 12] [-days 10] [-density 1.5] [-samples 200] [-cap 2h] [-k 8]
-//	        [-parallel 1] [-shards 1] [-json dir] [-metrics addr] [-pprof addr]
-//	        [-timeline trace.json]
+//	apbench [-exp all|severity|fig4|table1|table2|fig6|refiner|ablation-k|ablation-policy]
+//	        [-hosts 12] [-days 10] [-density 1.5] [-seed 1] [-samples 200] [-cap 2h] [-k 8]
+//	        [-parallel 1] [-shards 1] [-json dir]
 //
 // -exp takes a comma-separated list; an unknown name fails before the dataset
 // is generated. With -json, each experiment's structured result is also
-// written as BENCH_<exp>.json in the given directory. With -metrics, a
-// telemetry registry is wired through the store and every executor, served at
-// /metrics (Prometheus text) and /debug/telemetry (JSON) for the duration of
-// the run. With -parallel N, each experiment fans its sampled starting events
-// across N concurrent analyses over shared store views; results are collected
-// in sample order, so the tables are byte-identical to a serial run
-// (-parallel 0 uses all cores). With -timeline, every fanned-out analysis
-// records into a per-sample profiler lane; the run's Chrome trace-event file
-// (Perfetto: ui.perfetto.dev) is written to the given path, the SLO watchdog
-// report goes to stderr, and — combined with -metrics — the live trace is
-// also served at /debug/timeline. All profiler output is off stdout, so
-// tables stay byte-identical with the flag on or off.
+// written as BENCH_<exp>.json in the given directory. With -parallel N, each
+// experiment fans its sampled starting events across N concurrent analyses
+// over shared store views; results are collected in sample order, so the
+// tables are byte-identical to a serial run (-parallel 0 uses all cores).
+// Recording a run — its decision log, Chrome trace, SLO report, metrics and
+// profiles — is aptrace's job (-explain, -timeline, -metrics, -pprof).
 //
 // Paper mapping:
 //
@@ -35,11 +28,6 @@
 //	fig6            -> Figure 6      (CPU/memory during a long analysis)
 //	refiner         -> Section III-B3 (changing intermediate points:
 //	                   re-propagation over the cached graph vs a re-run)
-//	explain         -> decision flight recorder: zero graph effect, full
-//	                   explanation coverage, recording overhead
-//	timeline        -> run timeline profiler + SLO watchdog: zero graph
-//	                   effect, per-lane update cadence, stall detection,
-//	                   trace-event schema validation
 //	ablation-*      -> design-choice ablations from DESIGN.md
 //
 // -shards N runs every experiment against an N-shard store. Because sharding
@@ -48,7 +36,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -64,21 +51,17 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment(s) to run, comma separated: all, "+strings.Join(names(), ", "))
-		hosts     = flag.Int("hosts", 12, "workstations in the dataset")
-		days      = flag.Int("days", 10, "days of history")
-		density   = flag.Float64("density", 1.5, "background activity scale")
-		seed      = flag.Int64("seed", 1, "dataset seed")
-		samples   = flag.Int("samples", 200, "random starting events (the paper uses 200)")
-		cap_      = flag.Duration("cap", 2*time.Hour, "execution cap for unoptimized runs")
-		k         = flag.Int("k", aptrace.DefaultWindows, "execution-window count")
-		parallel  = flag.Int("parallel", 1, "concurrent analyses per experiment (0 = all cores)")
-		shards    = flag.Int("shards", 1, "host×time store shards for the dataset (1 = flat; output is byte-identical either way)")
-		jsonDir   = flag.String("json", "", "also write each experiment's result as BENCH_<exp>.json into this directory")
-		metrics   = flag.String("metrics", "", "serve /metrics and /debug/telemetry on this address during the run")
-		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address (shares the -metrics mux when the addresses match)")
-		timelineF = flag.String("timeline", "", "profile every analysis into a run timeline; write the Chrome trace-event JSON to this path")
-		gap       = flag.Duration("slo", aptrace.DefaultGapTarget, "SLO inter-update gap target for the -timeline watchdog")
+		exp      = flag.String("exp", "all", "experiment(s) to run, comma separated: all, "+strings.Join(names(), ", "))
+		hosts    = flag.Int("hosts", 12, "workstations in the dataset")
+		days     = flag.Int("days", 10, "days of history")
+		density  = flag.Float64("density", 1.5, "background activity scale")
+		seed     = flag.Int64("seed", 1, "dataset seed")
+		samples  = flag.Int("samples", 200, "random starting events (the paper uses 200)")
+		cap_     = flag.Duration("cap", 2*time.Hour, "execution cap for unoptimized runs")
+		k        = flag.Int("k", aptrace.DefaultWindows, "execution-window count")
+		parallel = flag.Int("parallel", 1, "concurrent analyses per experiment (0 = all cores)")
+		shards   = flag.Int("shards", 1, "host×time store shards for the dataset (1 = flat; output is byte-identical either way)")
+		jsonDir  = flag.String("json", "", "also write each experiment's result as BENCH_<exp>.json into this directory")
 	)
 	flag.Parse()
 	selected, err := resolve(*exp)
@@ -87,40 +70,6 @@ func main() {
 	}
 	if *parallel <= 0 {
 		*parallel = runtime.GOMAXPROCS(0)
-	}
-
-	var reg *aptrace.Telemetry
-	var tl *aptrace.TimelineProfiler
-	if *metrics != "" || *timelineF != "" {
-		// The stall counter needs a registry even without -metrics.
-		reg = aptrace.NewTelemetry()
-	}
-	if *timelineF != "" {
-		tl = aptrace.NewTimeline(aptrace.TimelineOptions{GapTarget: *gap, Telemetry: reg})
-	}
-	if *metrics != "" {
-		aptrace.RegisterRuntimeMetrics(reg)
-		if *pprofA == *metrics {
-			// Mount before ServeTelemetry builds the mux.
-			reg.RegisterPprof()
-		}
-		if tl != nil {
-			reg.RegisterDebug("/debug/timeline", tl.Handler())
-		}
-		_, addr, err := aptrace.ServeTelemetry(*metrics, reg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics and /debug/telemetry on %s\n", addr)
-	}
-	if *pprofA != "" && *pprofA != *metrics {
-		_, addr, err := aptrace.ServePprof(*pprofA)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pprof: serving /debug/pprof on %s\n", addr)
-	} else if *pprofA != "" {
-		fmt.Fprintf(os.Stderr, "pprof: sharing the -metrics mux at /debug/pprof\n")
 	}
 	if *jsonDir != "" {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
@@ -137,14 +86,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if reg != nil {
-		env.Dataset.Store.SetTelemetry(reg)
-	}
 	fmt.Printf("dataset ready: %d events, %d objects, %d attacks (%.1fs wall)\n",
 		env.Dataset.Store.NumEvents(), env.Dataset.Store.NumObjects(),
 		len(env.Dataset.Attacks), time.Since(wall).Seconds())
 
-	cfg := experiments.Config{Samples: *samples, Cap: *cap_, Windows: *k, Seed: 42, Parallel: *parallel, Telemetry: reg, Timeline: tl}
+	cfg := experiments.Config{Samples: *samples, Cap: *cap_, Windows: *k, Seed: 42, Parallel: *parallel}
 	if *parallel > 1 {
 		// Stderr, so stdout stays byte-comparable against a serial run.
 		fmt.Fprintf(os.Stderr, "parallel analyses per experiment: %d\n", *parallel)
@@ -164,27 +110,6 @@ func main() {
 			}
 			fmt.Printf("[%s rows written to %s]\n", e.name, path)
 		}
-	}
-
-	if tl != nil {
-		f, err := os.Create(*timelineF)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tl.WriteTrace(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "\ntimeline: trace written to %s (load in ui.perfetto.dev)\n", *timelineF)
-		tl.Report().Print(os.Stderr, nil)
-	}
-	if *metrics != "" {
-		fmt.Fprintln(os.Stderr, "\ntelemetry snapshot:")
-		enc := json.NewEncoder(os.Stderr)
-		enc.SetIndent("", "  ")
-		enc.Encode(reg.Snapshot())
 	}
 }
 
@@ -206,8 +131,6 @@ var order = []experiment{
 	{"table2", runner(experiments.RunTable2)},
 	{"fig6", runner(experiments.RunFig6)},
 	{"refiner", runner(experiments.RunRefiner)},
-	{"explain", runner(experiments.RunExplain)},
-	{"timeline", runner(experiments.RunTimeline)},
 	{"ablation-k", runner(experiments.RunAblationK)},
 	{"ablation-policy", runner(experiments.RunAblationPolicy)},
 }

@@ -18,11 +18,11 @@ func TestMain(m *testing.M) {
 }
 
 // TestUnknownExperimentFailsBeforeDataset: a name -exp does not know — a typo
-// behind a valid name, or one of the retired real-clock experiments — is an
+// behind a valid name, or one of the retired experiments — is an
 // error before the dataset is generated, not after the valid names have run.
 func TestUnknownExperimentFailsBeforeDataset(t *testing.T) {
-	const known = "severity, fig4, table1, table2, fig6, refiner, explain, timeline, ablation-k, ablation-policy"
-	for _, exp := range []string{"table2,typo", "serve", "memo", "obs", "shard", "qprof", "perf"} {
+	const known = "severity, fig4, table1, table2, fig6, refiner, ablation-k, ablation-policy"
+	for _, exp := range []string{"table2,typo", "serve", "memo", "obs", "shard", "qprof", "perf", "explain", "timeline"} {
 		cmd := exec.Command(os.Args[0], "-exp", exp, "-hosts", "1", "-days", "1", "-samples", "1")
 		cmd.Env = append(os.Environ(), "APBENCH_TEST_MAIN=1")
 		var stdout, stderr bytes.Buffer

@@ -32,7 +32,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"aptrace"
 	"aptrace/internal/bdl"
@@ -172,13 +171,10 @@ func printStats(st *aptrace.Store) {
 				fmt.Printf("  shard %2d  empty\n", si.Shard)
 				continue
 			}
-			// Queries/rows/busy are runtime heat counters: how hard this
-			// process has hit each shard since the store was opened.
-			fmt.Printf("  shard %2d  %8d events, %4d hosts, %s .. %s  heat: %d queries, %d rows, %s busy\n",
+			fmt.Printf("  shard %2d  %8d events, %4d hosts, %s .. %s\n",
 				si.Shard, si.Events, si.Hosts,
 				event.Event{Time: si.MinTime}.When().Format("2006-01-02 15:04:05"),
-				event.Event{Time: si.MaxTime}.When().Format("2006-01-02 15:04:05"),
-				si.Queries, si.RowsServed, time.Duration(si.BusyNs).Round(time.Microsecond))
+				event.Event{Time: si.MaxTime}.When().Format("2006-01-02 15:04:05"))
 		}
 	}
 	sort.Slice(hots, func(i, j int) bool { return hots[i].deg > hots[j].deg })

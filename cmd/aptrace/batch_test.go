@@ -71,16 +71,17 @@ func TestDotPathsCollision(t *testing.T) {
 // only accelerates or observes — the memo cache, a query profiler on the
 // store, -explain all, a timeline profiler, a 4-part store (simulated clock,
 // so the elapsed column is deterministic). Each case also shows that what it
-// attached was exercised.
+// attached was exercised; the timeline's trace must also be byte-identical at
+// one worker and at four, one lane per alert.
 func TestBatchMemoByteIdentical(t *testing.T) {
-	run := func(t *testing.T, st *aptrace.Store, explArg string, tl *aptrace.TimelineProfiler, cache *aptrace.MemoCache) (string, map[string]string) {
+	run := func(t *testing.T, st *aptrace.Store, workers int, explArg string, tl *aptrace.TimelineProfiler, cache *aptrace.MemoCache) (string, map[string]string) {
 		t.Helper()
 		dir := t.TempDir()
 		src := fmt.Sprintf(`backward proc p[exename = "explorer*"] -> *
 where file.path != "*.dll" and proc.dst.isWriteThrough != true and time <= 30mins
 output = %q`, filepath.Join(dir, "graph.dot"))
 		var out bytes.Buffer
-		if err := runBatch(&out, st, src, 8, 4, true, nil, explArg, tl, cache); err != nil {
+		if err := runBatch(&out, st, src, 8, workers, true, nil, explArg, tl, cache); err != nil {
 			t.Fatal(err)
 		}
 		dots := make(map[string]string)
@@ -107,7 +108,7 @@ output = %q`, filepath.Join(dir, "graph.dot"))
 	}
 
 	flat := testStore(t, 1)
-	plainOut, plainDots := run(t, flat, "", nil, nil)
+	plainOut, plainDots := run(t, flat, 4, "", nil, nil)
 	if len(plainDots) == 0 {
 		t.Fatal("fixture error: the batch should produce per-alert DOT files")
 	}
@@ -118,7 +119,7 @@ output = %q`, filepath.Join(dir, "graph.dot"))
 	}{
 		{"memo", func(t *testing.T) (string, map[string]string) {
 			cache := aptrace.NewMemoCache(0, nil)
-			out, dots := run(t, flat, "", nil, cache)
+			out, dots := run(t, flat, 4, "", nil, cache)
 			if cs := cache.Stats(); cs.Hits == 0 {
 				t.Errorf("cache never hit: %+v", cs)
 			}
@@ -127,20 +128,34 @@ output = %q`, filepath.Join(dir, "graph.dot"))
 		{"qprof", func(t *testing.T) (string, map[string]string) {
 			st, qp := testStore(t, 4), aptrace.NewQueryProfiler()
 			st.SetQueryProfiler(qp)
-			out, dots := run(t, st, "", nil, nil)
+			out, dots := run(t, st, 4, "", nil, nil)
 			if snap := qp.Snapshot(); snap.Queries == 0 || snap.ShardCount != 4 {
 				t.Errorf("profiler saw %d queries over %d shards, want some over 4", snap.Queries, snap.ShardCount)
 			}
 			return out, dots
 		}},
 		{"explain", func(t *testing.T) (string, map[string]string) {
-			return run(t, flat, "all", nil, nil)
+			return run(t, flat, 4, "all", nil, nil)
 		}},
 		{"timeline", func(t *testing.T) (string, map[string]string) {
-			tl := aptrace.NewTimeline(aptrace.TimelineOptions{})
-			out, dots := run(t, flat, "", tl, nil)
-			if rep := tl.Report(); len(rep.Lanes) != len(plainDots) || rep.Updates == 0 {
-				t.Errorf("timeline recorded %d lanes and %d updates for %d alerts", len(rep.Lanes), rep.Updates, len(plainDots))
+			// Lanes are allocated by alert index before any run starts, so
+			// the trace cannot depend on scheduling: one worker and four
+			// export the same bytes.
+			var traces [2]bytes.Buffer
+			var out string
+			var dots map[string]string
+			for i, workers := range []int{1, 4} {
+				tl := aptrace.NewTimeline(aptrace.TimelineOptions{})
+				out, dots = run(t, flat, workers, "", tl, nil)
+				if rep := tl.Report(); len(rep.Lanes) != len(plainDots) || rep.Updates == 0 {
+					t.Errorf("%d workers: timeline recorded %d lanes and %d updates for %d alerts", workers, len(rep.Lanes), rep.Updates, len(plainDots))
+				}
+				if err := tl.WriteTrace(&traces[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(traces[0].Bytes(), traces[1].Bytes()) {
+				t.Errorf("trace differs between 1 and 4 workers (%d vs %d bytes)", traces[0].Len(), traces[1].Len())
 			}
 			return out, dots
 		}},
@@ -149,7 +164,7 @@ output = %q`, filepath.Join(dir, "graph.dot"))
 			if st.ShardCount() != 4 {
 				t.Fatalf("store has %d parts, want 4", st.ShardCount())
 			}
-			return run(t, st, "", nil, nil)
+			return run(t, st, 4, "", nil, nil)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

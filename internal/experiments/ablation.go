@@ -7,7 +7,6 @@ import (
 
 	"aptrace/internal/core"
 	"aptrace/internal/event"
-	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/simclock"
 	"aptrace/internal/stats"
@@ -80,13 +79,11 @@ func runVariant(env *Env, cfg Config, name string, opts core.Options) (AblationR
 		updated bool
 		windows int
 	}
-	runs, err := fanOut(env, cfg, events, "ablation "+name,
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (run, error) {
+	runs, err := fanOut(env, cfg, events,
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event) (run, error) {
 			start := clk.Now()
 			var times []time.Time
 			o := opts
-			o.Telemetry = cfg.Telemetry
-			o.Explain = lane
 			o.OnUpdate = func(u graph.Update) { times = append(times, u.At) }
 			x, err := core.New(st, wildcardPlan(cfg.Cap), o)
 			if err != nil {

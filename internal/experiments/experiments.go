@@ -6,6 +6,7 @@
 //	Table1    – Table I: the five attack cases with and without heuristics.
 //	Table2    – Table II: inter-update waiting time, baseline vs APTrace.
 //	Fig6      – Figure 6: CPU and memory usage over a long analysis.
+//	Refiner   – Section III-B3: re-propagation over the cached graph vs a re-run.
 //	AblationK / AblationPolicy – design-choice ablations from DESIGN.md.
 //
 // Each runner prints the same rows/series the paper reports and returns a
@@ -21,17 +22,12 @@ import (
 	"math/rand"
 	"time"
 
-	"aptrace/internal/baseline"
 	"aptrace/internal/core"
 	"aptrace/internal/event"
-	"aptrace/internal/explain"
 	"aptrace/internal/fleet"
-	"aptrace/internal/graph"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
-	"aptrace/internal/telemetry"
-	"aptrace/internal/timeline"
 	"aptrace/internal/workload"
 )
 
@@ -53,56 +49,11 @@ type Config struct {
 	// byte-identical to a serial run. 0 or 1 runs serially; values above 1
 	// cut wall-clock time on multi-core machines.
 	Parallel int
-	// Telemetry, if set, is threaded into every executor the runners
-	// create, so a benchmark run leaves live metrics behind. Nil (the
-	// default) keeps the harness unobserved.
-	Telemetry *telemetry.Registry
-	// Timeline, if set, profiles every fanned-out analysis: each sampled
-	// starting event records into its own lane (allocated by sample index,
-	// so the exported trace is byte-identical serial vs parallel), and the
-	// profiler's SLO watchdog measures every run's update cadence. Nil
-	// (the default) profiles nothing at near-zero cost.
-	Timeline *timeline.Profiler
 }
 
-// execOptions returns the baseline core options for this config, with the
-// telemetry registry attached.
+// execOptions returns the baseline core options for this config.
 func (c Config) execOptions() core.Options {
-	return core.Options{Windows: c.Windows, Telemetry: c.Telemetry}
-}
-
-// laneOptions is execOptions plus this run's profiler lane as its log.
-func (c Config) laneOptions(lane *explain.Recorder) core.Options {
-	o := c.execOptions()
-	o.Explain = lane
-	return o
-}
-
-// runBaseline runs the King-Chen baseline from ev and, as it has no executor
-// to write a log, brackets the run in lane itself: its start, an update per
-// added edge, its end and why. The baseline's monolithic queries are exactly
-// what makes the lane's SLO watchdog fire.
-func runBaseline(st *store.Store, ev event.Event, opts baseline.Options, lane *explain.Recorder) (*baseline.Result, error) {
-	clk := st.Clock()
-	lane.Note(clk.Now(), explain.Decision{Kind: explain.KindRunStart, Event: ev.ID}, "", "")
-	if hook := opts.OnUpdate; lane != nil {
-		opts.OnUpdate = func(u graph.Update) {
-			if hook != nil {
-				hook(u)
-			}
-			lane.Note(u.At, explain.Decision{Kind: explain.KindEdgeAdded, Event: u.Event.ID}, "", "")
-		}
-	}
-	out, err := baseline.Run(st, ev, opts)
-	if err != nil {
-		return nil, err
-	}
-	reason := "completed"
-	if !out.Completed {
-		reason = "time budget exceeded"
-	}
-	lane.Note(clk.Now(), explain.Decision{Kind: explain.KindRunEnd}, "", reason)
-	return out, nil
+	return core.Options{Windows: c.Windows}
 }
 
 // DefaultConfig mirrors the paper's experiment parameters.
@@ -142,25 +93,20 @@ func (e *Env) sampleEvents(n int, seed int64) []event.Event {
 // the aggregates — and every printed table — bit-for-bit identical to the
 // serial loop, while real wall-clock work spreads across cfg.Parallel
 // goroutines.
-// Each job also receives its own profiler lane — a run log, nil unless
-// cfg.Timeline is set — named "name i" with the lane ID pinned to the sample
-// index before dispatch: the trace, like the tables, cannot depend on
-// scheduling.
-func fanOut[T any](env *Env, cfg Config, events []event.Event, name string,
-	job func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (T, error)) ([]T, error) {
+func fanOut[T any](env *Env, cfg Config, events []event.Event,
+	job func(st *store.Store, clk *simclock.Simulated, ev event.Event) (T, error)) ([]T, error) {
 	workers := cfg.Parallel
 	if workers < 1 {
 		workers = 1
 	}
-	pool := fleet.New(workers, cfg.Telemetry)
-	return fleet.MapTimeline(pool, len(events), cfg.Timeline, name, func(i int, lane *explain.Recorder) (T, error) {
+	return fleet.Map(fleet.New(workers, nil), len(events), func(i int) (T, error) {
 		clk := simclock.NewSimulated(time.Time{})
 		v, err := env.Dataset.Store.View(clk)
 		if err != nil {
 			var zero T
 			return zero, err
 		}
-		return job(v, clk, events[i], lane)
+		return job(v, clk, events[i])
 	})
 }
 

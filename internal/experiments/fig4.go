@@ -7,7 +7,6 @@ import (
 
 	"aptrace/internal/baseline"
 	"aptrace/internal/event"
-	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/simclock"
 	"aptrace/internal/stats"
@@ -38,16 +37,16 @@ func RunFig4(env *Env, cfg Config, w io.Writer) (*Fig4Result, error) {
 		at   time.Duration
 		size int
 	}
-	curves, err := fanOut(env, cfg, events, "fig4",
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) ([]point, error) {
+	curves, err := fanOut(env, cfg, events,
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event) ([]point, error) {
 			start := clk.Now()
 			var curve []point
-			_, err := runBaseline(st, ev, baseline.Options{
+			_, err := baseline.Run(st, ev, baseline.Options{
 				TimeBudget: maxMinutes * time.Minute,
 				OnUpdate: func(u graph.Update) {
 					curve = append(curve, point{u.At.Sub(start), u.Edges})
 				},
-			}, lane)
+			})
 			return curve, err
 		})
 	if err != nil {

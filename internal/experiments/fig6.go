@@ -78,8 +78,7 @@ func RunFig6(env *Env, cfg Config, w io.Writer) (*Fig6Result, error) {
 	plan := wildcardPlan(cfg.Cap)
 	var x *core.Executor
 	x, err := core.New(env.Dataset.Store, plan, core.Options{
-		Windows:   cfg.Windows,
-		Telemetry: cfg.Telemetry,
+		Windows: cfg.Windows,
 		OnUpdate: func(u graph.Update) {
 			minute := int(u.At.Sub(start) / time.Minute)
 			if minute > lastMinute {

@@ -7,7 +7,6 @@ import (
 
 	"aptrace/internal/baseline"
 	"aptrace/internal/event"
-	"aptrace/internal/explain"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
 )
@@ -38,10 +37,10 @@ func RunSeverity(env *Env, cfg Config, w io.Writer) (*SeverityResult, error) {
 		size      int
 		completed bool
 	}
-	runs, err := fanOut(env, cfg, events, "severity",
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (run, error) {
+	runs, err := fanOut(env, cfg, events,
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event) (run, error) {
 			start := clk.Now()
-			out, err := runBaseline(st, ev, baseline.Options{TimeBudget: cfg.Cap}, lane)
+			out, err := baseline.Run(st, ev, baseline.Options{TimeBudget: cfg.Cap})
 			if err != nil {
 				return run{}, err
 			}

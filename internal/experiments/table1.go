@@ -115,8 +115,7 @@ func replayScripts(env *Env, cfg Config, atk workload.Attack, alert event.Event,
 		var x *core.Executor
 		count := 0
 		x, err = core.New(st, plan, core.Options{
-			Windows:   cfg.Windows,
-			Telemetry: cfg.Telemetry,
+			Windows: cfg.Windows,
 			OnUpdate: func(u graph.Update) {
 				count++
 				if last {

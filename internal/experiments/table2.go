@@ -8,7 +8,6 @@ import (
 	"aptrace/internal/baseline"
 	"aptrace/internal/core"
 	"aptrace/internal/event"
-	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/simclock"
 	"aptrace/internal/stats"
@@ -57,13 +56,13 @@ func RunTable2(env *Env, cfg Config, w io.Writer) (*Table2Result, error) {
 		return run{deltas: stats.Deltas(times), updates: len(times)}
 	}
 
-	baseRuns, err := fanOut(env, cfg, events, "table2/baseline",
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (run, error) {
+	baseRuns, err := fanOut(env, cfg, events,
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event) (run, error) {
 			var times []time.Time
-			_, err := runBaseline(st, ev, baseline.Options{
+			_, err := baseline.Run(st, ev, baseline.Options{
 				TimeBudget: cfg.Cap,
 				OnUpdate:   func(u graph.Update) { times = append(times, u.At) },
-			}, lane)
+			})
 			if err != nil {
 				return run{}, err
 			}
@@ -73,10 +72,10 @@ func RunTable2(env *Env, cfg Config, w io.Writer) (*Table2Result, error) {
 		return nil, err
 	}
 
-	apRuns, err := fanOut(env, cfg, events, "table2/aptrace",
-		func(st *store.Store, clk *simclock.Simulated, ev event.Event, lane *explain.Recorder) (run, error) {
+	apRuns, err := fanOut(env, cfg, events,
+		func(st *store.Store, clk *simclock.Simulated, ev event.Event) (run, error) {
 			var times []time.Time
-			o := cfg.laneOptions(lane)
+			o := cfg.execOptions()
 			o.OnUpdate = func(u graph.Update) { times = append(times, u.At) }
 			x, err := core.New(st, wildcardPlan(cfg.Cap), o)
 			if err != nil {

@@ -322,9 +322,8 @@ func (r *Recorder) next() *Decision {
 }
 
 // Note appends one record stamped at: for a run driven from outside an
-// executor, which has no stage (the experiment harnesses bracket the
-// King-Chen baseline with KindRunStart, KindEdgeAdded and KindRunEnd).
-// Nil-safe.
+// executor, which has no stage (bracketing it with KindRunStart,
+// KindEdgeAdded and KindRunEnd makes its updates a lane's). Nil-safe.
 func (r *Recorder) Note(at time.Time, d Decision, clause, detail string) {
 	r.note(&at, d, clause, detail)
 }

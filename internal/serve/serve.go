@@ -62,6 +62,10 @@ func (s staticSource) Snapshot() (*store.Store, error) { return s.st, nil }
 // read-only deployments use (no ingest, fixed history).
 func StaticSource(st *store.Store) Source { return staticSource{st} }
 
+// autoTenant is the tenant auto-launched runs are charged to, so a noisy
+// detector saturates its own quota, never an analyst's.
+const autoTenant = "detector"
+
 // Config assembles a Server.
 type Config struct {
 	// Source provides snapshots (required). Pass the *store.Live used for
@@ -75,7 +79,8 @@ type Config struct {
 	// DetectEvery is the background detection cadence; 0 disables the
 	// loop (DetectNow still works, which is what tests drive).
 	DetectEvery time.Duration
-	// AutoBacktrack launches a backtracking session for every alert.
+	// AutoBacktrack launches a backtracking session for every alert, charged
+	// to the tenant "detector".
 	AutoBacktrack bool
 	// AutoHops bounds auto-launched scripts (default 10).
 	AutoHops int
@@ -83,10 +88,6 @@ type Config struct {
 	// auto-launched scripts ("time <= Ns"); zero leaves them hop-bounded
 	// only.
 	AutoBudget time.Duration
-	// AutoTenant is the tenant auto-launched runs are charged to
-	// (default "detector") — so a noisy detector saturates its own quota,
-	// never an analyst's.
-	AutoTenant string
 	// Workers bounds concurrent analyses (<=0: all cores).
 	Workers int
 	// QueueCap bounds the global session backlog (default 64).
@@ -257,9 +258,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.AutoHops <= 0 {
 		cfg.AutoHops = 10
-	}
-	if cfg.AutoTenant == "" {
-		cfg.AutoTenant = "detector"
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
@@ -570,7 +568,7 @@ func (s *Server) DetectNow() (int, error) {
 		if s.cfg.AutoBacktrack {
 			script := ScriptForEvent(a.Event, snap, s.cfg.AutoHops, s.cfg.AutoBudget)
 			alert := a.Event
-			if run, err := s.mgr.SubmitCorr(corr, s.cfg.AutoTenant, script, &alert, true, a.Rule); err == nil {
+			if run, err := s.mgr.SubmitCorr(corr, autoTenant, script, &alert, true, a.Rule); err == nil {
 				rec.SessionID = run.ID
 				s.telAutoRuns.Inc()
 			}

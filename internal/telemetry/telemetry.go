@@ -341,7 +341,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 }
 
 // Snapshot is a consistent point-in-time copy of every instrument, shaped
-// for JSON encoding (the /debug/telemetry endpoint and apbench dumps).
+// for JSON encoding (the /debug/telemetry endpoint and end-of-run dumps).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
