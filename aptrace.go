@@ -290,21 +290,15 @@ func WithShardEpoch(seconds int64) StoreOption { return store.WithShardEpoch(sec
 // ShardInfo describes one shard's extent (apquery -stats prints these).
 type ShardInfo = store.ShardInfo
 
-// Query-profiler layer: per-query scatter-gather accounting for the
-// sharded store.
-type (
-	// QueryProfiler aggregates per-query scatter-gather samples — fan-out,
-	// per-shard rows and busy nanos, merge time, skew — into a persistent
-	// shard heatmap. Attach one with (*Store).SetQueryProfiler or
-	// WithQueryProfiler; views inherit it. Profiling reads real CPU only:
-	// charged cost, stdout tables, and DOT output are byte-identical with
-	// it on or off. A nil *QueryProfiler is a safe no-op everywhere.
-	QueryProfiler = qprof.Profiler
-	// QueryProfile is a point-in-time profiler snapshot (JSON-shaped):
-	// totals, per-kind aggregates, skew quantiles, per-shard heat, and the
-	// shard×epoch heatmap cells.
-	QueryProfile = qprof.Snapshot
-)
+// QueryProfiler is the query-profiler layer: it aggregates per-query
+// scatter-gather samples — fan-out, per-shard rows and busy nanos, merge
+// time, skew — into per-kind totals, skew quantiles and a ring of the most
+// recent samples; the per-shard heat the same samples feed is the store's
+// (ShardInfos). Attach one with (*Store).SetQueryProfiler or
+// WithQueryProfiler; views inherit it. Profiling reads real CPU only:
+// charged cost, stdout tables, and DOT output are byte-identical with it on
+// or off. A nil *QueryProfiler is a safe no-op everywhere.
+type QueryProfiler = qprof.Profiler
 
 // NewQueryProfiler returns an enabled scatter-gather query profiler.
 func NewQueryProfiler() *QueryProfiler { return qprof.New() }

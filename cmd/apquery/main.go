@@ -19,10 +19,11 @@
 // Like the other tools, -metrics serves /metrics (Prometheus) and
 // /debug/telemetry (JSON) for the process lifetime, and -pprof serves
 // net/http/pprof (sharing the -metrics mux when the addresses match).
-// -profile attaches a scatter-gather query profiler: the lookup's per-shard
-// breakdown (fanout, rows, busy time, merge time, skew) prints to stderr, and
-// with -metrics the live profile is also served at /debug/shards. The
-// profiler reads real CPU only — stdout is byte-identical with it on or off.
+// -profile attaches a scatter-gather query profiler: the lookup's breakdown
+// (per-kind totals, fanout, rows, busy time, merge time, skew, and its most
+// recent queries) prints to stderr, and with -metrics the live profile is
+// also served at /debug/shards. The profiler reads real CPU only — stdout is
+// byte-identical with it on or off.
 package main
 
 import (

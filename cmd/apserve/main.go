@@ -47,10 +47,11 @@
 //	GET  /api/v1/alerts, GET /healthz
 //	GET  /debug/shards                   shard layout + scatter-gather heat
 //
-// /debug/shards (also mirrored on the -metrics address) reports the live
-// snapshot's shard layout with per-shard heat counters and the daemon-wide
-// scatter-gather query profile: every session query is sampled into a
-// per-shard × epoch heatmap with fanout and skew quantiles.
+// /debug/shards (the same handler is mounted on the -metrics address) reports
+// the live snapshot's shard layout with per-shard heat counters (queries,
+// rows served, busy time) and the daemon-wide scatter-gather query profile:
+// every detection scan and session query is sampled into per-kind totals,
+// fan-out and skew quantiles.
 package main
 
 import (
@@ -227,9 +228,9 @@ func main() {
 	}
 	fmt.Printf("apserve: listening on http://%s (store %s)\n", bound, *dir)
 	if *metricsA != "" {
-		// Mirror the shard-heat profile on the metrics mux so operators
-		// scraping the side address can read it without touching the API.
-		reg.RegisterDebug("/debug/shards", srv.QueryProfiler().Handler())
+		// Mount the API's /debug/shards handler on the metrics mux too, so
+		// operators scraping the side address read the same body.
+		reg.RegisterDebug("/debug/shards", srv.ShardsHandler())
 		_, maddr, err := aptrace.ServeTelemetry(*metricsA, reg)
 		if err != nil {
 			log.Fatal(err)

@@ -28,7 +28,7 @@
 //
 // -qprof attaches the scatter-gather query profiler: every store query the
 // run issues is sampled (fanout, per-shard rows and busy time, merge time,
-// skew) and the end-of-run per-shard load summary goes to stderr. With
+// skew) and the end-of-run profile and per-shard load summary go to stderr. With
 // -metrics the live profile is served at /debug/shards. The profiler reads
 // real CPU only — stdout (the Table II summary, DOT output, charged costs)
 // is byte-identical with it on or off.
@@ -187,11 +187,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "opened store: %d events, %d objects\n", st.NumEvents(), st.NumObjects())
 	}
 
-	// qprofSummary prints the end-of-run per-shard load summary to stderr —
-	// never stdout, which stays byte-identical with -qprof on or off.
+	// qprofSummary prints the end-of-run profile and per-shard load summary
+	// to stderr — never stdout, which stays byte-identical with -qprof on or
+	// off. The per-shard lines are the store's routing heat, which the
+	// profiled queries fed; a store with one part has none.
 	qprofSummary := func() {
-		if qp != nil {
-			qp.WriteSummary(os.Stderr)
+		if qp == nil {
+			return
+		}
+		qp.WriteSummary(os.Stderr)
+		for _, sh := range st.ShardInfos() {
+			fmt.Fprintf(os.Stderr, "qprof: shard %2d  %8d queries, %10d rows, busy %10s\n",
+				sh.Shard, sh.Queries, sh.RowsServed, time.Duration(sh.BusyNs).Round(time.Microsecond))
 		}
 	}
 	if *alerts {

@@ -25,12 +25,6 @@ func untimed(s qprof.Snapshot) qprof.Snapshot {
 	for i := range s.Kinds {
 		s.Kinds[i].BusyNs, s.Kinds[i].MergeNs = 0, 0
 	}
-	for i := range s.Shards {
-		s.Shards[i].BusyNs = 0
-	}
-	for i := range s.Cells {
-		s.Cells[i].BusyNs = 0
-	}
 	return s
 }
 
@@ -79,8 +73,8 @@ func serveSample(t *testing.T, st *store.Store) (objs []event.ObjID, tos []int64
 // leaves that query's raw sample in Recent; those samples, applied one by one
 // by the fold the profiler used to have (ObserveBatchOracle), are the oracle.
 // All three profiles must agree on everything a profile counts: totals, kinds,
-// heat cells, hot objects, skew quantiles (these probes run inline, so skew is
-// the rows fallback) and the recent ring.
+// skew quantiles (these probes run inline, so skew is the rows fallback) and
+// the recent ring.
 func TestProfileAggregateMatchesPerSample(t *testing.T) {
 	for _, parts := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
@@ -132,7 +126,7 @@ func TestProfileAggregateMatchesPerSample(t *testing.T) {
 			oracle.ObserveBatchOracle(samples)
 
 			want := untimed(oracle.Snapshot())
-			if want.Queries != int64(len(samples)) || len(want.Cells) == 0 || len(want.Shards[0].Hottest) == 0 {
+			if want.Queries != int64(len(samples)) || len(want.Kinds) < 4 {
 				t.Fatalf("the oracle saw too little: %+v", want)
 			}
 			if parts > 1 && (want.Scattered == 0 || want.SkewMax == 0) {
@@ -148,39 +142,5 @@ func TestProfileAggregateMatchesPerSample(t *testing.T) {
 				t.Errorf("recent ring differs:\n got %+v\nwant %+v", got, want)
 			}
 		})
-	}
-}
-
-// TestAggregateFoldAcrossPrune crosses the hot-object table's bound, where
-// what survives depends on the order samples arrive in: however many samples
-// an aggregate holds when it is folded, the profiler prunes what the
-// per-sample fold prunes.
-func TestAggregateFoldAcrossPrune(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	samples := make([]qprof.Sample, 3*qprof.HotCap)
-	for i := range samples {
-		obj := int64(rng.Intn(2 * qprof.HotCap))
-		if i%3 > 0 {
-			obj = samples[i-1].Obj // runs of one object, as count-then-fetch makes them
-		}
-		rows := int64(rng.Intn(50))
-		samples[i] = qprof.Sample{Kind: qprof.KindBackward, Obj: obj, Epoch: int64(i / 5000), Fanout: 1, Rows: rows,
-			Shards: []qprof.ShardSample{{Shard: i / 7 % 2, Rows: rows}}}
-	}
-	oracle := qprof.New()
-	oracle.ObserveBatchOracle(samples)
-	want := oracle.Snapshot()
-	for _, every := range []int{1, 7, 256, len(samples)} {
-		p := qprof.New()
-		var agg qprof.Aggregate
-		for i := range samples {
-			if agg.Add(&samples[i]) == every {
-				p.Fold(&agg)
-			}
-		}
-		p.Fold(&agg)
-		if got := p.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Errorf("folding every %d samples: profile differs from the per-sample fold", every)
-		}
 	}
 }

@@ -1,8 +1,8 @@
 package qprof
 
 // ObserveBatchOracle is the fold the profiler shipped with until store views
-// began to aggregate: every sample applied to the totals, the skew ring, the
-// heatmap and the recent ring on its own, in order. It survives as the oracle
+// began to aggregate: every sample applied to the totals, the skew ring and
+// the recent ring on its own, in order. It survives as the oracle
 // TestProfileAggregateMatchesPerSample holds Aggregate and Fold to.
 func (p *Profiler) ObserveBatchOracle(batch []Sample) {
 	p.mu.Lock()
@@ -29,17 +29,6 @@ func (p *Profiler) ObserveBatchOracle(batch []Sample) {
 				p.skewN++
 			}
 		}
-		for _, ss := range s.Shards {
-			c := p.heat.cell(heatKey{shard: ss.Shard, epoch: s.Epoch})
-			c.accesses++
-			c.rows += ss.Rows
-			c.busyNs += ss.BusyNs
-			if s.Obj >= 0 && ss.Rows > 0 {
-				st := p.heat.hotStat(ss.Shard, s.Obj)
-				st.rows += ss.Rows
-				st.accesses++
-			}
-		}
 		r := &p.recent[p.recentN%recentRingCap]
 		shards := append(r.Shards[:0], s.Shards...)
 		*r = *s
@@ -47,6 +36,3 @@ func (p *Profiler) ObserveBatchOracle(batch []Sample) {
 		p.recentN++
 	}
 }
-
-// HotCap is the per-shard hot-object bound, for tests that cross it.
-const HotCap = hotCap

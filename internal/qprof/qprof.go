@@ -12,10 +12,10 @@
 // byte-identical with profiling on or off (enforced by differential tests in
 // internal/store).
 //
-// Samples aggregate into a shard heatmap: per-(shard, epoch) access counts,
-// rows, and busy nanos, plus each shard's hottest objects by rows walked.
-// The heatmap is deterministic in everything except timing fields: two runs
-// issuing the same queries produce identical access and row accounting.
+// Samples aggregate into per-kind totals, skew quantiles and a ring of the
+// most recent samples. Per-shard heat is the store's (store.ShardInfos), fed
+// by the same samples. Everything but the timing fields is deterministic: two
+// runs issuing the same queries produce identical query and row accounting.
 package qprof
 
 import (
@@ -67,7 +67,6 @@ type ShardSample struct {
 type Sample struct {
 	Kind       Kind          `json:"kind"`
 	Obj        int64         `json:"obj"`    // object ID; -1 for range queries (scan, matches)
-	Epoch      int64         `json:"epoch"`  // host×time routing epoch index of From
 	Fanout     int           `json:"fanout"` // shards touched (1 on a flat store)
 	Rows       int64         `json:"rows"`
 	PostingLen int64         `json:"posting_len,omitempty"`
@@ -136,38 +135,28 @@ func (t *totals) add(o *totals) {
 	}
 }
 
-// heatOp is what consecutive samples did to one (shard, epoch) cell of the
-// heatmap and, through hot of its accesses, to one of that shard's objects.
-type heatOp struct {
-	key           heatKey
-	obj           int64
-	accesses, hot int64 // hot: the accesses that count for the object (it is one, they walked rows)
-	rows, busyNs  int64
-}
-
 // Aggregate is a run of samples folded where they were made — a store view
 // keeps one, one goroutine by construction — so that the shared profiler's
-// lock, maps and cache lines are paid once per Fold and not once per query.
-// It holds what the samples sum to, their skews, what they did to the heatmap
-// in order — consecutive accesses to one cell for one object are one
-// operation, which changes nothing the bounded maps do: they prune only to
-// admit a new key — and the newest of them, raw, for Recent. A profiler fed
-// aggregates of any length ends up exactly where one fed sample by sample does.
+// lock and cache lines are paid once per Fold and not once per query. It
+// holds what the samples sum to, their skews, and the newest of them, raw,
+// for Recent. The caller writes each sample in place, into the slot Next
+// returns, and then calls Add. A profiler fed aggregates of any length ends
+// up exactly where one fed sample by sample does.
 type Aggregate struct {
 	totals
 	skews  []float64
-	ops    []heatOp
 	recent [recentRingCap]Sample // sample i of this aggregate in slot i%recentRingCap
 }
 
-// Add folds one sample in and returns how many a holds since the last Fold. s
-// and its Shards are the caller's to reuse.
-func (a *Aggregate) Add(s *Sample) int {
-	r := &a.recent[a.queries%recentRingCap]
-	shards := append(r.Shards[:0], s.Shards...)
-	*r = *s
-	r.Shards = shards
+// Next returns the slot of the aggregate's next sample. It still holds an
+// older sample: the caller overwrites every field, and reuses the storage of
+// its Shards if it keeps one, before it calls Add.
+func (a *Aggregate) Next() *Sample { return &a.recent[a.queries%recentRingCap] }
 
+// Add folds in the sample written into Next's slot and returns how many a
+// holds since the last Fold.
+func (a *Aggregate) Add() int {
+	s := a.Next()
 	k := kindAgg{1, s.Rows, s.BusyNs, s.MergeNs}
 	a.kindAgg.add(k)
 	if int(s.Kind) < len(a.byKind) {
@@ -179,22 +168,6 @@ func (a *Aggregate) Add(s *Sample) int {
 		a.scattered++
 		if sk := s.Skew(); sk > 0 {
 			a.skews = append(a.skews, sk)
-		}
-	}
-	// Object attribution uses the whole query's per-shard rows under the
-	// sample's object — range queries (scan, matches) carry Obj = -1 and skip
-	// the hot-object table.
-	for _, ss := range s.Shards {
-		key := heatKey{shard: ss.Shard, epoch: s.Epoch}
-		if n := len(a.ops); n == 0 || a.ops[n-1].key != key || a.ops[n-1].obj != s.Obj {
-			a.ops = append(a.ops, heatOp{key: key, obj: s.Obj})
-		}
-		op := &a.ops[len(a.ops)-1]
-		op.accesses++
-		op.rows += ss.Rows
-		op.busyNs += ss.BusyNs
-		if s.Obj >= 0 && ss.Rows > 0 {
-			op.hot++
 		}
 	}
 	return int(a.queries)
@@ -215,8 +188,7 @@ type Profiler struct {
 	recent  [recentRingCap]Sample
 	recentN int64
 
-	heat heatmap
-	one  Aggregate // Observe's: a sample arriving alone
+	one Aggregate // Observe's: a sample arriving alone
 }
 
 // New returns an empty profiler.
@@ -246,7 +218,11 @@ func (p *Profiler) Observe(s Sample) {
 		return
 	}
 	p.mu.Lock()
-	p.one.Add(&s)
+	r := p.one.Next()
+	shards := append(r.Shards[:0], s.Shards...)
+	*r = s
+	r.Shards = shards
+	p.one.Add()
 	p.fold(&p.one)
 	p.mu.Unlock()
 }
@@ -270,21 +246,6 @@ func (p *Profiler) fold(a *Aggregate) {
 		p.skews[p.skewN%skewRingCap] = sk
 		p.skewN++
 	}
-	var c *heatCell
-	for i := range a.ops {
-		op := &a.ops[i]
-		if i == 0 || op.key != a.ops[i-1].key { // else still c: nothing was admitted since
-			c = p.heat.cell(op.key)
-		}
-		c.accesses += op.accesses
-		c.rows += op.rows
-		c.busyNs += op.busyNs
-		if op.hot > 0 {
-			st := p.heat.hotStat(op.key.shard, op.obj)
-			st.rows += op.rows
-			st.accesses += op.hot
-		}
-	}
 	// Only the newest recentRingCap samples can survive in the recent ring.
 	for i := max(0, a.queries-recentRingCap); i < a.queries; i++ {
 		src, dst := &a.recent[i%recentRingCap], &p.recent[(p.recentN+i)%recentRingCap]
@@ -293,7 +254,7 @@ func (p *Profiler) fold(a *Aggregate) {
 		dst.Shards = shards
 	}
 	p.recentN += a.queries
-	a.totals, a.skews, a.ops = totals{}, a.skews[:0], a.ops[:0] // emptied, storage kept
+	a.totals, a.skews = totals{}, a.skews[:0] // emptied, storage kept
 }
 
 // skewSlice returns the retained skew values in a fresh sorted slice.

@@ -10,13 +10,13 @@ import (
 
 func sampleSeq() []Sample {
 	return []Sample{
-		{Kind: KindBackward, Obj: 7, Epoch: 3, Fanout: 2, Rows: 10, PostingLen: 12,
+		{Kind: KindBackward, Obj: 7, Fanout: 2, Rows: 10, PostingLen: 12,
 			Shards: []ShardSample{{Shard: 0, Rows: 6}, {Shard: 2, Rows: 4}}},
-		{Kind: KindBackward, Obj: 7, Epoch: 3, Fanout: 2, Rows: 8,
+		{Kind: KindBackward, Obj: 7, Fanout: 2, Rows: 8,
 			Shards: []ShardSample{{Shard: 0, Rows: 8}, {Shard: 2, Rows: 0}}},
-		{Kind: KindCountForward, Obj: 9, Epoch: 4, Fanout: 1, Rows: 3,
+		{Kind: KindCountForward, Obj: 9, Fanout: 1, Rows: 3,
 			Shards: []ShardSample{{Shard: 1, Rows: 3}}},
-		{Kind: KindScan, Obj: -1, Epoch: 3, Fanout: 3, Rows: 30,
+		{Kind: KindScan, Obj: -1, Fanout: 3, Rows: 30,
 			Shards: []ShardSample{{Shard: 0, Rows: 10}, {Shard: 1, Rows: 10}, {Shard: 2, Rows: 10}}},
 	}
 }
@@ -51,30 +51,13 @@ func TestAggregates(t *testing.T) {
 	if kinds["scan"].Queries != 1 || kinds["scan"].Rows != 30 {
 		t.Fatalf("scan agg %+v", kinds["scan"])
 	}
-	// Shard 0 saw samples 1, 2, 4: accesses 3, rows 6+8+10.
-	if len(sn.Shards) != 3 {
-		t.Fatalf("shards=%d, want 3", len(sn.Shards))
+	if kinds["count_forward"].Queries != 1 || kinds["count_forward"].Rows != 3 {
+		t.Fatalf("count_forward agg %+v", kinds["count_forward"])
 	}
-	s0 := sn.Shards[0]
-	if s0.Shard != 0 || s0.Accesses != 3 || s0.Rows != 24 {
-		t.Fatalf("shard0 %+v", s0)
-	}
-	// Hot objects: shard 0 object 7 walked 14 rows over 2 queries.
-	if len(s0.Hottest) == 0 || s0.Hottest[0].Obj != 7 || s0.Hottest[0].Rows != 14 {
-		t.Fatalf("shard0 hottest %+v", s0.Hottest)
-	}
-	// Cells: shard 0 epoch 3 has all three shard-0 accesses.
-	found := false
-	for _, c := range sn.Cells {
-		if c.Shard == 0 && c.Epoch == 3 {
-			found = true
-			if c.Accesses != 3 || c.Rows != 24 {
-				t.Fatalf("cell %+v", c)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("missing cell (0,3)")
+	// Three scattered samples; the first two are 6:4 and 8:0 by rows, the
+	// scan is even.
+	if sn.SkewP50 != 1.2 || sn.SkewMax != 2 {
+		t.Fatalf("skew p50/max = %v/%v, want 1.2/2", sn.SkewP50, sn.SkewMax)
 	}
 }
 
@@ -106,9 +89,10 @@ func TestSkew(t *testing.T) {
 	}
 }
 
-// TestHeatmapDeterminism feeds two profilers the same sequence and requires
-// identical snapshots (timing fields are zero here, so full equality).
-func TestHeatmapDeterminism(t *testing.T) {
+// TestSnapshotDeterminism feeds two profilers the same sequence and requires
+// identical snapshots and recent rings (timing fields are zero here, so full
+// equality).
+func TestSnapshotDeterminism(t *testing.T) {
 	a, b := New(), New()
 	for _, s := range sampleSeq() {
 		a.Observe(s)
@@ -116,24 +100,11 @@ func TestHeatmapDeterminism(t *testing.T) {
 	for _, s := range sampleSeq() {
 		b.Observe(s)
 	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if !reflect.DeepEqual(sa, sb) {
+	if sa, sb := a.Snapshot(), b.Snapshot(); !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("snapshots diverge:\n%+v\n%+v", sa, sb)
 	}
-}
-
-func TestHotPruneDeterminism(t *testing.T) {
-	feed := func(p *Profiler) {
-		for obj := int64(0); obj < hotCap+100; obj++ {
-			p.Observe(Sample{Kind: KindBackward, Obj: obj, Fanout: 1, Rows: obj % 97,
-				Shards: []ShardSample{{Shard: 0, Rows: obj % 97}}})
-		}
-	}
-	a, b := New(), New()
-	feed(a)
-	feed(b)
-	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
-		t.Fatal("hot-object pruning is not deterministic")
+	if ra, rb := a.Recent(), b.Recent(); !reflect.DeepEqual(ra, rb) || !reflect.DeepEqual(ra, sampleSeq()) {
+		t.Fatalf("recent rings diverge:\n%+v\n%+v", ra, rb)
 	}
 }
 
@@ -167,7 +138,7 @@ func TestHandlerJSON(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &sn); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
-	if sn.Queries != 4 || len(sn.Shards) != 3 {
+	if sn.Queries != 4 || len(sn.Kinds) != 3 {
 		t.Fatalf("decoded %+v", sn)
 	}
 }
@@ -194,7 +165,7 @@ func TestWriteBreakdown(t *testing.T) {
 	var buf bytes.Buffer
 	p.WriteBreakdown(&buf)
 	out := buf.String()
-	for _, want := range []string{"query profile:", "backward", "shard", "recent queries"} {
+	for _, want := range []string{"query profile:", "backward", "recent queries"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("breakdown missing %q:\n%s", want, out)
 		}
@@ -214,7 +185,7 @@ func BenchmarkNilObserve(b *testing.B) {
 
 func BenchmarkObserve(b *testing.B) {
 	p := New()
-	s := Sample{Kind: KindBackward, Obj: 1, Epoch: 2, Fanout: 2, Rows: 10,
+	s := Sample{Kind: KindBackward, Obj: 1, Fanout: 2, Rows: 10,
 		Shards: []ShardSample{{Shard: 0, Rows: 6}, {Shard: 1, Rows: 4}}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

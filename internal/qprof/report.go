@@ -18,8 +18,7 @@ type KindStat struct {
 }
 
 // Snapshot is a point-in-time render of the profiler: whole-run aggregates,
-// skew quantiles, per-kind stats, and the shard heatmap. It is what
-// /debug/shards serves.
+// skew quantiles and per-kind stats. It is the profile /debug/shards serves.
 type Snapshot struct {
 	ShardCount   int     `json:"shard_count"`
 	EpochSeconds int64   `json:"epoch_seconds"`
@@ -34,9 +33,7 @@ type Snapshot struct {
 	SkewP90      float64 `json:"skew_p90"`
 	SkewMax      float64 `json:"skew_max"`
 
-	Kinds  []KindStat  `json:"kinds,omitempty"`
-	Shards []ShardHeat `json:"shards,omitempty"`
-	Cells  []HeatCell  `json:"cells,omitempty"`
+	Kinds []KindStat `json:"kinds,omitempty"`
 }
 
 // Snapshot renders the profiler's current state. Safe on nil (zero snapshot).
@@ -75,7 +72,6 @@ func (p *Profiler) Snapshot() Snapshot {
 			BusyNs: a.busyNs, MergeNs: a.mergeNs,
 		})
 	}
-	sn.Cells, sn.Shards = p.heat.snapshot()
 	return sn
 }
 
@@ -90,8 +86,8 @@ func (p *Profiler) Handler() http.Handler {
 	})
 }
 
-// WriteSummary prints the compact end-of-run summary aptrace -qprof emits on
-// stderr: one header line plus per-shard heat lines.
+// WriteSummary prints the compact end-of-run summary line aptrace -qprof
+// emits on stderr.
 func (p *Profiler) WriteSummary(w io.Writer) {
 	if p == nil {
 		return
@@ -101,19 +97,10 @@ func (p *Profiler) WriteSummary(w io.Writer) {
 		sn.Queries, sn.Scattered, sn.Rows, sn.MeanFanout,
 		fmtNs(sn.BusyNs), fmtNs(sn.SavableNs), fmtNs(sn.MergeNs),
 		sn.SkewP50, sn.SkewP90, sn.SkewMax)
-	for _, sh := range sn.Shards {
-		hot := ""
-		if len(sh.Hottest) > 0 {
-			hot = fmt.Sprintf("  hottest obj %d (%d rows)", sh.Hottest[0].Obj, sh.Hottest[0].Rows)
-		}
-		fmt.Fprintf(w, "qprof: shard %2d  %8d accesses, %10d rows, busy %10s%s\n",
-			sh.Shard, sh.Accesses, sh.Rows, fmtNs(sh.BusyNs), hot)
-	}
 }
 
 // WriteBreakdown prints the per-query breakdown tables apquery -profile
-// shows: whole-run aggregates, per-kind totals, per-shard heat with hottest
-// objects, and the most recent samples.
+// shows: whole-run aggregates, per-kind totals, and the most recent samples.
 func (p *Profiler) WriteBreakdown(w io.Writer) {
 	if p == nil {
 		fmt.Fprintln(w, "qprof: no profiler attached")
@@ -130,20 +117,6 @@ func (p *Profiler) WriteBreakdown(w io.Writer) {
 		for _, k := range sn.Kinds {
 			fmt.Fprintf(w, "%-16s %10d %12d %12s %12s\n",
 				k.Kind, k.Queries, k.Rows, fmtNs(k.BusyNs), fmtNs(k.MergeNs))
-		}
-	}
-	if len(sn.Shards) > 0 {
-		fmt.Fprintf(w, "\n%-8s %10s %12s %12s  %s\n", "shard", "accesses", "rows", "busy", "hottest objects (obj:rows)")
-		for _, sh := range sn.Shards {
-			hot := ""
-			for i, h := range sh.Hottest {
-				if i > 0 {
-					hot += " "
-				}
-				hot += fmt.Sprintf("%d:%d", h.Obj, h.Rows)
-			}
-			fmt.Fprintf(w, "%-8d %10d %12d %12s  %s\n",
-				sh.Shard, sh.Accesses, sh.Rows, fmtNs(sh.BusyNs), hot)
 		}
 	}
 	if recent := p.Recent(); len(recent) > 0 {

@@ -49,7 +49,7 @@ type errorResponse struct {
 //	GET  /readyz                         readiness, per-component (200|503)
 //	GET  /ops                            operator summary: SLIs, watchdog, subscribers
 //	GET  /debug/journal                  lifecycle journal query (when enabled)
-//	GET  /debug/shards                   shard layout, heatmap, query profile
+//	GET  /debug/shards                   shard layout and heat, query profile
 //	GET  /metrics, /debug/*              the telemetry registry's mux
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -75,9 +75,13 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("GET /debug/journal", s.journal.Handler())
 	}
 	// More specific than /debug/, so it wins over the registry mux.
-	mux.Handle("GET /debug/shards", s.timed("shards", s.handleShards))
+	mux.Handle("GET /debug/shards", s.ShardsHandler())
 	return mux
 }
+
+// ShardsHandler serves GET /debug/shards. apserve mounts this one handler on
+// its -metrics mux as well, so both addresses serve the same body.
+func (s *Server) ShardsHandler() http.Handler { return s.timed("shards", s.handleShards) }
 
 // timed wraps a handler with a per-endpoint latency histogram
 // (aptrace_http_<name>_seconds). SSE streams are excluded — their duration

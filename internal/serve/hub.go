@@ -51,8 +51,8 @@ type hub struct {
 	// not had its first write yet; waiting says this one is among them.
 	opening *atomic.Int32
 	waiting atomic.Bool
-	// awaited is set by await, before the run starts, and cleared by the run
-	// goroutine alone in justOpened.
+	// awaited is set by await, before the run starts, and read and cleared by
+	// the run goroutine alone (Manager.execute's first nap, justOpened).
 	awaited bool
 
 	n    atomic.Int64                  // updates published; slots below it never change or move

@@ -448,6 +448,13 @@ func (m *Manager) execute(run *Run, alert *event.Event) {
 		run.slis.DetectToLaunch.Observe(wait.Seconds())
 	}
 	run.scope.Emit(obs.Info, obs.StageRunActive, "worker claimed", 0, wait)
+	if run.hub.awaited {
+		// Its submitter's next request, the one that opens the stream, reaches
+		// a saturated runtime only when a processor goes idle (see justOpened):
+		// the run naps once before it starts, as it does after that stream's
+		// first write.
+		time.Sleep(time.Microsecond)
+	}
 	defer func() {
 		m.mu.Lock()
 		tc.active--

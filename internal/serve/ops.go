@@ -135,8 +135,9 @@ var sliNames = map[string]string{
 }
 
 // shardsResponse is the GET /debug/shards body: the current snapshot's
-// physical shard layout next to the profiler's cumulative query-side view
-// (per-kind aggregates, skew quantiles, heatmap, hottest objects).
+// physical shard layout with each part's routing heat (queries, rows served,
+// busy time) next to the profiler's cumulative query-side view (per-kind
+// aggregates, skew quantiles).
 type shardsResponse struct {
 	ShardCount   int               `json:"shard_count"`
 	EpochSeconds int64             `json:"epoch_seconds"`

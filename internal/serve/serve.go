@@ -184,9 +184,11 @@ type Server struct {
 
 	// qp is the daemon's always-on scatter-gather profiler. It is attached
 	// to every snapshot (and inherited by the session views the manager
-	// builds), so /debug/shards sees detection scans and analyst sessions
-	// alike. Profiling reads real CPU only — charged cost, graphs, and
-	// update streams are byte-identical with it on or off.
+	// builds), so its per-kind totals on /debug/shards — and the per-shard
+	// heat the same samples feed into the snapshot's ShardInfos — count
+	// detection scans and analyst sessions alike. Profiling reads real CPU
+	// only: charged cost, graphs, and update streams are byte-identical with
+	// it on or off.
 	qp *qprof.Profiler
 
 	journal   *obs.Journal
@@ -353,9 +355,6 @@ func (s *Server) Journal() *obs.Journal { return s.journal }
 // Watchdog returns the self-watchdog (always built; ticking only when
 // Config.WatchdogEvery is positive).
 func (s *Server) Watchdog() *obs.Watchdog { return s.watch }
-
-// QueryProfiler returns the daemon's always-on scatter-gather profiler.
-func (s *Server) QueryProfiler() *qprof.Profiler { return s.qp }
 
 // newCorr mints the next correlation ID.
 func (s *Server) newCorr() string {

@@ -54,7 +54,7 @@ func (s *Store) IsReadOnlyFileRows(obj event.ObjID, from, to int64) (bool, int64
 	acc, durs := s.walkRuns(walkReadOnly, 0, runs, total)
 	rows := s.chargedRows(runs, acc, total)
 	s.charge(rows, from, to)
-	s.noteRuns(qprof.KindReadOnly, obj, from, runs, postingLen, rows, durs)
+	s.noteRuns(qprof.KindReadOnly, obj, runs, postingLen, rows, durs)
 	return acc.run < 0, rows, nil
 }
 
@@ -89,7 +89,7 @@ func (s *Store) IsWriteThroughRows(obj event.ObjID, from, to int64) (bool, int64
 		acc, durs := s.walkRuns(walkWriteThrough, 0, runs, total)
 		rows += s.chargedRows(runs, acc, total)
 		seen = seen || acc.nonLoad
-		b.split(runs, durs)
+		s.split(b, runs, durs)
 		postingLen += int64(n)
 		if acc.run >= 0 {
 			through = false
@@ -98,7 +98,7 @@ func (s *Store) IsWriteThroughRows(obj event.ObjID, from, to int64) (bool, int64
 	}
 	s.charge(rows, from, to)
 	if b != nil {
-		s.emit(qp, b, qprof.KindWriteThrough, int64(obj), from, rows, postingLen, 0)
+		s.emit(qp, b, qprof.KindWriteThrough, int64(obj), rows, postingLen, 0)
 	}
 	return seen && through, rows, nil
 }
@@ -114,7 +114,7 @@ func (s *Store) FlowAmount(src, dst event.ObjID, from, to int64) (int64, error) 
 	runs, postingLen, total := s.collect(scratch[:0], dst, false, from, to)
 	acc, durs := s.walkRuns(walkFlowAmount, src, runs, total)
 	s.charge(int64(total), from, to)
-	s.noteRuns(qprof.KindFlowAmount, dst, from, runs, postingLen, int64(total), durs)
+	s.noteRuns(qprof.KindFlowAmount, dst, runs, postingLen, int64(total), durs)
 	return acc.sum, nil
 }
 
@@ -142,7 +142,7 @@ func (s *Store) FileTimesRows(obj event.ObjID, from, to int64) (creation, lastMo
 	acc, durs := s.walkRuns(walkFileTimes, 0, runs, dstTotal+srcTotal)
 	rows = int64(dstTotal + srcTotal)
 	s.charge(rows, from, to)
-	s.noteRuns(qprof.KindFileTimes, obj, from, runs, dstLen+srcLen, rows, durs)
+	s.noteRuns(qprof.KindFileTimes, obj, runs, dstLen+srcLen, rows, durs)
 	return acc.created, acc.modified, acc.accessed, rows, nil
 }
 

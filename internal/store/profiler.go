@@ -30,20 +30,20 @@ func postingKind(forward, count bool) qprof.Kind {
 }
 
 // sampleBatchLen is how many samples a view folds into its aggregate before
-// it hands that to the shared profiler: the profiler's lock and heat maps are
-// touched a few hundred times less often, and /debug/shards trails a running
-// view by a fraction of a millisecond.
+// it hands that to the shared profiler: the profiler's lock is taken a few
+// hundred times less often, and /debug/shards trails a running view by a
+// fraction of a millisecond.
 const sampleBatchLen = 256
 
 // sampleBatch is a store's scratch for profiling a query: the per-shard split
 // of the query under way, and on a view — one run's handle on the store, one
-// goroutine by construction — the aggregate its samples are folded into until
+// goroutine by construction — the aggregate its samples are written into until
 // sampleBatchLen are due or FlushQueryProfile says the run is over. Nothing is
 // allocated per query once the buffers have grown. A root store, which promises
 // safe concurrent readers, borrows one per query and delivers the sample at once.
 type sampleBatch struct {
 	agg    qprof.Aggregate
-	shards []qprof.ShardSample // the split of the query under way
+	shards []qprof.ShardSample // the split of the query under way; kept only with several parts
 	rows   []int64             // per-part rows handed to the scatter observer
 }
 
@@ -72,9 +72,10 @@ func (s *Store) sampling() (*qprof.Profiler, *sampleBatch) {
 // split adds the per-run (shard, rows, busy) of a probe to the query's split,
 // before a merge consumes the run cursors. durs holds scatter-measured busy
 // nanos indexed like runs; nil means the probe ran inline and untimed. A nil
-// batch (nobody listens) takes nothing.
-func (b *sampleBatch) split(runs []run, durs []int64) {
-	if b == nil {
+// batch (nobody listens) and a store with one part, whose split is the whole
+// query, take nothing.
+func (s *Store) split(b *sampleBatch, runs []run, durs []int64) {
+	if b == nil || len(s.parts) == 1 {
 		return
 	}
 	for i, r := range runs {
@@ -95,77 +96,67 @@ func (s *Store) FlushQueryProfile() {
 	}
 }
 
-// sample fills in the query's sample from its split: the routing epoch, the
-// busy and savable totals, and the fan-out, the distinct shards touched
-// (FileTimes and write-through walk two endpoint indexes, so a shard may appear
-// twice). A store with one part reports what unpartitioned stores always have,
-// empty probes included — a fan-out of one onto shard 0 in epoch 0 carrying the
-// charged rows — so profiles compare across layouts. obj is -1 for range queries.
-func (s *Store) sample(smp *qprof.Sample, b *sampleBatch, kind qprof.Kind, obj, from, rows, postingLen, mergeNs int64) {
-	*smp = qprof.Sample{Kind: kind, Obj: obj, Fanout: 1, Rows: rows, PostingLen: postingLen, MergeNs: mergeNs}
-	if len(s.parts) == 1 {
-		b.shards = append(b.shards[:0], qprof.ShardSample{Rows: rows})
-	} else {
-		var busy, longest int64
+// emit closes a query's sample and hands it on. With several parts it reads
+// the split: each part's share goes to the routing heat ShardInfos reports and
+// to the scatter observer, and the sample gets the busy and savable totals and
+// the fan-out, the distinct shards touched (FileTimes and write-through walk
+// two endpoint indexes, so a shard may appear twice). A store with one part
+// reports what unpartitioned stores always have, empty probes included — a
+// fan-out of one carrying the charged rows — so profiles compare across
+// layouts. obj is -1 for range queries.
+//
+// A view writes the sample straight into its aggregate's next slot, the split
+// changing places with the slot's old storage, and hands the aggregate to the
+// profiler when it is full; a root store delivers the sample at once and its
+// batch of one query goes back to the pool. Either the profiler or the scatter
+// observer may be missing, not both: sampling returned a batch.
+func (s *Store) emit(qp *qprof.Profiler, b *sampleBatch, kind qprof.Kind, obj, rows, postingLen, mergeNs int64) {
+	fanout, busy, savable := 1, int64(0), int64(0)
+	if len(s.parts) > 1 {
+		var longest int64
 		var mask uint64 // MaxShards = 64 makes a word-sized set exact
 		for _, ss := range b.shards {
-			busy += ss.BusyNs
-			longest = max(longest, ss.BusyNs)
-			mask |= 1 << uint(ss.Shard)
-		}
-		smp.Epoch, smp.Fanout = floorDiv(from, s.ShardEpochSeconds()), bits.OnesCount64(mask)
-		if busy > 0 {
-			smp.BusyNs, smp.SavableNs = busy, busy-longest
-		}
-	}
-	smp.Shards = b.shards
-}
-
-// deliver hands the sample to the profiler (nil: nobody): a view folds it
-// into its aggregate and hands that over when it is full, a root store
-// delivers at once and its batch of one query goes back to the pool.
-func (s *Store) deliver(qp *qprof.Profiler, b *sampleBatch, smp *qprof.Sample) {
-	switch {
-	case !s.isView:
-		qp.Observe(*smp)
-		rootBatches.Put(b)
-	case qp != nil && b.agg.Add(smp) >= sampleBatchLen:
-		qp.Fold(&b.agg)
-	}
-}
-
-// emit closes a query's sample, adds its split to the routing heat ShardInfos
-// reports, and hands it to the scatter observer and the profiler (either may
-// be missing, not both: sampling returned a batch).
-func (s *Store) emit(qp *qprof.Profiler, b *sampleBatch, kind qprof.Kind, obj, from, rows, postingLen, mergeNs int64) {
-	var smp qprof.Sample
-	s.sample(&smp, b, kind, obj, from, rows, postingLen, mergeNs)
-	if len(s.parts) > 1 { // one part has no spread to keep heat of
-		for _, ss := range smp.Shards {
 			p := s.parts[ss.Shard]
 			p.queries.Add(1)
 			p.rows.Add(ss.Rows)
 			if ss.BusyNs != 0 { // an inline probe is untimed: spare the part's cache line the third trip
 				p.busyNs.Add(ss.BusyNs)
 			}
+			busy += ss.BusyNs
+			longest = max(longest, ss.BusyNs)
+			mask |= 1 << uint(ss.Shard)
+		}
+		fanout, savable = bits.OnesCount64(mask), busy-longest
+		if obs := s.scatterObs; obs != nil {
+			b.rows = slices.Grow(b.rows[:0], len(s.parts))[:len(s.parts)]
+			clear(b.rows)
+			for _, ss := range b.shards {
+				b.rows[ss.Shard] += ss.Rows
+			}
+			obs(fanout, b.rows)
 		}
 	}
-	if obs := s.scatterObs; obs != nil {
-		b.rows = slices.Grow(b.rows[:0], len(s.parts))[:len(s.parts)]
-		clear(b.rows)
-		for _, ss := range smp.Shards {
-			b.rows[ss.Shard] += ss.Rows
+	switch {
+	case !s.isView:
+		qp.Observe(qprof.Sample{Kind: kind, Obj: obj, Fanout: fanout, Rows: rows,
+			PostingLen: postingLen, MergeNs: mergeNs, BusyNs: busy, SavableNs: savable, Shards: b.shards})
+		rootBatches.Put(b)
+	case qp != nil:
+		smp := b.agg.Next()
+		smp.Kind, smp.Obj, smp.Fanout, smp.Rows = kind, obj, fanout, rows
+		smp.PostingLen, smp.MergeNs, smp.BusyNs, smp.SavableNs = postingLen, mergeNs, busy, savable
+		smp.Shards, b.shards = b.shards, smp.Shards[:0]
+		if b.agg.Add() >= sampleBatchLen {
+			qp.Fold(&b.agg)
 		}
-		obs(smp.Fanout, b.rows)
 	}
-	s.deliver(qp, b, &smp)
 }
 
 // noteRuns emits the sample of an attribute walk, whose runs are still
 // intact (the posting merge snapshots earlier).
-func (s *Store) noteRuns(kind qprof.Kind, obj event.ObjID, from int64, runs []run, postingLen int, rows int64, durs []int64) {
+func (s *Store) noteRuns(kind qprof.Kind, obj event.ObjID, runs []run, postingLen int, rows int64, durs []int64) {
 	if qp, b := s.sampling(); b != nil {
-		b.split(runs, durs)
-		s.emit(qp, b, kind, int64(obj), from, rows, int64(postingLen), 0)
+		s.split(b, runs, durs)
+		s.emit(qp, b, kind, int64(obj), rows, int64(postingLen), 0)
 	}
 }

@@ -161,21 +161,27 @@ func stripBusy(s qprof.Snapshot) qprof.Snapshot {
 	for i := range s.Kinds {
 		s.Kinds[i].BusyNs, s.Kinds[i].MergeNs = 0, 0
 	}
-	for i := range s.Shards {
-		s.Shards[i].BusyNs = 0
-	}
-	for i := range s.Cells {
-		s.Cells[i].BusyNs = 0
-	}
 	return s
+}
+
+// stripBusySamples zeroes the real-CPU fields of samples, likewise.
+func stripBusySamples(ss []qprof.Sample) []qprof.Sample {
+	for i := range ss {
+		ss[i].MergeNs, ss[i].BusyNs, ss[i].SavableNs = 0, 0, 0
+		for j := range ss[i].Shards {
+			ss[i].Shards[j].BusyNs = 0
+		}
+	}
+	return ss
 }
 
 // TestQprofHeatmapDeterminism replays the same query sequence against two
 // profiled copies of the same sharded store: everything the profiler counts
-// (accesses, rows, heatmap cells, hottest objects) must match exactly.
+// (queries and rows, in total and per kind, and the recent samples with
+// their per-shard splits) must match exactly.
 func TestQprofHeatmapDeterminism(t *testing.T) {
 	evs := randomWorkload(77, 5, 3000)
-	run := func() qprof.Snapshot {
+	run := func() (qprof.Snapshot, []qprof.Sample) {
 		clk := simclock.NewSimulated(time.Time{})
 		s := buildWorkload(t, evs, clk, WithShards(4), WithShardEpoch(500))
 		p := qprof.New()
@@ -189,14 +195,50 @@ func TestQprofHeatmapDeterminism(t *testing.T) {
 			s.IsReadOnlyFileRows(obj, minT, maxT+1)
 			s.FileTimesRows(obj, minT, maxT+1)
 		}
-		return stripBusy(p.Snapshot())
+		return stripBusy(p.Snapshot()), stripBusySamples(p.Recent())
 	}
-	a, b := run(), run()
+	a, ra := run()
+	b, rb := run()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("heatmap diverged between identical runs:\n%+v\n%+v", a, b)
+		t.Fatalf("profile diverged between identical runs:\n%+v\n%+v", a, b)
 	}
-	if len(a.Cells) == 0 || len(a.Shards) == 0 {
-		t.Fatalf("empty heatmap: %+v", a)
+	if !reflect.DeepEqual(ra, rb) {
+		t.Fatalf("recent samples diverged between identical runs:\n%+v\n%+v", ra, rb)
+	}
+	if a.Queries == 0 || len(a.Kinds) == 0 || a.Scattered == 0 || len(ra) == 0 {
+		t.Fatalf("empty profile: %+v", a)
+	}
+}
+
+// TestScanFeedsShardHeat runs a Scan over a four-part store with a profiler
+// attached: each part's routing heat in ShardInfos advances by one query and
+// by exactly the rows of the window that part holds, like every other verb's.
+func TestScanFeedsShardHeat(t *testing.T) {
+	evs := randomWorkload(31, 5, 3000)
+	s := buildWorkload(t, evs, simclock.NewSimulated(time.Time{}), WithShards(4), WithShardEpoch(500))
+	s.SetQueryProfiler(qprof.New())
+	minT, maxT, _ := s.TimeRange()
+	from, to := minT+(maxT-minT)/4, maxT-(maxT-minT)/4
+	want := make([]int64, s.ShardCount())
+	for i, p := range s.parts {
+		for _, e := range p.events {
+			if e.Time >= from && e.Time < to {
+				want[i]++
+			}
+		}
+	}
+	before := s.ShardInfos()
+	if err := s.Scan(from, to, func(event.Event) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	for i, after := range s.ShardInfos() {
+		queries, rows := after.Queries-before[i].Queries, after.RowsServed-before[i].RowsServed
+		if rows != want[i] || queries != min(want[i], 1) {
+			t.Errorf("part %d: scan added %d queries and %d rows, want %d and %d", i, queries, rows, min(want[i], 1), want[i])
+		}
+	}
+	if n := s.QueryProfiler().Snapshot().Queries; n != 1 {
+		t.Fatalf("profiler saw %d queries, want 1", n)
 	}
 }
 
@@ -225,30 +267,5 @@ func BenchmarkQueryNilProfiler(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.CountBackward(event.ObjID(i%s.NumObjects()), minT, maxT+1)
-	}
-}
-
-// BenchmarkQueryWithProfiler measures the same query as a run pays for it
-// with a live profiler attached: on a view, which folds its samples into its
-// aggregate and hands that to the profiler (heatmap upkeep) a batch at a
-// time — on one part, the layout every served run of the repository's
-// benchmark queries, and on four. It must not allocate.
-func BenchmarkQueryWithProfiler(b *testing.B) {
-	for name, opts := range map[string][]Option{"flat": nil, "shards=4": {WithShards(4), WithShardEpoch(500)}} {
-		b.Run(name, func(b *testing.B) {
-			s := benchStore(b, opts...)
-			s.SetQueryProfiler(qprof.New())
-			v, err := s.View(nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			minT, maxT, _ := v.TimeRange()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v.CountBackward(event.ObjID(i%v.NumObjects()), minT, maxT+1)
-			}
-			v.FlushQueryProfile()
-		})
 	}
 }

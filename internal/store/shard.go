@@ -601,13 +601,15 @@ func (s *Store) CollectMatches(from, to int64, newPred func() func(event.Event) 
 			return
 		}
 		for i := range legs {
-			ss := qprof.ShardSample{Shard: legs[i].sid, Rows: legs[i].rows}
-			if durs != nil {
-				ss.BusyNs = durs[i]
+			if len(s.parts) > 1 { // one part's split is the whole query
+				ss := qprof.ShardSample{Shard: legs[i].sid, Rows: legs[i].rows}
+				if durs != nil {
+					ss.BusyNs = durs[i]
+				}
+				b.shards = append(b.shards, ss)
 			}
-			b.shards = append(b.shards, ss)
 		}
-		s.emit(qp, b, qprof.KindMatches, -1, from, rows, 0, mergeNs)
+		s.emit(qp, b, qprof.KindMatches, -1, rows, 0, mergeNs)
 	}
 	if failed >= 0 {
 		emit(0)

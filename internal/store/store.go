@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -124,8 +125,8 @@ type Store struct {
 	scatterObs ScatterObserver
 
 	// qp is the attached query profiler. Unlike the observers above it is
-	// SHARED by views — batch triage and fleet runs aggregate into one shard
-	// heatmap — and is an atomic pointer so a serving daemon can attach it to
+	// SHARED by views — batch triage and fleet runs aggregate into one
+	// profile — and is an atomic pointer so a serving daemon can attach it to
 	// refreshed snapshots while queries run. A nil profiler costs one atomic
 	// load per query.
 	qp atomic.Pointer[qprof.Profiler]
@@ -302,7 +303,7 @@ func (s *Store) SetScatterObserver(fn ScatterObserver) {
 
 // SetQueryProfiler attaches (or detaches, with nil) a scatter-gather query
 // profiler. Unlike the cost observer the profiler is shared by existing and
-// future views — a fleet aggregates one shard heatmap — and attachment is
+// future views — a fleet aggregates one profile — and attachment is
 // atomic, so a daemon may attach to a store already serving queries.
 // Profiling observes real CPU only: charged cost, Stats, and query results
 // are byte-identical with the profiler attached or nil.
@@ -517,7 +518,7 @@ func (s *Store) appendPosting(buf []event.Event, obj event.ObjID, forward bool, 
 	s.noteProbe(postingLen, len(runs))
 	// Snapshot per-part rows before the merge consumes the run cursors.
 	qp, b := s.sampling()
-	b.split(runs, nil)
+	s.split(b, runs, nil)
 	if need := len(buf) + rows; need > cap(buf) {
 		grown := make([]event.Event, len(buf), need)
 		copy(grown, buf)
@@ -547,7 +548,7 @@ func (s *Store) appendPosting(buf []event.Event, obj event.ObjID, forward bool, 
 	}
 	s.charge(int64(rows), from, to)
 	if b != nil {
-		s.emit(qp, b, postingKind(forward, false), int64(obj), from, int64(rows), int64(postingLen), mergeNs)
+		s.emit(qp, b, postingKind(forward, false), int64(obj), int64(rows), int64(postingLen), mergeNs)
 	}
 	return buf, nil
 }
@@ -568,14 +569,14 @@ func (s *Store) countPosting(obj event.ObjID, forward bool, from, to int64) (int
 		if lo < hi {
 			rows += int(hi - lo)
 			fanout++
-			if b != nil {
+			if b != nil && len(s.parts) > 1 {
 				b.shards = append(b.shards, qprof.ShardSample{Shard: pi, Rows: int64(hi - lo)})
 			}
 		}
 	}
 	s.noteProbe(postingLen, fanout)
 	if b != nil {
-		s.emit(qp, b, postingKind(forward, true), int64(obj), from, int64(rows), int64(postingLen), 0)
+		s.emit(qp, b, postingKind(forward, true), int64(obj), int64(rows), int64(postingLen), 0)
 	}
 	return rows, nil
 }
@@ -638,12 +639,15 @@ func (s *Store) Scan(from, to int64, fn func(event.Event) bool) error {
 		return ErrNotSealed
 	}
 	rows := int64(0)
-	// With a profiler attached, attribute scanned rows to the part each
-	// event lives in; real CPU only.
+	// Observed, a scan over several parts counts its rows into a split slot
+	// per part, dropping the parts it did not touch before the emit.
 	qp, b := s.sampling()
-	var perPart []int64
-	if qp != nil {
-		perPart = make([]int64, len(s.parts))
+	var perPart []qprof.ShardSample
+	if b != nil && len(s.parts) > 1 {
+		perPart = slices.Grow(b.shards[:0], len(s.parts))[:len(s.parts)]
+		for i := range perPart {
+			perPart[i] = qprof.ShardSample{Shard: i}
+		}
 	}
 	lo := sort.Search(s.total, func(i int) bool { return s.at(s.dir[i]).Time >= from })
 	for i := lo; i < s.total; i++ {
@@ -653,22 +657,16 @@ func (s *Store) Scan(from, to int64, fn func(event.Event) bool) error {
 		}
 		rows++
 		if perPart != nil {
-			perPart[s.dir[i]>>32]++
+			perPart[s.dir[i]>>32].Rows++
 		}
 		if !fn(*e) {
 			break
 		}
 	}
 	s.charge(rows, from, to)
-	if qp != nil {
-		for sid, r := range perPart {
-			if r > 0 {
-				b.shards = append(b.shards, qprof.ShardSample{Shard: sid, Rows: r})
-			}
-		}
-		var smp qprof.Sample
-		s.sample(&smp, b, qprof.KindScan, -1, from, rows, 0, 0)
-		s.deliver(qp, b, &smp)
+	if b != nil {
+		b.shards = slices.DeleteFunc(perPart, func(ss qprof.ShardSample) bool { return ss.Rows == 0 })
+		s.emit(qp, b, qprof.KindScan, -1, rows, 0, 0)
 	}
 	return nil
 }
