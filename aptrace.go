@@ -53,7 +53,6 @@ import (
 	"aptrace/internal/store"
 	"aptrace/internal/suggest"
 	"aptrace/internal/telemetry"
-	"aptrace/internal/timeline"
 	"aptrace/internal/workload"
 )
 
@@ -106,32 +105,14 @@ type (
 	TelemetrySnapshot = telemetry.Snapshot
 )
 
-// Timeline layer: the run profiler and responsiveness SLO watchdog.
-type (
-	// TimelineProfiler owns the lanes of one profiled run (or fleet of
-	// runs) — each lane a name bound to a run's ExplainRecorder — and
-	// exports them as a Chrome trace-event JSON file Perfetto can load. See
-	// NewTimeline.
-	TimelineProfiler = timeline.Profiler
-	// TimelineOptions configure a profiler (SLO gap target, stall factor,
-	// telemetry registry for the stall counter).
-	TimelineOptions = timeline.Options
-	// TimelineReport is the end-of-run SLO summary across every lane.
-	TimelineReport = timeline.Report
-	// TimelineStall is one watchdog hit: an inter-update gap that exceeded
-	// the stall limit, with the heaviest query of the gap as the suspected
-	// offender.
-	TimelineStall = explain.Stall
-)
-
 // Explain layer: the run log.
 type (
 	// ExplainRecorder is a run's log, a ring-buffered record of every
 	// decision the analysis made; attach one per analysis through
-	// ExecOptions.Explain. EXPLAIN answers come from it, and a profiler
-	// lane's trace and SLO report when TimelineProfiler.Lane bound it. A nil
-	// *ExplainRecorder disables recording at the cost of one pointer test
-	// per decision.
+	// ExecOptions.Explain. EXPLAIN answers come from it, and so do the run's
+	// Chrome trace and SLO report once it is bound as a lane (aptrace
+	// -timeline). A nil *ExplainRecorder disables recording at the cost of
+	// one pointer test per decision.
 	ExplainRecorder = explain.Recorder
 	// ExplainRecord is one retained decision record.
 	ExplainRecord = explain.Record
@@ -221,12 +202,6 @@ const (
 	// DefaultWindows is the default execution-window count k (the paper's
 	// empirical value).
 	DefaultWindows = core.DefaultWindows
-
-	// DefaultGapTarget is the SLO watchdog's default inter-update gap
-	// target (Table II's p95 for APTrace); DefaultStallFactor scales it
-	// into the stall limit.
-	DefaultGapTarget   = timeline.DefaultGapTarget
-	DefaultStallFactor = timeline.DefaultStallFactor
 
 	// Resume actions returned by Session.UpdateScript.
 	ActionRestart     = refiner.Restart
@@ -362,22 +337,6 @@ func NewFleet(workers int, reg *Telemetry) *Fleet { return fleet.New(workers, re
 // batch and is returned wrapped with its job index.
 func FleetMap[T any](p *Fleet, n int, job func(int) (T, error)) ([]T, error) {
 	return fleet.Map(p, n, job)
-}
-
-// NewTimeline returns a run timeline profiler: make each analysis's log a
-// lane (Lane, or Lanes to allocate the logs too), attach it through
-// ExecOptions.Explain, then export with WriteTrace or serve live via Handler
-// at /debug/timeline. The zero Options value uses the paper-derived SLO
-// defaults.
-func NewTimeline(opts TimelineOptions) *TimelineProfiler { return timeline.New(opts) }
-
-// FleetMapTimeline is FleetMap with one profiler lane — a run log — per job,
-// allocated as a contiguous block before any job runs so the exported trace
-// does not depend on scheduling. A nil profiler hands every job a nil (free)
-// log.
-func FleetMapTimeline[T any](p *Fleet, n int, tl *TimelineProfiler, name string,
-	job func(i int, lane *ExplainRecorder) (T, error)) ([]T, error) {
-	return fleet.MapTimeline(p, n, tl, name, job)
 }
 
 // RunBaseline performs classic King-Chen execute-to-complete backtracking,

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"aptrace"
+	"aptrace/internal/explain"
 )
 
 // testStore generates the fixture's history into a store of the given part
@@ -74,7 +77,7 @@ func TestDotPathsCollision(t *testing.T) {
 // attached was exercised; the timeline's trace must also be byte-identical at
 // one worker and at four, one lane per alert.
 func TestBatchMemoByteIdentical(t *testing.T) {
-	run := func(t *testing.T, st *aptrace.Store, workers int, explArg string, tl *aptrace.TimelineProfiler, cache *aptrace.MemoCache) (string, map[string]string) {
+	run := func(t *testing.T, st *aptrace.Store, workers int, explArg string, tl *timeline, cache *aptrace.MemoCache) (string, map[string]string) {
 		t.Helper()
 		dir := t.TempDir()
 		src := fmt.Sprintf(`backward proc p[exename = "explorer*"] -> *
@@ -138,19 +141,19 @@ output = %q`, filepath.Join(dir, "graph.dot"))
 			return run(t, flat, 4, "all", nil, nil)
 		}},
 		{"timeline", func(t *testing.T) (string, map[string]string) {
-			// Lanes are allocated by alert index before any run starts, so
-			// the trace cannot depend on scheduling: one worker and four
-			// export the same bytes.
+			// Lanes are bound by alert index before any run starts, so the
+			// trace cannot depend on scheduling: one worker and four export
+			// the same bytes.
 			var traces [2]bytes.Buffer
 			var out string
 			var dots map[string]string
 			for i, workers := range []int{1, 4} {
-				tl := aptrace.NewTimeline(aptrace.TimelineOptions{})
+				tl := &timeline{target: explain.DefaultGapTarget}
 				out, dots = run(t, flat, workers, "", tl, nil)
-				if rep := tl.Report(); len(rep.Lanes) != len(plainDots) || rep.Updates == 0 {
+				if rep := explain.NewReport(tl.target, tl.logs()); len(rep.Lanes) != len(plainDots) || rep.Updates == 0 {
 					t.Errorf("%d workers: timeline recorded %d lanes and %d updates for %d alerts", workers, len(rep.Lanes), rep.Updates, len(plainDots))
 				}
-				if err := tl.WriteTrace(&traces[i]); err != nil {
+				if err := explain.WriteTrace(&traces[i], tl.logs()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -181,5 +184,66 @@ output = %q`, filepath.Join(dir, "graph.dot"))
 				}
 			}
 		})
+	}
+}
+
+// TestTimelineHandlerServesBatchLanes: the CLI mounts /debug/timeline before
+// a batch has found its alerts, and runBatch binds their lanes later. The
+// handler must serve a valid trace all along — polled while the batch runs,
+// as a live viewer would — and, once the lanes are bound, every one of them:
+// the trace the run writes at exit.
+func TestTimelineHandlerServesBatchLanes(t *testing.T) {
+	tl := &timeline{target: explain.DefaultGapTarget}
+	h := explain.TraceHandler(tl.logs)
+	get := func() []byte {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/timeline", nil))
+		return rr.Body.Bytes()
+	}
+	if before := get(); bytes.Contains(before, []byte(`"thread_name"`)) {
+		t.Fatalf("trace before the batch has lanes: %s", before)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if err := explain.Validate(get()); err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	src := `backward proc p[exename = "explorer*"] -> *
+where time <= 30mins`
+	var out bytes.Buffer
+	err := runBatch(&out, testStore(t, 1), src, 8, 4, true, nil, "", tl, nil)
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lanes := tl.logs()
+	if rows := strings.Count(out.String(), "\n") - 1; len(lanes) == 0 || len(lanes) != rows {
+		t.Fatalf("%d lanes bound for %d alerts", len(lanes), rows)
+	}
+	var want bytes.Buffer
+	if err := explain.WriteTrace(&want, lanes); err != nil {
+		t.Fatal(err)
+	}
+	got := get()
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("handler serves %d bytes, the batch's trace is %d", len(got), want.Len())
+	}
+	if n := bytes.Count(got, []byte(`"thread_name"`)); n != len(lanes) {
+		t.Errorf("served trace names %d lanes, want %d", n, len(lanes))
 	}
 }

@@ -37,15 +37,15 @@
 // analysis time in modeled database-latency terms; without it, timings are
 // wall clock (the store is in memory, so they are near zero).
 //
-// With -timeline, the run (or every batch alert, one lane each) is profiled
-// into a run timeline: window lifecycle, query costs, graph updates, and
-// session pauses, exported as Chrome trace-event JSON (load the file in
+// With -timeline, the run's log (or every batch alert's, one lane each) is
+// read back as its timeline: window lifecycle, query costs, graph updates,
+// and session pauses, exported as Chrome trace-event JSON (load the file in
 // ui.perfetto.dev) and served live at /debug/timeline when -metrics is on.
-// The SLO watchdog flags any inter-update gap beyond 3x the -slo target and
-// the end-of-run report (stderr) names the offending query, correlated with
-// -explain decision records when both are enabled. -explain and -timeline
-// read the same run log: either flag attaches it, each selects its own
-// output.
+// The SLO watchdog flags any inter-update gap beyond 3x the -slo target (9s
+// when not positive) and the end-of-run report (stderr) names the offending
+// query, correlated with -explain decision records when both are enabled.
+// -explain and -timeline read the same run log: either flag attaches it,
+// each selects its own output.
 package main
 
 import (
@@ -57,9 +57,11 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"aptrace"
+	"aptrace/internal/explain"
 	"aptrace/internal/repl"
 	"aptrace/internal/stats"
 )
@@ -82,7 +84,7 @@ func main() {
 		explArg   = flag.String("explain", "", "attach the run log and explain the result from it: an object ID, \"all\" (every graph node), \"frontier\" (pruned candidates), or \"on\" (record only, for -interactive); explanations go to stderr")
 		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address (shares the -metrics mux when the addresses match)")
 		timelineF = flag.String("timeline", "", "attach the run log and profile the run(s) from it into a timeline; write the Chrome trace-event JSON to this path")
-		gap       = flag.Duration("slo", aptrace.DefaultGapTarget, "SLO inter-update gap target for the -timeline watchdog")
+		gap       = flag.Duration("slo", explain.DefaultGapTarget, "SLO inter-update gap target for the -timeline watchdog")
 		shards    = flag.Int("shards", 0, "override the store's persisted host×time shard count at open (0 = keep, 1 = flatten)")
 		qprofOn   = flag.Bool("qprof", false, "profile scatter-gather queries; the per-shard load summary goes to stderr at end of run (stdout is byte-identical either way)")
 	)
@@ -114,13 +116,25 @@ func main() {
 		// happen before ServeTelemetry builds the mux.
 		reg.RegisterDebug("/debug/explain", rec.Handler())
 	}
-	var tl *aptrace.TimelineProfiler
+	var tl *timeline
 	if *timelineF != "" {
-		tl = aptrace.NewTimeline(aptrace.TimelineOptions{GapTarget: *gap, Telemetry: reg})
+		tl = &timeline{target: *gap}
+		if tl.target <= 0 {
+			tl.target = explain.DefaultGapTarget
+		}
+		// The run's log is the one lane; a batch binds one per alert once it
+		// has found them (runBatch).
+		if *inter || !*batch {
+			lane := "run"
+			if *inter {
+				lane = "console"
+			}
+			tl.publish([]*explain.Recorder{rec}, func(int) string { return lane })
+		}
 		// Live view of the trace, same mux rule as /debug/explain.
-		reg.RegisterDebug("/debug/timeline", tl.Handler())
+		reg.RegisterDebug("/debug/timeline", explain.TraceHandler(tl.logs))
 	}
-	// writeTimeline exports the profiler's trace and prints the SLO report to
+	// writeTimeline exports the lanes' trace and prints the SLO report to
 	// stderr, naming the decision behind each stall when -explain is on.
 	writeTimeline := func() {
 		if tl == nil {
@@ -130,7 +144,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := tl.WriteTrace(f); err != nil {
+		if err := explain.WriteTrace(f, tl.logs()); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -141,7 +155,7 @@ func main() {
 		if *explArg != "" && !*batch {
 			explained = rec
 		}
-		tl.Report().Print(os.Stderr, explained)
+		explain.NewReport(tl.target, tl.logs()).Print(os.Stderr, explained)
 	}
 	var qp *aptrace.QueryProfiler
 	if *qprofOn {
@@ -207,7 +221,7 @@ func main() {
 		return
 	}
 	if *inter {
-		console := repl.New(st, aptrace.ExecOptions{Windows: *k, Telemetry: reg, Explain: tl.Lane("console", rec)}, os.Stdout)
+		console := repl.New(st, aptrace.ExecOptions{Windows: *k, Telemetry: reg, Explain: rec}, os.Stdout)
 		if _, err := console.Run(os.Stdin); err != nil {
 			fatal(err)
 		}
@@ -235,11 +249,37 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		runScript(st, string(raw), *k, *quiet, *doSug, reg, tl.Lane("run", rec), *explArg)
+		runScript(st, string(raw), *k, *quiet, *doSug, reg, rec, *explArg)
 	}
 	writeTimeline()
 	qprofSummary()
 	dumpTelemetry(reg)
+}
+
+// timeline is what -timeline reads: the logs bound as its lanes — the run's,
+// or a batch's one per alert — and the SLO gap target they are bound with.
+// The lanes are published atomically, so the live /debug/timeline handler,
+// mounted before a batch has found its alerts, serves every lane once bound.
+type timeline struct {
+	target time.Duration
+	lanes  atomic.Pointer[[]*explain.Recorder]
+}
+
+// publish binds logs as the timeline's lanes — lane i+1 named name(i), with
+// the stall limit of the gap target — and makes them the ones it reads.
+func (tl *timeline) publish(logs []*explain.Recorder, name func(i int) string) {
+	for i, log := range logs {
+		log.Bind(int64(i+1), name(i), explain.DefaultStallFactor*tl.target)
+	}
+	tl.lanes.Store(&logs)
+}
+
+// logs returns the published lanes (none before a batch binds its own).
+func (tl *timeline) logs() []*explain.Recorder {
+	if p := tl.lanes.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // runBatch runs the script from every event matching its starting point,
@@ -249,7 +289,7 @@ func main() {
 // order, independent of scheduling. A non-nil cache is shared by every run
 // of the batch: closures one alert's backtrack computes are reused by the
 // next, with identical charged cost either way.
-func runBatch(stdout io.Writer, st *aptrace.Store, src string, k, workers int, simulate bool, reg *aptrace.Telemetry, explArg string, tl *aptrace.TimelineProfiler, cache *aptrace.MemoCache) error {
+func runBatch(stdout io.Writer, st *aptrace.Store, src string, k, workers int, simulate bool, reg *aptrace.Telemetry, explArg string, tl *timeline, cache *aptrace.MemoCache) error {
 	plan, err := aptrace.CompileScript(src)
 	if err != nil {
 		return err
@@ -307,10 +347,17 @@ func runBatch(stdout io.Writer, st *aptrace.Store, src string, k, workers int, s
 		rec     *aptrace.ExplainRecorder // per-run log (nil unless -explain or -timeline)
 	}
 	wall := time.Now()
-	// Lanes are pre-allocated by alert index — the trace cannot depend on
-	// which worker ran which alert. FleetMapTimeline hands each job its lane
-	// (nil, and therefore free, when -timeline is off).
-	runs, err := aptrace.FleetMapTimeline(pool, len(starts), tl, "alert", func(i int, rec *aptrace.ExplainRecorder) (outcome, error) {
+	// Lanes are bound by alert index before any run starts — the trace
+	// cannot depend on which worker ran which alert.
+	var lanes []*explain.Recorder
+	if tl != nil {
+		lanes = make([]*explain.Recorder, len(starts))
+		for i := range lanes {
+			lanes[i] = explain.New(0, reg)
+		}
+		tl.publish(lanes, func(i int) string { return fmt.Sprintf("alert %d", i) })
+	}
+	runs, err := aptrace.FleetMap(pool, len(starts), func(i int) (outcome, error) {
 		var clk aptrace.Clock
 		if simulate {
 			clk = aptrace.NewSimulatedClock()
@@ -328,8 +375,11 @@ func runBatch(stdout io.Writer, st *aptrace.Store, src string, k, workers int, s
 		// One log per analysis (the counters are shared), the alert's lane
 		// when -timeline is on: decision traces stay per-run, so fleet
 		// scheduling cannot interleave them.
-		if rec == nil && explArg != "" {
-			rec = aptrace.NewExplainRecorder(0, reg)
+		var rec *explain.Recorder
+		if lanes != nil {
+			rec = lanes[i]
+		} else if explArg != "" {
+			rec = explain.New(0, reg)
 		}
 		x, err := aptrace.NewExecutor(view, p, aptrace.ExecOptions{Windows: k, Telemetry: reg, Explain: rec, Memo: cache})
 		if err != nil {

@@ -35,7 +35,7 @@ func BenchmarkResponsiveWindowSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	w.Card = int32(card)
-	x.opts.MaxWindowRows = card + 1 // never re-split: measure the query path
+	x.opts.NoSplit = true // never re-split: measure the query path
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -73,15 +73,9 @@ type Options struct {
 	// FIFOQueue disables the priority ordering and explores windows in
 	// insertion order (ablation A2).
 	FIFOQueue bool
-	// MaxWindowRows caps how many index rows a single window query may
-	// retrieve: a window whose cardinality estimate exceeds the cap is
-	// re-split (ratio 2, nearest-first) before being queried, so no single
-	// retrieval can block the update stream — the engineering realization
-	// of the paper's "retrieve the dependents in many smaller batches".
-	// Zero means DefaultMaxWindowRows; NoSplit disables re-splitting
-	// entirely (ablation A2).
-	MaxWindowRows int
-	NoSplit       bool
+	// NoSplit disables re-splitting windows over DefaultMaxWindowRows
+	// (ablation A2).
+	NoSplit bool
 	// Telemetry, if set, publishes executor metrics (queue depth,
 	// windows executed, re-splits, inter-update gap histogram) to the
 	// registry. Nil disables publication at near-zero cost.
@@ -89,10 +83,10 @@ type Options struct {
 	// Explain, if set, is the run's log: it receives a decision record for
 	// every per-edge verdict and scheduling choice the executor makes, with
 	// the store's charged cost on every window query, and everything that
-	// reads a run back reads it — the EXPLAIN query layer, and, when a
-	// timeline profiler made the log one of its lanes, the Chrome trace and
-	// the SLO watchdog over the inter-update gap. Nil disables recording at
-	// the cost of one pointer test per emission site.
+	// reads a run back reads it — the EXPLAIN query layer, and, once the log
+	// is bound as a lane (explain.Recorder.Bind), the Chrome trace and the
+	// SLO watchdog over the inter-update gap. Nil disables recording at the
+	// cost of one pointer test per emission site.
 	Explain *explain.Recorder
 	// Memo, if set, is a shared cross-alert attribute-verdict cache: the
 	// computed attributes where filters and chain matchers evaluate
@@ -105,10 +99,14 @@ type Options struct {
 	Memo *memo.Cache
 }
 
-// DefaultMaxWindowRows is the default per-window retrieval cap. At the
-// calibrated cost model (~0.4 s per retrieved row) eight rows keep every
-// single retrieval — and therefore every inter-update gap — in the
-// seconds range the paper reports for APTrace.
+// DefaultMaxWindowRows caps how many index rows a single window query may
+// retrieve: a window whose cardinality estimate exceeds the cap is re-split
+// (ratio 2, nearest-first) before being queried, so no single retrieval can
+// block the update stream — the engineering realization of the paper's
+// "retrieve the dependents in many smaller batches". At the calibrated cost
+// model (~0.4 s per retrieved row) eight rows keep every single retrieval —
+// and therefore every inter-update gap — in the seconds range the paper
+// reports for APTrace.
 const DefaultMaxWindowRows = 8
 
 // Executor runs responsive backtracking analysis over a sealed store.
@@ -213,9 +211,6 @@ func New(st *store.Store, plan *refiner.Plan, opts Options) (*Executor, error) {
 	}
 	if opts.Windows > MaxWindows {
 		opts.Windows = MaxWindows
-	}
-	if opts.MaxWindowRows <= 0 {
-		opts.MaxWindowRows = DefaultMaxWindowRows
 	}
 	x := &Executor{st: st, clk: st.Clock(), opts: opts, plan: plan}
 	x.tel = newExecMetrics(opts.Telemetry)
@@ -742,9 +737,9 @@ func (x *Executor) query(buf []event.Event, obj event.ObjID, from, to int64) ([]
 // processWindow runs one bounded query (Algorithm 1 lines 3-7): fetch the
 // events inside the window that flow into the window's object, add them as
 // edges, and schedule their own windows. Windows that would retrieve more
-// than MaxWindowRows rows are split in half (re-queued nearest-half first)
-// instead of being queried, keeping every retrieval — and therefore every
-// inter-update gap — bounded.
+// than DefaultMaxWindowRows rows are split in half (re-queued nearest-half
+// first) instead of being queried, keeping every retrieval — and therefore
+// every inter-update gap — bounded.
 func (x *Executor) processWindow(w *ExecWindow) error {
 	if !x.opts.NoSplit && w.Finish-w.Begin >= 2 {
 		// Reuse the enqueue-time cardinality estimate; the store is sealed,
@@ -758,7 +753,7 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 				return err
 			}
 		}
-		if n > x.opts.MaxWindowRows {
+		if n > DefaultMaxWindowRows {
 			mid := w.Begin + (w.Finish-w.Begin)/2
 			far, near := *w, *w
 			if x.fwd {

@@ -12,7 +12,6 @@ import (
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
-	"aptrace/internal/timeline"
 )
 
 // TestPauseBlocksForUpdatePlan is the regression test for the documented
@@ -186,8 +185,7 @@ func hammerGraph(t *testing.T, g *graph.Graph, s *store.Store, stop <-chan struc
 
 func TestGraphReadersDuringRun(t *testing.T) {
 	s, alert := fixture(t, simclock.NewSimulated(time.Time{}), 5000)
-	prof := timeline.New(timeline.Options{})
-	rec := prof.Lane("run", explain.New(1<<20, nil)) // never wraps: every edge keeps its record
+	rec := newLane("run", 1<<20, defaultLimit, nil) // never wraps: every edge keeps its record
 	// One token per stretch of updates: the session below waits for it
 	// between two pauses, so each pause parks the loop somewhere new.
 	progress := make(chan struct{}, 1)
@@ -244,7 +242,7 @@ func TestGraphReadersDuringRun(t *testing.T) {
 	go func() {
 		defer close(logDone)
 		for emitted := uint64(0); ; {
-			if err := prof.WriteTrace(io.Discard); err != nil {
+			if err := explain.WriteTrace(io.Discard, []*explain.Recorder{rec}); err != nil {
 				t.Error(err)
 				return
 			}

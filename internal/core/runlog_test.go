@@ -13,21 +13,18 @@ import (
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
-	"aptrace/internal/timeline"
 )
 
-// logRun executes one run into a log of the given ring capacity, bound to a
-// profiler whose stall limit (half a second) the fixtures' slower windows
-// exceed. After pauseAt updates — if positive — a session pauses the run,
+// logRun executes one run into a log of the given ring capacity, bound as a
+// lane whose stall limit (half a second) the fixtures' slower windows exceed. After pauseAt updates — if positive — a session pauses the run,
 // says so in the log as session.Session does, and resumes it.
-func logRun(t *testing.T, s *store.Store, plan *refiner.Plan, alert event.Event, capacity, pauseAt int) (*explain.Recorder, *timeline.Profiler) {
+func logRun(t *testing.T, s *store.Store, plan *refiner.Plan, alert event.Event, capacity, pauseAt int) *explain.Recorder {
 	t.Helper()
 	v, err := s.View(simclock.NewSimulated(time.Time{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := timeline.New(timeline.Options{GapTarget: 500 * time.Millisecond, StallFactor: 1})
-	log := p.Lane("run", explain.New(capacity, nil))
+	log := newLane("run", capacity, 500*time.Millisecond, nil)
 	var x *Executor
 	updates := 0
 	resumed := make(chan struct{})
@@ -57,7 +54,7 @@ func logRun(t *testing.T, s *store.Store, plan *refiner.Plan, alert event.Event,
 		}
 		<-resumed
 	}
-	return log, p
+	return log
 }
 
 // TestTraceAndExplainAgree holds the two views of a run to their one source.
@@ -88,7 +85,7 @@ func TestTraceAndExplainAgree(t *testing.T) {
 		{"sharded", sharded, wildcardPlan(t, ""), sharded.RandomEvents(1, rand.New(rand.NewSource(5)))[0], 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			log, _ := logRun(t, c.st, c.plan, c.alert, 0, c.pauseAt)
+			log := logRun(t, c.st, c.plan, c.alert, 0, c.pauseAt)
 			if split := checkViewsAgree(t, log, c.alert); split != (c.name == "sharded") {
 				t.Errorf("a query span carries a shard split: %v", split)
 			}
@@ -192,18 +189,18 @@ func checkStallSeqs(t *testing.T, log *explain.Recorder) {
 func runLogOverflow(t *testing.T) {
 	s, alert := fixture(t, nil, 400)
 	plan := wildcardPlan(t, stampWhere)
-	whole, _ := logRun(t, s, plan, alert, 1<<20, 5)
-	log, p := logRun(t, s, plan, alert, 64, 5)
+	whole := logRun(t, s, plan, alert, 1<<20, 5)
+	log := logRun(t, s, plan, alert, 64, 5)
 
 	emitted, dropped := log.Stats()
 	if all, none := whole.Stats(); emitted != all || none != 0 || dropped != emitted-64 {
 		t.Fatalf("Stats() = %d emitted, %d dropped; the unbounded ring has %d, %d", emitted, dropped, all, none)
 	}
 	var trace bytes.Buffer
-	if err := p.WriteTrace(&trace); err != nil {
+	if err := explain.WriteTrace(&trace, []*explain.Recorder{log}); err != nil {
 		t.Fatal(err)
 	}
-	if err := timeline.Validate(trace.Bytes()); err != nil {
+	if err := explain.Validate(trace.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -229,7 +226,7 @@ func runLogOverflow(t *testing.T) {
 			runs++
 		}
 	}
-	rep := p.Report()
+	rep := explain.NewReport(500*time.Millisecond, []*explain.Recorder{log})
 	if traceDropped != dropped || rep.Dropped != int(dropped) {
 		t.Fatalf("the trace says %d records dropped, the SLO report %d, EXPLAIN %d", traceDropped, rep.Dropped, dropped)
 	}

@@ -16,7 +16,6 @@ import (
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
 	"aptrace/internal/telemetry"
-	"aptrace/internal/timeline"
 )
 
 var updateStampGolden = flag.Bool("update-stamp-golden", false,
@@ -49,8 +48,7 @@ func stampRun(t *testing.T, s *store.Store, plan *refiner.Plan, alert event.Even
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	p := timeline.New(timeline.Options{})
-	rec := p.Lane("run", explain.New(0, nil))
+	rec := newLane("run", 0, defaultLimit, nil)
 	var updateAt []time.Time
 	var x *Executor
 	parked := make(chan struct{})
@@ -101,7 +99,7 @@ func stampRun(t *testing.T, s *store.Store, plan *refiner.Plan, alert event.Even
 	}
 	enc.Encode(updateAt)
 	var buf bytes.Buffer
-	if err := p.WriteTrace(&buf); err != nil {
+	if err := explain.WriteTrace(&buf, []*explain.Recorder{rec}); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes(), buf.Bytes()
@@ -188,7 +186,7 @@ func TestServedRunClockReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := timeline.New(timeline.Options{}).Lane("run", explain.New(0, nil))
+	rec := newLane("run", 0, defaultLimit, nil)
 	updates := 0
 	x, err := New(v, wildcardPlan(t, stampWhere), Options{
 		Telemetry: telemetry.NewRegistry(),

@@ -10,7 +10,6 @@ import (
 	"aptrace/internal/simclock"
 	"aptrace/internal/stats"
 	"aptrace/internal/telemetry"
-	"aptrace/internal/timeline"
 )
 
 // TestExecutorTelemetryMatchesRecordedUpdates runs an instrumented analysis
@@ -84,7 +83,7 @@ func TestExecutorTelemetryMatchesRecordedUpdates(t *testing.T) {
 	// window.resplit per re-split.
 	st, alert = fixture(t, simclock.NewSimulated(time.Time{}), 400)
 	reg = telemetry.NewRegistry()
-	rec := timeline.New(timeline.Options{}).Lane("run", explain.New(0, nil))
+	rec := newLane("run", 0, defaultLimit, nil)
 	if x, err = New(st, wildcardPlan(t, ""), Options{Telemetry: reg, Explain: rec}); err != nil {
 		t.Fatal(err)
 	}

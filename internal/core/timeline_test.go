@@ -9,8 +9,19 @@ import (
 	"aptrace/internal/explain"
 	"aptrace/internal/simclock"
 	"aptrace/internal/telemetry"
-	"aptrace/internal/timeline"
 )
+
+// defaultLimit is the stall limit of the default SLO gap target, which the
+// triage daemon binds every run's log with.
+const defaultLimit = explain.DefaultStallFactor * explain.DefaultGapTarget
+
+// newLane returns a fresh log of the given ring capacity (0 = default) made
+// with reg and bound as lane 1, "name", whose watchdog stalls past limit.
+func newLane(name string, capacity int, limit time.Duration, reg *telemetry.Registry) *explain.Recorder {
+	rec := explain.New(capacity, reg)
+	rec.Bind(1, name, limit)
+	return rec
+}
 
 // edgeSet collects a result's edge IDs for order-insensitive comparison.
 func edgeSet(evs []event.Event) map[event.EventID]bool {
@@ -46,8 +57,7 @@ func TestTimelineZeroEffect(t *testing.T) {
 	}
 
 	plain := run(nil)
-	p := timeline.New(timeline.Options{})
-	profiled := run(p.Lane("run", explain.New(0, nil)))
+	profiled := run(newLane("run", 0, defaultLimit, nil))
 
 	if got, want := edgeSet(profiled.Graph.Edges()), edgeSet(plain.Graph.Edges()); len(got) != len(want) {
 		t.Fatalf("edge count diverged: %d vs %d", len(got), len(want))
@@ -77,8 +87,7 @@ func TestTimelineRecordsRunLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := timeline.New(timeline.Options{})
-	lane := p.Lane("run", explain.New(0, nil))
+	lane := newLane("run", 0, defaultLimit, nil)
 	x, err := New(v, wildcardPlan(t, ""), Options{Windows: 4, Explain: lane})
 	if err != nil {
 		t.Fatal(err)
@@ -98,16 +107,16 @@ func TestTimelineRecordsRunLifecycle(t *testing.T) {
 		t.Error("no events recorded")
 	}
 
-	rep := p.Report()
+	rep := explain.NewReport(explain.DefaultGapTarget, []*explain.Recorder{lane})
 	if rep.Queries != lr.Queries {
-		t.Errorf("profiler report queries = %d, lane says %d", rep.Queries, lr.Queries)
+		t.Errorf("SLO report queries = %d, lane says %d", rep.Queries, lr.Queries)
 	}
 
 	var buf bytes.Buffer
-	if err := p.WriteTrace(&buf); err != nil {
+	if err := explain.WriteTrace(&buf, []*explain.Recorder{lane}); err != nil {
 		t.Fatal(err)
 	}
-	if err := timeline.Validate(buf.Bytes()); err != nil {
+	if err := explain.Validate(buf.Bytes()); err != nil {
 		t.Fatalf("trace schema: %v", err)
 	}
 }
@@ -124,10 +133,9 @@ func TestTimelineStallOnStarvedUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	// A nanosecond target makes any modeled retrieval latency a stall:
+	// A nanosecond limit makes any modeled retrieval latency a stall:
 	// the monolithic hot.log query must trip it.
-	p := timeline.New(timeline.Options{GapTarget: time.Nanosecond, StallFactor: 1, Telemetry: reg})
-	lane := p.Lane("starved", explain.New(0, nil))
+	lane := newLane("starved", 0, time.Nanosecond, reg)
 	x, err := New(v, wildcardPlan(t, ""), Options{Windows: 1, NoSplit: true, Explain: lane})
 	if err != nil {
 		t.Fatal(err)

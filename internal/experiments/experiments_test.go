@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +13,6 @@ import (
 	"aptrace/internal/fleet"
 	"aptrace/internal/graph"
 	"aptrace/internal/refiner"
-	"aptrace/internal/timeline"
 	"aptrace/internal/workload"
 )
 
@@ -406,11 +406,11 @@ where file.path != "*.dll" and hop <= 6`)
 	}
 }
 
-// TestTimelineParallelMatchesSerial holds the profiler's determinism
+// TestTimelineParallelMatchesSerial holds the timeline's determinism
 // contract over the harness's samples: each sampled analysis, run through
-// fleet.MapTimeline with its lane as the run log, must export the same trace
-// bytes and the same graphs serially and on four workers, one lane per
-// sample.
+// fleet.Map with its lane — bound by sample index before dispatch — as the
+// run log, must export the same trace bytes and the same graphs serially and
+// on four workers, one lane per sample.
 func TestTimelineParallelMatchesSerial(t *testing.T) {
 	env := testEnv(t)
 	cfg := testCfg()
@@ -422,25 +422,28 @@ func TestTimelineParallelMatchesSerial(t *testing.T) {
 		Elapsed time.Duration
 	}
 	run := func(workers int) ([]sample, []byte) {
-		tl := timeline.New(timeline.Options{})
-		res, err := fleet.MapTimeline(fleet.New(workers, nil), len(events), tl, "sample",
-			func(i int, lane *explain.Recorder) (sample, error) {
-				opts := cfg.execOptions()
-				opts.Explain = lane
-				r, err := env.runOnce(wildcardPlan(cfg.Cap), opts, events[i])
-				if err != nil {
-					return sample{}, err
-				}
-				return sample{r.Graph.NumEdges(), r.Elapsed}, nil
-			})
+		lanes := make([]*explain.Recorder, len(events))
+		for i := range lanes {
+			lanes[i] = explain.New(0, nil)
+			lanes[i].Bind(int64(i+1), fmt.Sprintf("sample %d", i), explain.DefaultStallFactor*explain.DefaultGapTarget)
+		}
+		res, err := fleet.Map(fleet.New(workers, nil), len(events), func(i int) (sample, error) {
+			opts := cfg.execOptions()
+			opts.Explain = lanes[i]
+			r, err := env.runOnce(wildcardPlan(cfg.Cap), opts, events[i])
+			if err != nil {
+				return sample{}, err
+			}
+			return sample{r.Graph.NumEdges(), r.Elapsed}, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep := tl.Report(); len(rep.Lanes) != len(events) || rep.Updates == 0 {
+		if rep := explain.NewReport(explain.DefaultGapTarget, lanes); len(rep.Lanes) != len(events) || rep.Updates == 0 {
 			t.Errorf("%d workers: %d lanes and %d updates for %d samples", workers, len(rep.Lanes), rep.Updates, len(events))
 		}
 		var trace bytes.Buffer
-		if err := tl.WriteTrace(&trace); err != nil {
+		if err := explain.WriteTrace(&trace, lanes); err != nil {
 			t.Fatal(err)
 		}
 		return res, trace.Bytes()

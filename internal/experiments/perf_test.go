@@ -13,7 +13,6 @@ import (
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
 	"aptrace/internal/telemetry"
-	"aptrace/internal/timeline"
 	"aptrace/internal/workload"
 )
 
@@ -49,7 +48,7 @@ func (e *Env) newRecorders() (*recorders, error) {
 }
 
 // runRecorded is runOnce as the triage daemon runs it (serve.Manager.execute):
-// a fresh run log as a timeline lane on the shared registry, the
+// a fresh run log bound as a timeline lane on the shared registry, the
 // query profiler inherited from the snapshot, and an OnUpdate hook — the body
 // of BenchmarkExecutorRun/recorded, whose distance from bare is the recording
 // budget.
@@ -58,10 +57,12 @@ func (e *Env) runRecorded(r *recorders, plan *refiner.Plan, windows int, alert e
 	if err != nil {
 		return nil, err
 	}
+	rec := explain.New(0, r.reg)
+	rec.Bind(1, "run", explain.DefaultStallFactor*explain.DefaultGapTarget)
 	x, err := core.New(v, plan, core.Options{
 		Windows:   windows,
 		Telemetry: r.reg,
-		Explain:   timeline.New(timeline.Options{Telemetry: r.reg}).Lane("run", explain.New(0, r.reg)),
+		Explain:   rec,
 		OnUpdate:  func(core.Update) {},
 	})
 	if err != nil {

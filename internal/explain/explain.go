@@ -18,6 +18,12 @@
 // assembles a causal justification for any object the analysis touched:
 // "included via edge e at hop 3, window [t1,t2)" for graph nodes, a concrete
 // excluding clause or budget reason for pruned candidates.
+//
+// The log's other readers are its timeline: logs bound as lanes (Bind) before
+// dispatch export as one Chrome trace (trace.go) — window lifecycle, charged
+// query costs, updates, pauses — and feed the inter-update-gap SLO report
+// (report.go). Every instant is the run's (simulated) clock, never wall time,
+// so the trace does not depend on scheduling.
 package explain
 
 import (
@@ -167,9 +173,9 @@ const DefaultCapacity = 1 << 16
 // aptrace_explain_dropped_total counter says so — overflow is visible, not
 // silent — while the run's Progress stays complete, because every record is
 // folded into a Watch as it arrives. The run loop feeds the log a stage at a
-// time (Consume); EXPLAIN (query.go), the Chrome trace and the SLO report
-// (internal/timeline) rebuild Records and Events on read. A nil *Recorder is
-// a valid disabled log: every method is a no-op behind one pointer test.
+// time (Consume); EXPLAIN (query.go), the Chrome trace (trace.go) and the
+// SLO report (report.go) rebuild Records and Events on read. A nil *Recorder
+// is a valid disabled log: every method is a no-op behind one pointer test.
 type Recorder struct {
 	mu       sync.Mutex
 	ring     pages.Pages[Decision] // slot Seq % capacity
@@ -185,7 +191,7 @@ type Recorder struct {
 	// per lap of the ring by parity: a lap's slice is emptied when the lap
 	// after next begins, by when the ring holds none of its records.
 	nums [2][]int64
-	lane int64  // the profiler lane this log is bound to (0 = none) ...
+	lane int64  // the lane this log is bound to (0 = none) ...
 	name string // ... and its name
 
 	// live is the fold of every record emitted; ends are the runs' ends by
@@ -193,6 +199,7 @@ type Recorder struct {
 	live Watch
 	ends []runEnd
 
+	reg        *telemetry.Registry // where Bind finds the stall counter
 	telRecords *telemetry.Counter
 	telDropped *telemetry.Counter
 }
@@ -208,13 +215,15 @@ type runEnd struct {
 
 // New returns a log holding the most recent capacity records
 // (DefaultCapacity if capacity <= 0). reg, if non-nil, receives the
-// aptrace_explain_records_total / aptrace_explain_dropped_total counters.
+// aptrace_explain_records_total / aptrace_explain_dropped_total counters,
+// and the aptrace_slo_stall_total counter once the log is bound.
 func New(capacity int, reg *telemetry.Registry) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	r := &Recorder{
 		capacity:   capacity,
+		reg:        reg,
 		telRecords: reg.Counter(telemetry.MetricExplainRecords),
 		telDropped: reg.Counter(telemetry.MetricExplainDropped),
 	}
@@ -237,10 +246,14 @@ func (r *Recorder) Attach(clk simclock.Clock, gaps *telemetry.Histogram) {
 	r.mu.Unlock()
 }
 
-// Bind makes the log a profiler's lane: its spans, stalls and trace carry
-// the lane's id and name, and its watchdog records a stall — counted in
-// stalls — for every inter-update gap over limit. Call before the run.
-func (r *Recorder) Bind(lane int64, name string, limit time.Duration, stalls *telemetry.Counter) {
+// Bind makes the log lane number lane of a trace: its spans, stalls and
+// trace carry the lane's id and name, and its watchdog records a stall —
+// counted in the aptrace_slo_stall_total counter of the registry the log was
+// made with — for every inter-update gap over limit (DefaultStallFactor × the
+// SLO gap target, as aptrace and the triage daemon bind it). Call before the
+// run.
+func (r *Recorder) Bind(lane int64, name string, limit time.Duration) {
+	stalls := r.reg.Counter(telemetry.MetricSLOStalls)
 	r.mu.Lock()
 	r.lane, r.name = lane, name
 	r.live.limit = limit
@@ -321,25 +334,16 @@ func (r *Recorder) next() *Decision {
 	return r.ring.At(r.pos - 1)
 }
 
-// Note appends one record stamped at: for a run driven from outside an
-// executor, which has no stage (bracketing it with KindRunStart,
-// KindEdgeAdded and KindRunEnd makes its updates a lane's). Nil-safe.
-func (r *Recorder) Note(at time.Time, d Decision, clause, detail string) {
-	r.note(&at, d, clause, detail)
-}
-
-// note appends one record from outside the run loop, stamped *at or — for
-// the session's goroutines, and memo lookups outside a window — with the
-// bound clock's own reading, so no stamp crosses goroutines. Nil-safe.
-func (r *Recorder) note(at *time.Time, d Decision, clause, detail string) {
+// note appends one record from outside the run loop — the session's
+// goroutines, and memo lookups outside a window — stamped with the bound
+// clock's own reading, so no stamp crosses goroutines. Nil-safe.
+func (r *Recorder) note(d Decision, clause, detail string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	var now time.Time
-	if at != nil {
-		now = *at
-	} else if r.clk != nil {
+	if r.clk != nil {
 		now = r.clk.Now()
 	}
 	first := r.seq
@@ -375,28 +379,28 @@ func (r *Recorder) MemoVerdict(hit bool, what string, node event.ObjID, wb, wf i
 	if hit {
 		k = KindMemoHit
 	}
-	r.note(nil, Decision{Kind: k, Node: node, Begin: wb, Finish: wf, Card: int32(rows)}, "", what)
+	r.note(Decision{Kind: k, Node: node, Begin: wb, Finish: wf, Card: int32(rows)}, "", what)
 }
 
 // PlanUpdate records a script change: decision is the refiner's resume
 // action, delta a human-readable summary of what changed.
 func (r *Recorder) PlanUpdate(decision, delta string) {
-	r.note(nil, Decision{Kind: KindPlanUpdate}, decision, delta)
+	r.note(Decision{Kind: KindPlanUpdate}, decision, delta)
 }
 
 // Pause records the analyst pausing the run.
 func (r *Recorder) Pause() {
-	r.note(nil, Decision{Kind: KindPause}, "", "")
+	r.note(Decision{Kind: KindPause}, "", "")
 }
 
 // Resume records the analyst resuming the run.
 func (r *Recorder) Resume() {
-	r.note(nil, Decision{Kind: KindResume}, "", "")
+	r.note(Decision{Kind: KindResume}, "", "")
 }
 
 // Finalize records tracking-statement path pruning removing removed edges.
 func (r *Recorder) Finalize(removed int) {
-	r.note(nil, Decision{Kind: KindFinalize, Card: int32(removed)}, "", "")
+	r.note(Decision{Kind: KindFinalize, Card: int32(removed)}, "", "")
 }
 
 // Cursor is a retained record in place, number Seq of its log, as Scan hands

@@ -20,9 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aptrace/internal/explain"
 	"aptrace/internal/telemetry"
-	"aptrace/internal/timeline"
 )
 
 // Pool is a bounded worker pool for analysis runs. A Pool is stateless
@@ -205,21 +203,4 @@ func (r *Runner) Close() {
 	}
 	r.mu.Unlock()
 	r.wg.Wait()
-}
-
-// MapTimeline is Map with one profiler lane per job: a run log to attach to
-// the job's analysis. The logs are allocated as one contiguous block of
-// lanes — named "name i" with IDs pinned to job indexes — before any job
-// runs, so the exported trace is identical no matter how the pool schedules
-// the work. A nil profiler hands every job a nil (and therefore free) log.
-func MapTimeline[T any](p *Pool, n int, tl *timeline.Profiler, name string,
-	job func(i int, lane *explain.Recorder) (T, error)) ([]T, error) {
-	lanes := tl.Lanes(name, n)
-	return Map(p, n, func(i int) (T, error) {
-		var lane *explain.Recorder
-		if lanes != nil {
-			lane = lanes[i]
-		}
-		return job(i, lane)
-	})
 }

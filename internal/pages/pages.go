@@ -1,5 +1,5 @@
-// Package pages is the repository's one paged record store: what the explain
-// recorder and the timeline lane keep their records in, the dependency graph
+// Package pages is the repository's one paged record store: what a run's
+// log (internal/explain) keeps its records in, the dependency graph
 // its node and edge logs, the executor its per-node state and a served
 // session its update history.
 package pages

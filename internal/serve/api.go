@@ -11,6 +11,7 @@ import (
 
 	"aptrace/internal/audit"
 	"aptrace/internal/event"
+	"aptrace/internal/explain"
 	"aptrace/internal/graph"
 	"aptrace/internal/obs"
 	"aptrace/internal/telemetry"
@@ -381,13 +382,13 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tl := run.Timeline()
-	if tl == nil {
+	rec := run.Explain()
+	if rec == nil {
 		writeJSON(w, http.StatusConflict, errorResponse{Error: "session has not started"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	tl.WriteTrace(w)
+	explain.WriteTrace(w, []*explain.Recorder{rec})
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {

@@ -21,7 +21,6 @@ import (
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
 	"aptrace/internal/telemetry"
-	"aptrace/internal/timeline"
 )
 
 // Admission-control errors. The API layer maps ErrSaturated to HTTP 429
@@ -85,8 +84,8 @@ func (s RunState) String() string {
 }
 
 // Run is one managed investigation: a queued-then-executing session plus
-// everything the API serves about it (update stream, explain recorder,
-// timeline profiler).
+// everything the API serves about it (update stream, and the run log that
+// EXPLAIN and the timeline read).
 type Run struct {
 	ID     string
 	Tenant string
@@ -111,7 +110,6 @@ type Run struct {
 	sess        *session.Session
 	view        *store.Store
 	rec         *explain.Recorder
-	tl          *timeline.Profiler
 	err         error
 	reason      string
 	created     time.Time
@@ -226,18 +224,12 @@ func (r *Run) Stop() error {
 	return nil
 }
 
-// Explain returns the run's decision recorder (nil while queued).
+// Explain returns the run's log (nil while queued), bound as the one lane of
+// its timeline.
 func (r *Run) Explain() *explain.Recorder {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.rec
-}
-
-// Timeline returns the run's profiler (nil while queued).
-func (r *Run) Timeline() *timeline.Profiler {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tl
 }
 
 // View returns the sealed store view the run analyzes (nil while queued).
@@ -474,8 +466,8 @@ func (m *Manager) execute(run *Run, alert *event.Event) {
 		run.finish(RunFailed, nil, err, "")
 		return
 	}
-	tl := timeline.New(timeline.Options{Telemetry: m.reg})
-	rec := tl.Lane(run.ID, explain.New(0, m.reg))
+	rec := explain.New(0, m.reg)
+	rec.Bind(1, run.ID, explain.DefaultStallFactor*explain.DefaultGapTarget)
 	onUpdate := func(u graph.Update) {
 		run.noteFirstUpdate()
 		if run.hub.publish(u) {
@@ -496,7 +488,6 @@ func (m *Manager) execute(run *Run, alert *event.Event) {
 	run.sess = sess
 	run.view = snap
 	run.rec = rec
-	run.tl = tl
 	run.mu.Unlock()
 
 	if err := sess.Start(run.Script, alert); err != nil {

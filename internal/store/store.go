@@ -271,7 +271,7 @@ func (s *Store) Telemetry() *telemetry.Registry { return s.reg }
 
 // CostObserver receives, per charged query, the rows examined, posting
 // buckets walked, and modeled cost the store billed to its clock. The
-// timeline profiler uses it for per-window cost attribution.
+// executor stages it into the run log for per-window cost attribution.
 type CostObserver func(rows, buckets int64, cost time.Duration)
 
 // SetCostObserver attaches (or detaches, with nil) a per-query cost

@@ -78,7 +78,7 @@ const (
 	MetricExplainDropped = "aptrace_explain_dropped_total"
 
 	// Timeline SLO watchdog: fired once per detected stall (no graph
-	// update within StallFactor × GapTarget).
+	// update within a lane's stall limit; see explain.Recorder.Bind).
 	MetricSLOStalls = "aptrace_slo_stall_total"
 
 	// Cross-alert memo cache (internal/memo). hits/misses count cache
