@@ -92,12 +92,6 @@ func (r Record) Validate() error {
 	return nil
 }
 
-// Event converts the record to a store-ready event pair (subject, object,
-// attributes). The store assigns the EventID.
-func (r Record) add(st *store.Store) (event.EventID, error) {
-	return st.AddEvent(r.Time, r.Subject, r.Object, r.Action, r.Dir, r.Amount)
-}
-
 // Format identifies an audit wire format.
 type Format uint8
 
@@ -201,52 +195,32 @@ type IngestStats struct {
 	Invalid int `json:"invalid_records"`
 }
 
-// ingestCounters caches the telemetry instruments one ingest pass ticks.
-// A nil registry yields nil instruments, which are free no-ops.
-type ingestCounters struct {
-	records *telemetry.Counter
-	decode  *telemetry.Counter
-	invalid *telemetry.Counter
-}
+// chunkRecords is how many decoded records an ingest pass commits at once:
+// on a live store, one lock and one WAL write per chunk.
+const chunkRecords = 4096
 
-func newIngestCounters(reg *telemetry.Registry) ingestCounters {
-	return ingestCounters{
-		records: reg.Counter(telemetry.MetricIngestRecords),
-		decode:  reg.Counter(telemetry.MetricIngestDecodeErrors),
-		invalid: reg.Counter(telemetry.MetricIngestInvalid),
-	}
-}
-
-// ingestLine classifies and stores one non-empty line; add persists the
-// decoded record. Malformed lines are counted, not fatal; only add errors
-// (sealed store and the like — caller bugs) abort.
-func (c ingestCounters) ingestLine(line string, stats *IngestStats, add func(Record) error) error {
-	stats.Lines++
-	rec, err := ParseLine(line)
-	if err != nil {
-		stats.Rejected++
-		stats.Decode++
-		c.decode.Inc()
-		return nil
-	}
-	if err := rec.Validate(); err != nil {
-		stats.Rejected++
-		stats.Invalid++
-		c.invalid.Inc()
-		return nil
-	}
-	if err := add(rec); err != nil {
-		return err
-	}
-	stats.Ingested++
-	c.records.Inc()
-	return nil
-}
-
-// ingest is the shared scanning loop behind Ingest and IngestLive.
-func ingest(r io.Reader, reg *telemetry.Registry, add func(Record) error) (IngestStats, error) {
+// ingest is the scanning loop behind Ingest and IngestLive. It decodes and
+// validates lines into a chunk and hands each full chunk, and the last, to
+// commit. Malformed lines are counted, not fatal; only commit errors (a
+// sealed store, a failed WAL write) abort. Ingested counts the records of
+// chunks that committed. A nil registry yields nil counters, free no-ops.
+func ingest(r io.Reader, reg *telemetry.Registry, commit func([]store.Record) error) (IngestStats, error) {
 	var stats IngestStats
-	counters := newIngestCounters(reg)
+	records, decodes, invalids := reg.Counter(telemetry.MetricIngestRecords),
+		reg.Counter(telemetry.MetricIngestDecodeErrors), reg.Counter(telemetry.MetricIngestInvalid)
+	chunk := make([]store.Record, 0, chunkRecords)
+	flush := func() error {
+		if len(chunk) == 0 {
+			return nil
+		}
+		if err := commit(chunk); err != nil {
+			return err
+		}
+		stats.Ingested += len(chunk)
+		records.Add(int64(len(chunk)))
+		chunk = chunk[:0]
+		return nil
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -254,9 +228,28 @@ func ingest(r io.Reader, reg *telemetry.Registry, add func(Record) error) (Inges
 		if line == "" {
 			continue
 		}
-		if err := counters.ingestLine(line, &stats, add); err != nil {
-			return stats, err
+		stats.Lines++
+		rec, err := ParseLine(line)
+		if err != nil {
+			stats.Rejected++
+			stats.Decode++
+			decodes.Inc()
+			continue
 		}
+		if err := rec.Validate(); err != nil {
+			stats.Rejected++
+			stats.Invalid++
+			invalids.Inc()
+			continue
+		}
+		if chunk = append(chunk, store.Record(rec)); len(chunk) == chunkRecords {
+			if err := flush(); err != nil {
+				return stats, err
+			}
+		}
+	}
+	if err := flush(); err != nil {
+		return stats, err
 	}
 	return stats, sc.Err()
 }
@@ -266,38 +259,25 @@ func ingest(r io.Reader, reg *telemetry.Registry, add func(Record) error) (Inges
 // are counted and skipped rather than aborting the stream — collection
 // pipelines drop garbage, they do not stop. The store must not be sealed.
 func Ingest(st *store.Store, r io.Reader) (IngestStats, error) {
-	return ingest(r, st.Telemetry(), func(rec Record) error {
-		_, err := rec.add(st)
-		return err
+	return ingest(r, st.Telemetry(), func(recs []store.Record) error {
+		for _, rec := range recs {
+			if _, err := st.AddEvent(rec.Time, rec.Subject, rec.Object, rec.Action, rec.Dir, rec.Amount); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 
-// IngestLive streams newline-delimited audit records into a live store,
-// appending each valid record durably (WAL) as it arrives — the collection
-// pipeline of a deployed system. Malformed lines are counted and skipped.
+// IngestLive streams newline-delimited audit records into a live store —
+// the collection pipeline of a deployed system — committing valid records
+// a chunk at a time, each chunk with one durable WAL write. Malformed lines
+// are counted and skipped.
 func IngestLive(l *store.Live, r io.Reader) (IngestStats, error) {
-	return ingest(r, l.Telemetry(), func(rec Record) error {
-		_, err := l.Append(rec.Time, rec.Subject, rec.Object, rec.Action, rec.Dir, rec.Amount)
+	return ingest(r, l.Telemetry(), func(recs []store.Record) error {
+		_, err := l.Commit(recs)
 		return err
 	})
-}
-
-// IngestLiveLine ingests a single already-framed line into the live store —
-// the per-line form of IngestLive used by file-tailing collectors that frame
-// lines themselves. Blank lines are ignored. The returned stats describe
-// just this line; malformed input is reported in the stats (and telemetry),
-// not as an error.
-func IngestLiveLine(l *store.Live, line string) (IngestStats, error) {
-	var stats IngestStats
-	line = strings.TrimSpace(line)
-	if line == "" {
-		return stats, nil
-	}
-	err := newIngestCounters(l.Telemetry()).ingestLine(line, &stats, func(rec Record) error {
-		_, err := l.Append(rec.Time, rec.Subject, rec.Object, rec.Action, rec.Dir, rec.Amount)
-		return err
-	})
-	return stats, err
 }
 
 // Export writes every event of a sealed store to w in the given format,

@@ -62,12 +62,33 @@ func encodeAuditd(r Record) (string, error) {
 	return sb.String(), nil
 }
 
-// auditdFields tokenizes a key=value line honoring double quotes.
-func auditdFields(line string) (map[string]string, error) {
-	out := make(map[string]string)
-	i := 0
-	n := len(line)
-	for i < n {
+// auditdField is a raw value as the line carries it; ok tells a numeric
+// field that is absent (it reads 0) from one present but empty.
+type auditdField struct {
+	v  string
+	ok bool
+}
+
+// auditdNum parses a numeric field; an absent one reads 0.
+func auditdNum(key string, f auditdField, bits int) (int64, error) {
+	if !f.ok {
+		return 0, nil
+	}
+	n, err := strconv.ParseInt(f.v, 10, bits)
+	if err != nil {
+		return 0, fmt.Errorf("audit: auditd: field %s=%q is not numeric", key, f.v)
+	}
+	return n, nil
+}
+
+// parseAuditd decodes one key=value line, honoring double quotes. It scans
+// each pair straight into the field its key names, with no map: a duplicate
+// key's last value wins and unknown keys are skipped. A quoted value keeps
+// its quotes; unquoteAuditd strips them.
+func parseAuditd(line string) (Record, error) {
+	var msg, action, dir, obj, host, exe, objHost, objExe, path, saddr, daddr string
+	var amount, pid, start, objPID, objStart, sport, dport auditdField
+	for i, n := 0, len(line); i < n; {
 		for i < n && (line[i] == ' ' || line[i] == '\t') {
 			i++
 		}
@@ -76,38 +97,61 @@ func auditdFields(line string) (map[string]string, error) {
 		}
 		eq := strings.IndexByte(line[i:], '=')
 		if eq < 0 {
-			return nil, fmt.Errorf("audit: auditd: stray token at byte %d", i)
+			return Record{}, fmt.Errorf("audit: auditd: stray token at byte %d", i)
 		}
 		key := line[i : i+eq]
 		i += eq + 1
-		var val string
+		end := 0
 		if i < n && line[i] == '"' {
-			end := strings.IndexByte(line[i+1:], '"')
-			if end < 0 {
-				return nil, fmt.Errorf("audit: auditd: unterminated quote for %q", key)
+			if end = strings.IndexByte(line[i+1:], '"'); end < 0 {
+				return Record{}, fmt.Errorf("audit: auditd: unterminated quote for %q", key)
 			}
-			val = line[i : i+end+2] // keep the quotes; unquoteAuditd strips them
-			i += end + 2
-		} else {
-			end := strings.IndexByte(line[i:], ' ')
-			if end < 0 {
-				end = n - i
-			}
-			val = line[i : i+end]
-			i += end
+			end += 2
+		} else if end = strings.IndexByte(line[i:], ' '); end < 0 {
+			end = n - i
 		}
-		out[key] = val
+		val := line[i : i+end]
+		i += end
+		switch key {
+		case "msg":
+			msg = val
+		case "action":
+			action = val
+		case "dir":
+			dir = val
+		case "amount":
+			amount = auditdField{val, true}
+		case "host":
+			host = val
+		case "exe":
+			exe = val
+		case "pid":
+			pid = auditdField{val, true}
+		case "start":
+			start = auditdField{val, true}
+		case "obj":
+			obj = val
+		case "obj_host":
+			objHost = val
+		case "obj_exe":
+			objExe = val
+		case "obj_pid":
+			objPID = auditdField{val, true}
+		case "obj_start":
+			objStart = auditdField{val, true}
+		case "path":
+			path = val
+		case "saddr":
+			saddr = val
+		case "sport":
+			sport = auditdField{val, true}
+		case "daddr":
+			daddr = val
+		case "dport":
+			dport = auditdField{val, true}
+		}
 	}
-	return out, nil
-}
-
-func parseAuditd(line string) (Record, error) {
-	fields, err := auditdFields(line)
-	if err != nil {
-		return Record{}, err
-	}
-	msg, ok := fields["msg"]
-	if !ok || !strings.HasPrefix(msg, "audit(") {
+	if !strings.HasPrefix(msg, "audit(") {
 		return Record{}, fmt.Errorf("audit: auditd: missing msg=audit(...) header")
 	}
 	inner := strings.TrimSuffix(strings.TrimPrefix(msg, "audit("), ":")
@@ -124,75 +168,56 @@ func parseAuditd(line string) (Record, error) {
 		return Record{}, fmt.Errorf("audit: auditd: bad timestamp %q", msg)
 	}
 
-	num := func(key string, bits int) (int64, error) {
-		v, ok := fields[key]
-		if !ok {
-			return 0, nil
-		}
-		n, err := strconv.ParseInt(v, 10, bits)
-		if err != nil {
-			return 0, fmt.Errorf("audit: auditd: field %s=%q is not numeric", key, v)
-		}
-		return n, nil
-	}
-
-	act, ok := event.ParseAction(fields["action"])
+	act, ok := event.ParseAction(action)
 	if !ok {
-		return Record{}, fmt.Errorf("audit: auditd: unknown action %q", fields["action"])
+		return Record{}, fmt.Errorf("audit: auditd: unknown action %q", action)
 	}
-	var dir event.Direction
-	switch fields["dir"] {
+	r := Record{Time: ts, Action: act}
+	switch dir {
 	case "out":
-		dir = event.FlowOut
+		r.Dir = event.FlowOut
 	case "in":
-		dir = event.FlowIn
+		r.Dir = event.FlowIn
 	default:
-		return Record{}, fmt.Errorf("audit: auditd: bad direction %q", fields["dir"])
+		return Record{}, fmt.Errorf("audit: auditd: bad direction %q", dir)
 	}
-	amount, err := num("amount", 64)
+	if r.Amount, err = auditdNum("amount", amount, 64); err != nil {
+		return Record{}, err
+	}
+	p, err := auditdNum("pid", pid, 32)
 	if err != nil {
 		return Record{}, err
 	}
-	pid, err := num("pid", 32)
+	st, err := auditdNum("start", start, 64)
 	if err != nil {
 		return Record{}, err
 	}
-	start, err := num("start", 64)
-	if err != nil {
-		return Record{}, err
-	}
-	r := Record{
-		Time:    ts,
-		Action:  act,
-		Dir:     dir,
-		Amount:  amount,
-		Subject: event.Process(unquoteAuditd(fields["host"]), unquoteAuditd(fields["exe"]), int32(pid), start),
-	}
-	switch fields["obj"] {
+	r.Subject = event.Process(unquoteAuditd(host), unquoteAuditd(exe), int32(p), st)
+	switch obj {
 	case "proc":
-		opid, err := num("obj_pid", 32)
+		opid, err := auditdNum("obj_pid", objPID, 32)
 		if err != nil {
 			return Record{}, err
 		}
-		ostart, err := num("obj_start", 64)
+		ostart, err := auditdNum("obj_start", objStart, 64)
 		if err != nil {
 			return Record{}, err
 		}
-		r.Object = event.Process(unquoteAuditd(fields["obj_host"]), unquoteAuditd(fields["obj_exe"]), int32(opid), ostart)
+		r.Object = event.Process(unquoteAuditd(objHost), unquoteAuditd(objExe), int32(opid), ostart)
 	case "file":
-		r.Object = event.File(unquoteAuditd(fields["obj_host"]), unquoteAuditd(fields["path"]))
+		r.Object = event.File(unquoteAuditd(objHost), unquoteAuditd(path))
 	case "ip":
-		sport, err := num("sport", 32)
+		sp, err := auditdNum("sport", sport, 32)
 		if err != nil {
 			return Record{}, err
 		}
-		dport, err := num("dport", 32)
+		dp, err := auditdNum("dport", dport, 32)
 		if err != nil {
 			return Record{}, err
 		}
-		r.Object = event.Socket(unquoteAuditd(fields["obj_host"]), unquoteAuditd(fields["saddr"]), uint16(sport), unquoteAuditd(fields["daddr"]), uint16(dport))
+		r.Object = event.Socket(unquoteAuditd(objHost), unquoteAuditd(saddr), uint16(sp), unquoteAuditd(daddr), uint16(dp))
 	default:
-		return Record{}, fmt.Errorf("audit: auditd: unknown object type %q", fields["obj"])
+		return Record{}, fmt.Errorf("audit: auditd: unknown object type %q", obj)
 	}
 	return r, nil
 }

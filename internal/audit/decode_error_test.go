@@ -112,9 +112,10 @@ func TestIngestDecodeCounters(t *testing.T) {
 	}
 }
 
-// TestIngestLiveLine covers the per-line tail-collector entry point: blank
-// lines vanish, garbage is counted (never fatal), valid lines append
-// durably, and the live store's registry sees every tick.
+// TestIngestLiveLine feeds IngestLive one line at a time, as a tail
+// collector's drain cycle may: blank lines vanish, garbage is counted (never
+// fatal), valid lines append durably, and the live store's registry sees
+// every tick.
 func TestIngestLiveLine(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	l, err := store.OpenLive(t.TempDir(), nil, store.WithTelemetry(reg))
@@ -123,12 +124,12 @@ func TestIngestLiveLine(t *testing.T) {
 	}
 	defer l.Close()
 
-	stats, err := IngestLiveLine(l, "   \n")
+	stats, err := IngestLive(l, strings.NewReader("   \n"))
 	if err != nil || stats != (IngestStats{}) {
 		t.Fatalf("blank line = %+v, %v", stats, err)
 	}
 
-	stats, err = IngestLiveLine(l, "not an audit line")
+	stats, err = IngestLive(l, strings.NewReader("not an audit line"))
 	if err != nil {
 		t.Fatalf("garbage must not be fatal: %v", err)
 	}
@@ -140,7 +141,7 @@ func TestIngestLiveLine(t *testing.T) {
 	if err := Encode(&buf, sampleRecords()[0], FormatETW); err != nil {
 		t.Fatal(err)
 	}
-	stats, err = IngestLiveLine(l, buf.String())
+	stats, err = IngestLive(l, strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,5 +157,43 @@ func TestIngestLiveLine(t *testing.T) {
 	}
 	if got := snap.Counters[telemetry.MetricIngestDecodeErrors]; got != 1 {
 		t.Fatalf("decode counter = %d", got)
+	}
+}
+
+// TestIngestCountsCommittedRecords fails the second chunk's commit: Ingested
+// and the records counter count the first chunk only, the events the store
+// holds, so a server's batch event-ID range stays exact.
+func TestIngestCountsCommittedRecords(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	l, err := store.OpenLive(t.TempDir(), nil, store.WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var wire strings.Builder
+	rec := sampleRecords()[0]
+	for i := 0; i < chunkRecords+10; i++ {
+		rec.Time++
+		if err := Encode(&wire, rec, FormatAuditd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commits := 0
+	stats, err := ingest(strings.NewReader(wire.String()), reg, func(recs []store.Record) error {
+		if commits++; commits > 1 {
+			return errors.New("disk full")
+		}
+		_, err := l.Commit(recs)
+		return err
+	})
+	if err == nil {
+		t.Fatal("a failed commit must abort the stream")
+	}
+	held := l.BaseEvents() + l.PendingEvents()
+	if stats.Lines != chunkRecords+10 || stats.Ingested != chunkRecords || held != chunkRecords {
+		t.Fatalf("stats = %+v with %d events held, want %d ingested and held", stats, held, chunkRecords)
+	}
+	if got := reg.Snapshot().Counters[telemetry.MetricIngestRecords]; got != chunkRecords {
+		t.Fatalf("records counter = %d, want %d", got, chunkRecords)
 	}
 }

@@ -129,8 +129,8 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 }
 
 // ingestErrorResponse is the non-2xx ingest body. Ingest is not atomic —
-// records before the failing line are already durably stored — so the
-// error carries the stats of what went in before the stream aborted.
+// the chunks committed before the failing one are already durably stored —
+// so the error carries the stats of what went in before the stream aborted.
 type ingestErrorResponse struct {
 	Error string            `json:"error"`
 	Stats audit.IngestStats `json:"stats"`

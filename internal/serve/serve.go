@@ -694,33 +694,25 @@ func (s *Server) Tail(ctx context.Context, path string, poll time.Duration) erro
 		return fmt.Errorf("serve: tail: %w", err)
 	}
 	defer f.Close()
-	var partial []byte
-	var lines []string
+	var pending []byte
 	buf := make([]byte, 64*1024)
 	for {
 		n, err := f.Read(buf)
 		if n > 0 {
-			partial = append(partial, buf[:n]...)
-			for {
-				i := bytes.IndexByte(partial, '\n')
-				if i < 0 {
-					break
-				}
-				lines = append(lines, string(partial[:i]))
-				partial = partial[i+1:]
-			}
+			pending = append(pending, buf[:n]...)
 			continue // drain the file before sleeping
 		}
 		if err != nil && err != io.EOF {
 			return fmt.Errorf("serve: tail: %w", err)
 		}
-		// EOF: everything read since the last pause is one ingest batch —
-		// one correlation ID per drain cycle.
-		if len(lines) > 0 {
-			if err := s.ingestLines(lines); err != nil {
+		// EOF: the complete lines read since the last pause are one ingest
+		// batch, through IngestReader — one correlation ID per drain cycle.
+		// A partial last line waits for the rest of it.
+		if i := bytes.LastIndexByte(pending, '\n'); i >= 0 {
+			if _, err := s.IngestReader(bytes.NewReader(pending[:i+1])); err != nil {
 				return err
 			}
-			lines = lines[:0]
+			pending = append(pending[:0], pending[i+1:]...)
 		}
 		select {
 		case <-ctx.Done():
@@ -728,30 +720,6 @@ func (s *Server) Tail(ctx context.Context, path string, poll time.Duration) erro
 		case <-time.After(poll):
 		}
 	}
-}
-
-// ingestLines ingests one batch of already-split audit lines under the
-// batch lock (the tail path's equivalent of IngestReader).
-func (s *Server) ingestLines(lines []string) error {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	before := s.cfg.Live.BaseEvents() + s.cfg.Live.PendingEvents()
-	var stats audit.IngestStats
-	var err error
-	for _, line := range lines {
-		var st audit.IngestStats
-		st, err = audit.IngestLiveLine(s.cfg.Live, line)
-		stats.Lines += st.Lines
-		stats.Ingested += st.Ingested
-		stats.Rejected += st.Rejected
-		stats.Decode += st.Decode
-		stats.Invalid += st.Invalid
-		if err != nil {
-			break
-		}
-	}
-	s.noteBatch(before, stats, err)
-	return err
 }
 
 // Drain executes graceful shutdown: stop the detection loop, drain the

@@ -42,8 +42,12 @@ type Live struct {
 	// snap is the last snapshot taken, the one the next extends.
 	snap *Store
 	wal  *os.File
-	// walBuf reuses one encode buffer across appends.
+	// walBuf and events reuse one commit's WAL bytes and events across
+	// commits. walErr is the first failed WAL write; it fails every commit
+	// after it.
 	walBuf []byte
+	events []event.Event
+	walErr error
 	closed bool
 
 	walAppends *telemetry.Counter
@@ -146,17 +150,13 @@ func (l *Live) replayWAL() error {
 	return nil
 }
 
-// writeWALRecord frames payload as [len u32][payload][crc u32] and appends it.
-func (l *Live) writeWALRecord(payload []byte) error {
-	l.walBuf = l.walBuf[:0]
-	l.walBuf = binary.LittleEndian.AppendUint32(l.walBuf, uint32(len(payload)))
-	l.walBuf = append(l.walBuf, payload...)
-	l.walBuf = binary.LittleEndian.AppendUint32(l.walBuf, crc32.ChecksumIEEE(payload))
-	_, err := l.wal.Write(l.walBuf)
-	if err == nil {
-		l.walAppends.Inc()
-	}
-	return err
+// frameWAL closes the record that buf holds from start on, where four
+// bytes were reserved for its length ahead of the payload:
+// [len u32][payload][crc u32].
+func frameWAL(buf []byte, start int) []byte {
+	payload := buf[start+4:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 }
 
 // readWALRecord parses one framed record; ok=false on truncation/corruption.
@@ -177,55 +177,82 @@ func readWALRecord(buf []byte) (payload []byte, consumed int, ok bool) {
 	return payload, total, true
 }
 
-// Append durably records one event and adds it to the write side.
-// The subject must be a process. New objects are interned into the shared
-// object table and logged ahead of the event that references them.
+// Record is one event to append to a live store, its objects by value.
+type Record struct {
+	Time    int64
+	Action  event.Action
+	Dir     event.Direction
+	Amount  int64
+	Subject event.Object // must be a process
+	Object  event.Object
+}
+
+// Append durably records one event and adds it to the write side: Commit of
+// one record.
 func (l *Live) Append(t int64, subject, object event.Object, action event.Action, dir event.Direction, amount int64) (event.EventID, error) {
-	if subject.Type != event.ObjProcess {
-		return 0, fmt.Errorf("store: live: event subject must be a process, got %v", subject.Type)
+	return l.Commit([]Record{{Time: t, Action: action, Dir: dir, Amount: amount, Subject: subject, Object: object}})
+}
+
+// Commit durably appends recs in order, under one lock and with one WAL
+// write, and returns the first one's event ID; the rest follow it. Objects
+// new to the store are interned and logged ahead of the first event that
+// references them, so the log holds the bytes one Append per record would
+// write. Nothing of recs reaches the write side, and so a Snapshot, before
+// its bytes are written. A failed write leaves the write side as it was and
+// sticks: every later Commit returns it, so no record lands in the log
+// behind a torn one, where replay would not reach it.
+func (l *Live) Commit(recs []Record) (event.EventID, error) {
+	for _, r := range recs {
+		if r.Subject.Type != event.ObjProcess {
+			return 0, fmt.Errorf("store: live: event subject must be a process, got %v", r.Subject.Type)
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, errors.New("store: live: closed")
 	}
-
-	logObj := func(o event.Object) (event.ObjID, error) {
-		if id, ok := l.w.Lookup(o); ok {
-			return id, nil
+	if l.walErr != nil {
+		return 0, l.walErr
+	}
+	w, objects := l.w, l.w.NumObjects()
+	first := event.EventID(w.NumEvents() + 1)
+	l.walBuf, l.events = l.walBuf[:0], l.events[:0]
+	for _, r := range recs {
+		sub := l.logObject(r.Subject)
+		obj := l.logObject(r.Object)
+		e := event.Event{ID: first + event.EventID(len(l.events)), Time: r.Time, Subject: sub, Object: obj, Action: r.Action, Dir: r.Dir, Amount: r.Amount}
+		start := len(l.walBuf)
+		l.walBuf = frameWAL(event.AppendEvent(append(l.walBuf, 0, 0, 0, 0, walEvent), e), start)
+		l.events = append(l.events, e)
+	}
+	if _, err := l.wal.Write(l.walBuf); err != nil {
+		byKey := w.byKey() // un-intern the objects that never became durable
+		for _, o := range w.objects[objects:] {
+			delete(byKey, o.Key())
 		}
-		payload := append([]byte{walObject}, event.AppendObject(nil, o)...)
-		if err := l.writeWALRecord(payload); err != nil {
-			return 0, fmt.Errorf("store: live: wal append: %w", err)
+		w.objects = w.objects[:objects]
+		l.walErr = fmt.Errorf("store: live: wal append: %w", err)
+		return 0, l.walErr
+	}
+	l.walAppends.Add(int64(len(l.events) + w.NumObjects() - objects))
+	for _, e := range l.events {
+		if err := w.addRaw(e); err != nil {
+			return 0, err
 		}
-		return l.w.Intern(o), nil
 	}
-	subID, err := logObj(subject)
-	if err != nil {
-		return 0, err
-	}
-	objID, err := logObj(object)
-	if err != nil {
-		return 0, err
-	}
+	return first, nil
+}
 
-	e := event.Event{
-		ID:      event.EventID(l.w.NumEvents() + 1),
-		Time:    t,
-		Subject: subID,
-		Object:  objID,
-		Action:  action,
-		Dir:     dir,
-		Amount:  amount,
+// logObject resolves o on the write side, interning it and framing its WAL
+// record into walBuf when it is new.
+func (l *Live) logObject(o event.Object) event.ObjID {
+	if id, ok := l.w.Lookup(o); ok {
+		return id
 	}
-	payload := append([]byte{walEvent}, event.AppendEvent(nil, e)...)
-	if err := l.writeWALRecord(payload); err != nil {
-		return 0, fmt.Errorf("store: live: wal append: %w", err)
-	}
-	if err := l.w.addRaw(e); err != nil {
-		return 0, err
-	}
-	return e.ID, nil
+	start := len(l.walBuf)
+	l.walBuf = frameWAL(event.AppendObject(append(l.walBuf, 0, 0, 0, 0, walObject), o), start)
+	return l.w.Intern(o)
 }
 
 // Sync flushes the WAL to stable storage.

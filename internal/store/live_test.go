@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -292,4 +296,211 @@ func snapLookup(t *testing.T, s *Store, o event.Object) event.ObjID {
 		t.Fatalf("object %v missing", o.Key())
 	}
 	return id
+}
+
+// walRecords is n events over a few processes, files and sockets, some new
+// to the store and some seen before, not in time order.
+func walRecords(n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		obj := event.File("h", fmt.Sprintf("/f%d", i%7))
+		if i%5 == 0 {
+			obj = event.Socket("h", "10.0.0.1", uint16(i), "10.0.0.2", 443)
+		}
+		recs[i] = Record{
+			Time: int64(1000 + 37*i%23), Action: event.ActWrite, Dir: event.FlowOut, Amount: int64(i),
+			Subject: event.Process("h", fmt.Sprintf("p%d", i%3), int32(i%3), 10),
+			Object:  obj,
+		}
+	}
+	return recs
+}
+
+// perRecordWAL frames recs as the log has always held them, one record at a
+// time: [len u32][type, payload][crc u32], a new object's record ahead of the
+// event that first references it, the subject's ahead of the object's.
+func perRecordWAL(recs []Record) []byte {
+	var out []byte
+	frame := func(payload []byte) {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		out = append(out, payload...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	}
+	ids := map[event.ObjectKey]event.ObjID{}
+	intern := func(o event.Object) event.ObjID {
+		id, ok := ids[o.Key()]
+		if !ok {
+			id = event.ObjID(len(ids))
+			ids[o.Key()] = id
+			frame(append([]byte{walObject}, event.AppendObject(nil, o)...))
+		}
+		return id
+	}
+	for i, r := range recs {
+		sub := intern(r.Subject)
+		obj := intern(r.Object)
+		e := event.Event{ID: event.EventID(i + 1), Time: r.Time, Subject: sub, Object: obj, Action: r.Action, Dir: r.Dir, Amount: r.Amount}
+		frame(append([]byte{walEvent}, event.AppendEvent(nil, e)...))
+	}
+	return out
+}
+
+// TestLiveCommitWALMatchesAppends: one chunk commit writes the bytes one
+// Append per record writes, and both are the per-record framing the log has
+// always had, so the log format, and replay, are unchanged.
+func TestLiveCommitWALMatchesAppends(t *testing.T) {
+	recs := walRecords(40)
+	one, many := t.TempDir(), t.TempDir()
+	l1, err := OpenLive(one, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, err := l1.Commit(recs); err != nil || first != 1 {
+		t.Fatalf("commit = %d, %v", first, err)
+	}
+	l1.Close()
+	l2, err := OpenLive(many, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if id, err := l2.Append(r.Time, r.Subject, r.Object, r.Action, r.Dir, r.Amount); err != nil || id != event.EventID(i+1) {
+			t.Fatalf("append %d = %d, %v", i, id, err)
+		}
+	}
+	l2.Close()
+	a, _ := os.ReadFile(filepath.Join(one, walFile))
+	b, _ := os.ReadFile(filepath.Join(many, walFile))
+	want := perRecordWAL(recs)
+	if !bytes.Equal(a, want) || !bytes.Equal(b, want) {
+		t.Fatalf("chunk commit wrote %d WAL bytes, appends %d, want the per-record framing's %d, byte for byte", len(a), len(b), len(want))
+	}
+	l3, err := OpenLive(one, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	if l3.PendingEvents() != len(recs) {
+		t.Fatalf("replayed %d events, want %d", l3.PendingEvents(), len(recs))
+	}
+}
+
+// TestLiveTornChunkRecoversWholeRecords tears the WAL at every point inside
+// one chunk's write: reopening recovers exactly the records whole before
+// the tear, objects and events, and cuts the log back to them.
+func TestLiveTornChunkRecoversWholeRecords(t *testing.T) {
+	src := t.TempDir()
+	l, err := OpenLive(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveAppend(t, l, 100, "svc", "/a")
+	fi, err := os.Stat(filepath.Join(src, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Commit(walRecords(12)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	raw, _ := os.ReadFile(filepath.Join(src, walFile))
+
+	// ends[k] is where the k-th frame ends; objects[k], events[k] count the
+	// frames of each kind up to it.
+	ends, objects, events := []int{0}, []int{0}, []int{0}
+	for off := 0; off < len(raw); {
+		rec, n, ok := readWALRecord(raw[off:])
+		if !ok {
+			t.Fatalf("intact WAL unreadable at byte %d", off)
+		}
+		off += n
+		k := len(ends) - 1
+		o, e := objects[k], events[k]
+		if rec[0] == walObject {
+			o++
+		} else {
+			e++
+		}
+		ends, objects, events = append(ends, off), append(objects, o), append(events, e)
+	}
+	for cut := int(fi.Size()) + 1; cut < len(raw); cut++ {
+		k := 0
+		for k+1 < len(ends) && ends[k+1] <= cut {
+			k++
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walFile), raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenLive(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.w.NumObjects() != objects[k] || l.PendingEvents() != events[k] {
+			t.Fatalf("tear at byte %d: recovered %d objects, %d events; want %d, %d",
+				cut, l.w.NumObjects(), l.PendingEvents(), objects[k], events[k])
+		}
+		l.Close()
+		if fi, err := os.Stat(filepath.Join(dir, walFile)); err != nil || fi.Size() != int64(ends[k]) {
+			t.Fatalf("tear at byte %d: WAL left at %v bytes, want %d (%v)", cut, fi.Size(), ends[k], err)
+		}
+	}
+}
+
+// TestLiveFailedCommitSticks fails a chunk's WAL write: the write side
+// keeps neither its objects nor its events, every later commit fails too —
+// even once the log would take writes again — and a snapshot still serves
+// what was committed, as does the reopened store.
+func TestLiveFailedCommitSticks(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLive(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveAppend(t, l, 100, "svc", "/a")
+	before, err := l.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects, events := l.w.NumObjects(), l.w.NumEvents()
+
+	// A read-only handle on the log stands in for a failing disk.
+	good := l.wal
+	ro, err := os.Open(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.wal = ro
+	recs := walRecords(8)
+	if _, err := l.Commit(recs); err == nil {
+		t.Fatal("commit on a failing WAL must fail")
+	}
+	if l.w.NumObjects() != objects || l.w.NumEvents() != events {
+		t.Fatalf("failed commit left %d objects, %d events; want %d, %d",
+			l.w.NumObjects(), l.w.NumEvents(), objects, events)
+	}
+	l.wal = good
+	ro.Close()
+	if _, err := l.Commit(recs); err == nil {
+		t.Fatal("commit after a failed WAL write must fail")
+	}
+	if _, err := l.Append(200, event.Process("h", "svc", 1, 10), event.File("h", "/b"), event.ActWrite, event.FlowOut, 1); err == nil {
+		t.Fatal("append after a failed WAL write must fail")
+	}
+	snap, err := l.Snapshot()
+	if err != nil || snap != before {
+		t.Fatalf("snapshot after failed commits = %p, %v; want the one before (%p)", snap, err, before)
+	}
+	if _, ok := snap.Lookup(recs[0].Subject); ok {
+		t.Fatal("an object of the failed commit is visible")
+	}
+	l.Close()
+	l2, err := OpenLive(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.PendingEvents() != events {
+		t.Fatalf("reopen recovered %d events, want %d", l2.PendingEvents(), events)
+	}
 }
