@@ -67,12 +67,6 @@ type (
 	Object = event.Object
 	// ObjID is a compact object reference within one store.
 	ObjID = event.ObjID
-	// ObjectKey is the comparable canonical identity of an Object.
-	ObjectKey = event.ObjectKey
-	// Action is the interaction kind (read, write, start, send, ...).
-	Action = event.Action
-	// Direction is the data-flow direction of an event.
-	Direction = event.Direction
 )
 
 // Storage layer.
@@ -82,14 +76,10 @@ type (
 	// LiveStore is the continuously collecting store: WAL-backed appends,
 	// consistent snapshots for analysis, checkpointing into segments.
 	LiveStore = store.Live
-	// StoreStats are the store's work counters.
-	StoreStats = store.Stats
 	// Clock is the time source queries charge their modeled cost to.
 	Clock = simclock.Clock
 	// SimulatedClock is a virtual clock driven by the query cost model.
 	SimulatedClock = simclock.Simulated
-	// CostModel converts query work (rows, partitions) into time.
-	CostModel = simclock.CostModel
 	// StoreOption configures a Store at open/create time.
 	StoreOption = store.Option
 )
@@ -100,9 +90,6 @@ type (
 	// fixed-bucket histograms, exposed as JSON snapshots and Prometheus
 	// text. A nil *Telemetry disables all publication at near-zero cost.
 	Telemetry = telemetry.Registry
-	// TelemetrySnapshot is a consistent point-in-time copy of every
-	// registered instrument, shaped for JSON encoding.
-	TelemetrySnapshot = telemetry.Snapshot
 )
 
 // Explain layer: the run log.
@@ -114,14 +101,6 @@ type (
 	// -timeline). A nil *ExplainRecorder disables recording at the cost of
 	// one pointer test per decision.
 	ExplainRecorder = explain.Recorder
-	// ExplainRecord is one retained decision record.
-	ExplainRecord = explain.Record
-	// Explanation is the assembled causal justification for one object:
-	// why it is (or is not) in the dependency graph.
-	Explanation = explain.Explanation
-	// PrunedCandidate is one prune-frontier entry: an object the analysis
-	// considered and excluded, with the deciding reason.
-	PrunedCandidate = explain.Pruned
 	// DOTAnnotation marks a pruned candidate for WriteDOTAnnotated.
 	DOTAnnotation = graph.DOTAnnotation
 )
@@ -132,9 +111,6 @@ type (
 	Script = bdl.Script
 	// Plan is a compiled, executable BDL script.
 	Plan = refiner.Plan
-	// ResumeAction says how much of a paused analysis survives a script
-	// change (resume / repropagate / restart).
-	ResumeAction = refiner.ResumeAction
 )
 
 // Analysis layer.
@@ -170,8 +146,6 @@ type (
 	// replays the identical charged cost, so all analysis output is
 	// byte-identical cached or uncached. See NewMemoCache.
 	MemoCache = memo.Cache
-	// MemoStats is a point-in-time cache-effectiveness snapshot.
-	MemoStats = memo.Stats
 )
 
 // Dataset and detection layer.
@@ -182,12 +156,8 @@ type (
 	Dataset = workload.Dataset
 	// Attack is one injected scenario's ground truth.
 	Attack = workload.Attack
-	// Alert is an anomaly-detector hit: a backtracking starting point.
-	Alert = alerts.Alert
 	// Detector is the rule-based anomaly detector.
 	Detector = alerts.Detector
-	// AuditRecord is a normalized collection-side record.
-	AuditRecord = audit.Record
 	// AuditFormat selects the ETW-style or auditd-style wire format.
 	AuditFormat = audit.Format
 	// Suggestion is a proposed BDL exclusion heuristic derived from an
@@ -202,11 +172,6 @@ const (
 	// DefaultWindows is the default execution-window count k (the paper's
 	// empirical value).
 	DefaultWindows = core.DefaultWindows
-
-	// Resume actions returned by Session.UpdateScript.
-	ActionRestart     = refiner.Restart
-	ActionRepropagate = refiner.Repropagate
-	ActionResume      = refiner.Resume
 
 	// Audit wire formats.
 	FormatETW    = audit.FormatETW
@@ -245,11 +210,6 @@ func NewMemoCache(maxBytes int64, reg *Telemetry) *MemoCache { return memo.New(m
 // time; queries then publish rows-examined and latency metrics.
 func WithTelemetry(reg *Telemetry) StoreOption { return store.WithTelemetry(reg) }
 
-// WithSealWorkers fixes the worker count Seal uses for its parallel index
-// build (0, the default, auto-sizes to the machine). Any value yields
-// bit-identical indexes.
-func WithSealWorkers(n int) StoreOption { return store.WithSealWorkers(n) }
-
 // WithShards partitions the store into n host×time shards that seal side by
 // side and answer queries by scatter-gather (1 keeps the default single
 // part, and overrides a persisted shard count at OpenStore time). Sharding
@@ -261,9 +221,6 @@ func WithShards(n int) StoreOption { return store.WithShards(n) }
 // shard routing key (0 keeps the default of one segment span). Only
 // meaningful together with WithShards.
 func WithShardEpoch(seconds int64) StoreOption { return store.WithShardEpoch(seconds) }
-
-// ShardInfo describes one shard's extent (apquery -stats prints these).
-type ShardInfo = store.ShardInfo
 
 // QueryProfiler is the query-profiler layer: it aggregates per-query
 // scatter-gather samples — fan-out, per-shard rows and busy nanos, merge
@@ -444,15 +401,14 @@ type (
 	TriageRun = serve.Run
 	// TriageSummary is the API-facing snapshot of a TriageRun.
 	TriageSummary = serve.Summary
-	// TriageAlert is one detector hit as the triage API reports it.
-	TriageAlert = serve.AlertRecord
 )
 
 // NewTriageServer assembles the always-on triage daemon. Start launches the
 // detection loop, Serve binds the HTTP API, Drain shuts down gracefully.
 func NewTriageServer(cfg TriageConfig) (*TriageServer, error) { return serve.New(cfg) }
 
-// ExportAudit writes a sealed store's events to w in the given wire format.
+// ExportAudit writes a sealed store's events to w in the given wire format,
+// in 64 KiB blocks: one Write per block, not per record.
 func ExportAudit(st *Store, w io.Writer, f AuditFormat) (int, error) {
 	return audit.Export(st, w, f)
 }

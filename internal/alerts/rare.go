@@ -2,7 +2,6 @@ package alerts
 
 import (
 	"fmt"
-	"sort"
 
 	"aptrace/internal/event"
 	"aptrace/internal/store"
@@ -69,37 +68,4 @@ func (r *RareChildRule) Check(e event.Event, st *store.Store) (string, Severity,
 	}
 	return fmt.Sprintf("unusual process parentage: %s started %s (seen %d times in training)",
 		p.parent, p.child, seen), sev, true
-}
-
-// Pairs returns the number of distinct pairs learned, for diagnostics.
-func (r *RareChildRule) Pairs() int { return len(r.counts) }
-
-// TopPairs returns the n most frequent learned pairs formatted as
-// "parent->child", for inspection and tests.
-func (r *RareChildRule) TopPairs(n int) []string {
-	type pc struct {
-		p startPair
-		c int
-	}
-	all := make([]pc, 0, len(r.counts))
-	for p, c := range r.counts {
-		all = append(all, pc{p, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		if all[i].p.parent != all[j].p.parent {
-			return all[i].p.parent < all[j].p.parent
-		}
-		return all[i].p.child < all[j].p.child
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, 0, n)
-	for _, e := range all[:n] {
-		out = append(out, fmt.Sprintf("%s->%s", e.p.parent, e.p.child))
-	}
-	return out
 }

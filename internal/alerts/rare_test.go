@@ -1,11 +1,40 @@
 package alerts
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"aptrace/internal/event"
 	"aptrace/internal/workload"
 )
+
+// topPairs returns the n most frequent learned pairs formatted as
+// "parent->child".
+func topPairs(r *RareChildRule, n int) []string {
+	type pc struct {
+		p startPair
+		c int
+	}
+	all := make([]pc, 0, len(r.counts))
+	for p, c := range r.counts {
+		all = append(all, pc{p, c})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].c != all[j].c {
+			return all[i].c > all[j].c
+		}
+		if all[i].p.parent != all[j].p.parent {
+			return all[i].p.parent < all[j].p.parent
+		}
+		return all[i].p.child < all[j].p.child
+	})
+	out := make([]string, 0, n)
+	for _, e := range all[:min(n, len(all))] {
+		out = append(out, fmt.Sprintf("%s->%s", e.p.parent, e.p.child))
+	}
+	return out
+}
 
 func TestRareChildRuleLearnsAndDetects(t *testing.T) {
 	ds, err := workload.Generate(workload.Config{Seed: 13, Hosts: 5, Days: 4, Density: 0.6}, nil)
@@ -19,11 +48,11 @@ func TestRareChildRuleLearnsAndDetects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rule.Pairs() < 5 {
-		t.Fatalf("learned only %d pairs", rule.Pairs())
+	if len(rule.counts) < 5 {
+		t.Fatalf("learned only %d pairs", len(rule.counts))
 	}
 	// The common benign parentage must be among the top pairs.
-	top := rule.TopPairs(5)
+	top := topPairs(rule, 5)
 	found := false
 	for _, p := range top {
 		if p == "explorer.exe->chrome.exe" || p == "explorer.exe->notepad.exe" ||

@@ -102,22 +102,34 @@ const (
 	FormatAuditd
 )
 
-// Encode writes r to w in the given format, one line per record.
-func Encode(w io.Writer, r Record, f Format) error {
-	var line string
-	var err error
+// appender is a wire format's line encoder: it appends the line of e, whose
+// endpoints are subj and obj, to buf without the newline.
+type appender func(buf []byte, e *event.Event, subj, obj *event.Object) ([]byte, error)
+
+// appenderOf returns the line encoder of format f.
+func appenderOf(f Format) (appender, error) {
 	switch f {
 	case FormatETW:
-		line, err = encodeETW(r)
+		return appendETW, nil
 	case FormatAuditd:
-		line, err = encodeAuditd(r)
-	default:
-		return fmt.Errorf("audit: unknown format %d", f)
+		return appendAuditd, nil
 	}
+	return nil, fmt.Errorf("audit: unknown format %d", f)
+}
+
+// Encode writes r to w in the given format, one line per record, with one
+// Write.
+func Encode(w io.Writer, r Record, f Format) error {
+	appendLine, err := appenderOf(f)
 	if err != nil {
 		return err
 	}
-	_, err = io.WriteString(w, line+"\n")
+	e := event.Event{Time: r.Time, Action: r.Action, Dir: r.Dir, Amount: r.Amount}
+	line, err := appendLine(nil, &e, &r.Subject, &r.Object)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(line, '\n'))
 	return err
 }
 
@@ -280,32 +292,54 @@ func IngestLive(l *store.Live, r io.Reader) (IngestStats, error) {
 	})
 }
 
-// Export writes every event of a sealed store to w in the given format,
-// in time order. It is the inverse of Ingest up to event IDs.
+// exportBlock is the size of the blocks Export hands its writer.
+const exportBlock = 64 << 10
+
+// Export writes every event of a sealed store to w in the given format, in
+// time order: the inverse of Ingest up to event IDs. The lines go to w in
+// 64 KiB blocks, a line straddling two, plus the remainder: one write(2) per
+// block on a file, not per record. After a failed write, n counts the
+// records whose whole line was in the blocks written before it.
 func Export(st *store.Store, w io.Writer, f Format) (int, error) {
-	n := 0
-	var encErr error
-	min, max, ok := st.TimeRange()
+	from, to, ok := st.TimeRange()
 	if !ok {
 		return 0, nil
 	}
-	err := st.Scan(min, max+1, func(e event.Event) bool {
-		rec := Record{
-			Time:    e.Time,
-			Action:  e.Action,
-			Dir:     e.Dir,
-			Amount:  e.Amount,
-			Subject: st.Object(e.Subject),
-			Object:  st.Object(e.Object),
-		}
-		if encErr = Encode(w, rec, f); encErr != nil {
+	appendLine, err := appenderOf(f)
+	if err != nil {
+		return 0, err
+	}
+	buf := make([]byte, 0, 2*exportBlock)
+	n, held := 0, 0    // records written whole; records with bytes in buf
+	var ev event.Event // one copy for every line: &e would escape per call
+	var encErr, writeErr error
+	if err := st.Scan(from, to+1, func(e event.Event) bool {
+		ev = e
+		if buf, encErr = appendLine(buf, &ev, st.ObjectRef(e.Subject), st.ObjectRef(e.Object)); encErr != nil {
 			return false
 		}
-		n++
+		buf, held = append(buf, '\n'), held+1
+		for len(buf) >= exportBlock {
+			if _, writeErr = w.Write(buf[:exportBlock]); writeErr != nil {
+				return false
+			}
+			// Every held line but the last ended inside the block; the last
+			// spills into the next one unless it ended with this one.
+			buf = buf[:copy(buf, buf[exportBlock:])]
+			spill := min(len(buf), 1)
+			n, held = n+held-spill, spill
+		}
 		return true
-	})
-	if err != nil {
-		return n, err
+	}); err != nil {
+		return 0, err
 	}
-	return n, encErr
+	if writeErr != nil {
+		return n, writeErr
+	}
+	if len(buf) > 0 {
+		if _, err := w.Write(buf); err != nil {
+			return n, err
+		}
+	}
+	return n + held, encErr
 }

@@ -17,15 +17,22 @@ import (
 //	  host="web1" exe="bash" pid=901 start=1555390000
 //	  obj=file obj_host="web1" path="/etc/passwd"
 
-// quoteAuditd renders a string value the way auditd does: double-quoted
-// verbatim when safe, upper-case hex without quotes when the value contains
-// a quote or control bytes (auditd's "untrusted string" encoding).
-func quoteAuditd(s string) string {
-	clean := !strings.ContainsAny(s, "\"\n\r\t")
-	if clean {
-		return `"` + s + `"`
+// appendAuditdString appends a string value the way auditd renders it:
+// double-quoted verbatim when safe, upper-case hex without quotes when the
+// value contains a quote or control bytes (auditd's "untrusted string"
+// encoding).
+func appendAuditdString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '"' || c == '\n' || c == '\r' || c == '\t' {
+			const upperHex = "0123456789ABCDEF"
+			for i := 0; i < len(s); i++ {
+				buf = append(buf, upperHex[s[i]>>4], upperHex[s[i]&0xf])
+			}
+			return buf
+		}
 	}
-	return strings.ToUpper(hex.EncodeToString([]byte(s)))
+	buf = append(append(buf, '"'), s...)
+	return append(buf, '"')
 }
 
 // unquoteAuditd is the inverse: quoted values are verbatim, unquoted ones
@@ -40,26 +47,36 @@ func unquoteAuditd(raw string) string {
 	return raw
 }
 
-func encodeAuditd(r Record) (string, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "type=APTRACE msg=audit(%d.000:0): action=%s dir=%s amount=%d",
-		r.Time, r.Action, r.Dir, r.Amount)
-	fmt.Fprintf(&sb, " host=%s exe=%s pid=%d start=%d",
-		quoteAuditd(r.Subject.Host), quoteAuditd(r.Subject.Exe), r.Subject.PID, r.Subject.Start)
-	switch r.Object.Type {
-	case event.ObjProcess:
-		fmt.Fprintf(&sb, " obj=proc obj_host=%s obj_exe=%s obj_pid=%d obj_start=%d",
-			quoteAuditd(r.Object.Host), quoteAuditd(r.Object.Exe), r.Object.PID, r.Object.Start)
-	case event.ObjFile:
-		fmt.Fprintf(&sb, " obj=file obj_host=%s path=%s", quoteAuditd(r.Object.Host), quoteAuditd(r.Object.Path))
-	case event.ObjSocket:
-		fmt.Fprintf(&sb, " obj=ip obj_host=%s saddr=%s sport=%d daddr=%s dport=%d",
-			quoteAuditd(r.Object.Host), quoteAuditd(r.Object.SrcIP), r.Object.SrcPort,
-			quoteAuditd(r.Object.DstIP), r.Object.DstPort)
-	default:
-		return "", fmt.Errorf("audit: auditd: invalid object type %d", r.Object.Type)
+// appendAuditd appends the auditd line of e, whose endpoints are subj and
+// obj, to buf without the newline. On error buf is returned as it came.
+func appendAuditd(buf []byte, e *event.Event, subj, obj *event.Object) ([]byte, error) {
+	if obj.Type > event.ObjSocket {
+		return buf, fmt.Errorf("audit: auditd: invalid object type %d", obj.Type)
 	}
-	return sb.String(), nil
+	buf = strconv.AppendInt(append(buf, "type=APTRACE msg=audit("...), e.Time, 10)
+	buf = append(append(buf, ".000:0): action="...), e.Action.String()...)
+	buf = append(append(buf, " dir="...), e.Dir.String()...)
+	buf = strconv.AppendInt(append(buf, " amount="...), e.Amount, 10)
+	buf = appendAuditdString(append(buf, " host="...), subj.Host)
+	buf = appendAuditdString(append(buf, " exe="...), subj.Exe)
+	buf = strconv.AppendInt(append(buf, " pid="...), int64(subj.PID), 10)
+	buf = strconv.AppendInt(append(buf, " start="...), subj.Start, 10)
+	buf = append(append(buf, " obj="...), obj.Type.String()...)
+	buf = appendAuditdString(append(buf, " obj_host="...), obj.Host)
+	switch obj.Type {
+	case event.ObjProcess:
+		buf = appendAuditdString(append(buf, " obj_exe="...), obj.Exe)
+		buf = strconv.AppendInt(append(buf, " obj_pid="...), int64(obj.PID), 10)
+		buf = strconv.AppendInt(append(buf, " obj_start="...), obj.Start, 10)
+	case event.ObjFile:
+		buf = appendAuditdString(append(buf, " path="...), obj.Path)
+	case event.ObjSocket:
+		buf = appendAuditdString(append(buf, " saddr="...), obj.SrcIP)
+		buf = strconv.AppendUint(append(buf, " sport="...), uint64(obj.SrcPort), 10)
+		buf = appendAuditdString(append(buf, " daddr="...), obj.DstIP)
+		buf = strconv.AppendUint(append(buf, " dport="...), uint64(obj.DstPort), 10)
+	}
+	return buf, nil
 }
 
 // auditdField is a raw value as the line carries it; ok tells a numeric

@@ -1,19 +1,23 @@
 package audit
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"aptrace/internal/event"
 )
 
-// ETW-style format: one self-closing XML element per line, attribute names
-// modeled on the rendered form of ETW kernel provider events.
+// ETW-style format: one empty XML element per line, attribute names
+// modeled on the rendered form of ETW kernel provider events. The encoder
+// writes an explicit end tag; the parser also reads the self-closing form.
 //
 //	<Event Time="2019-04-16T06:15:14Z" Action="write" Dir="out" Amount="512"
 //	       SubjectHost="desktop1" SubjectExe="excel.exe" SubjectPid="412" SubjectStart="1555000000"
-//	       ObjType="file" ObjHost="desktop1" Path="C:\x\y.doc"/>
+//	       ObjType="file" ObjHost="desktop1" Path="C:\x\y.doc"></Event>
 
 type etwEvent struct {
 	XMLName      xml.Name `xml:"Event"`
@@ -40,35 +44,61 @@ type etwEvent struct {
 	DstPort uint16 `xml:"DstPort,attr,omitempty"`
 }
 
-func encodeETW(r Record) (string, error) {
-	ev := etwEvent{
-		Time:         time.Unix(r.Time, 0).UTC().Format(time.RFC3339),
-		Action:       r.Action.String(),
-		Dir:          r.Dir.String(),
-		Amount:       r.Amount,
-		SubjectHost:  r.Subject.Host,
-		SubjectExe:   r.Subject.Exe,
-		SubjectPid:   r.Subject.PID,
-		SubjectStart: r.Subject.Start,
-		ObjType:      r.Object.Type.String(),
-		ObjHost:      r.Object.Host,
+// appendETW appends the ETW line of e, whose endpoints are subj and obj, to
+// buf without the newline: the bytes xml.Marshal gives for etwEvent, with
+// the object's own attributes omitted when zero, as their omitempty tags
+// say. On error buf is returned as it came.
+func appendETW(buf []byte, e *event.Event, subj, obj *event.Object) ([]byte, error) {
+	if obj.Type > event.ObjSocket {
+		return buf, fmt.Errorf("audit: etw: invalid object type %d", obj.Type)
 	}
-	switch r.Object.Type {
+	buf = time.Unix(e.Time, 0).UTC().AppendFormat(append(buf, `<Event Time="`...), time.RFC3339)
+	buf = etwAttr(append(buf, '"'), "Action", e.Action.String(), false)
+	buf = etwInt(etwAttr(buf, "Dir", e.Dir.String(), false), "Amount", e.Amount, false)
+	buf = etwAttr(etwAttr(buf, "SubjectHost", subj.Host, false), "SubjectExe", subj.Exe, false)
+	buf = etwInt(etwInt(buf, "SubjectPid", int64(subj.PID), false), "SubjectStart", subj.Start, false)
+	buf = etwAttr(etwAttr(buf, "ObjType", obj.Type.String(), false), "ObjHost", obj.Host, false)
+	const omitEmpty = true // the object's own attributes
+	switch obj.Type {
 	case event.ObjProcess:
-		ev.Exe, ev.Pid, ev.Start = r.Object.Exe, r.Object.PID, r.Object.Start
+		buf = etwInt(etwAttr(buf, "Exe", obj.Exe, omitEmpty), "Pid", int64(obj.PID), omitEmpty)
+		buf = etwInt(buf, "Start", obj.Start, omitEmpty)
 	case event.ObjFile:
-		ev.Path = r.Object.Path
+		buf = etwAttr(buf, "Path", obj.Path, omitEmpty)
 	case event.ObjSocket:
-		ev.SrcIP, ev.SrcPort = r.Object.SrcIP, r.Object.SrcPort
-		ev.DstIP, ev.DstPort = r.Object.DstIP, r.Object.DstPort
-	default:
-		return "", fmt.Errorf("audit: etw: invalid object type %d", r.Object.Type)
+		buf = etwInt(etwAttr(buf, "SrcIP", obj.SrcIP, omitEmpty), "SrcPort", int64(obj.SrcPort), omitEmpty)
+		buf = etwInt(etwAttr(buf, "DstIP", obj.DstIP, omitEmpty), "DstPort", int64(obj.DstPort), omitEmpty)
 	}
-	raw, err := xml.Marshal(ev)
-	if err != nil {
-		return "", fmt.Errorf("audit: etw encode: %w", err)
+	return append(buf, "></Event>"...), nil
+}
+
+// etwInt appends the attribute name="v", or nothing if v is 0 and
+// omitEmpty is set.
+func etwInt(buf []byte, name string, v int64, omitEmpty bool) []byte {
+	if omitEmpty && v == 0 {
+		return buf
 	}
-	return string(raw), nil
+	buf = append(append(append(buf, ' '), name...), `="`...)
+	return append(strconv.AppendInt(buf, v, 10), '"')
+}
+
+// etwAttr appends the attribute name="v", or nothing if v is empty and
+// omitEmpty is set. It escapes v as xml.Marshal escapes an attribute value,
+// which is what xml.EscapeText writes; a value of bytes 0x20–0x7F with no
+// markup character is appended as it is.
+func etwAttr(buf []byte, name, v string, omitEmpty bool) []byte {
+	if omitEmpty && v == "" {
+		return buf
+	}
+	buf = append(append(append(buf, ' '), name...), `="`...)
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\'' || c == '&' || c == '<' || c == '>' {
+			w := bytes.NewBuffer(append(buf, v[:i]...))
+			xml.EscapeText(w, []byte(v[i:]))
+			return append(w.Bytes(), '"')
+		}
+	}
+	return append(append(buf, v...), '"')
 }
 
 func parseETW(line string) (Record, error) {

@@ -13,13 +13,7 @@ import (
 func FuzzParseLine(f *testing.F) {
 	for _, r := range sampleRecords() {
 		for _, format := range []Format{FormatETW, FormatAuditd} {
-			line, err := func() (string, error) {
-				if format == FormatETW {
-					return encodeETW(r)
-				}
-				return encodeAuditd(r)
-			}()
-			if err == nil {
+			if line, err := encodeOracle(r, format); err == nil {
 				f.Add(line)
 			}
 		}
@@ -72,12 +66,7 @@ func FuzzParseLine(f *testing.F) {
 			return
 		}
 		for _, format := range []Format{FormatETW, FormatAuditd} {
-			enc, err := func() (string, error) {
-				if format == FormatETW {
-					return encodeETW(rec)
-				}
-				return encodeAuditd(rec)
-			}()
+			enc, err := encodeOracle(rec, format)
 			if err != nil {
 				t.Fatalf("valid record failed to encode (format %d): %v", format, err)
 			}

@@ -1,12 +1,90 @@
 package audit
 
 import (
+	"encoding/hex"
+	"encoding/xml"
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"aptrace/internal/event"
 )
+
+// The string encoders the appenders replaced, kept as the reference
+// FuzzEncode holds appendAuditd and appendETW to: same bytes, same failures.
+
+// quoteAuditd renders a string value the way auditd does: double-quoted
+// verbatim when safe, upper-case hex without quotes when the value contains
+// a quote or control bytes.
+func quoteAuditd(s string) string {
+	clean := !strings.ContainsAny(s, "\"\n\r\t")
+	if clean {
+		return `"` + s + `"`
+	}
+	return strings.ToUpper(hex.EncodeToString([]byte(s)))
+}
+
+func encodeAuditd(r Record) (string, error) {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "type=APTRACE msg=audit(%d.000:0): action=%s dir=%s amount=%d",
+		r.Time, r.Action, r.Dir, r.Amount)
+	fmt.Fprintf(&sb, " host=%s exe=%s pid=%d start=%d",
+		quoteAuditd(r.Subject.Host), quoteAuditd(r.Subject.Exe), r.Subject.PID, r.Subject.Start)
+	switch r.Object.Type {
+	case event.ObjProcess:
+		fmt.Fprintf(&sb, " obj=proc obj_host=%s obj_exe=%s obj_pid=%d obj_start=%d",
+			quoteAuditd(r.Object.Host), quoteAuditd(r.Object.Exe), r.Object.PID, r.Object.Start)
+	case event.ObjFile:
+		fmt.Fprintf(&sb, " obj=file obj_host=%s path=%s", quoteAuditd(r.Object.Host), quoteAuditd(r.Object.Path))
+	case event.ObjSocket:
+		fmt.Fprintf(&sb, " obj=ip obj_host=%s saddr=%s sport=%d daddr=%s dport=%d",
+			quoteAuditd(r.Object.Host), quoteAuditd(r.Object.SrcIP), r.Object.SrcPort,
+			quoteAuditd(r.Object.DstIP), r.Object.DstPort)
+	default:
+		return "", fmt.Errorf("audit: auditd: invalid object type %d", r.Object.Type)
+	}
+	return sb.String(), nil
+}
+
+func encodeETW(r Record) (string, error) {
+	ev := etwEvent{
+		Time:         time.Unix(r.Time, 0).UTC().Format(time.RFC3339),
+		Action:       r.Action.String(),
+		Dir:          r.Dir.String(),
+		Amount:       r.Amount,
+		SubjectHost:  r.Subject.Host,
+		SubjectExe:   r.Subject.Exe,
+		SubjectPid:   r.Subject.PID,
+		SubjectStart: r.Subject.Start,
+		ObjType:      r.Object.Type.String(),
+		ObjHost:      r.Object.Host,
+	}
+	switch r.Object.Type {
+	case event.ObjProcess:
+		ev.Exe, ev.Pid, ev.Start = r.Object.Exe, r.Object.PID, r.Object.Start
+	case event.ObjFile:
+		ev.Path = r.Object.Path
+	case event.ObjSocket:
+		ev.SrcIP, ev.SrcPort = r.Object.SrcIP, r.Object.SrcPort
+		ev.DstIP, ev.DstPort = r.Object.DstIP, r.Object.DstPort
+	default:
+		return "", fmt.Errorf("audit: etw: invalid object type %d", r.Object.Type)
+	}
+	raw, err := xml.Marshal(ev)
+	if err != nil {
+		return "", fmt.Errorf("audit: etw encode: %w", err)
+	}
+	return string(raw), nil
+}
+
+// encodeOracle is the reference line of r in format f, without the newline.
+func encodeOracle(r Record, f Format) (string, error) {
+	if f == FormatETW {
+		return encodeETW(r)
+	}
+	return encodeAuditd(r)
+}
 
 // The map-based auditd parser parseAuditd replaced, kept as the reference
 // FuzzParseLine holds the decoder to: same records, same failures.

@@ -163,9 +163,6 @@ type FieldRef struct {
 // String joins the parts with dots.
 func (f FieldRef) String() string { return strings.Join(f.Parts, ".") }
 
-// Last returns the final (attribute) part.
-func (f FieldRef) Last() string { return f.Parts[len(f.Parts)-1] }
-
 // ValueKind discriminates condition values.
 type ValueKind uint8
 
