@@ -74,11 +74,7 @@ func (o Object) Key() ObjectKey {
 	case ObjFile:
 		return ObjectKey{Type: o.Type, Host: o.Host, A: o.Path}
 	case ObjSocket:
-		return ObjectKey{
-			Type: o.Type, Host: o.Host,
-			A: o.SrcIP + ":" + strconv.Itoa(int(o.SrcPort)),
-			B: o.DstIP + ":" + strconv.Itoa(int(o.DstPort)),
-		}
+		return ObjectKey{Type: o.Type, Host: o.Host, A: o.SrcIP, B: o.DstIP, N1: int64(o.SrcPort), N2: int64(o.DstPort)}
 	default:
 		return ObjectKey{Type: o.Type, Host: o.Host}
 	}
@@ -129,9 +125,9 @@ func (o Object) FileName() string {
 }
 
 // ObjectKey is the comparable canonical identity of an Object.
-// A is the primary name (exe, path, or src endpoint), B the secondary name
-// (dst endpoint for sockets), and N1/N2 numeric disambiguators
-// (PID and start time for processes).
+// A is the primary name (exe, path, or src IP), B the secondary name
+// (dst IP for sockets), and N1/N2 numeric disambiguators
+// (PID and start time for processes, src and dst port for sockets).
 type ObjectKey struct {
 	Type ObjectType
 	Host string
@@ -149,7 +145,7 @@ func (k ObjectKey) String() string {
 	case ObjFile:
 		return fmt.Sprintf("file %s:%s", k.Host, k.A)
 	case ObjSocket:
-		return fmt.Sprintf("ip %s:%s->%s", k.Host, k.A, k.B)
+		return fmt.Sprintf("ip %s:%s:%d->%s:%d", k.Host, k.A, k.N1, k.B, k.N2)
 	default:
 		return fmt.Sprintf("obj(%d) %s", uint8(k.Type), k.Host)
 	}

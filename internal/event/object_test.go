@@ -1,6 +1,8 @@
 package event
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -138,5 +140,64 @@ func TestProcessKeyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// concatKey is the socket key Object.Key built before the ports moved into
+// N1 and N2: each endpoint concatenated into one "ip:port" string. With
+// concatString, ObjectKey.String's rendering of such a key, it is the oracle
+// for the socket key's identity and text.
+func concatKey(o Object) ObjectKey {
+	return ObjectKey{
+		Type: o.Type, Host: o.Host,
+		A: o.SrcIP + ":" + strconv.Itoa(int(o.SrcPort)),
+		B: o.DstIP + ":" + strconv.Itoa(int(o.DstPort)),
+	}
+}
+
+func concatString(k ObjectKey) string {
+	return fmt.Sprintf("ip %s:%s->%s", k.Host, k.A, k.B)
+}
+
+// TestSocketKeyMatchesConcatOracle: over every pair of sockets drawn from
+// endpoints built to collide under concatenation — IPs that contain ':' or
+// end in digits, ports that continue them — two keys are equal exactly when
+// their concatenated keys are, and every key renders the oracle's text.
+func TestSocketKeyMatchesConcatOracle(t *testing.T) {
+	ips := []string{"10.0.0.1", "10.0.0.15", "10.0.0.1:5", "::1", "::", "fe80::1:50", ""}
+	ports := []uint16{0, 1, 5, 15, 50, 65535}
+	var socks []Object
+	for _, host := range []string{"", "h1"} {
+		for _, src := range ips {
+			for _, sp := range ports {
+				socks = append(socks, Socket(host, src, sp, ips[int(sp)%len(ips)], 443), Socket(host, src, sp, "::1", sp))
+			}
+		}
+	}
+	keys, oracle := make([]ObjectKey, len(socks)), make([]ObjectKey, len(socks))
+	for i, o := range socks {
+		keys[i], oracle[i] = o.Key(), concatKey(o)
+		if got, want := keys[i].String(), concatString(oracle[i]); got != want {
+			t.Fatalf("%+v renders %q, the concatenated key %q", o, got, want)
+		}
+	}
+	for i := range socks {
+		for j := range socks {
+			if (keys[i] == keys[j]) != (oracle[i] == oracle[j]) {
+				t.Fatalf("%+v and %+v: keys equal %v, concatenated keys equal %v", socks[i], socks[j], keys[i] == keys[j], oracle[i] == oracle[j])
+			}
+		}
+	}
+}
+
+// TestKeyAllocatesNothing: a key is built from the object's own fields, for
+// every object type.
+func TestKeyAllocatesNothing(t *testing.T) {
+	for _, o := range []Object{Process("h", "java.exe", 42, 1000), File("h", "/etc/passwd"), Socket("h", "10.0.0.1", 5000, "8.8.8.8", 443)} {
+		var k ObjectKey
+		if n := testing.AllocsPerRun(100, func() { k = o.Key() }); n != 0 {
+			t.Errorf("%v: Key allocates %.0f times", o.Type, n)
+		}
+		_ = k
 	}
 }

@@ -244,15 +244,17 @@ func (l *Live) Commit(recs []Record) (event.EventID, error) {
 	return first, nil
 }
 
-// logObject resolves o on the write side, interning it and framing its WAL
-// record into walBuf when it is new.
+// logObject resolves o on the write side — one key and, for a known object,
+// one probe — and frames its WAL record into walBuf when it is new, which
+// Intern tells by handing it the next ID.
 func (l *Live) logObject(o event.Object) event.ObjID {
-	if id, ok := l.w.Lookup(o); ok {
-		return id
+	n := l.w.NumObjects()
+	id := l.w.Intern(o)
+	if int(id) == n {
+		start := len(l.walBuf)
+		l.walBuf = frameWAL(event.AppendObject(append(l.walBuf, 0, 0, 0, 0, walObject), o), start)
 	}
-	start := len(l.walBuf)
-	l.walBuf = frameWAL(event.AppendObject(append(l.walBuf, 0, 0, 0, 0, walObject), o), start)
-	return l.w.Intern(o)
+	return id
 }
 
 // Sync flushes the WAL to stable storage.

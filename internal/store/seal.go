@@ -1,9 +1,9 @@
 package store
 
 import (
-	"cmp"
 	"maps"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -20,8 +20,8 @@ const sealParallelCutoff = 1 << 14
 // WithSealWorkers fixes the number of workers Seal spends on building the
 // posting indexes, split across the parts. Zero (the default) picks
 // runtime.GOMAXPROCS(0) for large logs and one for small ones. Any worker
-// count produces bit-identical indexes: each part's sort is keyed on (time,
-// arrival) and the chunked index build preserves event-log order per object.
+// count produces bit-identical indexes: each part's sort is stable on time
+// and the chunked index build preserves event-log order per object.
 func WithSealWorkers(n int) Option {
 	return func(st *Store) { st.sealWorkers = n }
 }
@@ -83,7 +83,6 @@ func (s *Store) extend(prev, w *Store) {
 	// own posting build. Any combination produces bit-identical parts.
 	conc := min(k, runtime.GOMAXPROCS(0))
 	inner := max(workers/k, 1)
-	st := sealStats{durs: make([]time.Duration, k), concurrent: conc > 1}
 	keep := make([]int, k)      // per part: leading positions prev's indexes still describe
 	tailMin := make([]int64, k) // per part: earliest time among the events prev lacks
 	sem := make(chan struct{}, conc)
@@ -120,19 +119,11 @@ func (s *Store) extend(prev, w *Store) {
 				sp.minTime, sp.maxTime = sp.events[0].Time, sp.events[n-1].Time
 			}
 			sp.byDst, sp.bySrc = buildPostings(pp, keep[i], sp.events, len(s.objects), inner)
-			st.durs[i] = time.Since(t0)
+			sp.sealWall = time.Since(t0)
 			<-sem
 		}()
 	}
 	wg.Wait()
-	if !st.concurrent {
-		var sum, longest time.Duration
-		for _, d := range st.durs {
-			sum += d
-			longest = max(longest, d)
-		}
-		st.savableNs = int64(sum - longest)
-	}
 
 	s.total = w.total
 	// The directory keeps prev's entries up to the earliest new event: every
@@ -162,10 +153,8 @@ func (s *Store) extend(prev, w *Store) {
 	s.stats.Events = s.total
 	s.stats.Objects = len(s.objects)
 	s.sealed = true
-	st.wall = time.Since(start)
-	s.sealStat = st
-	s.tel.sealWall.Set(int64(st.wall))
-	s.tel.sealSavable.Set(st.savableNs)
+	s.sealWall = time.Since(start)
+	s.tel.sealWall.Set(int64(s.sealWall))
 	// A profiler attached before sealing learns the final layout now.
 	s.qp.Load().SetLayout(len(s.parts), s.ShardEpochSeconds())
 }
@@ -182,13 +171,11 @@ func (p *part) size() int {
 // tidy brings the part's log into (time, arrival) order and returns the
 // first position whose event moved (the log's length when none did). Only
 // the suffix from the first sorted event later than the earliest late
-// arrival is sorted, so an in-order log is never touched and the worst case
-// is one whole-part sort. The sort is an index-permutation sort keyed on
-// (time, position): the suffix is sorted ahead of the arrivals behind it and
-// those are in arrival order, so position is a strict arrival tiebreak and
-// the result equals a stable sort. The first published events are aliased by
-// a sealed store and are never rewritten: a sort that reaches below them
-// moves the log to a fresh array.
+// arrival is reordered, so an in-order log is never touched. The suffix is
+// ahead of the arrivals behind it and those are in arrival order, so a sort
+// stable on time (timeOrder) is a (time, arrival) sort. The first published
+// events are aliased by a sealed store and are never rewritten: a sort that
+// reaches below them moves the log to a fresh array.
 func (p *part) tidy(published int) int {
 	n := len(p.events)
 	if p.inOrder == n {
@@ -200,17 +187,7 @@ func (p *part) tidy(published int) int {
 		late = min(late, e.Time)
 	}
 	j := sort.Search(p.inOrder, func(i int) bool { return ev[i].Time > late })
-	ord := make([]int32, n-j)
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	tail := ev[j:]
-	slices.SortFunc(ord, func(a, b int32) int {
-		if c := cmp.Compare(tail[a].Time, tail[b].Time); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	ord := timeOrder(ev[j:])
 	fresh := j < published
 	p.events = permute(p.events, j, ord, fresh)
 	if p.seq != nil {
@@ -218,6 +195,47 @@ func (p *part) tidy(published int) int {
 	}
 	p.inOrder = n
 	return j
+}
+
+// timeOrder returns the permutation that sorts a non-empty log by time,
+// stably: ord[i] is the position of the i-th event in (time, position)
+// order. It is an LSD radix sort of each time's offset from the earliest,
+// uint64(t) - uint64(min), which keeps int64 order for any span, in 11-bit
+// digits: one counting pass per digit, skipping a digit that is the same
+// for every key, so its cost is linear in the log's length.
+func timeOrder(tail []event.Event) []int32 {
+	const digit, mask = 11, 1<<11 - 1
+	n, lo, hi := len(tail), tail[0].Time, tail[0].Time
+	for _, e := range tail[1:] {
+		lo, hi = min(lo, e.Time), max(hi, e.Time)
+	}
+	counts := make([][1 << digit]int32, (bits.Len64(uint64(hi)-uint64(lo))+digit-1)/digit)
+	keys, ord := make([]uint64, 2*n), make([]int32, 2*n) // two halves: a pass reads one, writes the other
+	for i, e := range tail {
+		keys[i], ord[i] = uint64(e.Time)-uint64(lo), int32(i)
+		for d := range counts {
+			counts[d][keys[i]>>(d*digit)&mask]++
+		}
+	}
+	src, dst := 0, n
+	for d := range counts {
+		c, shift := &counts[d], d*digit
+		if c[keys[src]>>shift&mask] == int32(n) {
+			continue
+		}
+		var sum int32
+		for b, v := range c {
+			c[b], sum = sum, sum+v
+		}
+		dk, do := keys[dst:dst+n], ord[dst:dst+n]
+		for i, k := range keys[src : src+n] {
+			b := k >> shift & mask
+			dk[c[b]], do[c[b]] = k, ord[src+i]
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return ord[src : src+n]
 }
 
 // permute reorders col[j:] by ord (col[j+i] becomes the old col[j+ord[i]]),

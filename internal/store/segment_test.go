@@ -251,19 +251,3 @@ func BenchmarkQueryBackward(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSealIndexBuild(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := New(nil)
-		rng := rand.New(rand.NewSource(1))
-		p := event.Process("h", "p", 1, 0)
-		for j := 0; j < 50_000; j++ {
-			s.AddEvent(rng.Int63n(1_000_000), p, event.File("h", "/f"+string(rune('0'+j%10))), event.ActWrite, event.FlowOut, 0)
-		}
-		b.StartTimer()
-		if err := s.Seal(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -67,6 +67,7 @@ type part struct {
 	inOrder int
 
 	minTime, maxTime int64
+	sealWall         time.Duration // how long sealing the part took (real clock, tooling only)
 
 	// Routing heat (real CPU only), fed by the profiled samples: see emit.
 	queries atomic.Int64
@@ -79,16 +80,6 @@ type scatterStats struct {
 	scatters atomic.Int64
 	busyNs   atomic.Int64
 	saveNs   atomic.Int64 // sum−max of serially run scatters
-}
-
-// sealStats is what Seal measured: the whole wall clock, each part's seal
-// wall in part order, the savable nanos (sum−max) when parts sealed one
-// after another, and whether they overlapped.
-type sealStats struct {
-	wall       time.Duration
-	durs       []time.Duration
-	savableNs  int64
-	concurrent bool
 }
 
 // WithShards partitions the store into n independent parts by host × time
@@ -702,9 +693,7 @@ func (s *Store) ShardInfos() []ShardInfo {
 			Queries:    p.queries.Load(),
 			RowsServed: p.rows.Load(),
 			BusyNs:     p.busyNs.Load(),
-		}
-		if s.sealStat.durs != nil {
-			infos[i].SealWall = s.sealStat.durs[i]
+			SealWall:   p.sealWall,
 		}
 	}
 	return infos

@@ -100,7 +100,7 @@ type Store struct {
 	// Real-CPU observability of the timed scatters and of Seal, shared
 	// across views (tooling only, never part of charged cost).
 	scat     *scatterStats
-	sealStat sealStats
+	sealWall time.Duration
 
 	minTime, maxTime int64 // inclusive bounds over stored events
 
@@ -151,14 +151,13 @@ type storeMetrics struct {
 
 	// Scatter and seal real-CPU observability (never charged cost): timed
 	// scatters, their busy/savable nanos, the per-task busy distribution,
-	// per-query shard fan-out, and the seal's wall/savable nanos.
+	// per-query shard fan-out, and the seal's wall nanos.
 	scatters       *telemetry.Counter
 	scatterBusy    *telemetry.Counter
 	scatterSavable *telemetry.Counter
 	shardBusy      *telemetry.Histogram
 	scatterFanout  *telemetry.Histogram
 	sealWall       *telemetry.Gauge
-	sealSavable    *telemetry.Gauge
 }
 
 func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
@@ -178,7 +177,6 @@ func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
 		shardBusy:      reg.Histogram(telemetry.MetricStoreShardBusyNs, telemetry.ShardBusyBuckets),
 		scatterFanout:  reg.Histogram(telemetry.MetricStoreScatterFanout, telemetry.FanoutBuckets),
 		sealWall:       reg.Gauge(telemetry.MetricStoreSealWallNs),
-		sealSavable:    reg.Gauge(telemetry.MetricStoreSealSavableNs),
 	}
 }
 
@@ -261,8 +259,7 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry) {
 	// A store sealed before telemetry was attached (Open seals during load)
 	// still publishes its seal accounting.
 	if s.sealed {
-		s.tel.sealWall.Set(int64(s.sealStat.wall))
-		s.tel.sealSavable.Set(s.sealStat.savableNs)
+		s.tel.sealWall.Set(int64(s.sealWall))
 	}
 }
 
@@ -458,7 +455,7 @@ func (s *Store) View(clk simclock.Clock) (*Store, error) {
 		shardSet:      s.shardSet,
 		shardEpoch:    s.shardEpoch,
 		scat:          s.scat,
-		sealStat:      s.sealStat,
+		sealWall:      s.sealWall,
 		minTime:       s.minTime,
 		maxTime:       s.maxTime,
 		isView:        true,

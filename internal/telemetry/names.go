@@ -18,18 +18,16 @@ const (
 	// a scatter-gathered query charges once at the router, never per shard.
 	MetricStoreShards = "aptrace_store_shards"
 
-	// Shard-router scatter-gather observability (real CPU, never charged
-	// cost): timed scatters, their summed per-shard busy nanos, the portion
-	// a perfectly parallel run would shed (Σ−max), the per-task busy
-	// distribution, the per-query shard fan-out, and the sharded seal's
-	// wall/savable nanos. All stay zero on a flat store.
+	// Scatter-gather observability (real CPU, never charged cost; zero on a
+	// flat store): timed scatters, their summed per-shard busy nanos, the
+	// Σ−max portion a parallel run would shed, the per-task busy distribution
+	// and the per-query shard fan-out. Then the seal's wall nanos.
 	MetricStoreScatters         = "aptrace_store_scatters_total"
 	MetricStoreScatterBusyNs    = "aptrace_store_scatter_busy_ns_total"
 	MetricStoreScatterSavableNs = "aptrace_store_scatter_savable_ns_total"
 	MetricStoreShardBusyNs      = "aptrace_store_shard_busy_ns"
 	MetricStoreScatterFanout    = "aptrace_store_scatter_fanout"
 	MetricStoreSealWallNs       = "aptrace_store_seal_wall_ns"
-	MetricStoreSealSavableNs    = "aptrace_store_seal_savable_ns"
 
 	// Live store WAL.
 	MetricWALAppends = "aptrace_store_wal_appends_total"
