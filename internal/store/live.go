@@ -296,9 +296,9 @@ func (l *Live) Telemetry() *telemetry.Registry {
 // appended event at this instant. The snapshot is independent: collection
 // may continue while analyses run against it, and no later append or
 // snapshot changes a byte it reads. A snapshot costs its tail — it shares
-// the events, objects and directory of the one before it and builds only
-// what arrived since — and with nothing appended since the last call it is
-// that same store.
+// the events, objects, directory and posting arenas of the one before it
+// and writes only what arrived since — and with nothing appended since the
+// last call it is that same store.
 func (l *Live) Snapshot() (*Store, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -309,7 +309,9 @@ func (l *Live) Snapshot() (*Store, error) {
 // since (see extend). The snapshot aliases the write side's event logs and
 // object table by prefix: the write side only ever appends past what a
 // snapshot reads, or moves a log to a fresh array when a late arrival must
-// be sorted in among events a snapshot already holds.
+// be sorted in among events a snapshot already holds. The write side's
+// parts keep where each posting list's reserved slots end in this
+// snapshot's arenas, for the next reseal.
 func (l *Live) snapshotLocked() (*Store, error) {
 	w, prev := l.w, l.snap
 	if prev != nil && prev.total == w.total && len(prev.objects) == len(w.objects) {

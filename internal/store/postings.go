@@ -2,37 +2,29 @@ package store
 
 import "aptrace/internal/event"
 
-// postings is a struct-of-arrays posting index in compressed-sparse-row
-// layout, built once at Seal and shared immutably by every View.
-//
-// For each object o, idx[off[o]:off[o+1]] holds the positions (into the
-// time-sorted event log) of the events whose data-flow endpoint is o, in
-// ascending time order, and times[off[o]:off[o+1]] is the parallel column of
-// their timestamps. Window binary searches probe the contiguous times column
-// directly instead of dereferencing the event log per probe, which is what
-// makes the window search cache-friendly.
+// postings is a struct-of-arrays posting index. For each object o,
+// idx[span[o].lo:span[o].hi] holds the positions (into the time-sorted event
+// log) of the events whose data-flow endpoint is o, in ascending time order,
+// and times over the same bounds their timestamps: window binary searches
+// probe that contiguous column, not the event log. Seal lays the lists out
+// tight; a live reseal writes the tail's entries into the arena of the
+// snapshot it extends (see place), so the snapshots between two compactions
+// share one idx/times pair, and none reads a slot a later one writes.
 type postings struct {
-	off   []int32 // len NumObjects()+1 at seal time; prefix sums into idx/times
-	idx   []int32 // event-log positions, grouped by object, time-sorted
+	span  []span  // per object, len NumObjects() at seal time; lo beside hi, one cache line per lookup
+	idx   []int32 // event-log positions, one time-sorted run per object
 	times []int64 // times[i] == events[idx[i]].Time
 }
 
-// list returns the posting list and its parallel time column for obj. Objects
-// interned after Seal (or never seen as this endpoint) have an empty list.
-func (p *postings) list(obj event.ObjID) (idx []int32, times []int64) {
-	if p == nil || obj < 0 || int(obj)+1 >= len(p.off) {
-		return nil, nil
-	}
-	lo, hi := p.off[obj], p.off[obj+1]
-	return p.idx[lo:hi], p.times[lo:hi]
-}
+// span bounds one object's list in its index's arena.
+type span struct{ lo, hi int32 }
 
 // count returns the posting-list length for obj without touching idx/times.
 func (p *postings) count(obj event.ObjID) int {
-	if p == nil || obj < 0 || int(obj)+1 >= len(p.off) {
+	if p == nil || uint(obj) >= uint(len(p.span)) {
 		return 0
 	}
-	return int(p.off[obj+1] - p.off[obj])
+	return int(p.span[obj].hi - p.span[obj].lo)
 }
 
 // searchTimes returns the smallest i with times[i] >= t. It is a hand-rolled

@@ -3,12 +3,16 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"aptrace/internal/event"
 	"aptrace/internal/simclock"
@@ -225,4 +229,232 @@ func TestIdleSnapshotIsFree(t *testing.T) {
 	if next == first || next.NumEvents() != 2 || first.NumEvents() != 1 {
 		t.Fatalf("after an append: new store %v, %d events (first still %d)", next != first, next.NumEvents(), first.NumEvents())
 	}
+}
+
+// feedInOrder commits n events to l in time order from now on — reads and
+// writes between a few processes per host and a skewed pool of files — and
+// returns the last time used.
+func feedInOrder(tb testing.TB, l *Live, rng *rand.Rand, now int64, n, files int) int64 {
+	tb.Helper()
+	recs := make([]Record, n)
+	for i := range recs {
+		now += int64(rng.Intn(2))
+		host := fmt.Sprintf("host-%d", rng.Intn(4))
+		recs[i] = Record{Time: now, Action: event.ActWrite, Dir: event.FlowOut, Amount: int64(rng.Intn(100)),
+			Subject: event.Process(host, fmt.Sprintf("proc-%d", rng.Intn(8)), int32(rng.Intn(4)+1), 1),
+			Object:  event.File(host, fmt.Sprintf("/data/f%d", rng.Intn(1+rng.Intn(files))))}
+		if rng.Intn(2) == 0 {
+			recs[i].Action, recs[i].Dir = event.ActRead, event.FlowIn
+		}
+	}
+	if _, err := l.Commit(recs); err != nil {
+		tb.Fatal(err)
+	}
+	return now
+}
+
+// tightCopy copies p's lists into fresh arrays, so a later comparison sees
+// what p read when it was copied.
+func tightCopy(p *postings) *postings {
+	c := &postings{span: make([]span, len(p.span))}
+	for obj := range p.span {
+		idx, times := p.list(event.ObjID(obj))
+		c.span[obj] = span{int32(len(c.idx)), int32(len(c.idx) + len(idx))}
+		c.idx, c.times = append(c.idx, idx...), append(c.times, times...)
+	}
+	return c
+}
+
+// TestResealAppendsInPlace: a live store fed in time order reseals into the
+// posting arenas of the snapshot before — a list grows into the slots
+// reserved behind it — except at a compaction, and compacts each arena a
+// number of times logarithmic in its event count. The first snapshot and one
+// that late arrivals reorder are laid out tight, as a Seal from nothing is,
+// and at the end every snapshot still reads the lists it read when taken.
+func TestResealAppendsInPlace(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
+			l, err := OpenLive(t.TempDir(), nil, WithShards(parts), WithShardEpoch(40))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			rng := rand.New(rand.NewSource(int64(parts)))
+			const batches, size = 50, 200
+			var snaps []*Store
+			var copies [][]*postings
+			compactions := make([]int, 2*parts) // per part and endpoint index
+			grewInPlace, now := 0, int64(1000)
+			for b := 0; b < batches; b++ {
+				now = feedInOrder(t, l, rng, now, size, 400)
+				snap, err := l.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == 0 {
+					expectTight(t, snap.parts)
+				} else {
+					prev := snaps[b-1]
+					for pi, p := range snap.parts {
+						for k, pl := range []*postings{p.byDst, p.bySrc} {
+							was := prev.parts[pi].post(k == 1)
+							if unsafe.SliceData(pl.idx) != unsafe.SliceData(was.idx) || unsafe.SliceData(pl.times) != unsafe.SliceData(was.times) {
+								compactions[2*pi+k]++
+								continue
+							}
+							for obj, sp := range was.span {
+								if sp.lo == pl.span[obj].lo && sp.hi < pl.span[obj].hi {
+									grewInPlace++
+								}
+							}
+						}
+					}
+				}
+				snaps = append(snaps, snap)
+				var c []*postings
+				for _, p := range snap.parts {
+					c = append(c, tightCopy(p.byDst), tightCopy(p.bySrc))
+				}
+				copies = append(copies, c)
+			}
+			if grewInPlace == 0 {
+				t.Fatal("no list grew in place")
+			}
+			for i, c := range compactions {
+				n := len(snaps[batches-1].parts[i/2].events)
+				if limit := bits.Len(uint(n)); c > limit {
+					t.Errorf("part %d, index %d: %d compactions over %d events in %d reseals, want at most %d", i/2, i%2, c, n, batches-1, limit)
+				}
+			}
+			for si, s := range snaps {
+				for pi, p := range s.parts {
+					expectSameLists(t, fmt.Sprintf("snapshot %d, part %d: byDst", si, pi), copies[si][2*pi], p.byDst)
+					expectSameLists(t, fmt.Sprintf("snapshot %d, part %d: bySrc", si, pi), copies[si][2*pi+1], p.bySrc)
+				}
+			}
+
+			// One event behind everything published moves the logs it lands
+			// in: that reseal lays those parts out fresh and tight.
+			liveAppend(t, l, 999, "late", "/late")
+			snap, err := l.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pi, p := range snap.parts {
+				if was := snaps[batches-1].parts[pi]; len(p.events) > len(was.events) {
+					expectTight(t, []*part{p})
+				}
+			}
+		})
+	}
+}
+
+// TestResealUnderReaders: readers querying snapshot k while the writer
+// commits and reseals k+1, k+2, … read the answers they read before the
+// reseals began. Under the race detector a reseal that wrote a slot an
+// earlier snapshot reads would be reported as well as miscounted.
+func TestResealUnderReaders(t *testing.T) {
+	l, err := OpenLive(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rng := rand.New(rand.NewSource(9))
+	now := int64(1000)
+	for range 12 { // past the first compactions, so lists hold reservations
+		now = feedInOrder(t, l, rng, now, 300, 200)
+		if _, err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := l.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	minT, maxT, _ := snap.TimeRange()
+	answers := func(s *Store, obj event.ObjID) string {
+		back, err := s.AppendBackward(nil, obj, minT, maxT+1)
+		if err != nil {
+			t.Error(err)
+		}
+		n, _ := s.CountBackward(obj, minT+(maxT-minT)/2, maxT+1)
+		c, m, a, _ := s.FileTimes(obj, minT, maxT+1)
+		return fmt.Sprint(back, n, c, m, a)
+	}
+	want := make([]string, snap.NumObjects())
+	for obj := range want {
+		want[obj] = answers(snap, event.ObjID(obj))
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		v, err := snap.View(simclock.NewSimulated(time.Time{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for obj, w := range want {
+					if got := answers(v, event.ObjID(obj)); got != w {
+						t.Errorf("object %d: read %s during the reseals, %s before", obj, got, w)
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for range 20 {
+		now = feedInOrder(t, l, rng, now, 300, 200)
+		if _, err := l.Snapshot(); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// BenchmarkResealTail is a detection pass's reseal: a live store of 200,000
+// in-order events — fed in 5,000-event batches with a snapshot after each,
+// as the daemon's store is — resealed after one more 5,000-event batch. Every
+// iteration reseals the same tail onto the same snapshot (the write side's
+// reservations are put back first, untimed); ns/event is per tail event.
+func BenchmarkResealTail(b *testing.B) {
+	const base, batch = 200_000, 5_000
+	l, err := OpenLive(b.TempDir(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	rng := rand.New(rand.NewSource(1))
+	now := int64(1000)
+	for n := 0; n < base; n += batch {
+		now = feedInOrder(b, l, rng, now, batch, 20_000)
+		if _, err := l.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	feedInOrder(b, l, rng, now, batch, 20_000)
+	prev, ends := l.snap, l.w.parts[0].ends
+	ends = [2][]int32{slices.Clone(ends[0]), slices.Clone(ends[1])}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		l.snap = prev
+		l.w.parts[0].ends = [2][]int32{slices.Clone(ends[0]), slices.Clone(ends[1])}
+		b.StartTimer()
+		if _, err := l.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/event")
 }

@@ -17,15 +17,6 @@ import (
 // stays serial: goroutine fan-out costs more than it saves on small logs.
 const sealParallelCutoff = 1 << 14
 
-// WithSealWorkers fixes the number of workers Seal spends on building the
-// posting indexes, split across the parts. Zero (the default) picks
-// runtime.GOMAXPROCS(0) for large logs and one for small ones. Any worker
-// count produces bit-identical indexes: each part's sort is stable on time
-// and the chunked index build preserves event-log order per object.
-func WithSealWorkers(n int) Option {
-	return func(st *Store) { st.sealWorkers = n }
-}
-
 // Seal sorts every part's event log by time (ties keep their ingestion
 // order), builds the struct-of-arrays posting indexes, the global time-order
 // directory and the event-ID index, and enables queries. The result is
@@ -49,13 +40,14 @@ func (s *Store) Seal() error {
 //
 // Only what prev lacks costs work. Each part's log is brought into (time,
 // arrival) order by sorting just the suffix its late arrivals disturb (see
-// tidy) and is then aliased, not copied. The posting lists are fresh arrays:
-// each object's list is prev's, as far as the sort left it in place, followed
-// by the entries of the rest of the log. The directory and the dense ID index
-// keep prev's leading entries and are extended in prev's own array when
-// nothing prev holds moved. The result is byte-identical to sealing all of
-// w's events from nothing, and no byte prev (or any store sealed before it)
-// reads is ever rewritten.
+// tidy) and is then aliased, not copied. When nothing prev holds moved, the
+// tail's posting entries are written into the slots reserved behind each
+// list in prev's arena (see place); otherwise each list is prev's, as far as
+// the sort left it in place, and the rest of the log's, in a fresh tight
+// arena. The directory and the dense ID index keep prev's leading entries,
+// in prev's own array when nothing prev holds moved. Every list is the one
+// sealing all of w's events from nothing builds, and no byte prev (or any
+// store sealed before it) reads is ever rewritten.
 func (s *Store) extend(prev, w *Store) {
 	start := time.Now()
 	k := len(w.parts)
@@ -67,6 +59,9 @@ func (s *Store) extend(prev, w *Store) {
 		prevTotal, dense = prev.total, prev.byID == nil
 	} else {
 		prevParts = make([]*part, k)
+		for i := range prevParts {
+			prevParts[i] = &part{byDst: &postings{}, bySrc: &postings{}}
+		}
 	}
 
 	workers := s.sealWorkers
@@ -94,7 +89,7 @@ func (s *Store) extend(prev, w *Store) {
 			defer wg.Done()
 			t0 := time.Now()
 			sp, pp := s.parts[i], prevParts[i]
-			m := pp.size()
+			m := len(pp.events)
 			tailMin[i] = math.MaxInt64
 			for _, e := range wp.events[m:] {
 				tailMin[i] = min(tailMin[i], e.Time)
@@ -118,7 +113,7 @@ func (s *Store) extend(prev, w *Store) {
 			if n > 0 {
 				sp.minTime, sp.maxTime = sp.events[0].Time, sp.events[n-1].Time
 			}
-			sp.byDst, sp.bySrc = buildPostings(pp, keep[i], sp.events, len(s.objects), inner)
+			sp.byDst, sp.bySrc = buildPostings(pp, wp, keep[i], sp.events, len(s.objects), inner)
 			sp.sealWall = time.Since(t0)
 			<-sem
 		}()
@@ -132,17 +127,15 @@ func (s *Store) extend(prev, w *Store) {
 	starts := make([]int, k)
 	kept := 0
 	for i, pp := range prevParts {
-		if pp != nil {
-			starts[i] = sort.Search(len(pp.events), func(j int) bool { return pp.events[j].Time > first })
-			kept += starts[i]
-		}
+		starts[i] = sort.Search(len(pp.events), func(j int) bool { return pp.events[j].Time > first })
+		kept += starts[i]
 	}
 	s.dir = grow(prevDir, kept, s.total, true)
 	s.buildDirectory(s.dir[kept:], starts)
 
 	moved := false
 	for i, pp := range prevParts {
-		moved = moved || keep[i] < pp.size()
+		moved = moved || keep[i] < len(pp.events)
 	}
 	s.buildIDIndex(prevIDPos, prevTotal, keep, dense, !moved)
 
@@ -157,15 +150,6 @@ func (s *Store) extend(prev, w *Store) {
 	s.tel.sealWall.Set(int64(s.sealWall))
 	// A profiler attached before sealing learns the final layout now.
 	s.qp.Load().SetLayout(len(s.parts), s.ShardEpochSeconds())
-}
-
-// size is the part's event count; a missing part (an empty predecessor) has
-// none.
-func (p *part) size() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.events)
 }
 
 // tidy brings the part's log into (time, arrival) order and returns the
@@ -267,30 +251,25 @@ func grow[T any](prev []T, keep, n int, shared bool) []T {
 	return out
 }
 
-// chunkBounds splits n items into workers contiguous ranges; bounds[w] is
-// the start of chunk w and bounds[workers] == n.
-func chunkBounds(n, workers int) []int {
-	bounds := make([]int, workers+1)
-	for i := range bounds {
-		bounds[i] = i * n / workers
-	}
-	return bounds
-}
+// growth is the posting arena's reserve factor (see place).
+const growth = 2
 
-// buildPostings constructs the byDst and bySrc CSR indexes over a
-// time-sorted event log, given the part prev whose first keep events are
-// this log's (keep 0: none). Each object's list is prev's
-// entries below keep followed by the entries of events[keep:], built with a
-// sharded two-pass build: workers count endpoint occurrences per contiguous
-// chunk, a serial prefix-sum pass copies prev's entries and turns the
-// per-chunk counts into disjoint write cursors behind them, and workers then
-// fill their slots in event-log order. Chunk c's slots for an object precede
-// chunk c+1's, so the per-object ordering — and therefore the whole index —
-// is identical for any worker count and any prefix it was extended from.
-func buildPostings(prev *part, keep int, events []event.Event, numObjects, workers int) (byDst, bySrc *postings) {
+// buildPostings constructs the byDst and bySrc indexes over a time-sorted
+// event log, given the part prev whose first keep events are this log's and
+// the write side's part wp, which keeps the reservations. Each object's list
+// is prev's entries below keep followed by those of events[keep:]: workers
+// count endpoint occurrences per contiguous chunk, a serial pass places the
+// lists (see place) and turns the counts into disjoint write cursors, and
+// workers then fill their slots in event-log order. Chunk c's slots for an
+// object precede chunk c+1's, so every list is identical for any worker
+// count and any prefix it was extended from.
+func buildPostings(prev, wp *part, keep int, events []event.Event, numObjects, workers int) (byDst, bySrc *postings) {
 	tail := events[keep:]
 	workers = max(min(workers, len(tail)), 1)
-	bounds := chunkBounds(len(tail), workers)
+	bounds := make([]int, workers+1) // chunk w is tail[bounds[w]:bounds[w+1]]
+	for w := range bounds {
+		bounds[w] = w * len(tail) / workers
+	}
 
 	dstCounts := make([][]int32, workers)
 	srcCounts := make([][]int32, workers)
@@ -299,43 +278,19 @@ func buildPostings(prev *part, keep int, events []event.Event, numObjects, worke
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dc := make([]int32, numObjects)
-			sc := make([]int32, numObjects)
+			dc, sc := make([]int32, numObjects), make([]int32, numObjects)
 			for _, e := range tail[bounds[w]:bounds[w+1]] {
 				dc[e.Dst()]++
 				sc[e.Src()]++
 			}
-			dstCounts[w] = dc
-			srcCounts[w] = sc
+			dstCounts[w], srcCounts[w] = dc, sc
 		}()
 	}
 	wg.Wait()
 
-	n := len(events)
-	byDst = &postings{off: make([]int32, numObjects+1), idx: make([]int32, n), times: make([]int64, n)}
-	bySrc = &postings{off: make([]int32, numObjects+1), idx: make([]int32, n), times: make([]int64, n)}
-	// Prefix sums: carry prev's list, then convert each chunk's per-object
-	// count into that chunk's starting write cursor while accumulating the
-	// global offsets.
-	var dtot, stot int32
-	for obj := 0; obj < numObjects; obj++ {
-		byDst.off[obj] = dtot
-		bySrc.off[obj] = stot
-		if keep > 0 {
-			dtot += byDst.carry(prev.byDst, event.ObjID(obj), keep, dtot)
-			stot += bySrc.carry(prev.bySrc, event.ObjID(obj), keep, stot)
-		}
-		for w := 0; w < workers; w++ {
-			c := dstCounts[w][obj]
-			dstCounts[w][obj] = dtot
-			dtot += c
-			c = srcCounts[w][obj]
-			srcCounts[w][obj] = stot
-			stot += c
-		}
-	}
-	byDst.off[numObjects] = dtot
-	bySrc.off[numObjects] = stot
+	appending := keep > 0 && keep == len(prev.events) && growth*growth*len(events) <= math.MaxInt32
+	byDst = place(prev.byDst, &wp.ends[0], keep, dstCounts, len(events), appending)
+	bySrc = place(prev.bySrc, &wp.ends[1], keep, srcCounts, len(events), appending)
 
 	// Parallel fill: each chunk advances its private cursors, so writes land
 	// in disjoint slots and per-object order follows event-log order.
@@ -347,12 +302,10 @@ func buildPostings(prev *part, keep int, events []event.Event, numObjects, worke
 			for i := keep + bounds[w]; i < keep+bounds[w+1]; i++ {
 				e := &events[i]
 				p := dcur[e.Dst()]
-				byDst.idx[p] = int32(i)
-				byDst.times[p] = e.Time
+				byDst.idx[p], byDst.times[p] = int32(i), e.Time
 				dcur[e.Dst()] = p + 1
 				p = scur[e.Src()]
-				bySrc.idx[p] = int32(i)
-				bySrc.times[p] = e.Time
+				bySrc.idx[p], bySrc.times[p] = int32(i), e.Time
 				scur[e.Src()] = p + 1
 			}
 		}()
@@ -361,16 +314,69 @@ func buildPostings(prev *part, keep int, events []event.Event, numObjects, worke
 	return byDst, bySrc
 }
 
-// carry copies to position pos of p the entries of prev's list for obj that
-// point below keep — a leading run, since a list is in log order — and
-// returns how many it copied.
-func (p *postings) carry(prev *postings, obj event.ObjID, keep int, pos int32) int32 {
-	idx, times := prev.list(obj)
-	n := len(idx)
-	if n > 0 && int(idx[n-1]) >= keep {
-		n = sort.Search(n, func(i int) bool { return int(idx[i]) >= keep })
+// place lays out one index of n entries: prev's lists below keep and room
+// behind each for the tail's per-chunk counts, which become the chunks' write
+// cursors. Appending (prev keeps every event; a compacted arena fits int32
+// positions), the index shares prev's arena: a list whose reserved slots hold
+// its tail stays, the others move to the arena's end reserving growth times
+// their length, and a full arena has every list move so into a fresh one,
+// growth times what they take; *ends, the write side's bookkeeping, records
+// where each reservation ends. Else it is fresh and tight, as Seal lays it.
+func place(prev *postings, ends *[]int32, keep int, counts [][]int32, n int, appending bool) *postings {
+	p := &postings{span: make([]span, len(counts[0])), idx: prev.idx, times: prev.times}
+	if appending {
+		*ends, n = grow(*ends, len(*ends), len(p.span), true), growth*growth*n
+	} else {
+		*ends = nil
 	}
-	copy(p.idx[pos:], idx[:n])
-	copy(p.times[pos:], times[:n])
-	return int32(n)
+	if !appending || !p.lay(prev, keep, counts, *ends, true) {
+		p.idx, p.times = make([]int32, 0, n), make([]int64, 0, n)
+		p.lay(prev, keep, counts, *ends, false)
+	}
+	for obj := range p.span {
+		pos := p.span[obj].hi
+		for _, c := range counts {
+			pos, c[obj] = pos+c[obj], pos
+		}
+		p.span[obj].hi = pos
+	}
+	return p
+}
+
+// lay places every object's list in p's arena, with its entries from prev
+// below keep, and leaves its span's hi at their end. With stay set the arena
+// is prev's and a list whose tail fits its reserved slots (up to ends)
+// stays. Any other moves to the arena's end: tight without ends, else
+// reserving growth times its new length. lay reports false when the arena
+// is full; what it wrote by then lies outside every span.
+func (p *postings) lay(prev *postings, keep int, counts [][]int32, ends []int32, stay bool) bool {
+	for obj := range p.span {
+		var lo, hi, add int32
+		if obj < len(prev.span) {
+			lo, hi = prev.span[obj].lo, prev.span[obj].hi
+		}
+		for _, c := range counts {
+			add += c[obj]
+		}
+		if stay && hi+add <= ends[obj] {
+			p.span[obj] = span{lo, hi}
+			continue
+		}
+		kept := hi - lo
+		if kept > 0 && int(prev.idx[hi-1]) >= keep {
+			kept = int32(sort.Search(int(kept), func(i int) bool { return int(prev.idx[lo+int32(i)]) >= keep }))
+		}
+		end, size := len(p.idx), int(kept+add)
+		if ends != nil {
+			size *= growth
+			ends[obj] = int32(end + size)
+		}
+		if end+size > cap(p.idx) {
+			return false
+		}
+		p.idx = append(p.idx, prev.idx[lo:lo+kept]...)[:end+size]
+		p.times = append(p.times, prev.times[lo:lo+kept]...)[:end+size]
+		p.span[obj] = span{int32(end), int32(end) + kept}
+	}
+	return true
 }

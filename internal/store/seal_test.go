@@ -1,8 +1,10 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"aptrace/internal/event"
@@ -58,12 +60,8 @@ func expectSameSealed(t *testing.T, want, got *Store) {
 		if !reflect.DeepEqual(wp.seq, gp.seq) {
 			t.Errorf("part %d: arrival columns differ", pi)
 		}
-		if !reflect.DeepEqual(wp.byDst, gp.byDst) {
-			t.Errorf("part %d: byDst indexes differ", pi)
-		}
-		if !reflect.DeepEqual(wp.bySrc, gp.bySrc) {
-			t.Errorf("part %d: bySrc indexes differ", pi)
-		}
+		expectSameLists(t, fmt.Sprintf("part %d: byDst", pi), wp.byDst, gp.byDst)
+		expectSameLists(t, fmt.Sprintf("part %d: bySrc", pi), wp.bySrc, gp.bySrc)
 	}
 	if !reflect.DeepEqual(want.dir, got.dir) {
 		t.Error("time-order directories differ")
@@ -76,13 +74,64 @@ func expectSameSealed(t *testing.T, want, got *Store) {
 	}
 }
 
+// withSealWorkers fixes the number of workers Seal spends on building the
+// posting indexes, split across the parts, in place of GOMAXPROCS for large
+// logs and one for small ones. Any worker count must produce bit-identical
+// indexes: each part's sort is stable on time and the chunked index build
+// preserves event-log order per object.
+func withSealWorkers(n int) Option {
+	return func(st *Store) { st.sealWorkers = n }
+}
+
+// list returns obj's posting list and its parallel time column; objects
+// interned after Seal (or never seen as this endpoint) have an empty list.
+func (p *postings) list(obj event.ObjID) (idx []int32, times []int64) {
+	if uint(obj) >= uint(len(p.span)) {
+		return nil, nil
+	}
+	b := p.span[obj]
+	return p.idx[b.lo:b.hi], p.times[b.lo:b.hi]
+}
+
+// expectTight asserts each part's posting arenas hold exactly its events'
+// entries, with no reserved slot: the layout a Seal from nothing builds.
+func expectTight(t *testing.T, parts []*part) {
+	t.Helper()
+	for pi, p := range parts {
+		for _, pl := range []*postings{p.byDst, p.bySrc} {
+			if n := len(p.events); len(pl.idx) != n || cap(pl.idx) != n || cap(pl.times) != n {
+				t.Fatalf("part %d: arena of %d/%d slots for %d events, want a tight one", pi, len(pl.idx), cap(pl.idx), n)
+			}
+		}
+	}
+}
+
+// expectSameLists asserts two posting indexes hold the same (idx, times)
+// list for every object. Where in its arena a list lies depends on the
+// reseals that built it, so the arrays themselves are not compared.
+func expectSameLists(t *testing.T, label string, want, got *postings) {
+	t.Helper()
+	if len(want.span) != len(got.span) {
+		t.Errorf("%s: %d objects indexed, want %d", label, len(got.span), len(want.span))
+		return
+	}
+	for obj := range want.span {
+		wi, wt := want.list(event.ObjID(obj))
+		gi, gt := got.list(event.ObjID(obj))
+		if !slices.Equal(wi, gi) || !slices.Equal(wt, gt) {
+			t.Errorf("%s: object %d's list is %v at %v, want %v at %v", label, obj, gi, gt, wi, wt)
+			return
+		}
+	}
+}
+
 func TestParallelSealMatchesSerial(t *testing.T) {
 	// timeRange 300 over 5000 events forces heavy timestamp collisions, so
 	// any tie-breaking difference between the serial stable sort and the
 	// chunked parallel sort+merge would surface.
 	for _, workers := range []int{2, 3, 7, 16} {
-		serial := buildTied(t, 5000, 99, 300, WithSealWorkers(1))
-		parallel := buildTied(t, 5000, 99, 300, WithSealWorkers(workers))
+		serial := buildTied(t, 5000, 99, 300, withSealWorkers(1))
+		parallel := buildTied(t, 5000, 99, 300, withSealWorkers(workers))
 		if err := serial.Seal(); err != nil {
 			t.Fatal(err)
 		}
@@ -90,6 +139,8 @@ func TestParallelSealMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		expectSameSealed(t, serial, parallel)
+		expectTight(t, serial.parts)
+		expectTight(t, parallel.parts)
 
 		// Round-trip a few lookups through the public API as well.
 		for _, id := range []event.EventID{1, 2500, 5000} {
@@ -112,7 +163,7 @@ func TestParallelSealStableTies(t *testing.T) {
 	// All events share one timestamp: the sealed log must preserve ingestion
 	// order (IDs 1..n) exactly, for any worker count.
 	for _, workers := range []int{1, 4, 9} {
-		s := New(nil, WithSealWorkers(workers))
+		s := New(nil, withSealWorkers(workers))
 		p := event.Process("h", "p", 1, 0)
 		f := event.File("h", "/f")
 		for i := 0; i < 1000; i++ {
@@ -133,7 +184,7 @@ func TestParallelSealStableTies(t *testing.T) {
 
 func TestParallelSealTinyAndEmpty(t *testing.T) {
 	// More workers than events, and no events at all.
-	s := buildTied(t, 3, 1, 10, WithSealWorkers(64))
+	s := buildTied(t, 3, 1, 10, withSealWorkers(64))
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +192,7 @@ func TestParallelSealTinyAndEmpty(t *testing.T) {
 		t.Fatalf("NumEvents = %d, want 3", s.NumEvents())
 	}
 
-	empty := New(nil, WithSealWorkers(8))
+	empty := New(nil, withSealWorkers(8))
 	if err := empty.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +204,7 @@ func TestParallelSealTinyAndEmpty(t *testing.T) {
 func TestSealNonDenseIDFallback(t *testing.T) {
 	// Events injected with sparse IDs (as a hand-built segment could carry)
 	// must fall back to the map index and still resolve by ID.
-	s := New(nil, WithSealWorkers(4))
+	s := New(nil, withSealWorkers(4))
 	p := s.Intern(event.Process("h", "p", 1, 0))
 	f := s.Intern(event.File("h", "/f"))
 	for i, id := range []event.EventID{10, 700, 3} {
@@ -178,7 +229,7 @@ func TestSealNonDenseIDFallback(t *testing.T) {
 }
 
 func TestViewSharesSealedIndexArrays(t *testing.T) {
-	s := buildTied(t, 2000, 5, 1000, WithSealWorkers(3))
+	s := buildTied(t, 2000, 5, 1000, withSealWorkers(3))
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 // host group).
 //
 // A part is the whole engine over its slice of the history: a contiguous
-// time-sorted event log and the SoA/CSR posting indexes over it. The store
+// time-sorted event log and the SoA posting indexes over it. The store
 //
 //   - assigns every ingested event to a part by (subject host, time epoch),
 //   - seals the parts side by side,
@@ -60,6 +60,11 @@ type part struct {
 	byDst  *postings           // SoA index over events with Dst()==obj, time-sorted
 	bySrc  *postings           // SoA index over events with Src()==obj, time-sorted
 	hosts  map[string]struct{} // subject hosts routed here; kept like seq
+
+	// ends is the write side's reservation bookkeeping: per endpoint index
+	// (dst, src), where each object's reserved slots end in the arena of the
+	// last snapshot's postings (nil: its lists are tight). See place.
+	ends [2][]int32
 
 	// inOrder is how long the log has stayed in (time, arrival) order: the
 	// events past it arrived out of order and wait for the next seal to
@@ -405,10 +410,10 @@ func (s *Store) cols(r run) (*part, *postings) {
 // every well-formed window (a backwards window still yields an empty range).
 func (p *part) window(obj event.ObjID, forward bool, from, to int64) (lo, hi int32, n int) {
 	pl := p.post(forward)
-	if int(obj)+1 >= len(pl.off) {
+	if uint(obj) >= uint(len(pl.span)) {
 		return 0, 0, 0
 	}
-	a, b := pl.off[obj], pl.off[obj+1]
+	a, b := pl.span[obj].lo, pl.span[obj].hi
 	if a == b || p.maxTime < from || p.minTime >= to {
 		return a, a, int(b - a)
 	}

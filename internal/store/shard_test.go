@@ -328,7 +328,7 @@ func TestShardEdgeCases(t *testing.T) {
 func TestShardSealDeterminism(t *testing.T) {
 	evs := randomWorkload(3, 4, 6000)
 	build := func(workers int) *Store {
-		return buildWorkload(t, evs, nil, WithShards(4), WithSealWorkers(workers))
+		return buildWorkload(t, evs, nil, WithShards(4), withSealWorkers(workers))
 	}
 	ref := build(1)
 	old := runtime.GOMAXPROCS(1)

@@ -92,7 +92,7 @@ type Store struct {
 	idPos []uint64
 	byID  map[event.EventID]uint64
 
-	sealWorkers int // fixed Seal worker count; 0 = auto (see WithSealWorkers)
+	sealWorkers int // fixed Seal worker count (tests pin it); 0 = GOMAXPROCS for large logs, one for small
 
 	shardSet   bool  // WithShards was applied (overrides manifest shards)
 	shardEpoch int64 // host×time routing epoch seconds; 0 = one segment span
@@ -717,19 +717,14 @@ func (s *Store) Objects() []event.Object { return s.objects }
 
 // InDegree returns the total number of events flowing into obj over the
 // store's whole history, an explosion-severity signal used by tooling.
-func (s *Store) InDegree(obj event.ObjID) int {
-	n := 0
-	for _, p := range s.parts {
-		n += p.byDst.count(obj)
-	}
-	return n
-}
+func (s *Store) InDegree(obj event.ObjID) int { return s.degree(obj, false) }
 
 // OutDegree returns the total number of events flowing out of obj.
-func (s *Store) OutDegree(obj event.ObjID) int {
-	n := 0
+func (s *Store) OutDegree(obj event.ObjID) int { return s.degree(obj, true) }
+
+func (s *Store) degree(obj event.ObjID, forward bool) (n int) {
 	for _, p := range s.parts {
-		n += p.bySrc.count(obj)
+		n += p.post(forward).count(obj)
 	}
 	return n
 }
