@@ -102,7 +102,9 @@ func Run(st *store.Store, alert event.Event, opts Options) (*Result, error) {
 		}
 		res.Queries++
 		for _, dep := range deps {
-			if dep.ID == alert.ID || g.HasEdge(dep.ID) {
+			// Each object's history is queried once (explored), and an event
+			// flows into one object, so only the alert edge can come back.
+			if dep.ID == alert.ID {
 				continue
 			}
 			src := dep.Src()
@@ -130,12 +132,8 @@ func Run(st *store.Store, alert event.Event, opts Options) (*Result, error) {
 					}
 				}
 			}
-			newEdge, _, err := g.AddEdge(dep)
-			if err != nil {
+			if _, err := g.AddEdge(dep); err != nil {
 				return nil, err
-			}
-			if !newEdge {
-				continue
 			}
 			res.Updates++
 			if opts.OnUpdate != nil {

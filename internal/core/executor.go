@@ -256,15 +256,16 @@ func goid() int64 {
 }
 
 // at is the run loop's reading of the analysis clock. Every record a run
-// emits (explain, timeline, Update.At) is timed with it, and it
-// re-reads the clock only after a call that can move analysis time: under
-// the cost model those are the charging calls — the window query, the where
-// filter, the maintainer's chain matchers — plus the caller's OnUpdate hook
-// and the pause park, each of which marks the stamp stale. So a stamp always
-// equals what the clock would say, and a window's worth of records costs a
-// couple of clock reads instead of one each. Emission sites call it behind
-// the recording check, so a run nobody records reads the clock for Update.At
-// alone.
+// emits (explain records, the trace's events, Update.At) is timed with it,
+// and it re-reads the clock only after a call that can move analysis time:
+// the charging calls — the window query, the where filter, the maintainer's
+// chain matchers, a plan swapped in from OnUpdate — and the pause park, each
+// of which marks the stamp stale. Under the cost model a stamp therefore
+// always equals what the clock would say; on a real clock the records and
+// updates between two charging calls share one instant, and a window's worth
+// of records costs a couple of clock reads instead of one each. Emission
+// sites call it behind the recording check, so a run nobody records reads
+// the clock for Update.At alone, once per retrieval that adds an edge.
 func (x *Executor) at() time.Time {
 	if x.stale {
 		x.now, x.stale = x.clk.Now(), false
@@ -420,7 +421,8 @@ func (x *Executor) UpdatePlan(plan *refiner.Plan, action refiner.ResumeAction) e
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.running && x.runGoid != goid() {
+	fromHook := x.runGoid == goid()
+	if x.running && !fromHook {
 		if !x.paused {
 			return errors.New("core: UpdatePlan on a running executor requires Pause first")
 		}
@@ -432,6 +434,11 @@ func (x *Executor) UpdatePlan(plan *refiner.Plan, action refiner.ResumeAction) e
 		}
 	}
 	x.plan = plan
+	if fromHook {
+		// The recalculation below may charge, and the loop does not re-read
+		// the clock after the hook unless told to.
+		x.stale = true
+	}
 	min, max, _ := x.st.TimeRange()
 	x.from, x.to = plan.Range(min, max)
 	x.budget = plan.TimeBudget
@@ -819,7 +826,10 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			src = dep.Dst() // src is the newly discovered side
 		}
 		known := w.Obj
-		if dep.ID == w.Gen || x.g.Seen(dep.ID) {
+		// A node's windows partition the range it has covered, so no query
+		// returns an event twice; only the alert edge, which seeded the graph
+		// without a query, can come back.
+		if dep.ID == x.alert.ID {
 			if x.rec != nil {
 				x.noteEdge(explain.KindEdgeDedup, dep.ID, src, 0)
 			}
@@ -873,9 +883,6 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			}
 			continue
 		}
-		if !added.NewEdge {
-			continue
-		}
 		if err := x.maint.OnEdge(x.g, dep); err != nil {
 			return err
 		}
@@ -896,9 +903,9 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 			x.flush()
 			x.staging = false
 			x.opts.OnUpdate(Update{Event: *dep, NewNode: added.NewNode, At: x.at(), Edges: added.Edges})
-			// The hook takes real time, and may swap in a plan whose
-			// recalculation charges.
-			x.stale, x.staging = true, true
+			// The hook's return is not a stamp point: a retrieval's updates
+			// share one stamp unless something charges (UpdatePlan says so).
+			x.staging = true
 		}
 		x.enqueue(dep, added.Slot, boost)
 	}
@@ -909,14 +916,16 @@ func (x *Executor) processWindow(w *ExecWindow) error {
 // priority: either the edge itself matches a rule's downstream pattern, or
 // the window it arrived through was already boosted and the edge matches the
 // upstream pattern with the byte-conservation check against the window's
-// generating event, which is an edge of the graph.
+// generating event. That event came from a window query, so it is stored (the
+// alert, which need not be, generates windows with no boost), and reading it
+// back is an uncharged lookup.
 func (x *Executor) boostFor(dep *event.Event, w *ExecWindow) int {
 	for _, rule := range x.plan.Prioritize {
 		if rule.Down.Match(*dep, x.env) {
 			return 1
 		}
 		if w.Boost > 0 {
-			if gen, ok := x.g.Edge(w.Gen); ok && rule.BoostEdge(*dep, *gen, x.env) {
+			if gen, ok := x.st.EventByID(w.Gen); ok && rule.BoostEdge(*dep, gen, x.env) {
 				return 1
 			}
 		}

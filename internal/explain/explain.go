@@ -50,7 +50,9 @@ const (
 	// the execution window the edge was discovered in, Hop the new
 	// object's path length, Boost the prioritize-rule verdict.
 	KindEdgeAdded
-	// KindEdgeDedup: the candidate event is already an edge of the graph.
+	// KindEdgeDedup: the candidate event is already an edge of the graph —
+	// the alert edge, which seeded it without a query (no query of a run
+	// returns an event twice).
 	KindEdgeDedup
 	// KindEdgeDropped: the candidate's object was rejected by the where
 	// statement earlier in the run and stays deleted from the analysis.

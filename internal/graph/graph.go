@@ -7,17 +7,20 @@
 // state propagation and final path pruning.
 //
 // Storage is two paged logs, one record per node and one per edge, that grow
-// a page at a time and are never copied, reached through one ObjID→slot and
-// one EventID→edge index. A node's in- and out-edges are intrusive singly
-// linked lists threaded through the edge records by number (head/tail/length
-// on the node, next on the edge), so accepting an edge costs two record
-// writes and two index inserts and allocates nothing but a page now and then.
+// a page at a time and are never copied, with one ObjID→slot index over the
+// nodes. A node's in- and out-edges are intrusive singly linked lists
+// threaded through the edge records by number (head/tail/length on the node,
+// next on the edge), so accepting an edge costs two record writes and
+// allocates nothing but a page now and then. There is no index over the
+// edges: the writer adds each event at most once (the executor's windows
+// partition every node's history, so no query returns an event twice), and
+// the graph takes its word for it.
 //
 // The graph has one writer — the run loop, or whoever holds its place while
 // it is parked or over (the maintainer's recalculation, final pruning) — and
 // any number of concurrent readers. Every public read copies values out under
-// the read lock. The writer's own reads (Seen, Slot, State, Edge, and what Add
-// checks before it inserts) take no lock: nothing changes except by its hand.
+// the read lock. The writer's own reads (Slot, State, and what Add checks
+// before it inserts) take no lock: nothing changes except by its hand.
 // It works in node slots, which Add hands out and which stay put until Retain
 // removes something (Epoch counts those). Two writers are not supported.
 package graph
@@ -34,7 +37,10 @@ import (
 
 // Update is one responsive progress report: an edge just landed in the
 // dependency graph. At carries the clock timestamp (simulated or real) that
-// the responsiveness experiments measure. Both APTrace's executor and the
+// the responsiveness experiments measure. The executor stamps an update with
+// the clock as it read after the last charging call before it (the window
+// query, a where filter, a chain matcher), so on a real clock the updates
+// between two such calls share one instant. Both APTrace's executor and the
 // King-Chen baseline emit this type, so harnesses can treat them uniformly.
 type Update struct {
 	Event   event.Event
@@ -134,7 +140,6 @@ type Graph struct {
 	nNodes  int32
 	nEdges  int32
 	nodeIdx index // ObjID → node slot
-	edgeIdx index // EventID → edge record
 	epoch   int   // times Retain has renumbered the slots
 
 	start event.Event // the starting-point event (the anomaly alert)
@@ -144,11 +149,10 @@ type Graph struct {
 // Algorithm 1 line 1: G <- e0). The destination object of e0 gets hop 0 and
 // its source hop 1.
 func New(e0 event.Event) *Graph {
-	g := &Graph{nodeIdx: newIndex(), edgeIdx: newIndex(), start: e0}
+	g := &Graph{nodeIdx: newIndex(), start: e0}
 	di := g.reachLocked(e0.Dst(), 0)
 	si := g.reachLocked(e0.Src(), 1)
-	cell, _ := g.edgeIdx.find(uint64(e0.ID))
-	g.appendEdgeLocked(&e0, cell, si, di)
+	g.appendEdgeLocked(&e0, si, di)
 	return g
 }
 
@@ -157,7 +161,6 @@ func (g *Graph) Start() event.Event { return g.start }
 
 // Added reports what one Add call did.
 type Added struct {
-	NewEdge bool // the edge was inserted (not a duplicate, not over budget)
 	NewNode bool // its discovered endpoint was seen for the first time
 	// OverBudget: the edge was refused because the discovered endpoint would
 	// sit more than hopLimit hops from the starting point.
@@ -175,10 +178,11 @@ type Added struct {
 // endpoint of ev already in the graph — its destination when tracking
 // backward, its source when forward: the object whose dependencies were being
 // searched. Unless hopLimit is zero, an edge that would put its discovered
-// endpoint beyond hopLimit hops is refused; a duplicate is ignored; otherwise
-// the edge is linked in and the discovered endpoint's hop is min-updated to
-// hop(known)+1. The checks read without the lock; the insert is one short
-// critical section.
+// endpoint beyond hopLimit hops is refused; otherwise the edge is linked in
+// and the discovered endpoint's hop is min-updated to hop(known)+1. Add does
+// not look for ev among the edges: the caller guarantees that no event is
+// added twice. The budget check reads without the lock; the insert is one
+// short critical section.
 func (g *Graph) Add(ev *event.Event, known int32, forward bool, hopLimit int) Added {
 	found := ev.Src()
 	if forward {
@@ -188,43 +192,37 @@ func (g *Graph) Add(ev *event.Event, known int32, forward bool, hopLimit int) Ad
 	if hopLimit > 0 && hop > hopLimit {
 		return Added{OverBudget: true, Hop: hop, Edges: int(g.nEdges)}
 	}
-	cell, dup := g.edgeIdx.find(uint64(ev.ID))
-	if dup >= 0 {
-		return Added{Edges: int(g.nEdges)}
-	}
 	nodes := g.nNodes
 	g.mu.Lock()
 	fi := g.reachLocked(found, hop)
 	if forward {
-		g.appendEdgeLocked(ev, cell, known, fi)
+		g.appendEdgeLocked(ev, known, fi)
 	} else {
-		g.appendEdgeLocked(ev, cell, fi, known)
+		g.appendEdgeLocked(ev, fi, known)
 	}
 	g.mu.Unlock()
-	return Added{NewEdge: true, NewNode: g.nNodes > nodes, Slot: fi, Hop: g.nodes.Get(int(fi)).Hop, Edges: int(g.nEdges)}
+	return Added{NewNode: g.nNodes > nodes, Slot: fi, Hop: g.nodes.Get(int(fi)).Hop, Edges: int(g.nEdges)}
 }
 
 // AddEdge records a newly discovered backward dependency with no hop budget.
-// It returns whether the edge was new, and whether its source object was
-// seen for the first time.
-func (g *Graph) AddEdge(ev event.Event) (newEdge, newNode bool, err error) {
+// ev must not be an edge yet (see Add). It returns whether its source object
+// was seen for the first time.
+func (g *Graph) AddEdge(ev event.Event) (newNode bool, err error) {
 	known, ok := g.Slot(ev.Dst())
 	if !ok {
-		return false, false, fmt.Errorf("graph: edge %d arrives at unknown node %d", ev.ID, ev.Dst())
+		return false, fmt.Errorf("graph: edge %d arrives at unknown node %d", ev.ID, ev.Dst())
 	}
-	a := g.Add(&ev, known, false, 0)
-	return a.NewEdge, a.NewNode, nil
+	return g.Add(&ev, known, false, 0).NewNode, nil
 }
 
 // AddForwardEdge mirrors AddEdge for impact tracking: ev's source must
 // already be a node, and its destination is the discovered endpoint.
-func (g *Graph) AddForwardEdge(ev event.Event) (newEdge, newNode bool, err error) {
+func (g *Graph) AddForwardEdge(ev event.Event) (newNode bool, err error) {
 	known, ok := g.Slot(ev.Src())
 	if !ok {
-		return false, false, fmt.Errorf("graph: edge %d departs from unknown node %d", ev.ID, ev.Src())
+		return false, fmt.Errorf("graph: edge %d departs from unknown node %d", ev.ID, ev.Src())
 	}
-	a := g.Add(&ev, known, true, 0)
-	return a.NewEdge, a.NewNode, nil
+	return g.Add(&ev, known, true, 0).NewNode, nil
 }
 
 // reachLocked records that node id is reachable in hop hops: an existing
@@ -245,14 +243,12 @@ func (g *Graph) reachLocked(id event.ObjID, hop int) int32 {
 	return i
 }
 
-// appendEdgeLocked appends ev's record, enters it in the edge index at cell
-// (where find missed it) and links it at the tail of its source node's (slot
-// si) out-list and its destination's (di) in-list.
-func (g *Graph) appendEdgeLocked(ev *event.Event, cell int, si, di int32) {
+// appendEdgeLocked appends ev's record and links it at the tail of its
+// source node's (slot si) out-list and its destination's (di) in-list.
+func (g *Graph) appendEdgeLocked(ev *event.Event, si, di int32) {
 	ei := g.nEdges
 	*g.edges.At(int(ei)) = edgeRec{ev: *ev}
 	g.nEdges++
-	g.edgeIdx.put(cell, uint64(ev.ID), ei)
 	for dir, ni := range [2]int32{dirIn: di, dirOut: si} {
 		l := &g.nodes.Get(int(ni)).adj[dir]
 		if l.n == 0 {
@@ -265,12 +261,6 @@ func (g *Graph) appendEdgeLocked(ev *event.Event, cell int, si, di int32) {
 	}
 }
 
-// Seen is HasEdge for the writer: no lock.
-func (g *Graph) Seen(id event.EventID) bool {
-	_, ei := g.edgeIdx.find(uint64(id))
-	return ei >= 0
-}
-
 // Slot returns the node slot of an object, if it is a node. Writer only.
 func (g *Graph) Slot(id event.ObjID) (int32, bool) {
 	_, i := g.nodeIdx.find(uint64(id))
@@ -280,27 +270,10 @@ func (g *Graph) Slot(id event.ObjID) (int32, bool) {
 // State returns the maintainer state of the node in slot. Writer only.
 func (g *Graph) State(slot int32) int { return g.nodes.Get(int(slot)).State }
 
-// Edge returns the edge an event is, if it is one. Writer only; the pointer
-// is into the edge log and is for reading.
-func (g *Graph) Edge(id event.EventID) (*event.Event, bool) {
-	_, ei := g.edgeIdx.find(uint64(id))
-	if ei < 0 {
-		return nil, false
-	}
-	return &g.edges.Get(int(ei)).ev, true
-}
-
 // Epoch counts the Retain calls that removed something, each of which
 // renumbers the node slots: a slot is good for as long as Epoch stands still.
 // Writer only.
 func (g *Graph) Epoch() int { return g.epoch }
-
-// HasEdge reports whether the event is already an edge of the graph.
-func (g *Graph) HasEdge(id event.EventID) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.Seen(id)
-}
 
 // Node returns a copy of the bookkeeping for an object, if present.
 func (g *Graph) Node(id event.ObjID) (NodeInfo, bool) {
@@ -434,7 +407,7 @@ func (g *Graph) Retain(keep func(event.ObjID) bool) int {
 	// Rebuild from the survivors: nodes in their old order, edges by event ID.
 	oldEdges, had := g.edges, int(g.nEdges)
 	g.nodes, g.edges, g.nNodes, g.nEdges = pages.Pages[nodeRec]{}, pages.Pages[edgeRec]{}, 0, 0
-	g.nodeIdx, g.edgeIdx = newIndex(), newIndex()
+	g.nodeIdx = newIndex()
 	g.epoch++
 	for _, n := range nodes {
 		g.nodes.Get(int(g.reachLocked(n.ID, n.Hop))).State = n.State
@@ -454,8 +427,7 @@ func (g *Graph) Retain(keep func(event.ObjID) bool) int {
 	}
 	sort.Slice(kept, func(i, j int) bool { return kept[i].ev.ID < kept[j].ev.ID })
 	for _, k := range kept {
-		cell, _ := g.edgeIdx.find(uint64(k.ev.ID))
-		g.appendEdgeLocked(k.ev, cell, k.si, k.di)
+		g.appendEdgeLocked(k.ev, k.si, k.di)
 	}
 	return had - len(kept)
 }

@@ -74,7 +74,7 @@ func buildAttack(t *testing.T) (*store.Store, *graph.Graph, map[string]event.Obj
 
 func mustAdd(t *testing.T, g *graph.Graph, e event.Event) {
 	t.Helper()
-	if _, _, err := g.AddEdge(e); err != nil {
+	if _, err := g.AddEdge(e); err != nil {
 		t.Fatal(err)
 	}
 }
