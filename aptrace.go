@@ -226,8 +226,8 @@ func WithShardEpoch(seconds int64) StoreOption { return store.WithShardEpoch(sec
 // scatter-gather samples — fan-out, per-shard rows and busy nanos, merge
 // time, skew — into per-kind totals, skew quantiles and a ring of the most
 // recent samples; the per-shard heat the same samples feed is the store's
-// (ShardInfos). Attach one with (*Store).SetQueryProfiler or
-// WithQueryProfiler; views inherit it. Profiling reads real CPU only:
+// (ShardInfos). Attach one with (*Store).SetQueryProfiler; views inherit
+// it. Profiling reads real CPU only:
 // charged cost, stdout tables, and DOT output are byte-identical with it on
 // or off. A nil *QueryProfiler is a safe no-op everywhere.
 type QueryProfiler = qprof.Profiler
@@ -235,23 +235,11 @@ type QueryProfiler = qprof.Profiler
 // NewQueryProfiler returns an enabled scatter-gather query profiler.
 func NewQueryProfiler() *QueryProfiler { return qprof.New() }
 
-// WithQueryProfiler attaches a query profiler to a store at open/create
-// time (equivalent to calling SetQueryProfiler after open).
-func WithQueryProfiler(p *QueryProfiler) StoreOption { return store.WithQueryProfiler(p) }
-
 // ServeTelemetry serves the registry's /metrics (Prometheus text) and
 // /debug/telemetry (JSON) endpoints on addr in a background goroutine,
 // returning the server and its bound address (useful with ":0").
 func ServeTelemetry(addr string, reg *Telemetry) (*http.Server, string, error) {
 	return telemetry.Serve(addr, reg)
-}
-
-// ServePprof serves the stdlib net/http/pprof profiling endpoints on addr in
-// a background goroutine, returning the server and its bound address. To
-// share one address with ServeTelemetry instead, call reg.RegisterPprof()
-// before ServeTelemetry.
-func ServePprof(addr string) (*http.Server, string, error) {
-	return telemetry.ServePprof(addr)
 }
 
 // NewSimulatedClock returns a virtual clock for cost-modeled analysis runs.

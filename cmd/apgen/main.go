@@ -18,11 +18,10 @@
 // event, the root-cause object, the ground-truth causal chain, and the BDL
 // script versions an analyst would apply (usable directly with cmd/aptrace).
 //
-// Like the other tools, -metrics serves /metrics (Prometheus, including Go
-// runtime metrics) and /debug/telemetry (JSON) for the process lifetime —
-// brought up before generation, so the parallel seal of a large fleet can be
-// watched live — and -pprof serves net/http/pprof (sharing the -metrics mux
-// when the addresses match).
+// Like aptrace, -metrics serves /metrics (Prometheus, including Go runtime
+// metrics), /debug/telemetry (JSON) and net/http/pprof's /debug/pprof on one
+// address for the process lifetime — brought up before generation, so the
+// parallel seal of a large fleet can be watched and profiled live.
 package main
 
 import (
@@ -46,8 +45,7 @@ func main() {
 		shards  = flag.Int("shards", 1, "host×time store shards (1 = flat; persisted in the manifest)")
 		attacks = flag.String("attacks", "", "comma-separated attack subset (default: all five)")
 		export  = flag.String("export", "", "also export raw audit records: etw or auditd")
-		metrics = flag.String("metrics", "", "serve /metrics (Prometheus) and /debug/telemetry (JSON) on this address, e.g. :9090")
-		pprofA  = flag.String("pprof", "", "serve net/http/pprof on this address (shares the -metrics mux when the addresses match)")
+		metrics = flag.String("metrics", "", "serve /metrics (Prometheus), /debug/telemetry (JSON) and /debug/pprof on this address, e.g. :9090")
 	)
 	flag.Parse()
 	if *out == "" {
@@ -62,24 +60,12 @@ func main() {
 	if *metrics != "" {
 		reg = aptrace.NewTelemetry()
 		aptrace.RegisterRuntimeMetrics(reg)
-		if *pprofA == *metrics {
-			// Mount before ServeTelemetry builds the mux.
-			reg.RegisterPprof()
-		}
+		reg.RegisterPprof()
 		_, addr, err := aptrace.ServeTelemetry(*metrics, reg)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics and /debug/telemetry on %s\n", addr)
-	}
-	if *pprofA != "" && *pprofA != *metrics {
-		_, addr, err := aptrace.ServePprof(*pprofA)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pprof: serving /debug/pprof on %s\n", addr)
-	} else if *pprofA != "" {
-		fmt.Fprintf(os.Stderr, "pprof: sharing the -metrics mux at /debug/pprof\n")
 	}
 
 	cfg := aptrace.WorkloadConfig{Seed: *seed, Hosts: *hosts, Days: *days, Density: *density, Shards: *shards}

@@ -16,14 +16,11 @@
 // examined, buckets pruned — as JSON on stderr, so an analyst can see what a
 // lookup cost before turning it into a BDL heuristic.
 //
-// Like the other tools, -metrics serves /metrics (Prometheus) and
-// /debug/telemetry (JSON) for the process lifetime, and -pprof serves
-// net/http/pprof (sharing the -metrics mux when the addresses match).
-// -profile attaches a scatter-gather query profiler: the lookup's breakdown
-// (per-kind totals, fanout, rows, busy time, merge time, skew, and its most
-// recent queries) prints to stderr, and with -metrics the live profile is
-// also served at /debug/shards. The profiler reads real CPU only — stdout is
-// byte-identical with it on or off.
+// apquery exits as soon as it has printed, so it serves no HTTP endpoints;
+// -stats is its telemetry. -profile attaches a scatter-gather query
+// profiler: the lookup's breakdown (per-kind totals, fanout, rows, busy
+// time, merge time, skew, and its most recent queries) prints to stderr. The
+// profiler reads real CPU only — stdout is byte-identical with it on or off.
 package main
 
 import (
@@ -47,8 +44,6 @@ func main() {
 		events   = flag.String("events", "", "show events touching objects matching the substring")
 		around   = flag.String("around", "", "show events around a BDL timestamp (MM/DD/YYYY:HH:MM:SS)")
 		n        = flag.Int("n", 20, "row limit")
-		metrics  = flag.String("metrics", "", "serve /metrics (Prometheus) and /debug/telemetry (JSON) on this address, e.g. :9090")
-		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (shares the -metrics mux when the addresses match)")
 		profile  = flag.Bool("profile", false, "attach a scatter-gather query profiler and print the per-query breakdown to stderr after the lookup")
 	)
 	flag.Parse()
@@ -57,50 +52,24 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// With -stats (or -metrics) alongside a query, a telemetry registry
-	// observes the store so the per-query work counters can be dumped
-	// afterwards.
+	// With -stats alongside a query, a telemetry registry observes the store
+	// so the per-query work counters can be dumped afterwards.
 	var reg *aptrace.Telemetry
 	var opts []aptrace.StoreOption
-	if *stats || *metrics != "" {
+	if *stats {
 		reg = aptrace.NewTelemetry()
 		opts = append(opts, aptrace.WithTelemetry(reg))
+	}
+	st, err := aptrace.OpenStore(*storeDir, nil, opts...)
+	if err != nil {
+		fatal(err)
 	}
 	// The profiler reads real CPU only: stdout is byte-identical with
 	// -profile on or off, the breakdown goes to stderr.
 	var qp *aptrace.QueryProfiler
 	if *profile {
 		qp = aptrace.NewQueryProfiler()
-		opts = append(opts, aptrace.WithQueryProfiler(qp))
-		if reg != nil {
-			// Live JSON view next to the telemetry endpoints; must be
-			// mounted before ServeTelemetry builds the mux.
-			reg.RegisterDebug("/debug/shards", qp.Handler())
-		}
-	}
-	if *metrics != "" {
-		if *pprofA == *metrics {
-			// Mount before ServeTelemetry builds the mux.
-			reg.RegisterPprof()
-		}
-		_, addr, err := aptrace.ServeTelemetry(*metrics, reg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics and /debug/telemetry on %s\n", addr)
-	}
-	if *pprofA != "" && *pprofA != *metrics {
-		_, addr, err := aptrace.ServePprof(*pprofA)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pprof: serving /debug/pprof on %s\n", addr)
-	} else if *pprofA != "" {
-		fmt.Fprintf(os.Stderr, "pprof: sharing the -metrics mux at /debug/pprof\n")
-	}
-	st, err := aptrace.OpenStore(*storeDir, nil, opts...)
-	if err != nil {
-		fatal(err)
+		st.SetQueryProfiler(qp)
 	}
 
 	switch {

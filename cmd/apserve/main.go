@@ -7,14 +7,17 @@
 // Usage:
 //
 //	apserve -addr :8080 -store ./livedata [-tail audit.log] [-detect 2s]
-//	        [-auto] [-hops 10] [-auto-budget 0] [-workers 0]
-//	        [-max-active 4] [-max-queued 8]
-//	        [-queue 64] [-k 8] [-retry-after 2s] [-drain-timeout 10s]
+//	        [-auto] [-workers 0] [-max-active 4] [-max-queued 8]
+//	        [-queue 64] [-k 8] [-memo]
 //	        [-retain-sessions 512] [-retain-alerts 4096]
-//	        [-sample] [-sample-hosts 4] [-sample-days 3] [-sample-density 0.5]
-//	        [-metrics addr] [-pprof]
+//	        [-sample] [-metrics addr] [-pprof]
 //	        [-journal out.ndjson] [-journal-level info]
 //	        [-ops-rules "quota_429_rate>0.5,..."] [-watchdog 5s]
+//
+// Auto-launched scripts are bounded at 10 hops; a saturated tenant's 429
+// carries Retry-After: 2; SIGTERM/SIGINT drains within 10 s. -memo shares
+// one 64 MiB attribute-verdict cache across sessions. Status lines go to
+// stderr, so stdout carries only the journal when -journal is "-".
 //
 // -journal enables the correlated alert-lifecycle journal: every ingest
 // batch mints a correlation ID that threads through detection, the
@@ -29,8 +32,8 @@
 // reports per-component readiness and GET /ops the operator summary (SLIs,
 // watchdog, subscribers).
 //
-// With -sample, a synthetic enterprise workload is generated and streamed
-// through the ingest path at startup, so the daemon is immediately
+// With -sample, a synthetic enterprise workload (4 hosts, 3 days, density
+// 0.5) is generated and streamed through the ingest path at startup, so the daemon is immediately
 // explorable (this is what the CI smoke test drives). SIGTERM/SIGINT
 // triggers the graceful drain: stop accepting sessions, stop active
 // analyses (their partial graphs finalize), flush the WAL, report, exit 0.
@@ -73,17 +76,8 @@ import (
 	"aptrace/internal/store"
 )
 
-// memoBudget resolves the -memo/-memo-bytes pair into a serve.Config
-// budget: 0 keeps the cache off, -memo alone takes the package default.
-func memoBudget(on bool, bytes int64) int64 {
-	if !on && bytes <= 0 {
-		return 0
-	}
-	if bytes <= 0 {
-		return memo.DefaultMaxBytes
-	}
-	return bytes
-}
+// drainTimeout bounds the graceful drain on SIGTERM/SIGINT.
+const drainTimeout = 10 * time.Second
 
 func main() {
 	log.SetFlags(0)
@@ -93,25 +87,17 @@ func main() {
 		tailF    = flag.String("tail", "", "follow this audit log file (ETW/auditd lines)")
 		detect   = flag.Duration("detect", 2*time.Second, "detection pass interval (0 disables)")
 		auto     = flag.Bool("auto", true, "auto-launch a backtracking session per alert")
-		hops     = flag.Int("hops", 10, "hop budget for auto-launched scripts")
-		budget   = flag.Duration("auto-budget", 0, "analysis time budget for auto-launched scripts (0 = hop-bounded only)")
 		workers  = flag.Int("workers", 0, "concurrent analyses (0 = all cores)")
 		maxAct   = flag.Int("max-active", 4, "per-tenant max concurrent sessions")
 		maxQ     = flag.Int("max-queued", 8, "per-tenant max queued sessions")
 		queue    = flag.Int("queue", 64, "global session queue capacity")
 		k        = flag.Int("k", aptrace.DefaultWindows, "execution-window count")
-		retry    = flag.Duration("retry-after", 2*time.Second, "Retry-After hint on 429")
 		retainS  = flag.Int("retain-sessions", 512, "finished sessions kept queryable (-1 = unlimited)")
 		retainA  = flag.Int("retain-alerts", 4096, "alerts kept in the log (-1 = unlimited)")
-		drainT   = flag.Duration("drain-timeout", 10*time.Second, "graceful drain budget on SIGTERM")
 		sample   = flag.Bool("sample", false, "bootstrap with a generated sample workload")
-		sHosts   = flag.Int("sample-hosts", 4, "sample workload: hosts")
-		sDays    = flag.Int("sample-days", 3, "sample workload: days")
-		sDensity = flag.Float64("sample-density", 0.5, "sample workload: density")
 		metricsA = flag.String("metrics", "", "also serve /metrics on this separate address")
 		pprofF   = flag.Bool("pprof", false, "mount /debug/pprof on the API mux")
-		memoOn   = flag.Bool("memo", false, "share an attribute-verdict memo cache (where-clause read-only, write-through and file-time walks) across sessions (reset on reseal; charged cost unchanged)")
-		memoB    = flag.Int64("memo-bytes", 0, "memo cache byte budget (0 with -memo = 64 MiB default)")
+		memoOn   = flag.Bool("memo", false, "share a 64 MiB attribute-verdict memo cache (where-clause read-only, write-through and file-time walks) across sessions (reset on reseal; charged cost unchanged)")
 		journalF = flag.String("journal", "", "write the alert-lifecycle journal (NDJSON) to this path (\"-\" = stdout; empty disables)")
 		jLevel   = flag.String("journal-level", "info", "journal level: debug|info|warn|error")
 		opsRules = flag.String("ops-rules", "", "watchdog SLO rules, e.g. \"quota_429_rate>0.5,detect_stall>30s\" (empty = defaults, \"off\" disables)")
@@ -177,20 +163,21 @@ func main() {
 	}
 	defer live.Close()
 
+	var memoBytes int64
+	if *memoOn {
+		memoBytes = memo.DefaultMaxBytes
+	}
 	srv, err := serve.New(serve.Config{
 		Live:           live,
 		DetectEvery:    *detect,
 		AutoBacktrack:  *auto,
-		AutoHops:       *hops,
-		AutoBudget:     *budget,
 		Workers:        *workers,
 		QueueCap:       *queue,
 		Quota:          serve.Quota{MaxActive: *maxAct, MaxQueued: *maxQ},
-		RetryAfter:     *retry,
 		RetainSessions: *retainS,
 		RetainAlerts:   *retainA,
 		Windows:        *k,
-		MemoBytes:      memoBudget(*memoOn, *memoB),
+		MemoBytes:      memoBytes,
 		Telemetry:      reg,
 		Journal:        journal,
 		OpsRules:       rules,
@@ -202,7 +189,7 @@ func main() {
 
 	if *sample {
 		ds, err := aptrace.Generate(aptrace.WorkloadConfig{
-			Seed: 2, Hosts: *sHosts, Days: *sDays, Density: *sDensity,
+			Seed: 2, Hosts: 4, Days: 3, Density: 0.5,
 		}, nil)
 		if err != nil {
 			log.Fatal(err)
@@ -218,7 +205,7 @@ func main() {
 		if err := live.Checkpoint(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("apserve: sample workload ingested: %d records (%d rejected)\n",
+		log.Printf("apserve: sample workload ingested: %d records (%d rejected)",
 			stats.Ingested, stats.Rejected)
 	}
 
@@ -226,7 +213,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("apserve: listening on http://%s (store %s)\n", bound, *dir)
+	log.Printf("apserve: listening on http://%s (store %s)", bound, *dir)
 	if *metricsA != "" {
 		// Mount the API's /debug/shards handler on the metrics mux too, so
 		// operators scraping the side address read the same body.
@@ -235,14 +222,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("apserve: metrics on http://%s\n", maddr)
+		log.Printf("apserve: metrics on http://%s", maddr)
 	}
 
 	tailCtx, cancelTail := context.WithCancel(context.Background())
 	tailErr := make(chan error, 1)
 	if *tailF != "" {
 		go func() { tailErr <- srv.Tail(tailCtx, *tailF, 0) }()
-		fmt.Printf("apserve: tailing %s\n", *tailF)
+		log.Printf("apserve: tailing %s", *tailF)
 	}
 
 	srv.Start()
@@ -251,7 +238,7 @@ func main() {
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case s := <-sig:
-		fmt.Printf("apserve: %s: draining (budget %s)\n", s, *drainT)
+		log.Printf("apserve: %s: draining (budget %s)", s, drainTimeout)
 	case err := <-tailErr:
 		if err != nil {
 			log.Printf("apserve: tail failed: %v; draining", err)
@@ -259,11 +246,11 @@ func main() {
 	}
 
 	cancelTail()
-	ctx, cancel := context.WithTimeout(context.Background(), *drainT)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	rep := srv.Drain(ctx)
 	httpSrv.Shutdown(ctx)
-	fmt.Printf("apserve: drained: %d active stopped, %d queued aborted, clean=%v in %s\n",
+	log.Printf("apserve: drained: %d active stopped, %d queued aborted, clean=%v in %s",
 		rep.Stopped, rep.Aborted, rep.Clean, rep.Took.Round(time.Millisecond))
 	if err := live.Close(); err != nil {
 		log.Fatal(err)

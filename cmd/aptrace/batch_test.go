@@ -148,9 +148,9 @@ output = %q`, filepath.Join(dir, "graph.dot"))
 			var out string
 			var dots map[string]string
 			for i, workers := range []int{1, 4} {
-				tl := &timeline{target: explain.DefaultGapTarget}
+				tl := &timeline{}
 				out, dots = run(t, flat, workers, "", tl, nil)
-				if rep := explain.NewReport(tl.target, tl.logs()); len(rep.Lanes) != len(plainDots) || rep.Updates == 0 {
+				if rep := explain.NewReport(explain.DefaultGapTarget, tl.logs()); len(rep.Lanes) != len(plainDots) || rep.Updates == 0 {
 					t.Errorf("%d workers: timeline recorded %d lanes and %d updates for %d alerts", workers, len(rep.Lanes), rep.Updates, len(plainDots))
 				}
 				if err := explain.WriteTrace(&traces[i], tl.logs()); err != nil {
@@ -193,7 +193,7 @@ output = %q`, filepath.Join(dir, "graph.dot"))
 // as a live viewer would — and, once the lanes are bound, every one of them:
 // the trace the run writes at exit.
 func TestTimelineHandlerServesBatchLanes(t *testing.T) {
-	tl := &timeline{target: explain.DefaultGapTarget}
+	tl := &timeline{}
 	h := explain.TraceHandler(tl.logs)
 	get := func() []byte {
 		rr := httptest.NewRecorder()

@@ -28,10 +28,14 @@
 //
 // -qprof attaches the scatter-gather query profiler: every store query the
 // run issues is sampled (fanout, per-shard rows and busy time, merge time,
-// skew) and the end-of-run profile and per-shard load summary go to stderr. With
-// -metrics the live profile is served at /debug/shards. The profiler reads
-// real CPU only — stdout (the Table II summary, DOT output, charged costs)
-// is byte-identical with it on or off.
+// skew) and the end-of-run profile and per-shard load summary go to stderr.
+// With -metrics the live profile is served at /debug/shards. The profiler
+// reads real CPU only — stdout (the Table II summary, DOT output, charged
+// costs) is byte-identical with it on or off.
+//
+// -metrics serves /metrics (Prometheus), /debug/telemetry (JSON) and
+// net/http/pprof's /debug/pprof on one address for the process lifetime.
+// -memo shares one 64 MiB attribute-verdict cache across -batch analyses.
 //
 // -simulate attaches the query cost model to a virtual clock, reporting
 // analysis time in modeled database-latency terms; without it, timings are
@@ -41,9 +45,10 @@
 // read back as its timeline: window lifecycle, query costs, graph updates,
 // and session pauses, exported as Chrome trace-event JSON (load the file in
 // ui.perfetto.dev) and served live at /debug/timeline when -metrics is on.
-// The SLO watchdog flags any inter-update gap beyond 3x the -slo target (9s
-// when not positive) and the end-of-run report (stderr) names the offending
-// query, correlated with -explain decision records when both are enabled.
+// The SLO watchdog flags any inter-update gap beyond 3x the 9 s target (the
+// paper's p95 inter-update wait) and the end-of-run report (stderr) names the
+// offending query, correlated with -explain decision records when both are
+// enabled.
 // -explain and -timeline read the same run log: either flag attaches it,
 // each selects its own output.
 package main
@@ -76,15 +81,12 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress the per-update progress stream")
 		doSug     = flag.Bool("suggest", false, "after the run, propose exclusion heuristics for the next script version")
 		inter     = flag.Bool("interactive", false, "start the interactive analyst console")
-		metrics   = flag.String("metrics", "", "serve /metrics (Prometheus) and /debug/telemetry (JSON) on this address, e.g. :9090")
+		metrics   = flag.String("metrics", "", "serve /metrics (Prometheus), /debug/telemetry (JSON) and /debug/pprof on this address, e.g. :9090")
 		batch     = flag.Bool("batch", false, "run the script from every matching starting event (see -parallel)")
 		parallel  = flag.Int("parallel", 1, "concurrent analyses in -batch mode (0 = all cores)")
-		memoOn    = flag.Bool("memo", false, "share a cross-alert attribute-verdict cache (where-clause read-only, write-through and file-time walks) across -batch analyses (identical output, less real CPU)")
-		memoBytes = flag.Int64("memo-bytes", 0, "byte budget of the -memo cache (0 = 64 MiB default)")
+		memoOn    = flag.Bool("memo", false, "share a 64 MiB cross-alert attribute-verdict cache (where-clause read-only, write-through and file-time walks) across -batch analyses (identical output, less real CPU)")
 		explArg   = flag.String("explain", "", "attach the run log and explain the result from it: an object ID, \"all\" (every graph node), \"frontier\" (pruned candidates), or \"on\" (record only, for -interactive); explanations go to stderr")
-		pprofA    = flag.String("pprof", "", "serve net/http/pprof on this address (shares the -metrics mux when the addresses match)")
 		timelineF = flag.String("timeline", "", "attach the run log and profile the run(s) from it into a timeline; write the Chrome trace-event JSON to this path")
-		gap       = flag.Duration("slo", explain.DefaultGapTarget, "SLO inter-update gap target for the -timeline watchdog")
 		shards    = flag.Int("shards", 0, "override the store's persisted host×time shard count at open (0 = keep, 1 = flatten)")
 		qprofOn   = flag.Bool("qprof", false, "profile scatter-gather queries; the per-shard load summary goes to stderr at end of run (stdout is byte-identical either way)")
 	)
@@ -104,6 +106,7 @@ func main() {
 	if *metrics != "" {
 		reg = aptrace.NewTelemetry()
 		aptrace.RegisterRuntimeMetrics(reg)
+		reg.RegisterPprof()
 	}
 	// -explain and -timeline select outputs of a run, not recorders: either
 	// attaches the one run log, and each reads its own view of it back.
@@ -118,10 +121,7 @@ func main() {
 	}
 	var tl *timeline
 	if *timelineF != "" {
-		tl = &timeline{target: *gap}
-		if tl.target <= 0 {
-			tl.target = explain.DefaultGapTarget
-		}
+		tl = &timeline{}
 		// The run's log is the one lane; a batch binds one per alert once it
 		// has found them (runBatch).
 		if *inter || !*batch {
@@ -155,23 +155,17 @@ func main() {
 		if *explArg != "" && !*batch {
 			explained = rec
 		}
-		explain.NewReport(tl.target, tl.logs()).Print(os.Stderr, explained)
+		explain.NewReport(explain.DefaultGapTarget, tl.logs()).Print(os.Stderr, explained)
 	}
 	var qp *aptrace.QueryProfiler
 	if *qprofOn {
 		qp = aptrace.NewQueryProfiler()
-		storeOpts = append(storeOpts, aptrace.WithQueryProfiler(qp))
 		if reg != nil {
 			// Live shard-heat view, same mux rule as /debug/explain.
 			reg.RegisterDebug("/debug/shards", qp.Handler())
 		}
 	}
 	if reg != nil {
-		if *pprofA == *metrics {
-			// Same address: mount pprof on the telemetry mux before
-			// ServeTelemetry builds it.
-			reg.RegisterPprof()
-		}
 		_, addr, err := aptrace.ServeTelemetry(*metrics, reg)
 		if err != nil {
 			fatal(err)
@@ -179,21 +173,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics and /debug/telemetry on %s\n", addr)
 		storeOpts = append(storeOpts, aptrace.WithTelemetry(reg))
 	}
-	if *pprofA != "" && *pprofA != *metrics {
-		_, addr, err := aptrace.ServePprof(*pprofA)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pprof: serving /debug/pprof on %s\n", addr)
-	} else if *pprofA != "" {
-		fmt.Fprintf(os.Stderr, "pprof: sharing the -metrics mux at /debug/pprof\n")
-	}
 	if *shards > 0 {
 		storeOpts = append(storeOpts, aptrace.WithShards(*shards))
 	}
 	st, err := aptrace.OpenStore(*storeDir, clk, storeOpts...)
 	if err != nil {
 		fatal(err)
+	}
+	if qp != nil {
+		st.SetQueryProfiler(qp)
 	}
 	if n := st.ShardCount(); n > 1 {
 		fmt.Fprintf(os.Stderr, "opened store: %d events, %d objects, %d host×time shards\n", st.NumEvents(), st.NumObjects(), n)
@@ -243,7 +231,7 @@ func main() {
 		}
 		var cache *aptrace.MemoCache
 		if *memoOn {
-			cache = aptrace.NewMemoCache(*memoBytes, reg)
+			cache = aptrace.NewMemoCache(0, reg)
 		}
 		if err := runBatch(os.Stdout, st, string(raw), *k, *parallel, *simulate, reg, *explArg, tl, cache); err != nil {
 			fatal(err)
@@ -257,19 +245,19 @@ func main() {
 }
 
 // timeline is what -timeline reads: the logs bound as its lanes — the run's,
-// or a batch's one per alert — and the SLO gap target they are bound with.
-// The lanes are published atomically, so the live /debug/timeline handler,
-// mounted before a batch has found its alerts, serves every lane once bound.
+// or a batch's one per alert. The lanes are published atomically, so the
+// live /debug/timeline handler, mounted before a batch has found its alerts,
+// serves every lane once bound.
 type timeline struct {
-	target time.Duration
-	lanes  atomic.Pointer[[]*explain.Recorder]
+	lanes atomic.Pointer[[]*explain.Recorder]
 }
 
 // publish binds logs as the timeline's lanes — lane i+1 named name(i), with
-// the stall limit of the gap target — and makes them the ones it reads.
+// the stall limit of the default gap target — and makes them the ones it
+// reads.
 func (tl *timeline) publish(logs []*explain.Recorder, name func(i int) string) {
 	for i, log := range logs {
-		log.Bind(int64(i+1), name(i), explain.DefaultStallFactor*tl.target)
+		log.Bind(int64(i+1), name(i), explain.DefaultStallFactor*explain.DefaultGapTarget)
 	}
 	tl.lanes.Store(&logs)
 }

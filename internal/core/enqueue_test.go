@@ -41,9 +41,7 @@ func (covered refCoverage) refEnqueue(x *Executor, e event.Event, boost int) []E
 		if extension {
 			ws = append(ws, ExecWindow{Begin: te + 1, Finish: hi})
 		} else {
-			clipped := e
-			clipped.Time = te
-			ws = GenExeWindowsForward(clipped, hi, x.opts.Windows)
+			ws = appendExeWindowsForward(nil, ExecWindow{Obj: obj, Gen: e.ID}, te+1, hi, x.opts.Windows)
 		}
 	} else {
 		obj = e.Src()
@@ -63,9 +61,7 @@ func (covered refCoverage) refEnqueue(x *Executor, e event.Event, boost int) []E
 		if extension {
 			ws = append(ws, ExecWindow{Begin: ts, Finish: te})
 		} else {
-			clipped := e
-			clipped.Time = te
-			ws = GenExeWindows(clipped, ts, x.opts.Windows)
+			ws = appendExeWindows(nil, ExecWindow{Obj: obj, Gen: e.ID}, ts, te, x.opts.Windows)
 		}
 	}
 	state := -1

@@ -198,7 +198,7 @@ forward file f[path = "/tmp/payload"]
 
 func TestGenExeWindowsForward(t *testing.T) {
 	e := event.Event{Time: 1000, Subject: 1, Object: 2, Dir: event.FlowOut}
-	ws := GenExeWindowsForward(e, 16001, 4)
+	ws := appendExeWindowsForward(nil, ExecWindow{Obj: e.Dst(), Gen: e.ID}, e.Time+1, 16001, 4)
 	if len(ws) != 4 {
 		t.Fatalf("%d windows", len(ws))
 	}
@@ -222,7 +222,7 @@ func TestGenExeWindowsForward(t *testing.T) {
 	if w1 != 2*w0 {
 		t.Fatalf("ratio: %d then %d", w0, w1)
 	}
-	if GenExeWindowsForward(e, 1000, 4) != nil {
+	if appendExeWindowsForward(nil, ExecWindow{Obj: e.Dst(), Gen: e.ID}, e.Time+1, 1000, 4) != nil {
 		t.Fatal("empty forward span must yield nothing")
 	}
 }

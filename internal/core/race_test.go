@@ -446,15 +446,15 @@ func TestGenExeWindowsLargeK(t *testing.T) {
 	// flow source (the object backward windows search).
 	e := event.Event{ID: 1, Time: 1 << 62, Subject: 0, Object: 1, Dir: event.FlowOut}
 	for _, k := range []int{62, 63, 64} {
-		ws := GenExeWindows(e, 0, k)
+		ws := appendExeWindows(nil, ExecWindow{Obj: e.Src(), Gen: e.ID}, 0, e.Time, k)
 		checkWindowInvariants(t, ws, 0, e.Time, false)
 
 		fe := event.Event{ID: 2, Time: 0, Subject: 0, Object: 1, Dir: event.FlowOut}
-		fws := GenExeWindowsForward(fe, 1<<62, k)
+		fws := appendExeWindowsForward(nil, ExecWindow{Obj: fe.Dst(), Gen: fe.ID}, fe.Time+1, 1<<62, k)
 		checkWindowInvariants(t, fws, fe.Time+1, 1<<62, true)
 	}
 	// Geometric shape survives the clamp: nearest window smallest.
-	ws := GenExeWindows(e, 0, 63)
+	ws := appendExeWindows(nil, ExecWindow{Obj: e.Src(), Gen: e.ID}, 0, e.Time, 63)
 	if len(ws) != MaxWindows {
 		t.Fatalf("k=63 over a 2^62 span must clamp to %d windows, got %d", MaxWindows, len(ws))
 	}

@@ -45,22 +45,17 @@ type ExecWindow struct {
 	Boost int8  // prioritize-rule boost (0 or 1)
 }
 
-// GenExeWindows implements genExeWindow from Algorithm 1: it cuts the
-// monolithic window [ts, te) for event e (te = e.Time) into k pieces whose
-// lengths are sigma, 2*sigma, 4*sigma, ... from te backwards, where
-// sigma = (te-ts)/(2^k - 1). The returned windows are ordered nearest-first.
+// appendExeWindows implements genExeWindow from Algorithm 1: it cuts the
+// monolithic window [ts, te) behind the generating event (te = its time) into
+// k pieces whose lengths are sigma, 2*sigma, 4*sigma, ... from te backwards,
+// where sigma = (te-ts)/(2^k - 1), and appends them to buf nearest-first.
+// Each window is w — the object, its slot, the generating event and the
+// scheduling attributes — with its piece of [ts, te); buf is the executor's,
+// reused across every enqueue of a run.
 //
 // Degenerate spans (te-ts < 2^k - 1 seconds) produce fewer, second-sized
 // windows; an empty span produces none. Integer remainders are absorbed by
 // the farthest window so the union exactly covers [ts, te).
-func GenExeWindows(e event.Event, ts int64, k int) []ExecWindow {
-	return appendExeWindows(nil, ExecWindow{Obj: e.Src(), Gen: e.ID}, ts, e.Time, k)
-}
-
-// appendExeWindows is GenExeWindows appending into buf, which the executor
-// owns and reuses across every enqueue of a run: each window is w — the
-// object, its slot, the generating event and the scheduling attributes — with
-// its piece of [ts, te).
 func appendExeWindows(buf []ExecWindow, w ExecWindow, ts, te int64, k int) []ExecWindow {
 	if te <= ts || k < 1 {
 		return buf
@@ -90,17 +85,11 @@ func appendExeWindows(buf []ExecWindow, w ExecWindow, ts, te int64, k int) []Exe
 	return buf
 }
 
-// GenExeWindowsForward mirrors GenExeWindows for impact tracking: it cuts
-// the forward range (te, tEnd) for event e into k geometric pieces, the
-// smallest window immediately after the event. The explored object is the
-// event's flow destination. The first window begins at te+1: forward
-// dependencies must be strictly later.
-func GenExeWindowsForward(e event.Event, tEnd int64, k int) []ExecWindow {
-	return appendExeWindowsForward(nil, ExecWindow{Obj: e.Dst(), Gen: e.ID}, e.Time+1, tEnd, k)
-}
-
-// appendExeWindowsForward is GenExeWindowsForward appending into buf: w's
-// pieces of [ts, tEnd).
+// appendExeWindowsForward mirrors appendExeWindows for impact tracking: it
+// cuts the forward range [ts, tEnd) into k geometric pieces, the smallest
+// window immediately after the event, and appends them to buf. The explored
+// object is the event's flow destination, and ts is the event's time plus
+// one: forward dependencies must be strictly later.
 func appendExeWindowsForward(buf []ExecWindow, w ExecWindow, ts, tEnd int64, k int) []ExecWindow {
 	if tEnd <= ts || k < 1 {
 		return buf

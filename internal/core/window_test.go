@@ -12,7 +12,7 @@ func TestGenExeWindowsGeometric(t *testing.T) {
 	// Span 15000s with k=4: sigma = 15000/15 = 1000.
 	// Windows (nearest first): [14000,15000) [12000,14000) [8000,12000) [0,8000).
 	e := event.Event{ID: 1, Time: 15000, Subject: 7, Dir: event.FlowOut}
-	ws := GenExeWindows(e, 0, 4)
+	ws := appendExeWindows(nil, ExecWindow{Obj: e.Src(), Gen: e.ID}, 0, e.Time, 4)
 	if len(ws) != 4 {
 		t.Fatalf("got %d windows", len(ws))
 	}
@@ -37,17 +37,17 @@ func TestGenExeWindowsGeometric(t *testing.T) {
 
 func TestGenExeWindowsDegenerate(t *testing.T) {
 	e := event.Event{Time: 100}
-	if ws := GenExeWindows(e, 100, 8); ws != nil {
+	if ws := appendExeWindows(nil, ExecWindow{Obj: e.Src(), Gen: e.ID}, 100, e.Time, 8); ws != nil {
 		t.Errorf("empty span: %v", ws)
 	}
-	if ws := GenExeWindows(e, 200, 8); ws != nil {
+	if ws := appendExeWindows(nil, ExecWindow{Obj: e.Src(), Gen: e.ID}, 200, e.Time, 8); ws != nil {
 		t.Errorf("negative span: %v", ws)
 	}
-	if ws := GenExeWindows(e, 0, 0); ws != nil {
+	if ws := appendExeWindows(nil, ExecWindow{Obj: e.Src(), Gen: e.ID}, 0, e.Time, 0); ws != nil {
 		t.Errorf("k=0: %v", ws)
 	}
 	// Tiny span: fewer windows, still full coverage.
-	ws := GenExeWindows(e, 97, 8)
+	ws := appendExeWindows(nil, ExecWindow{Obj: e.Src(), Gen: e.ID}, 97, e.Time, 8)
 	if len(ws) == 0 || ws[len(ws)-1].Begin != 97 || ws[0].Finish != 100 {
 		t.Errorf("tiny span windows: %+v", ws)
 	}
@@ -62,7 +62,7 @@ func TestGenExeWindowsCoverageProperty(t *testing.T) {
 		te := ts + rng.Int63n(2_000_000) + 1
 		k := 1 + rng.Intn(12)
 		e := event.Event{Time: te, Subject: 1, Dir: event.FlowOut}
-		ws := GenExeWindows(e, ts, k)
+		ws := appendExeWindows(nil, ExecWindow{Obj: e.Src(), Gen: e.ID}, ts, e.Time, k)
 		if len(ws) == 0 || len(ws) > k {
 			t.Fatalf("trial %d: %d windows for k=%d", trial, len(ws), k)
 		}

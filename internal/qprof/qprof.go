@@ -33,7 +33,6 @@ const (
 	KindCountForward
 	KindReadOnly
 	KindWriteThrough
-	KindFlowAmount
 	KindFileTimes
 	KindMatches
 	KindScan
@@ -42,7 +41,7 @@ const (
 
 var kindNames = [numKinds]string{
 	"backward", "forward", "count_backward", "count_forward",
-	"read_only", "write_through", "flow_amount", "file_times",
+	"read_only", "write_through", "file_times",
 	"matches", "scan",
 }
 

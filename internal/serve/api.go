@@ -29,6 +29,10 @@ type submitRequest struct {
 	EventID uint64 `json:"event_id"`
 }
 
+// retryAfter is the hint a 429 carries, in its Retry-After header and its
+// body's retry_after_seconds.
+const retryAfter = 2 * time.Second
+
 // errorResponse is every non-2xx JSON body.
 type errorResponse struct {
 	Error      string `json:"error"`
@@ -109,10 +113,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrSaturated):
-		retry := int(s.cfg.RetryAfter.Seconds())
-		if retry < 1 {
-			retry = 1
-		}
+		retry := int(retryAfter.Seconds())
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error(), RetryAfter: retry})
 	case errors.Is(err, ErrDraining):

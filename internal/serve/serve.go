@@ -95,8 +95,6 @@ type Config struct {
 	// Quota is the per-tenant admission bound (zero fields take
 	// DefaultQuota).
 	Quota Quota
-	// RetryAfter is the hint returned with 429 responses (default 2s).
-	RetryAfter time.Duration
 	// Windows is the executor's window count k (0: core default).
 	Windows int
 	// SubscriberBuffer is how many updates an SSE subscriber may trail the
@@ -263,9 +261,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 2 * time.Second
 	}
 	if cfg.SubscriberBuffer <= 0 {
 		cfg.SubscriberBuffer = DefaultSubscriberBuffer

@@ -369,13 +369,12 @@ func TestAdmissionControl429(t *testing.T) {
 	g := newGate()
 	reg := telemetry.NewRegistry()
 	srv, err := New(Config{
-		Source:     StaticSource(ds.Store),
-		Workers:    1,
-		QueueCap:   8,
-		Quota:      Quota{MaxActive: 1, MaxQueued: 1},
-		RetryAfter: 3 * time.Second,
-		Telemetry:  reg,
-		ViewClock:  g.clock,
+		Source:    StaticSource(ds.Store),
+		Workers:   1,
+		QueueCap:  8,
+		Quota:     Quota{MaxActive: 1, MaxQueued: 1},
+		Telemetry: reg,
+		ViewClock: g.clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -408,11 +407,11 @@ func TestAdmissionControl429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated submit = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After = %q, want 3", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Fatalf("Retry-After = %q, want 2", ra)
 	}
 	body := decodeBody[errorResponse](t, resp)
-	if body.RetryAfter != 3 || body.Error == "" {
+	if body.RetryAfter != 2 || body.Error == "" {
 		t.Fatalf("429 body = %+v", body)
 	}
 	if c := reg.Counter(telemetry.MetricServeSessionsRejected).Value(); c != 1 {

@@ -179,7 +179,6 @@ func TestAppendReusesCapacity(t *testing.T) {
 				{"CountBackward", func() (err error) { _, err = s.CountBackward(hot, 0, to); return }},
 				{"IsReadOnlyFile", func() (err error) { _, err = s.IsReadOnlyFile(hotFile, 0, to); return }},
 				{"IsWriteThrough", func() (err error) { _, err = s.IsWriteThrough(hotProc, 0, to); return }},
-				{"FlowAmount", func() (err error) { _, err = s.FlowAmount(0, hot, 0, to); return }},
 				{"FileTimes", func() (err error) { _, _, _, err = s.FileTimes(hotFile, 0, to); return }},
 			}
 			for _, c := range calls {

@@ -13,8 +13,8 @@ import (
 // These are modeled as index-backed aggregate queries and charge the cost
 // model for the posting entries they examine: exactly the rows one ordered
 // walk over the object's whole posting list would visit, however many parts
-// hold it. Full-range aggregates (FlowAmount, FileTimes) are order-
-// independent and fold per-run partials. The early-exit predicates
+// hold it. The full-range aggregate (FileTimes) is order-independent and
+// folds per-run partials. The early-exit predicates
 // (read-only, write-through) stop at the first disqualifying event in global
 // order, so every run finds its own first disqualifier, the earliest of them
 // by (time, seq) wins, and the charge is the rows preceding it across all
@@ -51,7 +51,7 @@ func (s *Store) IsReadOnlyFileRows(obj event.ObjID, from, to int64) (bool, int64
 	}
 	var scratch [MaxShards]run
 	runs, postingLen, total := s.collect(scratch[:0], obj, false, from, to)
-	acc, durs := s.walkRuns(walkReadOnly, 0, runs, total)
+	acc, durs := s.walkRuns(walkReadOnly, runs, total)
 	rows := s.chargedRows(runs, acc, total)
 	s.charge(rows, from, to)
 	s.noteRuns(qprof.KindReadOnly, obj, runs, postingLen, rows, durs)
@@ -86,7 +86,7 @@ func (s *Store) IsWriteThroughRows(obj event.ObjID, from, to int64) (bool, int64
 	var scratch [MaxShards]run
 	for _, forward := range [2]bool{false, true} {
 		runs, n, total := s.collect(scratch[:0], obj, forward, from, to)
-		acc, durs := s.walkRuns(walkWriteThrough, 0, runs, total)
+		acc, durs := s.walkRuns(walkWriteThrough, runs, total)
 		rows += s.chargedRows(runs, acc, total)
 		seen = seen || acc.nonLoad
 		s.split(b, runs, durs)
@@ -101,21 +101,6 @@ func (s *Store) IsWriteThroughRows(obj event.ObjID, from, to int64) (bool, int64
 		s.emit(qp, b, qprof.KindWriteThrough, int64(obj), rows, postingLen, 0)
 	}
 	return seen && through, rows, nil
-}
-
-// FlowAmount returns the total byte amount of events from src flowing into
-// dst within [from, to). It backs quantity-based heuristics (paper
-// Program 2: prioritize uploads at least as large as the sensitive read).
-func (s *Store) FlowAmount(src, dst event.ObjID, from, to int64) (int64, error) {
-	if !s.sealed {
-		return 0, ErrNotSealed
-	}
-	var scratch [MaxShards]run
-	runs, postingLen, total := s.collect(scratch[:0], dst, false, from, to)
-	acc, durs := s.walkRuns(walkFlowAmount, src, runs, total)
-	s.charge(int64(total), from, to)
-	s.noteRuns(qprof.KindFlowAmount, dst, runs, postingLen, int64(total), durs)
-	return acc.sum, nil
 }
 
 // FileTimes returns the file-time attributes BDL exposes for file objects
@@ -139,20 +124,19 @@ func (s *Store) FileTimesRows(obj event.ObjID, from, to int64) (creation, lastMo
 	var scratch [2 * MaxShards]run
 	runs, dstLen, dstTotal := s.collect(scratch[:0], obj, false, from, to)
 	runs, srcLen, srcTotal := s.collect(runs, obj, true, from, to)
-	acc, durs := s.walkRuns(walkFileTimes, 0, runs, dstTotal+srcTotal)
+	acc, durs := s.walkRuns(walkFileTimes, runs, dstTotal+srcTotal)
 	rows = int64(dstTotal + srcTotal)
 	s.charge(rows, from, to)
 	s.noteRuns(qprof.KindFileTimes, obj, runs, dstLen+srcLen, rows, durs)
 	return acc.created, acc.modified, acc.accessed, rows, nil
 }
 
-// walkKind names one of the four attribute walks over a posting run.
+// walkKind names one of the three attribute walks over a posting run.
 type walkKind uint8
 
 const (
 	walkReadOnly walkKind = iota
 	walkWriteThrough
-	walkFlowAmount
 	walkFileTimes
 )
 
@@ -163,15 +147,13 @@ type partial struct {
 	// (hit < 0: none) and, after folding, the run that holds the globally
 	// first one (run < 0: none).
 	run, hit int32
-	nonLoad  bool  // write-through: a non-load event was seen
-	sum      int64 // FlowAmount
+	nonLoad  bool // write-through: a non-load event was seen
 
 	created, modified, accessed int64 // FileTimes; 0 = no such event
 }
 
-// walkRun evaluates one attribute walk over one run, in time order. src is
-// FlowAmount's source filter.
-func (s *Store) walkRun(k walkKind, src event.ObjID, r run) partial {
+// walkRun evaluates one attribute walk over one run, in time order.
+func (s *Store) walkRun(k walkKind, r run) partial {
 	p, pl := s.cols(r)
 	events, idx := p.events, pl.idx[r.lo:r.hi]
 	out := partial{run: -1, hit: -1}
@@ -198,12 +180,6 @@ func (s *Store) walkRun(k walkKind, src event.ObjID, r run) partial {
 			if s.objects[other].Type != event.ObjProcess {
 				out.hit = r.lo + int32(j)
 				return out
-			}
-		}
-	case walkFlowAmount:
-		for _, q := range idx {
-			if e := &events[q]; e.Src() == src {
-				out.sum += e.Amount
 			}
 		}
 	case walkFileTimes:
@@ -239,7 +215,6 @@ func (s *Store) fold(acc *partial, runs []run, ri int, p *partial) {
 		acc.run, acc.hit = int32(ri), p.hit
 	}
 	acc.nonLoad = acc.nonLoad || p.nonLoad
-	acc.sum += p.sum
 	if p.created != 0 && (acc.created == 0 || p.created < acc.created) {
 		acc.created = p.created
 	}
@@ -258,13 +233,13 @@ func (s *Store) hitBefore(ra run, a int32, rb run, b int32) bool {
 // the partials. Runs of one part, or a window-sized probe, are walked in
 // place with no allocation; a big probe that spans parts is a timed scatter,
 // whose per-run busy nanos are returned for the profiler.
-func (s *Store) walkRuns(k walkKind, src event.ObjID, runs []run, total int) (acc partial, durs []int64) {
+func (s *Store) walkRuns(k walkKind, runs []run, total int) (acc partial, durs []int64) {
 	acc.run = -1
 	parts := spread(runs)
 	s.noteFanout(parts)
 	if !scattered(parts > 1, total) {
 		for ri, r := range runs {
-			p := s.walkRun(k, src, r)
+			p := s.walkRun(k, r)
 			s.fold(&acc, runs, ri, &p)
 		}
 		return acc, nil
@@ -273,7 +248,7 @@ func (s *Store) walkRuns(k walkKind, src event.ObjID, runs []run, total int) (ac
 	// caller's stack scratch.
 	legs := append([]run(nil), runs...)
 	found := make([]partial, len(legs))
-	durs = s.scatter(len(legs), func(i int) { found[i] = s.walkRun(k, src, legs[i]) })
+	durs = s.scatter(len(legs), func(i int) { found[i] = s.walkRun(k, legs[i]) })
 	for ri := range found {
 		s.fold(&acc, runs, ri, &found[ri])
 	}

@@ -111,29 +111,6 @@ func TestIsWriteThrough(t *testing.T) {
 	}
 }
 
-func TestFlowAmount(t *testing.T) {
-	s, ids := buildAttrs(t)
-	// plan.doc -> exfil carried 5000 bytes.
-	got, err := s.FlowAmount(ids["plan"], ids["exfil"], 0, 1000)
-	if err != nil || got != 5000 {
-		t.Fatalf("FlowAmount(plan->exfil) = %d, %v", got, err)
-	}
-	// exfil -> socket carried 6000 bytes.
-	if got, _ := s.FlowAmount(ids["exfil"], ids["sock"], 0, 1000); got != 6000 {
-		t.Fatalf("FlowAmount(exfil->sock) = %d", got)
-	}
-	// Out of range: nothing.
-	if got, _ := s.FlowAmount(ids["plan"], ids["exfil"], 0, 100); got != 0 {
-		t.Fatalf("FlowAmount out of range = %d", got)
-	}
-	// The quantity heuristic of Program 2: upload >= sensitive read.
-	read, _ := s.FlowAmount(ids["plan"], ids["exfil"], 0, 1000)
-	sent, _ := s.FlowAmount(ids["exfil"], ids["sock"], 0, 1000)
-	if sent < read {
-		t.Error("exfil pattern should satisfy amount >= size")
-	}
-}
-
 func TestAttrsRequireSealed(t *testing.T) {
 	s := New(nil)
 	if _, err := s.IsReadOnlyFile(0, 0, 1); err != ErrNotSealed {
@@ -141,8 +118,5 @@ func TestAttrsRequireSealed(t *testing.T) {
 	}
 	if _, err := s.IsWriteThrough(0, 0, 1); err != ErrNotSealed {
 		t.Errorf("IsWriteThrough err = %v", err)
-	}
-	if _, err := s.FlowAmount(0, 0, 0, 1); err != ErrNotSealed {
-		t.Errorf("FlowAmount err = %v", err)
 	}
 }

@@ -317,7 +317,8 @@ func (l *Live) snapshotLocked() (*Store, error) {
 	if prev != nil && prev.total == w.total && len(prev.objects) == len(w.objects) {
 		return prev, nil
 	}
-	snap := New(l.clk, WithBucketSeconds(w.bucketSeconds), WithCostModel(w.cost), WithTelemetry(w.reg))
+	snap := New(l.clk, WithTelemetry(w.reg))
+	snap.bucketSeconds, snap.cost = w.bucketSeconds, w.cost
 	if err := snap.configureShards(len(w.parts), w.shardEpoch); err != nil {
 		return nil, err
 	}

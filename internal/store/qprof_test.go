@@ -61,9 +61,6 @@ func qprofBattery(t *testing.T, evs []genEvent, opts ...Option) *qprof.Profiler 
 			wt, rows, err := s.IsWriteThroughRows(obj, from, to)
 			return []any{wt, rows}, err
 		})
-		assertSameCharge(t, label+" flow", plain, prof, plainClk, profClk, func(s *Store) (any, error) {
-			return s.FlowAmount(event.ObjID(q%numObj), obj, from, to)
-		})
 		assertSameCharge(t, label+" ftimes", plain, prof, plainClk, profClk, func(s *Store) (any, error) {
 			c, m, a, rows, err := s.FileTimesRows(obj, from, to)
 			return []any{c, m, a, rows}, err

@@ -143,7 +143,6 @@ func expectSameStore(t *testing.T, got, want *Store, gotClk, wantClk *simclock.S
 				wt, rows, err := s.IsWriteThroughRows(obj, from, to)
 				return []any{wt, rows}, err
 			})
-			same(label+" flow", func(s *Store) (any, error) { return s.FlowAmount(0, obj, from, to) })
 			same(label+" ftimes", func(s *Store) (any, error) {
 				c, m, a, rows, err := s.FileTimesRows(obj, from, to)
 				return []any{c, m, a, rows}, err

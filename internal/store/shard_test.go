@@ -178,9 +178,6 @@ func TestShardDifferential(t *testing.T) {
 					wt, rows, err := s.IsWriteThroughRows(obj, from, to)
 					return []any{wt, rows}, err
 				})
-				assertSameCharge(t, label+" flow", flat, sharded, flatClk, shClk, func(s *Store) (any, error) {
-					return s.FlowAmount(event.ObjID(q%numObj), obj, from, to)
-				})
 				assertSameCharge(t, label+" ftimes", flat, sharded, flatClk, shClk, func(s *Store) (any, error) {
 					c, m, a, rows, err := s.FileTimesRows(obj, from, to)
 					return []any{c, m, a, rows}, err

@@ -183,21 +183,6 @@ func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
 // Option configures a Store.
 type Option func(*Store)
 
-// WithBucketSeconds sets the time-partition width used for cost accounting
-// and segment persistence.
-func WithBucketSeconds(s int64) Option {
-	return func(st *Store) {
-		if s > 0 {
-			st.bucketSeconds = s
-		}
-	}
-}
-
-// WithCostModel overrides the query cost model.
-func WithCostModel(m simclock.CostModel) Option {
-	return func(st *Store) { st.cost = m }
-}
-
 // WithTelemetry attaches a metrics registry: every query publishes its
 // rows-examined and modeled latency, and posting-list lookups count hits
 // and misses. A nil registry (the default) disables publication at
@@ -312,11 +297,6 @@ func (s *Store) SetQueryProfiler(p *qprof.Profiler) {
 
 // QueryProfiler returns the attached profiler (nil when disabled).
 func (s *Store) QueryProfiler() *qprof.Profiler { return s.qp.Load() }
-
-// WithQueryProfiler attaches a query profiler at construction time.
-func WithQueryProfiler(p *qprof.Profiler) Option {
-	return func(st *Store) { st.SetQueryProfiler(p) }
-}
 
 // CostModel returns the query cost model in effect.
 func (s *Store) CostModel() simclock.CostModel { return s.cost }

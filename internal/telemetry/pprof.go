@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 )
@@ -12,35 +10,9 @@ import (
 // before Handler or Serve, like any RegisterDebug registration. No-op on a
 // nil registry.
 func (r *Registry) RegisterPprof() {
-	for path, h := range pprofHandlers() {
-		r.RegisterDebug(path, h)
-	}
-}
-
-// ServePprof starts a standalone profiling server on addr in a background
-// goroutine, for commands that want pprof without a telemetry registry (or
-// on a different address than -metrics). It returns the server and the
-// bound address; the caller owns shutdown.
-func ServePprof(addr string) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("telemetry: pprof listen %s: %w", addr, err)
-	}
-	mux := http.NewServeMux()
-	for path, h := range pprofHandlers() {
-		mux.Handle(path, h)
-	}
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	return srv, ln.Addr().String(), nil
-}
-
-func pprofHandlers() map[string]http.Handler {
-	return map[string]http.Handler{
-		"/debug/pprof/":        http.HandlerFunc(pprof.Index),
-		"/debug/pprof/cmdline": http.HandlerFunc(pprof.Cmdline),
-		"/debug/pprof/profile": http.HandlerFunc(pprof.Profile),
-		"/debug/pprof/symbol":  http.HandlerFunc(pprof.Symbol),
-		"/debug/pprof/trace":   http.HandlerFunc(pprof.Trace),
-	}
+	r.RegisterDebug("/debug/pprof/", http.HandlerFunc(pprof.Index))
+	r.RegisterDebug("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
+	r.RegisterDebug("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))
+	r.RegisterDebug("/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
+	r.RegisterDebug("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
 }

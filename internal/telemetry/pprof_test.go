@@ -30,22 +30,6 @@ func TestRegisterPprofSharesHandlerMux(t *testing.T) {
 	}
 }
 
-func TestServePprofStandalone(t *testing.T) {
-	srv, addr, err := ServePprof("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + addr + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /debug/pprof/cmdline = %d", resp.StatusCode)
-	}
-}
-
 func TestRegisterPprofNilRegistry(t *testing.T) {
 	var reg *Registry
 	reg.RegisterPprof() // must not panic
