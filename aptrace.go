@@ -45,7 +45,6 @@ import (
 	"aptrace/internal/fleet"
 	"aptrace/internal/graph"
 	"aptrace/internal/memo"
-	"aptrace/internal/qprof"
 	"aptrace/internal/refiner"
 	"aptrace/internal/serve"
 	"aptrace/internal/session"
@@ -221,19 +220,6 @@ func WithShards(n int) StoreOption { return store.WithShards(n) }
 // shard routing key (0 keeps the default of one segment span). Only
 // meaningful together with WithShards.
 func WithShardEpoch(seconds int64) StoreOption { return store.WithShardEpoch(seconds) }
-
-// QueryProfiler is the query-profiler layer: it aggregates per-query
-// scatter-gather samples — fan-out, per-shard rows and busy nanos, merge
-// time, skew — into per-kind totals, skew quantiles and a ring of the most
-// recent samples; the per-shard heat the same samples feed is the store's
-// (ShardInfos). Attach one with (*Store).SetQueryProfiler; views inherit
-// it. Profiling reads real CPU only:
-// charged cost, stdout tables, and DOT output are byte-identical with it on
-// or off. A nil *QueryProfiler is a safe no-op everywhere.
-type QueryProfiler = qprof.Profiler
-
-// NewQueryProfiler returns an enabled scatter-gather query profiler.
-func NewQueryProfiler() *QueryProfiler { return qprof.New() }
 
 // ServeTelemetry serves the registry's /metrics (Prometheus text) and
 // /debug/telemetry (JSON) endpoints on addr in a background goroutine,

@@ -17,10 +17,7 @@
 // lookup cost before turning it into a BDL heuristic.
 //
 // apquery exits as soon as it has printed, so it serves no HTTP endpoints;
-// -stats is its telemetry. -profile attaches a scatter-gather query
-// profiler: the lookup's breakdown (per-kind totals, fanout, rows, busy
-// time, merge time, skew, and its most recent queries) prints to stderr. The
-// profiler reads real CPU only — stdout is byte-identical with it on or off.
+// -stats is its telemetry.
 package main
 
 import (
@@ -44,7 +41,6 @@ func main() {
 		events   = flag.String("events", "", "show events touching objects matching the substring")
 		around   = flag.String("around", "", "show events around a BDL timestamp (MM/DD/YYYY:HH:MM:SS)")
 		n        = flag.Int("n", 20, "row limit")
-		profile  = flag.Bool("profile", false, "attach a scatter-gather query profiler and print the per-query breakdown to stderr after the lookup")
 	)
 	flag.Parse()
 	if *storeDir == "" {
@@ -64,13 +60,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The profiler reads real CPU only: stdout is byte-identical with
-	// -profile on or off, the breakdown goes to stderr.
-	var qp *aptrace.QueryProfiler
-	if *profile {
-		qp = aptrace.NewQueryProfiler()
-		st.SetQueryProfiler(qp)
-	}
 
 	switch {
 	case *objects != "":
@@ -81,16 +70,10 @@ func main() {
 		printAround(st, *around, *n)
 	case *stats:
 		printStats(st)
-		if qp != nil {
-			qp.WriteBreakdown(os.Stderr)
-		}
 		return
 	default:
 		fmt.Fprintln(os.Stderr, "apquery: pick one of -stats, -objects, -events, -around")
 		os.Exit(2)
-	}
-	if qp != nil {
-		qp.WriteBreakdown(os.Stderr)
 	}
 	if *stats {
 		fmt.Fprintln(os.Stderr, "\ntelemetry snapshot:")

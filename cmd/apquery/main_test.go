@@ -22,7 +22,7 @@ func TestMain(m *testing.M) {
 // this list. The test binary's own test.* flags are not apquery's.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"around", "events", "n", "objects", "profile", "stats", "store",
+		"around", "events", "n", "objects", "stats", "store",
 	}
 	cmd := exec.Command(os.Args[0], "-h")
 	cmd.Env = append(os.Environ(), "APQUERY_TEST_MAIN=1")

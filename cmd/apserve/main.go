@@ -48,13 +48,6 @@
 //	GET  /api/v1/sessions/{id}/timeline  Chrome trace-event JSON
 //	POST /api/v1/sessions/{id}/pause|resume|stop
 //	GET  /api/v1/alerts, GET /healthz
-//	GET  /debug/shards                   shard layout + scatter-gather heat
-//
-// /debug/shards (the same handler is mounted on the -metrics address) reports
-// the live snapshot's shard layout with per-shard heat counters (queries,
-// rows served, busy time) and the daemon-wide scatter-gather query profile:
-// every detection scan and session query is sampled into per-kind totals,
-// fan-out and skew quantiles.
 package main
 
 import (
@@ -215,9 +208,6 @@ func main() {
 	}
 	log.Printf("apserve: listening on http://%s (store %s)", bound, *dir)
 	if *metricsA != "" {
-		// Mount the API's /debug/shards handler on the metrics mux too, so
-		// operators scraping the side address read the same body.
-		reg.RegisterDebug("/debug/shards", srv.ShardsHandler())
 		_, maddr, err := aptrace.ServeTelemetry(*metricsA, reg)
 		if err != nil {
 			log.Fatal(err)

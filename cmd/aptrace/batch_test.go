@@ -71,8 +71,8 @@ func TestDotPathsCollision(t *testing.T) {
 // TestBatchMemoByteIdentical is the CLI-level slice of the charged-cost
 // invariant: the summary table on stdout and every per-alert DOT file must be
 // byte-identical to the plain run's under everything runBatch accepts that
-// only accelerates or observes — the memo cache, a query profiler on the
-// store, -explain all, a timeline profiler, a 4-part store (simulated clock,
+// only accelerates or observes — the memo cache, -explain all, a timeline
+// profiler, a 4-part store (simulated clock,
 // so the elapsed column is deterministic). Each case also shows that what it
 // attached was exercised; the timeline's trace must also be byte-identical at
 // one worker and at four, one lane per alert.
@@ -125,15 +125,6 @@ output = %q`, filepath.Join(dir, "graph.dot"))
 			out, dots := run(t, flat, 4, "", nil, cache)
 			if cs := cache.Stats(); cs.Hits == 0 {
 				t.Errorf("cache never hit: %+v", cs)
-			}
-			return out, dots
-		}},
-		{"qprof", func(t *testing.T) (string, map[string]string) {
-			st, qp := testStore(t, 4), aptrace.NewQueryProfiler()
-			st.SetQueryProfiler(qp)
-			out, dots := run(t, st, 4, "", nil, nil)
-			if snap := qp.Snapshot(); snap.Queries == 0 || snap.ShardCount != 4 {
-				t.Errorf("profiler saw %d queries over %d shards, want some over 4", snap.Queries, snap.ShardCount)
 			}
 			return out, dots
 		}},

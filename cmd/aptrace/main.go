@@ -26,13 +26,6 @@
 // sharded store, N re-partitions a flat one. Either way every result is
 // byte-identical — sharding only changes real CPU time.
 //
-// -qprof attaches the scatter-gather query profiler: every store query the
-// run issues is sampled (fanout, per-shard rows and busy time, merge time,
-// skew) and the end-of-run profile and per-shard load summary go to stderr.
-// With -metrics the live profile is served at /debug/shards. The profiler
-// reads real CPU only — stdout (the Table II summary, DOT output, charged
-// costs) is byte-identical with it on or off.
-//
 // -metrics serves /metrics (Prometheus), /debug/telemetry (JSON) and
 // net/http/pprof's /debug/pprof on one address for the process lifetime.
 // -memo shares one 64 MiB attribute-verdict cache across -batch analyses.
@@ -88,7 +81,6 @@ func main() {
 		explArg   = flag.String("explain", "", "attach the run log and explain the result from it: an object ID, \"all\" (every graph node), \"frontier\" (pruned candidates), or \"on\" (record only, for -interactive); explanations go to stderr")
 		timelineF = flag.String("timeline", "", "attach the run log and profile the run(s) from it into a timeline; write the Chrome trace-event JSON to this path")
 		shards    = flag.Int("shards", 0, "override the store's persisted host×time shard count at open (0 = keep, 1 = flatten)")
-		qprofOn   = flag.Bool("qprof", false, "profile scatter-gather queries; the per-shard load summary goes to stderr at end of run (stdout is byte-identical either way)")
 	)
 	flag.Parse()
 	if *storeDir == "" {
@@ -157,14 +149,6 @@ func main() {
 		}
 		explain.NewReport(explain.DefaultGapTarget, tl.logs()).Print(os.Stderr, explained)
 	}
-	var qp *aptrace.QueryProfiler
-	if *qprofOn {
-		qp = aptrace.NewQueryProfiler()
-		if reg != nil {
-			// Live shard-heat view, same mux rule as /debug/explain.
-			reg.RegisterDebug("/debug/shards", qp.Handler())
-		}
-	}
 	if reg != nil {
 		_, addr, err := aptrace.ServeTelemetry(*metrics, reg)
 		if err != nil {
@@ -180,32 +164,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if qp != nil {
-		st.SetQueryProfiler(qp)
-	}
 	if n := st.ShardCount(); n > 1 {
 		fmt.Fprintf(os.Stderr, "opened store: %d events, %d objects, %d host×time shards\n", st.NumEvents(), st.NumObjects(), n)
 	} else {
 		fmt.Fprintf(os.Stderr, "opened store: %d events, %d objects\n", st.NumEvents(), st.NumObjects())
 	}
 
-	// qprofSummary prints the end-of-run profile and per-shard load summary
-	// to stderr — never stdout, which stays byte-identical with -qprof on or
-	// off. The per-shard lines are the store's routing heat, which the
-	// profiled queries fed; a store with one part has none.
-	qprofSummary := func() {
-		if qp == nil {
-			return
-		}
-		qp.WriteSummary(os.Stderr)
-		for _, sh := range st.ShardInfos() {
-			fmt.Fprintf(os.Stderr, "qprof: shard %2d  %8d queries, %10d rows, busy %10s\n",
-				sh.Shard, sh.Queries, sh.RowsServed, time.Duration(sh.BusyNs).Round(time.Microsecond))
-		}
-	}
 	if *alerts {
 		listAlerts(st)
-		qprofSummary()
 		return
 	}
 	if *inter {
@@ -214,7 +180,6 @@ func main() {
 			fatal(err)
 		}
 		writeTimeline()
-		qprofSummary()
 		return
 	}
 	if *script == "" {
@@ -240,7 +205,6 @@ func main() {
 		runScript(st, string(raw), *k, *quiet, *doSug, reg, rec, *explArg)
 	}
 	writeTimeline()
-	qprofSummary()
 	dumpTelemetry(reg)
 }
 

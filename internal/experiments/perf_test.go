@@ -8,7 +8,6 @@ import (
 	"aptrace/internal/core"
 	"aptrace/internal/event"
 	"aptrace/internal/explain"
-	"aptrace/internal/qprof"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
@@ -31,8 +30,7 @@ func (e *Env) runOnce(plan *refiner.Plan, opts core.Options, alert event.Event) 
 }
 
 // recorders is what the triage daemon creates once and every run shares: the
-// metrics registry, and the snapshot whose query profiler each run's view
-// inherits.
+// metrics registry, and the snapshot each run's view is made from.
 type recorders struct {
 	reg  *telemetry.Registry
 	snap *store.Store
@@ -43,15 +41,13 @@ func (e *Env) newRecorders() (*recorders, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap.SetQueryProfiler(qprof.New())
 	return &recorders{reg: telemetry.NewRegistry(), snap: snap}, nil
 }
 
 // runRecorded is runOnce as the triage daemon runs it (serve.Manager.execute):
-// a fresh run log bound as a timeline lane on the shared registry, the
-// query profiler inherited from the snapshot, and an OnUpdate hook — the body
-// of BenchmarkExecutorRun/recorded, whose distance from bare is the recording
-// budget.
+// a fresh run log bound as a timeline lane on the shared registry, telemetry,
+// and an OnUpdate hook — the body of BenchmarkExecutorRun/recorded, whose
+// distance from bare is the recording budget.
 func (e *Env) runRecorded(r *recorders, plan *refiner.Plan, windows int, alert event.Event) (*core.Result, error) {
 	v, err := r.snap.View(simclock.NewSimulated(time.Time{}))
 	if err != nil {
@@ -93,11 +89,10 @@ func perfAlert(tb testing.TB) (*Env, Config, event.Event) {
 // anywhere in the loop breaks the ceiling by an order of magnitude.
 //
 // The recorded case is the same backward run as the daemon runs it (explain
-// recorder, timeline lane, telemetry, query profiler, OnUpdate): its 61k
-// explain records, 24k lane events and 36k profiler samples may add
-// only their pages and batches — a few hundred allocations, where the
-// per-record recorders made 52,145 — and at most 7.8 MB, a quarter above the
-// 6.2 MB it allocates.
+// recorder, timeline lane, telemetry, OnUpdate): its 61k explain records and
+// 24k lane events may add only their pages — a few hundred allocations,
+// where the per-record recorders made 52,145 — and at most 7.8 MB, a quarter
+// above the 6.2 MB it allocates.
 func TestExecutorRunAllocations(t *testing.T) {
 	env, cfg, alert := perfAlert(t)
 	for _, tc := range []struct {

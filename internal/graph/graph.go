@@ -215,16 +215,6 @@ func (g *Graph) AddEdge(ev event.Event) (newNode bool, err error) {
 	return g.Add(&ev, known, false, 0).NewNode, nil
 }
 
-// AddForwardEdge mirrors AddEdge for impact tracking: ev's source must
-// already be a node, and its destination is the discovered endpoint.
-func (g *Graph) AddForwardEdge(ev event.Event) (newNode bool, err error) {
-	known, ok := g.Slot(ev.Src())
-	if !ok {
-		return false, fmt.Errorf("graph: edge %d departs from unknown node %d", ev.ID, ev.Src())
-	}
-	return g.Add(&ev, known, true, 0).NewNode, nil
-}
-
 // reachLocked records that node id is reachable in hop hops: an existing
 // node's hop is min-updated, a new one is appended with no edges and no
 // state. It returns the node's slot.

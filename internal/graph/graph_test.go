@@ -232,9 +232,11 @@ func TestPathFromStartForward(t *testing.T) {
 	for i, pair := range [][2]event.ObjID{{20, 30}, {30, 40}} {
 		ev := event.Event{ID: event.EventID(2 + i), Time: int64(20 + i*10),
 			Subject: pair[0], Object: pair[1], Dir: event.FlowOut}
-		if _, err := g.AddForwardEdge(ev); err != nil {
-			t.Fatal(err)
+		slot, ok := g.Slot(ev.Src())
+		if !ok {
+			t.Fatalf("edge %d departs from unknown node %d", ev.ID, ev.Src())
 		}
+		g.Add(&ev, slot, true, 0)
 	}
 	path, ok := PathFromStart(g, 40, true)
 	if !ok || len(path) != 2 {
@@ -245,18 +247,21 @@ func TestPathFromStartForward(t *testing.T) {
 	}
 }
 
+// TestAddForwardEdge adds an edge for impact tracking: the known endpoint
+// is the source, the destination is discovered one hop further out.
 func TestAddForwardEdge(t *testing.T) {
 	e0 := event.Event{ID: 1, Time: 10, Subject: 10, Object: 20, Dir: event.FlowOut}
 	g := New(e0)
-	// src must be known.
-	bad := event.Event{ID: 9, Time: 20, Subject: 77, Object: 88, Dir: event.FlowOut}
-	if _, err := g.AddForwardEdge(bad); err == nil {
-		t.Fatal("unknown src must fail")
+	if _, ok := g.Slot(77); ok {
+		t.Fatal("an object off the graph has a slot")
 	}
 	ev := event.Event{ID: 2, Time: 20, Subject: 20, Object: 30, Dir: event.FlowOut}
-	newNode, err := g.AddForwardEdge(ev)
-	if err != nil || !newNode || g.NumEdges() != 2 {
-		t.Fatalf("forward add: %v %v, %d edges", newNode, err, g.NumEdges())
+	slot, ok := g.Slot(ev.Src())
+	if !ok {
+		t.Fatal("the start edge's destination is not a node")
+	}
+	if a := g.Add(&ev, slot, true, 0); !a.NewNode || g.NumEdges() != 2 {
+		t.Fatalf("forward add: %+v, %d edges", a, g.NumEdges())
 	}
 	n, _ := g.Node(30)
 	if n.Hop != 1 {
@@ -317,7 +322,7 @@ func (g *refGraph) insert(ev event.Event, found event.ObjID, hop int) {
 }
 
 // add is the executor's former per-edge conversation: the hop-budget check
-// on the known endpoint, then AddEdge/AddForwardEdge, then the discovered
+// on the known endpoint, then the edge's insert, then the discovered
 // endpoint's hop and the edge count read back.
 func (g *refGraph) add(ev event.Event, forward bool, hopLimit int) (Added, error) {
 	known, found := ev.Dst(), ev.Src()
@@ -572,7 +577,7 @@ func graphMatchesReference(t *testing.T, seed int64, objects, steps int, sparse 
 			var got Added
 			var err error
 			switch {
-			case hopLimit > 0:
+			case hopLimit > 0 || forward:
 				known, found := ev.Dst(), ev.Src()
 				if forward {
 					known, found = found, known
@@ -587,9 +592,6 @@ func graphMatchesReference(t *testing.T, seed int64, objects, steps int, sparse 
 					t.Fatalf("seed %d: %s handed out slot %d, Slot(%d) = %d", seed, op, got.Slot, found, fs)
 				}
 				got.Slot = 0
-			case forward:
-				got.NewNode, err = g.AddForwardEdge(ev)
-				want = Added{NewNode: want.NewNode}
 			default:
 				got.NewNode, err = g.AddEdge(ev)
 				want = Added{NewNode: want.NewNode}

@@ -36,10 +36,6 @@ type Counts struct {
 	// QueueLen / QueueCap describe the fleet runner's bounded queue.
 	QueueLen int
 	QueueCap int
-	// ShardLoads is the per-shard cumulative rows-served counters of a
-	// sharded store (indexed by shard; nil or single-entry for a flat
-	// store). The skew stat compares per-shard deltas over the window.
-	ShardLoads []int64
 }
 
 // Watchdog stat names.
@@ -50,7 +46,6 @@ const (
 	StatMemoHitRate     = "memo_hit_rate"     // hits / lookups over the window (floor rule)
 	StatDetectStall     = "detect_stall"      // seconds since the last detection pass
 	StatQueueSaturation = "queue_saturation"  // fleet queue length / capacity
-	StatShardSkew       = "shard_skew"        // max/mean per-shard rows served over the window
 )
 
 // knownStats maps every stat name to whether its threshold is a duration.
@@ -61,7 +56,6 @@ var knownStats = map[string]bool{
 	StatMemoHitRate:     false,
 	StatDetectStall:     true,
 	StatQueueSaturation: false,
-	StatShardSkew:       false,
 }
 
 // Minimum per-window activity before a rate rule can fire, so one rejected
@@ -69,10 +63,6 @@ var knownStats = map[string]bool{
 const (
 	minRateSamples = 8
 	minMemoLookups = 16
-	// minShardRows is the summed per-shard row delta a window needs before
-	// the skew stat is evaluable: a handful of rows on one shard is not a
-	// hot spot.
-	minShardRows = 256
 )
 
 // Rule is one SLO threshold: alert when the stat exceeds (or, with Less,
@@ -103,9 +93,6 @@ var DefaultRules = []Rule{
 	{Stat: StatMemoHitRate, Less: true, Threshold: 0.05},
 	{Stat: StatDetectStall, Threshold: 30},
 	{Stat: StatQueueSaturation, Threshold: 0.9},
-	// One shard sustaining >4× the mean load across a tick window means the
-	// host×time layout has a hot spot worth rebalancing.
-	{Stat: StatShardSkew, Threshold: 4},
 }
 
 // ParseRules parses a comma-separated rule list, e.g.
@@ -288,26 +275,6 @@ func windowStats(prev, cur Counts, now time.Time) map[string]float64 {
 	}
 	if cur.QueueCap > 0 {
 		vals[StatQueueSaturation] = float64(cur.QueueLen) / float64(cur.QueueCap)
-	}
-	// Shard skew: max/mean over per-shard row deltas. Needs a stable layout
-	// (same shard count both snapshots), at least two shards, and enough
-	// window activity to mean anything.
-	if len(cur.ShardLoads) > 1 && len(prev.ShardLoads) == len(cur.ShardLoads) {
-		var total, max int64
-		for i, c := range cur.ShardLoads {
-			d := c - prev.ShardLoads[i]
-			if d < 0 {
-				d = 0 // counter reset; ignore the shard this window
-			}
-			total += d
-			if d > max {
-				max = d
-			}
-		}
-		if total >= minShardRows {
-			mean := float64(total) / float64(len(cur.ShardLoads))
-			vals[StatShardSkew] = float64(max) / mean
-		}
 	}
 	return vals
 }

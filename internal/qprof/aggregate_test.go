@@ -3,7 +3,6 @@ package qprof_test
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -17,26 +16,6 @@ import (
 	"aptrace/internal/store"
 	"aptrace/internal/workload"
 )
-
-// untimed drops what a profile times — real CPU, different on every run —
-// and keeps everything it counts.
-func untimed(s qprof.Snapshot) qprof.Snapshot {
-	s.BusyNs, s.SavableNs, s.MergeNs = 0, 0, 0
-	for i := range s.Kinds {
-		s.Kinds[i].BusyNs, s.Kinds[i].MergeNs = 0, 0
-	}
-	return s
-}
-
-func untimedSamples(ss []qprof.Sample) []qprof.Sample {
-	for i := range ss {
-		ss[i].MergeNs, ss[i].BusyNs, ss[i].SavableNs = 0, 0, 0
-		for j := range ss[i].Shards {
-			ss[i].Shards[j].BusyNs = 0
-		}
-	}
-	return ss
-}
 
 // serveSample backtracks a few sampled alerts the way the daemon serves them
 // (serve.ScriptForEvent, hop 6) and returns the frontier those runs explored:
@@ -67,14 +46,12 @@ func serveSample(t *testing.T, st *store.Store) (objs []event.ObjID, tos []int64
 
 // TestProfileAggregateMatchesPerSample drives the queries of the serve sample
 // — a count and a fetch per explored edge, attribute walks now and then —
-// through two views of the same store at 1, 4 and 7 parts. One folds them the
-// way a run does: into its aggregate, handed to the profiler when full, once
-// mid-run and at the end. The other hands over every query on its own, which
-// leaves that query's raw sample in Recent; those samples, applied one by one
-// by the fold the profiler used to have (ObserveBatchOracle), are the oracle.
-// All three profiles must agree on everything a profile counts: totals, kinds,
-// skew quantiles (these probes run inline, so skew is the rows fallback) and
-// the recent ring.
+// through two views of the same store and through the store itself, at 1, 4
+// and 7 parts. One view folds them the way a run does: into its aggregate,
+// handed to the profiler when full, once mid-run and at the end. The other
+// hands over every query on its own. The root store, which promises safe
+// concurrent readers, delivers each sample to the profiler as it is made:
+// the per-sample oracle. All three profiles must count the same.
 func TestProfileAggregateMatchesPerSample(t *testing.T) {
 	for _, parts := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
@@ -86,26 +63,27 @@ func TestProfileAggregateMatchesPerSample(t *testing.T) {
 			objs, tos := serveSample(t, ds.Store)
 			from := ds.Store.GlobalStart()
 
+			attach := func(s *store.Store) *qprof.Profiler {
+				p := qprof.New()
+				s.SetQueryProfiler(p)
+				return p
+			}
 			view := func() (*store.Store, *qprof.Profiler) {
 				v, err := ds.Store.View(simclock.NewSimulated(time.Time{}))
 				if err != nil {
 					t.Fatal(err)
 				}
-				p := qprof.New()
-				v.SetQueryProfiler(p)
-				return v, p
+				return v, attach(v)
 			}
 			batched, pBatched := view()
 			single, pSingle := view()
-			var samples []qprof.Sample
+			root := ds.Store
+			pRoot := attach(root) // after the views: they would inherit it
 			query := func(fn func(*store.Store)) {
 				fn(batched)
 				fn(single)
 				single.FlushQueryProfile()
-				if int(pSingle.Snapshot().Queries) > len(samples) { // else a type guard answered: no query, no sample
-					recent := pSingle.Recent()
-					samples = append(samples, recent[len(recent)-1])
-				}
+				fn(root)
 			}
 			var buf []event.Event
 			for i, obj := range objs {
@@ -121,25 +99,19 @@ func TestProfileAggregateMatchesPerSample(t *testing.T) {
 				}
 			}
 			batched.FlushQueryProfile()
-			oracle := qprof.New()
-			oracle.SetLayout(parts, ds.Store.ShardEpochSeconds())
-			oracle.ObserveBatchOracle(samples)
 
-			want := untimed(oracle.Snapshot())
-			if want.Queries != int64(len(samples)) || len(want.Kinds) < 4 {
-				t.Fatalf("the oracle saw too little: %+v", want)
+			want := pRoot.Untimed()
+			if want.Queries() < int64(2*len(objs)) || want.Kinds() < 4 {
+				t.Fatalf("the oracle saw too little: %d queries of %d kinds", want.Queries(), want.Kinds())
 			}
-			if parts > 1 && (want.Scattered == 0 || want.SkewMax == 0) {
-				t.Fatalf("no scattered query on %d parts: %+v", parts, want)
+			if parts > 1 && want.Scattered() == 0 {
+				t.Fatalf("no scattered query on %d parts", parts)
 			}
-			if got := untimed(pBatched.Snapshot()); !reflect.DeepEqual(got, want) {
-				t.Errorf("aggregated profile differs from the per-sample fold:\n got %+v\nwant %+v", got, want)
+			if got := pBatched.Untimed(); got != want {
+				t.Errorf("aggregated profile differs from the per-sample one:\n got %+v\nwant %+v", got, want)
 			}
-			if got := untimed(pSingle.Snapshot()); !reflect.DeepEqual(got, want) {
-				t.Errorf("profile of one-query aggregates differs from the per-sample fold:\n got %+v\nwant %+v", got, want)
-			}
-			if got, want := untimedSamples(pBatched.Recent()), untimedSamples(oracle.Recent()); !reflect.DeepEqual(got, want) {
-				t.Errorf("recent ring differs:\n got %+v\nwant %+v", got, want)
+			if got := pSingle.Untimed(); got != want {
+				t.Errorf("profile of one-query aggregates differs from the per-sample one:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}

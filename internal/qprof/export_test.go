@@ -1,38 +1,32 @@
 package qprof
 
-// ObserveBatchOracle is the fold the profiler shipped with until store views
-// began to aggregate: every sample applied to the totals, the skew ring and
-// the recent ring on its own, in order. It survives as the oracle
-// TestProfileAggregateMatchesPerSample holds Aggregate and Fold to.
-func (p *Profiler) ObserveBatchOracle(batch []Sample) {
+// Untimed returns what p has counted, with what it timed — real CPU,
+// different on every run — zeroed: the part of a profile that two runs of
+// the same queries share.
+func (p *Profiler) Untimed() Counted {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range batch {
-		s := &batch[i]
-		p.queries++
-		p.fanoutSum += int64(s.Fanout)
-		p.rows += s.Rows
-		p.busyNs += s.BusyNs
-		p.savableNs += s.SavableNs
-		p.mergeNs += s.MergeNs
-		if int(s.Kind) < len(p.byKind) {
-			a := &p.byKind[s.Kind]
-			a.queries++
-			a.rows += s.Rows
-			a.busyNs += s.BusyNs
-			a.mergeNs += s.MergeNs
-		}
-		if s.Fanout > 1 {
-			p.scattered++
-			if sk := s.Skew(); sk > 0 {
-				p.skews[p.skewN%skewRingCap] = sk
-				p.skewN++
-			}
-		}
-		r := &p.recent[p.recentN%recentRingCap]
-		shards := append(r.Shards[:0], s.Shards...)
-		*r = *s
-		r.Shards = shards
-		p.recentN++
+	t := p.totals
+	t.busyNs, t.mergeNs, t.savableNs = 0, 0, 0
+	for k := range t.byKind {
+		t.byKind[k].busyNs, t.byKind[k].mergeNs = 0, 0
 	}
+	return Counted{t}
+}
+
+// Counted is an untimed profile, comparable with ==.
+type Counted struct{ t totals }
+
+// Queries, Scattered and Kinds read a Counted: queries in total, those that
+// touched several shards, and how many kinds of query it saw.
+func (c Counted) Queries() int64   { return c.t.queries }
+func (c Counted) Scattered() int64 { return c.t.scattered }
+func (c Counted) Kinds() int {
+	n := 0
+	for _, k := range c.t.byKind {
+		if k.queries > 0 {
+			n++
+		}
+	}
+	return n
 }

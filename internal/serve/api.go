@@ -54,7 +54,6 @@ type errorResponse struct {
 //	GET  /readyz                         readiness, per-component (200|503)
 //	GET  /ops                            operator summary: SLIs, watchdog, subscribers
 //	GET  /debug/journal                  lifecycle journal query (when enabled)
-//	GET  /debug/shards                   shard layout and heat, query profile
 //	GET  /metrics, /debug/*              the telemetry registry's mux
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -79,14 +78,8 @@ func (s *Server) Handler() http.Handler {
 		// More specific than the registry's /debug/ catch-all, so it wins.
 		mux.Handle("GET /debug/journal", s.journal.Handler())
 	}
-	// More specific than /debug/, so it wins over the registry mux.
-	mux.Handle("GET /debug/shards", s.ShardsHandler())
 	return mux
 }
-
-// ShardsHandler serves GET /debug/shards. apserve mounts this one handler on
-// its -metrics mux as well, so both addresses serve the same body.
-func (s *Server) ShardsHandler() http.Handler { return s.timed("shards", s.handleShards) }
 
 // timed wraps a handler with a per-endpoint latency histogram
 // (aptrace_http_<name>_seconds). SSE streams are excluded — their duration

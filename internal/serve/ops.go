@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"aptrace/internal/obs"
-	"aptrace/internal/qprof"
-	"aptrace/internal/store"
 	"aptrace/internal/telemetry"
 )
 
@@ -132,27 +130,6 @@ var sliNames = map[string]string{
 	telemetry.MetricSLILaunchToFirstUpdate: "launch_to_first_update",
 	telemetry.MetricSLISubmitToTerminal:    "submit_to_terminal",
 	telemetry.MetricSLIUpdateToSSEFlush:    "update_to_sse_flush",
-}
-
-// shardsResponse is the GET /debug/shards body: the current snapshot's
-// physical shard layout with each part's routing heat (queries, rows served,
-// busy time) next to the profiler's cumulative query-side view (per-kind
-// aggregates, skew quantiles).
-type shardsResponse struct {
-	ShardCount   int               `json:"shard_count"`
-	EpochSeconds int64             `json:"epoch_seconds"`
-	Shards       []store.ShardInfo `json:"shards,omitempty"`
-	Profile      qprof.Snapshot    `json:"profile"`
-}
-
-func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
-	resp := shardsResponse{Profile: s.qp.Snapshot()}
-	if snap, err := s.Snapshot(); err == nil && snap != nil {
-		resp.ShardCount = snap.ShardCount()
-		resp.EpochSeconds = snap.ShardEpochSeconds()
-		resp.Shards = snap.ShardInfos()
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleOps(w http.ResponseWriter, _ *http.Request) {

@@ -41,7 +41,6 @@ import (
 	"aptrace/internal/fleet"
 	"aptrace/internal/memo"
 	"aptrace/internal/obs"
-	"aptrace/internal/qprof"
 	"aptrace/internal/simclock"
 	"aptrace/internal/store"
 	"aptrace/internal/telemetry"
@@ -180,15 +179,6 @@ type Server struct {
 
 	memo *memo.Cache // shared session memo cache; nil = disabled
 
-	// qp is the daemon's always-on scatter-gather profiler. It is attached
-	// to every snapshot (and inherited by the session views the manager
-	// builds), so its per-kind totals on /debug/shards — and the per-shard
-	// heat the same samples feed into the snapshot's ShardInfos — count
-	// detection scans and analyst sessions alike. Profiling reads real CPU
-	// only: charged cost, graphs, and update streams are byte-identical with
-	// it on or off.
-	qp *qprof.Profiler
-
 	journal   *obs.Journal
 	slis      *obs.SLIs
 	watch     *obs.Watchdog
@@ -281,7 +271,6 @@ func New(cfg Config) (*Server, error) {
 		journal:     cfg.Journal,
 		slis:        obs.NewSLIs(cfg.Telemetry),
 		startedAt:   time.Now(),
-		qp:          qprof.New(),
 		telAlerts:   cfg.Telemetry.Counter(telemetry.MetricServeAlerts),
 		telAutoRuns: cfg.Telemetry.Counter(telemetry.MetricServeAutoRuns),
 	}
@@ -308,7 +297,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: initial snapshot: %w", err)
 	}
-	snap.SetQueryProfiler(s.qp)
 	s.mu.Lock()
 	s.snap = snap
 	s.mu.Unlock()
@@ -402,16 +390,6 @@ func (s *Server) opsCounts() obs.Counts {
 	if ns := s.lastDetect.Load(); ns != 0 {
 		c.LastDetect = time.Unix(0, ns)
 	}
-	// Per-shard cumulative rows served feed the watchdog's shard_skew rule
-	// (flat stores report nil and the rule stays silent).
-	if snap, err := s.Snapshot(); err == nil && snap != nil {
-		if infos := snap.ShardInfos(); len(infos) > 1 {
-			c.ShardLoads = make([]int64, len(infos))
-			for i, si := range infos {
-				c.ShardLoads[i] = si.RowsServed
-			}
-		}
-	}
 	return c
 }
 
@@ -437,10 +415,6 @@ func (s *Server) refreshSnapshot() (*store.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Re-attach the profiler: a live store reseals into a fresh *Store, and
-	// views inherit the pointer at View() time. Attaching the same profiler
-	// twice is harmless (atomic pointer store).
-	snap.SetQueryProfiler(s.qp)
 	s.mu.Lock()
 	s.snap = snap
 	s.mu.Unlock()

@@ -182,9 +182,8 @@ func TestAppendReusesCapacity(t *testing.T) {
 				{"FileTimes", func() (err error) { _, _, _, err = s.FileTimes(hotFile, 0, to); return }},
 			}
 			for _, c := range calls {
-				// Past the first full batch the view's buffers, the
-				// profiler's recent ring and the heat of these objects have
-				// their final size.
+				// Past the first full batch the view's buffers have their
+				// final size.
 				for i := 0; i < 2*sampleBatchLen; i++ {
 					if err := c.call(); err != nil {
 						t.Fatal(err)

@@ -50,11 +50,11 @@ func (s *Store) IsReadOnlyFileRows(obj event.ObjID, from, to int64) (bool, int64
 		return false, NoCharge, nil
 	}
 	var scratch [MaxShards]run
-	runs, postingLen, total := s.collect(scratch[:0], obj, false, from, to)
+	runs, _, total := s.collect(scratch[:0], obj, false, from, to)
 	acc, durs := s.walkRuns(walkReadOnly, runs, total)
 	rows := s.chargedRows(runs, acc, total)
 	s.charge(rows, from, to)
-	s.noteRuns(qprof.KindReadOnly, obj, runs, postingLen, rows, durs)
+	s.noteRuns(qprof.KindReadOnly, runs, rows, durs)
 	return acc.run < 0, rows, nil
 }
 
@@ -78,19 +78,18 @@ func (s *Store) IsWriteThroughRows(obj event.ObjID, from, to int64) (bool, int64
 		return false, NoCharge, nil
 	}
 	qp, b := s.sampling()
-	var rows, postingLen int64
+	var rows int64
 	seen, through := false, true
 	// The incoming index first, the outgoing one only if the helper is still
 	// in the running: a non-load event whose counterpart is not a process
 	// disqualifies it.
 	var scratch [MaxShards]run
 	for _, forward := range [2]bool{false, true} {
-		runs, n, total := s.collect(scratch[:0], obj, forward, from, to)
+		runs, _, total := s.collect(scratch[:0], obj, forward, from, to)
 		acc, durs := s.walkRuns(walkWriteThrough, runs, total)
 		rows += s.chargedRows(runs, acc, total)
 		seen = seen || acc.nonLoad
 		s.split(b, runs, durs)
-		postingLen += int64(n)
 		if acc.run >= 0 {
 			through = false
 			break
@@ -98,7 +97,7 @@ func (s *Store) IsWriteThroughRows(obj event.ObjID, from, to int64) (bool, int64
 	}
 	s.charge(rows, from, to)
 	if b != nil {
-		s.emit(qp, b, qprof.KindWriteThrough, int64(obj), rows, postingLen, 0)
+		s.emit(qp, b, qprof.KindWriteThrough, rows, 0)
 	}
 	return seen && through, rows, nil
 }
@@ -122,12 +121,12 @@ func (s *Store) FileTimesRows(obj event.ObjID, from, to int64) (creation, lastMo
 	// Mutations flow into the file, accesses out of it (the file is the
 	// source of a read): the runs of both endpoint indexes are one probe.
 	var scratch [2 * MaxShards]run
-	runs, dstLen, dstTotal := s.collect(scratch[:0], obj, false, from, to)
-	runs, srcLen, srcTotal := s.collect(runs, obj, true, from, to)
+	runs, _, dstTotal := s.collect(scratch[:0], obj, false, from, to)
+	runs, _, srcTotal := s.collect(runs, obj, true, from, to)
 	acc, durs := s.walkRuns(walkFileTimes, runs, dstTotal+srcTotal)
 	rows = int64(dstTotal + srcTotal)
 	s.charge(rows, from, to)
-	s.noteRuns(qprof.KindFileTimes, obj, runs, dstLen+srcLen, rows, durs)
+	s.noteRuns(qprof.KindFileTimes, runs, rows, durs)
 	return acc.created, acc.modified, acc.accessed, rows, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"aptrace/internal/event"
 	"aptrace/internal/qprof"
 )
 
@@ -31,13 +30,12 @@ func postingKind(forward, count bool) qprof.Kind {
 
 // sampleBatchLen is how many samples a view folds into its aggregate before
 // it hands that to the shared profiler: the profiler's lock is taken a few
-// hundred times less often, and /debug/shards trails a running view by a
-// fraction of a millisecond.
+// hundred times less often.
 const sampleBatchLen = 256
 
 // sampleBatch is a store's scratch for profiling a query: the per-shard split
 // of the query under way, and on a view — one run's handle on the store, one
-// goroutine by construction — the aggregate its samples are written into until
+// goroutine by construction — the aggregate its samples are folded into until
 // sampleBatchLen are due or FlushQueryProfile says the run is over. Nothing is
 // allocated per query once the buffers have grown. A root store, which promises
 // safe concurrent readers, borrows one per query and delivers the sample at once.
@@ -97,31 +95,23 @@ func (s *Store) FlushQueryProfile() {
 }
 
 // emit closes a query's sample and hands it on. With several parts it reads
-// the split: each part's share goes to the routing heat ShardInfos reports and
-// to the scatter observer, and the sample gets the busy and savable totals and
-// the fan-out, the distinct shards touched (FileTimes and write-through walk
-// two endpoint indexes, so a shard may appear twice). A store with one part
-// reports what unpartitioned stores always have, empty probes included — a
-// fan-out of one carrying the charged rows — so profiles compare across
-// layouts. obj is -1 for range queries.
+// the split: each part's share goes to the scatter observer, and the sample
+// gets the busy and savable totals and the fan-out, the distinct shards
+// touched (FileTimes and write-through walk two endpoint indexes, so a shard
+// may appear twice). A store with one part reports what unpartitioned stores
+// always have, empty probes included — a fan-out of one carrying the charged
+// rows — so profiles compare across layouts.
 //
-// A view writes the sample straight into its aggregate's next slot, the split
-// changing places with the slot's old storage, and hands the aggregate to the
-// profiler when it is full; a root store delivers the sample at once and its
-// batch of one query goes back to the pool. Either the profiler or the scatter
+// A view folds the sample into its aggregate and hands that to the profiler
+// when it is full; a root store delivers the sample at once and its batch of
+// one query goes back to the pool. Either the profiler or the scatter
 // observer may be missing, not both: sampling returned a batch.
-func (s *Store) emit(qp *qprof.Profiler, b *sampleBatch, kind qprof.Kind, obj, rows, postingLen, mergeNs int64) {
+func (s *Store) emit(qp *qprof.Profiler, b *sampleBatch, kind qprof.Kind, rows, mergeNs int64) {
 	fanout, busy, savable := 1, int64(0), int64(0)
 	if len(s.parts) > 1 {
 		var longest int64
 		var mask uint64 // MaxShards = 64 makes a word-sized set exact
 		for _, ss := range b.shards {
-			p := s.parts[ss.Shard]
-			p.queries.Add(1)
-			p.rows.Add(ss.Rows)
-			if ss.BusyNs != 0 { // an inline probe is untimed: spare the part's cache line the third trip
-				p.busyNs.Add(ss.BusyNs)
-			}
 			busy += ss.BusyNs
 			longest = max(longest, ss.BusyNs)
 			mask |= 1 << uint(ss.Shard)
@@ -136,17 +126,13 @@ func (s *Store) emit(qp *qprof.Profiler, b *sampleBatch, kind qprof.Kind, obj, r
 			obs(fanout, b.rows)
 		}
 	}
+	smp := qprof.Sample{Kind: kind, Fanout: fanout, Rows: rows, MergeNs: mergeNs, BusyNs: busy, SavableNs: savable}
 	switch {
 	case !s.isView:
-		qp.Observe(qprof.Sample{Kind: kind, Obj: obj, Fanout: fanout, Rows: rows,
-			PostingLen: postingLen, MergeNs: mergeNs, BusyNs: busy, SavableNs: savable, Shards: b.shards})
+		qp.Observe(smp)
 		rootBatches.Put(b)
 	case qp != nil:
-		smp := b.agg.Next()
-		smp.Kind, smp.Obj, smp.Fanout, smp.Rows = kind, obj, fanout, rows
-		smp.PostingLen, smp.MergeNs, smp.BusyNs, smp.SavableNs = postingLen, mergeNs, busy, savable
-		smp.Shards, b.shards = b.shards, smp.Shards[:0]
-		if b.agg.Add() >= sampleBatchLen {
+		if b.agg.Add(&smp) >= sampleBatchLen {
 			qp.Fold(&b.agg)
 		}
 	}
@@ -154,9 +140,9 @@ func (s *Store) emit(qp *qprof.Profiler, b *sampleBatch, kind qprof.Kind, obj, r
 
 // noteRuns emits the sample of an attribute walk, whose runs are still
 // intact (the posting merge snapshots earlier).
-func (s *Store) noteRuns(kind qprof.Kind, obj event.ObjID, runs []run, postingLen int, rows int64, durs []int64) {
+func (s *Store) noteRuns(kind qprof.Kind, runs []run, rows int64, durs []int64) {
 	if qp, b := s.sampling(); b != nil {
 		s.split(b, runs, durs)
-		s.emit(qp, b, kind, int64(obj), rows, int64(postingLen), 0)
+		s.emit(qp, b, kind, rows, 0)
 	}
 }

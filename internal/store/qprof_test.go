@@ -17,7 +17,7 @@ import (
 // the same store, requiring identical results, stats deltas, and simulated
 // cost — the profiler's zero-graph-effect invariant, checked with
 // assertSameCharge exactly like the flat/sharded differential.
-func qprofBattery(t *testing.T, evs []genEvent, opts ...Option) *qprof.Profiler {
+func qprofBattery(t *testing.T, evs []genEvent, opts ...Option) {
 	t.Helper()
 	plainClk := simclock.NewSimulated(time.Time{})
 	profClk := simclock.NewSimulated(time.Time{})
@@ -92,7 +92,7 @@ func qprofBattery(t *testing.T, evs []genEvent, opts ...Option) *qprof.Profiler 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fv.QueryProfiler() != p {
+	if fv.qp.Load() != p {
 		t.Fatal("view did not inherit the profiler")
 	}
 	b1, _ := pv.AppendBackward(nil, 3, minT, maxT)
@@ -103,7 +103,9 @@ func qprofBattery(t *testing.T, evs []genEvent, opts ...Option) *qprof.Profiler 
 	if pv.Stats() != fv.Stats() {
 		t.Fatalf("view stats diverged: %+v vs %+v", pv.Stats(), fv.Stats())
 	}
-	return p
+	if fv.batch == nil {
+		t.Fatal("the profiled view sampled nothing")
+	}
 }
 
 // TestQprofDifferential is the tentpole's property test: attaching a
@@ -132,110 +134,42 @@ func TestQprofDifferential(t *testing.T) {
 				if n > 0 {
 					opts = []Option{WithShards(n), WithShardEpoch(500)}
 				}
-				p := qprofBattery(t, evs, opts...)
-				snap := p.Snapshot()
-				if snap.Queries == 0 || snap.Rows == 0 {
-					t.Fatalf("profiler saw nothing: %+v", snap)
-				}
-				want := 1
-				if n > 0 {
-					want = n
-				}
-				if snap.ShardCount != want {
-					t.Fatalf("ShardCount = %d, want %d", snap.ShardCount, want)
-				}
+				qprofBattery(t, evs, opts...)
 			})
 		}
 	}
 }
 
-// stripBusy zeroes the real-CPU fields of a snapshot, leaving only what
-// identical runs must reproduce exactly (counts and rows; busy nanos are
-// wall-clock measurements and legitimately vary run to run).
-func stripBusy(s qprof.Snapshot) qprof.Snapshot {
-	s.BusyNs, s.SavableNs, s.MergeNs = 0, 0, 0
-	s.SkewP50, s.SkewP90, s.SkewMax = 0, 0, 0
-	for i := range s.Kinds {
-		s.Kinds[i].BusyNs, s.Kinds[i].MergeNs = 0, 0
-	}
-	return s
-}
-
-// stripBusySamples zeroes the real-CPU fields of samples, likewise.
-func stripBusySamples(ss []qprof.Sample) []qprof.Sample {
-	for i := range ss {
-		ss[i].MergeNs, ss[i].BusyNs, ss[i].SavableNs = 0, 0, 0
-		for j := range ss[i].Shards {
-			ss[i].Shards[j].BusyNs = 0
-		}
-	}
-	return ss
-}
-
-// TestQprofHeatmapDeterminism replays the same query sequence against two
-// profiled copies of the same sharded store: everything the profiler counts
-// (queries and rows, in total and per kind, and the recent samples with
-// their per-shard splits) must match exactly.
-func TestQprofHeatmapDeterminism(t *testing.T) {
-	evs := randomWorkload(77, 5, 3000)
-	run := func() (qprof.Snapshot, []qprof.Sample) {
-		clk := simclock.NewSimulated(time.Time{})
-		s := buildWorkload(t, evs, clk, WithShards(4), WithShardEpoch(500))
-		p := qprof.New()
-		s.SetQueryProfiler(p)
-		rng := rand.New(rand.NewSource(5))
-		minT, maxT, _ := s.TimeRange()
-		for q := 0; q < 200; q++ {
-			obj := event.ObjID(rng.Intn(s.NumObjects()))
-			s.AppendBackward(nil, obj, minT, maxT+1)
-			s.CountForward(obj, minT, maxT+1)
-			s.IsReadOnlyFileRows(obj, minT, maxT+1)
-			s.FileTimesRows(obj, minT, maxT+1)
-		}
-		return stripBusy(p.Snapshot()), stripBusySamples(p.Recent())
-	}
-	a, ra := run()
-	b, rb := run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("profile diverged between identical runs:\n%+v\n%+v", a, b)
-	}
-	if !reflect.DeepEqual(ra, rb) {
-		t.Fatalf("recent samples diverged between identical runs:\n%+v\n%+v", ra, rb)
-	}
-	if a.Queries == 0 || len(a.Kinds) == 0 || a.Scattered == 0 || len(ra) == 0 {
-		t.Fatalf("empty profile: %+v", a)
-	}
-}
-
-// TestScanFeedsShardHeat runs a Scan over a four-part store with a profiler
-// attached: each part's routing heat in ShardInfos advances by one query and
-// by exactly the rows of the window that part holds, like every other verb's.
+// TestScanFeedsShardHeat runs a Scan over a four-part store with a scatter
+// observer attached: it is handed the scan's fan-out and, per part, exactly
+// the rows of the window that part holds, like every other verb's split.
 func TestScanFeedsShardHeat(t *testing.T) {
 	evs := randomWorkload(31, 5, 3000)
 	s := buildWorkload(t, evs, simclock.NewSimulated(time.Time{}), WithShards(4), WithShardEpoch(500))
-	s.SetQueryProfiler(qprof.New())
+	var fanouts []int
+	var heat []int64
+	s.SetScatterObserver(func(fanout int, rows []int64) {
+		fanouts, heat = append(fanouts, fanout), append(heat[:0], rows...)
+	})
 	minT, maxT, _ := s.TimeRange()
 	from, to := minT+(maxT-minT)/4, maxT-(maxT-minT)/4
 	want := make([]int64, s.ShardCount())
+	wantFanout := 0
 	for i, p := range s.parts {
 		for _, e := range p.events {
 			if e.Time >= from && e.Time < to {
 				want[i]++
 			}
 		}
+		if want[i] > 0 {
+			wantFanout++
+		}
 	}
-	before := s.ShardInfos()
 	if err := s.Scan(from, to, func(event.Event) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	for i, after := range s.ShardInfos() {
-		queries, rows := after.Queries-before[i].Queries, after.RowsServed-before[i].RowsServed
-		if rows != want[i] || queries != min(want[i], 1) {
-			t.Errorf("part %d: scan added %d queries and %d rows, want %d and %d", i, queries, rows, min(want[i], 1), want[i])
-		}
-	}
-	if n := s.QueryProfiler().Snapshot().Queries; n != 1 {
-		t.Fatalf("profiler saw %d queries, want 1", n)
+	if len(fanouts) != 1 || fanouts[0] != wantFanout || !reflect.DeepEqual(heat, want) {
+		t.Fatalf("scan observed as fan-outs %v with rows %v, want one of %d with rows %v", fanouts, heat, wantFanout, want)
 	}
 }
 

@@ -82,11 +82,7 @@ func expectSameStore(t *testing.T, got, want *Store, gotClk, wantClk *simclock.S
 			t.Fatalf("Lookup(%v) = %d, %v; want %d", o.Key(), gid, ok, id)
 		}
 	}
-	gi, wi := got.ShardInfos(), want.ShardInfos()
-	for i := range wi {
-		gi[i].SealWall, wi[i].SealWall = 0, 0
-	}
-	if !reflect.DeepEqual(gi, wi) {
+	if gi, wi := got.ShardInfos(), want.ShardInfos(); !reflect.DeepEqual(gi, wi) {
 		t.Fatalf("shard infos differ:\n got %+v\nwant %+v", gi, wi)
 	}
 	gs, _ := got.ContentSignature()

@@ -87,7 +87,6 @@ func (s *Store) extend(prev, w *Store) {
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			t0 := time.Now()
 			sp, pp := s.parts[i], prevParts[i]
 			m := len(pp.events)
 			tailMin[i] = math.MaxInt64
@@ -114,7 +113,6 @@ func (s *Store) extend(prev, w *Store) {
 				sp.minTime, sp.maxTime = sp.events[0].Time, sp.events[n-1].Time
 			}
 			sp.byDst, sp.bySrc = buildPostings(pp, wp, keep[i], sp.events, len(s.objects), inner)
-			sp.sealWall = time.Since(t0)
 			<-sem
 		}()
 	}
@@ -148,8 +146,6 @@ func (s *Store) extend(prev, w *Store) {
 	s.sealed = true
 	s.sealWall = time.Since(start)
 	s.tel.sealWall.Set(int64(s.sealWall))
-	// A profiler attached before sealing learns the final layout now.
-	s.qp.Load().SetLayout(len(s.parts), s.ShardEpochSeconds())
 }
 
 // tidy brings the part's log into (time, arrival) order and returns the

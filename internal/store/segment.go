@@ -162,13 +162,40 @@ func (s *Store) Save(dir string) error {
 	return writeFileAtomic(filepath.Join(dir, manifestFile), manJSON)
 }
 
+// writeFileAtomic replaces path with data durably: the bytes are synced to
+// a temporary file before it is renamed over path, and the directory is
+// synced after, so a crash leaves either the old file or the complete new
+// one, and a returned nil means the rename itself survives power loss.
 func writeFileAtomic(path string, data []byte) error {
+	name := filepath.Base(path)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("store: write %s: %w", filepath.Base(path), err)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: write %s: %w", name, err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: write %s: %w", name, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: finalize %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("store: finalize %s: %w", name, err)
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("store: sync directory of %s: %w", name, err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: sync directory of %s: %w", name, err)
 	}
 	return nil
 }

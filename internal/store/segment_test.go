@@ -160,6 +160,29 @@ func TestSaveEmptyStore(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicKeepsOldOnFailure replaces a file twice: once cleanly,
+// leaving no temporary behind, and once with a write that cannot start,
+// which must report the error and leave the previous contents in place.
+func TestWriteFileAtomicKeepsOldOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	if err := writeFileAtomic(path, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary left behind: %v", err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil { // the temporary cannot be opened
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(path, []byte("new")); err == nil {
+		t.Fatal("a write that could not open its temporary reported success")
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "old" {
+		t.Fatalf("after a failed replace the file holds %q, %v; want \"old\"", b, err)
+	}
+}
+
 func TestOpenDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s := buildRandom(t, 500, 3)

@@ -72,12 +72,6 @@ type part struct {
 	inOrder int
 
 	minTime, maxTime int64
-	sealWall         time.Duration // how long sealing the part took (real clock, tooling only)
-
-	// Routing heat (real CPU only), fed by the profiled samples: see emit.
-	queries atomic.Int64
-	rows    atomic.Int64
-	busyNs  atomic.Int64
 }
 
 // scatterStats is the cumulative accounting of timed scatters.
@@ -330,8 +324,8 @@ func scattered(severalParts bool, totalRows int) bool {
 // projection. Results must not depend on execution order: every call owns
 // its slot (TestShardDifferential holds flat and sharded answers equal).
 //
-// The returned slice holds each call's busy nanos — the query profiler and
-// the per-part heat attribute from it; timing never affects charged cost.
+// The returned slice holds each call's busy nanos — the query profiler
+// attributes from it; timing never affects charged cost.
 func (s *Store) scatter(n int, work func(i int)) []int64 {
 	s.scat.scatters.Add(1)
 	s.tel.scatters.Inc()
@@ -605,7 +599,7 @@ func (s *Store) CollectMatches(from, to int64, newPred func() func(event.Event) 
 				b.shards = append(b.shards, ss)
 			}
 		}
-		s.emit(qp, b, qprof.KindMatches, -1, rows, 0, mergeNs)
+		s.emit(qp, b, qprof.KindMatches, rows, mergeNs)
 	}
 	if failed >= 0 {
 		emit(0)
@@ -649,20 +643,13 @@ func (s *Store) CollectMatches(from, to int64, newPred func() func(event.Event) 
 // --- Introspection ------------------------------------------------------
 
 // ShardInfo describes one shard of a sealed store, for apquery -stats and
-// capacity planning. Queries/RowsServed/BusyNs are routing heat shared
-// across views — observability, never charged cost — and accumulate from
-// the per-shard samples of profiled queries, so they advance while a query
-// profiler or scatter observer is attached.
+// capacity planning.
 type ShardInfo struct {
-	Shard      int           `json:"shard"`
-	Events     int           `json:"events"`
-	Hosts      int           `json:"hosts"`
-	MinTime    int64         `json:"min_time"`
-	MaxTime    int64         `json:"max_time"`
-	Queries    int64         `json:"queries"`
-	RowsServed int64         `json:"rows_served"`
-	BusyNs     int64         `json:"busy_ns"`
-	SealWall   time.Duration `json:"seal_wall_ns"`
+	Shard   int
+	Events  int
+	Hosts   int
+	MinTime int64
+	MaxTime int64
 }
 
 // ShardCount returns the number of parts; 1 unless WithShards asked for more.
@@ -681,8 +668,8 @@ func (s *Store) ShardEpochSeconds() int64 {
 	return s.bucketSeconds * segmentBuckets
 }
 
-// ShardInfos returns per-shard extents and routing heat; nil for a store
-// with one part, which has no spread to describe.
+// ShardInfos returns per-shard extents; nil for a store with one part,
+// which has no spread to describe.
 func (s *Store) ShardInfos() []ShardInfo {
 	if len(s.parts) == 1 {
 		return nil
@@ -690,15 +677,11 @@ func (s *Store) ShardInfos() []ShardInfo {
 	infos := make([]ShardInfo, len(s.parts))
 	for i, p := range s.parts {
 		infos[i] = ShardInfo{
-			Shard:      i,
-			Events:     len(p.events),
-			Hosts:      len(p.hosts),
-			MinTime:    p.minTime,
-			MaxTime:    p.maxTime,
-			Queries:    p.queries.Load(),
-			RowsServed: p.rows.Load(),
-			BusyNs:     p.busyNs.Load(),
-			SealWall:   p.sealWall,
+			Shard:   i,
+			Events:  len(p.events),
+			Hosts:   len(p.hosts),
+			MinTime: p.minTime,
+			MaxTime: p.maxTime,
 		}
 	}
 	return infos

@@ -126,9 +126,8 @@ type Store struct {
 
 	// qp is the attached query profiler. Unlike the observers above it is
 	// SHARED by views — batch triage and fleet runs aggregate into one
-	// profile — and is an atomic pointer so a serving daemon can attach it to
-	// refreshed snapshots while queries run. A nil profiler costs one atomic
-	// load per query.
+	// profile — and is an atomic pointer, so it may be attached while
+	// queries run. A nil profiler costs one atomic load per query.
 	qp atomic.Pointer[qprof.Profiler]
 
 	// batch is where a view builds its profiler samples and keeps them until
@@ -284,22 +283,14 @@ func (s *Store) SetScatterObserver(fn ScatterObserver) {
 }
 
 // SetQueryProfiler attaches (or detaches, with nil) a scatter-gather query
-// profiler. Unlike the cost observer the profiler is shared by existing and
-// future views — a fleet aggregates one profile — and attachment is
-// atomic, so a daemon may attach to a store already serving queries.
-// Profiling observes real CPU only: charged cost, Stats, and query results
-// are byte-identical with the profiler attached or nil.
+// profiler. Unlike the cost observer the profiler is shared by the views
+// made after it — a fleet aggregates one profile — and attachment is
+// atomic. Profiling observes real CPU only: charged cost, Stats, and query
+// results are byte-identical with the profiler attached or nil.
 func (s *Store) SetQueryProfiler(p *qprof.Profiler) {
 	s.FlushQueryProfile() // what the view still holds belongs to the old profiler
-	p.SetLayout(len(s.parts), s.ShardEpochSeconds())
 	s.qp.Store(p)
 }
-
-// QueryProfiler returns the attached profiler (nil when disabled).
-func (s *Store) QueryProfiler() *qprof.Profiler { return s.qp.Load() }
-
-// CostModel returns the query cost model in effect.
-func (s *Store) CostModel() simclock.CostModel { return s.cost }
 
 // Intern returns the ObjID for o, assigning a new one if the object has not
 // been seen. Interning is permitted both before and after sealing (sealing
@@ -525,7 +516,7 @@ func (s *Store) appendPosting(buf []event.Event, obj event.ObjID, forward bool, 
 	}
 	s.charge(int64(rows), from, to)
 	if b != nil {
-		s.emit(qp, b, postingKind(forward, false), int64(obj), int64(rows), int64(postingLen), mergeNs)
+		s.emit(qp, b, postingKind(forward, false), int64(rows), mergeNs)
 	}
 	return buf, nil
 }
@@ -553,7 +544,7 @@ func (s *Store) countPosting(obj event.ObjID, forward bool, from, to int64) (int
 	}
 	s.noteProbe(postingLen, fanout)
 	if b != nil {
-		s.emit(qp, b, postingKind(forward, true), int64(obj), int64(rows), int64(postingLen), 0)
+		s.emit(qp, b, postingKind(forward, true), int64(rows), 0)
 	}
 	return rows, nil
 }
@@ -643,7 +634,7 @@ func (s *Store) Scan(from, to int64, fn func(event.Event) bool) error {
 	s.charge(rows, from, to)
 	if b != nil {
 		b.shards = slices.DeleteFunc(perPart, func(ss qprof.ShardSample) bool { return ss.Rows == 0 })
-		s.emit(qp, b, qprof.KindScan, -1, rows, 0, 0)
+		s.emit(qp, b, qprof.KindScan, rows, 0)
 	}
 	return nil
 }
@@ -708,9 +699,6 @@ func (s *Store) degree(obj event.ObjID, forward bool) (n int) {
 	}
 	return n
 }
-
-// BucketSeconds returns the time-partition width.
-func (s *Store) BucketSeconds() int64 { return s.bucketSeconds }
 
 // GlobalStart returns the default global starting time ts used by execution-
 // window generation when a BDL script gives no explicit "from": the earliest

@@ -169,7 +169,7 @@ func TestQueryChargesCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := clk.Now().Sub(t0)
-	want := s.CostModel().QueryCost(1, int((400-0)/s.BucketSeconds())+1)
+	want := s.cost.QueryCost(1, int((400-0)/s.bucketSeconds)+1)
 	if elapsed != want {
 		t.Fatalf("charged %v, want %v", elapsed, want)
 	}

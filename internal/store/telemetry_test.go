@@ -124,7 +124,7 @@ func TestQueryHistogramsPopulated(t *testing.T) {
 		t.Fatalf("query rows histogram = %+v, want one observation of 20", rows)
 	}
 	lat := snap.Histograms[telemetry.MetricStoreQueryLatency]
-	wantSec := s.CostModel().QueryCost(20, 1).Seconds()
+	wantSec := s.cost.QueryCost(20, 1).Seconds()
 	if lat.Count != 1 || lat.Sum != wantSec {
 		t.Fatalf("latency histogram = %+v, want one observation of %gs", lat, wantSec)
 	}

@@ -49,7 +49,7 @@ func TestViewSharesDataIsolatesAccounting(t *testing.T) {
 	}
 
 	// The view's query charged only the view's clock...
-	wantCost := s.CostModel().QueryCost(1, int(400/s.BucketSeconds())+1)
+	wantCost := s.cost.QueryCost(1, int(400/s.bucketSeconds)+1)
 	if elapsed := viewClk.Now().Sub(view0); elapsed != wantCost {
 		t.Fatalf("view clock advanced %v, want %v", elapsed, wantCost)
 	}
