@@ -209,18 +209,6 @@ func NewMemoCache(maxBytes int64, reg *Telemetry) *MemoCache { return memo.New(m
 // time; queries then publish rows-examined and latency metrics.
 func WithTelemetry(reg *Telemetry) StoreOption { return store.WithTelemetry(reg) }
 
-// WithShards partitions the store into n host×time shards that seal side by
-// side and answer queries by scatter-gather (1 keeps the default single
-// part, and overrides a persisted shard count at OpenStore time). Sharding
-// is real-CPU-only acceleration: every query result, charged cost, and
-// experiment table is byte-identical for any n.
-func WithShards(n int) StoreOption { return store.WithShards(n) }
-
-// WithShardEpoch sets the time-bucket width, in seconds, of the host×time
-// shard routing key (0 keeps the default of one segment span). Only
-// meaningful together with WithShards.
-func WithShardEpoch(seconds int64) StoreOption { return store.WithShardEpoch(seconds) }
-
 // ServeTelemetry serves the registry's /metrics (Prometheus text) and
 // /debug/telemetry (JSON) endpoints on addr in a background goroutine,
 // returning the server and its bound address (useful with ":0").

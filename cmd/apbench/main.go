@@ -8,7 +8,7 @@
 //
 //	apbench [-exp all|severity|fig4|table1|table2|fig6|refiner|ablation-k|ablation-policy]
 //	        [-hosts 12] [-days 10] [-density 1.5] [-seed 1] [-samples 200] [-cap 2h] [-k 8]
-//	        [-parallel 1] [-shards 1] [-json dir]
+//	        [-parallel 1] [-json dir]
 //
 // -exp takes a comma-separated list; an unknown name fails before the dataset
 // is generated. With -json, each experiment's structured result is also
@@ -29,10 +29,6 @@
 //	refiner         -> Section III-B3 (changing intermediate points:
 //	                   re-propagation over the cached graph vs a re-run)
 //	ablation-*      -> design-choice ablations from DESIGN.md
-//
-// -shards N runs every experiment against an N-shard store. Because sharding
-// is real-CPU-only acceleration, every table is byte-identical to -shards 1 —
-// CI diffs exactly that.
 package main
 
 import (
@@ -60,7 +56,6 @@ func main() {
 		cap_     = flag.Duration("cap", 2*time.Hour, "execution cap for unoptimized runs")
 		k        = flag.Int("k", aptrace.DefaultWindows, "execution-window count")
 		parallel = flag.Int("parallel", 1, "concurrent analyses per experiment (0 = all cores)")
-		shards   = flag.Int("shards", 1, "host×time store shards for the dataset (1 = flat; output is byte-identical either way)")
 		jsonDir  = flag.String("json", "", "also write each experiment's result as BENCH_<exp>.json into this directory")
 	)
 	flag.Parse()
@@ -81,7 +76,7 @@ func main() {
 		*hosts, *days, *density, *seed)
 	wall := time.Now()
 	env, err := experiments.NewEnv(aptrace.WorkloadConfig{
-		Seed: *seed, Hosts: *hosts, Days: *days, Density: *density, Shards: *shards,
+		Seed: *seed, Hosts: *hosts, Days: *days, Density: *density,
 	})
 	if err != nil {
 		fatal(err)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,6 +17,30 @@ func TestMain(m *testing.M) {
 		return
 	}
 	os.Exit(m.Run())
+}
+
+// TestFlagSurface pins apbench's flags: a new knob is a reviewed change to
+// this list. The test binary's own test.* flags are not apbench's.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"cap", "days", "density", "exp", "hosts", "json", "k", "parallel",
+		"samples", "seed",
+	}
+	cmd := exec.Command(os.Args[0], "-h")
+	cmd.Env = append(os.Environ(), "APBENCH_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("apbench -h: %v\n%s", err, out)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllSubmatch(out, -1) {
+		if name := string(m[1]); !strings.HasPrefix(name, "test.") {
+			got = append(got, name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("flags = %q\nwant    %q", got, want)
+	}
 }
 
 // TestUnknownExperimentFailsBeforeDataset: a name -exp does not know — a typo

@@ -5,14 +5,7 @@
 // Usage:
 //
 //	apgen -out ./data [-hosts 8] [-days 7] [-density 1.0] [-seed 1]
-//	      [-shards 1] [-attacks phishing,excel-macro,...] [-export etw|auditd]
-//
-// -shards N partitions the store by host × time epoch into N shards that
-// seal in parallel and answer queries by scatter-gather; the shard count is
-// persisted in the store manifest, so downstream tools reopen it sharded
-// automatically. Query results are byte-identical to a flat store — at
-// fleet scale (-hosts 64 and up) sharding only cuts real seal and
-// backtracking wall-clock time.
+//	      [-attacks phishing,excel-macro,...] [-export etw|auditd]
 //
 // The attacks.json file records, for every injected scenario, the alert
 // event, the root-cause object, the ground-truth causal chain, and the BDL
@@ -42,7 +35,6 @@ func main() {
 		days    = flag.Int("days", 7, "days of recorded history")
 		density = flag.Float64("density", 1.0, "background activity scale (1.0 ~ 2000 events/host/day)")
 		seed    = flag.Int64("seed", 1, "generator seed")
-		shards  = flag.Int("shards", 1, "host×time store shards (1 = flat; persisted in the manifest)")
 		attacks = flag.String("attacks", "", "comma-separated attack subset (default: all five)")
 		export  = flag.String("export", "", "also export raw audit records: etw or auditd")
 		metrics = flag.String("metrics", "", "serve /metrics (Prometheus), /debug/telemetry (JSON) and /debug/pprof on this address, e.g. :9090")
@@ -68,7 +60,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics and /debug/telemetry on %s\n", addr)
 	}
 
-	cfg := aptrace.WorkloadConfig{Seed: *seed, Hosts: *hosts, Days: *days, Density: *density, Shards: *shards}
+	cfg := aptrace.WorkloadConfig{Seed: *seed, Hosts: *hosts, Days: *days, Density: *density}
 	if *attacks != "" {
 		cfg.Attacks = strings.Split(*attacks, ",")
 	}
@@ -84,9 +76,6 @@ func main() {
 	}
 	fmt.Printf("generated %d events, %d objects across %d hosts over %d days\n",
 		ds.Store.NumEvents(), ds.Store.NumObjects(), *hosts, *days)
-	if n := ds.Store.ShardCount(); n > 1 {
-		fmt.Printf("sealed %d host×time shards in %.2fs wall\n", n, ds.SealWall.Seconds())
-	}
 
 	if err := ds.Store.Save(*out); err != nil {
 		fatal(err)

@@ -23,7 +23,7 @@ func TestMain(m *testing.M) {
 func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"attacks", "days", "density", "export", "hosts", "metrics", "out",
-		"seed", "shards",
+		"seed",
 	}
 	cmd := exec.Command(os.Args[0], "-h")
 	cmd.Env = append(os.Environ(), "APGEN_TEST_MAIN=1")

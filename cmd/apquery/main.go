@@ -115,21 +115,6 @@ func printStats(st *aptrace.Store) {
 		}
 	}
 	fmt.Printf("types:    %d processes, %d files, %d sockets\n", nProc, nFile, nSock)
-	// Stats above are whole-store totals regardless of layout; with a
-	// sharded store, also show how the log is spread across shards.
-	if infos := st.ShardInfos(); len(infos) > 1 {
-		fmt.Printf("shards:   %d (host×time epoch %ds)\n", len(infos), st.ShardEpochSeconds())
-		for _, si := range infos {
-			if si.Events == 0 {
-				fmt.Printf("  shard %2d  empty\n", si.Shard)
-				continue
-			}
-			fmt.Printf("  shard %2d  %8d events, %4d hosts, %s .. %s\n",
-				si.Shard, si.Events, si.Hosts,
-				event.Event{Time: si.MinTime}.When().Format("2006-01-02 15:04:05"),
-				event.Event{Time: si.MaxTime}.When().Format("2006-01-02 15:04:05"))
-		}
-	}
 	sort.Slice(hots, func(i, j int) bool { return hots[i].deg > hots[j].deg })
 	fmt.Println("heaviest objects by fan-in (dependency-explosion candidates):")
 	for i, h := range hots {

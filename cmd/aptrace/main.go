@@ -15,16 +15,10 @@
 //
 // With -batch, the script runs from EVERY event matching its starting point
 // — the enterprise triage posture, where one detector rule fires many alerts
-// a day. The starting-point scan itself scatters across the store's shards
-// (when the store was generated with apgen -shards) before the analyses fan
-// out across -parallel workers (0 = all cores), each over its own read view
-// of the shared store, and a per-alert summary table goes to stdout in event
-// order. If the script names an output path, each alert's graph is written
-// as DOT to <output>.<event-id>.
-//
-// -shards overrides the persisted shard layout at open time: 1 flattens a
-// sharded store, N re-partitions a flat one. Either way every result is
-// byte-identical — sharding only changes real CPU time.
+// a day. The analyses fan out across -parallel workers (0 = all cores), each
+// over its own read view of the shared store, and a per-alert summary table
+// goes to stdout in event order. If the script names an output path, each
+// alert's graph is written as DOT to <output>.<event-id>.
 //
 // -metrics serves /metrics (Prometheus), /debug/telemetry (JSON) and
 // net/http/pprof's /debug/pprof on one address for the process lifetime.
@@ -80,7 +74,6 @@ func main() {
 		memoOn    = flag.Bool("memo", false, "share a 64 MiB cross-alert attribute-verdict cache (where-clause read-only, write-through and file-time walks) across -batch analyses (identical output, less real CPU)")
 		explArg   = flag.String("explain", "", "attach the run log and explain the result from it: an object ID, \"all\" (every graph node), \"frontier\" (pruned candidates), or \"on\" (record only, for -interactive); explanations go to stderr")
 		timelineF = flag.String("timeline", "", "attach the run log and profile the run(s) from it into a timeline; write the Chrome trace-event JSON to this path")
-		shards    = flag.Int("shards", 0, "override the store's persisted host×time shard count at open (0 = keep, 1 = flatten)")
 	)
 	flag.Parse()
 	if *storeDir == "" {
@@ -157,18 +150,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics and /debug/telemetry on %s\n", addr)
 		storeOpts = append(storeOpts, aptrace.WithTelemetry(reg))
 	}
-	if *shards > 0 {
-		storeOpts = append(storeOpts, aptrace.WithShards(*shards))
-	}
 	st, err := aptrace.OpenStore(*storeDir, clk, storeOpts...)
 	if err != nil {
 		fatal(err)
 	}
-	if n := st.ShardCount(); n > 1 {
-		fmt.Fprintf(os.Stderr, "opened store: %d events, %d objects, %d host×time shards\n", st.NumEvents(), st.NumObjects(), n)
-	} else {
-		fmt.Fprintf(os.Stderr, "opened store: %d events, %d objects\n", st.NumEvents(), st.NumObjects())
-	}
+	fmt.Fprintf(os.Stderr, "opened store: %d events, %d objects\n", st.NumEvents(), st.NumObjects())
 
 	if *alerts {
 		listAlerts(st)

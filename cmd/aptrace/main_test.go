@@ -23,7 +23,7 @@ func TestMain(m *testing.M) {
 func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"alerts", "batch", "explain", "interactive", "k", "memo", "metrics",
-		"parallel", "quiet", "script", "shards", "simulate", "store",
+		"parallel", "quiet", "script", "simulate", "store",
 		"suggest", "timeline",
 	}
 	cmd := exec.Command(os.Args[0], "-h")

@@ -225,13 +225,10 @@ func New(st *store.Store, plan *refiner.Plan, opts Options) (*Executor, error) {
 	x.rec.Attach(st.Clock(), x.tel.updateGap)
 	if x.rec != nil {
 		// Per-window cost attribution: the store reports every charged
-		// query's buckets and cost — and, on a sharded store, every routed
-		// query's fan-out and per-shard rows — to the stage, and the
-		// window-queried record that follows claims them. The store (usually a
-		// per-run view) is private to this run, so the observers never cross
-		// runs.
+		// query's buckets and cost to the stage, and the window-queried record
+		// that follows claims them. The store (usually a per-run view) is
+		// private to this run, so the observer never crosses runs.
 		st.SetCostObserver(func(_, buckets int64, cost time.Duration) { x.stage.Charge(buckets, cost) })
-		st.SetScatterObserver(x.stage.Scatter)
 	}
 	x.recording = x.rec != nil || opts.Telemetry != nil
 	x.cond = sync.NewCond(&x.mu)

@@ -86,17 +86,14 @@ func TestTraceAndExplainAgree(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			log := logRun(t, c.st, c.plan, c.alert, 0, c.pauseAt)
-			if split := checkViewsAgree(t, log, c.alert); split != (c.name == "sharded") {
-				t.Errorf("a query span carries a shard split: %v", split)
-			}
+			checkViewsAgree(t, log, c.alert)
 		})
 	}
 	t.Run("past capacity", runLogOverflow)
 }
 
-// checkViewsAgree maps the events of log back to its records, and reports
-// whether a query span carries its rows per shard.
-func checkViewsAgree(t *testing.T, log *explain.Recorder, alert event.Event) (split bool) {
+// checkViewsAgree maps the events of log back to its records.
+func checkViewsAgree(t *testing.T, log *explain.Recorder, alert event.Event) {
 	t.Helper()
 	recs := log.Records()
 	events, dropped := log.Events()
@@ -128,7 +125,6 @@ func checkViewsAgree(t *testing.T, log *explain.Recorder, alert event.Event) (sp
 			if r.Node != ev.Obj || r.Begin != ev.Begin || r.Finish != ev.Finish || r.Card != ev.Rows || ev.Start.After(r.At) || !ev.Start.Add(ev.Dur).Equal(r.At) {
 				t.Fatalf("window.query span %+v is not record %+v", ev, r)
 			}
-			split = split || len(ev.ShardRows) > 0
 		case explain.EvUpdate:
 			if updates == len(updateAt) || !updateAt[updates].Equal(ev.Start) {
 				t.Fatalf("graph.update %d at %s is not the first added edge of an instant (%d such instants)", updates, ev.Start, len(updateAt))
@@ -154,7 +150,6 @@ func checkViewsAgree(t *testing.T, log *explain.Recorder, alert event.Event) (sp
 		t.Fatalf("Progress() = %+v, the events read back say %d queries of %d events, %d records dropped", prog, queries, len(events), dropped)
 	}
 	checkStallSeqs(t, log)
-	return split
 }
 
 // checkStallSeqs: every stall that names an offending query names it by the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -281,6 +282,37 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Fatal("structured results diverge")
 		}
 	})
+}
+
+// TestPartsAndCoresMatchFlat is the shard router's determinism contract at
+// CI's table2 size: the table printed over a four-part store is the flat
+// store's byte for byte, also when the four-part store is generated, sealed
+// and queried under GOMAXPROCS(1).
+func TestPartsAndCoresMatchFlat(t *testing.T) {
+	cfg := Config{Samples: 25, Cap: 2 * time.Hour, Windows: 8, Seed: 42, Parallel: 1}
+	table := func(parts int) string {
+		env, err := NewEnv(workload.Config{Seed: 1, Hosts: 4, Days: 3, Density: 0.5, Shards: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := env.Dataset.Store.ShardCount(); n != parts {
+			t.Fatalf("store has %d parts, want %d", n, parts)
+		}
+		var buf bytes.Buffer
+		if _, err := RunTable2(env, cfg, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	flat, four := table(1), table(4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial := table(4)
+	if four != flat {
+		t.Errorf("4 parts differ from flat:\n--- flat ---\n%s\n--- 4 parts ---\n%s", flat, four)
+	}
+	if serial != flat {
+		t.Errorf("4 parts at GOMAXPROCS 1 differ from flat:\n--- flat ---\n%s\n--- 4 parts ---\n%s", flat, serial)
+	}
 }
 
 func TestFmtHelpers(t *testing.T) {

@@ -317,7 +317,7 @@ func (r *Recorder) add(d *Decision, at int64, clause, detail uint32, nums []int6
 	if d.Query != 0 {
 		cost := nums[d.Query-1:]
 		slot.Query = uint32(len(*side)) + 1
-		*side = append(*side, cost[:queryHead+cost[queryHead-1]]...)
+		*side = append(*side, cost[:queryHead]...)
 		(*side)[slot.Query-1] += at - d.At // the query's start moves to the log's base with its end
 	}
 	r.live.Step(r.seq-1, slot, *side)

@@ -83,10 +83,6 @@ func (r *lane) ObserveQueryCost(rows, buckets int64, cost time.Duration) {
 	r.stage.Charge(buckets, cost)
 }
 
-func (r *lane) ObserveScatter(fanout int, shardRows []int64) {
-	r.stage.Scatter(fanout, shardRows)
-}
-
 func (r *lane) RunStart(at time.Time, alert event.EventID) {
 	r.stage1(at, Decision{Kind: KindRunStart, Event: alert}, "", "")
 }

@@ -32,19 +32,16 @@ type Decision struct {
 
 // QueryCost is what a KindWindowQueried record says about its query besides
 // the verdict: Start the instant before the fetch (the record's At is the
-// instant after), the posting Buckets walked and the modeled Cost in
+// instant after), and the posting Buckets walked and the modeled Cost in
 // nanoseconds of every store query charged since the previous window query
-// claimed them, and on a sharded store the widest Fanout of those queries
-// and their element-wise summed rows per shard.
+// claimed them.
 type QueryCost struct {
 	Start, Buckets, Cost int64
-	Fanout               int
-	ShardRows            []int64
 }
 
-// queryHead is how many numbers of a QueryCost precede its per-shard rows
-// in Nums: start, buckets, cost, fan-out, shard count.
-const queryHead = 5
+// queryHead is how many numbers a QueryCost takes in Nums: start, buckets,
+// cost.
+const queryHead = 3
 
 // queryAt reads the cost d keeps in nums; a record without one began when it
 // ended and cost nothing.
@@ -53,16 +50,15 @@ func queryAt(nums []int64, d *Decision) QueryCost {
 		return QueryCost{Start: d.At}
 	}
 	e := nums[d.Query-1:]
-	end := queryHead + e[queryHead-1]
-	return QueryCost{Start: e[0], Buckets: e[1], Cost: e[2], Fanout: int(e[3]), ShardRows: e[queryHead:end:end]}
+	return QueryCost{Start: e[0], Buckets: e[1], Cost: e[2]}
 }
 
 // Stage is the run loop's outbox: the executor appends one Decision per
 // emission site — no lock, no counter — and hands the stage to the log
 // (Recorder.Consume) once per flush. Strs holds the strings of the staged
 // records, Nums the costs of the staged window queries. What the store
-// charges between two window queries accumulates here too (Charge, Scatter)
-// until the next one claims it; Reset keeps it.
+// charges between two window queries accumulates here too (Charge) until the
+// next one claims it; Reset keeps it.
 type Stage struct {
 	Base time.Time
 	Recs []Decision
@@ -70,8 +66,6 @@ type Stage struct {
 	Nums []int64
 
 	buckets, cost int64
-	fanout        int
-	shardRows     []int64
 }
 
 // Add appends a record of the given kind stamped at (nanoseconds since Base)
@@ -95,25 +89,12 @@ func (s *Stage) Charge(buckets int64, cost time.Duration) {
 	s.cost += int64(cost)
 }
 
-// Scatter notes one routed query's shard split: its fan-out and the rows
-// each shard returned.
-func (s *Stage) Scatter(fanout int, shardRows []int64) {
-	s.fanout = max(s.fanout, fanout)
-	if n := len(shardRows) - len(s.shardRows); n > 0 {
-		s.shardRows = append(s.shardRows, make([]int64, n)...)
-	}
-	for i, n := range shardRows {
-		s.shardRows[i] += n
-	}
-}
-
 // Queried adds the KindWindowQueried record of a query that began at start
 // and returned at, claiming everything charged since the previous one.
 func (s *Stage) Queried(start, at int64) *Decision {
 	off := uint32(len(s.Nums)) + 1
-	s.Nums = append(s.Nums, start, s.buckets, s.cost, int64(s.fanout), int64(len(s.shardRows)))
-	s.Nums = append(s.Nums, s.shardRows...)
-	s.buckets, s.cost, s.fanout, s.shardRows = 0, 0, 0, s.shardRows[:0]
+	s.Nums = append(s.Nums, start, s.buckets, s.cost)
+	s.buckets, s.cost = 0, 0
 	d := s.Add(KindWindowQueried, at)
 	d.Query = off
 	return d

@@ -35,10 +35,8 @@ type oracleLane struct {
 	pauseStart time.Time
 	pausedOpen bool
 
-	pendingBuckets   int64
-	pendingCost      time.Duration
-	pendingFanout    int
-	pendingShardRows []int64
+	pendingBuckets int64
+	pendingCost    time.Duration
 
 	heavy     Event
 	haveHeavy bool
@@ -127,11 +125,9 @@ func (r *oracleLane) Query(start, end time.Time, obj event.ObjID, begin, finish 
 	ev := Event{
 		Kind: EvQuery, Start: start, Dur: end.Sub(start),
 		Obj: obj, Begin: begin, Finish: finish, Rows: rows,
-		Buckets: r.pendingBuckets, Cost: r.pendingCost,
-		Fanout: r.pendingFanout, ShardRows: r.pendingShardRows, HasWindow: true,
+		Buckets: r.pendingBuckets, Cost: r.pendingCost, HasWindow: true,
 	}
 	r.pendingBuckets, r.pendingCost = 0, 0
-	r.pendingFanout, r.pendingShardRows = 0, nil
 	if !r.haveHeavy || ev.Cost > r.heavy.Cost ||
 		(ev.Cost == r.heavy.Cost && ev.Rows > r.heavy.Rows) {
 		r.heavy, r.haveHeavy = ev, true
@@ -142,20 +138,6 @@ func (r *oracleLane) Query(start, end time.Time, obj event.ObjID, begin, finish 
 func (r *oracleLane) ObserveQueryCost(buckets int64, cost time.Duration) {
 	r.pendingBuckets += buckets
 	r.pendingCost += cost
-}
-
-func (r *oracleLane) ObserveScatter(fanout int, shardRows []int64) {
-	if fanout > r.pendingFanout {
-		r.pendingFanout = fanout
-	}
-	if len(shardRows) > len(r.pendingShardRows) {
-		grown := make([]int64, len(shardRows))
-		copy(grown, r.pendingShardRows)
-		r.pendingShardRows = grown
-	}
-	for i, n := range shardRows {
-		r.pendingShardRows[i] += n
-	}
 }
 
 func (r *oracleLane) Abandoned(at time.Time, obj event.ObjID, begin, finish int64, reason string) {
@@ -183,9 +165,9 @@ func (r *oracleLane) PlanUpdate(at time.Time, detail string) {
 }
 
 // TestStagedLaneMatchesOracle drives random runs — enqueues, re-splits,
-// queries with staged cost and shard splits, added edges at moving and
-// standing instants, abandoned windows, and pauses, resumes and plan updates
-// made from another goroutine while the run loop is parked — through a lane's
+// queries with staged cost, added edges at moving and standing instants,
+// abandoned windows, and pauses, resumes and plan updates made from another
+// goroutine while the run loop is parked — through a lane's
 // log (one Consume per flush, flushes at random points) and through the
 // per-call lane it replaced. With the log's ring as large as the run, events,
 // updates, queries, stalls, worst gap and the Chrome trace must be identical;
@@ -279,14 +261,6 @@ func driveLane(t *testing.T, seed int64, capacity int) int {
 				stage.Charge(buckets, cost)
 				want.ObserveQueryCost(buckets, cost)
 				now = now.Add(cost)
-				if rng.Intn(2) == 0 {
-					split := make([]int64, 1+rng.Intn(4))
-					for i := range split {
-						split[i] = int64(rng.Intn(5))
-					}
-					stage.Scatter(len(split), split)
-					want.ObserveScatter(len(split), split)
-				}
 			}
 			q := stage.Queried(int64(start.Sub(t0)), int64(now.Sub(t0)))
 			q.Node, q.Begin, q.Finish, q.Card = obj, b, f, int32(rng.Intn(9))
@@ -419,16 +393,13 @@ func checkTail(t *testing.T, name string, got, all []Event, oldest time.Time) {
 	}
 }
 
-// sameEvents compares event lists, an empty shard split equal to none.
+// sameEvents compares event lists, their instants by Equal.
 func sameEvents(a, b []Event) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if len(x.ShardRows) == 0 && len(y.ShardRows) == 0 {
-			x.ShardRows, y.ShardRows = nil, nil
-		}
 		if !x.Start.Equal(y.Start) {
 			return false
 		}

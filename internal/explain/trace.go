@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -151,21 +149,6 @@ func traceArgs(ev Event) map[string]any {
 		}
 		if ev.Cost > 0 {
 			set("cost_ms", ev.Cost.Milliseconds())
-		}
-		// Shard breakdown (sharded stores only): widest fan-out of the
-		// claimed queries and the per-shard row split as "r0/r1/.../rN".
-		if ev.Fanout > 1 {
-			set("fanout", ev.Fanout)
-			if len(ev.ShardRows) > 0 {
-				var sb strings.Builder
-				for i, n := range ev.ShardRows {
-					if i > 0 {
-						sb.WriteByte('/')
-					}
-					sb.WriteString(strconv.FormatInt(n, 10))
-				}
-				set("shard_rows", sb.String())
-			}
 		}
 	case EvEnqueue, EvResplit:
 		set("card", ev.Rows)

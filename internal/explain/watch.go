@@ -69,8 +69,6 @@ type Event struct {
 	Rows      int
 	Buckets   int64         // posting buckets walked (EvQuery/EvStall)
 	Cost      time.Duration // store-charged query cost (EvQuery/EvStall)
-	Fanout    int           // max shard fan-out of the claimed store queries (EvQuery; 0 = flat)
-	ShardRows []int64       // per-shard row split of the claimed queries (EvQuery, sharded store only)
 	Alert     event.EventID // the run's alert event (EvRun)
 	Detail    string
 	HasWindow bool
@@ -288,10 +286,7 @@ func (w *Watch) mark(kind EventKind, start, dur int64, d *Decision, nums []int64
 		switch kind {
 		case EvQuery:
 			q := queryAt(nums, d)
-			ev.Buckets, ev.Cost, ev.Fanout = q.Buckets, time.Duration(q.Cost), q.Fanout
-			if len(q.ShardRows) > 0 {
-				ev.ShardRows = q.ShardRows
-			}
+			ev.Buckets, ev.Cost = q.Buckets, time.Duration(q.Cost)
 		case EvStall:
 			ev.Buckets, ev.Cost = w.heavyBuckets, time.Duration(w.heavyCost)
 		}
@@ -330,10 +325,7 @@ func (r *Recorder) Events() (events []Event, dropped uint64) {
 	defer r.mu.Unlock()
 	w, ends := Watch{log: r, limit: r.live.limit}, r.ends
 	events = make([]Event, 0, min(r.live.events, r.capacity))
-	w.emit = func(ev Event) {
-		ev.ShardRows = append([]int64(nil), ev.ShardRows...) // the log reuses what they alias
-		events = append(events, ev)
-	}
+	w.emit = func(ev Event) { events = append(events, ev) }
 	if dropped = r.oldest(); dropped > 0 {
 		for _, st := range r.live.stalls {
 			events = append(events, Event{Kind: EvStall, Start: st.At, Dur: st.Gap, Obj: st.Obj,

@@ -81,6 +81,12 @@ func compileFlowPattern(e bdl.Expr, rule *PriorityRule) (*FlowPattern, error) {
 func (fp *FlowPattern) addCond(n *bdl.Cmp, rule *PriorityRule) error {
 	parts := n.Field.Parts
 	head := strings.ToLower(parts[0])
+	// A type or an object field is matched against a pattern, which has no
+	// order: Match could only treat '<' and its kin as equality.
+	pattern := len(parts) == 1 && head == "type" || len(parts) == 2 && (head == "src" || head == "dst")
+	if pattern && n.Op != bdl.CmpEQ && n.Op != bdl.CmpNE {
+		return errAt(n, "%q supports only '=' and '!='", n.Field)
+	}
 	switch {
 	case len(parts) == 1 && head == "type":
 		if n.Val.Kind != bdl.ValIdent && n.Val.Kind != bdl.ValString {

@@ -117,6 +117,9 @@ func TestCompileErrors(t *testing.T) {
 		{`backward file f[path = "/x"] -> * prioritize [type = file or amount >= 5] <- [type = ip]`, "only 'and'"},
 		{`backward file f[path = "/x"] -> * prioritize [amount >= size] <- [bogus.x.y = "1"]`, "unknown prioritize field"},
 		{`backward file f[path = "/x"] -> * prioritize [amount <= size] <- [type = ip]`, "'>=' or '>'"},
+		{`backward file f[path = "/x"] -> * prioritize [src.exename < "m"] <- [type = ip]`, `bdl:1:47: "src.exename" supports only '=' and '!='`},
+		{`backward file f[path = "/x"] -> * prioritize [type > file] <- [type = ip]`, `"type" supports only '=' and '!='`},
+		{`backward file f[path = "/x"] -> * prioritize [type = file] <- [dst.path >= "/a"]`, `"dst.path" supports only '=' and '!='`},
 	}
 	for _, tc := range cases {
 		_, err := ParseAndCompile(tc.src)

@@ -234,9 +234,7 @@ func (s *Store) hitBefore(ra run, a int32, rb run, b int32) bool {
 // whose per-run busy nanos are returned for the profiler.
 func (s *Store) walkRuns(k walkKind, runs []run, total int) (acc partial, durs []int64) {
 	acc.run = -1
-	parts := spread(runs)
-	s.noteFanout(parts)
-	if !scattered(parts > 1, total) {
+	if !scattered(spread(runs) > 1, total) {
 		for ri, r := range runs {
 			p := s.walkRun(k, r)
 			s.fold(&acc, runs, ri, &p)

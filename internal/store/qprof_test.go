@@ -132,7 +132,7 @@ func TestQprofDifferential(t *testing.T) {
 				evs := randomWorkload(300+int64(n), 5, 3000)
 				var opts []Option
 				if n > 0 {
-					opts = []Option{WithShards(n), WithShardEpoch(500)}
+					opts = []Option{WithShards(n), withShardEpoch(500)}
 				}
 				qprofBattery(t, evs, opts...)
 			})
@@ -145,7 +145,7 @@ func TestQprofDifferential(t *testing.T) {
 // the rows of the window that part holds, like every other verb's split.
 func TestScanFeedsShardHeat(t *testing.T) {
 	evs := randomWorkload(31, 5, 3000)
-	s := buildWorkload(t, evs, simclock.NewSimulated(time.Time{}), WithShards(4), WithShardEpoch(500))
+	s := buildWorkload(t, evs, simclock.NewSimulated(time.Time{}), WithShards(4), withShardEpoch(500))
 	var fanouts []int
 	var heat []int64
 	s.SetScatterObserver(func(fanout int, rows []int64) {
@@ -193,7 +193,7 @@ func benchStore(b *testing.B, opts ...Option) *Store {
 // hooks when no profiler is attached — the price every deployment pays.
 // It must stay a few ns.
 func BenchmarkQueryNilProfiler(b *testing.B) {
-	s := benchStore(b, WithShards(4), WithShardEpoch(500))
+	s := benchStore(b, WithShards(4), withShardEpoch(500))
 	minT, maxT, _ := s.TimeRange()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

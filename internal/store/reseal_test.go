@@ -82,8 +82,10 @@ func expectSameStore(t *testing.T, got, want *Store, gotClk, wantClk *simclock.S
 			t.Fatalf("Lookup(%v) = %d, %v; want %d", o.Key(), gid, ok, id)
 		}
 	}
-	if gi, wi := got.ShardInfos(), want.ShardInfos(); !reflect.DeepEqual(gi, wi) {
-		t.Fatalf("shard infos differ:\n got %+v\nwant %+v", gi, wi)
+	for pi, wp := range want.parts {
+		if gp := got.parts[pi]; gp.minTime != wp.minTime || gp.maxTime != wp.maxTime {
+			t.Fatalf("part %d extent [%d, %d], fresh seal [%d, %d]", pi, gp.minTime, gp.maxTime, wp.minTime, wp.maxTime)
+		}
 	}
 	gs, _ := got.ContentSignature()
 	ws, _ := want.ContentSignature()
@@ -161,7 +163,7 @@ func expectSameStore(t *testing.T, got, want *Store, gotClk, wantClk *simclock.S
 func TestResealMatchesFreshSeal(t *testing.T) {
 	for _, parts := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			opts := []Option{WithShards(parts), WithShardEpoch(40)}
+			opts := []Option{WithShards(parts), withShardEpoch(40)}
 			liveClk := simclock.NewSimulated(time.Time{})
 			l, err := OpenLive(t.TempDir(), liveClk, opts...)
 			if err != nil {
@@ -269,7 +271,7 @@ func tightCopy(p *postings) *postings {
 func TestResealAppendsInPlace(t *testing.T) {
 	for _, parts := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			l, err := OpenLive(t.TempDir(), nil, WithShards(parts), WithShardEpoch(40))
+			l, err := OpenLive(t.TempDir(), nil, WithShards(parts), withShardEpoch(40))
 			if err != nil {
 				t.Fatal(err)
 			}

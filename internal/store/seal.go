@@ -1,7 +1,6 @@
 package store
 
 import (
-	"maps"
 	"math"
 	"math/bits"
 	"runtime"
@@ -105,9 +104,6 @@ func (s *Store) extend(prev, w *Store) {
 			sp.events = wp.events[:n:n]
 			if wp.seq != nil {
 				sp.seq = wp.seq[:n:n]
-			}
-			if sp != wp {
-				sp.hosts = maps.Clone(wp.hosts)
 			}
 			if n > 0 {
 				sp.minTime, sp.maxTime = sp.events[0].Time, sp.events[n-1].Time

@@ -83,6 +83,13 @@ func withSealWorkers(n int) Option {
 	return func(st *Store) { st.sealWorkers = n }
 }
 
+// withShardEpoch sets the width, in seconds, of the time slice in the
+// host × time routing key in place of one segment span, so a small test
+// dataset spreads over the parts.
+func withShardEpoch(seconds int64) Option {
+	return func(st *Store) { st.shardEpoch = seconds }
+}
+
 // list returns obj's posting list and its parallel time column; objects
 // interned after Seal (or never seen as this endpoint) have an empty list.
 func (p *postings) list(obj event.ObjID) (idx []int32, times []int64) {

@@ -55,11 +55,10 @@ const shardScatterCutoff = 2048
 
 // part is one partition of the store: the whole engine over its events.
 type part struct {
-	events []event.Event       // time-sorted after Seal, aliased by later snapshots
-	seq    []uint32            // global arrival index per event; kept only when the store has several parts
-	byDst  *postings           // SoA index over events with Dst()==obj, time-sorted
-	bySrc  *postings           // SoA index over events with Src()==obj, time-sorted
-	hosts  map[string]struct{} // subject hosts routed here; kept like seq
+	events []event.Event // time-sorted after Seal, aliased by later snapshots
+	seq    []uint32      // global arrival index per event; kept only when the store has several parts
+	byDst  *postings     // SoA index over events with Dst()==obj, time-sorted
+	bySrc  *postings     // SoA index over events with Src()==obj, time-sorted
 
 	// ends is the write side's reservation bookkeeping: per endpoint index
 	// (dst, src), where each object's reserved slots end in the arena of the
@@ -98,18 +97,6 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithShardEpoch sets the width, in seconds, of the time slice in the
-// host × time shard-assignment key. Zero (the default) uses one segment span
-// (bucketSeconds × 24, i.e. one day at default settings), so a host's day of
-// activity lands in one shard and consecutive days stripe across shards.
-func WithShardEpoch(seconds int64) Option {
-	return func(st *Store) {
-		if seconds > 0 {
-			st.shardEpoch = seconds
-		}
-	}
-}
-
 // configureShards (re)creates the part list. It must run before any event
 // is added.
 func (s *Store) configureShards(n int, epoch int64) error {
@@ -130,11 +117,8 @@ func (s *Store) configureShards(n int, epoch int64) error {
 	}
 	s.parts = make([]*part, n)
 	for i := range s.parts {
-		s.parts[i] = &part{hosts: make(map[string]struct{})}
+		s.parts[i] = &part{}
 	}
-	// Open attaches telemetry before the manifest configures shards, so
-	// refresh the layout gauge here as well as in SetTelemetry.
-	s.tel.shards.Set(int64(n))
 	return nil
 }
 
@@ -172,9 +156,8 @@ func floorDiv(a, b int64) int64 {
 // host's activity stripes across parts day by day (host × time cells, not
 // whole hosts — a noisy host cannot hot-spot a single part forever). With
 // several parts the event is stamped with its global arrival index, which
-// later makes cross-part merges reproduce ingestion order, and its host is
-// noted for ShardInfos; a single part's log positions already are the
-// arrival order and there is no spread to describe.
+// later makes cross-part merges reproduce ingestion order; a single part's
+// log positions already are the arrival order.
 func (s *Store) add(e event.Event, host string) {
 	cell := uint64(fnvHost(host)) + uint64(floorDiv(e.Time, s.epochSeconds()))
 	p := s.parts[cell%uint64(len(s.parts))]
@@ -184,7 +167,6 @@ func (s *Store) add(e event.Event, host string) {
 	p.events = append(p.events, e)
 	if len(s.parts) > 1 {
 		p.seq = append(p.seq, uint32(s.total))
-		p.hosts[host] = struct{}{}
 	}
 	s.total++
 }
@@ -328,7 +310,6 @@ func scattered(severalParts bool, totalRows int) bool {
 // attributes from it; timing never affects charged cost.
 func (s *Store) scatter(n int, work func(i int)) []int64 {
 	s.scat.scatters.Add(1)
-	s.tel.scatters.Inc()
 	durs := make([]int64, n)
 	concurrent := runtime.GOMAXPROCS(0) > 1
 	var wg sync.WaitGroup
@@ -360,13 +341,6 @@ func (s *Store) scatter(n int, work func(i int)) []int64 {
 	}
 	s.scat.busyNs.Add(busy)
 	s.scat.saveNs.Add(savable)
-	s.tel.scatterBusy.Add(busy)
-	s.tel.scatterSavable.Add(savable)
-	if s.tel.shardBusy != nil {
-		for _, d := range durs {
-			s.tel.shardBusy.Observe(float64(d))
-		}
-	}
 	return durs
 }
 
@@ -433,21 +407,12 @@ func (s *Store) collect(runs []run, obj event.ObjID, forward bool, from, to int6
 	return runs, postingLen, rows
 }
 
-// noteProbe emits the single posting hit/miss of a probe and its fan-out.
-func (s *Store) noteProbe(postingLen, fanout int) {
+// noteProbe emits the single posting hit/miss of a probe.
+func (s *Store) noteProbe(postingLen int) {
 	if postingLen > 0 {
 		s.tel.postingHits.Inc()
 	} else {
 		s.tel.postingMisses.Inc()
-	}
-	s.noteFanout(fanout)
-}
-
-// noteFanout records how many parts a probe that spread over several had
-// to touch.
-func (s *Store) noteFanout(parts int) {
-	if parts > 1 && s.tel.scatterFanout != nil {
-		s.tel.scatterFanout.Observe(float64(parts))
 	}
 }
 
@@ -571,7 +536,6 @@ func (s *Store) CollectMatches(from, to int64, newPred func() func(event.Event) 
 			walk(i)
 		}
 	}
-	s.noteFanout(len(legs))
 
 	var rows int64
 	matched := 0
@@ -642,16 +606,6 @@ func (s *Store) CollectMatches(from, to int64, newPred func() func(event.Event) 
 
 // --- Introspection ------------------------------------------------------
 
-// ShardInfo describes one shard of a sealed store, for apquery -stats and
-// capacity planning.
-type ShardInfo struct {
-	Shard   int
-	Events  int
-	Hosts   int
-	MinTime int64
-	MaxTime int64
-}
-
 // ShardCount returns the number of parts; 1 unless WithShards asked for more.
 func (s *Store) ShardCount() int { return len(s.parts) }
 
@@ -666,25 +620,6 @@ func (s *Store) ShardEpochSeconds() int64 {
 		return s.shardEpoch
 	}
 	return s.bucketSeconds * segmentBuckets
-}
-
-// ShardInfos returns per-shard extents; nil for a store with one part,
-// which has no spread to describe.
-func (s *Store) ShardInfos() []ShardInfo {
-	if len(s.parts) == 1 {
-		return nil
-	}
-	infos := make([]ShardInfo, len(s.parts))
-	for i, p := range s.parts {
-		infos[i] = ShardInfo{
-			Shard:   i,
-			Events:  len(p.events),
-			Hosts:   len(p.hosts),
-			MinTime: p.minTime,
-			MaxTime: p.maxTime,
-		}
-	}
-	return infos
 }
 
 // ShardScatterStats reports the cumulative real-CPU scatter accounting:

@@ -121,7 +121,7 @@ func TestShardDifferential(t *testing.T) {
 			flatClk := simclock.NewSimulated(time.Time{})
 			shClk := simclock.NewSimulated(time.Time{})
 			flat := buildWorkload(t, evs, flatClk)
-			sharded := buildWorkload(t, evs, shClk, WithShards(n), WithShardEpoch(500))
+			sharded := buildWorkload(t, evs, shClk, WithShards(n), withShardEpoch(500))
 			if want := n; n > 1 && sharded.ShardCount() != want {
 				t.Fatalf("ShardCount = %d, want %d", sharded.ShardCount(), want)
 			}
@@ -262,7 +262,7 @@ func TestShardEdgeCases(t *testing.T) {
 	t.Run("empty shards", func(t *testing.T) {
 		// 1 host × 1 epoch cell with 7 shards: six shards stay empty.
 		clk := simclock.NewSimulated(time.Time{})
-		s := New(clk, WithShards(7), WithShardEpoch(1<<40))
+		s := New(clk, WithShards(7), withShardEpoch(1<<40))
 		host := event.Process("only-host", "p", 1, 1)
 		f := event.File("only-host", "/f")
 		for i := 0; i < 50; i++ {
@@ -274,8 +274,8 @@ func TestShardEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		nonEmpty := 0
-		for _, info := range s.ShardInfos() {
-			if info.Events > 0 {
+		for _, p := range s.parts {
+			if len(p.events) > 0 {
 				nonEmpty++
 			}
 		}
@@ -298,7 +298,7 @@ func TestShardEdgeCases(t *testing.T) {
 		flatClk := simclock.NewSimulated(time.Time{})
 		shClk := simclock.NewSimulated(time.Time{})
 		flat := buildWorkload(t, evs, flatClk)
-		sharded := buildWorkload(t, evs, shClk, WithShards(4), WithShardEpoch(200))
+		sharded := buildWorkload(t, evs, shClk, WithShards(4), withShardEpoch(200))
 		minT, maxT, _ := flat.TimeRange()
 		for obj := 0; obj < flat.NumObjects(); obj++ {
 			assertSameCharge(t, fmt.Sprintf("skew obj=%d", obj), flat, sharded, flatClk, shClk, func(s *Store) (any, error) {

@@ -120,8 +120,8 @@ type Store struct {
 	costObs CostObserver
 
 	// scatterObs, if set, observes the shard fan-out and per-shard row split
-	// of every routed query (timeline shard breakdown). Like costObs it is
-	// per store/view and never inherited by View.
+	// of every routed query. Like costObs it is per store/view and never
+	// inherited by View.
 	scatterObs ScatterObserver
 
 	// qp is the attached query profiler. Unlike the observers above it is
@@ -146,17 +146,7 @@ type storeMetrics struct {
 	postingMisses *telemetry.Counter
 	queryRows     *telemetry.Histogram
 	queryLatency  *telemetry.Histogram
-	shards        *telemetry.Gauge
-
-	// Scatter and seal real-CPU observability (never charged cost): timed
-	// scatters, their busy/savable nanos, the per-task busy distribution,
-	// per-query shard fan-out, and the seal's wall nanos.
-	scatters       *telemetry.Counter
-	scatterBusy    *telemetry.Counter
-	scatterSavable *telemetry.Counter
-	shardBusy      *telemetry.Histogram
-	scatterFanout  *telemetry.Histogram
-	sealWall       *telemetry.Gauge
+	sealWall      *telemetry.Gauge // the seal's wall nanos: real CPU, never charged cost
 }
 
 func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
@@ -168,14 +158,7 @@ func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
 		postingMisses: reg.Counter(telemetry.MetricStorePostingMisses),
 		queryRows:     reg.Histogram(telemetry.MetricStoreQueryRows, telemetry.RowBuckets),
 		queryLatency:  reg.Histogram(telemetry.MetricStoreQueryLatency, telemetry.LatencyBuckets),
-		shards:        reg.Gauge(telemetry.MetricStoreShards),
-
-		scatters:       reg.Counter(telemetry.MetricStoreScatters),
-		scatterBusy:    reg.Counter(telemetry.MetricStoreScatterBusyNs),
-		scatterSavable: reg.Counter(telemetry.MetricStoreScatterSavableNs),
-		shardBusy:      reg.Histogram(telemetry.MetricStoreShardBusyNs, telemetry.ShardBusyBuckets),
-		scatterFanout:  reg.Histogram(telemetry.MetricStoreScatterFanout, telemetry.FanoutBuckets),
-		sealWall:       reg.Gauge(telemetry.MetricStoreSealWallNs),
+		sealWall:      reg.Gauge(telemetry.MetricStoreSealWallNs),
 	}
 }
 
@@ -239,7 +222,6 @@ func (s *Store) Clock() simclock.Clock { return s.clock }
 func (s *Store) SetTelemetry(reg *telemetry.Registry) {
 	s.reg = reg
 	s.tel = newStoreMetrics(reg)
-	s.tel.shards.Set(int64(len(s.parts)))
 	// A store sealed before telemetry was attached (Open seals during load)
 	// still publishes its seal accounting.
 	if s.sealed {
@@ -266,10 +248,8 @@ func (s *Store) SetCostObserver(fn CostObserver) {
 
 // ScatterObserver receives, per routed query on a sharded store, the shard
 // fan-out and the per-shard row split (indexed by shard, summing to the rows
-// the query charged). The timeline uses it to carry a shard breakdown on
-// query events. Rows are deterministic — never timing — so traces stay
-// byte-comparable across runs. A store with one part has no split to report
-// and never calls it.
+// the query charged). Rows are deterministic — never timing. A store with
+// one part has no split to report and never calls it.
 type ScatterObserver func(fanout int, shardRows []int64)
 
 // SetScatterObserver attaches (or detaches, with nil) a per-query scatter
@@ -483,7 +463,7 @@ func (s *Store) appendPosting(buf []event.Event, obj event.ObjID, forward bool, 
 	}
 	var scratch [MaxShards]run
 	runs, postingLen, rows := s.collect(scratch[:0], obj, forward, from, to)
-	s.noteProbe(postingLen, len(runs))
+	s.noteProbe(postingLen)
 	// Snapshot per-part rows before the merge consumes the run cursors.
 	qp, b := s.sampling()
 	s.split(b, runs, nil)
@@ -530,19 +510,18 @@ func (s *Store) countPosting(obj event.ObjID, forward bool, from, to int64) (int
 		return 0, ErrNotSealed
 	}
 	qp, b := s.sampling()
-	var postingLen, rows, fanout int
+	var postingLen, rows int
 	for pi, p := range s.parts {
 		lo, hi, n := p.window(obj, forward, from, to)
 		postingLen += n
 		if lo < hi {
 			rows += int(hi - lo)
-			fanout++
 			if b != nil && len(s.parts) > 1 {
 				b.shards = append(b.shards, qprof.ShardSample{Shard: pi, Rows: int64(hi - lo)})
 			}
 		}
 	}
-	s.noteProbe(postingLen, fanout)
+	s.noteProbe(postingLen)
 	if b != nil {
 		s.emit(qp, b, postingKind(forward, true), int64(rows), 0)
 	}

@@ -138,7 +138,7 @@ func FuzzTidyOrder(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, parts uint8, split uint16) {
 		log := tidyLog(data)
-		opts := []Option{WithShards(1 + int(parts)%4), WithShardEpoch(4)}
+		opts := []Option{WithShards(1 + int(parts)%4), withShardEpoch(4)}
 		first := int(split) % (len(log) + 1)
 
 		raw := make([]event.Event, len(log))

@@ -13,21 +13,8 @@ const (
 	MetricStorePostingMisses = "aptrace_store_posting_misses_total"
 	MetricStoreQueryRows     = "aptrace_store_query_rows"
 	MetricStoreQueryLatency  = "aptrace_store_query_latency_seconds"
-	// shards is the store's host×time partition count (gauge, 1 = flat).
-	// The query counters above are whole-store totals regardless of layout:
-	// a scatter-gathered query charges once at the router, never per shard.
-	MetricStoreShards = "aptrace_store_shards"
-
-	// Scatter-gather observability (real CPU, never charged cost; zero on a
-	// flat store): timed scatters, their summed per-shard busy nanos, the
-	// Σ−max portion a parallel run would shed, the per-task busy distribution
-	// and the per-query shard fan-out. Then the seal's wall nanos.
-	MetricStoreScatters         = "aptrace_store_scatters_total"
-	MetricStoreScatterBusyNs    = "aptrace_store_scatter_busy_ns_total"
-	MetricStoreScatterSavableNs = "aptrace_store_scatter_savable_ns_total"
-	MetricStoreShardBusyNs      = "aptrace_store_shard_busy_ns"
-	MetricStoreScatterFanout    = "aptrace_store_scatter_fanout"
-	MetricStoreSealWallNs       = "aptrace_store_seal_wall_ns"
+	// The seal's wall nanos (real CPU, never charged cost).
+	MetricStoreSealWallNs = "aptrace_store_seal_wall_ns"
 
 	// Live store WAL.
 	MetricWALAppends = "aptrace_store_wal_appends_total"
@@ -118,13 +105,7 @@ const (
 // sub-millisecond SSE flushes up to multi-minute end-to-end analyses.
 // GCPauseBuckets cover Go stop-the-world pauses (microseconds to tens of
 // milliseconds).
-// FanoutBuckets cover per-query shard fan-out up to MaxShards (64);
-// ShardBusyBuckets cover one scatter task's real-CPU busy time in
-// nanoseconds (a microsecond to ten seconds).
 var (
-	FanoutBuckets    = []float64{1, 2, 4, 8, 16, 32, 64}
-	ShardBusyBuckets = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
-
 	LatencyBuckets  = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 300, 1800}
 	GapBuckets      = []float64{0.1, 0.5, 1, 2, 4, 8, 16, 30, 60, 120, 300, 600, 1200, 3600}
 	RowBuckets      = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}

@@ -52,9 +52,10 @@ type Config struct {
 	// 2019-03-01 00:00 UTC (the period the paper's cases fall into).
 	Start time.Time
 	// Shards partitions the store by host × time epoch (store.WithShards).
-	// 0 or 1 keeps the flat single-shard layout. Generation streams events
-	// directly into their shards, so no single slice ever holds the whole
-	// dataset, and Seal runs per shard in parallel.
+	// 0 or 1 keeps the flat single-shard layout; more than store.MaxShards
+	// is an error. Generation streams events directly into their shards, so
+	// no single slice ever holds the whole dataset, and Seal runs per shard
+	// in parallel.
 	Shards int
 }
 
@@ -130,6 +131,9 @@ func Generate(cfg Config, clk storeClock) (*Dataset, error) {
 		cfg.Start = time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC)
 	}
 
+	if cfg.Shards > store.MaxShards {
+		return nil, fmt.Errorf("workload: shard count %d exceeds store.MaxShards (%d)", cfg.Shards, store.MaxShards)
+	}
 	var opts []store.Option
 	if cfg.Shards > 1 {
 		opts = append(opts, store.WithShards(cfg.Shards))

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"aptrace/internal/event"
 	"aptrace/internal/refiner"
 	"aptrace/internal/simclock"
+	"aptrace/internal/store"
 )
 
 func smallConfig() Config {
@@ -122,6 +124,16 @@ func TestUnknownAttackRejected(t *testing.T) {
 	cfg.Attacks = []string{"nonexistent"}
 	if _, err := Generate(cfg, nil); err == nil {
 		t.Fatal("unknown attack name must fail")
+	}
+}
+
+// TestTooManyShardsRejected: a part count the store cannot hold is an error
+// from Generate, not a panic inside store.New.
+func TestTooManyShardsRejected(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Shards = store.MaxShards + 1
+	if _, err := Generate(cfg, nil); err == nil || !strings.Contains(err.Error(), "exceeds store.MaxShards") {
+		t.Fatalf("Generate with %d shards: err = %v, want a MaxShards error", cfg.Shards, err)
 	}
 }
 
